@@ -3,23 +3,32 @@
 # concurrent substrate (netsim fault/reliability plane, ssi accounting,
 # gquery token fleet, privcrypto batch helpers, smc parallel protocols,
 # obs registry), short fuzz passes over the wire-facing decoders, the
-# determinism lint, the metrics smoke run, the multi-process scenario
-# gate (pdsd over the TCP substrate), and a coverage summary.
+# gofmt and determinism lints, the metrics smoke run, the multi-process
+# scenario gate (pdsd over the TCP substrate), the benchmark smoke run,
+# and a coverage summary.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci build test vet race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 bench-snapshot bench-snapshot-ci
+.PHONY: ci build test vet fmt race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 bench-snapshot bench-smoke
 
 # Where `make bench-snapshot` writes the perf snapshot. Committed per PR
 # (BENCH_PR<n>.json) so performance trajectories stay diffable.
-BENCH_OUT ?= BENCH_PR9.json
+BENCH_OUT ?= BENCH_PR12.json
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file is gofmt-clean.
+fmt:
+	@bad=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$bad" ]; then \
+		echo "not gofmt-clean:"; echo "$$bad"; exit 1; \
+	fi
+	@echo "fmt: ok"
 
 test:
 	$(GO) test -shuffle=on ./...
@@ -133,7 +142,7 @@ cover-recovery:
 	check ./internal/crashharness 75; \
 	check ./internal/flash 75
 
-ci: vet build test race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-snapshot-ci
+ci: vet fmt build test race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-smoke
 
 # Serial-vs-parallel perf trajectory for the Part III protocols.
 bench-part3:
@@ -144,7 +153,11 @@ bench-part3:
 bench-snapshot:
 	$(GO) run ./cmd/pdsbench -bench-snapshot $(BENCH_OUT)
 
-# CI flavor: quick sweep to a throwaway artifact, never fails the gate —
-# the point is catching crashes in the harness, not enforcing perf.
-bench-snapshot-ci:
-	-$(GO) run ./cmd/pdsbench -bench-snapshot /tmp/bench-ci.json -quick
+# Benchmark smoke gate: the harness's own tests (metric tables equal to
+# BENCHMARK.json, pinned input digests, the comparer), then three seconds
+# of the Part III hot-path workload, which exits non-zero on a wrong
+# aggregate, an untyped failure or a lossy wire that cost no retransmit.
+# Perf itself is judged by paired `go run ./bench` runs, not here.
+bench-smoke:
+	$(GO) test ./bench -count=1
+	$(GO) run ./bench -workload gquery-lossy -seconds 3 -trace 0

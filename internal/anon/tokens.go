@@ -45,7 +45,7 @@ func PublishViaTokens(net *netsim.Network, srv *ssi.Server, contributors []Contr
 	if err != nil {
 		return nil, stats, err
 	}
-	macKey := privcrypto.MAC(masterKey, []byte("anon-mac"))
+	mac := privcrypto.NewKeyedMAC(privcrypto.MAC(masterKey, []byte("anon-mac")))
 
 	// Collection.
 	var wantIDSum uint64
@@ -56,13 +56,12 @@ func PublishViaTokens(net *netsim.Network, srv *ssi.Server, contributors []Contr
 			wantIDSum += id
 			wantCount++
 			pt := encodeRecord(id, r)
-			ct, err := cipher.Encrypt(pt)
+			// payload = Enc_nd(record) | mac(32), built in one buffer.
+			ct, err := cipher.AppendEncrypt(make([]byte, 0, len(pt)+privcrypto.Overhead+32), pt)
 			if err != nil {
 				return nil, stats, err
 			}
-			payload := make([]byte, len(ct)+32)
-			copy(payload, ct)
-			copy(payload[len(ct):], privcrypto.MAC(macKey, ct))
+			payload := mac.Sum(ct, ct)
 			srv.Receive(net.Send(netsim.Envelope{
 				From: c.ID, To: "ssi", Kind: "record", Payload: payload,
 			}))
@@ -86,7 +85,7 @@ func PublishViaTokens(net *netsim.Network, srv *ssi.Server, contributors []Contr
 				continue
 			}
 			ct := env.Payload[:len(env.Payload)-32]
-			if !privcrypto.VerifyMAC(macKey, ct, env.Payload[len(env.Payload)-32:]) {
+			if !mac.Verify(ct, env.Payload[len(env.Payload)-32:]) {
 				stats.MACFailures++
 				stats.Detected = true
 				continue

@@ -39,16 +39,17 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 	var fold *obs.Span
 	defer func() { fold.End() }()
 	out := chunkOutcome{worker: job.worker, partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+	rcv := func(e netsim.Envelope) {
+		if fold == nil {
+			fold = tp.ro.remoteSpan(PhaseTokenFold, e.Ctx, "chunk", job.label, "worker", job.worker)
+		}
+		proc(&out, e)
+	}
+	ctx := disp.Context()
 	for _, env := range envs {
 		out.wire.Messages++
 		out.wire.Bytes += int64(len(env.Payload))
-		sendErr := tp.send(netsim.Envelope{From: "ssi", To: job.worker, Kind: job.kind, Payload: env.Payload, Ctx: disp.Context()},
-			func(e netsim.Envelope) {
-				if fold == nil {
-					fold = tp.ro.remoteSpan(PhaseTokenFold, e.Ctx, "chunk", job.label, "worker", job.worker)
-				}
-				proc(&out, e)
-			})
+		sendErr := tp.send(netsim.Envelope{From: "ssi", To: job.worker, Kind: job.kind, Payload: env.Payload, Ctx: ctx}, rcv)
 		if sendErr != nil && out.err == nil {
 			out.err = sendErr
 		}
@@ -80,11 +81,7 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 // verified downstream: encode, encrypt non-deterministically, MAC.
 func sealedPartial(kr *Keyring) sealPartialFn {
 	return func(out *chunkOutcome) ([]byte, error) {
-		pct, err := kr.NonDet.Encrypt(encodePartial(out.partial))
-		if err != nil {
-			return nil, err
-		}
-		return seal(kr, pct), nil
+		return sealNonDet(kr, nil, encodePartial(out.partial))
 	}
 }
 

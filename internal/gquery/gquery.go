@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"pds/internal/netsim"
@@ -117,6 +118,17 @@ type Keyring struct {
 	Det    *privcrypto.DetCipher
 	NonDet *privcrypto.NonDetCipher
 	MACKey []byte
+
+	// The keyed state of MACKey, bound on first use so a Keyring written
+	// as a literal works like one from KeyringFrom.
+	macOnce sync.Once
+	mac     *privcrypto.KeyedMAC
+}
+
+// keyed returns the envelope MAC with MACKey's schedule set up once.
+func (kr *Keyring) keyed() *privcrypto.KeyedMAC {
+	kr.macOnce.Do(func() { kr.mac = privcrypto.NewKeyedMAC(kr.MACKey) })
+	return kr.mac
 }
 
 // NewKeyring draws fresh token-shared keys.
@@ -217,22 +229,18 @@ type tuplePlain struct {
 }
 
 func encodeTuplePlain(t tuplePlain) []byte {
-	out := make([]byte, 0, 8+2+len(t.Group)+8+1)
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], t.ID)
-	out = append(out, b8[:]...)
-	var b2 [2]byte
-	binary.LittleEndian.PutUint16(b2[:], uint16(len(t.Group)))
-	out = append(out, b2[:]...)
+	return appendTuplePlain(make([]byte, 0, 8+2+len(t.Group)+8+1), t)
+}
+
+func appendTuplePlain(out []byte, t tuplePlain) []byte {
+	out = binary.LittleEndian.AppendUint64(out, t.ID)
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(t.Group)))
 	out = append(out, t.Group...)
-	binary.LittleEndian.PutUint64(b8[:], uint64(t.Value))
-	out = append(out, b8[:]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(t.Value))
 	if t.Fake {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
+		return append(out, 1)
 	}
-	return out
+	return append(out, 0)
 }
 
 func decodeTuplePlain(data []byte) (tuplePlain, error) {
@@ -249,13 +257,35 @@ func decodeTuplePlain(data []byte) (tuplePlain, error) {
 	return tuplePlain{ID: id, Group: group, Value: val, Fake: data[18+gl] == 1}, nil
 }
 
-// sealed wraps ct with a MAC: u16 ctLen | ct | mac(32).
-func seal(kr *Keyring, ct []byte) []byte {
-	out := make([]byte, 2+len(ct)+32)
-	binary.LittleEndian.PutUint16(out[:2], uint16(len(ct)))
-	copy(out[2:], ct)
-	copy(out[2+len(ct):], privcrypto.MAC(kr.MACKey, ct))
+// A sealed payload wraps a body with a MAC: u16 bodyLen | body | mac(32).
+// Senders build it in one buffer: beginSeal sizes it and writes the length,
+// the body is appended in place, endSeal appends the MAC.
+func beginSeal(bodyLen int) []byte {
+	out := make([]byte, 2, 2+bodyLen+32)
+	binary.LittleEndian.PutUint16(out, uint16(bodyLen))
 	return out
+}
+
+func endSeal(kr *Keyring, out []byte) []byte {
+	return kr.keyed().Sum(out, out[2:])
+}
+
+// sealNonDet seals prefix | Enc_nd(pt).
+func sealNonDet(kr *Keyring, prefix, pt []byte) ([]byte, error) {
+	out := append(beginSeal(len(prefix)+len(pt)+privcrypto.Overhead), prefix...)
+	out, err := kr.NonDet.AppendEncrypt(out, pt)
+	if err != nil {
+		return nil, err
+	}
+	return endSeal(kr, out), nil
+}
+
+// sealTuple is a tuple upload: prefix is the protocol's clear routing part,
+// if any, and the plaintext is encoded on the stack (a group too long for
+// the buffer spills to the heap).
+func sealTuple(kr *Keyring, prefix []byte, t tuplePlain) ([]byte, error) {
+	var buf [64]byte
+	return sealNonDet(kr, prefix, appendTuplePlain(buf[:0], t))
 }
 
 // open verifies and unwraps a sealed payload.
@@ -268,7 +298,7 @@ func open(kr *Keyring, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("gquery: corrupt sealed payload")
 	}
 	ct := payload[2 : 2+n]
-	if !privcrypto.VerifyMAC(kr.MACKey, ct, payload[2+n:]) {
+	if !kr.keyed().Verify(ct, payload[2+n:]) {
 		return nil, privcrypto.ErrAuthentication
 	}
 	return ct, nil

@@ -113,20 +113,18 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 			if bkt < 0 {
 				return nil, stats, fmt.Errorf("gquery: group %q outside bucketized domain", t.Group)
 			}
-			pt := encodeTuplePlain(tuplePlain{
+			var bktID [2]byte
+			binary.LittleEndian.PutUint16(bktID[:], uint16(bkt))
+			payload, err := sealTuple(kr, bktID[:], tuplePlain{
 				ID:    ssi.HashID(p.ID, seq),
 				Group: t.Group,
 				Value: t.Value,
 			})
-			vct, err := kr.NonDet.Encrypt(pt)
 			if err != nil {
 				return nil, stats, err
 			}
-			body := make([]byte, 2+len(vct))
-			binary.LittleEndian.PutUint16(body[:2], uint16(bkt))
-			copy(body[2:], vct)
 			if err := tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: seal(kr, body),
+				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload,
 			}, srv.Receive); err != nil {
 				return nil, stats, err
 			}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"pds/internal/netsim"
+	"pds/internal/privcrypto"
 	"pds/internal/ssi"
 	tnet "pds/internal/transport"
 )
@@ -70,27 +71,27 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	for _, p := range parts {
 		seq := 0
 		send := func(group string, value int64, fake bool) error {
-			pt := encodeTuplePlain(tuplePlain{
+			var buf [64]byte
+			pt := appendTuplePlain(buf[:0], tuplePlain{
 				ID:    ssi.HashID(p.ID, seq),
 				Group: group,
 				Value: value,
 				Fake:  fake,
 			})
 			seq++
-			gct, err := kr.Det.Encrypt([]byte(group))
+			// Sealed body: u16 gctLen | Enc_det(group) | Enc_nd(tuple).
+			gctLen := len(group) + privcrypto.Overhead
+			out := beginSeal(2 + gctLen + len(pt) + privcrypto.Overhead)
+			out = binary.LittleEndian.AppendUint16(out, uint16(gctLen))
+			out, err := kr.Det.AppendEncrypt(out, []byte(group))
 			if err != nil {
 				return err
 			}
-			vct, err := kr.NonDet.Encrypt(pt)
-			if err != nil {
+			if out, err = kr.NonDet.AppendEncrypt(out, pt); err != nil {
 				return err
 			}
-			payload := make([]byte, 2+len(gct)+len(vct))
-			binary.LittleEndian.PutUint16(payload[:2], uint16(len(gct)))
-			copy(payload[2:], gct)
-			copy(payload[2+len(gct):], vct)
 			return tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: seal(kr, payload),
+				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: endSeal(kr, out),
 			}, srv.Receive)
 		}
 		held := map[string]bool{}
@@ -253,15 +254,26 @@ func drawFakeGroup(rng *rand.Rand, domain []string, held map[string]bool, kind N
 	if kind == WhiteNoise {
 		return domain[rng.Intn(len(domain))], true
 	}
-	// Controlled: from the complement of the participant's groups.
-	var comp []string
+	// Controlled: from the complement of the participant's groups — the
+	// k-th domain value not held, k uniform over the complement's size.
+	n := 0
 	for _, g := range domain {
 		if !held[g] {
-			comp = append(comp, g)
+			n++
 		}
 	}
-	if len(comp) == 0 {
+	if n == 0 {
 		return "", false
 	}
-	return comp[rng.Intn(len(comp))], true
+	k := rng.Intn(n)
+	for _, g := range domain {
+		if held[g] {
+			continue
+		}
+		if k == 0 {
+			return g, true
+		}
+		k--
+	}
+	return "", false // not reached: k < n
 }

@@ -176,7 +176,7 @@ func (ro *runObs) finish(stats *RunStats) {
 
 	// With the run's spans closed, walk the causal DAG for the critical
 	// path and mirror it into counters so the breakdown survives merges.
-	cp := obs.ComputeCriticalPath(reg.Snapshot().Spans)
+	cp := obs.ComputeCriticalPath(reg.Tracer().Spans())
 	stats.CriticalPath = cp
 	reg.Counter(MetricCriticalNS).Add(cp.TotalNS)
 	reg.Counter(MetricCriticalSlackNS).Add(cp.SlackNS)

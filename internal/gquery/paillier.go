@@ -53,31 +53,25 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 	// Collection: payload = u16 gctLen | gct | u16 idBlobLen | idBlob | vct
 	// where idBlob = (u64 id | mac32) and vct is the Paillier ciphertext.
 	cipherLen := pk.CipherLen()
+	const idBlobLen = 8 + 32
 	for _, p := range parts {
 		for seq, t := range p.Tuples {
 			if t.Value < 0 {
 				return nil, stats, fmt.Errorf("gquery: paillier protocol needs non-negative values, got %d", t.Value)
 			}
-			gct, err := kr.Det.Encrypt([]byte(t.Group))
-			if err != nil {
-				return nil, stats, err
-			}
-			id := ssi.HashID(p.ID, seq)
-			var idb [8]byte
-			binary.LittleEndian.PutUint64(idb[:], id)
-			idBlob := append(idb[:], privcrypto.MAC(kr.MACKey, idb[:])...)
 			vct, err := pk.EncryptInt64(t.Value, nil)
 			if err != nil {
 				return nil, stats, err
 			}
-			payload := make([]byte, 0, 4+len(gct)+len(idBlob)+cipherLen)
-			var b2 [2]byte
-			binary.LittleEndian.PutUint16(b2[:], uint16(len(gct)))
-			payload = append(payload, b2[:]...)
-			payload = append(payload, gct...)
-			binary.LittleEndian.PutUint16(b2[:], uint16(len(idBlob)))
-			payload = append(payload, b2[:]...)
-			payload = append(payload, idBlob...)
+			gctLen := len(t.Group) + privcrypto.Overhead
+			payload := make([]byte, 0, 4+gctLen+idBlobLen+cipherLen)
+			payload = binary.LittleEndian.AppendUint16(payload, uint16(gctLen))
+			if payload, err = kr.Det.AppendEncrypt(payload, []byte(t.Group)); err != nil {
+				return nil, stats, err
+			}
+			payload = binary.LittleEndian.AppendUint16(payload, idBlobLen)
+			payload = binary.LittleEndian.AppendUint64(payload, ssi.HashID(p.ID, seq))
+			payload = kr.keyed().Sum(payload, payload[len(payload)-8:])
 			off := len(payload)
 			payload = payload[:off+cipherLen]
 			vct.FillBytes(payload[off:])
@@ -159,7 +153,7 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 			continue
 		}
 		for _, blob := range acc.ids {
-			if len(blob) != 8+32 || !privcrypto.VerifyMAC(kr.MACKey, blob[:8], blob[8:]) {
+			if len(blob) != idBlobLen || !kr.keyed().Verify(blob[:8], blob[8:]) {
 				stats.MACFailures++
 				stats.Detected = true
 				continue

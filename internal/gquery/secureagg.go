@@ -37,17 +37,16 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	// Collection phase.
 	for _, p := range parts {
 		for seq, t := range p.Tuples {
-			pt := encodeTuplePlain(tuplePlain{
+			payload, err := sealTuple(kr, nil, tuplePlain{
 				ID:    ssi.HashID(p.ID, seq),
 				Group: t.Group,
 				Value: t.Value,
 			})
-			ct, err := kr.NonDet.Encrypt(pt)
 			if err != nil {
 				return nil, stats, err
 			}
 			if err := tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: seal(kr, ct),
+				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload,
 			}, srv.Receive); err != nil {
 				return nil, stats, err
 			}

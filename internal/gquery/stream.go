@@ -157,15 +157,14 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 		participants++
 		var up netsim.Stats
 		for seq, t := range p.Tuples {
-			wantID += ssi.HashID(p.ID, seq)
+			id := ssi.HashID(p.ID, seq)
+			wantID += id
 			wantCount++
-			pt := encodeTuplePlain(tuplePlain{ID: ssi.HashID(p.ID, seq), Group: t.Group, Value: t.Value})
-			ct, err := kr.NonDet.Encrypt(pt)
+			payload, err := sealTuple(kr, nil, tuplePlain{ID: id, Group: t.Group, Value: t.Value})
 			if err != nil {
 				collectErr = err
 				break
 			}
-			payload := seal(kr, ct)
 			up.Messages++
 			up.Bytes += int64(len(payload))
 			if err := tp.send(netsim.Envelope{

@@ -8,9 +8,10 @@
 package netsim
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -61,16 +62,35 @@ func (s FaultStats) Total() int64 { return s.Dropped + s.Duplicated + s.Delayed 
 // shared by the fault plane and the weakly-malicious SSI, chosen over a
 // stateful PRNG so decisions do not depend on evaluation order.
 func HashUniform(seed int64, fields ...[]byte) float64 {
-	h := sha256.New()
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], uint64(seed))
-	h.Write(b8[:])
+	d := newDraw(seed)
 	for _, f := range fields {
-		binary.LittleEndian.PutUint64(b8[:], uint64(len(f)))
-		h.Write(b8[:])
-		h.Write(f)
+		d.b = appendField(d.b, f)
 	}
-	sum := h.Sum(nil)
+	return d.uniform()
+}
+
+// draw is one hash draw in the making: the seed and the length-prefixed
+// fields are laid out in a pooled scratch buffer and hashed in one pass.
+type draw struct{ b []byte }
+
+var drawPool = sync.Pool{New: func() any { return &draw{b: make([]byte, 0, 512)} }}
+
+func newDraw(seed int64) *draw {
+	d := drawPool.Get().(*draw)
+	d.b = binary.LittleEndian.AppendUint64(d.b[:0], uint64(seed))
+	return d
+}
+
+func appendField[T string | []byte](b []byte, f T) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(f)))
+	return append(b, f...)
+}
+
+// uniform hashes the layout, returns the scratch to the pool and maps the
+// digest's first 53 bits to [0,1).
+func (d *draw) uniform() float64 {
+	sum := sha256.Sum256(d.b)
+	drawPool.Put(d)
 	return float64(binary.LittleEndian.Uint64(sum[:8])>>11) / float64(1<<53)
 }
 
@@ -93,14 +113,17 @@ type FaultPlane struct {
 	obsv atomic.Pointer[netObserver] // bound by Network.SetFaults / SetObserver
 
 	mu    sync.Mutex
-	held  []Envelope           // delayed until the next Flush
-	swap  map[string]*Envelope // reordered: released after the next same-kind transmit
+	held  []Envelope        // delayed until the next Flush
+	swap  map[flow]Envelope // reordered: released after the next transmit of the same flow
 	stats FaultStats
 }
 
+// flow scopes a reorder slot: one ARQ link runs per (kind, destination).
+type flow struct{ kind, to string }
+
 // NewFaultPlane builds a plane for the plan.
 func NewFaultPlane(plan FaultPlan) *FaultPlane {
-	return &FaultPlane{plan: plan, swap: map[string]*Envelope{}}
+	return &FaultPlane{plan: plan, swap: map[flow]Envelope{}}
 }
 
 // Plan returns the schedule the plane applies.
@@ -128,7 +151,13 @@ func (fp *FaultPlane) decide(e Envelope) int {
 	if s.Total() <= 0 {
 		return faultNone
 	}
-	u := HashUniform(fp.plan.Seed, []byte("netsim-fault"), []byte(e.Kind), []byte(e.From), []byte(e.To), e.Payload)
+	d := newDraw(fp.plan.Seed)
+	d.b = appendField(d.b, "netsim-fault")
+	d.b = appendField(d.b, e.Kind)
+	d.b = appendField(d.b, e.From)
+	d.b = appendField(d.b, e.To)
+	d.b = appendField(d.b, e.Payload)
+	u := d.uniform()
 	switch {
 	case u < s.Drop:
 		return faultDrop
@@ -151,20 +180,20 @@ func (fp *FaultPlane) decide(e Envelope) int {
 // so the seeded schedule stays a pure function of envelope content on
 // every substrate.
 func (fp *FaultPlane) Transmit(e Envelope) []Envelope {
-	return fp.transmit(e)
+	out, n := fp.transmit(e)
+	return append([]Envelope(nil), out[:n]...)
 }
 
-// transmit applies the plan to one envelope and returns the copies that
-// arrive now. A pending reordered envelope of the same flow — same kind,
-// same destination — is released after the current one: the two swap
+// transmit applies the plan to one envelope and returns the n <= 3 copies
+// that arrive now. A pending reordered envelope of the same flow — same
+// kind, same destination — is released after the current one: the two swap
 // places on the wire. The flow keying matters: a sharded deployment runs
 // one ARQ link per (kind, destination), and releasing a withheld frame
 // into a different flow's receiver would collide sequence spaces and
 // spuriously ack a frame that was never delivered.
-func (fp *FaultPlane) transmit(e Envelope) []Envelope {
+func (fp *FaultPlane) transmit(e Envelope) (out [3]Envelope, n int) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()
-	var out []Envelope
 	reordered := false
 	switch fp.decide(e) {
 	case faultDrop:
@@ -173,7 +202,7 @@ func (fp *FaultPlane) transmit(e Envelope) []Envelope {
 	case faultDuplicate:
 		fp.stats.Duplicated++
 		fp.obsv.Load().fault("duplicate", e.Kind)
-		out = append(out, e, e)
+		out[0], out[1], n = e, e, 2
 	case faultDelay:
 		fp.stats.Delayed++
 		fp.obsv.Load().fault("delay", e.Kind)
@@ -183,18 +212,18 @@ func (fp *FaultPlane) transmit(e Envelope) []Envelope {
 		fp.obsv.Load().fault("reorder", e.Kind)
 		reordered = true
 	default:
-		out = append(out, e)
+		out[0], n = e, 1
 	}
-	flow := e.Kind + "\x00" + e.To
-	if prev, ok := fp.swap[flow]; ok {
-		out = append(out, *prev)
-		delete(fp.swap, flow)
+	f := flow{e.Kind, e.To}
+	if prev, ok := fp.swap[f]; ok {
+		out[n] = prev
+		n++
+		delete(fp.swap, f)
 	}
 	if reordered {
-		cp := e
-		fp.swap[flow] = &cp
+		fp.swap[f] = e
 	}
-	return out
+	return out, n
 }
 
 // Flush releases every withheld envelope (delayed ones and reorder slots
@@ -202,20 +231,28 @@ func (fp *FaultPlane) transmit(e Envelope) []Envelope {
 // shuffled, the worst legal schedule. rcv runs outside the plane's lock,
 // so it may route envelopes back through the network.
 func (fp *FaultPlane) Flush(rcv func(Envelope)) {
+	type keyed struct {
+		u float64
+		e Envelope
+	}
 	fp.mu.Lock()
-	pending := fp.held
+	pending := make([]keyed, 0, len(fp.held)+len(fp.swap))
+	for _, e := range fp.held {
+		pending = append(pending, keyed{e: e})
+	}
 	fp.held = nil
 	for k, e := range fp.swap {
-		pending = append(pending, *e)
+		pending = append(pending, keyed{e: e})
 		delete(fp.swap, k)
 	}
-	sort.SliceStable(pending, func(i, j int) bool {
-		ui := HashUniform(fp.plan.Seed, []byte("netsim-flush"), []byte(pending[i].Kind), pending[i].Payload)
-		uj := HashUniform(fp.plan.Seed, []byte("netsim-flush"), []byte(pending[j].Kind), pending[j].Payload)
-		return ui < uj
-	})
 	fp.mu.Unlock()
-	for _, e := range pending {
-		rcv(e)
+	// One hash per envelope, not one per comparison.
+	for i := range pending {
+		e := &pending[i].e
+		pending[i].u = HashUniform(fp.plan.Seed, []byte("netsim-flush"), []byte(e.Kind), e.Payload)
+	}
+	slices.SortStableFunc(pending, func(a, b keyed) int { return cmp.Compare(a.u, b.u) })
+	for _, p := range pending {
+		rcv(p.e)
 	}
 }

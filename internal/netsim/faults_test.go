@@ -43,7 +43,7 @@ func TestFaultPlaneReproducibleFromSeed(t *testing.T) {
 		fp := NewFaultPlane(plan)
 		var got []string
 		for i := 0; i < 200; i++ {
-			for _, e := range fp.transmit(mkEnv(i, "tuple")) {
+			for _, e := range fp.Transmit(mkEnv(i, "tuple")) {
 				got = append(got, string(e.Payload))
 			}
 		}
@@ -74,7 +74,7 @@ func TestFaultPlaneSeedChangesSchedule(t *testing.T) {
 	b := NewFaultPlane(FaultPlan{Seed: 2, Default: spec})
 	differs := false
 	for i := 0; i < 100; i++ {
-		if len(a.transmit(mkEnv(i, "k"))) != len(b.transmit(mkEnv(i, "k"))) {
+		if len(a.Transmit(mkEnv(i, "k"))) != len(b.Transmit(mkEnv(i, "k"))) {
 			differs = true
 		}
 	}
@@ -85,11 +85,11 @@ func TestFaultPlaneSeedChangesSchedule(t *testing.T) {
 
 func TestFaultPlaneDropAndDuplicate(t *testing.T) {
 	fp := NewFaultPlane(FaultPlan{Seed: 3, Default: FaultSpec{Drop: 1}})
-	if out := fp.transmit(mkEnv(0, "k")); len(out) != 0 {
+	if out := fp.Transmit(mkEnv(0, "k")); len(out) != 0 {
 		t.Errorf("drop=1 delivered %d copies", len(out))
 	}
 	fp = NewFaultPlane(FaultPlan{Seed: 3, Default: FaultSpec{Duplicate: 1}})
-	if out := fp.transmit(mkEnv(0, "k")); len(out) != 2 {
+	if out := fp.Transmit(mkEnv(0, "k")); len(out) != 2 {
 		t.Errorf("duplicate=1 delivered %d copies, want 2", len(out))
 	}
 }
@@ -97,7 +97,7 @@ func TestFaultPlaneDropAndDuplicate(t *testing.T) {
 func TestFaultPlaneDelayUntilFlush(t *testing.T) {
 	fp := NewFaultPlane(FaultPlan{Seed: 4, Default: FaultSpec{Delay: 1}})
 	for i := 0; i < 5; i++ {
-		if out := fp.transmit(mkEnv(i, "k")); len(out) != 0 {
+		if out := fp.Transmit(mkEnv(i, "k")); len(out) != 0 {
 			t.Fatalf("delayed envelope delivered early")
 		}
 	}
@@ -128,10 +128,10 @@ func TestFaultPlaneReorderSwapsNeighbours(t *testing.T) {
 			break
 		}
 	}
-	if out := fp.transmit(mkEnv(0, "k")); len(out) != 0 {
+	if out := fp.Transmit(mkEnv(0, "k")); len(out) != 0 {
 		t.Fatalf("reordered envelope delivered immediately")
 	}
-	out := fp.transmit(mkEnv(1, "k"))
+	out := fp.Transmit(mkEnv(1, "k"))
 	if len(out) != 2 || string(out[0].Payload) != "payload-0001" || string(out[1].Payload) != "payload-0000" {
 		t.Fatalf("swap order wrong: %v", out)
 	}
@@ -143,10 +143,10 @@ func TestFaultPlanePerKindSchedules(t *testing.T) {
 		Default: FaultSpec{},
 		PerKind: map[string]FaultSpec{"lossy": {Drop: 1}},
 	})
-	if out := fp.transmit(mkEnv(0, "lossy")); len(out) != 0 {
+	if out := fp.Transmit(mkEnv(0, "lossy")); len(out) != 0 {
 		t.Error("per-kind drop not applied")
 	}
-	if out := fp.transmit(mkEnv(0, "clean")); len(out) != 1 {
+	if out := fp.Transmit(mkEnv(0, "clean")); len(out) != 1 {
 		t.Error("default spec should be clean")
 	}
 }

@@ -168,8 +168,9 @@ func (n *Network) Deliver(e Envelope, rcv func(Envelope)) {
 		rcv(e)
 		return
 	}
-	for _, out := range fp.transmit(e) {
-		rcv(out)
+	out, k := fp.transmit(e)
+	for i := 0; i < k; i++ {
+		rcv(out[i])
 	}
 }
 

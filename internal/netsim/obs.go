@@ -33,7 +33,13 @@ type netObserver struct {
 
 	kindMsgs  sync.Map // kind -> *obs.Counter
 	kindBytes sync.Map // kind -> *obs.Counter
+
+	fmu    sync.Mutex
+	faults map[faultSeries]*obs.Counter
 }
+
+// faultSeries names one MetricFaults series.
+type faultSeries struct{ action, kind string }
 
 func newNetObserver(reg *obs.Registry) *netObserver {
 	if reg == nil {
@@ -43,6 +49,7 @@ func newNetObserver(reg *obs.Registry) *netObserver {
 		reg:      reg,
 		messages: reg.Counter(MetricMessages),
 		bytes:    reg.Counter(MetricBytes),
+		faults:   map[faultSeries]*obs.Counter{},
 	}
 }
 
@@ -67,7 +74,14 @@ func (o *netObserver) fault(action, kind string) {
 	if o == nil {
 		return
 	}
-	o.reg.Counter(MetricFaults, "fault", action, "kind", kind).Inc()
+	o.fmu.Lock()
+	c := o.faults[faultSeries{action, kind}]
+	if c == nil {
+		c = o.reg.Counter(MetricFaults, "fault", action, "kind", kind)
+		o.faults[faultSeries{action, kind}] = c
+	}
+	o.fmu.Unlock()
+	c.Inc()
 }
 
 // rel mirrors one reliability-layer counter bump.

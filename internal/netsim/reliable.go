@@ -169,6 +169,12 @@ type Link struct {
 	pending map[uint64]func(Envelope) // deliver callbacks of in-flight transfers, by seq
 	stats   RelStats
 
+	// Bound once, not per frame: the receiver handed to the wire, and the
+	// span and ack-kind names of the envelope kind last carried (gquery
+	// runs one link per kind, so the names are built once per link).
+	recv                    func(Envelope)
+	kind, xferName, ackKind string
+
 	// Observer bridge cache, keyed by the wire's current registry: the
 	// registry is swapped at most once per run epoch, so the fast path is
 	// one pointer compare.
@@ -179,13 +185,24 @@ type Link struct {
 
 // NewLink binds a reliable link to a wire.
 func NewLink(w Wire, cfg Reliability) *Link {
-	return &Link{
+	l := &Link{
 		wire:    w,
 		cfg:     cfg.withDefaults(),
 		seen:    map[uint64]bool{},
 		acked:   map[uint64]bool{},
 		pending: map[uint64]func(Envelope){},
 	}
+	l.recv = l.receive
+	return l
+}
+
+// names returns the transfer-span name and the ack kind of an envelope
+// kind. Callers hold l.mu.
+func (l *Link) names(kind string) (xfer, ack string) {
+	if kind != l.kind || l.xferName == "" {
+		l.kind, l.xferName, l.ackKind = kind, "xfer:"+kind, kind+"/ack"
+	}
+	return l.xferName, l.ackKind
 }
 
 // obsv resolves the wire's current registry to a cached observer bridge
@@ -222,6 +239,7 @@ func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
 	seq := l.seq
 	l.stats.Transfers++
 	l.pending[seq] = deliver
+	xferName, _ := l.names(e.Kind)
 	l.mu.Unlock()
 	obsv := l.obsv()
 	obsv.rel(MetricRelTransfers, 1)
@@ -230,7 +248,7 @@ func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
 	// that happens to this frame on the wire — the receive, retransmits,
 	// duplicate deliveries, the ack — attaches to this transfer. With no
 	// observer the protocol context is forwarded untouched.
-	xfer := obsv.startSpan("xfer:"+e.Kind, e.Ctx)
+	xfer := obsv.startSpan(xferName, e.Ctx)
 	defer xfer.End()
 	wireCtx := e.Ctx
 	if xfer != nil {
@@ -244,7 +262,7 @@ func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
 
 	for attempt := 0; ; attempt++ {
 		wire := EncodeFrame(seq, uint16(attempt), false, wireCtx, e.Payload)
-		l.wire.Deliver(Envelope{From: e.From, To: e.To, Kind: e.Kind, Payload: wire, Ctx: wireCtx}, l.receive)
+		l.wire.Deliver(Envelope{From: e.From, To: e.To, Kind: e.Kind, Payload: wire, Ctx: wireCtx}, l.recv)
 		l.mu.Lock()
 		acked := l.acked[seq]
 		l.mu.Unlock()
@@ -309,6 +327,7 @@ func (l *Link) receive(got Envelope) {
 	if first {
 		deliver = l.pending[fr.seq]
 	}
+	_, ackKind := l.names(got.Kind)
 	l.mu.Unlock()
 	if first && deliver != nil {
 		deliver(Envelope{From: got.From, To: got.To, Kind: got.Kind, Payload: fr.payload, Ctx: fr.ctx})
@@ -316,7 +335,7 @@ func (l *Link) receive(got Envelope) {
 		l.obsv().event("dup-delivery", fr.ctx)
 	}
 	ackWire := EncodeFrame(fr.seq, fr.attempt, true, fr.ctx, nil)
-	l.wire.Deliver(Envelope{From: got.To, To: got.From, Kind: got.Kind + "/ack", Payload: ackWire, Ctx: fr.ctx}, l.receive)
+	l.wire.Deliver(Envelope{From: got.To, To: got.From, Kind: ackKind, Payload: ackWire, Ctx: fr.ctx}, l.recv)
 }
 
 // Accept processes a data frame that surfaced outside a Transfer — a

@@ -1,9 +1,76 @@
 package obs
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
+
+// spanTree indexes a span list by its parent links, as positions into the
+// list: roots and every span's children, both in list order. A span whose
+// parent is missing from the list, or is the span itself, is a root.
+type spanTree struct {
+	roots []int
+	off   []int // children of span i are kid[off[i]:off[i+1]]
+	kid   []int
+}
+
+func (t *spanTree) kids(i int) []int { return t.kid[t.off[i]:t.off[i+1]] }
+
+func buildSpanTree(spans []SpanRecord) spanTree {
+	n := len(spans)
+	// A live tracer numbers its spans densely (id == position+1), so a
+	// parent id is its position; only merged or parsed lists need a map.
+	dense := true
+	for i := range spans {
+		if spans[i].ID != i+1 {
+			dense = false
+			break
+		}
+	}
+	var byID map[int]int
+	if !dense {
+		byID = make(map[int]int, n)
+		for i := range spans {
+			byID[spans[i].ID] = i
+		}
+	}
+	t := spanTree{off: make([]int, n+1)}
+	parent := make([]int, n)
+	for i := range spans {
+		p, ok := spans[i].Parent-1, false
+		if pid := spans[i].Parent; pid != 0 && pid != spans[i].ID {
+			if dense {
+				ok = pid >= 1 && pid <= n
+			} else {
+				p, ok = byID[pid]
+			}
+		}
+		if !ok {
+			parent[i] = -1
+			t.roots = append(t.roots, i)
+			continue
+		}
+		parent[i] = p
+		t.off[p+1]++
+	}
+	for i := 0; i < n; i++ {
+		t.off[i+1] += t.off[i]
+	}
+	// Fill with off[p] as span p's cursor, then shift the cursors back.
+	t.kid = make([]int, n-len(t.roots))
+	for i, p := range parent {
+		if p >= 0 {
+			t.kid[t.off[p]] = i
+			t.off[p]++
+		}
+	}
+	copy(t.off[1:], t.off[:n])
+	t.off[0] = 0
+	return t
+}
 
 // canonicalSpans renumbers a span list by causal structure: siblings are
 // ordered by (start time, name, attrs, end time) and ids assigned in DFS
@@ -11,67 +78,74 @@ import (
 // goroutine interleaving under a parallel token fleet; the canonical form
 // depends only on what work happened, so two identical Workers=N runs
 // export the same spans. Ties between fully identical childless records
-// are harmless: either order serializes to the same bytes.
+// are harmless: either order serializes to the same bytes. The result is a
+// fresh slice; spans is not modified.
 func canonicalSpans(spans []SpanRecord) []SpanRecord {
 	if len(spans) == 0 {
-		return spans
+		return nil
 	}
-	byID := make(map[int]int, len(spans)) // original id -> index
-	for i, sp := range spans {
-		byID[sp.ID] = i
-	}
-	children := make(map[int][]int, len(spans)) // original parent id -> child indexes
-	var roots []int
-	for i, sp := range spans {
-		if sp.Parent != 0 {
-			if _, ok := byID[sp.Parent]; ok {
-				children[sp.Parent] = append(children[sp.Parent], i)
-				continue
-			}
-		}
-		roots = append(roots, i) // true root, or dangling parent
-	}
-	keys := make([]string, len(spans))
-	key := func(i int) string {
-		if keys[i] == "" {
-			keys[i] = sortKey(spans[i])
-		}
-		return keys[i]
-	}
-	order := func(idx []int) {
-		sort.Slice(idx, func(a, b int) bool { return key(idx[a]) < key(idx[b]) })
-	}
-	order(roots)
-
+	t := buildSpanTree(spans)
+	o := siblingOrder{spans: spans}
+	slices.SortFunc(t.roots, o.compare)
 	out := make([]SpanRecord, 0, len(spans))
-	newID := make([]int, len(spans))
 	var walk func(i, parent int)
 	walk = func(i, parent int) {
 		sp := spans[i]
-		newID[i] = len(out) + 1
-		sp.ID = newID[i]
+		sp.ID = len(out) + 1
 		sp.Parent = parent
 		out = append(out, sp)
-		kids := children[spans[i].ID]
-		order(kids)
+		kids := t.kids(i)
+		slices.SortFunc(kids, o.compare)
 		for _, k := range kids {
 			walk(k, sp.ID)
 		}
 	}
-	for _, r := range roots {
+	for _, r := range t.roots {
 		walk(r, 0)
 	}
 	return out
 }
 
-// sortKey orders siblings: start time first (zero-padded so the string
-// order matches numeric order), then name, attrs and end time as
-// tie-breakers for same-instant work.
-func sortKey(sp SpanRecord) string {
+// siblingOrder orders siblings by the string
+//
+//	pad(start) | name | k=v,... | pad(end)
+//
+// (pad: 19 decimal digits of the time clamped at 0, so string order is
+// numeric order; attrs sorted by key) without building it: the padded
+// start is a numeric comparison, names that differ inside their common
+// length decide at that byte, and equal names without attrs leave only the
+// numeric end. Only when one name is a prefix of the other, or attrs are
+// in play, is the rest of the string — the tail — rendered and cached.
+type siblingOrder struct {
+	spans []SpanRecord
+	tails []string
+}
+
+func (o *siblingOrder) compare(a, b int) int {
+	x, y := &o.spans[a], &o.spans[b]
+	if c := cmp.Compare(max(x.StartNS, 0), max(y.StartNS, 0)); c != 0 {
+		return c
+	}
+	n := min(len(x.Name), len(y.Name))
+	if c := strings.Compare(x.Name[:n], y.Name[:n]); c != 0 {
+		return c
+	}
+	if len(x.Name) == len(y.Name) && len(x.Attrs) == 0 && len(y.Attrs) == 0 {
+		return cmp.Compare(max(x.EndNS, 0), max(y.EndNS, 0))
+	}
+	return strings.Compare(o.tail(a), o.tail(b))
+}
+
+// tail renders name | attrs | pad(end) for span i, once.
+func (o *siblingOrder) tail(i int) string {
+	if o.tails == nil {
+		o.tails = make([]string, len(o.spans))
+	}
+	if o.tails[i] != "" {
+		return o.tails[i]
+	}
+	sp := &o.spans[i]
 	var b strings.Builder
-	b.Grow(64)
-	padInt(&b, sp.StartNS)
-	b.WriteByte('|')
 	b.WriteString(sp.Name)
 	b.WriteByte('|')
 	if len(sp.Attrs) > 0 {
@@ -87,22 +161,7 @@ func sortKey(sp SpanRecord) string {
 			b.WriteByte(',')
 		}
 	}
-	b.WriteByte('|')
-	padInt(&b, sp.EndNS)
-	return b.String()
-}
-
-// padInt writes v as a fixed-width decimal so lexicographic order equals
-// numeric order for the non-negative simulated timestamps.
-func padInt(b *strings.Builder, v int64) {
-	if v < 0 {
-		v = 0
-	}
-	const width = 19
-	var buf [width]byte
-	for i := width - 1; i >= 0; i-- {
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	b.Write(buf[:])
+	fmt.Fprintf(&b, "|%019d", max(sp.EndNS, 0))
+	o.tails[i] = b.String()
+	return o.tails[i]
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // PhasePath summarizes one top-level phase of a trace: how much simulated
 // time its subtree keeps on the longest dependency chain (ChainNS), how
@@ -43,78 +47,62 @@ func ComputeCriticalPath(spans []SpanRecord) CriticalPath {
 	if len(spans) == 0 {
 		return CriticalPath{}
 	}
-	byID := make(map[int]int, len(spans))
-	for i, sp := range spans {
-		byID[sp.ID] = i
-	}
-	children := make(map[int][]int, len(spans))
-	var roots []int
-	for i, sp := range spans {
-		if sp.Parent != 0 {
-			if _, ok := byID[sp.Parent]; ok && sp.Parent != sp.ID {
-				children[sp.Parent] = append(children[sp.Parent], i)
-				continue
-			}
-		}
-		roots = append(roots, i)
-	}
-
+	t := buildSpanTree(spans)
 	chain := make([]int64, len(spans))
 	work := make([]int64, len(spans))
 	size := make([]int, len(spans))
+	var sc schedScratch
 	var visit func(i int)
 	visit = func(i int) {
-		sp := spans[i]
-		size[i] = 1
-		kids := children[sp.ID]
-		ivs := make([]interval, 0, len(kids))
+		sp := &spans[i]
+		dur := max(sp.EndNS-sp.StartNS, 0)
+		size[i], chain[i] = 1, dur
+		kids := t.kids(i)
+		if len(kids) == 0 {
+			// A leaf is all self time.
+			work[i] = dur
+			return
+		}
 		for _, k := range kids {
 			visit(k)
 			size[i] += size[k]
 			work[i] += work[k]
+		}
+		// The children are done with the scratch; lay their intervals out.
+		ivs := slices.Grow(sc.ivs[:0], len(kids))
+		for _, k := range kids {
 			ivs = append(ivs, interval{spans[k].StartNS, spans[k].EndNS, chain[k]})
 		}
-		dur := sp.EndNS - sp.StartNS
-		if dur < 0 {
-			dur = 0
-		}
+		sc.ivs = ivs
 		// Self time: the part of the span's interval no child covers.
-		self := dur - unionWithin(ivs, sp.StartNS, sp.EndNS)
-		if self > 0 {
+		if self := dur - sc.unionWithin(ivs, sp.StartNS, sp.EndNS); self > 0 {
 			work[i] += self
 		}
-		chain[i] = dur
-		if best := longestSchedule(ivs); best > dur {
-			chain[i] = best
-		}
+		chain[i] = max(dur, sc.longestSchedule(ivs))
 	}
-	for _, r := range roots {
+	for _, r := range t.roots {
 		visit(r)
 	}
 
-	rootIvs := make([]interval, len(roots))
+	rootIvs := make([]interval, len(t.roots))
 	var cp CriticalPath
-	primary := roots[0]
-	for j, r := range roots {
+	primary := t.roots[0]
+	for j, r := range t.roots {
 		rootIvs[j] = interval{spans[r].StartNS, spans[r].EndNS, chain[r]}
 		cp.WorkNS += work[r]
 		if chain[r] > chain[primary] {
 			primary = r
 		}
 	}
-	cp.TotalNS = longestSchedule(rootIvs)
+	cp.TotalNS = sc.longestSchedule(rootIvs)
 	if slack := cp.WorkNS - cp.TotalNS; slack > 0 {
 		cp.SlackNS = slack
 	}
 
 	// Phase breakdown: the primary root's direct children in start order.
-	kids := append([]int(nil), children[spans[primary].ID]...)
-	sort.Slice(kids, func(a, b int) bool {
-		sa, sb := spans[kids[a]], spans[kids[b]]
-		if sa.StartNS != sb.StartNS {
-			return sa.StartNS < sb.StartNS
-		}
-		return sa.ID < sb.ID
+	kids := slices.Clone(t.kids(primary))
+	slices.SortFunc(kids, func(a, b int) int {
+		return cmp.Or(cmp.Compare(spans[a].StartNS, spans[b].StartNS), cmp.Compare(spans[a].ID, spans[b].ID))
 	})
 	for _, k := range kids {
 		ph := PhasePath{
@@ -131,26 +119,28 @@ func ComputeCriticalPath(spans []SpanRecord) CriticalPath {
 	return cp
 }
 
+// schedScratch is the working memory of one critical-path walk, grown once
+// and reused for every span instead of allocated per span.
+type schedScratch struct {
+	ivs, tmp []interval
+	dp       []int64
+}
+
 // unionWithin returns the total length of the union of the intervals,
 // clipped to [lo, hi].
-func unionWithin(ivs []interval, lo, hi int64) int64 {
+func (sc *schedScratch) unionWithin(ivs []interval, lo, hi int64) int64 {
 	if len(ivs) == 0 || hi <= lo {
 		return 0
 	}
-	clipped := make([]interval, 0, len(ivs))
+	clipped := slices.Grow(sc.tmp[:0], len(ivs))
 	for _, iv := range ivs {
-		s, e := iv.start, iv.end
-		if s < lo {
-			s = lo
-		}
-		if e > hi {
-			e = hi
-		}
+		s, e := max(iv.start, lo), min(iv.end, hi)
 		if e > s {
 			clipped = append(clipped, interval{start: s, end: e})
 		}
 	}
-	sort.Slice(clipped, func(a, b int) bool { return clipped[a].start < clipped[b].start })
+	sc.tmp = clipped
+	slices.SortFunc(clipped, func(a, b interval) int { return cmp.Compare(a.start, b.start) })
 	var total int64
 	curStart, curEnd := int64(0), int64(0)
 	open := false
@@ -175,30 +165,21 @@ func unionWithin(ivs []interval, lo, hi int64) int64 {
 // longestSchedule is weighted interval scheduling: the maximum total
 // weight over a pairwise non-overlapping subset of the intervals — the
 // longest sequential dependency chain the intervals admit.
-func longestSchedule(ivs []interval) int64 {
+func (sc *schedScratch) longestSchedule(ivs []interval) int64 {
 	if len(ivs) == 0 {
 		return 0
 	}
-	sorted := append([]interval(nil), ivs...)
-	sort.Slice(sorted, func(a, b int) bool {
-		if sorted[a].end != sorted[b].end {
-			return sorted[a].end < sorted[b].end
-		}
-		return sorted[a].start < sorted[b].start
+	sorted := append(sc.tmp[:0], ivs...)
+	sc.tmp = sorted
+	slices.SortFunc(sorted, func(a, b interval) int {
+		return cmp.Or(cmp.Compare(a.end, b.end), cmp.Compare(a.start, b.start))
 	})
-	ends := make([]int64, len(sorted))
-	for i, iv := range sorted {
-		ends[i] = iv.end
-	}
-	dp := make([]int64, len(sorted)+1)
+	dp := append(sc.dp[:0], make([]int64, len(sorted)+1)...)
+	sc.dp = dp
 	for i, iv := range sorted {
 		// Last interval ending at or before this one starts.
-		p := sort.Search(len(sorted), func(j int) bool { return ends[j] > iv.start })
-		take := dp[p] + iv.weight
-		dp[i+1] = dp[i]
-		if take > dp[i+1] {
-			dp[i+1] = take
-		}
+		p := sort.Search(len(sorted), func(j int) bool { return sorted[j].end > iv.start })
+		dp[i+1] = max(dp[i], dp[p]+iv.weight)
 	}
 	return dp[len(sorted)]
 }

@@ -94,7 +94,7 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		return a.Name < b.Name
 	})
-	snap.Spans = r.tracer.snapshot()
+	snap.Spans = r.tracer.Spans()
 	if snap.Spans == nil {
 		snap.Spans = []SpanRecord{}
 	}

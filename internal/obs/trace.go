@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -201,24 +202,18 @@ func (s *Span) Annotate(k, v string) {
 	}
 }
 
-// snapshot copies the span list and renumbers it canonically: ids follow
+// Spans returns a copy of the span list renumbered canonically: ids follow
 // the causal structure, not the racy Start order, so a Workers=4 fleet run
-// exports byte-identically across repetitions.
-func (t *Tracer) snapshot() []SpanRecord {
+// exports byte-identically across repetitions. It is the span half of
+// Registry.Snapshot, for callers that want the trace alone.
+func (t *Tracer) Spans() []SpanRecord {
 	t.mu.Lock()
-	out := make([]SpanRecord, len(t.spans))
-	copy(out, t.spans)
+	defer t.mu.Unlock()
+	out := canonicalSpans(t.spans)
 	for i := range out {
-		if out[i].Attrs != nil {
-			attrs := make(map[string]string, len(out[i].Attrs))
-			for k, v := range out[i].Attrs {
-				attrs[k] = v
-			}
-			out[i].Attrs = attrs
-		}
+		out[i].Attrs = maps.Clone(out[i].Attrs)
 	}
-	t.mu.Unlock()
-	return canonicalSpans(out)
+	return out
 }
 
 // importSpans appends foreign spans with IDs rebased past the tracer's

@@ -79,7 +79,7 @@ type Window struct {
 	taken   int            // total samples ever taken
 	nextNS  int64          // virtual time of the next sample boundary
 	digest  hash.Hash
-	before  []func(atNS int64)               // pre-sample hooks (gauge refresh)
+	before  []func(atNS int64)              // pre-sample hooks (gauge refresh)
 	after   []func(cur, prev *WindowSample) // post-sample hooks (burn-rate)
 }
 

@@ -375,6 +375,9 @@ func (s *Server) corruptOne(i int, e netsim.Envelope, ctx obs.SpanContext) []net
 // HashID derives a 64-bit opaque tuple id from a PDS id and a sequence
 // number; protocols use the sum of ids as a drop/duplication detector.
 func HashID(pds string, seq int) uint64 {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", pds, seq)))
+	var buf [64]byte // "<pds>#<seq>"; longer ids spill to the heap
+	b := append(buf[:0], pds...)
+	b = append(b, '#')
+	h := sha256.Sum256(strconv.AppendInt(b, int64(seq), 10))
 	return binary.LittleEndian.Uint64(h[:8])
 }

@@ -1,7 +1,10 @@
 package ssi
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -192,4 +195,36 @@ func TestConcurrentReceiveAndObserve(t *testing.T) {
 	if s.Pending() != 800 {
 		t.Errorf("pending = %d, want 800", s.Pending())
 	}
+}
+
+// Ids captured while HashID still formatted its input through fmt: the
+// tuple-id checksum of every protocol is a sum of these.
+func TestHashIDGoldenVectorsAndAllocs(t *testing.T) {
+	for _, c := range []struct {
+		pds  string
+		seq  int
+		want uint64
+	}{
+		{"pds-0001", 0, 0x6fcca6ba204184fd},
+		{"", 0, 0x9b3c5f2852d40f9d},
+		{"pds#1", 12, 0x61ed2b6561056b1c},
+		{"x", 1234567, 0xd1495ad45fec3ed2},
+		{"p", -5, 0x7526b30893478563},
+	} {
+		if got := HashID(c.pds, c.seq); got != c.want {
+			t.Errorf("HashID(%q, %d) = %#x, want %#x", c.pds, c.seq, got, c.want)
+		}
+	}
+	long := strings.Repeat("participant-", 10) // spills the stack buffer
+	if got, want := HashID(long, 7), binary.LittleEndian.Uint64(sha256Of(long+"#7")); got != want {
+		t.Errorf("HashID of a %d-byte id = %#x, want %#x", len(long), got, want)
+	}
+	if got := testing.AllocsPerRun(200, func() { HashID("pds-0042", 17) }); got > 0 {
+		t.Errorf("HashID: %.1f allocs/op, ceiling 0", got)
+	}
+}
+
+func sha256Of(s string) []byte {
+	h := sha256.Sum256([]byte(s))
+	return h[:]
 }

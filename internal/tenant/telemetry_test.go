@@ -192,11 +192,22 @@ func TestServeObservedConcurrentScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	tel := NewTelemetry(cfg, reg)
 	done := make(chan struct{})
+	// Scrapers start reading at the first window sample: before it the
+	// run may not have registered a series yet, and an empty exposition
+	// is then correct, not a failure.
+	sampled := make(chan struct{})
+	var once sync.Once
+	tel.Window.OnSample(func(_, _ *obs.WindowSample) { once.Do(func() { close(sampled) }) })
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			select {
+			case <-sampled:
+			case <-done:
+				return
+			}
 			for {
 				select {
 				case <-done:
