@@ -2,7 +2,9 @@
 # vet, the full (shuffled) test suite, the race detector over the
 # concurrent substrate (netsim fault/reliability plane, ssi accounting,
 # gquery token fleet, privcrypto batch helpers, smc parallel protocols,
-# obs registry), short fuzz passes over the wire-facing decoders, the
+# obs registry) and the storage layers that share pooled page buffers
+# (logstore, search, flash), short fuzz passes over the wire-facing
+# decoders and the allocation-free sort and comparator, the
 # gofmt and determinism lints, the metrics smoke run, the multi-process
 # scenario gate (pdsd over the TCP substrate), the benchmark smoke run,
 # and a coverage summary.
@@ -14,7 +16,7 @@ FUZZTIME ?= 10s
 
 # Where `make bench-snapshot` writes the perf snapshot. Committed per PR
 # (BENCH_PR<n>.json) so performance trajectories stay diffable.
-BENCH_OUT ?= BENCH_PR12.json
+BENCH_OUT ?= BENCH_PR13.json
 
 build:
 	$(GO) build ./...
@@ -35,15 +37,21 @@ test:
 
 race:
 	$(GO) test -race ./internal/obs/... ./internal/gquery/... ./internal/netsim/... ./internal/ssi/... ./internal/privcrypto/... ./internal/smc/...
+	$(GO) test -race ./internal/logstore/... ./internal/search/... ./internal/flash/...
 
 # Short, bounded fuzz passes: the Paillier CRT/textbook cross-check, the
-# reliability-frame decoder (canonical re-encode property), and log-replay
+# reliability-frame decoder (canonical re-encode property), log-replay
 # recovery under corrupted surviving pages (typed error or valid prefix,
-# never a panic or silent garbage).
+# never a panic or silent garbage), and the two differential targets of
+# the serve hot path: the external sort against the implementation it
+# replaced (records, page I/O, bytes on flash) and the byte-level triple
+# comparator against the decoding one.
 fuzz:
 	$(GO) test ./internal/privcrypto -run '^$$' -fuzz '^FuzzPaillierDecryptCRTvsTextbook$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/logstore -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/logstore -run '^$$' -fuzz '^FuzzSortMatchesStable$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzTripleLess$$' -fuzztime=$(FUZZTIME)
 
 cover:
 	$(GO) test -cover ./...

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -77,7 +78,8 @@ func (r Rule) Matches(q Request) bool {
 	}
 	if r.Collection != "" {
 		if prefix, ok := strings.CutSuffix(r.Collection, "/*"); ok {
-			if q.Collection != prefix && !strings.HasPrefix(q.Collection, prefix+"/") {
+			rest, ok := strings.CutPrefix(q.Collection, prefix)
+			if !ok || (rest != "" && rest[0] != '/') {
 				return false
 			}
 		} else if r.Collection != q.Collection {
@@ -167,12 +169,30 @@ func (l *AuditLog) SetClock(clock func() time.Time) {
 	l.now = clock
 }
 
+// entryHash commits to an entry and its predecessor: the SHA-256, in hex,
+// of prev|seq|unixnano|subject|role|collection|action|purpose|allowed.
 func entryHash(prev string, seq int, t time.Time, q Request, allowed bool) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%d|%d|%s|%s|%s|%s|%s|%t",
-		prev, seq, t.UnixNano(), q.Subject, q.Role, q.Collection, q.Action, q.Purpose, allowed)
-	return hex.EncodeToString(h.Sum(nil))
+	bp := preimages.Get().(*[]byte)
+	b := append((*bp)[:0], prev...)
+	b = strconv.AppendInt(append(b, '|'), int64(seq), 10)
+	b = strconv.AppendInt(append(b, '|'), t.UnixNano(), 10)
+	b = append(append(b, '|'), q.Subject...)
+	b = append(append(b, '|'), q.Role...)
+	b = append(append(b, '|'), q.Collection...)
+	b = append(append(b, '|'), q.Action.String()...)
+	b = append(append(b, '|'), q.Purpose...)
+	b = strconv.AppendBool(append(b, '|'), allowed)
+	sum := sha256.Sum256(b)
+	*bp = b
+	preimages.Put(bp)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
+
+// preimages recycles entryHash's scratch across every audit log of the
+// process.
+var preimages = sync.Pool{New: func() any { return new([]byte) }}
 
 // Record appends a decision.
 func (l *AuditLog) Record(q Request, allowed bool) AuditEntry {

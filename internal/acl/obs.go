@@ -21,19 +21,49 @@ const (
 )
 
 // obsHook is the guard's (optional, swappable) link into the
-// observability plane.
+// observability plane: the attached registry and the guard's series in
+// it, bound on first use so that a series exists only once its event has
+// happened.
 type obsHook struct {
-	reg atomic.Pointer[obs.Registry]
+	bound atomic.Pointer[boundHook]
+}
+
+type boundHook struct {
+	reg       *obs.Registry
+	decisions [2]atomic.Pointer[obs.Counter] // allowed = false, true
+	entries   atomic.Pointer[obs.Counter]
+}
+
+// registry returns the attached registry, nil if none.
+func (h *obsHook) registry() *obs.Registry {
+	if b := h.bound.Load(); b != nil {
+		return b.reg
+	}
+	return nil
 }
 
 // note mirrors one decision into the attached registry, if any.
 func (h *obsHook) note(allowed bool) {
-	reg := h.reg.Load()
-	if reg == nil {
+	b := h.bound.Load()
+	if b == nil {
 		return
 	}
-	reg.Counter(MetricDecisions, "allowed", strconv.FormatBool(allowed)).Inc()
-	reg.Counter(MetricAuditEntries).Inc()
+	i := 0
+	if allowed {
+		i = 1
+	}
+	c := b.decisions[i].Load()
+	if c == nil {
+		c = b.reg.Counter(MetricDecisions, "allowed", strconv.FormatBool(allowed))
+		b.decisions[i].Store(c)
+	}
+	c.Inc()
+	n := b.entries.Load()
+	if n == nil {
+		n = b.reg.Counter(MetricAuditEntries)
+		b.entries.Store(n)
+	}
+	n.Inc()
 }
 
 // Observe attaches a metrics registry to the guard (nil detaches): every
@@ -41,10 +71,11 @@ func (h *obsHook) note(allowed bool) {
 // acl_audit_entries_total, and the audit log adopts the registry's
 // simulated clock so audited timelines align with protocol traces.
 func (g *Guard) Observe(reg *obs.Registry) {
-	g.hook.reg.Store(reg)
 	if reg != nil {
+		g.hook.bound.Store(&boundHook{reg: reg})
 		g.Audit.UseSimClock(reg.Clock())
 	} else {
+		g.hook.bound.Store(nil)
 		g.Audit.SetClock(nil)
 	}
 }
@@ -56,7 +87,7 @@ func (g *Guard) Observe(reg *obs.Registry) {
 func (g *Guard) VerifyChain() int {
 	entries := g.Audit.Entries()
 	var sp *obs.Span
-	if reg := g.hook.reg.Load(); reg != nil {
+	if reg := g.hook.registry(); reg != nil {
 		sp = reg.Tracer().Start("acl/verify-chain", nil)
 		sp.Annotate("entries", strconv.Itoa(len(entries)))
 	}

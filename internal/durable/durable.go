@@ -16,6 +16,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"pds/internal/embdb"
 	"pds/internal/flash"
@@ -123,14 +124,38 @@ func (f *footprint) read(pages func() int) int {
 	return pages()
 }
 
-func (w *kvStore) key(i int) []byte { return []byte(fmt.Sprintf("key-%03d", i)) }
+// kvKeys is the script's key universe: key-000 … key-016. The store
+// copies what it keeps of a key, so every operation shares them.
+var kvKeys = func() (k [kvKeyUniverse][]byte) {
+	for i := range k {
+		k[i] = []byte(fmt.Sprintf("key-%03d", i))
+	}
+	return k
+}()
+
+func (w *kvStore) key(i int) []byte { return kvKeys[i] }
+
+// appendPadded appends n (never negative here) in decimal, zero-padded to
+// width: fmt's %0*d without the boxing.
+func appendPadded(dst []byte, n, width int) []byte {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(n), 10)
+	for i := len(digits); i < width; i++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
 func (w *kvStore) Apply(op int) error {
 	key := w.key(op % kvKeyUniverse)
 	if op%7 == 3 {
 		return w.s.Delete(key)
 	}
-	return w.s.Put(key, []byte(fmt.Sprintf("val-%05d-%032d", op, op*op)))
+	// val-%05d-%032d of op and op², laid out where the store copies it from.
+	var buf [64]byte
+	val := appendPadded(append(buf[:0], "val-"...), op, 5)
+	val = appendPadded(append(val, '-'), op*op, 32)
+	return w.s.Put(key, val)
 }
 
 func (w *kvStore) Sync() error {
@@ -198,7 +223,15 @@ const (
 	searchArena   = 8192
 )
 
-func searchTerm(i int) string { return fmt.Sprintf("term-%02d", i%searchVocab) }
+// searchTerms is the script's vocabulary: term-00 … term-09.
+var searchTerms = func() (t [searchVocab]string) {
+	for i := range t {
+		t[i] = fmt.Sprintf("term-%02d", i)
+	}
+	return t
+}()
+
+func searchTerm(i int) string { return searchTerms[i%searchVocab] }
 
 // searchStore drives the embedded search index: three-term documents with
 // periodic reorganization, fingerprinted by per-term document frequencies
@@ -302,7 +335,10 @@ func (w *embdbStore) Close() error { return w.fp.close(w.t.Pages, nil) }
 func (w *embdbStore) Pages() int { return w.fp.read(w.t.Pages) }
 
 func (w *embdbStore) Apply(op int) error {
-	_, err := w.t.Insert(embdb.Row{embdb.IntVal(int64(op)), embdb.StrVal(fmt.Sprintf("customer-%04d-padding", op))})
+	// customer-%04d-padding
+	var buf [48]byte
+	name := append(appendPadded(append(buf[:0], "customer-"...), op, 4), "-padding"...)
+	_, err := w.t.Insert(embdb.Row{embdb.IntVal(int64(op)), embdb.StrVal(name)})
 	return err
 }
 

@@ -1,0 +1,165 @@
+package durable_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"pds/internal/durable"
+	"pds/internal/embdb"
+	"pds/internal/flash"
+	"pds/internal/logstore"
+)
+
+// hostedGeometry is the chip a hosted tenant gets (tenant.tenantGeometry):
+// small pages make the external sorts run many runs and two merge passes.
+func hostedGeometry() flash.Geometry {
+	return flash.Geometry{PageSize: 256, PagesPerBlock: 8, Blocks: 128}
+}
+
+// chipImage is everything a reorganization leaves on a chip that the
+// virtual clock or a later reader can see: the operation counters, the
+// erase count of every block that was ever erased, and a SHA-256 over
+// every programmed page (number, length, bytes).
+func chipImage(t *testing.T, chip *flash.Chip) (stats flash.Stats, wear, pages string) {
+	t.Helper()
+	stats = chip.Stats()
+	g := chip.Geometry()
+	var w strings.Builder
+	for b := 0; b < g.Blocks; b++ {
+		n, err := chip.Wear(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > 0 {
+			fmt.Fprintf(&w, "%d:%d ", b, n)
+		}
+	}
+	h := sha256.New()
+	var num [8]byte
+	for n := 0; n < g.TotalPages(); n++ {
+		ok, err := chip.Written(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			continue
+		}
+		img, err := chip.Page(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(num[:4], uint32(n))
+		binary.LittleEndian.PutUint32(num[4:], uint32(len(img)))
+		h.Write(num[:])
+		h.Write(img)
+	}
+	return stats, strings.TrimSpace(w.String()), hex.EncodeToString(h.Sum(nil))
+}
+
+type imageVector struct {
+	stats flash.Stats
+	wear  string
+	pages string
+}
+
+func (v imageVector) check(t *testing.T, chip *flash.Chip) {
+	t.Helper()
+	stats, wear, pages := chipImage(t, chip)
+	if stats != v.stats || wear != v.wear || pages != v.pages {
+		t.Errorf("chip image moved:\n got {flash.Stats{PageReads: %d, PageWrites: %d, BlockErases: %d}, %q, %q}\nwant {%+v, %q, %q}",
+			stats.PageReads, stats.PageWrites, stats.BlockErases, wear, pages, v.stats, v.wear, v.pages)
+	}
+}
+
+// The hosted op script of every engine — Apply, Sync at the kind's
+// cadence (kv compacts on every third, search reorganizes on every
+// second), one evict/reopen cycle in the middle — must cost the same page
+// I/O and leave the same bytes on flash as it did before the sort, the
+// comparators and the packers stopped allocating. Vectors captured at the
+// parent of that change.
+func TestOpScriptChipImageGolden(t *testing.T) {
+	want := map[string]imageVector{
+		"kv": {flash.Stats{PageReads: 174, PageWrites: 192, BlockErases: 41},
+			"0:1 1:1 2:6 3:6 4:5 5:6 6:4 7:4 8:5 9:3",
+			"8ec7b12a2f0c98b8f76f3e802de020014eceb38aaaceab7b61fdef825f83bf06"},
+		"search": {flash.Stats{PageReads: 526, PageWrites: 547, BlockErases: 113},
+			"0:1 1:1 2:9 3:8 4:8 5:9 6:11 7:9 8:7 9:7 10:8 11:6 12:6 13:5 14:6 15:5 16:3 17:3 18:1",
+			"c81364bda6a34b01531f63993fc11370a20d1dbec016d74036c52f1ac2ac35bc"},
+		"embdb": {flash.Stats{PageReads: 21, PageWrites: 45, BlockErases: 0},
+			"",
+			"5e97fc498c49aa13ad51221fdeb5c2909276454d9db66916759b2ddfcbd872b9"},
+	}
+	for _, k := range durable.Kinds() {
+		k := k
+		t.Run(k.Name, func(t *testing.T) {
+			chip := flash.NewChip(hostedGeometry())
+			st, err := k.Open(flash.NewAllocator(chip))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := 3 * k.Ops
+			for op := 0; op < ops; op++ {
+				if err := st.Apply(op); err != nil {
+					t.Fatalf("op %d: %v", op, err)
+				}
+				if (op+1)%k.SyncEvery == 0 {
+					if err := st.Sync(); err != nil {
+						t.Fatalf("sync after op %d: %v", op, err)
+					}
+				}
+				if op+1 == ops/2/k.SyncEvery*k.SyncEvery {
+					if err := st.Close(); err != nil {
+						t.Fatal(err)
+					}
+					rec, err := logstore.Recover(chip, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st, err = k.Reopen(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want[k.Name].check(t, chip)
+		})
+	}
+}
+
+// embdb's reorganization is not on the hosted script: pin it directly.
+// 600 postings over 41 keys sort into 19 runs and three merge passes at
+// fan-in 3 before the tree is built bottom-up.
+func TestSelectIndexReorganizeChipImageGolden(t *testing.T) {
+	chip := flash.NewChip(hostedGeometry())
+	alloc := flash.NewAllocator(chip)
+	tbl := embdb.NewTable(alloc, "CUSTOMER", embdb.NewSchema(
+		embdb.Column{Name: "id", Type: embdb.Int}, embdb.Column{Name: "city", Type: embdb.Str}))
+	ix, err := embdb.NewSelectIndex(tbl, "city")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		city := embdb.StrVal(fmt.Sprintf("city-%02d", i*7%41))
+		rid, err := tbl.Insert(embdb.Row{embdb.IntVal(int64(i)), city})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Add(city, rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tree, err := ix.Reorganize(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rids, err := tree.LookupValue(embdb.StrVal("city-07"))
+	if err != nil || len(rids) != 15 {
+		t.Fatalf("tree lookup = %d rids, %v", len(rids), err)
+	}
+	imageVector{flash.Stats{PageReads: 210, PageWrites: 295, BlockErases: 35},
+		"12:1 13:1 14:3 15:1 16:1 17:3 18:1 19:1 20:3 21:1 22:1 23:3 24:2 25:2 26:3 27:2 28:2 29:2 30:2",
+		"eb5b06cbf5d812f2626e8d638a329715c4a5319b6efa5b009b00b3f478d9f6d3"}.check(t, chip)
+}

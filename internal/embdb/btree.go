@@ -116,7 +116,7 @@ func BuildTree(alloc *flash.Allocator, sorted *logstore.Log) (*TreeIndex, error)
 			return err
 		}
 		lb.pages++
-		lb.page = nil
+		lb.page = lb.page[:nodePageHeader] // the chip copied it
 		lb.cnt = 0
 		if lvl+1 == len(levels) {
 			levels = append(levels, newTreeBuilder(alloc))
@@ -133,11 +133,10 @@ func BuildTree(alloc *flash.Allocator, sorted *logstore.Log) (*TreeIndex, error)
 				return err
 			}
 			lb = levels[lvl]
-			lb.page = make([]byte, nodePageHeader, lb.pgSize)
 		}
 		lb.page = appendNodeEntry(lb.page, e)
 		lb.cnt++
-		lb.lastKey = append([]byte(nil), e.key...)
+		lb.lastKey = append(lb.lastKey[:0], e.key...)
 		return nil
 	}
 
@@ -151,8 +150,9 @@ func BuildTree(alloc *flash.Allocator, sorted *logstore.Log) (*TreeIndex, error)
 		if err != nil {
 			return nil, err
 		}
-		key := append([]byte(nil), e.key...)
-		if err := add(0, nodeEntry{key: key, ptr: uint32(e.rid)}); err != nil {
+		// add copies the key into the level's page and lastKey before the
+		// iterator moves on.
+		if err := add(0, nodeEntry{key: e.key, ptr: uint32(e.rid)}); err != nil {
 			return nil, err
 		}
 		t.entries++

@@ -17,8 +17,9 @@ var ErrNoSpace = errors.New("flash: no free blocks")
 type Allocator struct {
 	mu    sync.Mutex
 	chip  *Chip
-	free  []int // stack of free block ids
-	inUse map[int]bool
+	free  []int  // stack of free block ids
+	inUse []bool // per block
+	used  int    // blocks in use
 }
 
 // NewAllocator creates an allocator owning all blocks of chip.
@@ -27,7 +28,7 @@ func NewAllocator(chip *Chip) *Allocator {
 	a := &Allocator{
 		chip:  chip,
 		free:  make([]int, 0, g.Blocks),
-		inUse: make(map[int]bool, g.Blocks),
+		inUse: make([]bool, g.Blocks),
 	}
 	// Hand out low block ids first so tests and traces are deterministic.
 	for b := g.Blocks - 1; b >= 0; b-- {
@@ -46,10 +47,10 @@ func NewAllocatorWithUsed(chip *Chip, used []int) *Allocator {
 	a := &Allocator{
 		chip:  chip,
 		free:  make([]int, 0, g.Blocks),
-		inUse: make(map[int]bool, g.Blocks),
+		inUse: make([]bool, g.Blocks),
 	}
 	for _, b := range used {
-		a.inUse[b] = true
+		a.take(b)
 	}
 	for b := g.Blocks - 1; b >= 0; b-- {
 		if !a.inUse[b] {
@@ -59,19 +60,30 @@ func NewAllocatorWithUsed(chip *Chip, used []int) *Allocator {
 	return a
 }
 
+// held reports whether b is a block of the chip that is in use.
+func (a *Allocator) held(b int) bool { return b >= 0 && b < len(a.inUse) && a.inUse[b] }
+
+// take marks b in use.
+func (a *Allocator) take(b int) {
+	if !a.inUse[b] {
+		a.inUse[b] = true
+		a.used++
+	}
+}
+
 // Claim reserves a specific block, removing it from the free pool — used
 // by structures with a fixed block address, like the journal area of the
 // crash-consistency plane.
 func (a *Allocator) Claim(b int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.inUse[b] {
+	if a.held(b) {
 		return fmt.Errorf("flash: claim of allocated block %d", b)
 	}
 	for i, f := range a.free {
 		if f == b {
 			a.free = append(a.free[:i], a.free[i+1:]...)
-			a.inUse[b] = true
+			a.take(b)
 			return nil
 		}
 	}
@@ -87,7 +99,7 @@ func (a *Allocator) Alloc() (int, error) {
 	}
 	b := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
-	a.inUse[b] = true
+	a.take(b)
 	return b, nil
 }
 
@@ -95,13 +107,14 @@ func (a *Allocator) Alloc() (int, error) {
 func (a *Allocator) Free(b int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.inUse[b] {
+	if !a.held(b) {
 		return fmt.Errorf("flash: free of unallocated block %d", b)
 	}
 	if err := a.chip.EraseBlock(b); err != nil {
 		return err
 	}
-	delete(a.inUse, b)
+	a.inUse[b] = false
+	a.used--
 	a.free = append(a.free, b)
 	return nil
 }
@@ -117,7 +130,7 @@ func (a *Allocator) FreeBlocks() int {
 func (a *Allocator) InUse() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.inUse)
+	return a.used
 }
 
 // Chip returns the underlying chip.

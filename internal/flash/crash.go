@@ -160,6 +160,7 @@ func (c *Chip) crashWrite(n, b int, data []byte) error {
 		keep := int(hashUniform(c.plan.Seed, []byte("torn"), pn[:], data) * float64(len(data)))
 		torn := make([]byte, keep)
 		copy(torn, data[:keep])
+		c.ensure(b)
 		c.data[n] = torn
 		c.next[b]++
 		c.stats.PageWrites++
@@ -185,7 +186,7 @@ func (c *Chip) crashErase(b int) error {
 	var bb, pb [8]byte
 	binary.LittleEndian.PutUint64(bb[:], uint64(b))
 	for i := 0; i < c.geo.PagesPerBlock; i++ {
-		old := c.data[start+i]
+		old := c.at(start + i)
 		if old == nil {
 			continue
 		}
@@ -219,7 +220,7 @@ func (c *Chip) Reopen() *Chip {
 	defer c.mu.Unlock()
 	n := &Chip{
 		geo:          c.geo,
-		data:         make([][]byte, c.geo.TotalPages()),
+		data:         make([][]byte, len(c.data)),
 		next:         make([]int, c.geo.Blocks),
 		wear:         append([]int64(nil), c.wear...),
 		writeFaultIn: -1,
@@ -228,16 +229,8 @@ func (c *Chip) Reopen() *Chip {
 	for i, d := range c.data {
 		if d != nil {
 			n.data[i] = append([]byte(nil), d...)
+			n.next[i/c.geo.PagesPerBlock] = i%c.geo.PagesPerBlock + 1
 		}
-	}
-	for b := 0; b < c.geo.Blocks; b++ {
-		last := -1
-		for i := 0; i < c.geo.PagesPerBlock; i++ {
-			if n.data[b*c.geo.PagesPerBlock+i] != nil {
-				last = i
-			}
-		}
-		n.next[b] = last + 1
 	}
 	c.crashed = true
 	return n
@@ -257,9 +250,12 @@ func (c *Chip) CorruptPage(n int, data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if data == nil {
-		c.data[n] = nil
+		if n < len(c.data) {
+			c.data[n] = nil
+		}
 		return nil
 	}
+	c.ensure(c.BlockOf(n))
 	c.data[n] = append([]byte(nil), data...)
 	return nil
 }
@@ -277,11 +273,10 @@ func (c *Chip) WrittenInBlock(b int) (int, error) {
 	if c.crashed {
 		return 0, ErrCrashed
 	}
-	last := -1
-	for i := 0; i < c.geo.PagesPerBlock; i++ {
-		if c.data[b*c.geo.PagesPerBlock+i] != nil {
-			last = i
+	for i := c.geo.PagesPerBlock - 1; i >= 0; i-- {
+		if c.at(b*c.geo.PagesPerBlock+i) != nil {
+			return i + 1, nil
 		}
 	}
-	return last + 1, nil
+	return 0, nil
 }

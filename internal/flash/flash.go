@@ -152,10 +152,14 @@ var (
 
 // Chip is a simulated NAND flash device. It is safe for concurrent use.
 type Chip struct {
-	mu    sync.Mutex
-	geo   Geometry
-	data  [][]byte // per page; nil means erased
-	next  []int    // per block: next programmable page index within block
+	mu  sync.Mutex
+	geo Geometry
+	// data holds the page images; nil means erased. The table covers only
+	// the blocks up to the highest one ever programmed (see at, ensure):
+	// a fleet of mostly-empty tenant chips must not pin a slice header
+	// per addressable page.
+	data  [][]byte
+	next  []int // per block: next programmable page index within block
 	stats Stats
 	wear  []int64 // per block erase count
 	// Fault injection: countdown of successful operations remaining before
@@ -185,11 +189,26 @@ func NewChip(g Geometry) *Chip {
 	}
 	return &Chip{
 		geo:          g,
-		data:         make([][]byte, g.TotalPages()),
 		next:         make([]int, g.Blocks),
 		wear:         make([]int64, g.Blocks),
 		writeFaultIn: -1,
 		eraseFaultIn: -1,
+	}
+}
+
+// at returns page n's image (nil if erased), with c.mu held. Pages past
+// the materialised table were never programmed.
+func (c *Chip) at(n int) []byte {
+	if n < len(c.data) {
+		return c.data[n]
+	}
+	return nil
+}
+
+// ensure extends the page table, with c.mu held, to cover block b.
+func (c *Chip) ensure(b int) {
+	if end := (b + 1) * c.geo.PagesPerBlock; end > len(c.data) {
+		c.data = append(c.data, make([][]byte, end-len(c.data))...)
 	}
 }
 
@@ -270,7 +289,7 @@ func (c *Chip) WritePage(n int, data []byte) error {
 	if c.crashed {
 		return fmt.Errorf("%w: write of page %d", ErrCrashed, n)
 	}
-	if c.data[n] != nil {
+	if c.at(n) != nil {
 		return fmt.Errorf("%w: page %d", ErrOverwrite, n)
 	}
 	b := c.BlockOf(n)
@@ -289,6 +308,7 @@ func (c *Chip) WritePage(n int, data []byte) error {
 	}
 	buf := make([]byte, len(data))
 	copy(buf, data)
+	c.ensure(b)
 	c.data[n] = buf
 	c.next[b]++
 	c.stats.PageWrites++
@@ -314,10 +334,7 @@ func (c *Chip) ReadPage(n int, dst []byte) (int, error) {
 	if c.obsReads != nil {
 		c.obsReads.Inc()
 	}
-	if c.data[n] == nil {
-		return 0, nil
-	}
-	return copy(dst, c.data[n]), nil
+	return copy(dst, c.at(n)), nil
 }
 
 // Page returns a fresh copy of page n's content (nil if erased).
@@ -334,11 +351,12 @@ func (c *Chip) Page(n int) ([]byte, error) {
 	if c.obsReads != nil {
 		c.obsReads.Inc()
 	}
-	if c.data[n] == nil {
+	img := c.at(n)
+	if img == nil {
 		return nil, nil
 	}
-	buf := make([]byte, len(c.data[n]))
-	copy(buf, c.data[n])
+	buf := make([]byte, len(img))
+	copy(buf, img)
 	return buf, nil
 }
 
@@ -353,7 +371,7 @@ func (c *Chip) Written(n int) (bool, error) {
 	if c.crashed {
 		return false, fmt.Errorf("%w: query of page %d", ErrCrashed, n)
 	}
-	return c.data[n] != nil, nil
+	return c.at(n) != nil, nil
 }
 
 // EraseBlock erases block b, making all its pages programmable again.
@@ -376,9 +394,8 @@ func (c *Chip) EraseBlock(b int) error {
 	if c.eraseFaultIn > 0 {
 		c.eraseFaultIn--
 	}
-	start := b * c.geo.PagesPerBlock
-	for i := 0; i < c.geo.PagesPerBlock; i++ {
-		c.data[start+i] = nil
+	if start := b * c.geo.PagesPerBlock; start < len(c.data) {
+		clear(c.data[start : start+c.geo.PagesPerBlock])
 	}
 	c.next[b] = 0
 	c.wear[b]++

@@ -394,3 +394,66 @@ func TestConcurrentWritersDistinctBlocks(t *testing.T) {
 		t.Errorf("writes = %d, want %d", got, g.TotalPages())
 	}
 }
+
+// The page table is materialised up to the highest block ever programmed.
+// A block past it reads, reports, crashes and reopens exactly as an
+// erased block inside it does.
+func TestNeverWrittenBlocksBehaveErased(t *testing.T) {
+	g := SmallGeometry()
+	c := NewChip(g)
+	if err := c.WritePage(g.PagesPerBlock, []byte("low")); err != nil { // block 1
+		t.Fatal(err)
+	}
+	far := (g.Blocks - 1) * g.PagesPerBlock
+	for _, n := range []int{0, far, far + g.PagesPerBlock - 1} {
+		if img, err := c.Page(n); err != nil || img != nil {
+			t.Errorf("Page(%d) = %v, %v; want nil, nil", n, img, err)
+		}
+		dst := []byte("untouched")
+		if got, err := c.ReadPage(n, dst); err != nil || got != 0 || string(dst) != "untouched" {
+			t.Errorf("ReadPage(%d) = %d, %v, dst %q", n, got, err, dst)
+		}
+		if w, err := c.Written(n); err != nil || w {
+			t.Errorf("Written(%d) = %v, %v", n, w, err)
+		}
+	}
+	if got := c.Stats().PageReads; got != 6 {
+		t.Errorf("PageReads = %d, want 6: reads of erased pages are metered too", got)
+	}
+	for _, b := range []int{0, g.Blocks - 1} {
+		if n, err := c.WrittenInBlock(b); err != nil || n != 0 {
+			t.Errorf("WrittenInBlock(%d) = %d, %v", b, n, err)
+		}
+		if err := c.EraseBlock(b); err != nil {
+			t.Errorf("EraseBlock(%d): %v", b, err)
+		}
+		if w, _ := c.Wear(b); w != 1 {
+			t.Errorf("Wear(%d) = %d after one erase", b, w)
+		}
+	}
+	if err := c.CorruptPage(far, nil); err != nil {
+		t.Errorf("CorruptPage(%d, nil): %v", far, err)
+	}
+	// An interrupted erase of a never-written block has no page to tear.
+	c.SetCrashPlan(&CrashPlan{Seed: 1, Op: CrashErase})
+	if err := c.EraseBlock(g.Blocks - 2); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("crashing erase: %v", err)
+	}
+	r := c.Reopen()
+	if img, err := r.Page(g.PagesPerBlock); err != nil || string(img) != "low" {
+		t.Errorf("survivor = %q, %v", img, err)
+	}
+	if w, _ := r.Wear(g.Blocks - 2); w != 1 {
+		t.Errorf("interrupted erase not counted: wear %d", w)
+	}
+	// The cursor of a block past the survivor's table starts at zero.
+	if err := r.WritePage(far, []byte("high")); err != nil {
+		t.Fatalf("first write to a never-written block of a reopened chip: %v", err)
+	}
+	if err := r.WritePage(far+2, nil); !errors.Is(err, ErrOutOfOrder) {
+		t.Errorf("skipping a page of a fresh block: %v", err)
+	}
+	if n, _ := r.WrittenInBlock(g.Blocks - 1); n != 1 {
+		t.Errorf("WrittenInBlock = %d, want 1", n)
+	}
+}

@@ -45,16 +45,22 @@ type binding struct {
 	flags byte
 }
 
-func encodeBinding(b binding) []byte {
-	out := make([]byte, 2+len(b.key)+4+4+1)
-	binary.LittleEndian.PutUint16(out[0:2], uint16(len(b.key)))
-	copy(out[2:], b.key)
-	off := 2 + len(b.key)
-	binary.LittleEndian.PutUint32(out[off:], uint32(b.ref.Page))
-	binary.LittleEndian.PutUint32(out[off+4:], uint32(b.ref.Slot))
-	out[off+8] = b.flags
-	return out
+// appendBinding appends b's record: u16 keyLen | key | u32 page | u32 slot
+// | u8 flags. The logs copy what they are handed, so callers encode into
+// a buffer on their stack.
+func appendBinding(dst []byte, b binding) []byte {
+	var num [9]byte
+	binary.LittleEndian.PutUint16(num[0:2], uint16(len(b.key)))
+	dst = append(append(dst, num[0:2]...), b.key...)
+	binary.LittleEndian.PutUint32(num[0:4], uint32(b.ref.Page))
+	binary.LittleEndian.PutUint32(num[4:8], uint32(b.ref.Slot))
+	num[8] = b.flags
+	return append(dst, num[:]...)
 }
+
+// bindingBuf holds the binding of any key the hosted scripts and the
+// examples use; a longer key spills to the heap.
+type bindingBuf [96]byte
 
 func decodeBinding(rec []byte) (binding, error) {
 	if len(rec) < 2+4+4+1 {
@@ -225,7 +231,8 @@ func (s *Store) append(key, value []byte, flags byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.keys.Append(encodeBinding(binding{key: key, ref: ref, flags: flags})); err != nil {
+	var buf bindingBuf
+	if _, err := s.keys.Append(appendBinding(buf[:0], binding{key: key, ref: ref, flags: flags})); err != nil {
 		return err
 	}
 	s.pageKeys = append(s.pageKeys, append([]byte(nil), key...))
@@ -408,7 +415,8 @@ func (s *Store) Compact(runPages, fanIn int) error {
 		if err != nil {
 			return err
 		}
-		if _, err := newKeys.Append(encodeBinding(binding{key: pendKey, ref: ref})); err != nil {
+		var buf bindingBuf
+		if _, err := newKeys.Append(appendBinding(buf[:0], binding{key: pendKey, ref: ref})); err != nil {
 			return err
 		}
 		next.pageKeys = append(next.pageKeys, append([]byte(nil), pendKey...))

@@ -109,7 +109,11 @@ func StreamOfWriter(name string, w *PageWriter) Stream {
 // header): u16 nstreams | streams | u16 appLen | app, each stream being
 // u8 nameLen | name | u32 pages | u32 recs | u16 nblocks | nblocks × u32.
 func encodeManifest(m *Manifest) ([]byte, error) {
-	out := make([]byte, 2)
+	size := 2 + 2 + len(m.App)
+	for _, s := range m.Streams {
+		size += 1 + len(s.Name) + 10 + 4*len(s.Blocks)
+	}
+	out := make([]byte, 2, size)
 	binary.LittleEndian.PutUint16(out, uint16(len(m.Streams)))
 	for _, s := range m.Streams {
 		if len(s.Name) > 255 {
@@ -167,6 +171,7 @@ func decodeManifest(payload []byte, g flash.Geometry) (*Manifest, error) {
 		if off+4*nb > len(payload) {
 			return bad("stream %s blocks past end", s.Name)
 		}
+		s.Blocks = make([]int, 0, nb)
 		for j := 0; j < nb; j++ {
 			blk := int(binary.LittleEndian.Uint32(payload[off : off+4]))
 			off += 4

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"pds/internal/flash"
 )
@@ -133,11 +134,14 @@ const slotHeader = 2
 // pageCRC computes the page checksum of img with its crc field treated
 // as zero.
 func pageCRC(img []byte) uint32 {
-	var zero [4]byte
 	h := crc32.Update(0, crc32.IEEETable, img[:2])
-	h = crc32.Update(h, crc32.IEEETable, zero[:])
+	h = crc32.Update(h, crc32.IEEETable, zeroCRC[:])
 	return crc32.Update(h, crc32.IEEETable, img[pageHeader:])
 }
+
+// zeroCRC stands in for the crc field; package-level because a local
+// array escapes through crc32's per-architecture indirection.
+var zeroCRC [4]byte
 
 // sealPage stamps count and crc into a finished page image.
 func sealPage(img []byte, cnt int) {
@@ -190,7 +194,6 @@ func (l *Log) Append(rec []byte) (RecordID, error) {
 		if err := l.Flush(); err != nil {
 			return RecordID{}, err
 		}
-		l.buf = make([]byte, pageHeader, l.pageSize())
 	}
 	id := RecordID{Page: int32(l.w.Pages()), Slot: int32(l.cnt)}
 	var lenb [2]byte
@@ -222,7 +225,8 @@ func (l *Log) Flush() error {
 		}
 	}
 	l.flushedRecs += l.cnt
-	l.buf = nil
+	// The chip copied the image: the page of RAM serves the next page.
+	l.buf = l.buf[:pageHeader]
 	l.cnt = 0
 	return nil
 }
@@ -276,69 +280,109 @@ func (l *Log) Chip() *flash.Chip { return l.w.Chip() }
 // Alloc exposes the allocator (to create sibling structures).
 func (l *Log) Alloc() *flash.Allocator { return l.w.alloc }
 
-// decodePage parses a page image into record slices (views into page).
-func decodePage(page []byte) ([][]byte, error) {
+// checkPage validates a page image — checksum, then every slot of its
+// directory — and returns its record count. An empty image (an erased
+// page) holds no records.
+func checkPage(page []byte) (int, error) {
 	if len(page) == 0 {
-		return nil, nil
+		return 0, nil
 	}
 	if len(page) < pageHeader {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCorruptPage, len(page))
+		return 0, fmt.Errorf("%w: %d bytes", ErrCorruptPage, len(page))
 	}
 	if binary.LittleEndian.Uint32(page[2:6]) != pageCRC(page) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptPage)
+		return 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptPage)
 	}
 	cnt := int(binary.LittleEndian.Uint16(page[:2]))
-	recs := make([][]byte, 0, cnt)
 	off := pageHeader
 	for i := 0; i < cnt; i++ {
 		if off+slotHeader > len(page) {
-			return nil, fmt.Errorf("%w: slot %d header past end", ErrCorruptPage, i)
+			return 0, fmt.Errorf("%w: slot %d header past end", ErrCorruptPage, i)
 		}
-		n := int(binary.LittleEndian.Uint16(page[off : off+2]))
-		off += slotHeader
-		if off+n > len(page) {
-			return nil, fmt.Errorf("%w: slot %d data past end", ErrCorruptPage, i)
+		off += slotHeader + int(binary.LittleEndian.Uint16(page[off:off+2]))
+		if off > len(page) {
+			return 0, fmt.Errorf("%w: slot %d data past end", ErrCorruptPage, i)
 		}
-		recs = append(recs, page[off:off+n])
-		off += n
+	}
+	return cnt, nil
+}
+
+// slotAt returns the record whose slot header sits at off in a checked
+// page, and the offset of the next slot.
+func slotAt(page []byte, off int) (rec []byte, next int) {
+	n := int(binary.LittleEndian.Uint16(page[off : off+2]))
+	off += slotHeader
+	return page[off : off+n], off + n
+}
+
+// decodePage parses a page image into record slices (views into page).
+func decodePage(page []byte) ([][]byte, error) {
+	cnt, err := checkPage(page)
+	if err != nil || cnt == 0 {
+		return nil, err
+	}
+	recs := make([][]byte, cnt)
+	off := pageHeader
+	for i := range recs {
+		recs[i], off = slotAt(page, off)
 	}
 	return recs, nil
+}
+
+// pageBufs recycles one-page scratch buffers for reads that copy out what
+// they keep. Shared by every log of the process, so an idle store pins
+// none.
+var pageBufs sync.Pool
+
+func getPageBuf(size int) *[]byte {
+	if p, _ := pageBufs.Get().(*[]byte); p != nil && cap(*p) >= size {
+		*p = (*p)[:size]
+		return p
+	}
+	b := make([]byte, size)
+	return &b
 }
 
 // ReadAt fetches one record by id. Records still in the write buffer are
 // readable too (they belong to the logical page l.w.Pages()).
 func (l *Log) ReadAt(id RecordID) ([]byte, error) {
 	if int(id.Page) == l.w.Pages() {
-		// Buffered page.
-		recs, err := decodePageBuffered(l.buf, l.cnt)
-		if err != nil {
-			return nil, err
-		}
-		if int(id.Slot) >= len(recs) {
+		// Buffered page: l.cnt slots, appended by Append itself.
+		if id.Slot < 0 || int(id.Slot) >= l.cnt {
 			return nil, ErrBadRecordID
 		}
-		out := make([]byte, len(recs[id.Slot]))
-		copy(out, recs[id.Slot])
-		return out, nil
+		return copySlot(l.buf, int(id.Slot)), nil
 	}
 	phys, err := l.w.PhysPage(int(id.Page))
 	if err != nil {
 		return nil, err
 	}
-	page, err := l.w.Chip().Page(phys)
+	scratch := getPageBuf(l.pageSize())
+	defer pageBufs.Put(scratch)
+	n, err := l.w.Chip().ReadPage(phys, *scratch)
 	if err != nil {
 		return nil, err
 	}
-	recs, err := decodePage(page)
+	page := (*scratch)[:n]
+	cnt, err := checkPage(page)
 	if err != nil {
 		return nil, err
 	}
-	if int(id.Slot) >= len(recs) {
+	if id.Slot < 0 || int(id.Slot) >= cnt {
 		return nil, ErrBadRecordID
 	}
-	out := make([]byte, len(recs[id.Slot]))
-	copy(out, recs[id.Slot])
-	return out, nil
+	return copySlot(page, int(id.Slot)), nil
+}
+
+// copySlot returns a fresh copy of record slot of a checked page.
+func copySlot(page []byte, slot int) []byte {
+	rec, off := slotAt(page, pageHeader)
+	for ; slot > 0; slot-- {
+		rec, off = slotAt(page, off)
+	}
+	out := make([]byte, len(rec))
+	copy(out, rec)
+	return out
 }
 
 // decodePageBuffered decodes the in-RAM buffer which has no count yet.
@@ -353,12 +397,16 @@ func decodePageBuffered(buf []byte, cnt int) ([][]byte, error) {
 }
 
 // Iterator scans a log forward, reading one page of flash at a time —
-// the pipelined access pattern the MCU RAM budget dictates.
+// the pipelined access pattern the MCU RAM budget dictates. It owns that
+// one page of RAM: every page is read into the same buffer.
 type Iterator struct {
 	log     *Log
-	page    int      // next logical page to load
-	cur     [][]byte // records of the loaded page
-	curPage int      // logical page currently loaded
+	page    int    // next logical page to load
+	buf     []byte // the page of RAM, allocated at the first load
+	img     []byte // the loaded page image, a prefix of buf
+	off     int    // offset in img of the next slot
+	cnt     int    // records on the loaded page
+	curPage int    // logical page currently loaded
 	slot    int
 	err     error
 }
@@ -372,50 +420,53 @@ func (l *Log) Iter() *Iterator {
 }
 
 // Next returns the next record, a RecordID, and false at end. The returned
-// slice is only valid until the following Next call.
+// slice is a view into the iterator's page buffer: it is valid only until
+// the following Next call.
 func (it *Iterator) Next() ([]byte, RecordID, bool) {
 	if it.err != nil {
 		return nil, RecordID{}, false
 	}
 	for {
-		if it.cur != nil && it.slot < len(it.cur) {
-			rec := it.cur[it.slot]
+		if it.slot < it.cnt {
+			var rec []byte
+			rec, it.off = slotAt(it.img, it.off)
 			id := RecordID{Page: int32(it.curPage), Slot: int32(it.slot)}
 			it.slot++
 			return rec, id, true
 		}
+		l := it.log
+		if it.buf == nil {
+			it.buf = make([]byte, l.pageSize())
+		}
 		// Load next page.
-		if it.page < it.log.w.Pages() {
-			phys, err := it.log.w.PhysPage(it.page)
+		if it.page < l.w.Pages() {
+			phys, err := l.w.PhysPage(it.page)
 			if err != nil {
 				it.err = err
 				return nil, RecordID{}, false
 			}
-			img, err := it.log.w.Chip().Page(phys)
+			n, err := l.w.Chip().ReadPage(phys, it.buf)
 			if err != nil {
 				it.err = err
 				return nil, RecordID{}, false
 			}
-			recs, err := decodePage(img)
-			if err != nil {
-				it.err = err
-				return nil, RecordID{}, false
-			}
-			it.cur, it.curPage, it.slot = recs, it.page, 0
+			it.img = it.buf[:n]
+			it.curPage = it.page
 			it.page++
-			continue
+		} else if it.curPage < l.w.Pages() && l.cnt > 0 {
+			// Serve a snapshot of the buffered page once.
+			it.img = it.buf[:copy(it.buf, l.buf)]
+			sealPage(it.img, l.cnt)
+			it.curPage = l.w.Pages()
+		} else {
+			return nil, RecordID{}, false
 		}
-		// Serve the buffered page once.
-		if it.curPage < it.log.w.Pages() && it.log.cnt > 0 {
-			recs, err := decodePageBuffered(it.log.buf, it.log.cnt)
-			if err != nil {
-				it.err = err
-				return nil, RecordID{}, false
-			}
-			it.cur, it.curPage, it.slot = recs, it.log.w.Pages(), 0
-			continue
+		cnt, err := checkPage(it.img)
+		if err != nil {
+			it.err = err
+			return nil, RecordID{}, false
 		}
-		return nil, RecordID{}, false
+		it.cnt, it.slot, it.off = cnt, 0, pageHeader
 	}
 }
 

@@ -60,6 +60,8 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 	var bestSeq uint64
 	var bestPayload []byte
 	bestBlock := -1
+	// Two pages of RAM: the page under the scan and the best one so far.
+	page, best := make([]byte, g.PageSize), make([]byte, g.PageSize)
 	for _, b := range []int{JournalBlockA, JournalBlockB} {
 		base := b * g.PagesPerBlock
 		wc, err := chip.WrittenInBlock(b)
@@ -74,10 +76,11 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 			if !w {
 				continue // hole left by an interrupted erase
 			}
-			img, err := chip.Page(base + i)
+			n, err := chip.ReadPage(base+i, page)
 			if err != nil {
 				return nil, err
 			}
+			img := page[:n]
 			r.Stats.PageReads++
 			r.count(flash.MetricRecoveryPageReads, 1)
 			seq, payload, ok := decodeRecord(img)
@@ -89,7 +92,8 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 			r.Stats.CommitRecords++
 			r.count(flash.MetricRecoveryCommitRecords, 1)
 			if bestBlock < 0 || seq > bestSeq {
-				bestSeq, bestPayload, bestBlock = seq, append([]byte(nil), payload...), b
+				bestSeq, bestPayload, bestBlock = seq, payload, b
+				page, best = best, page
 			}
 		}
 	}

@@ -1,9 +1,8 @@
 package logstore
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pds/internal/flash"
 )
@@ -17,6 +16,11 @@ import (
 //  2. runs are merged fanIn at a time, each input consuming one page of
 //     RAM, until a single sorted log remains. Intermediate runs are
 //     dropped (block-grain deallocation) as soon as they are consumed.
+//
+// The Go process holds what that model grants and no more: run formation
+// copies records into one slab of runPages pages (plus the record that
+// crosses the budget) and sorts views into it, and a merge compares the
+// head records where they lie in each input's page buffer.
 //
 // src is flushed but otherwise left untouched; the caller decides when to
 // drop it. The result draws blocks from the same allocator.
@@ -36,13 +40,23 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 	// Pass 0: form sorted runs.
 	var runs []*Log
 	budget := runPages * pageSize
+	// The batch closes on the record that reaches the budget, so the slab
+	// never outgrows budget plus one record and the views stay put.
+	slab := make([]byte, 0, budget+pageSize)
 	var batch [][]byte
 	batchBytes := 0
+	// The stable sort only ever asks "is a before b".
+	cmp := func(a, b []byte) int {
+		if less(a, b) {
+			return -1
+		}
+		return 0
+	}
 	flushBatch := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		sort.SliceStable(batch, func(i, j int) bool { return less(batch[i], batch[j]) })
+		slices.SortStableFunc(batch, cmp)
 		run := NewLog(alloc)
 		for _, rec := range batch {
 			if _, err := run.Append(rec); err != nil {
@@ -54,6 +68,7 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 		}
 		runs = append(runs, run)
 		batch = batch[:0]
+		slab = slab[:0]
 		batchBytes = 0
 		return nil
 	}
@@ -63,10 +78,10 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 		if !ok {
 			break
 		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		batch = append(batch, cp)
-		batchBytes += len(cp) + slotHeader
+		at := len(slab)
+		slab = append(slab, rec...)
+		batch = append(batch, slab[at:len(slab):len(slab)])
+		batchBytes += len(rec) + slotHeader
 		if batchBytes >= budget {
 			if err := flushBatch(); err != nil {
 				return nil, err
@@ -108,19 +123,22 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 	return runs[0], nil
 }
 
-// mergeEntry is one heap element of a k-way merge.
+// mergeEntry is one heap element of a k-way merge: the head record of
+// input src, viewed in that input's page buffer.
 type mergeEntry struct {
 	rec []byte
 	src int
 }
 
+// mergeHeap is a binary min-heap of head records. It performs exactly the
+// comparisons and swaps container/heap would, on a typed slice, so the
+// merged order matches the boxed heap's for any less.
 type mergeHeap struct {
 	items []mergeEntry
 	less  func(a, b []byte) bool
 }
 
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool {
+func (h *mergeHeap) before(i, j int) bool {
 	if h.less(h.items[i].rec, h.items[j].rec) {
 		return true
 	}
@@ -130,42 +148,82 @@ func (h *mergeHeap) Less(i, j int) bool {
 	// Tie-break on source index to keep the merge stable.
 	return h.items[i].src < h.items[j].src
 }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x interface{}) { h.items = append(h.items, x.(mergeEntry)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
+
+func (h *mergeHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.before(j, i) {
+			break
+		}
+		h.items[i], h.items[j] = h.items[j], h.items[i]
+		j = i
+	}
 }
 
-// mergeRuns merges sorted runs into one sorted log. Each run contributes one
-// page of RAM via its iterator plus the head record held in the heap.
+func (h *mergeHeap) down(i0, n int) {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h.before(j2, j1) {
+			j = j2
+		}
+		if !h.before(j, i) {
+			break
+		}
+		h.items[i], h.items[j] = h.items[j], h.items[i]
+		i = j
+	}
+}
+
+func (h *mergeHeap) init() {
+	n := len(h.items)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+func (h *mergeHeap) push(e mergeEntry) {
+	h.items = append(h.items, e)
+	h.up(len(h.items) - 1)
+}
+
+func (h *mergeHeap) pop() mergeEntry {
+	n := len(h.items) - 1
+	h.items[0], h.items[n] = h.items[n], h.items[0]
+	h.down(0, n)
+	e := h.items[n]
+	h.items = h.items[:n]
+	return e
+}
+
+// mergeRuns merges sorted runs into one sorted log. Each run contributes
+// one page of RAM via its iterator; the heap holds views of the head
+// records into those pages. A head is appended to the output before its
+// iterator moves on, so no view outlives its page.
 func mergeRuns(alloc *flash.Allocator, runs []*Log, less func(a, b []byte) bool) (*Log, error) {
 	out := NewLog(alloc)
-	iters := make([]*Iterator, len(runs))
-	h := &mergeHeap{less: less}
+	iters := make([]Iterator, len(runs))
+	h := &mergeHeap{items: make([]mergeEntry, 0, len(runs)), less: less}
 	for i, r := range runs {
-		iters[i] = r.Iter()
+		iters[i] = Iterator{log: r, curPage: -1}
 		if rec, _, ok := iters[i].Next(); ok {
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			h.items = append(h.items, mergeEntry{rec: cp, src: i})
+			h.items = append(h.items, mergeEntry{rec: rec, src: i})
 		} else if err := iters[i].Err(); err != nil {
 			return nil, err
 		}
 	}
-	heap.Init(h)
-	for h.Len() > 0 {
-		e := heap.Pop(h).(mergeEntry)
+	h.init()
+	for len(h.items) > 0 {
+		e := h.pop()
 		if _, err := out.Append(e.rec); err != nil {
 			return nil, err
 		}
 		if rec, _, ok := iters[e.src].Next(); ok {
-			cp := make([]byte, len(rec))
-			copy(cp, rec)
-			heap.Push(h, mergeEntry{rec: cp, src: e.src})
+			h.push(mergeEntry{rec: rec, src: e.src})
 		} else if err := iters[e.src].Err(); err != nil {
 			return nil, err
 		}

@@ -19,6 +19,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -179,21 +180,27 @@ func (r *Registry) Tracer() *Tracer { return r.tracer }
 
 // Name builds the canonical series name for a family plus label pairs
 // (alternating key, value), sorted by key: family{k1="v1",k2="v2"}.
-// With no labels it is the family itself.
+// With no labels it is the family itself. A trailing key without a value
+// takes the empty value; labels is only read.
 func Name(family string, labels ...string) string {
 	if len(labels) == 0 {
 		return family
 	}
-	if len(labels)%2 != 0 {
-		labels = append(labels, "")
-	}
 	type kv struct{ k, v string }
-	pairs := make([]kv, 0, len(labels)/2)
-	for i := 0; i+1 < len(labels); i += 2 {
-		pairs = append(pairs, kv{labels[i], labels[i+1]})
+	var few [4]kv
+	pairs := few[:0]
+	size := len(family) + 2
+	for i := 0; i < len(labels); i += 2 {
+		p := kv{k: labels[i]}
+		if i+1 < len(labels) {
+			p.v = labels[i+1]
+		}
+		pairs = append(pairs, p)
+		size += len(p.k) + len(p.v) + 4
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	slices.SortStableFunc(pairs, func(a, b kv) int { return strings.Compare(a.k, b.k) })
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(family)
 	b.WriteByte('{')
 	for i, p := range pairs {
@@ -230,38 +237,33 @@ func (r *Registry) lookup(key string, mk func() any) any {
 // Name(family, labels...). Registering the same name as a different metric
 // kind panics: that is a programming error, not a runtime condition.
 func (r *Registry) Counter(family string, labels ...string) *Counter {
-	m := r.lookup(Name(family, labels...), func() any { return &Counter{} })
-	c, ok := m.(*Counter)
-	if !ok {
-		panic("obs: " + Name(family, labels...) + " already registered with a different kind")
-	}
-	return c
+	return r.lookupCounterByKey(Name(family, labels...))
 }
 
 // Gauge returns (creating on first use) the gauge named Name(family, labels...).
 func (r *Registry) Gauge(family string, labels ...string) *Gauge {
-	m := r.lookup(Name(family, labels...), func() any { return &Gauge{} })
-	g, ok := m.(*Gauge)
-	if !ok {
-		panic("obs: " + Name(family, labels...) + " already registered with a different kind")
-	}
-	return g
+	return r.lookupGaugeByKey(Name(family, labels...))
 }
 
 // Histogram returns (creating on first use) the histogram named
 // Name(family, labels...) with the given bucket upper bounds (ascending).
 // Bounds are fixed by the first registration.
 func (r *Registry) Histogram(family string, bounds []int64, labels ...string) *Histogram {
-	m := r.lookup(Name(family, labels...), func() any {
+	key := Name(family, labels...)
+	m := r.lookup(key, func() any {
 		b := append([]int64(nil), bounds...)
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 		return &Histogram{bounds: b, counts: make([]paddedInt64, len(b)+1)}
 	})
 	h, ok := m.(*Histogram)
 	if !ok {
-		panic("obs: " + Name(family, labels...) + " already registered with a different kind")
+		panic(kindMismatch(key))
 	}
 	return h
+}
+
+func kindMismatch(key string) string {
+	return "obs: " + key + " already registered with a different kind"
 }
 
 // CounterValue reads a counter's merged total without creating it.
@@ -362,13 +364,14 @@ func (r *Registry) MergeSnapshot(snap Snapshot) {
 	r.tracer.importSpans(snap.Spans)
 }
 
-// lookupCounterByKey resolves a counter by its full canonical name.
+// lookupCounterByKey resolves a counter by its full canonical name; a name
+// held by another kind panics.
 func (r *Registry) lookupCounterByKey(key string) *Counter {
 	m := r.lookup(key, func() any { return &Counter{} })
 	if c, ok := m.(*Counter); ok {
 		return c
 	}
-	panic("obs: merge kind mismatch for " + key)
+	panic(kindMismatch(key))
 }
 
 func (r *Registry) lookupGaugeByKey(key string) *Gauge {
@@ -376,7 +379,7 @@ func (r *Registry) lookupGaugeByKey(key string) *Gauge {
 	if g, ok := m.(*Gauge); ok {
 		return g
 	}
-	panic("obs: merge kind mismatch for " + key)
+	panic(kindMismatch(key))
 }
 
 func (r *Registry) lookupHistogramByKey(key string, bounds []int64) *Histogram {
@@ -386,5 +389,5 @@ func (r *Registry) lookupHistogramByKey(key string, bounds []int64) *Histogram {
 	if h, ok := m.(*Histogram); ok {
 		return h
 	}
-	panic("obs: merge kind mismatch for " + key)
+	panic(kindMismatch(key))
 }

@@ -90,6 +90,41 @@ func TestNameCanonicalization(t *testing.T) {
 	}
 }
 
+// A trailing key without a value takes the empty one — and Name only
+// reads its labels: it used to append that "" to the variadic slice, which
+// for Name(f, xs...) is the caller's own backing array.
+func TestNameOddLabelsLeavesCallerSliceAlone(t *testing.T) {
+	backing := []string{"b", "2", "a", "sentinel"}
+	labels := backing[:3] // spare capacity: an append lands on "sentinel"
+	if got, want := Name("m", labels...), `m{a="",b="2"}`; got != want {
+		t.Fatalf("Name = %q, want %q", got, want)
+	}
+	if backing[3] != "sentinel" {
+		t.Fatalf("Name wrote %q into the caller's backing array", backing[3])
+	}
+	if got, want := Name("m", "solo"), `m{solo=""}`; got != want {
+		t.Fatalf("Name = %q, want %q", got, want)
+	}
+	// Equal keys keep their argument order, as the insertion sort under
+	// sort.Slice kept them.
+	if got, want := Name("m", "k", "2", "a", "0", "k", "1"), `m{a="0",k="2",k="1"}`; got != want {
+		t.Fatalf("Name = %q, want %q", got, want)
+	}
+}
+
+// A name held by one kind cannot be taken by another, and the panic names
+// the series.
+func TestKindMismatchPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("dual", "k", "v")
+	defer func() {
+		if got, want := recover(), `obs: dual{k="v"} already registered with a different kind`; got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
+		}
+	}()
+	r.Gauge("dual", "k", "v")
+}
+
 func TestMergeAddsCountersAndRebasesSpans(t *testing.T) {
 	parent, child := NewRegistry(), NewRegistry()
 	parent.Counter("x_total").Add(5)

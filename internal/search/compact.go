@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -43,57 +44,51 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 	alloc := e.pw.Alloc()
 
 	// Gather all postings into a temporary log (sequential writes only).
+	// A triple is encoded on a bucket or compact page exactly as in the
+	// log record, so each goes from the page image straight into the log.
 	tmp := logstore.NewLog(alloc)
-	emit := func(tr triple) error {
-		_, err := tmp.Append(encodeTripleRec(tr))
-		return err
+	var buf []byte // one page of RAM for the walk
+	emit := func(body []byte) error {
+		for len(body) > 0 {
+			var rec []byte
+			rec, body = nextTriple(body)
+			if _, err := tmp.Append(rec); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	for b := 0; b < e.nbuckets; b++ {
 		next := e.heads[b]
 		for next >= 0 {
-			img, err := e.pw.Chip().Page(int(next))
+			img, err := readPage(e.pw.Chip(), int(next), &buf)
 			if err != nil {
 				return err
 			}
-			prev, triples, err := decodeBucketPage(img)
+			prev, body, err := bucketPage(img)
 			if err != nil {
 				return err
 			}
-			for _, tr := range triples {
-				if err := emit(tr); err != nil {
-					return err
-				}
+			if err := emit(body); err != nil {
+				return err
 			}
 			next = prev
 		}
 	}
 	if e.compact != nil {
 		for p := 0; p < e.compact.pw.Pages(); p++ {
-			triples, err := e.compact.readPage(p)
+			body, err := e.compact.page(p, &buf)
 			if err != nil {
 				return err
 			}
-			for _, tr := range triples {
-				if err := emit(tr); err != nil {
-					return err
-				}
+			if err := emit(body); err != nil {
+				return err
 			}
 		}
 	}
 
 	// Sort by (term asc, docid desc).
-	less := func(a, b []byte) bool {
-		ta, errA := decodeTripleRec(a)
-		tb, errB := decodeTripleRec(b)
-		if errA != nil || errB != nil {
-			return false
-		}
-		if ta.term != tb.term {
-			return ta.term < tb.term
-		}
-		return ta.doc > tb.doc
-	}
-	sorted, err := logstore.Sort(tmp, less, runPages, fanIn)
+	sorted, err := logstore.Sort(tmp, tripleLess, runPages, fanIn)
 	if err != nil {
 		return err
 	}
@@ -102,11 +97,16 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 	}
 	defer sorted.Drop()
 
-	// Pack into compact pages, recording the directory.
+	// Pack into compact pages, recording the directory. The chip copies
+	// each page it programs, so the page of RAM the walk used serves every
+	// image; lastTerm is the last triple's term where it lies in it.
 	ci := &compactIndex{pw: logstore.NewPageWriter(alloc)}
-	page := make([]byte, compactPageHeader, e.pageSize)
+	if buf == nil {
+		buf = make([]byte, e.pageSize)
+	}
+	page := buf[:compactPageHeader]
 	cnt := 0
-	lastTerm := ""
+	var lastTerm []byte
 	flushPage := func() error {
 		if cnt == 0 {
 			return nil
@@ -115,8 +115,8 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 		if _, err := ci.pw.Write(page); err != nil {
 			return err
 		}
-		ci.dir = append(ci.dir, lastTerm)
-		page = make([]byte, compactPageHeader, e.pageSize)
+		ci.dir = append(ci.dir, string(lastTerm))
+		page = page[:compactPageHeader]
 		cnt = 0
 		return nil
 	}
@@ -126,18 +126,17 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 		if !ok {
 			break
 		}
-		tr, err := decodeTripleRec(rec)
-		if err != nil {
+		if err := checkTripleRec(rec); err != nil {
 			return err
 		}
-		if len(page)+tripleSize(tr.term) > e.pageSize {
+		if len(page)+len(rec) > e.pageSize {
 			if err := flushPage(); err != nil {
 				return err
 			}
 		}
-		page = appendTriple(page, tr)
+		page = append(page, rec...)
 		cnt++
-		lastTerm = tr.term
+		lastTerm = tripleTerm(page[len(page)-len(rec):])
 	}
 	if err := it.Err(); err != nil {
 		return err
@@ -184,14 +183,14 @@ func (e *Engine) CompactPages() int {
 	return e.compact.pw.Pages()
 }
 
-// readPage decodes one compact page into triples (page order = docid
-// descending within each term).
-func (c *compactIndex) readPage(logical int) ([]triple, error) {
+// page reads one compact page into buf (see readPage) and returns
+// its checked triples (page order = docid descending within each term).
+func (c *compactIndex) page(logical int, buf *[]byte) ([]byte, error) {
 	phys, err := c.pw.PhysPage(logical)
 	if err != nil {
 		return nil, err
 	}
-	img, err := c.pw.Chip().Page(phys)
+	img, err := readPage(c.pw.Chip(), phys, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -199,25 +198,7 @@ func (c *compactIndex) readPage(logical int) ([]triple, error) {
 		return nil, fmt.Errorf("search: short compact page")
 	}
 	cnt := int(binary.LittleEndian.Uint16(img[0:2]))
-	out := make([]triple, 0, cnt)
-	off := compactPageHeader
-	for i := 0; i < cnt; i++ {
-		if off >= len(img) {
-			return nil, fmt.Errorf("search: corrupt compact page")
-		}
-		tl := int(img[off])
-		off++
-		if off+tl+6 > len(img) {
-			return nil, fmt.Errorf("search: corrupt compact page")
-		}
-		term := string(img[off : off+tl])
-		off += tl
-		doc := DocID(binary.LittleEndian.Uint32(img[off : off+4]))
-		w := binary.LittleEndian.Uint16(img[off+4 : off+6])
-		off += 6
-		out = append(out, triple{term: term, doc: doc, weight: w})
-	}
-	return out, nil
+	return tripleBody(img, compactPageHeader, cnt, "compact")
 }
 
 // firstPageFor returns the first logical compact page that may contain
@@ -232,11 +213,6 @@ func (c *compactIndex) firstPageFor(term string) int {
 
 // triple record encoding for the temporary sort log: u8 len | term |
 // u32 doc | u16 weight.
-func encodeTripleRec(tr triple) []byte {
-	out := make([]byte, 0, tripleSize(tr.term))
-	return appendTriple(out, tr)
-}
-
 func appendTriple(dst []byte, tr triple) []byte {
 	dst = append(dst, byte(len(tr.term)))
 	dst = append(dst, tr.term...)
@@ -246,17 +222,29 @@ func appendTriple(dst []byte, tr triple) []byte {
 	return append(dst, num[:]...)
 }
 
-func decodeTripleRec(rec []byte) (triple, error) {
-	if len(rec) < 1 {
-		return triple{}, fmt.Errorf("search: empty triple record")
+// wholeTriple reports whether rec is exactly one encoded triple.
+func wholeTriple(rec []byte) bool { return len(rec) >= 1 && len(rec) == 1+int(rec[0])+6 }
+
+// checkTripleRec is wholeTriple as an error.
+func checkTripleRec(rec []byte) error {
+	switch {
+	case len(rec) < 1:
+		return fmt.Errorf("search: empty triple record")
+	case !wholeTriple(rec):
+		return fmt.Errorf("search: corrupt triple record")
 	}
-	tl := int(rec[0])
-	if len(rec) != 1+tl+6 {
-		return triple{}, fmt.Errorf("search: corrupt triple record")
+	return nil
+}
+
+// tripleLess orders encoded triple records by (term ascending, docid
+// descending), comparing the bytes where they lie. A corrupt record is
+// before nothing and nothing is before it.
+func tripleLess(a, b []byte) bool {
+	if !wholeTriple(a) || !wholeTriple(b) {
+		return false
 	}
-	return triple{
-		term:   string(rec[1 : 1+tl]),
-		doc:    DocID(binary.LittleEndian.Uint32(rec[1+tl : 5+tl])),
-		weight: binary.LittleEndian.Uint16(rec[5+tl : 7+tl]),
-	}, nil
+	if c := bytes.Compare(tripleTerm(a), tripleTerm(b)); c != 0 {
+		return c < 0
+	}
+	return tripleDoc(a) > tripleDoc(b)
 }

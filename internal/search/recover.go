@@ -141,25 +141,40 @@ func Reopen(rec *logstore.Recovered, arena *mcu.Arena, nbuckets int) (*Engine, e
 
 	// Rebuild the derived structures with one metered scan. Each posting
 	// triple is one (term, doc) pair, so df[term] is simply the number of
-	// triples carrying the term.
+	// triples carrying the term; counting through pointers costs a string
+	// per distinct term, not per triple.
 	var reads int64
+	var buf []byte
+	counts := make(map[string]*int)
+	tally := func(body []byte) (last []byte) {
+		for len(body) > 0 {
+			var tr []byte
+			tr, body = nextTriple(body)
+			last = tripleTerm(tr)
+			n, ok := counts[string(last)]
+			if !ok {
+				n = new(int)
+				counts[string(last)] = n
+			}
+			*n++
+		}
+		return last
+	}
 	for b := 0; b < e.nbuckets; b++ {
 		next := e.heads[b]
 		for next >= 0 {
-			img, err := e.pw.Chip().Page(int(next))
+			img, err := readPage(e.pw.Chip(), int(next), &buf)
 			if err != nil {
 				e.bufRes.Release()
 				return nil, err
 			}
 			reads++
-			prev, triples, err := decodeBucketPage(img)
+			prev, body, err := bucketPage(img)
 			if err != nil {
 				e.bufRes.Release()
 				return nil, err
 			}
-			for _, tr := range triples {
-				e.df[tr.term]++
-			}
+			tally(body)
 			next = prev
 		}
 	}
@@ -171,22 +186,22 @@ func Reopen(rec *logstore.Recovered, arena *mcu.Arena, nbuckets int) (*Engine, e
 		}
 		ci := &compactIndex{pw: cpw}
 		for p := 0; p < cpw.Pages(); p++ {
-			triples, err := ci.readPage(p)
+			body, err := ci.page(p, &buf)
 			if err != nil {
 				e.bufRes.Release()
 				return nil, err
 			}
 			reads++
-			if len(triples) == 0 {
+			if len(body) == 0 {
 				e.bufRes.Release()
 				return nil, fmt.Errorf("search: committed compact page %d is empty", p)
 			}
-			for _, tr := range triples {
-				e.df[tr.term]++
-			}
-			ci.dir = append(ci.dir, triples[len(triples)-1].term)
+			ci.dir = append(ci.dir, string(tally(body)))
 		}
 		e.compact = ci
+	}
+	for term, n := range counts {
+		e.df[term] = *n
 	}
 	rec.MeterPageReads(reads)
 	return e, nil

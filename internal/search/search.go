@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"pds/internal/flash"
@@ -70,6 +71,37 @@ type triple struct {
 const bucketPageHeader = 6
 
 func tripleSize(term string) int { return 1 + len(term) + 4 + 2 }
+
+// Encoded triples are read where they lie in a page image. tripleBody
+// checks that img holds cnt well-formed triples from off and returns the
+// bytes they occupy; nextTriple then peels one triple off a checked body,
+// and tripleTerm, tripleDoc and tripleWeight read its fields.
+func tripleBody(img []byte, off, cnt int, what string) ([]byte, error) {
+	end := off
+	for i := 0; i < cnt; i++ {
+		if end >= len(img) {
+			return nil, fmt.Errorf("search: corrupt %s page", what)
+		}
+		end += 1 + int(img[end]) + 6
+		if end > len(img) {
+			return nil, fmt.Errorf("search: corrupt %s page", what)
+		}
+	}
+	return img[off:end], nil
+}
+
+func nextTriple(body []byte) (rec, rest []byte) {
+	n := 1 + int(body[0]) + 6
+	return body[:n], body[n:]
+}
+
+func tripleTerm(rec []byte) []byte { return rec[1 : len(rec)-6] }
+
+func tripleDoc(rec []byte) DocID {
+	return DocID(binary.LittleEndian.Uint32(rec[len(rec)-6:]))
+}
+
+func tripleWeight(rec []byte) uint16 { return binary.LittleEndian.Uint16(rec[len(rec)-2:]) }
 
 // Engine is an embedded search engine bound to one token's flash and RAM.
 type Engine struct {
@@ -229,12 +261,7 @@ func (e *Engine) flushBucket(b int) error {
 	binary.LittleEndian.PutUint32(page[0:4], uint32(e.heads[b]))
 	binary.LittleEndian.PutUint16(page[4:6], uint16(len(e.bufs[b])))
 	for _, tr := range e.bufs[b] {
-		page = append(page, byte(len(tr.term)))
-		page = append(page, tr.term...)
-		var num [6]byte
-		binary.LittleEndian.PutUint32(num[0:4], uint32(tr.doc))
-		binary.LittleEndian.PutUint16(num[4:6], tr.weight)
-		page = append(page, num[:]...)
+		page = appendTriple(page, tr)
 	}
 	phys, err := e.pw.Write(page)
 	if err != nil {
@@ -256,32 +283,28 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// decodeBucketPage parses a bucket page into (prev, triples in page order).
-func decodeBucketPage(img []byte) (int32, []triple, error) {
+// bucketPage parses a bucket page into its chain pointer and its checked
+// triples, in page order (ascending docid).
+func bucketPage(img []byte) (prev int32, body []byte, err error) {
 	if len(img) < bucketPageHeader {
 		return -1, nil, fmt.Errorf("search: short bucket page (%d bytes)", len(img))
 	}
-	prev := int32(binary.LittleEndian.Uint32(img[0:4]))
 	cnt := int(binary.LittleEndian.Uint16(img[4:6]))
-	out := make([]triple, 0, cnt)
-	off := bucketPageHeader
-	for i := 0; i < cnt; i++ {
-		if off >= len(img) {
-			return -1, nil, errors.New("search: corrupt bucket page")
-		}
-		tl := int(img[off])
-		off++
-		if off+tl+6 > len(img) {
-			return -1, nil, errors.New("search: corrupt bucket page")
-		}
-		term := string(img[off : off+tl])
-		off += tl
-		doc := DocID(binary.LittleEndian.Uint32(img[off : off+4]))
-		w := binary.LittleEndian.Uint16(img[off+4 : off+6])
-		off += 6
-		out = append(out, triple{term: term, doc: doc, weight: w})
+	body, err = tripleBody(img, bucketPageHeader, cnt, "bucket")
+	if err != nil {
+		return -1, nil, err
 	}
-	return prev, out, nil
+	return int32(binary.LittleEndian.Uint32(img[0:4])), body, nil
+}
+
+// readPage reads physical page phys into buf (one page of RAM, allocated
+// on first use) and returns the image.
+func readPage(chip *flash.Chip, phys int, buf *[]byte) ([]byte, error) {
+	if *buf == nil {
+		*buf = make([]byte, chip.Geometry().PageSize)
+	}
+	n, err := chip.ReadPage(phys, *buf)
+	return (*buf)[:n], err
 }
 
 // cursor phases: postings come from (0) the RAM buffer + bucket chain —
@@ -300,6 +323,7 @@ type cursor struct {
 	eng   *Engine
 	term  string
 	idf   float64
+	buf   []byte   // the cursor's page of RAM
 	cur   []triple // descending docid
 	pos   int
 	next  int32 // chain pointer still to follow; -1 = exhausted
@@ -342,22 +366,17 @@ func (c *cursor) advance() (bool, error) {
 		switch c.phase {
 		case phaseChain:
 			if c.next >= 0 {
-				img, err := c.eng.pw.Chip().Page(int(c.next))
+				img, err := readPage(c.eng.pw.Chip(), int(c.next), &c.buf)
 				c.eng.count(MetricChainPages, 1)
 				if err != nil {
 					return false, err
 				}
-				prev, triples, err := decodeBucketPage(img)
+				prev, body, err := bucketPage(img)
 				if err != nil {
 					return false, err
 				}
-				c.cur = c.cur[:0]
-				for i := len(triples) - 1; i >= 0; i-- { // page stores ascending docid
-					if triples[i].term == c.term {
-						c.cur = append(c.cur, triples[i])
-					}
-				}
-				c.pos = 0
+				c.load(body)
+				slices.Reverse(c.cur) // page stores ascending docid
 				c.next = prev
 				continue
 			}
@@ -379,18 +398,12 @@ func (c *cursor) advance() (bool, error) {
 				c.phase = phaseDone
 				return false, nil
 			}
-			triples, err := ci.readPage(c.cpage)
+			body, err := ci.page(c.cpage, &c.buf)
 			c.eng.count(MetricCompactPages, 1)
 			if err != nil {
 				return false, err
 			}
-			c.cur = c.cur[:0]
-			for _, tr := range triples { // compact pages already store docid descending per term
-				if tr.term == c.term {
-					c.cur = append(c.cur, tr)
-				}
-			}
-			c.pos = 0
+			c.load(body) // compact pages already store docid descending per term
 			if ci.dir[c.cpage] > c.term {
 				c.clast = true
 			}
@@ -400,6 +413,19 @@ func (c *cursor) advance() (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// load replaces the cursor's postings with the term's triples of body, in
+// page order.
+func (c *cursor) load(body []byte) {
+	c.cur, c.pos = c.cur[:0], 0
+	for len(body) > 0 {
+		var rec []byte
+		rec, body = nextTriple(body)
+		if string(tripleTerm(rec)) == c.term {
+			c.cur = append(c.cur, triple{term: c.term, doc: tripleDoc(rec), weight: tripleWeight(rec)})
+		}
+	}
 }
 
 // prime ensures the cursor has a head if any posting exists.

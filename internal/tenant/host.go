@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"container/heap"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -128,6 +129,39 @@ type envelope struct {
 	// lastUsed orders LRU eviction, everOpened selects Open vs Reopen.
 	lastUsed   int64
 	everOpened bool
+	// created is the envelope's position in Host.order (the eviction tie
+	// rule); lruPos its position in Host.lru while resident.
+	created int
+	lruPos  int
+}
+
+// residentLRU is a min-heap of the resident envelopes keyed (lastUsed,
+// creation order): its root is the tenant a scan of Host.order for the
+// smallest lastUsed, first created winning ties, would find.
+type residentLRU []*envelope
+
+func (q residentLRU) Len() int { return len(q) }
+func (q residentLRU) Less(i, j int) bool {
+	if q[i].lastUsed != q[j].lastUsed {
+		return q[i].lastUsed < q[j].lastUsed
+	}
+	return q[i].created < q[j].created
+}
+func (q residentLRU) Swap(i, j int) {
+	q[i], q[j] = q[j], q[i]
+	q[i].lruPos, q[j].lruPos = i, j
+}
+func (q *residentLRU) Push(x any) {
+	e := x.(*envelope)
+	e.lruPos = len(*q)
+	*q = append(*q, e)
+}
+func (q *residentLRU) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	return e
 }
 
 // classState is one class's admission plane, in virtual time: each slot
@@ -185,19 +219,46 @@ type Host struct {
 	model   flash.CostModel
 	arena   *mcu.Arena
 	tenants map[string]*envelope
-	// order preserves creation order so eviction scans are stable.
+	// order preserves creation order (the wear scan, the eviction tie
+	// rule); lru indexes the resident envelopes by eviction priority.
 	order   []*envelope
+	lru     residentLRU
 	classes [NumClasses]classState
 	// decisions is the one-byte-per-request admission stream; digest
-	// hashes it incrementally.
+	// hashes it incrementally, through digestIn.
 	decisions []byte
 	digest    hash.Hash
+	digestIn  [1]byte
 	nowNS     int64
+	// Handles on the host's own series, bound at the first event of each:
+	// a series enters the registry (and every snapshot and window digest
+	// after it) when its event first happens, as it always did.
+	met hostMetrics
 	// attr, when set, receives per-tenant heavy-hitter credit (service
 	// time, sheds, reopen I/O). Nil by default — attribution is a
 	// telemetry concern the host stays agnostic of.
 	attr *Attribution
 }
+
+// hostMetrics caches the registry handles of the request path, so that a
+// request builds no series name and looks nothing up.
+type hostMetrics struct {
+	requests      [numDecisions]*obs.Counter
+	classRequests [NumClasses][numDecisions]*obs.Counter
+	latency       [NumClasses]*obs.Histogram
+	queueDepth    [NumClasses]*obs.Gauge
+	resident      *obs.Gauge
+	evictions     *obs.Counter
+	reopens       *obs.Counter
+}
+
+// storeCollection is the acl collection a class's requests address.
+var storeCollection = func() (c [NumClasses]string) {
+	for i := range c {
+		c[i] = "store/" + Class(i).String()
+	}
+	return c
+}()
 
 // NewHost builds a hosting daemon metering into reg (required — the
 // host's observability is not optional; pass obs.NewRegistry() if the
@@ -241,14 +302,14 @@ func (h *Host) NowNS() int64 { return h.nowNS }
 func (h *Host) Tenants() int { return len(h.order) }
 
 // Resident counts tenants currently holding a RAM reservation.
-func (h *Host) Resident() int {
-	n := 0
-	for _, e := range h.order {
-		if e.res != nil {
-			n++
-		}
+func (h *Host) Resident() int { return len(h.lru) }
+
+// setResident publishes the resident count.
+func (h *Host) setResident() {
+	if h.met.resident == nil {
+		h.met.resident = h.reg.Gauge(MetricResident)
 	}
-	return n
+	h.met.resident.Set(int64(len(h.lru)))
 }
 
 // MaxQueueDepth reports the deepest any class queue got.
@@ -286,16 +347,24 @@ func (h *Host) ObserveGauges() {
 	}
 	h.reg.Gauge(flash.MetricWearMax).Set(w.Max)
 	h.reg.Gauge(flash.MetricWearMeanMilli).Set(w.MeanMilli())
-	h.reg.Gauge(MetricResident).Set(int64(h.Resident()))
+	h.setResident()
 	h.reg.Gauge(MetricRAMHighWater).Set(int64(h.arena.HighWater()))
 	h.reg.Gauge(MetricRAMBudget).Set(int64(h.arena.Budget()))
 }
 
 func (h *Host) note(d Decision, class Class) {
 	h.decisions = append(h.decisions, byte(d))
-	h.digest.Write([]byte{byte(d)})
-	h.reg.Counter(MetricRequests, "decision", d.String()).Inc()
-	h.reg.Counter(MetricClassRequests, "class", class.String(), "decision", d.String()).Inc()
+	h.digestIn[0] = byte(d)
+	h.digest.Write(h.digestIn[:])
+	i := d.index()
+	if h.met.requests[i] == nil {
+		h.met.requests[i] = h.reg.Counter(MetricRequests, "decision", d.String())
+	}
+	h.met.requests[i].Inc()
+	if h.met.classRequests[class][i] == nil {
+		h.met.classRequests[class][i] = h.reg.Counter(MetricClassRequests, "class", class.String(), "decision", d.String())
+	}
+	h.met.classRequests[class][i].Inc()
 }
 
 // resolve returns the tenant's envelope, provisioning one on first
@@ -319,29 +388,22 @@ func (h *Host) resolve(name string, class Class) (*envelope, error) {
 	g.Policy.Add(acl.Rule{Subject: name, Collection: "store/*", Purpose: "serve", Allow: true})
 	g.Policy.Add(acl.Rule{Purpose: "marketing", Allow: false})
 	g.Observe(h.reg)
-	e := &envelope{name: name, class: class, kind: kind, chip: chip, guard: g}
+	e := &envelope{name: name, class: class, kind: kind, chip: chip, guard: g, created: len(h.order)}
 	h.tenants[name] = e
 	h.order = append(h.order, e)
 	h.reg.Counter(MetricProvisions).Inc()
 	return e, nil
 }
 
-// evictOne pushes the least-recently-used resident tenant (other than
-// keep) to flash: sync (durability point), close (volatile release),
-// free its arena slice. Returns false when nothing is evictable.
-func (h *Host) evictOne(keep *envelope) (bool, error) {
-	var victim *envelope
-	for _, e := range h.order {
-		if e == keep || e.res == nil {
-			continue
-		}
-		if victim == nil || e.lastUsed < victim.lastUsed {
-			victim = e
-		}
-	}
-	if victim == nil {
+// evictOne pushes the least-recently-used resident tenant to flash: sync
+// (durability point), close (volatile release), free its arena slice.
+// Returns false when nothing is evictable. The tenant being made resident
+// holds no reservation yet, so it is never the victim.
+func (h *Host) evictOne() (bool, error) {
+	if len(h.lru) == 0 {
 		return false, nil
 	}
+	victim := h.lru[0]
 	if victim.st != nil {
 		if victim.unsynced > 0 {
 			if err := victim.st.Sync(); err != nil {
@@ -357,8 +419,12 @@ func (h *Host) evictOne(keep *envelope) (bool, error) {
 	}
 	victim.res.Release()
 	victim.res = nil
-	h.reg.Counter(MetricEvictions).Inc()
-	h.reg.Gauge(MetricResident).Set(int64(h.Resident()))
+	heap.Pop(&h.lru)
+	if h.met.evictions == nil {
+		h.met.evictions = h.reg.Counter(MetricEvictions)
+	}
+	h.met.evictions.Inc()
+	h.setResident()
 	return true, nil
 }
 
@@ -372,12 +438,13 @@ func (h *Host) makeResident(e *envelope) error {
 			res, err := h.arena.Reserve(h.cfg.ResidentBytes)
 			if err == nil {
 				e.res = res
+				heap.Push(&h.lru, e)
 				break
 			}
 			if !errors.Is(err, mcu.ErrOutOfRAM) {
 				return err
 			}
-			ok, everr := h.evictOne(e)
+			ok, everr := h.evictOne()
 			if everr != nil {
 				return everr
 			}
@@ -385,7 +452,7 @@ func (h *Host) makeResident(e *envelope) error {
 				return fmt.Errorf("tenant %s: arena exhausted with no evictable tenant: %w", e.name, err)
 			}
 		}
-		h.reg.Gauge(MetricResident).Set(int64(h.Resident()))
+		h.setResident()
 	}
 	if e.st != nil {
 		return nil
@@ -409,7 +476,10 @@ func (h *Host) makeResident(e *envelope) error {
 		return fmt.Errorf("tenant %s: reopen: %w", e.name, err)
 	}
 	e.st = st
-	h.reg.Counter(MetricReopens).Inc()
+	if h.met.reopens == nil {
+		h.met.reopens = h.reg.Counter(MetricReopens)
+	}
+	h.met.reopens.Inc()
 	if h.attr != nil {
 		io := e.chip.Stats().Sub(before)
 		h.attr.AddReopenIO(e.name, io.PageReads+io.PageWrites)
@@ -443,7 +513,7 @@ func (h *Host) Do(req Request) (Response, error) {
 	q := acl.Request{
 		Subject:    subject,
 		Role:       req.Role,
-		Collection: "store/" + e.class.String(),
+		Collection: storeCollection[e.class],
 		Action:     acl.Write,
 		Purpose:    req.Purpose,
 	}
@@ -494,6 +564,7 @@ func (h *Host) Do(req Request) (Response, error) {
 	cs.slots[slot] = start + svc
 	e.pages = e.st.Pages()
 	e.lastUsed = now
+	heap.Fix(&h.lru, e.lruPos)
 
 	resp.Pages = e.pages
 	resp.StartNS = start
@@ -511,7 +582,11 @@ func (h *Host) Do(req Request) (Response, error) {
 	if h.attr != nil {
 		h.attr.AddService(e.name, svc)
 	}
-	h.reg.Histogram(MetricLatency, LatencyBounds(), "class", e.class.String()).Observe(resp.LatencyNS)
-	h.reg.Gauge(MetricQueueDepth, "class", e.class.String()).Set(int64(cs.maxQueue))
+	if h.met.latency[e.class] == nil {
+		h.met.latency[e.class] = h.reg.Histogram(MetricLatency, LatencyBounds(), "class", e.class.String())
+		h.met.queueDepth[e.class] = h.reg.Gauge(MetricQueueDepth, "class", e.class.String())
+	}
+	h.met.latency[e.class].Observe(resp.LatencyNS)
+	h.met.queueDepth[e.class].Set(int64(cs.maxQueue))
 	return resp, nil
 }

@@ -111,6 +111,24 @@ const (
 	DecisionQuota  Decision = 'x' // page quota exhausted
 )
 
+// numDecisions is how many outcomes there are; index numbers them.
+const numDecisions = 5
+
+func (d Decision) index() int {
+	switch d {
+	case DecisionAdmit:
+		return 0
+	case DecisionQueued:
+		return 1
+	case DecisionShed:
+		return 2
+	case DecisionDenied:
+		return 3
+	default:
+		return 4
+	}
+}
+
 func (d Decision) String() string {
 	switch d {
 	case DecisionAdmit:
