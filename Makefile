@@ -3,20 +3,16 @@
 # concurrent substrate (netsim fault/reliability plane, ssi accounting,
 # gquery token fleet, privcrypto batch helpers, smc parallel protocols,
 # obs registry) and the storage layers that share pooled page buffers
-# (logstore, search, flash), short fuzz passes over the wire-facing
-# decoders and the allocation-free sort and comparator, the
-# gofmt and determinism lints, the metrics smoke run, the multi-process
+# (logstore, search, flash), short fuzz passes over every fuzz target,
+# the gofmt and determinism lints, the metrics smoke run, the multi-process
 # scenario gate (pdsd over the TCP substrate), the benchmark smoke run,
 # and a coverage summary.
 
 GO ?= go
-FUZZTIME ?= 10s
+# Whole-gate fuzzing budget in seconds, divided evenly across the targets.
+FUZZTIME ?= 50s
 
-.PHONY: ci build test vet fmt race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 bench-snapshot bench-smoke
-
-# Where `make bench-snapshot` writes the perf snapshot. Committed per PR
-# (BENCH_PR<n>.json) so performance trajectories stay diffable.
-BENCH_OUT ?= BENCH_PR13.json
+.PHONY: ci build test vet fmt race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 bench-smoke
 
 build:
 	$(GO) build ./...
@@ -39,19 +35,25 @@ race:
 	$(GO) test -race ./internal/obs/... ./internal/gquery/... ./internal/netsim/... ./internal/ssi/... ./internal/privcrypto/... ./internal/smc/...
 	$(GO) test -race ./internal/logstore/... ./internal/search/... ./internal/flash/...
 
-# Short, bounded fuzz passes: the Paillier CRT/textbook cross-check, the
-# reliability-frame decoder (canonical re-encode property), log-replay
-# recovery under corrupted surviving pages (typed error or valid prefix,
-# never a panic or silent garbage), and the two differential targets of
-# the serve hot path: the external sort against the implementation it
-# replaced (records, page I/O, bytes on flash) and the byte-level triple
-# comparator against the decoding one.
+# Short, bounded fuzz passes over every Fuzz* target `go test -list`
+# finds, package by package — none is hand-listed, so a new target is in
+# the gate the moment it exists. The properties: decoders facing the
+# flash, the wire or a file return a typed error or a value that
+# re-encodes canonically, never a panic; recovery under corrupted pages
+# yields a typed error or a valid prefix; and the differential targets
+# (Paillier CRT vs textbook, the external sort and the byte-level triple
+# comparator against the implementations they replaced) agree.
 fuzz:
-	$(GO) test ./internal/privcrypto -run '^$$' -fuzz '^FuzzPaillierDecryptCRTvsTextbook$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/netsim -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/logstore -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/logstore -run '^$$' -fuzz '^FuzzSortMatchesStable$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/search -run '^$$' -fuzz '^FuzzTripleLess$$' -fuzztime=$(FUZZTIME)
+	@set -e; \
+	targets=$$($(GO) list ./... | while read pkg; do \
+		$(GO) test $$pkg -list '^Fuzz' | sed -n "s|^Fuzz|$$pkg Fuzz|p"; \
+	done); \
+	n=$$(echo "$$targets" | wc -l); \
+	total=$(FUZZTIME); per=$$(( $${total%s} * 1000 / n ))ms; \
+	echo "fuzz: $$n targets, $$per each"; \
+	echo "$$targets" | while read pkg fn; do \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn\$$" -fuzztime=$$per; \
+	done
 
 cover:
 	$(GO) test -cover ./...
@@ -155,11 +157,6 @@ ci: vet fmt build test race fuzz cover cover-recovery lint-determinism smoke-met
 # Serial-vs-parallel perf trajectory for the Part III protocols.
 bench-part3:
 	$(GO) test -run xxx -bench 'E6SecureAgg|E6NoiseControlled|E7Paillier' -benchmem .
-
-# Machine-readable perf snapshot (ns/op, B/op, allocs/op + simulated
-# critical-path and wire totals) for the benchmark-trajectory record.
-bench-snapshot:
-	$(GO) run ./cmd/pdsbench -bench-snapshot $(BENCH_OUT)
 
 # Benchmark smoke gate: the harness's own tests (metric tables equal to
 # BENCHMARK.json, pinned input digests, the comparer), then three seconds

@@ -385,7 +385,7 @@ func BenchmarkE6SecureAggParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := netsim.New()
 		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-		if _, _, err := gquery.New(gquery.WithConfig(gquery.Parallel())).SecureAgg(net, srv, parts, kr, 64); err != nil {
+		if _, _, err := gquery.New(gquery.WithWorkers(0)).SecureAgg(net, srv, parts, kr, 64); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,7 +411,7 @@ func BenchmarkE6NoiseControlledParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := netsim.New()
 		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-		if _, _, err := gquery.New(gquery.WithConfig(gquery.Parallel())).Noise(net, srv, parts, kr, workload.Diagnoses, 1, gquery.ControlledNoise, 1); err != nil {
+		if _, _, err := gquery.New(gquery.WithWorkers(0)).Noise(net, srv, parts, kr, workload.Diagnoses, 1, gquery.ControlledNoise, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -809,14 +809,13 @@ func BenchmarkE16SpatioTemporalQuery(b *testing.B) {
 func BenchmarkE18SecureAggFaulty(b *testing.B) {
 	parts := benchE6Parts()
 	kr := benchKeyring(b)
-	cfg := gquery.Serial()
-	cfg.Faults = &netsim.FaultPlan{Seed: 305,
+	plan := &netsim.FaultPlan{Seed: 305,
 		Default: netsim.FaultSpec{Drop: 0.08, Duplicate: 0.08, Delay: 0.04, Reorder: 0.04}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net := netsim.New()
 		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-		if _, _, err := gquery.New(gquery.WithConfig(cfg)).SecureAgg(net, srv, parts, kr, 64); err != nil {
+		if _, _, err := gquery.New(gquery.WithFaults(plan)).SecureAgg(net, srv, parts, kr, 64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -213,7 +213,7 @@ func runE6(cfg config) error {
 		net = netsim.New()
 		srv = ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
 		start = time.Now()
-		parRes, _, err := gquery.New(gquery.WithConfig(gquery.Parallel()), gquery.WithObserver(cfg.obs)).
+		parRes, _, err := gquery.New(gquery.WithWorkers(0), gquery.WithObserver(cfg.obs)).
 			SecureAgg(net, srv, parts, kr, 64)
 		if err != nil {
 			return err

@@ -111,47 +111,3 @@ func runE21(cfg config) error {
 	fmt.Println("reclamation, and a per-store directory rebuild — independent of the crash point.")
 	return nil
 }
-
-// e21Specs contributes the recovery sweeps to the benchmark snapshot:
-// wall clock for the whole verified sweep, sim time = the worst single
-// recovery under the default NAND cost model.
-func e21Specs(quick bool) []benchSpec {
-	stride := 2
-	if quick {
-		stride = 9
-	}
-	mk := func(name string, w crashharness.Workload) benchSpec {
-		return benchSpec{
-			name: name,
-			once: func() (time.Duration, simTotals, error) {
-				base, err := crashharness.Baseline(w)
-				if err != nil {
-					return 0, simTotals{}, err
-				}
-				start := time.Now()
-				var worst flash.Stats
-				for _, op := range e21Faults {
-					row, err := e21Sweep(w, op, 21, stride, base)
-					if err != nil {
-						return 0, simTotals{}, err
-					}
-					if row.maxIO.Cost(flash.DefaultCostModel()) > worst.Cost(flash.DefaultCostModel()) {
-						worst = row.maxIO
-					}
-				}
-				return time.Since(start), simTotals{criticalNS: worst.Cost(flash.DefaultCostModel()).Nanoseconds()}, nil
-			},
-		}
-	}
-	ws := e21Workloads()
-	specs := make([]benchSpec, 0, len(ws))
-	names := map[string]string{"kv": "E21RecoverKV", "search": "E21RecoverSearch", "embdb": "E21RecoverTable"}
-	for _, w := range ws {
-		name := names[w.Name]
-		if name == "" {
-			name = "E21Recover" + w.Name
-		}
-		specs = append(specs, mk(name, w))
-	}
-	return specs
-}

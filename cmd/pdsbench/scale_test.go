@@ -22,7 +22,7 @@ func TestE20TreeCriticalPathRegression(t *testing.T) {
 	run := func(topo gquery.Topology) (gquery.Result, int64) {
 		net := netsim.New()
 		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-		src := workload.ParticipantStream(fleet, 1, benchSnapSeed)
+		src := workload.ParticipantStream(fleet, 1, 42) // runE20's seed
 		res, stats, err := gquery.New(gquery.WithTopology(topo)).SecureAggStream(net, srv, src, kr, 64)
 		if err != nil {
 			t.Fatalf("%v: %v", topo, err)

@@ -57,13 +57,6 @@ type Geometry struct {
 	Blocks        int // number of erase blocks
 }
 
-// DefaultGeometry mirrors the class of devices the tutorial targets:
-// a secure token with a large NAND array of 2 KiB pages, 64 pages per
-// block (128 KiB erase blocks), 4096 blocks (512 MiB).
-func DefaultGeometry() Geometry {
-	return Geometry{PageSize: 2048, PagesPerBlock: 64, Blocks: 4096}
-}
-
 // SmallGeometry is a reduced layout convenient for tests.
 func SmallGeometry() Geometry {
 	return Geometry{PageSize: 256, PagesPerBlock: 8, Blocks: 64}

@@ -1,8 +1,6 @@
 package gquery
 
 import (
-	"time"
-
 	"pds/internal/netsim"
 	"pds/internal/obs"
 	"pds/internal/privcrypto"
@@ -21,16 +19,16 @@ import (
 // An Engine is immutable after New and safe to reuse across runs; each run
 // still gets its own observability epoch.
 type Engine struct {
-	cfg RunConfig
+	cfg config
 }
 
 // Option configures an Engine.
-type Option func(*RunConfig)
+type Option func(*config)
 
 // New builds an engine. With no options it is the paper-faithful serial
 // schedule (one token at a time, clean wire).
 func New(opts ...Option) *Engine {
-	cfg := Serial()
+	cfg := config{workers: 1}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -40,61 +38,34 @@ func New(opts ...Option) *Engine {
 // WithWorkers bounds the simulated token fleet: 0 means every core,
 // 1 (the default) is the serial paper baseline.
 func WithWorkers(n int) Option {
-	return func(c *RunConfig) { c.Workers = n }
+	return func(c *config) { c.workers = n }
 }
 
 // WithFaults arms the netsim fault plane with the seeded schedule and
 // routes every protocol leg over reliable ARQ links.
 func WithFaults(plan *netsim.FaultPlan) Option {
-	return func(c *RunConfig) { c.Faults = plan }
+	return func(c *config) { c.faults = plan }
 }
 
 // WithRetries bounds retransmissions per frame under WithFaults;
 // <= 0 selects netsim.DefaultMaxRetries.
 func WithRetries(n int) Option {
-	return func(c *RunConfig) { c.MaxRetries = n }
-}
-
-// WithBackoff sets the base simulated retransmission wait under
-// WithFaults; <= 0 selects netsim.DefaultBackoff.
-func WithBackoff(d time.Duration) Option {
-	return func(c *RunConfig) { c.Backoff = d }
+	return func(c *config) { c.maxRetries = n }
 }
 
 // WithTopology selects the fan-in structure of the aggregation plane:
 // Flat() (the default) or Tree(arity). Results are identical across
 // topologies; the critical path is not — that is the point.
 func WithTopology(t Topology) Option {
-	return func(c *RunConfig) { c.Topology = t }
-}
-
-// WithMaxInflight bounds how many filled-but-unfolded chunks a
-// streaming run may buffer at once (see SecureAggStream).
-func WithMaxInflight(n int) Option {
-	return func(c *RunConfig) { c.MaxInflight = n }
+	return func(c *config) { c.topology = t }
 }
 
 // WithObserver merges every run's metrics and spans into reg at the end of
 // the run — the hook pdsbench uses to collect one snapshot across a whole
 // experiment.
 func WithObserver(reg *obs.Registry) Option {
-	return func(c *RunConfig) { c.observer = reg }
+	return func(c *config) { c.observer = reg }
 }
-
-// WithConfig adopts a legacy RunConfig wholesale (bridge for callers still
-// holding one).
-func WithConfig(cfg RunConfig) Option {
-	return func(c *RunConfig) {
-		observer := c.observer
-		*c = cfg
-		if c.observer == nil {
-			c.observer = observer
-		}
-	}
-}
-
-// Config returns the engine's resolved configuration.
-func (e *Engine) Config() RunConfig { return e.cfg }
 
 // SecureAgg runs the secure-aggregation protocol (non-deterministic
 // encryption, blind partitioning, worker-token aggregation) over any

@@ -165,7 +165,7 @@ type RunStats struct {
 	// FakeTuples counts injected noise tuples (noise protocol only).
 	FakeTuples int
 
-	// Reliability-layer cost, nonzero only when RunConfig.Faults armed the
+	// Reliability-layer cost, nonzero only when WithFaults armed the
 	// fault plane: the price the token fleet paid to complete exactly
 	// despite the injected faults.
 	Retransmits  int           // extra wire attempts beyond the first

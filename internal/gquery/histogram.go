@@ -91,10 +91,10 @@ type BucketResult map[int]GroupAgg
 // group; the SSI partitions by bucket id — the only thing it learns — and
 // each bucket goes to a token that returns the bucket aggregate. The
 // result is coarse: per bucket, not per group (see EstimateGroups). The
-// per-bucket token aggregation fans out over cfg.Workers concurrent
+// per-bucket token aggregation fans out over cfg.workers concurrent
 // tokens, scheduled in bucket-id order so results match the serial run.
 func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
-	buckets []Bucket, cfg RunConfig) (BucketResult, RunStats, error) {
+	buckets []Bucket, cfg config) (BucketResult, RunStats, error) {
 
 	var stats RunStats
 	if len(parts) == 0 {
@@ -169,7 +169,7 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	// token only checks idSum/count); in the tree topology partials must
 	// actually ride upward, so they are sealed for real.
 	sealFn := func(out *chunkOutcome) ([]byte, error) { return make([]byte, 48), nil }
-	if cfg.Topology.IsTree() {
+	if cfg.topology.IsTree() {
 		sealFn = sealedPartial(kr)
 	}
 	outs := make([]chunkOutcome, len(ids))
@@ -204,8 +204,8 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		return nil, stats, err
 	}
 
-	if cfg.Topology.IsTree() {
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.Topology.Arity(), &stats); err != nil {
+	if cfg.topology.IsTree() {
+		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.topology.Arity(), &stats); err != nil {
 			return nil, stats, err
 		}
 	} else {

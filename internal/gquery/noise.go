@@ -49,11 +49,11 @@ func (k NoiseKind) String() string {
 // token that discards fakes and aggregates. noisePerTuple fakes are
 // injected per true tuple (fractional values are rounded stochastically).
 // Results are exact; leakage is the noised frequency histogram. The
-// per-group token aggregation fans out over cfg.Workers concurrent
+// per-group token aggregation fans out over cfg.workers concurrent
 // tokens; groups are scheduled in sorted deterministic order and partials
 // folded in that order, so results match the serial run.
 func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
-	domain []string, noisePerTuple float64, kind NoiseKind, seed int64, cfg RunConfig) (Result, RunStats, error) {
+	domain []string, noisePerTuple float64, kind NoiseKind, seed int64, cfg config) (Result, RunStats, error) {
 
 	var stats RunStats
 	if len(parts) == 0 {
@@ -209,8 +209,8 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	}
 
 	// Merge + integrity check.
-	if cfg.Topology.IsTree() {
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.Topology.Arity(), &stats); err != nil {
+	if cfg.topology.IsTree() {
+		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.topology.Arity(), &stats); err != nil {
 			return nil, stats, err
 		}
 	} else {

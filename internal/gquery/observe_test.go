@@ -156,17 +156,3 @@ func TestSharedRegistryUnderFleet(t *testing.T) {
 		t.Errorf("messages after %d merged runs: got %d, want %d", runs, got, want)
 	}
 }
-
-// TestWithConfigPreservesObserver checks the bridge option does not drop an
-// observer installed by an earlier option.
-func TestWithConfigPreservesObserver(t *testing.T) {
-	reg := obs.NewRegistry()
-	e := New(WithObserver(reg), WithConfig(Parallel()))
-	if e.Config().observer != reg {
-		t.Error("WithConfig dropped the previously installed observer")
-	}
-	e2 := New(WithConfig(RunConfig{Workers: 3, observer: reg}))
-	if e2.Config().observer != reg || e2.Config().Workers != 3 {
-		t.Error("WithConfig lost its own observer or workers")
-	}
-}

@@ -35,10 +35,10 @@ import (
 // and the observer. Paillier ciphertexts ride the wire at the key's fixed
 // width (pk.CipherLen), keeping byte-level accounting deterministic.
 //
-// RunConfig.Topology does not apply here: the SSI folds ciphertexts
+// WithTopology does not apply here: the SSI folds ciphertexts
 // itself, so there is no token fold plane to arrange into a tree.
 func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
-	pk *privcrypto.PaillierPublicKey, sk *privcrypto.PaillierPrivateKey, cfg RunConfig) (Result, RunStats, error) {
+	pk *privcrypto.PaillierPublicKey, sk *privcrypto.PaillierPrivateKey, cfg config) (Result, RunStats, error) {
 
 	var stats RunStats
 	if len(parts) == 0 {

@@ -2,9 +2,12 @@ package gquery
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"pds/internal/netsim"
 	"pds/internal/obs"
 	"pds/internal/ssi"
 )
@@ -26,9 +29,9 @@ func runBoth(t *testing.T, mode ssi.Mode, b ssi.Behavior, parts []Participant, c
 	t.Helper()
 	kr := mustKeyring(t)
 	net1, srv1 := freshRun(t, mode, b)
-	serRes, serStats, serErr = runSecureAgg(net1, srv1, parts, kr, chunkSize, Serial())
+	serRes, serStats, serErr = runSecureAgg(net1, srv1, parts, kr, chunkSize, config{workers: 1})
 	net2, srv2 := freshRun(t, mode, b)
-	parRes, parStats, parErr = runSecureAgg(net2, srv2, parts, kr, chunkSize, RunConfig{Workers: 8})
+	parRes, parStats, parErr = runSecureAgg(net2, srv2, parts, kr, chunkSize, config{workers: 8})
 	return
 }
 
@@ -90,12 +93,12 @@ func TestNoiseParallelMatchesSerial(t *testing.T) {
 	kr := mustKeyring(t)
 	for _, kind := range []NoiseKind{NoNoise, WhiteNoise, ControlledNoise} {
 		net1, srv1 := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-		serRes, serStats, err := runNoise(net1, srv1, parts, kr, testDomain, 1, kind, 19, Serial())
+		serRes, serStats, err := runNoise(net1, srv1, parts, kr, testDomain, 1, kind, 19, config{workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		net2, srv2 := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-		parRes, parStats, err := runNoise(net2, srv2, parts, kr, testDomain, 1, kind, 19, RunConfig{Workers: 8})
+		parRes, parStats, err := runNoise(net2, srv2, parts, kr, testDomain, 1, kind, 19, config{workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,12 +119,12 @@ func TestHistogramParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	net1, srv1 := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	serRes, serStats, err := runHistogram(net1, srv1, parts, kr, buckets, Serial())
+	serRes, serStats, err := runHistogram(net1, srv1, parts, kr, buckets, config{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	net2, srv2 := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	parRes, parStats, err := runHistogram(net2, srv2, parts, kr, buckets, RunConfig{Workers: 8})
+	parRes, parStats, err := runHistogram(net2, srv2, parts, kr, buckets, config{workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,23 +149,52 @@ func TestHistogramParallelDetectsDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	net, srv := freshRun(t, ssi.WeaklyMalicious, ssi.Behavior{DropRate: 0.3, Seed: 22})
-	_, stats, err := runHistogram(net, srv, parts, kr, buckets, RunConfig{Workers: 8})
+	_, stats, err := runHistogram(net, srv, parts, kr, buckets, config{workers: 8})
 	if !errors.Is(err, ErrDetected) || !stats.Detected {
 		t.Errorf("parallel histogram missed drop: err=%v stats=%+v", err, stats)
 	}
 }
 
-func TestRunConfigWorkerResolution(t *testing.T) {
-	if got := Serial().workers(100); got != 1 {
-		t.Errorf("Serial workers = %d, want 1", got)
+func TestWorkerResolution(t *testing.T) {
+	if got := (config{workers: 1}).fleet(100); got != 1 {
+		t.Errorf("serial workers = %d, want 1", got)
 	}
-	if got := (RunConfig{Workers: 8}).workers(3); got != 3 {
+	if got := (config{workers: 8}).fleet(3); got != 3 {
 		t.Errorf("workers capped by items = %d, want 3", got)
 	}
-	if got := (RunConfig{Workers: -1}).workers(0); got != 1 {
+	if got := (config{workers: -1}).fleet(0); got != 1 {
 		t.Errorf("degenerate workers = %d, want 1", got)
 	}
-	if got := Parallel().workers(1 << 20); got < 1 {
-		t.Errorf("Parallel workers = %d, want >= 1", got)
+	if got := (config{}).fleet(1 << 20); got < 1 {
+		t.Errorf("every-core workers = %d, want >= 1", got)
+	}
+}
+
+// TestEngineSurface pins what New's options resolve to: the default is
+// the serial, clean, flat engine; WithWorkers(0) is every core; options
+// apply in order, each touching only its own field.
+func TestEngineSurface(t *testing.T) {
+	reg := obs.NewRegistry()
+	plan := &netsim.FaultPlan{Seed: 1}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		want config
+	}{
+		{"default", nil, config{workers: 1}},
+		{"every-core", []Option{WithWorkers(0)}, config{}},
+		{"later-overrides-earlier", []Option{WithWorkers(8), WithTopology(Tree(4)), WithWorkers(2), WithTopology(Flat())},
+			config{workers: 2}},
+		{"observer-first", []Option{WithObserver(reg), WithWorkers(0), WithFaults(plan), WithRetries(25), WithTopology(Tree(4))},
+			config{faults: plan, maxRetries: 25, topology: Tree(4), observer: reg}},
+		{"observer-last", []Option{WithTopology(Tree(4)), WithRetries(25), WithFaults(plan), WithWorkers(0), WithObserver(reg)},
+			config{faults: plan, maxRetries: 25, topology: Tree(4), observer: reg}},
+	} {
+		if got := New(tc.opts...).cfg; got != tc.want {
+			t.Errorf("%s: New resolved to %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+	if got, want := New(WithWorkers(0)).cfg.fleet(math.MaxInt), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("WithWorkers(0) fleet = %d, want GOMAXPROCS = %d", got, want)
 	}
 }

@@ -59,7 +59,7 @@ func fpBuckets(res BucketResult) string {
 // fingerprint of the result.
 type protoRunner struct {
 	name string
-	run  func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg RunConfig) (string, RunStats, error)
+	run  func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error)
 }
 
 func batteryRunners(t *testing.T, mk mkWire) []protoRunner {
@@ -74,27 +74,27 @@ func batteryRunners(t *testing.T, mk mkWire) []protoRunner {
 		return w, ssi.New(w, mode, b)
 	}
 	return []protoRunner{
-		{"secure-agg", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg RunConfig) (string, RunStats, error) {
+		{"secure-agg", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
 			w, srv := wires(t, mode, b)
 			res, stats, err := runSecureAgg(w, srv, parts, kr, 7, cfg)
 			return fpResult(res), stats, err
 		}},
-		{"noise-none", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg RunConfig) (string, RunStats, error) {
+		{"noise-none", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
 			w, srv := wires(t, mode, b)
 			res, stats, err := runNoise(w, srv, parts, kr, testDomain, 0, NoNoise, 91, cfg)
 			return fpResult(res), stats, err
 		}},
-		{"noise-white", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg RunConfig) (string, RunStats, error) {
+		{"noise-white", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
 			w, srv := wires(t, mode, b)
 			res, stats, err := runNoise(w, srv, parts, kr, testDomain, 1, WhiteNoise, 92, cfg)
 			return fpResult(res), stats, err
 		}},
-		{"noise-ctrl", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg RunConfig) (string, RunStats, error) {
+		{"noise-ctrl", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
 			w, srv := wires(t, mode, b)
 			res, stats, err := runNoise(w, srv, parts, kr, testDomain, 1, ControlledNoise, 93, cfg)
 			return fpResult(res), stats, err
 		}},
-		{"histogram", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg RunConfig) (string, RunStats, error) {
+		{"histogram", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
 			w, srv := wires(t, mode, b)
 			res, stats, err := runHistogram(w, srv, parts, kr, buckets, cfg)
 			return fpBuckets(res), stats, err
@@ -140,7 +140,7 @@ func propertyFaultToleranceExact(t *testing.T, mk mkWire) {
 		parts := makeParts(12, 5, testDomain, wl)
 		plainFP := fpResult(PlainResult(parts))
 		for _, r := range runners {
-			baseline, baseStats, err := r.run(t, parts, ssi.HonestButCurious, ssi.Behavior{}, Serial())
+			baseline, baseStats, err := r.run(t, parts, ssi.HonestButCurious, ssi.Behavior{}, config{workers: 1})
 			if err != nil {
 				t.Fatalf("%s baseline (workload %d): %v", r.name, wl, err)
 			}
@@ -157,7 +157,7 @@ func propertyFaultToleranceExact(t *testing.T, mk mkWire) {
 					for _, fp := range batteryPlans() {
 						name := fmt.Sprintf("%s/wl%d/w%d/%s/%s", r.name, wl, workers, topo, fp.name)
 						t.Run(name, func(t *testing.T) {
-							cfg := RunConfig{Workers: workers, Faults: fp.plan, MaxRetries: 25, Topology: topo}
+							cfg := config{workers: workers, faults: fp.plan, maxRetries: 25, topology: topo}
 							got, stats, err := r.run(t, parts, ssi.HonestButCurious, ssi.Behavior{}, cfg)
 							if err != nil {
 								t.Fatalf("honest run failed: %v (stats %+v)", err, stats)
@@ -198,7 +198,7 @@ func propertyMaliciousNeverWrong(t *testing.T, mk mkWire) {
 	}
 	parts := makeParts(12, 5, testDomain, 41)
 	for _, r := range runners {
-		baseline, _, err := r.run(t, parts, ssi.HonestButCurious, ssi.Behavior{}, Serial())
+		baseline, _, err := r.run(t, parts, ssi.HonestButCurious, ssi.Behavior{}, config{workers: 1})
 		if err != nil {
 			t.Fatalf("%s baseline: %v", r.name, err)
 		}
@@ -214,7 +214,7 @@ func propertyMaliciousNeverWrong(t *testing.T, mk mkWire) {
 					} {
 						name := fmt.Sprintf("%s/%s/w%d/%s/%s", r.name, bh.name, workers, topo, fp.name)
 						t.Run(name, func(t *testing.T) {
-							cfg := RunConfig{Workers: workers, Faults: fp.plan, MaxRetries: 25, Topology: topo}
+							cfg := config{workers: workers, faults: fp.plan, maxRetries: 25, topology: topo}
 							got, _, err := r.run(t, parts, ssi.WeaklyMalicious, bh.b, cfg)
 							switch {
 							case err == nil:
@@ -250,7 +250,7 @@ func propertyForgeryYieldsMACDetection(t *testing.T, mk mkWire) {
 	parts := makeParts(10, 4, testDomain, 51)
 	for _, r := range batteryRunners(t, mk) {
 		for _, fp := range []*netsim.FaultPlan{nil, {Seed: 106, Default: netsim.FaultSpec{Drop: 0.1}}} {
-			cfg := RunConfig{Workers: 4, Faults: fp, MaxRetries: 25}
+			cfg := config{workers: 4, faults: fp, maxRetries: 25}
 			_, stats, err := r.run(t, parts, ssi.WeaklyMalicious, ssi.Behavior{ForgeRate: 1, Seed: 205}, cfg)
 			if !errors.Is(err, ErrDetected) {
 				t.Fatalf("%s: total forgery not detected: %v", r.name, err)
@@ -278,7 +278,7 @@ func propertyRetryCostSurfaced(t *testing.T, mk mkWire) {
 	w := mk(t)
 	srv := ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
 	plan := &netsim.FaultPlan{Seed: 107, Default: netsim.FaultSpec{Drop: 0.2}}
-	_, stats, err := runSecureAgg(w, srv, parts, kr, 7, RunConfig{Workers: 1, Faults: plan, MaxRetries: 25})
+	_, stats, err := runSecureAgg(w, srv, parts, kr, 7, config{workers: 1, faults: plan, maxRetries: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func propertyRunRestoresFaultPlane(t *testing.T, mk mkWire) {
 
 	w := mk(t)
 	srv := ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
-	if _, _, err := runSecureAgg(w, srv, parts, kr, 7, RunConfig{Workers: 2, Faults: plan, MaxRetries: 25}); err != nil {
+	if _, _, err := runSecureAgg(w, srv, parts, kr, 7, config{workers: 2, faults: plan, maxRetries: 25}); err != nil {
 		t.Fatal(err)
 	}
 	if w.Faults() != nil {
@@ -313,7 +313,7 @@ func propertyRunRestoresFaultPlane(t *testing.T, mk mkWire) {
 	w = mk(t)
 	srv = ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
 	dead := &netsim.FaultPlan{Seed: 109, Default: netsim.FaultSpec{Drop: 1}}
-	if _, _, err := runSecureAgg(w, srv, parts, kr, 7, RunConfig{Workers: 1, Faults: dead, MaxRetries: 2}); err == nil {
+	if _, _, err := runSecureAgg(w, srv, parts, kr, 7, config{workers: 1, faults: dead, maxRetries: 2}); err == nil {
 		t.Fatal("drop=1 run unexpectedly succeeded")
 	}
 	if w.Faults() != nil {
@@ -347,7 +347,7 @@ func propertyShardFailureDetected(t *testing.T, mk mkWire) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := runSecureAgg(w, ss, parts, kr, 5, RunConfig{Workers: 2, Topology: topo})
+		res, _, err := runSecureAgg(w, ss, parts, kr, 5, config{workers: 2, topology: topo})
 		if err != nil {
 			t.Fatalf("%v healthy shards: %v", topo, err)
 		}
@@ -365,7 +365,7 @@ func propertyShardFailureDetected(t *testing.T, mk mkWire) {
 		rest := parts[len(parts)/2:]
 		crashed := &crashMidCollect{ShardSet: ss, after: len(half)}
 		_, _, err = runSecureAgg(w, crashed, append(append([]Participant(nil), half...), rest...), kr, 5,
-			RunConfig{Workers: 2, Topology: topo})
+			config{workers: 2, topology: topo})
 		var de *DetectionError
 		if !errors.As(err, &de) {
 			t.Fatalf("%v crashed shard: expected DetectionError, got %v", topo, err)

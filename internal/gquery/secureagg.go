@@ -19,11 +19,11 @@ import (
 //	             checksum, detecting drops, duplicates and forgeries.
 //
 // The SSI observes only ciphertexts: every payload is distinct, so no
-// grouping information leaks. The aggregation phase runs over cfg.Workers
+// grouping information leaks. The aggregation phase runs over cfg.workers
 // concurrent tokens; partials are merged in chunk order, so Result and
 // RunStats are identical to the serial run on the same inputs — and, the
 // wire being pluggable, identical across substrates for the same seed.
-func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring, chunkSize int, cfg RunConfig) (Result, RunStats, error) {
+func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring, chunkSize int, cfg config) (Result, RunStats, error) {
 	var stats RunStats
 	if len(parts) == 0 {
 		return nil, stats, ErrNoParticipants
@@ -78,10 +78,10 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		return nil, stats, err
 	}
 
-	if cfg.Topology.IsTree() {
+	if cfg.topology.IsTree() {
 		// Hierarchical merge: partials climb the fan-in tree; the querier
 		// receives a single root partial.
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.Topology.Arity(), &stats); err != nil {
+		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.topology.Arity(), &stats); err != nil {
 			return nil, stats, err
 		}
 	} else {

@@ -2,6 +2,7 @@ package gquery
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -46,13 +47,13 @@ func (s *sliceSource) Next() (Participant, bool) {
 // as it exists, and partials are merged incrementally (flat) or climb the
 // fan-in tree as contiguous arity blocks complete (Tree topology). At no
 // point does the engine materialize the fleet's tuple set; the number of
-// filled-but-unfolded chunks is bounded by WithMaxInflight.
+// filled-but-unfolded chunks is bounded at 2·workers+2.
 //
 // The integrity contract is unchanged — the run returns the exact result
 // or a typed DetectionError — but the fault plane is not supported:
 // streaming overlaps collection with folding, and the fault plane's
 // phase-barrier semantics (delayed envelopes surfacing at barriers)
-// need the phases to be sequential. A config with Faults set is
+// need the phases to be sequential. An engine built WithFaults is
 // rejected.
 func (e *Engine) SecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource,
 	kr *Keyring, chunkSize int) (Result, RunStats, error) {
@@ -68,7 +69,7 @@ type streamLeaf struct {
 }
 
 func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource,
-	kr *Keyring, chunkSize int, cfg RunConfig) (Result, RunStats, error) {
+	kr *Keyring, chunkSize int, cfg config) (Result, RunStats, error) {
 
 	var stats RunStats
 	if src == nil {
@@ -77,7 +78,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	if chunkSize < 1 {
 		return nil, stats, ErrBadChunkSize
 	}
-	if cfg.Faults != nil {
+	if cfg.faults != nil {
 		return nil, stats, fmt.Errorf("gquery: streaming fold plane requires a clean wire (Faults must be nil)")
 	}
 	tp := newTransport(w, cfg, "secure-agg-stream")
@@ -88,13 +89,15 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	defer tp.close()
 
 	// Fold plane: a bounded worker pool drains chunks as the SSI emits
-	// them. The jobs buffer is the memory bound — once maxInflight chunks
-	// are filled but unfolded, the collector blocks.
-	inflight := cfg.maxInflight()
+	// them. The jobs buffer is the memory bound that keeps a
+	// million-token run flat — once 2·workers+2 chunks are filled but
+	// unfolded, the collector blocks.
+	workers := cfg.fleet(math.MaxInt)
+	inflight := 2*workers + 2
 	jobs := make(chan streamLeaf, inflight)
 	results := make(chan streamLeaf, inflight)
 	var wg sync.WaitGroup
-	for k := 0; k < cfg.workers(1<<30); k++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -205,7 +208,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	// flush traffic is absorbed with the rest.
 	var partials []partialAgg
 	var rootEnd time.Duration
-	if cfg.Topology.IsTree() {
+	if cfg.topology.IsTree() {
 		root, ok, err := fold.finishTree()
 		if err != nil {
 			return nil, stats, err
@@ -226,7 +229,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	// fold plane then tiles the fold phase with explicit-time spans.
 	tp.phasePar(PhasePartition, collectMax)
 	tp.phasePar(PhaseTokenFold, 0)
-	if cfg.Topology.IsTree() {
+	if cfg.topology.IsTree() {
 		base := tp.ro.reg.Clock().Now()
 		foldPhase := tp.ro.phases[PhaseTokenFold]
 		tracer := tp.ro.reg.Tracer()
@@ -277,12 +280,12 @@ type streamFolder struct {
 	record  [][]treeNode
 }
 
-func newStreamFolder(tp *transport, kr *Keyring, cfg RunConfig, stats *RunStats) *streamFolder {
+func newStreamFolder(tp *transport, kr *Keyring, cfg config, stats *RunStats) *streamFolder {
 	return &streamFolder{
 		tp:      tp,
 		kr:      kr,
-		tree:    cfg.Topology.IsTree(),
-		arity:   cfg.Topology.Arity(),
+		tree:    cfg.topology.IsTree(),
+		arity:   cfg.topology.Arity(),
 		stats:   stats,
 		running: partialAgg{Aggs: map[string]GroupAgg{}},
 	}

@@ -104,7 +104,7 @@ func TestTCPSeededParityWithNetsim(t *testing.T) {
 		cost  wireCost
 		err   error
 	}
-	run := func(w tnet.Transport, mode ssi.Mode, b ssi.Behavior, cfg RunConfig) outcome {
+	run := func(w tnet.Transport, mode ssi.Mode, b ssi.Behavior, cfg config) outcome {
 		srv := ssi.New(w, mode, b)
 		res, s, err := runSecureAgg(w, srv, parts, kr, 7, cfg)
 		return outcome{
@@ -126,13 +126,13 @@ func TestTCPSeededParityWithNetsim(t *testing.T) {
 		name string
 		mode ssi.Mode
 		b    ssi.Behavior
-		cfg  RunConfig
+		cfg  config
 	}{
-		{"honest-clean-serial", ssi.HonestButCurious, ssi.Behavior{}, Serial()},
-		{"honest-faulty-serial", ssi.HonestButCurious, ssi.Behavior{}, RunConfig{Workers: 1, Faults: faulty, MaxRetries: 25}},
-		{"honest-faulty-tree", ssi.HonestButCurious, ssi.Behavior{}, RunConfig{Workers: 1, Faults: faulty, MaxRetries: 25, Topology: Tree(4)}},
-		{"malicious-drop", ssi.WeaklyMalicious, ssi.Behavior{DropRate: 0.2, Seed: 201}, RunConfig{Workers: 1, Faults: faulty, MaxRetries: 25}},
-		{"malicious-forge", ssi.WeaklyMalicious, ssi.Behavior{ForgeRate: 1, Seed: 205}, Serial()},
+		{"honest-clean-serial", ssi.HonestButCurious, ssi.Behavior{}, config{workers: 1}},
+		{"honest-faulty-serial", ssi.HonestButCurious, ssi.Behavior{}, config{workers: 1, faults: faulty, maxRetries: 25}},
+		{"honest-faulty-tree", ssi.HonestButCurious, ssi.Behavior{}, config{workers: 1, faults: faulty, maxRetries: 25, topology: Tree(4)}},
+		{"malicious-drop", ssi.WeaklyMalicious, ssi.Behavior{DropRate: 0.2, Seed: 201}, config{workers: 1, faults: faulty, maxRetries: 25}},
+		{"malicious-forge", ssi.WeaklyMalicious, ssi.Behavior{ForgeRate: 1, Seed: 205}, config{workers: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,7 +160,7 @@ func TestTCPSeededParityWithNetsim(t *testing.T) {
 			}
 			// Wire cost is exactly comparable only without a fault plan
 			// (see protoStats comment).
-			if tc.cfg.Faults == nil && sim.cost != wire.cost {
+			if tc.cfg.faults == nil && sim.cost != wire.cost {
 				t.Errorf("clean-wire cost diverges across substrates\n netsim %+v\n tcp    %+v", sim.cost, wire.cost)
 			}
 		})
@@ -168,8 +168,8 @@ func TestTCPSeededParityWithNetsim(t *testing.T) {
 
 	// Parallel workers: nondeterministic interleaving, but the aggregate
 	// is still exact and substrate-independent.
-	simPar := run(netsim.New(), ssi.HonestButCurious, ssi.Behavior{}, RunConfig{Workers: 4, Faults: faulty, MaxRetries: 25})
-	wirePar := run(tcp(t), ssi.HonestButCurious, ssi.Behavior{}, RunConfig{Workers: 4, Faults: faulty, MaxRetries: 25})
+	simPar := run(netsim.New(), ssi.HonestButCurious, ssi.Behavior{}, config{workers: 4, faults: faulty, maxRetries: 25})
+	wirePar := run(tcp(t), ssi.HonestButCurious, ssi.Behavior{}, config{workers: 4, faults: faulty, maxRetries: 25})
 	if simPar.err != nil || wirePar.err != nil {
 		t.Fatalf("parallel runs failed: netsim %v, tcp %v", simPar.err, wirePar.err)
 	}

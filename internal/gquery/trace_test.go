@@ -41,7 +41,7 @@ func (ix spanIndex) ancestor(sp obs.SpanRecord, pred func(obs.SpanRecord) bool) 
 
 // tracedSecureAgg runs one clean secure-agg under a fresh registry and
 // returns the registry and stats.
-func tracedSecureAgg(t *testing.T, cfg RunConfig) (*obs.Registry, RunStats) {
+func tracedSecureAgg(t *testing.T, cfg config) (*obs.Registry, RunStats) {
 	t.Helper()
 	parts := makeParts(16, 4, testDomain, 31)
 	kr := mustKeyring(t)
@@ -61,7 +61,7 @@ func tracedSecureAgg(t *testing.T, cfg RunConfig) (*obs.Registry, RunStats) {
 // ssi-partition phase of the gquery/secure-agg root — the acceptance
 // assertion of the cross-node tracing layer.
 func TestSecureAggTraceCausality(t *testing.T) {
-	reg, _ := tracedSecureAgg(t, Serial())
+	reg, _ := tracedSecureAgg(t, config{workers: 1})
 	spans := reg.Snapshot().Spans
 	ix := indexSpans(spans)
 
@@ -113,7 +113,7 @@ func TestSecureAggTraceCausality(t *testing.T) {
 // serial run that is exactly the root span's duration, and recomputing
 // over the merged snapshot must agree with the stats the run returned.
 func TestSecureAggCriticalPathEqualsLongestChain(t *testing.T) {
-	reg, stats := tracedSecureAgg(t, Serial())
+	reg, stats := tracedSecureAgg(t, config{workers: 1})
 	spans := reg.Snapshot().Spans
 	var root obs.SpanRecord
 	for _, sp := range spans {
@@ -159,7 +159,7 @@ func TestWorkers4TraceExportsIdentically(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
 		reg := obs.NewRegistry()
-		cfg := RunConfig{Workers: 4, observer: reg}
+		cfg := config{workers: 4, observer: reg}
 		if _, _, err := runSecureAgg(net, srv, parts, kr, 6, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -194,9 +194,9 @@ func TestFaultyTraceAttributesRetransmitsToTransfers(t *testing.T) {
 	kr := mustKeyring(t)
 	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
 	reg := obs.NewRegistry()
-	cfg := Serial()
+	cfg := config{workers: 1}
 	cfg.observer = reg
-	cfg.Faults = &netsim.FaultPlan{Seed: 305,
+	cfg.faults = &netsim.FaultPlan{Seed: 305,
 		Default: netsim.FaultSpec{Drop: 0.15, Duplicate: 0.1, Delay: 0.05, Reorder: 0.05}}
 	_, stats, err := runSecureAgg(net, srv, parts, kr, 8, cfg)
 	if err != nil {
@@ -244,7 +244,7 @@ func TestPhaseMetricsSurviveMerge(t *testing.T) {
 	// metric families stay registered for the merge. The partition phase
 	// itself is zero-duration (the serial clock only moves at phase
 	// barriers), so the timed check uses the fold phase.
-	reg, _ := tracedSecureAgg(t, Serial())
+	reg, _ := tracedSecureAgg(t, config{workers: 1})
 	if reg.CounterValue(MetricPhaseChainNS, "phase", PhaseTokenFold) <= 0 {
 		t.Errorf("%s{phase=%s} missing after merge", MetricPhaseChainNS, PhaseTokenFold)
 	}

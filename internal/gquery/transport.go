@@ -37,16 +37,16 @@ type transport struct {
 // newTransport opens one run's wire epoch: the run-local observer registry
 // is installed first so the fault plane armed below binds to it and every
 // injected fault of this run is attributed to this run.
-func newTransport(w tnet.Transport, cfg RunConfig, proto string) *transport {
+func newTransport(w tnet.Transport, cfg config, proto string) *transport {
 	tp := &transport{wire: w, links: map[string]*netsim.Link{}, ro: newRunObs(w, cfg.observer, proto)}
-	if cfg.Topology.IsTree() {
+	if cfg.topology.IsTree() {
 		tp.collect = map[string]netsim.Stats{}
 	}
-	if cfg.Faults != nil {
+	if cfg.faults != nil {
 		tp.on = true
-		tp.rel = netsim.Reliability{MaxRetries: cfg.MaxRetries, Backoff: cfg.Backoff}
+		tp.rel = netsim.Reliability{MaxRetries: cfg.maxRetries}
 		tp.prev = w.Faults()
-		w.SetFaults(netsim.NewFaultPlane(*cfg.Faults))
+		w.SetFaults(netsim.NewFaultPlane(*cfg.faults))
 	}
 	return tp
 }

@@ -50,16 +50,6 @@ type Wire interface {
 	Observer() *obs.Registry
 }
 
-// Sleeper is the sim-vs-wall clock seam: a Wire implements it when ARQ
-// backoff must burn real time in addition to advancing the simulated
-// clock — a cross-process substrate whose peer needs wall time to come
-// back. The in-process simulator deliberately does not implement it, so
-// seeded runs finish at memory speed while charging identical simulated
-// time.
-type Sleeper interface {
-	Sleep(d time.Duration)
-}
-
 // CostModel converts traffic into simulated elapsed time assuming serial
 // delivery: Messages·Latency + Bytes/Bandwidth.
 type CostModel struct {

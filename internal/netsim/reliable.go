@@ -22,25 +22,20 @@ import (
 // Reliability parameterizes a Link.
 type Reliability struct {
 	// MaxRetries bounds retransmissions per frame beyond the first
-	// attempt; <= 0 selects the default (16).
+	// attempt; <= 0 selects DefaultMaxRetries.
 	MaxRetries int
-	// Backoff is the base simulated wait before a retransmission,
-	// doubling per retry; <= 0 selects the default (5ms).
-	Backoff time.Duration
 }
 
-// Reliability defaults.
-const (
-	DefaultMaxRetries = 16
-	DefaultBackoff    = 5 * time.Millisecond
-)
+// DefaultMaxRetries is the retry budget of a zero Reliability.
+const DefaultMaxRetries = 16
+
+// baseBackoff is the simulated wait before the first retransmission; it
+// doubles per retry.
+const baseBackoff = 5 * time.Millisecond
 
 func (r Reliability) withDefaults() Reliability {
 	if r.MaxRetries <= 0 {
 		r.MaxRetries = DefaultMaxRetries
-	}
-	if r.Backoff <= 0 {
-		r.Backoff = DefaultBackoff
 	}
 	return r
 }
@@ -273,7 +268,7 @@ func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
 			xfer.Annotate("outcome", "retries-exhausted")
 			return &RetryError{Kind: e.Kind, To: e.To, Seq: seq, Attempts: attempt + 1}
 		}
-		wait := l.cfg.Backoff << uint(min(attempt, 16))
+		wait := baseBackoff << uint(min(attempt, 16))
 		l.mu.Lock()
 		l.stats.Retransmits++
 		l.stats.Backoff += wait
@@ -285,9 +280,6 @@ func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
 			o.reg.Clock().Advance(wait)
 			bo.End()
 			o.event("retransmit", wireCtx)
-		}
-		if s, ok := l.wire.(Sleeper); ok {
-			s.Sleep(wait)
 		}
 	}
 }

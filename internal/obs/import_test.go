@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 )
@@ -195,4 +198,50 @@ func TestStartRemoteResolvesOnlyOwnContexts(t *testing.T) {
 	if find(r1, "zero").Parent != 0 || find(r1, "dangling").Parent != 0 {
 		t.Error("zero/dangling context linked")
 	}
+}
+
+// FuzzParseSnapshot feeds the coordinator's decoder arbitrary bytes: the
+// outcome is a typed JSON error, or a snapshot whose rendering is a fixed
+// point — it parses back and renders to the same bytes — and never a
+// panic. A rendering a registry produced is such a fixed point itself.
+func FuzzParseSnapshot(f *testing.F) {
+	full := NewRegistry()
+	exercise(full)
+	full.Alert(5_000_000, 4200, "slo_burn", "class", "kv")
+	for _, r := range []*Registry{NewRegistry(), full} {
+		seed, err := r.Snapshot().JSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		if s, err := ParseSnapshot(seed); err != nil {
+			f.Fatal(err)
+		} else if again, _ := s.JSON(); !bytes.Equal(again, seed) {
+			f.Fatalf("registry rendering does not round-trip:\n%s\n---\n%s", seed, again)
+		}
+		f.Add(seed)
+		f.Add(seed[:len(seed)/2])
+	}
+	f.Add([]byte(`{"counters":[{"name":"x","value":1e40}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSnapshot(data)
+		if err != nil {
+			var syntax *json.SyntaxError
+			var typ *json.UnmarshalTypeError
+			if !errors.As(err, &syntax) && !errors.As(err, &typ) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		canon, err := s.JSON()
+		if err != nil {
+			t.Fatalf("parsed snapshot does not render: %v", err)
+		}
+		s2, err := ParseSnapshot(canon)
+		if err != nil {
+			t.Fatalf("rendering does not parse back: %v\n%s", err, canon)
+		}
+		if again, _ := s2.JSON(); !bytes.Equal(again, canon) {
+			t.Fatalf("rendering is not a fixed point:\n%s\n---\n%s", canon, again)
+		}
+	})
 }

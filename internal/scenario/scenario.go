@@ -209,11 +209,3 @@ func (p Plan) Options(reg *obs.Registry) []gquery.Option {
 // Dest names the wire endpoint of one shard. Both executors and pdsd use
 // this, so the claim names match across processes.
 func Dest(shard int) string { return fmt.Sprintf("ssi:%d", shard) }
-
-// ShardFor routes one PDS to its shard, matching ssi.ShardSet's routing.
-func (p Plan) ShardFor(pds string) int {
-	if p.Shards <= 1 {
-		return 0
-	}
-	return ssi.ShardOf(pds, p.Shards)
-}

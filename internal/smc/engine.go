@@ -2,7 +2,6 @@ package smc
 
 import (
 	"math/rand"
-	"time"
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
@@ -30,7 +29,6 @@ type Engine struct {
 	workers int
 	reg     *obs.Registry
 	faults  *netsim.FaultPlan
-	rel     netsim.Reliability
 }
 
 // Option configures an Engine.
@@ -60,18 +58,6 @@ func WithObserver(reg *obs.Registry) Option {
 // routes the ring over a reliable ARQ link.
 func WithFaults(plan *netsim.FaultPlan) Option {
 	return func(e *Engine) { e.faults = plan }
-}
-
-// WithRetries bounds retransmissions per ring frame under WithFaults;
-// <= 0 selects netsim.DefaultMaxRetries.
-func WithRetries(n int) Option {
-	return func(e *Engine) { e.rel.MaxRetries = n }
-}
-
-// WithBackoff sets the base simulated retransmission wait under
-// WithFaults; <= 0 selects netsim.DefaultBackoff.
-func WithBackoff(d time.Duration) Option {
-	return func(e *Engine) { e.rel.Backoff = d }
 }
 
 // observe mirrors one finished transcript into the engine's registry.
@@ -107,7 +93,7 @@ func (e *Engine) ScalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey) 
 }
 
 // SecureSumOverNetwork runs the ring over a wire substrate (simulated or
-// TCP), armed with the engine's fault plan and reliability settings.
+// TCP), armed with the engine's fault plan and the default retry budget.
 // While the run is in flight the engine's registry observes the wire, so
 // ring frames, injected faults and ARQ overhead land in the netsim_*
 // families; the ring's wire cost is additionally mirrored under
@@ -124,7 +110,7 @@ func (e *Engine) SecureSumOverNetwork(w transport.Transport, values []int64, mod
 		}
 	}
 	before := w.Stats()
-	sum, st, rel, err := secureSumOverNetwork(w, values, modulus, rng, e.faults, e.rel)
+	sum, st, rel, err := secureSumOverNetwork(w, values, modulus, rng, e.faults, netsim.Reliability{})
 	e.observe("secure-sum-ring", &Trace{
 		Messages: int(st.Messages - before.Messages),
 		Bytes:    int(st.Bytes - before.Bytes),

@@ -39,9 +39,6 @@ type topK struct {
 }
 
 func newTopK(k int) *topK {
-	if k <= 0 {
-		k = 8
-	}
 	return &topK{k: k, m: make(map[string]*topEntry, k)}
 }
 
@@ -102,10 +99,13 @@ type Attribution struct {
 	reopen  *topK
 }
 
-// NewAttribution builds a sketch set monitoring at most k tenants per
-// dimension (k <= 0 takes 8).
-func NewAttribution(k int) *Attribution {
-	return &Attribution{service: newTopK(k), sheds: newTopK(k), reopen: newTopK(k)}
+// hotTenants is how many tenants each dimension's sketch monitors.
+const hotTenants = 8
+
+// NewAttribution builds a sketch set monitoring at most hotTenants
+// tenants per dimension.
+func NewAttribution() *Attribution {
+	return &Attribution{service: newTopK(hotTenants), sheds: newTopK(hotTenants), reopen: newTopK(hotTenants)}
 }
 
 // AddService credits ns of service time to a tenant.

@@ -56,16 +56,22 @@ func LatencyBounds() []int64 {
 	return bounds
 }
 
+const (
+	// residentBytes is the nominal RAM a resident tenant reserves —
+	// ArenaBytes/residentBytes bounds simultaneous residency; everyone
+	// else sits evicted on flash.
+	residentBytes = 2 << 10
+	// baseCPUNS is the CPU epsilon added to every executed request on
+	// top of its flash I/O cost.
+	baseCPUNS = 10_000
+)
+
 // HostConfig sizes one hosting daemon. The zero value is usable: every
 // field defaults to the values below.
 type HostConfig struct {
 	// ArenaBytes is the host RAM envelope tenants' resident state is
 	// carved from (default 256 KiB).
 	ArenaBytes int
-	// ResidentBytes is the nominal RAM a resident tenant reserves
-	// (default 2 KiB) — ArenaBytes/ResidentBytes bounds simultaneous
-	// residency; everyone else sits evicted on flash.
-	ResidentBytes int
 	// PageQuota is the per-tenant flash footprint ceiling in pages
 	// (default 256 of the 1024-page tenant chip).
 	PageQuota int
@@ -75,17 +81,11 @@ type HostConfig struct {
 	// QueueDepth bounds the per-class pending queue (default 16);
 	// arrivals beyond it are shed.
 	QueueDepth int
-	// BaseCPUNS is the CPU epsilon added to every executed request on
-	// top of its flash I/O cost (default 10µs).
-	BaseCPUNS int64
 }
 
 func (c HostConfig) withDefaults() HostConfig {
 	if c.ArenaBytes <= 0 {
 		c.ArenaBytes = 256 << 10
-	}
-	if c.ResidentBytes <= 0 {
-		c.ResidentBytes = 2 << 10
 	}
 	if c.PageQuota <= 0 {
 		c.PageQuota = 256
@@ -95,9 +95,6 @@ func (c HostConfig) withDefaults() HostConfig {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 16
-	}
-	if c.BaseCPUNS <= 0 {
-		c.BaseCPUNS = 10_000
 	}
 	return c
 }
@@ -224,12 +221,11 @@ type Host struct {
 	order   []*envelope
 	lru     residentLRU
 	classes [NumClasses]classState
-	// decisions is the one-byte-per-request admission stream; digest
-	// hashes it incrementally, through digestIn.
-	decisions []byte
-	digest    hash.Hash
-	digestIn  [1]byte
-	nowNS     int64
+	// digest hashes the one-byte-per-request admission stream
+	// incrementally, through digestIn.
+	digest   hash.Hash
+	digestIn [1]byte
+	nowNS    int64
 	// Handles on the host's own series, bound at the first event of each:
 	// a series enters the registry (and every snapshot and window digest
 	// after it) when its event first happens, as it always did.
@@ -287,12 +283,9 @@ func (h *Host) Registry() *obs.Registry { return h.reg }
 // Arena exposes the host RAM envelope (budget, usage, high-water).
 func (h *Host) Arena() *mcu.Arena { return h.arena }
 
-// Decisions returns the admission stream so far (one byte per request,
-// in arrival order); Digest is its SHA-256. Two runs over the same
-// schedule must agree on both.
-func (h *Host) Decisions() []byte { return append([]byte(nil), h.decisions...) }
-
-// Digest returns the SHA-256 of the decision stream so far.
+// Digest returns the SHA-256 of the admission stream so far: one byte per
+// request, its Response.Decision, in arrival order. Two runs over the
+// same schedule must agree on it.
 func (h *Host) Digest() string { return hex.EncodeToString(h.digest.Sum(nil)) }
 
 // NowNS is the host's virtual clock (the latest arrival seen).
@@ -353,7 +346,6 @@ func (h *Host) ObserveGauges() {
 }
 
 func (h *Host) note(d Decision, class Class) {
-	h.decisions = append(h.decisions, byte(d))
 	h.digestIn[0] = byte(d)
 	h.digest.Write(h.digestIn[:])
 	i := d.index()
@@ -435,7 +427,7 @@ func (h *Host) evictOne() (bool, error) {
 func (h *Host) makeResident(e *envelope) error {
 	if e.res == nil {
 		for {
-			res, err := h.arena.Reserve(h.cfg.ResidentBytes)
+			res, err := h.arena.Reserve(residentBytes)
 			if err == nil {
 				e.res = res
 				heap.Push(&h.lru, e)
@@ -560,7 +552,7 @@ func (h *Host) Do(req Request) (Response, error) {
 		}
 		e.unsynced = 0
 	}
-	svc := e.chip.Stats().Sub(before).Cost(h.model).Nanoseconds() + h.cfg.BaseCPUNS
+	svc := e.chip.Stats().Sub(before).Cost(h.model).Nanoseconds() + baseCPUNS
 	cs.slots[slot] = start + svc
 	e.pages = e.st.Pages()
 	e.lastUsed = now

@@ -30,15 +30,8 @@ type ServeConfig struct {
 	// Host sizes the daemon the schedule lands on.
 	Host HostConfig
 	// WindowNS is the telemetry sampling interval in virtual nanoseconds
-	// (default obs.DefaultWindowEvery); WindowSlots the ring size
-	// (default obs.DefaultWindowSlots).
-	WindowNS    int64
-	WindowSlots int
-	// TopK bounds the heavy-hitter sketches (default 8 tenants per
-	// dimension).
-	TopK int
-	// SLO parameterizes the per-class error budget.
-	SLO SLOConfig
+	// (default obs.DefaultWindowEvery).
+	WindowNS int64
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
@@ -64,16 +57,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	} else if c.DenyFrac < 0 {
 		c.DenyFrac = 0
 	}
-	if c.WindowNS <= 0 {
-		c.WindowNS = int64(obs.DefaultWindowEvery)
-	}
-	if c.WindowSlots <= 0 {
-		c.WindowSlots = obs.DefaultWindowSlots
-	}
-	if c.TopK <= 0 {
-		c.TopK = 8
-	}
-	c.SLO = c.SLO.withDefaults()
 	return c
 }
 

@@ -2,6 +2,8 @@ package tenant_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"pds/internal/obs"
@@ -102,9 +104,11 @@ func TestServeDeterministic(t *testing.T) {
 }
 
 // The host-level twin of the determinism test: drive two hosts by hand
-// with the same requests and compare raw decision bytes.
+// with the same requests and compare the decisions they answered, and
+// the digest against the SHA-256 of those bytes.
 func TestHostDecisionStreamDeterministic(t *testing.T) {
 	run := func() []byte {
+		var stream []byte
 		h := tenant.NewHost(tenant.HostConfig{ArenaBytes: 16 << 10}, nil)
 		at := int64(0)
 		for i := 0; i < 400; i++ {
@@ -114,12 +118,16 @@ func TestHostDecisionStreamDeterministic(t *testing.T) {
 				purpose = "marketing"
 			}
 			name := []string{"alpha", "beta", "gamma", "delta"}[i%4]
-			h.Do(tenant.Request{
+			resp, _ := h.Do(tenant.Request{
 				Tenant: name, Class: tenant.ClassOf(i % 4), AtNS: at,
 				Role: "owner", Purpose: purpose,
 			})
+			stream = append(stream, byte(resp.Decision))
 		}
-		return h.Decisions()
+		if sum := sha256.Sum256(stream); h.Digest() != hex.EncodeToString(sum[:]) {
+			t.Fatalf("digest %s is not the SHA-256 of the %d decisions answered", h.Digest(), len(stream))
+		}
+		return stream
 	}
 	if d1, d2 := run(), run(); !bytes.Equal(d1, d2) {
 		t.Fatalf("decision streams diverge:\n  %q\n  %q", d1, d2)

@@ -12,7 +12,7 @@ import (
 // hook, computes each class's bad fraction over the window interval,
 // and expresses it as a burn rate: budget consumption speed relative to
 // plan, ×1000. Burn 1000 means exactly on budget; 4000 means the class
-// exhausts a month's budget in a week. Crossing AlertBurnMilli fires a
+// exhausts a month's budget in a week. Crossing alertBurnMilli fires a
 // typed obs alert.
 const (
 	// MetricBurn is the per-class burn-rate gauge (×1000).
@@ -21,39 +21,22 @@ const (
 	AlertSLOBurn = "slo_burn"
 )
 
-// SLOConfig parameterizes the per-class error budget. The zero value is
-// usable: every field defaults below.
-type SLOConfig struct {
-	// LatencyTargetNS is the "fast enough" threshold (default ~16.4ms —
-	// a MetricLatency bucket bound, so the over-target count is exact).
-	LatencyTargetNS int64
-	// BudgetMilli is the error budget as a fraction ×1000 (default 10,
-	// i.e. 1% of requests may be bad).
-	BudgetMilli int64
-	// AlertBurnMilli is the burn rate ×1000 at or above which the class
-	// alerts (default 4000 — burning budget 4× faster than plan).
-	AlertBurnMilli int64
-	// MinWindowTotal suppresses burn math on windows with fewer requests
-	// than this (default 20) — one bad request out of two is not a
-	// statement about the SLO.
-	MinWindowTotal int64
-}
-
-func (c SLOConfig) withDefaults() SLOConfig {
-	if c.LatencyTargetNS <= 0 {
-		c.LatencyTargetNS = 1000 << 14 // 16.384ms, a LatencyBounds bound
-	}
-	if c.BudgetMilli <= 0 {
-		c.BudgetMilli = 10
-	}
-	if c.AlertBurnMilli <= 0 {
-		c.AlertBurnMilli = 4000
-	}
-	if c.MinWindowTotal <= 0 {
-		c.MinWindowTotal = 20
-	}
-	return c
-}
+// The per-class error budget.
+const (
+	// latencyTargetNS is the "fast enough" threshold: 16.384 ms, a
+	// LatencyBounds bound, so the over-target count is exact.
+	latencyTargetNS = 1000 << 14
+	// budgetMilli is the error budget as a fraction ×1000: 1% of
+	// requests may be bad.
+	budgetMilli = 10
+	// alertBurnMilli is the burn rate ×1000 at or above which the class
+	// alerts: burning budget 4× faster than plan.
+	alertBurnMilli = 4000
+	// minWindowTotal suppresses burn math on windows with fewer requests
+	// than this — one bad request out of two is not a statement about
+	// the SLO.
+	minWindowTotal = 20
+)
 
 // ClassBurn is one class's budget state over the latest window.
 type ClassBurn struct {
@@ -71,7 +54,6 @@ type ClassBurn struct {
 // BurnTracker computes per-class burn rates from window samples. Wire
 // it with Attach; reads are safe concurrently with sampling.
 type BurnTracker struct {
-	cfg SLOConfig
 	reg *obs.Registry
 
 	mu    sync.Mutex
@@ -79,8 +61,8 @@ type BurnTracker struct {
 }
 
 // NewBurnTracker builds a tracker updating gauges and alerts in reg.
-func NewBurnTracker(cfg SLOConfig, reg *obs.Registry) *BurnTracker {
-	b := &BurnTracker{cfg: cfg.withDefaults(), reg: reg}
+func NewBurnTracker(reg *obs.Registry) *BurnTracker {
+	b := &BurnTracker{reg: reg}
 	for c := Class(0); c < NumClasses; c++ {
 		b.burns[c].Class = c.String()
 	}
@@ -124,22 +106,21 @@ func (b *BurnTracker) observe(cur, prev *obs.WindowSample) {
 		bad := shed + slow
 		cb := &b.burns[c]
 		cb.Total, cb.Bad = total, bad
-		if total < b.cfg.MinWindowTotal {
+		if total < minWindowTotal {
 			cb.BurnMilli = 0
 			continue
 		}
-		cb.BurnMilli = bad * 1_000_000 / (total * b.cfg.BudgetMilli)
+		cb.BurnMilli = bad * 1_000_000 / (total * budgetMilli)
 		b.reg.Gauge(MetricBurn, "class", name).Set(cb.BurnMilli)
-		if cb.BurnMilli >= b.cfg.AlertBurnMilli {
+		if cb.BurnMilli >= alertBurnMilli {
 			cb.Alerts++
 			b.reg.Alert(cur.AtNS, cb.BurnMilli, AlertSLOBurn, "class", name)
 		}
 	}
 }
 
-// overTarget counts the sample's latency observations above the target.
-// Exact when the target is a bucket bound (the default); otherwise an
-// upper bound, since a straddling bucket counts entirely as slow.
+// overTarget counts the sample's latency observations above the target,
+// exactly: the target is a bucket bound.
 func (b *BurnTracker) overTarget(s *obs.WindowSample, class string) int64 {
 	h, ok := s.Histogram(obs.Name(MetricLatency, "class", class))
 	if !ok {
@@ -147,7 +128,7 @@ func (b *BurnTracker) overTarget(s *obs.WindowSample, class string) int64 {
 	}
 	var n int64
 	for _, bk := range h.Buckets {
-		if bk.Overflow || bk.LE > b.cfg.LatencyTargetNS {
+		if bk.Overflow || bk.LE > latencyTargetNS {
 			n += bk.Count
 		}
 	}

@@ -50,18 +50,18 @@ type TelemetryView struct {
 	WindowDigest string `json:"window_digest"`
 }
 
-// NewTelemetry wires a telemetry plane over reg for a serve run shaped
-// by cfg (already defaulted or not — zero fields take defaults).
+// NewTelemetry wires a telemetry plane over reg sampling every
+// cfg.WindowNS; the ring size, the sketch size and the error budget are
+// fixed.
 func NewTelemetry(cfg ServeConfig, reg *obs.Registry) *Telemetry {
-	cfg = cfg.withDefaults()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	t := &Telemetry{
 		Reg:    reg,
-		Window: obs.NewWindow(reg, time.Duration(cfg.WindowNS), cfg.WindowSlots),
-		Attr:   NewAttribution(cfg.TopK),
-		Burn:   NewBurnTracker(cfg.SLO, reg),
+		Window: obs.NewWindow(reg, time.Duration(cfg.WindowNS), 0),
+		Attr:   NewAttribution(),
+		Burn:   NewBurnTracker(reg),
 	}
 	t.Burn.Attach(t.Window)
 	return t

@@ -32,7 +32,7 @@ func TestTopKBoundedAndDeterministic(t *testing.T) {
 }
 
 func TestAttributionPrometheusText(t *testing.T) {
-	a := NewAttribution(4)
+	a := NewAttribution()
 	a.AddService("tenant-0007", 5000)
 	a.AddService("tenant-0001", 9000)
 	a.AddShed("tenant-0002")
@@ -57,7 +57,7 @@ func TestAttributionPrometheusText(t *testing.T) {
 func TestBurnTrackerFiresAlert(t *testing.T) {
 	reg := obs.NewRegistry()
 	w := obs.NewWindow(reg, 0, 0)
-	bt := NewBurnTracker(SLOConfig{BudgetMilli: 10, AlertBurnMilli: 4000, MinWindowTotal: 20}, reg)
+	bt := NewBurnTracker(reg)
 	bt.Attach(w)
 	// Window 1: 100 kv requests, 10 shed → bad fraction 10%, budget 1%
 	// → burn 10000 milli, well past the 4000 threshold.
@@ -95,7 +95,7 @@ func TestBurnTrackerFiresAlert(t *testing.T) {
 func TestBurnTrackerSlowRequestsBurnBudget(t *testing.T) {
 	reg := obs.NewRegistry()
 	w := obs.NewWindow(reg, 0, 0)
-	bt := NewBurnTracker(SLOConfig{}, reg) // default target ~16.4ms
+	bt := NewBurnTracker(reg) // target ~16.4ms
 	bt.Attach(w)
 	reg.Counter(MetricClassRequests, "class", "search", "decision", "admit").Add(100)
 	h := reg.Histogram(MetricLatency, LatencyBounds(), "class", "search")

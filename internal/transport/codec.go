@@ -7,6 +7,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -38,6 +39,10 @@ const (
 // maxMessage bounds one wire message (4 MiB payloads dwarf anything the
 // protocols send; Paillier ciphertexts are KiB-scale).
 const maxMessage = 64 << 20
+
+// errMalformed marks bytes from the wire that are not a message: a length
+// over the limit, a field running past the body, trailing bytes.
+var errMalformed = errors.New("transport: malformed message")
 
 type message struct {
 	op  byte
@@ -102,7 +107,7 @@ type decoder struct {
 
 func (d *decoder) bytes(n int) ([]byte, error) {
 	if n < 0 || d.off+n > len(d.data) {
-		return nil, fmt.Errorf("transport: truncated message (%d of %d bytes)", len(d.data)-d.off, n)
+		return nil, fmt.Errorf("%w: truncated (%d of %d bytes)", errMalformed, len(d.data)-d.off, n)
 	}
 	out := d.data[d.off : d.off+n]
 	d.off += n
@@ -163,7 +168,7 @@ func decodeMessage(body []byte) (message, error) {
 		m.env.Payload = append([]byte(nil), payload...)
 	}
 	if d.off != len(body) {
-		return message{}, fmt.Errorf("transport: %d trailing bytes in message", len(body)-d.off)
+		return message{}, fmt.Errorf("%w: %d trailing bytes", errMalformed, len(body)-d.off)
 	}
 	return m, nil
 }
@@ -176,7 +181,7 @@ func readMessage(r *bufio.Reader) (message, error) {
 	}
 	n := binary.BigEndian.Uint32(b4[:])
 	if n > maxMessage {
-		return message{}, fmt.Errorf("transport: message of %d bytes exceeds limit", n)
+		return message{}, fmt.Errorf("%w: %d bytes exceeds limit", errMalformed, n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {

@@ -25,9 +25,9 @@ import (
 	"pds/internal/obs"
 )
 
-// Default bound on one switch round trip; a healthy localhost echo takes
+// echoTimeout bounds one switch round trip; a healthy localhost echo takes
 // microseconds, so hitting this means the switch died.
-const DefaultEchoTimeout = 30 * time.Second
+const echoTimeout = 30 * time.Second
 
 // Receive-side metric families. The send side reuses the netsim counter
 // plane (netsim_messages_total, ...) so both substrates account
@@ -40,30 +40,12 @@ const (
 	MetricBytesReceived  = "transport_bytes_received_total"
 )
 
-// TCPOption configures a dialed transport.
-type TCPOption func(*TCP)
-
-// WithEchoTimeout bounds how long Send/Deliver wait for the switch echo
-// before treating the wire as dead.
-func WithEchoTimeout(d time.Duration) TCPOption {
-	return func(t *TCP) { t.echoTimeout = d }
-}
-
-// WithWallBackoff makes ARQ retransmission backoff burn real time, capped
-// at d per wait (the netsim.Sleeper seam). Zero (the default) advances
-// only the simulated clock, keeping seeded runs wall-fast.
-func WithWallBackoff(d time.Duration) TCPOption {
-	return func(t *TCP) { t.wallBackoff = d }
-}
-
 // TCP is one node's connection to a Switch.
 type TCP struct {
-	name        string
-	conn        net.Conn
-	acct        *netsim.Network // counting + observer plane only
-	faults      atomic.Pointer[netsim.FaultPlane]
-	echoTimeout time.Duration
-	wallBackoff time.Duration
+	name   string
+	conn   net.Conn
+	acct   *netsim.Network // counting + observer plane only
+	faults atomic.Pointer[netsim.FaultPlane]
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
@@ -93,26 +75,22 @@ type patternHandler struct {
 
 // Dial connects a named node to the switch at addr. The name is claimed as
 // an exact endpoint, so frames addressed to it are forwarded back here.
-func Dial(addr, name string, opts ...TCPOption) (*TCP, error) {
+func Dial(addr, name string) (*TCP, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	t := &TCP{
-		name:        name,
-		conn:        conn,
-		acct:        netsim.New(),
-		echoTimeout: DefaultEchoTimeout,
-		bw:          bufio.NewWriter(conn),
-		echoes:      map[uint64]chan netsim.Envelope{},
-		replies:     map[uint64]chan netsim.Envelope{},
-		calls:       map[string]func(netsim.Envelope, []byte) []byte{},
-		inq:         newEnvQueue(),
-		closed:      make(chan struct{}),
-		dead:        make(chan struct{}),
-	}
-	for _, opt := range opts {
-		opt(t)
+		name:    name,
+		conn:    conn,
+		acct:    netsim.New(),
+		bw:      bufio.NewWriter(conn),
+		echoes:  map[uint64]chan netsim.Envelope{},
+		replies: map[uint64]chan netsim.Envelope{},
+		calls:   map[string]func(netsim.Envelope, []byte) []byte{},
+		inq:     newEnvQueue(),
+		closed:  make(chan struct{}),
+		dead:    make(chan struct{}),
 	}
 	t.wg.Add(2)
 	go t.read()
@@ -202,7 +180,7 @@ func (t *TCP) request(op byte, e netsim.Envelope) (netsim.Envelope, bool) {
 	if err := t.write(message{op: op, id: id, env: e}); err != nil {
 		return e, false
 	}
-	timer := time.NewTimer(t.echoTimeout)
+	timer := time.NewTimer(echoTimeout)
 	defer timer.Stop()
 	select {
 	case out := <-ch:
@@ -210,7 +188,7 @@ func (t *TCP) request(op byte, e netsim.Envelope) (netsim.Envelope, bool) {
 	case <-t.closed:
 		return e, false
 	case <-timer.C:
-		t.fail(fmt.Errorf("transport: no echo for %q frame to %s within %v", e.Kind, e.To, t.echoTimeout))
+		t.fail(fmt.Errorf("transport: no echo for %q frame to %s within %v", e.Kind, e.To, echoTimeout))
 		return e, false
 	}
 }
@@ -398,18 +376,6 @@ func (t *TCP) Tap(f func(netsim.Envelope)) { t.acct.Tap(f) }
 
 // Reset opens a fresh accounting epoch.
 func (t *TCP) Reset() { t.acct.Reset() }
-
-// Sleep implements netsim.Sleeper: ARQ backoff burns wall time capped at
-// the configured bound (none by default).
-func (t *TCP) Sleep(d time.Duration) {
-	if t.wallBackoff <= 0 {
-		return
-	}
-	if d > t.wallBackoff {
-		d = t.wallBackoff
-	}
-	time.Sleep(d)
-}
 
 // envQueue is an unbounded FIFO feeding the dispatch goroutine: the
 // connection reader must never block on a slow handler, or echoes would

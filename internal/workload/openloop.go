@@ -102,6 +102,3 @@ func (g *OpenLoop) Next() (Arrival, bool) {
 	}
 	return a, true
 }
-
-// Remaining reports how many arrivals the schedule still holds.
-func (g *OpenLoop) Remaining() int { return g.cfg.Arrivals - g.issued }
