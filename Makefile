@@ -3,7 +3,8 @@
 # concurrent substrate (netsim fault/reliability plane, ssi accounting,
 # gquery token fleet, privcrypto batch helpers, smc parallel protocols,
 # obs registry) and the storage layers that share pooled page buffers
-# (logstore, search, flash), short fuzz passes over every fuzz target,
+# (logstore, search, flash, embdb, kv, bloom), short fuzz passes over
+# every fuzz target,
 # the gofmt and determinism lints, the metrics smoke run, the multi-process
 # scenario gate (pdsd over the TCP substrate), the benchmark smoke run,
 # and a coverage summary.
@@ -33,7 +34,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/obs/... ./internal/gquery/... ./internal/netsim/... ./internal/ssi/... ./internal/privcrypto/... ./internal/smc/...
-	$(GO) test -race ./internal/logstore/... ./internal/search/... ./internal/flash/...
+	$(GO) test -race ./internal/logstore/... ./internal/search/... ./internal/flash/... ./internal/embdb/... ./internal/kv/... ./internal/bloom/...
 
 # Short, bounded fuzz passes over every Fuzz* target `go test -list`
 # finds, package by package — none is hand-listed, so a new target is in
@@ -41,8 +42,9 @@ race:
 # flash, the wire or a file return a typed error or a value that
 # re-encodes canonically, never a panic; recovery under corrupted pages
 # yields a typed error or a valid prefix; and the differential targets
-# (Paillier CRT vs textbook, the external sort and the byte-level triple
-# comparator against the implementations they replaced) agree.
+# (Paillier CRT vs textbook, the external sort, the byte-level triple
+# comparator and the in-place page, Bloom and tuple views against the
+# implementations they replaced) agree.
 fuzz:
 	@set -e; \
 	targets=$$($(GO) list ./... | while read pkg; do \
@@ -161,8 +163,12 @@ bench-part3:
 # Benchmark smoke gate: the harness's own tests (metric tables equal to
 # BENCHMARK.json, pinned input digests, the comparer), then three seconds
 # of the Part III hot-path workload, which exits non-zero on a wrong
-# aggregate, an untyped failure or a lossy wire that cost no retransmit.
-# Perf itself is judged by paired `go run ./bench` runs, not here.
+# aggregate, an untyped failure or a lossy wire that cost no retransmit,
+# and three of the token read path, which exits non-zero unless Search
+# equals NaiveSearch, ExecuteStar equals ExecuteStarNaive and every Get
+# returns its value. Perf itself is judged by paired `go run ./bench`
+# runs, not here.
 bench-smoke:
 	$(GO) test ./bench -count=1
 	$(GO) run ./bench -workload gquery-lossy -seconds 3 -trace 0
+	$(GO) run ./bench -workload token-query -seconds 3 -trace 0

@@ -83,6 +83,19 @@ func baseHashes(key []byte) (uint32, uint32) {
 	return uint32(v), uint32(v >> 32)
 }
 
+// testBits reports whether every bit key hashes to is set in an m-bit,
+// k-hash filter.
+func testBits(bits []byte, m, k uint32, key []byte) bool {
+	h1, h2 := baseHashes(key)
+	for i := uint32(0); i < k; i++ {
+		bit := (h1 + i*h2) % m
+		if bits[bit>>3]&(1<<(bit&7)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Add inserts key into the filter.
 func (f *Filter) Add(key []byte) {
 	h1, h2 := baseHashes(key)
@@ -98,16 +111,7 @@ func (f *Filter) AddString(key string) { f.Add([]byte(key)) }
 
 // Test reports whether key may be in the filter (false positives possible,
 // false negatives impossible).
-func (f *Filter) Test(key []byte) bool {
-	h1, h2 := baseHashes(key)
-	for i := uint32(0); i < f.k; i++ {
-		bit := (h1 + i*h2) % f.m
-		if f.bits[bit>>3]&(1<<(bit&7)) == 0 {
-			return false
-		}
-	}
-	return true
-}
+func (f *Filter) Test(key []byte) bool { return testBits(f.bits, f.m, f.k, key) }
 
 // TestString reports membership of a string key.
 func (f *Filter) TestString(key string) bool { return f.Test([]byte(key)) }
@@ -147,24 +151,45 @@ func (f *Filter) MarshalBinary() ([]byte, error) {
 // absurd encodings before any allocation.
 const maxBits = 1 << 30
 
-// UnmarshalBinary decodes a filter produced by MarshalBinary.
-func (f *Filter) UnmarshalBinary(data []byte) error {
+// View is a read-only filter over the bytes MarshalBinary produced, read
+// where they lie: a summary scan tests each page summary inside the page
+// of RAM it was read into. A View is valid as long as those bytes are.
+type View struct {
+	bits []byte
+	m, k uint32
+	n    uint32
+}
+
+// ViewOf validates a marshaled filter and returns a view of it.
+func ViewOf(data []byte) (View, error) {
 	if len(data) < 12 {
-		return fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
+		return View{}, fmt.Errorf("%w: %d bytes", ErrCorrupt, len(data))
 	}
 	m := binary.LittleEndian.Uint32(data[0:4])
 	k := binary.LittleEndian.Uint32(data[4:8])
 	n := binary.LittleEndian.Uint32(data[8:12])
 	if m == 0 || m > maxBits || k == 0 || k > 64 {
-		return fmt.Errorf("%w: m=%d k=%d", ErrCorrupt, m, k)
+		return View{}, fmt.Errorf("%w: m=%d k=%d", ErrCorrupt, m, k)
 	}
 	// 64-bit arithmetic: (m+7) must not wrap.
 	want := int((uint64(m) + 7) / 8)
 	if len(data) != 12+want {
-		return fmt.Errorf("%w: m=%d k=%d len=%d", ErrCorrupt, m, k, len(data))
+		return View{}, fmt.Errorf("%w: m=%d k=%d len=%d", ErrCorrupt, m, k, len(data))
 	}
-	f.m, f.k, f.n = m, k, int(n)
-	f.bits = make([]byte, want)
-	copy(f.bits, data[12:])
+	return View{bits: data[12:], m: m, k: k, n: n}, nil
+}
+
+// Test reports whether key may be in the filter.
+func (v View) Test(key []byte) bool { return testBits(v.bits, v.m, v.k, key) }
+
+// UnmarshalBinary decodes a filter produced by MarshalBinary: a view of
+// data, copied.
+func (f *Filter) UnmarshalBinary(data []byte) error {
+	v, err := ViewOf(data)
+	if err != nil {
+		return err
+	}
+	f.m, f.k, f.n = v.m, v.k, int(v.n)
+	f.bits = append([]byte(nil), v.bits...)
 	return nil
 }

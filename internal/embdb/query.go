@@ -2,7 +2,9 @@ package embdb
 
 import (
 	"fmt"
+	"slices"
 
+	"pds/internal/logstore"
 	"pds/internal/mcu"
 )
 
@@ -51,21 +53,30 @@ type QueryStats struct {
 // lazy: each Next call probes the Tjoin index and fetches only the tuples
 // the projection needs, keeping RAM at a page per involved table.
 type StarRows struct {
-	db     *DB
-	q      StarQuery
-	ji     *JoinIndex
-	rids   []RowID
-	pos    int
-	root   *Table
-	dimPos map[string]int // table → index in ji.Dims()
-	proj   []projCol
-	stats  QueryStats
-	res    *mcu.Reservation
-	err    error
+	db      *DB
+	ji      *JoinIndex
+	rids    []RowID
+	pos     int
+	root    *Table
+	fetch   []fetchStep // the distinct projected tables, in first-use order
+	proj    []projCol
+	dimRids []RowID // the Tjoin record of the row being assembled
+	stats   QueryStats
+	res     *mcu.Reservation
+	err     error
 }
 
+// fetchStep is one tuple fetch of a result row: the root tuple itself
+// (dim < 0) or the tuple of table that entry dim of the Tjoin record names.
+type fetchStep struct {
+	table *Table
+	dim   int
+}
+
+// projCol is one output column: column colIdx of the tuple that fetch
+// step step reads.
 type projCol struct {
-	table  string
+	step   int
 	colIdx int
 }
 
@@ -81,11 +92,9 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := &StarRows{db: db, q: q, ji: ji, root: root, dimPos: map[string]int{}}
-	for i, d := range ji.Dims() {
-		rows.dimPos[d] = i
-	}
-	// Resolve projection columns.
+	rows := &StarRows{db: db, ji: ji, root: root}
+	// Resolve projection columns; each distinct table is fetched once per
+	// result row, in the order the projection first names it.
 	for _, p := range q.Project {
 		t, err := db.Table(p.Table)
 		if err != nil {
@@ -95,12 +104,18 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 		if ci < 0 {
 			return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, p.Table, p.Col)
 		}
+		dim := -1
 		if p.Table != q.Root {
-			if _, ok := rows.dimPos[p.Table]; !ok {
+			if dim = slices.Index(ji.Dims(), p.Table); dim < 0 {
 				return nil, fmt.Errorf("embdb: projected table %s not reachable from %s", p.Table, q.Root)
 			}
 		}
-		rows.proj = append(rows.proj, projCol{table: p.Table, colIdx: ci})
+		step := slices.IndexFunc(rows.fetch, func(f fetchStep) bool { return f.table == t })
+		if step < 0 {
+			step = len(rows.fetch)
+			rows.fetch = append(rows.fetch, fetchStep{table: t, dim: dim})
+		}
+		rows.proj = append(rows.proj, projCol{step: step, colIdx: ci})
 	}
 
 	// Candidate root rowids per condition, each ascending by construction.
@@ -190,7 +205,8 @@ func intersectSorted(lists [][]RowID) []RowID {
 	return out
 }
 
-// Next returns the next projected result row.
+// Next returns the next projected result row. A failed row ends the stream
+// and releases its RAM like the last one does.
 func (r *StarRows) Next() (Row, bool) {
 	if r.err != nil || r.pos >= len(r.rids) {
 		r.Close()
@@ -198,44 +214,44 @@ func (r *StarRows) Next() (Row, bool) {
 	}
 	rid := r.rids[r.pos]
 	r.pos++
-	dimRids, err := r.ji.Get(rid)
-	r.db.count(MetricTjoinProbes, 1)
+	row, err := r.assemble(rid)
 	if err != nil {
 		r.err = err
+		r.Close()
 		return nil, false
 	}
-	// Fetch each distinct table's tuple once.
-	fetched := map[string]Row{}
-	get := func(table string) (Row, error) {
-		if row, ok := fetched[table]; ok {
-			return row, nil
+	return row, true
+}
+
+// assemble builds the result row of root rowid rid in one page of RAM: the
+// Tjoin probe, then each projected table's tuple, is read into it in turn
+// and only the projected columns are copied out.
+func (r *StarRows) assemble(rid RowID) (Row, error) {
+	buf := r.root.log.PageBuf()
+	defer logstore.PutPageBuf(buf)
+	dimRids, err := r.ji.get(rid, r.dimRids[:0], *buf)
+	r.db.count(MetricTjoinProbes, 1)
+	if err != nil {
+		return nil, err
+	}
+	r.dimRids = dimRids
+	out := make(Row, len(r.proj))
+	for step, f := range r.fetch {
+		trid := rid
+		if f.dim >= 0 {
+			trid = dimRids[f.dim]
 		}
-		var row Row
-		var err error
-		if table == r.q.Root {
-			row, err = r.root.Get(rid)
-		} else {
-			t := r.db.tables[table]
-			row, err = t.Get(dimRids[r.dimPos[table]])
-		}
+		data, err := f.table.view(trid, *buf)
 		if err != nil {
 			return nil, err
 		}
-		fetched[table] = row
+		if err := decodeCols(f.table.schema, data, r.proj, step, out); err != nil {
+			return nil, err
+		}
 		r.stats.TuplesFetched++
 		r.db.count(MetricTuplesFetched, 1)
-		return row, nil
 	}
-	out := make(Row, len(r.proj))
-	for i, p := range r.proj {
-		row, err := get(p.table)
-		if err != nil {
-			r.err = err
-			return nil, false
-		}
-		out[i] = row[p.colIdx]
-	}
-	return out, true
+	return out, nil
 }
 
 // Err returns the first error hit while streaming.
@@ -245,7 +261,7 @@ func (r *StarRows) Err() error { return r.err }
 func (r *StarRows) Stats() QueryStats { return r.stats }
 
 // Close releases the query's RAM reservation. Safe to call repeatedly;
-// Next calls it automatically at end of stream.
+// Next calls it automatically when the stream ends or fails.
 func (r *StarRows) Close() {
 	if r.res != nil {
 		r.res.Release()

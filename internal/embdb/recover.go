@@ -44,16 +44,18 @@ func ReopenTable(rec *logstore.Recovered, name string, schema Schema) (*Table, e
 		return nil, err
 	}
 	t := &Table{name: name, schema: schema, log: log, rows: log.Len()}
+	buf := log.PageBuf()
+	defer logstore.PutPageBuf(buf)
 	var reads int64
 	cum := int32(0)
 	for p := 0; p < log.Pages(); p++ {
-		recs, err := log.PageRecords(p)
+		page, err := log.ReadPage(p, *buf)
 		if err != nil {
 			return nil, err
 		}
 		reads++
 		t.pageFirstRow = append(t.pageFirstRow, cum)
-		cum += int32(len(recs))
+		cum += int32(page.Len())
 	}
 	rec.MeterPageReads(reads)
 	if int(cum) != t.rows {

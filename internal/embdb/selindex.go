@@ -85,7 +85,7 @@ func NewSelectIndex(table *Table, col string) (*SelectIndex, error) {
 }
 
 // flushSummary builds the Bloom summary of a freshly flushed Keys page.
-func (ix *SelectIndex) flushSummary(page int, _ [][]byte) error {
+func (ix *SelectIndex) flushSummary(page int) error {
 	f := bloom.NewPageSummaryBits(len(ix.pageKeys), ix.SummaryBits)
 	for _, k := range ix.pageKeys {
 		f.Add(k)
@@ -155,11 +155,31 @@ type LookupStats struct {
 }
 
 // Lookup returns the rowids whose indexed value equals v, in ascending
-// rowid order, using the summary scan.
+// rowid order, using the summary scan. It holds two pages of RAM: the
+// summary iterator's, where each filter is tested in place, and one for
+// the Keys pages that answer positively.
 func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 	key := Key(v)
 	var out []RowID
 	var st LookupStats
+	// match appends the rowids of page's postings under key.
+	match := func(page logstore.PageView) error {
+		for {
+			r, ok := page.Next()
+			if !ok {
+				return nil
+			}
+			e, err := decodeEntry(r)
+			if err != nil {
+				return err
+			}
+			if string(e.key) == string(key) {
+				out = append(out, e.rid)
+			}
+		}
+	}
+	buf := ix.keys.PageBuf()
+	defer logstore.PutPageBuf(buf)
 
 	// Scan the summary log; each record names a Keys page and its filter.
 	st.SummaryPages = ix.sums.Pages()
@@ -172,31 +192,23 @@ func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 		if len(rec) < 4 {
 			return nil, st, fmt.Errorf("embdb: corrupt summary record")
 		}
-		page := int(binary.LittleEndian.Uint32(rec[0:4]))
-		var f bloom.Filter
-		if err := f.UnmarshalBinary(rec[4:]); err != nil {
+		f, err := bloom.ViewOf(rec[4:])
+		if err != nil {
 			return nil, st, err
 		}
 		if !f.Test(key) {
 			continue
 		}
-		recs, err := ix.keys.PageRecords(page)
+		page, err := ix.keys.ReadPage(int(binary.LittleEndian.Uint32(rec[0:4])), *buf)
 		if err != nil {
 			return nil, st, err
 		}
 		st.KeyPagesRead++
-		found := false
-		for _, r := range recs {
-			e, err := decodeEntry(r)
-			if err != nil {
-				return nil, st, err
-			}
-			if string(e.key) == string(key) {
-				out = append(out, e.rid)
-				found = true
-			}
+		before := len(out)
+		if err := match(page); err != nil {
+			return nil, st, err
 		}
-		if !found {
+		if len(out) == before {
 			st.FalseReads++
 		}
 	}
@@ -204,18 +216,8 @@ func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 		return nil, st, err
 	}
 	// Unflushed postings live in RAM: no I/O to check them.
-	buffered, err := ix.keys.Buffered()
-	if err != nil {
+	if err := match(ix.keys.Unflushed()); err != nil {
 		return nil, st, err
-	}
-	for _, r := range buffered {
-		e, err := decodeEntry(r)
-		if err != nil {
-			return nil, st, err
-		}
-		if string(e.key) == string(key) {
-			out = append(out, e.rid)
-		}
 	}
 	st.Matches = len(out)
 	return out, st, nil

@@ -75,13 +75,22 @@ func (t *Table) recordID(rid RowID) (logstore.RecordID, error) {
 	}, nil
 }
 
-// Get fetches one tuple by rowid (costing at most one page read).
-func (t *Table) Get(rid RowID) (Row, error) {
+// view reads one tuple's encoding where it lies in buf, a page of RAM the
+// caller holds (costing at most one page read): valid until buf's next
+// read.
+func (t *Table) view(rid RowID, buf []byte) ([]byte, error) {
 	id, err := t.recordID(rid)
 	if err != nil {
 		return nil, err
 	}
-	data, err := t.log.ReadAt(id)
+	return t.log.ViewAt(id, buf)
+}
+
+// Get fetches one tuple by rowid (costing at most one page read).
+func (t *Table) Get(rid RowID) (Row, error) {
+	buf := t.log.PageBuf()
+	defer logstore.PutPageBuf(buf)
+	data, err := t.view(rid, *buf)
 	if err != nil {
 		return nil, err
 	}

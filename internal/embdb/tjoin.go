@@ -104,27 +104,34 @@ func (ji *JoinIndex) add(dimRids []RowID) error {
 
 // Get returns the dim rowids (aligned with Dims()) for a root rowid.
 func (ji *JoinIndex) Get(root RowID) ([]RowID, error) {
+	buf := ji.log.PageBuf()
+	defer logstore.PutPageBuf(buf)
+	return ji.get(root, make([]RowID, 0, len(ji.dims)), *buf)
+}
+
+// get appends the dim rowids for a root rowid to dst, decoding the record
+// where it lies in buf, a page of RAM the caller holds.
+func (ji *JoinIndex) get(root RowID, dst []RowID, buf []byte) ([]RowID, error) {
 	if int(root) >= ji.rows {
 		return nil, fmt.Errorf("%w: tjoin probe %d of %d", ErrNoSuchRow, root, ji.rows)
 	}
 	p := sort.Search(len(ji.pageFirstRow), func(i int) bool {
 		return ji.pageFirstRow[i] > int32(root)
 	}) - 1
-	rec, err := ji.log.ReadAt(logstore.RecordID{
+	rec, err := ji.log.ViewAt(logstore.RecordID{
 		Page: int32(p),
 		Slot: int32(root) - ji.pageFirstRow[p],
-	})
+	}, buf)
 	if err != nil {
 		return nil, err
 	}
 	if len(rec) != 4*len(ji.dims) {
 		return nil, fmt.Errorf("embdb: corrupt tjoin record (%d bytes)", len(rec))
 	}
-	out := make([]RowID, len(ji.dims))
-	for i := range out {
-		out[i] = RowID(binary.LittleEndian.Uint32(rec[4*i:]))
+	for i := range ji.dims {
+		dst = append(dst, RowID(binary.LittleEndian.Uint32(rec[4*i:])))
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Flush persists buffered entries.

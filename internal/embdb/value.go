@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ColType is the type of a column.
@@ -75,7 +76,7 @@ type StrVal string
 func (IntVal) isValue() {}
 func (StrVal) isValue() {}
 
-func (v IntVal) String() string { return fmt.Sprintf("%d", int64(v)) }
+func (v IntVal) String() string { return strconv.FormatInt(int64(v), 10) }
 func (v StrVal) String() string { return string(v) }
 
 // Encode appends a fixed 8-byte big-endian two's-complement-shifted image,
@@ -170,4 +171,47 @@ func decodeRow(s Schema, data []byte) (Row, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptRow, len(data)-off)
 	}
 	return out, nil
+}
+
+// decodeCols is decodeRow for a projection: it validates the whole
+// encoding exactly as decodeRow does — every column inside data, nothing
+// after the last — but boxes only the columns that proj asks of fetch step
+// step, each into its slot of out. Strings are copied out of data.
+func decodeCols(s Schema, data []byte, proj []projCol, step int, out Row) error {
+	off := 0
+	for ci, c := range s.Cols {
+		start := off
+		switch c.Type {
+		case Int:
+			if off+8 > len(data) {
+				return fmt.Errorf("%w: truncated int column %s", ErrCorruptRow, c.Name)
+			}
+			off += 8
+		case Str:
+			if off+2 > len(data) {
+				return fmt.Errorf("%w: truncated str header %s", ErrCorruptRow, c.Name)
+			}
+			start += 2
+			off = start + int(binary.LittleEndian.Uint16(data[off:off+2]))
+			if off > len(data) {
+				return fmt.Errorf("%w: truncated str column %s", ErrCorruptRow, c.Name)
+			}
+		default:
+			return fmt.Errorf("%w: unknown column type", ErrCorruptRow)
+		}
+		for i, p := range proj {
+			if p.step != step || p.colIdx != ci {
+				continue
+			}
+			if c.Type == Int {
+				out[i] = IntVal(int64(binary.LittleEndian.Uint64(data[start:off])))
+			} else {
+				out[i] = StrVal(data[start:off])
+			}
+		}
+	}
+	if off != len(data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptRow, len(data)-off)
+	}
+	return nil
 }

@@ -185,7 +185,7 @@ func Reopen(rec *logstore.Recovered) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) flushSummary(page int, _ [][]byte) error {
+func (s *Store) flushSummary(page int) error {
 	f := bloom.NewPageSummary(len(s.pageKeys))
 	for _, k := range s.pageKeys {
 		f.Add(k)
@@ -258,31 +258,47 @@ type GetStats struct {
 	FalseProbes  int
 }
 
+// latest returns the newest binding of key on page — the last in page
+// order. A record that does not decode fails the probe unless a binding of
+// key follows it: the newest binding wins before an older record is looked
+// at.
+func latest(page logstore.PageView, key []byte) (b binding, found bool, err error) {
+	for {
+		rec, ok := page.Next()
+		if !ok {
+			return b, found, err
+		}
+		cand, derr := decodeBinding(rec)
+		switch {
+		case derr != nil:
+			found, err = false, derr
+		case string(cand.key) == string(key):
+			b, found, err = cand, true, nil
+		}
+	}
+}
+
 // Get returns the latest value for key (ErrNotFound for absent or deleted
 // keys). It probes candidate key pages newest first and stops at the first
-// (i.e. most recent) binding.
+// (i.e. most recent) binding. Summaries are tested and bindings compared
+// where they lie, in the summary iterator's page and one more.
 func (s *Store) Get(key []byte) ([]byte, GetStats, error) {
 	var st GetStats
 	if s.closed {
 		return nil, st, ErrClosed
 	}
-	// Unflushed bindings are the newest of all: scan them backwards.
-	buffered, err := s.keys.Buffered()
+	// Unflushed bindings are the newest of all.
+	b, found, err := latest(s.keys.Unflushed(), key)
 	if err != nil {
 		return nil, st, err
 	}
-	for i := len(buffered) - 1; i >= 0; i-- {
-		b, err := decodeBinding(buffered[i])
-		if err != nil {
-			return nil, st, err
-		}
-		if string(b.key) == string(key) {
-			return s.resolve(b, st)
-		}
+	if found {
+		return s.resolve(b, st)
 	}
 	// Collect candidate pages from the summary log (small, sequential).
 	st.SummaryPages = s.sums.Pages()
-	var candidates []int
+	var few [8]int // a key's live candidates are its page and the odd false positive
+	candidates := few[:0]
 	it := s.sums.Iter()
 	for {
 		rec, _, ok := it.Next()
@@ -292,8 +308,8 @@ func (s *Store) Get(key []byte) ([]byte, GetStats, error) {
 		if len(rec) < 4 {
 			return nil, st, fmt.Errorf("kv: corrupt summary")
 		}
-		var f bloom.Filter
-		if err := f.UnmarshalBinary(rec[4:]); err != nil {
+		f, err := bloom.ViewOf(rec[4:])
+		if err != nil {
 			return nil, st, err
 		}
 		if f.Test(key) {
@@ -303,21 +319,21 @@ func (s *Store) Get(key []byte) ([]byte, GetStats, error) {
 	if err := it.Err(); err != nil {
 		return nil, st, err
 	}
-	// Probe newest candidate pages first; within a page newest-last.
+	// Probe newest candidate pages first.
+	buf := s.keys.PageBuf()
+	defer logstore.PutPageBuf(buf)
 	for i := len(candidates) - 1; i >= 0; i-- {
-		recs, err := s.keys.PageRecords(candidates[i])
+		page, err := s.keys.ReadPage(candidates[i], *buf)
 		if err != nil {
 			return nil, st, err
 		}
 		st.KeyPages++
-		for j := len(recs) - 1; j >= 0; j-- {
-			b, err := decodeBinding(recs[j])
-			if err != nil {
-				return nil, st, err
-			}
-			if string(b.key) == string(key) {
-				return s.resolve(b, st)
-			}
+		b, found, err := latest(page, key)
+		if err != nil {
+			return nil, st, err
+		}
+		if found {
+			return s.resolve(b, st)
 		}
 		st.FalseProbes++
 	}

@@ -164,13 +164,12 @@ type Log struct {
 	flushedRecs int
 	// onFlush, if set, observes each page as it is flushed (used by
 	// summary structures that maintain one Bloom filter per page).
-	onFlush func(page int, recs [][]byte) error
+	onFlush func(page int) error
 }
 
-// OnFlush registers f to be called with the logical page number and the
-// records of each page at the moment it is flushed to flash. Record slices
-// passed to f are views into the page image and must not be retained.
-func (l *Log) OnFlush(f func(page int, recs [][]byte) error) { l.onFlush = f }
+// OnFlush registers f to be called with the logical page number of each
+// page at the moment it is flushed to flash.
+func (l *Log) OnFlush(f func(page int) error) { l.onFlush = f }
 
 // NewLog creates an empty log drawing blocks from alloc.
 func NewLog(alloc *flash.Allocator) *Log {
@@ -216,11 +215,7 @@ func (l *Log) Flush() error {
 		return err
 	}
 	if l.onFlush != nil {
-		recs, err := decodePage(l.buf)
-		if err != nil {
-			return err
-		}
-		if err := l.onFlush(page, recs); err != nil {
+		if err := l.onFlush(page); err != nil {
 			return err
 		}
 	}
@@ -231,31 +226,57 @@ func (l *Log) Flush() error {
 	return nil
 }
 
-// PageRecords reads one flushed page and returns its records (one page
-// I/O). The slices are freshly allocated.
-func (l *Log) PageRecords(logical int) ([][]byte, error) {
-	phys, err := l.w.PhysPage(logical)
-	if err != nil {
-		return nil, err
-	}
-	img, err := l.w.Chip().Page(phys)
-	if err != nil {
-		return nil, err
-	}
-	return decodePage(img)
+// PageView iterates the records of one checked log page where they lie.
+// The records are views into the page of RAM the page was read into, or
+// into the log's write buffer: they are valid until that buffer's next
+// read, or the log's next Append or Flush.
+type PageView struct {
+	img  []byte
+	off  int // offset in img of the next slot
+	left int // records Next has yet to return
 }
 
-// Buffered returns copies of the records not yet flushed to flash.
-func (l *Log) Buffered() ([][]byte, error) {
-	recs, err := decodePageBuffered(l.buf, l.cnt)
+// Len returns how many records Next has yet to return.
+func (v *PageView) Len() int { return v.left }
+
+// Next returns the next record of the page; ok is false after the last.
+func (v *PageView) Next() (rec []byte, ok bool) {
+	if v.left == 0 {
+		return nil, false
+	}
+	v.left--
+	rec, v.off = slotAt(v.img, v.off)
+	return rec, true
+}
+
+// ReadPage reads one flushed page into buf — a page of RAM the caller
+// holds, usually from PageBuf — checks it (checksum and slot directory)
+// and returns its records. It costs one page I/O.
+func (l *Log) ReadPage(logical int, buf []byte) (PageView, error) {
+	phys, err := l.w.PhysPage(logical)
 	if err != nil {
-		return nil, err
+		return PageView{}, err
 	}
-	out := make([][]byte, len(recs))
-	for i, r := range recs {
-		out[i] = append([]byte(nil), r...)
+	n, err := l.w.Chip().ReadPage(phys, buf)
+	if err != nil {
+		return PageView{}, err
 	}
-	return out, nil
+	return viewPage(buf[:n])
+}
+
+// viewPage checks a page image and returns its records.
+func viewPage(img []byte) (PageView, error) {
+	cnt, err := checkPage(img)
+	if err != nil {
+		return PageView{}, err
+	}
+	return PageView{img: img, off: pageHeader, left: cnt}, nil
+}
+
+// Unflushed returns the records not yet flushed to flash, where they lie
+// in the write buffer (no I/O): l.cnt slots, appended by Append itself.
+func (l *Log) Unflushed() PageView {
+	return PageView{img: l.buf, off: pageHeader, left: l.cnt}
 }
 
 // Len returns the number of records appended (flushed or buffered).
@@ -315,26 +336,15 @@ func slotAt(page []byte, off int) (rec []byte, next int) {
 	return page[off : off+n], off + n
 }
 
-// decodePage parses a page image into record slices (views into page).
-func decodePage(page []byte) ([][]byte, error) {
-	cnt, err := checkPage(page)
-	if err != nil || cnt == 0 {
-		return nil, err
-	}
-	recs := make([][]byte, cnt)
-	off := pageHeader
-	for i := range recs {
-		recs[i], off = slotAt(page, off)
-	}
-	return recs, nil
-}
-
 // pageBufs recycles one-page scratch buffers for reads that copy out what
 // they keep. Shared by every log of the process, so an idle store pins
 // none.
 var pageBufs sync.Pool
 
-func getPageBuf(size int) *[]byte {
+// PageBuf takes a scratch buffer of one of l's pages from the pool; hand
+// it back with PutPageBuf once nothing views it any more.
+func (l *Log) PageBuf() *[]byte {
+	size := l.pageSize()
 	if p, _ := pageBufs.Get().(*[]byte); p != nil && cap(*p) >= size {
 		*p = (*p)[:size]
 		return p
@@ -343,71 +353,56 @@ func getPageBuf(size int) *[]byte {
 	return &b
 }
 
-// ReadAt fetches one record by id. Records still in the write buffer are
-// readable too (they belong to the logical page l.w.Pages()).
-func (l *Log) ReadAt(id RecordID) ([]byte, error) {
-	if int(id.Page) == l.w.Pages() {
-		// Buffered page: l.cnt slots, appended by Append itself.
-		if id.Slot < 0 || int(id.Slot) >= l.cnt {
-			return nil, ErrBadRecordID
+// PutPageBuf returns a buffer taken with PageBuf to the pool.
+func PutPageBuf(p *[]byte) { pageBufs.Put(p) }
+
+// ViewAt fetches one record by id where it lies in buf, a page of RAM the
+// caller holds. Records still in the write buffer are readable too (they
+// belong to the logical page l.w.Pages()) and are viewed there.
+func (l *Log) ViewAt(id RecordID, buf []byte) ([]byte, error) {
+	v := l.Unflushed()
+	if int(id.Page) != l.w.Pages() {
+		var err error
+		if v, err = l.ReadPage(int(id.Page), buf); err != nil {
+			return nil, err
 		}
-		return copySlot(l.buf, int(id.Slot)), nil
 	}
-	phys, err := l.w.PhysPage(int(id.Page))
-	if err != nil {
-		return nil, err
-	}
-	scratch := getPageBuf(l.pageSize())
-	defer pageBufs.Put(scratch)
-	n, err := l.w.Chip().ReadPage(phys, *scratch)
-	if err != nil {
-		return nil, err
-	}
-	page := (*scratch)[:n]
-	cnt, err := checkPage(page)
-	if err != nil {
-		return nil, err
-	}
-	if id.Slot < 0 || int(id.Slot) >= cnt {
+	if id.Slot < 0 || int(id.Slot) >= v.left {
 		return nil, ErrBadRecordID
 	}
-	return copySlot(page, int(id.Slot)), nil
+	for s := id.Slot; s > 0; s-- {
+		v.Next()
+	}
+	rec, _ := v.Next()
+	return rec, nil
 }
 
-// copySlot returns a fresh copy of record slot of a checked page.
-func copySlot(page []byte, slot int) []byte {
-	rec, off := slotAt(page, pageHeader)
-	for ; slot > 0; slot-- {
-		rec, off = slotAt(page, off)
+// ReadAt fetches a fresh copy of one record by id.
+func (l *Log) ReadAt(id RecordID) ([]byte, error) {
+	scratch := l.PageBuf()
+	defer PutPageBuf(scratch)
+	rec, err := l.ViewAt(id, *scratch)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, len(rec))
 	copy(out, rec)
-	return out
-}
-
-// decodePageBuffered decodes the in-RAM buffer which has no count yet.
-func decodePageBuffered(buf []byte, cnt int) ([][]byte, error) {
-	if buf == nil || cnt == 0 {
-		return nil, nil
-	}
-	tmp := make([]byte, len(buf))
-	copy(tmp, buf)
-	sealPage(tmp, cnt)
-	return decodePage(tmp)
+	return out, nil
 }
 
 // Iterator scans a log forward, reading one page of flash at a time —
-// the pipelined access pattern the MCU RAM budget dictates. It owns that
-// one page of RAM: every page is read into the same buffer.
+// the pipelined access pattern the MCU RAM budget dictates. It holds that
+// one page of RAM, taken from the pool, from its first page read until
+// Next reports the end of the stream: every page is read into the same
+// buffer.
 type Iterator struct {
 	log     *Log
-	page    int    // next logical page to load
-	buf     []byte // the page of RAM, allocated at the first load
-	img     []byte // the loaded page image, a prefix of buf
-	off     int    // offset in img of the next slot
-	cnt     int    // records on the loaded page
-	curPage int    // logical page currently loaded
+	page    int      // next logical page to load
+	buf     *[]byte  // the page of RAM
+	v       PageView // what is left of the loaded page
+	curPage int      // logical page currently loaded
 	slot    int
+	done    bool
 	err     error
 }
 
@@ -423,51 +418,38 @@ func (l *Log) Iter() *Iterator {
 // slice is a view into the iterator's page buffer: it is valid only until
 // the following Next call.
 func (it *Iterator) Next() ([]byte, RecordID, bool) {
-	if it.err != nil {
-		return nil, RecordID{}, false
-	}
-	for {
-		if it.slot < it.cnt {
-			var rec []byte
-			rec, it.off = slotAt(it.img, it.off)
+	for !it.done {
+		if rec, ok := it.v.Next(); ok {
 			id := RecordID{Page: int32(it.curPage), Slot: int32(it.slot)}
 			it.slot++
 			return rec, id, true
 		}
 		l := it.log
-		if it.buf == nil {
-			it.buf = make([]byte, l.pageSize())
-		}
-		// Load next page.
-		if it.page < l.w.Pages() {
-			phys, err := l.w.PhysPage(it.page)
-			if err != nil {
-				it.err = err
-				return nil, RecordID{}, false
+		switch {
+		case it.page < l.w.Pages():
+			if it.buf == nil {
+				it.buf = l.PageBuf()
 			}
-			n, err := l.w.Chip().ReadPage(phys, it.buf)
-			if err != nil {
-				it.err = err
-				return nil, RecordID{}, false
-			}
-			it.img = it.buf[:n]
+			it.v, it.err = l.ReadPage(it.page, *it.buf)
 			it.curPage = it.page
 			it.page++
-		} else if it.curPage < l.w.Pages() && l.cnt > 0 {
-			// Serve a snapshot of the buffered page once.
-			it.img = it.buf[:copy(it.buf, l.buf)]
-			sealPage(it.img, l.cnt)
+		case it.curPage < l.w.Pages():
+			// Serve the write buffer once, where it lies.
+			it.v = l.Unflushed()
 			it.curPage = l.w.Pages()
-		} else {
-			return nil, RecordID{}, false
+		default:
+			it.done = true
 		}
-		cnt, err := checkPage(it.img)
-		if err != nil {
-			it.err = err
-			return nil, RecordID{}, false
+		it.slot = 0
+		if it.err != nil {
+			it.done = true
 		}
-		it.cnt, it.slot, it.off = cnt, 0, pageHeader
+		if it.done && it.buf != nil {
+			PutPageBuf(it.buf)
+			it.buf = nil
+		}
 	}
+	return nil, RecordID{}, false
 }
 
 // Err returns the first error the iterator hit, if any.

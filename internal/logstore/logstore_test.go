@@ -392,10 +392,14 @@ func TestOnFlushHook(t *testing.T) {
 	l := NewLog(a)
 	var pages []int
 	var counts []int
-	l.OnFlush(func(page int, recs [][]byte) error {
+	buf := l.PageBuf()
+	defer PutPageBuf(buf)
+	l.OnFlush(func(page int) error {
+		// The page is on flash by the time the hook runs.
+		v, err := l.ReadPage(page, *buf)
 		pages = append(pages, page)
-		counts = append(counts, len(recs))
-		return nil
+		counts = append(counts, v.Len())
+		return err
 	})
 	for i := 0; i < 100; i++ {
 		if _, err := l.Append([]byte("0123456789abcdef")); err != nil {
@@ -424,14 +428,14 @@ func TestOnFlushHookErrorPropagates(t *testing.T) {
 	a := testAlloc()
 	l := NewLog(a)
 	boom := errors.New("summary build failed")
-	l.OnFlush(func(int, [][]byte) error { return boom })
+	l.OnFlush(func(int) error { return boom })
 	l.Append([]byte("x"))
 	if err := l.Flush(); !errors.Is(err, boom) {
 		t.Errorf("flush err = %v, want hook error", err)
 	}
 }
 
-func TestPageRecordsAndBuffered(t *testing.T) {
+func TestReadPageAndUnflushed(t *testing.T) {
 	a := testAlloc()
 	l := NewLog(a)
 	for i := 0; i < 60; i++ {
@@ -440,39 +444,96 @@ func TestPageRecordsAndBuffered(t *testing.T) {
 	if l.Pages() == 0 {
 		t.Fatal("expected flushed pages")
 	}
-	recs, err := l.PageRecords(0)
+	buf := l.PageBuf()
+	defer PutPageBuf(buf)
+	v, err := l.ReadPage(0, *buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 || string(recs[0]) != "rec-00-0123456789" {
-		t.Errorf("page 0 records = %d, first = %q", len(recs), recs[0])
+	if rec, ok := v.Next(); !ok || string(rec) != "rec-00-0123456789" {
+		t.Errorf("page 0 first record = %q, %v", rec, ok)
 	}
-	if _, err := l.PageRecords(l.Pages()); !errors.Is(err, ErrBadRecordID) {
+	if _, err := l.ReadPage(l.Pages(), *buf); !errors.Is(err, ErrBadRecordID) {
 		t.Errorf("OOB page err = %v", err)
 	}
-	buf, err := l.Buffered()
-	if err != nil {
-		t.Fatal(err)
+	// Flushed + unflushed must cover all 60 records exactly once, in order.
+	next := 0
+	walk := func(v PageView) {
+		for {
+			rec, ok := v.Next()
+			if !ok {
+				return
+			}
+			if want := fmt.Sprintf("rec-%02d-0123456789", next); string(rec) != want {
+				t.Fatalf("record %d = %q, want %q", next, rec, want)
+			}
+			next++
+		}
 	}
-	// Flushed + buffered must cover all 60 records exactly once.
-	flushed := 0
+	before := l.Chip().Stats().PageReads
 	for p := 0; p < l.Pages(); p++ {
-		rs, err := l.PageRecords(p)
+		v, err := l.ReadPage(p, *buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flushed += len(rs)
+		walk(v)
 	}
-	if flushed+len(buf) != 60 {
-		t.Errorf("flushed %d + buffered %d != 60", flushed, len(buf))
+	if got := l.Chip().Stats().PageReads - before; got != int64(l.Pages()) {
+		t.Errorf("%d page reads for %d pages", got, l.Pages())
 	}
-	// Buffered returns copies: mutating them must not corrupt the log.
-	if len(buf) > 0 {
-		buf[0][0] = 'X'
-		again, _ := l.Buffered()
-		if again[0][0] == 'X' {
-			t.Error("Buffered aliases internal state")
+	flushed := next
+	before = l.Chip().Stats().PageReads
+	walk(l.Unflushed())
+	if next != 60 || next == flushed {
+		t.Errorf("flushed %d + unflushed %d != 60", flushed, next-flushed)
+	}
+	if got := l.Chip().Stats().PageReads - before; got != 0 {
+		t.Errorf("Unflushed cost %d page reads", got)
+	}
+	// ViewAt and ReadAt agree on both sides of the flush boundary; only
+	// ReadAt's result survives the buffer's next read.
+	for _, id := range []RecordID{{Page: 0, Slot: 3}, {Page: int32(l.Pages()), Slot: 0}} {
+		kept, err := l.ReadAt(id)
+		if err != nil {
+			t.Fatal(err)
 		}
+		view, err := l.ViewAt(id, *buf)
+		if err != nil || !bytes.Equal(view, kept) {
+			t.Fatalf("ViewAt(%v) = %q, %v; ReadAt = %q", id, view, err, kept)
+		}
+		want := string(kept)
+		if _, err := l.ReadPage(1, *buf); err != nil {
+			t.Fatal(err)
+		}
+		if string(kept) != want {
+			t.Errorf("ReadAt(%v) aliases the scratch page", id)
+		}
+	}
+	if _, err := l.ViewAt(RecordID{Page: int32(l.Pages()), Slot: int32(60 - flushed)}, *buf); !errors.Is(err, ErrBadRecordID) {
+		t.Errorf("slot past the write buffer: err = %v", err)
+	}
+}
+
+// A drained iterator hands its page back and stays drained.
+func TestIteratorStaysDrained(t *testing.T) {
+	l := NewLog(testAlloc())
+	for i := 0; i < 60; i++ {
+		l.Append([]byte(fmt.Sprintf("rec-%02d-0123456789", i)))
+	}
+	it := l.Iter()
+	n := 0
+	for {
+		if _, _, ok := it.Next(); !ok {
+			break
+		}
+		n++
+	}
+	if n != 60 || it.Err() != nil {
+		t.Fatalf("iterated %d records, err %v", n, it.Err())
+	}
+	l.Append([]byte("late"))
+	if rec, _, ok := it.Next(); ok {
+		t.Errorf("drained iterator yielded %q", rec)
 	}
 }
 

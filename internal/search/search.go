@@ -27,6 +27,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"pds/internal/flash"
 	"pds/internal/logstore"
@@ -332,11 +333,25 @@ type cursor struct {
 	clast bool // the page just served was the term's last compact page
 }
 
+// cursorPool recycles cursors together with their page of RAM and posting
+// slab: a search opens one per keyword and closes each when its stream
+// dries up. Shared by every engine of the process, so an idle one pins
+// none.
+var cursorPool sync.Pool
+
 // openCursor positions a cursor on term. Unflushed buffered triples are
 // served first (they are the newest).
 func (e *Engine) openCursor(term string) *cursor {
 	b := e.bucketOf(term)
-	c := &cursor{eng: e, term: term, next: e.heads[b]}
+	c, _ := cursorPool.Get().(*cursor)
+	if c == nil {
+		c = new(cursor)
+	}
+	page := c.buf
+	if len(page) < e.pageSize {
+		page = nil // another engine's smaller page: readPage allocates ours
+	}
+	*c = cursor{eng: e, term: term, next: e.heads[b], buf: page, cur: c.cur[:0]}
 	if n := e.df[term]; n > 0 {
 		c.idf = math.Log(float64(e.ndocs) / float64(n))
 	}
@@ -348,6 +363,12 @@ func (e *Engine) openCursor(term string) *cursor {
 		}
 	}
 	return c
+}
+
+// close hands the cursor back to the pool; it must not be used afterwards.
+func (c *cursor) close() {
+	c.eng = nil
+	cursorPool.Put(c)
 }
 
 // head returns the current posting without advancing.
@@ -519,11 +540,22 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 		}
 		if ok {
 			cursors = append(cursors, c)
+		} else {
+			c.close()
+		}
+	}
+	// Whatever streams are still open when the merge stops — a conjunction
+	// can stop early — are closed on the way out. A failed search closes
+	// none: its cursors are left to the collector.
+	closeAll := func() {
+		for _, c := range cursors {
+			c.close()
 		}
 	}
 	required := len(uniq)
 	if requireAll && len(cursors) < required {
 		// Some keyword has no postings at all: the conjunction is empty.
+		closeAll()
 		return nil, nil
 	}
 
@@ -568,6 +600,8 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 			}
 			if _, has := c.head(); has {
 				alive = append(alive, c)
+			} else {
+				c.close()
 			}
 		}
 		cursors = alive
@@ -582,6 +616,7 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 			heap.Fix(&h, 0)
 		}
 	}
+	closeAll()
 	// Extract in descending score order.
 	out := make([]Result, len(h))
 	for i := len(h) - 1; i >= 0; i-- {
@@ -641,6 +676,7 @@ func (e *Engine) NaiveSearch(keywords []string, topN int) ([]Result, error) {
 				return nil, err
 			}
 		}
+		c.close()
 	}
 	all := make([]Result, 0, len(scores))
 	for d, s := range scores {

@@ -138,7 +138,7 @@ func New(alloc *flash.Allocator) *Track {
 	return t
 }
 
-func (t *Track) flushSummary(page int, _ [][]byte) error {
+func (t *Track) flushSummary(page int) error {
 	if !t.curSet {
 		return nil
 	}
@@ -218,8 +218,12 @@ func (t *Track) Query(t0, t1 int64, reg Region) ([]Fix, QueryStats, error) {
 	}
 	var out []Fix
 	st.SummaryPages = t.sums.Pages()
-	scanPage := func(recs [][]byte) error {
-		for _, r := range recs {
+	scanPage := func(page logstore.PageView) error {
+		for {
+			r, ok := page.Next()
+			if !ok {
+				return nil
+			}
 			p, err := decodeFix(r)
 			if err != nil {
 				return err
@@ -228,8 +232,9 @@ func (t *Track) Query(t0, t1 int64, reg Region) ([]Fix, QueryStats, error) {
 				out = append(out, p)
 			}
 		}
-		return nil
 	}
+	buf := t.fixes.PageBuf()
+	defer logstore.PutPageBuf(buf)
 	it := t.sums.Iter()
 	for {
 		rec, _, ok := it.Next()
@@ -244,23 +249,19 @@ func (t *Track) Query(t0, t1 int64, reg Region) ([]Fix, QueryStats, error) {
 			st.SegmentsPruned++
 			continue
 		}
-		recs, err := t.fixes.PageRecords(sum.page)
+		page, err := t.fixes.ReadPage(sum.page, *buf)
 		if err != nil {
 			return nil, st, err
 		}
 		st.SegmentsRead++
-		if err := scanPage(recs); err != nil {
+		if err := scanPage(page); err != nil {
 			return nil, st, err
 		}
 	}
 	if err := it.Err(); err != nil {
 		return nil, st, err
 	}
-	buffered, err := t.fixes.Buffered()
-	if err != nil {
-		return nil, st, err
-	}
-	if err := scanPage(buffered); err != nil {
+	if err := scanPage(t.fixes.Unflushed()); err != nil {
 		return nil, st, err
 	}
 	return out, st, nil

@@ -196,7 +196,7 @@ func (s *Series) SetObserver(reg *obs.Registry) {
 	s.obsBoundaryRead = reg.Counter(MetricWindowBoundaryRead)
 }
 
-func (s *Series) flushSummary(page int, _ [][]byte) error {
+func (s *Series) flushSummary(page int) error {
 	if s.obsFlushes != nil {
 		s.obsFlushes.Inc()
 	}
@@ -288,6 +288,24 @@ func (s *Series) Window(t0, t1 int64) (Agg, WindowStats, error) {
 			s.obsBoundaryRead.Add(int64(st.SegmentsRead))
 		}()
 	}
+	// scan folds the points of page that fall inside the window.
+	scan := func(page logstore.PageView) error {
+		for {
+			r, ok := page.Next()
+			if !ok {
+				return nil
+			}
+			p, err := decodePoint(r)
+			if err != nil {
+				return err
+			}
+			if p.T >= t0 && p.T <= t1 {
+				out.add(p.V)
+			}
+		}
+	}
+	buf := s.points.PageBuf()
+	defer logstore.PutPageBuf(buf)
 	st.SummaryPages = s.sums.Pages()
 	it := s.sums.Iter()
 	for {
@@ -308,37 +326,21 @@ func (s *Series) Window(t0, t1 int64) (Agg, WindowStats, error) {
 			continue
 		}
 		// Boundary segment: scan its points.
-		recs, err := s.points.PageRecords(sum.page)
+		page, err := s.points.ReadPage(sum.page, *buf)
 		if err != nil {
 			return out, st, err
 		}
 		st.SegmentsRead++
-		for _, r := range recs {
-			p, err := decodePoint(r)
-			if err != nil {
-				return out, st, err
-			}
-			if p.T >= t0 && p.T <= t1 {
-				out.add(p.V)
-			}
+		if err := scan(page); err != nil {
+			return out, st, err
 		}
 	}
 	if err := it.Err(); err != nil {
 		return out, st, err
 	}
 	// Buffered (unflushed) points are in RAM.
-	buffered, err := s.points.Buffered()
-	if err != nil {
+	if err := scan(s.points.Unflushed()); err != nil {
 		return out, st, err
-	}
-	for _, r := range buffered {
-		p, err := decodePoint(r)
-		if err != nil {
-			return out, st, err
-		}
-		if p.T >= t0 && p.T <= t1 {
-			out.add(p.V)
-		}
 	}
 	return out, st, nil
 }
