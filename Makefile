@@ -88,9 +88,12 @@ smoke-trace:
 
 # Perf gate on the hierarchical fold plane (DESIGN §10): at 1e4 tokens the
 # tree topology's simulated critical path must stay strictly below the
-# flat plane's, with bit-identical aggregates.
+# flat plane's, with bit-identical aggregates. The per-node time model
+# (DESIGN, "Part III time model") must give the same critical path for
+# any fleet size and never a shorter one on a lossy wire.
 perf-regression:
 	$(GO) test ./cmd/pdsbench -run '^TestE20TreeCriticalPathRegression$$' -count=1
+	$(GO) test ./internal/gquery -run '^(TestCriticalPathInvariantToWorkers|TestLossyNeverFasterThanClean)$$' -count=1
 
 # The power-fail property battery (DESIGN §11): every store workload ×
 # every crash point × {write, torn-write, erase}, pinned seeds, full
@@ -166,9 +169,12 @@ bench-part3:
 # aggregate, an untyped failure or a lossy wire that cost no retransmit,
 # and three of the token read path, which exits non-zero unless Search
 # equals NaiveSearch, ExecuteStar equals ExecuteStarNaive and every Get
-# returns its value. Perf itself is judged by paired `go run ./bench`
-# runs, not here.
+# returns its value; and three of the TCP substrate, whose episode-0
+# replay on the simulator must give the same virtual cost and wire totals,
+# so the per-node clock is independent of the substrate. Perf itself is
+# judged by paired `go run ./bench` runs, not here.
 bench-smoke:
 	$(GO) test ./bench -count=1
 	$(GO) run ./bench -workload gquery-lossy -seconds 3 -trace 0
 	$(GO) run ./bench -workload token-query -seconds 3 -trace 0
+	$(GO) run ./bench -workload gquery-tcp -seconds 3 -trace 0

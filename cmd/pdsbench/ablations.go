@@ -105,7 +105,6 @@ func runE17(cfg config) error {
 		return err
 	}
 	parts := workload.Participants(200, 3, 42)
-	model := netsim.DefaultCostModel()
 	w = newTab()
 	fmt.Fprintln(w, "chunk\tchunks\tworkers\tmsgs\tbytes\tsim-time")
 	for _, chunk := range []int{8, 32, 128, 600} {
@@ -117,7 +116,7 @@ func runE17(cfg config) error {
 		}
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%v\n",
 			chunk, stats.Chunks, stats.WorkerCalls, stats.Net.Messages,
-			stats.Net.Bytes, stats.Net.Time(model).Round(time.Millisecond))
+			stats.Net.Bytes, time.Duration(stats.CriticalPath.TotalNS).Round(time.Millisecond))
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -84,7 +84,6 @@ func runE6(cfg config) error {
 	if err != nil {
 		return err
 	}
-	model := netsim.DefaultCostModel()
 
 	fmt.Println("-- cost and leakage vs population (3 tuples per PDS) --")
 	w := newTab()
@@ -135,7 +134,7 @@ func runE6(cfg config) error {
 			obs := srv.Observations()
 			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%v\t%d\t%.1f\t%d\t%.2f\n",
 				n, r.name, stats.Net.Messages, stats.Net.Bytes,
-				stats.Net.Time(model).Round(time.Millisecond),
+				time.Duration(stats.CriticalPath.TotalNS).Round(time.Millisecond),
 				stats.WorkerCalls, relSumError(res, truth),
 				len(obs.GroupFrequencies), histDistance(obs, truth))
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"pds/internal/gquery"
 	"pds/internal/netsim"
@@ -28,7 +29,6 @@ func runE18(cfg config) error {
 	if err != nil {
 		return err
 	}
-	model := netsim.DefaultCostModel()
 	parts := workload.Participants(n, 3, 42)
 	truth := gquery.PlainResult(parts)
 	buckets, err := gquery.EquiDepthBuckets(workload.Diagnoses, nil, 4)
@@ -96,7 +96,7 @@ func runE18(cfg config) error {
 					exact = false
 				}
 			}
-			simTime := stats.Net.Time(model) + stats.RetryBackoff
+			simTime := time.Duration(stats.CriticalPath.TotalNS)
 			overhead := 100 * float64(stats.Net.Messages-baseMsgs) / float64(baseMsgs)
 			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%v\t%.1f\t%v\n",
 				p.name, pl.name, stats.Net.Messages, stats.Net.Bytes,

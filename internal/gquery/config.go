@@ -93,14 +93,11 @@ func (c config) forEachChunk(n int, f func(i int)) {
 
 // chunkOutcome is the per-chunk output of a worker token, folded into
 // RunStats and the partial list in deterministic chunk order. sealed
-// and wire feed the tree reduce: the partial's wire form and the
-// chunk's clean-model traffic, which places the leaf on its virtual
-// timeline.
+// feeds the tree reduce: the partial's wire form.
 type chunkOutcome struct {
 	partial     partialAgg
 	sealed      []byte
 	worker      string
-	wire        netsim.Stats
 	macFailures int
 	err         error
 }

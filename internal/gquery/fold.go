@@ -30,9 +30,8 @@ type sealPartialFn func(out *chunkOutcome) ([]byte, error)
 // shares. The dispatch span is the "SSI partition message" handing the
 // chunk to its worker: every wire frame of the chunk carries its
 // context, so the token's fold span attaches under it even across
-// retransmits and duplicated deliveries. The outcome records the
-// chunk's clean-model wire traffic, which the tree scheduler uses to
-// place the leaf on its virtual timeline.
+// retransmits and duplicated deliveries. Every leg is charged to the
+// worker's timeline, which is where the tree scheduler places the leaf.
 func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProcessor, sealFn sealPartialFn) chunkOutcome {
 	disp := tp.ro.span("ssi-dispatch", PhasePartition, "chunk", job.label, "worker", job.worker)
 	defer disp.End()
@@ -47,8 +46,6 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 	}
 	ctx := disp.Context()
 	for _, env := range envs {
-		out.wire.Messages++
-		out.wire.Bytes += int64(len(env.Payload))
 		sendErr := tp.send(netsim.Envelope{From: "ssi", To: job.worker, Kind: job.kind, Payload: env.Payload, Ctx: ctx}, rcv)
 		if sendErr != nil && out.err == nil {
 			out.err = sendErr
@@ -69,8 +66,6 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 		return out
 	}
 	out.sealed = payload
-	out.wire.Messages++
-	out.wire.Bytes += int64(len(payload))
 	if err := tp.send(netsim.Envelope{From: job.worker, To: "ssi", Kind: "partial", Payload: payload, Ctx: fold.Context()}, nil); err != nil && out.err == nil {
 		out.err = err
 	}
@@ -124,7 +119,9 @@ type leafPartial struct {
 
 // foldOutcomes folds per-token outcomes into stats in deterministic
 // chunk order, returning both the flat partial list and the leaf inputs
-// a tree reduce needs.
+// a tree reduce needs. A leaf becomes available when its worker has
+// finished every chunk it was given: a token that folds several chunks
+// folds them one after another.
 func (tp *transport) foldOutcomes(outs []chunkOutcome, stats *RunStats) ([]partialAgg, []leafPartial, error) {
 	var partials []partialAgg
 	leaves := make([]leafPartial, 0, len(outs))
@@ -142,7 +139,7 @@ func (tp *transport) foldOutcomes(outs []chunkOutcome, stats *RunStats) ([]parti
 			partial: out.partial,
 			sealed:  out.sealed,
 			worker:  out.worker,
-			end:     out.wire.Time(tp.ro.cost),
+			end:     tp.elapsed(out.worker, false),
 		})
 	}
 	return partials, leaves, nil

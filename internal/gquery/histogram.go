@@ -132,7 +132,7 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	}
 	// Phase barrier: delayed uploads surface before partitioning.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phase(PhasePartition)
 	srv.BindTrace(tp.ro.curCtx())
 
 	chunks, err := srv.Partition(1 << 30)

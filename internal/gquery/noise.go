@@ -122,7 +122,7 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 
 	// Phase barrier: delayed uploads surface before grouping.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phase(PhasePartition)
 	srv.BindTrace(tp.ro.curCtx())
 
 	// The SSI groups by equal deterministic ciphertext — its whole
@@ -205,7 +205,7 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 			return nil, stats, out.err
 		}
 		partials = append(partials, out.partial)
-		leaves = append(leaves, leafPartial{partial: out.partial, worker: out.worker, end: out.wire.Time(tp.ro.cost)})
+		leaves = append(leaves, leafPartial{partial: out.partial, worker: out.worker, end: tp.elapsed(out.worker, false)})
 	}
 
 	// Merge + integrity check.

@@ -39,9 +39,9 @@ const (
 // installed as the network's observer for the duration of the run, so the
 // netsim_* counters it accumulates belong to exactly this run; at detach
 // the previous observer is restored and the run's metrics are merged into
-// it (and into the engine's WithObserver registry). Span time advances by
-// the cost model applied to each phase's traffic, plus whatever backoff the
-// reliability layer charges to the clock directly.
+// it (and into the engine's WithObserver registry). Span time advances
+// only at phase barriers, by each phase's makespan over the per-node
+// timelines the transport keeps.
 type runObs struct {
 	wire tnet.Transport
 	reg  *obs.Registry // run-local
@@ -52,8 +52,7 @@ type runObs struct {
 	root   *obs.Span
 	cur    *obs.Span
 	phases map[string]*obs.Span // phase name -> its span (written at phase barriers only)
-	last   netsim.Stats
-	ended  bool // root/cur spans closed
+	ended  bool                 // root/cur spans closed
 	done   bool
 }
 
@@ -72,41 +71,10 @@ func newRunObs(w tnet.Transport, user *obs.Registry, proto string) *runObs {
 	return ro
 }
 
-// traffic reads the run-local wire counters.
-func (ro *runObs) traffic() netsim.Stats {
-	return netsim.Stats{
-		Messages: ro.reg.CounterValue(netsim.MetricMessages),
-		Bytes:    ro.reg.CounterValue(netsim.MetricBytes),
-	}
-}
-
-// tick advances the simulated clock by the cost of the traffic since the
-// last tick, so span durations reflect wire time.
-func (ro *runObs) tick() {
-	cur := ro.traffic()
-	delta := netsim.Stats{Messages: cur.Messages - ro.last.Messages, Bytes: cur.Bytes - ro.last.Bytes}
-	ro.reg.Clock().Advance(delta.Time(ro.cost))
-	ro.last = cur
-}
-
-// phase closes the current phase span and opens the next.
-func (ro *runObs) phase(name string) {
-	ro.tick()
-	ro.cur.End()
-	ro.cur = ro.reg.Tracer().Start(name, ro.root)
-	ro.phases[name] = ro.cur
-}
-
-// phasePar closes the current phase after a parallel makespan instead
-// of the serial traffic charge: the phase's wire traffic was executed
-// on overlapping per-token timelines whose longest chain is makespan,
-// so the traffic accumulated since the last barrier is absorbed (not
-// re-charged serially) and the clock advances by the makespan alone.
-// This is how tree and streaming runs model the paper's asymmetric
-// architecture, where the token fleet — not one merge token — does the
-// folding.
-func (ro *runObs) phasePar(name string, makespan time.Duration) {
-	ro.last = ro.traffic()
+// phase closes the current phase span after its makespan — the phase's
+// work ran on overlapping per-node timelines whose longest is makespan —
+// and opens the next.
+func (ro *runObs) phase(name string, makespan time.Duration) {
 	ro.reg.Clock().Advance(makespan)
 	ro.cur.End()
 	ro.cur = ro.reg.Tracer().Start(name, ro.root)
@@ -154,11 +122,12 @@ func (ro *runObs) closeSpans() {
 	ro.root.End()
 }
 
-// finish mirrors the protocol outcome into counters and re-derives the
-// cost side of RunStats — wire traffic and reliability overhead — from the
-// run registry instead of the legacy per-struct accounting.
-func (ro *runObs) finish(stats *RunStats) {
-	ro.tick()
+// finish closes the last phase after its makespan, mirrors the protocol
+// outcome into counters and re-derives the cost side of RunStats — wire
+// traffic and reliability overhead — from the run registry instead of the
+// legacy per-struct accounting.
+func (ro *runObs) finish(stats *RunStats, makespan time.Duration) {
+	ro.reg.Clock().Advance(makespan)
 	ro.closeSpans()
 	reg := ro.reg
 	reg.Counter(MetricChunks).Add(int64(stats.Chunks))
@@ -168,7 +137,7 @@ func (ro *runObs) finish(stats *RunStats) {
 	if stats.Detected {
 		reg.Counter(MetricDetected).Inc()
 	}
-	stats.Net = ro.traffic()
+	stats.Net = netsim.Stats{Messages: reg.CounterValue(netsim.MetricMessages), Bytes: reg.CounterValue(netsim.MetricBytes)}
 	stats.Retransmits = int(reg.CounterValue(netsim.MetricRelRetrans))
 	stats.AckMessages = int(reg.CounterValue(netsim.MetricRelAcks))
 	stats.TagFailures = int(reg.CounterValue(netsim.MetricRelTagFail))
@@ -176,7 +145,7 @@ func (ro *runObs) finish(stats *RunStats) {
 
 	// With the run's spans closed, walk the causal DAG for the critical
 	// path and mirror it into counters so the breakdown survives merges.
-	cp := obs.ComputeCriticalPath(reg.Tracer().Spans())
+	cp := reg.Tracer().CriticalPath()
 	stats.CriticalPath = cp
 	reg.Counter(MetricCriticalNS).Add(cp.TotalNS)
 	reg.Counter(MetricCriticalSlackNS).Add(cp.SlackNS)
@@ -194,7 +163,6 @@ func (ro *runObs) detach() {
 		return
 	}
 	ro.done = true
-	ro.tick()
 	ro.closeSpans()
 	ro.wire.SetObserver(ro.prev)
 	if ro.prev != nil {

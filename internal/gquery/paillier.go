@@ -83,7 +83,7 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 	}
 	// Phase barrier: delayed uploads surface before grouping.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phase(PhasePartition)
 	srv.BindTrace(tp.ro.curCtx())
 
 	// The SSI groups by det ciphertext and aggregates homomorphically.

@@ -54,7 +54,7 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	}
 	// Phase barrier: delayed uploads surface before partitioning.
 	tp.barrier(srv.Receive)
-	tp.endCollect()
+	tp.phase(PhasePartition)
 	srv.BindTrace(tp.ro.curCtx())
 
 	// Partition phase (where a weakly-malicious SSI misbehaves).

@@ -60,6 +60,9 @@ func (e *Engine) SecureAggStream(w tnet.Transport, srv StreamInfra, src Particip
 	return runSecureAggStream(w, srv, src, kr, chunkSize, e.cfg)
 }
 
+// mergeToken is the flat streaming run's final merge token.
+const mergeToken = "tok@merge"
+
 // streamLeaf is one chunk travelling through the fold plane: envs on
 // the way to a worker, out on the way back.
 type streamLeaf struct {
@@ -82,10 +85,6 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 		return nil, stats, fmt.Errorf("gquery: streaming fold plane requires a clean wire (Faults must be nil)")
 	}
 	tp := newTransport(w, cfg, "secure-agg-stream")
-	// The tree transport's per-PDS collect map is O(population); the
-	// streaming collector tracks the collection makespan incrementally
-	// instead, one participant at a time.
-	tp.collect = nil
 	defer tp.close()
 
 	// Fold plane: a bounded worker pool drains chunks as the SSI emits
@@ -158,7 +157,6 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 			break
 		}
 		participants++
-		var up netsim.Stats
 		for seq, t := range p.Tuples {
 			id := ssi.HashID(p.ID, seq)
 			wantID += id
@@ -168,8 +166,6 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 				collectErr = err
 				break
 			}
-			up.Messages++
-			up.Bytes += int64(len(payload))
 			if err := tp.send(netsim.Envelope{
 				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload,
 			}, srv.Receive); err != nil {
@@ -181,10 +177,9 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 			break
 		}
 		// Every PDS is its own serial resource: collection's virtual time
-		// is the slowest single PDS's upload, not the fleet's sum.
-		if d := up.Time(tp.ro.cost); d > collectMax {
-			collectMax = d
-		}
+		// is the slowest single PDS's upload, not the fleet's sum. Taking
+		// the PDS off the ledger keeps it O(in flight), not O(population).
+		collectMax = max(collectMax, tp.elapsed(p.ID, true))
 	}
 	srv.FinishStream()
 	close(jobs)
@@ -222,11 +217,12 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 		partials = []partialAgg{fold.running}
 	}
 
-	// Virtual-time layout, all under the parallel-fleet model (phasePar
-	// absorbs the traffic already counted and advances by makespans):
-	// collect ends at the slowest PDS upload; the streaming SSI routed
-	// chunks inline, so the partition phase is a zero-width boundary; the
-	// fold plane then tiles the fold phase with explicit-time spans.
+	// Virtual-time layout from the per-node timelines, every one already
+	// read off the ledger but the flat merge token's: collect ends at the
+	// slowest PDS upload; the streaming SSI routed chunks inline, so the
+	// partition phase is a zero-width boundary; the fold plane then tiles
+	// the fold phase with explicit-time spans.
+	merge := tp.elapsed(mergeToken, true)
 	tp.phasePar(PhasePartition, collectMax)
 	tp.phasePar(PhaseTokenFold, 0)
 	if cfg.topology.IsTree() {
@@ -242,7 +238,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 		// single final token replays every sealed partial serially — the
 		// O(n) tail the tree removes.
 		tp.phasePar(PhaseMerge, fold.foldMax)
-		tp.ro.reg.Clock().Advance(fold.mergeWire.Time(tp.ro.cost))
+		tp.ro.reg.Clock().Advance(merge)
 	}
 
 	res, detected := mergePartials(partials, wantID, wantCount)
@@ -267,11 +263,9 @@ type streamFolder struct {
 	stats *RunStats
 	err   error
 
-	// Flat topology: one running merged partial plus the serial wire
-	// cost of replaying every sealed partial at the final token.
-	running   partialAgg
-	mergeWire netsim.Stats
-	foldMax   time.Duration
+	// Flat topology: one running merged partial, and the slowest leaf.
+	running partialAgg
+	foldMax time.Duration
 
 	// Tree topology: pending holds each level's incomplete trailing
 	// block; record keeps every node's timeline (sealed bytes stripped)
@@ -305,20 +299,17 @@ func (f *streamFolder) leaf(out chunkOutcome) {
 		return
 	}
 	f.stats.WorkerCalls++
-	end := out.wire.Time(f.tp.ro.cost)
-	if end > f.foldMax {
-		f.foldMax = end
-	}
+	end := f.tp.elapsed(out.worker, true)
+	f.foldMax = max(f.foldMax, end)
 	if f.tree {
 		f.err = f.push(0, treeNode{partial: out.partial, sealed: out.sealed, worker: out.worker, end: end})
 		return
 	}
 	// Flat: the final token receives the sealed partial over the wire
 	// ("merge" frames) and folds it into the running aggregate — the
-	// serial tail charged to the merge phase at the end of the run.
-	f.mergeWire.Messages++
-	f.mergeWire.Bytes += int64(len(out.sealed))
-	f.err = f.tp.send(netsim.Envelope{From: "ssi", To: "tok@merge", Kind: "merge", Payload: out.sealed},
+	// serial tail its timeline charges to the merge phase at the end of
+	// the run.
+	f.err = f.tp.send(netsim.Envelope{From: "ssi", To: mergeToken, Kind: "merge", Payload: out.sealed},
 		func(e netsim.Envelope) {
 			ct, err := open(f.kr, e.Payload)
 			if err != nil {

@@ -97,6 +97,7 @@ func TestTCPSeededParityWithNetsim(t *testing.T) {
 		retransmits, ackMessages, tagFailures int
 		macFailures                           int
 		retryBackoff                          time.Duration
+		criticalNS                            int64 // the per-node clock is substrate-independent too
 	}
 	type outcome struct {
 		fp    string
@@ -116,6 +117,7 @@ func TestTCPSeededParityWithNetsim(t *testing.T) {
 			cost: wireCost{
 				net: s.Net, retransmits: s.Retransmits, ackMessages: s.AckMessages,
 				tagFailures: s.TagFailures, macFailures: s.MACFailures, retryBackoff: s.RetryBackoff,
+				criticalNS: s.CriticalPath.TotalNS,
 			},
 			err: err,
 		}

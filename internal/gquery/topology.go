@@ -69,16 +69,16 @@ type treeNode struct {
 // parent token MAC-verifies, decrypts and merges each child partial, so
 // integrity checking happens at every level, not only at the root.
 //
-// reduceTree closes the fold phase at the schedule's makespan (the
-// parallel-fleet charge) instead of the flat serial traffic charge, and
-// returns the single root partial.
+// Leaves and interior nodes are placed from the same ledger charges that
+// close every other phase. reduceTree closes the fold phase at the
+// root's end — no node ends later — and returns the single root partial.
 func (tp *transport) reduceTree(kr *Keyring, parts []Participant, leaves []leafPartial, arity int, stats *RunStats) ([]partialAgg, error) {
 	base := tp.ro.reg.Clock().Now()
 	tracer := tp.ro.reg.Tracer()
 	foldPhase := tp.ro.phases[PhaseTokenFold]
 
 	if len(leaves) == 0 {
-		tp.ro.phasePar(PhaseMerge, 0)
+		tp.phasePar(PhaseMerge, 0)
 		return nil, nil
 	}
 
@@ -123,25 +123,23 @@ func (tp *transport) reduceTree(kr *Keyring, parts []Participant, leaves []leafP
 		cur = next
 	}
 	stats.TreeDepth = depth
-	tp.ro.phasePar(PhaseMerge, cur[0].end)
+	tp.phasePar(PhaseMerge, cur[0].end)
 	return []partialAgg{cur[0].partial}, nil
 }
 
 // foldTreeNode runs one interior token: receive each child's sealed
 // partial via the SSI, verify + decrypt + merge it, and upload one
 // sealed merged partial. Virtual time: the node starts when its last
-// child result is available and then pays its own serial receive + send
-// cost under the clean cost model.
+// child result is available and then pays what its own receives and
+// send charged to its timeline, retries and backoff included.
 func (tp *transport) foldTreeNode(kr *Keyring, worker string, children []treeNode, stats *RunStats) (treeNode, error) {
 	out := chunkOutcome{worker: worker, partial: partialAgg{Aggs: map[string]GroupAgg{}}}
 	node := treeNode{worker: worker}
-	var wire netsim.Stats
+	tp.elapsed(worker, true) // what the token did before (a leaf, another node) is already placed
 	for _, c := range children {
 		if c.end > node.start {
 			node.start = c.end
 		}
-		wire.Messages++
-		wire.Bytes += int64(len(c.sealed))
 		sendErr := tp.send(netsim.Envelope{From: "ssi", To: worker, Kind: "tree-partial", Payload: c.sealed},
 			func(e netsim.Envelope) {
 				ct, err := open(kr, e.Payload)
@@ -180,14 +178,12 @@ func (tp *transport) foldTreeNode(kr *Keyring, worker string, children []treeNod
 	if err != nil {
 		return node, err
 	}
-	wire.Messages++
-	wire.Bytes += int64(len(sealed))
 	if err := tp.send(netsim.Envelope{From: worker, To: "ssi", Kind: "partial", Payload: sealed}, nil); err != nil {
 		return node, err
 	}
 	node.partial = out.partial
 	node.sealed = sealed
-	node.end = node.start + wire.Time(tp.ro.cost)
+	node.end = node.start + tp.elapsed(worker, true)
 	return node, nil
 }
 

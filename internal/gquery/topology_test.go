@@ -88,18 +88,12 @@ func TestTreeCriticalPathBelowFlat(t *testing.T) {
 		t.Fatalf("tree critical path %d ns not below flat %d ns",
 			tree.CriticalPath.TotalNS, flat.CriticalPath.TotalNS)
 	}
-	// The tree's fold-phase chain is its makespan; it must also sit well
-	// below the flat run's serial fold-phase charge.
-	chain := func(s RunStats, phase string) int64 {
-		for _, ph := range s.CriticalPath.Phases {
-			if ph.Name == phase {
-				return ph.ChainNS
-			}
-		}
-		return -1
-	}
-	if ft, fl := chain(tree, PhaseTokenFold), chain(flat, PhaseTokenFold); ft <= 0 || fl <= 0 || ft >= fl {
-		t.Fatalf("fold-phase chains: tree %d ns vs flat %d ns", ft, fl)
+	// The tree's fold phase holds the whole reduce; the flat run's reduce
+	// is its fold phase plus the serial merge at one token. The tree's
+	// must sit below it.
+	reduce := func(s RunStats) int64 { return phaseChain(s, PhaseTokenFold) + phaseChain(s, PhaseMerge) }
+	if ft, fl := reduce(tree), reduce(flat); ft <= 0 || fl <= 0 || ft >= fl {
+		t.Fatalf("fold + merge chains: tree %d ns vs flat %d ns", ft, fl)
 	}
 }
 

@@ -242,8 +242,8 @@ func TestFaultyTraceAttributesRetransmitsToTransfers(t *testing.T) {
 func TestPhaseMetricsSurviveMerge(t *testing.T) {
 	// Covered in internal/smc; here we only pin the gquery-side phase
 	// metric families stay registered for the merge. The partition phase
-	// itself is zero-duration (the serial clock only moves at phase
-	// barriers), so the timed check uses the fold phase.
+	// itself is zero-duration (no leg is sent in it, so no node's timeline
+	// moves), so the timed check uses the fold phase.
 	reg, _ := tracedSecureAgg(t, config{workers: 1})
 	if reg.CounterValue(MetricPhaseChainNS, "phase", PhaseTokenFold) <= 0 {
 		t.Errorf("%s{phase=%s} missing after merge", MetricPhaseChainNS, PhaseTokenFold)

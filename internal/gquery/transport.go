@@ -23,25 +23,26 @@ type transport struct {
 	prev *netsim.FaultPlane // the wire's plane before this run armed its own
 	ro   *runObs
 
-	mu    sync.Mutex
-	links map[string]*netsim.Link
-
-	// collect, when non-nil (tree and streaming runs), accumulates each
-	// PDS's upload traffic so the collection phase can be charged at its
-	// parallel makespan — every PDS is its own serial resource — instead
-	// of the flat serial tick. Flat runs leave it nil and keep the
-	// historical serial accounting.
-	collect map[string]netsim.Stats
+	mu     sync.Mutex
+	links  map[string]*netsim.Link
+	ledger map[string]leg // the current phase's per-node timelines (see send)
 }
+
+// leg is what one node's timeline has been charged in the current phase:
+// its wire attempts, priced by the clean cost model, plus the ARQ backoff
+// it waited out before retransmitting.
+type leg struct {
+	wire    netsim.Stats
+	backoff time.Duration
+}
+
+func (l leg) time(m netsim.CostModel) time.Duration { return l.wire.Time(m) + l.backoff }
 
 // newTransport opens one run's wire epoch: the run-local observer registry
 // is installed first so the fault plane armed below binds to it and every
 // injected fault of this run is attributed to this run.
 func newTransport(w tnet.Transport, cfg config, proto string) *transport {
-	tp := &transport{wire: w, links: map[string]*netsim.Link{}, ro: newRunObs(w, cfg.observer, proto)}
-	if cfg.topology.IsTree() {
-		tp.collect = map[string]netsim.Stats{}
-	}
+	tp := &transport{wire: w, links: map[string]*netsim.Link{}, ledger: map[string]leg{}, ro: newRunObs(w, cfg.observer, proto)}
 	if cfg.faults != nil {
 		tp.on = true
 		tp.rel = netsim.Reliability{MaxRetries: cfg.maxRetries}
@@ -63,32 +64,47 @@ func (tp *transport) close() {
 	tp.ro.detach()
 }
 
-// phase marks a protocol phase boundary in the run's trace.
-func (tp *transport) phase(name string) { tp.ro.phase(name) }
+// phase closes the current phase at its slowest node — every node is its
+// own serial resource, all running side by side — and opens the next.
+func (tp *transport) phase(name string) { tp.ro.phase(name, tp.makespan()) }
 
-// phasePar marks a phase boundary whose traffic ran on overlapping
-// per-token timelines (see runObs.phasePar).
-func (tp *transport) phasePar(name string, makespan time.Duration) { tp.ro.phasePar(name, makespan) }
-
-// endCollect closes the collection phase: at the slowest single PDS's
-// upload cost when per-token accounting is on, at the flat serial
-// charge otherwise.
-func (tp *transport) endCollect() {
-	if tp.collect == nil {
-		tp.phase(PhasePartition)
-		return
-	}
-	var makespan time.Duration
-	for _, s := range tp.collect {
-		if d := s.Time(tp.ro.cost); d > makespan {
-			makespan = d
-		}
-	}
-	tp.phasePar(PhasePartition, makespan)
+// phasePar closes the current phase at a makespan the caller laid out
+// itself (a tree or streaming schedule placed from the ledger's charges);
+// whatever the ledger still holds is discarded.
+func (tp *transport) phasePar(name string, makespan time.Duration) {
+	tp.makespan()
+	tp.ro.phase(name, makespan)
 }
 
-// finish derives the cost side of RunStats from the run's registry.
-func (tp *transport) finish(stats *RunStats) { tp.ro.finish(stats) }
+// makespan returns the slowest node's time in the current phase and
+// opens an empty ledger for the next.
+func (tp *transport) makespan() time.Duration {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	var m time.Duration
+	for _, l := range tp.ledger {
+		m = max(m, l.time(tp.ro.cost))
+	}
+	clear(tp.ledger)
+	return m
+}
+
+// elapsed returns one node's time so far in the current phase; take also
+// forgets it, so a node placed once (a streaming PDS or leaf, an interior
+// tree token) leaves nothing behind.
+func (tp *transport) elapsed(node string, take bool) time.Duration {
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	l := tp.ledger[node]
+	if take {
+		delete(tp.ledger, node)
+	}
+	return l.time(tp.ro.cost)
+}
+
+// finish closes the last phase at its slowest node and derives the cost
+// side of RunStats from the run's registry.
+func (tp *transport) finish(stats *RunStats) { tp.ro.finish(stats, tp.makespan()) }
 
 // linkKey scopes a reliable link: per envelope kind, and additionally
 // per SSI shard when the destination names one ("ssi:<i>"), so each
@@ -119,24 +135,38 @@ func (tp *transport) link(kind string) *netsim.Link {
 // exactly once. On the direct path it never fails; on the reliable path
 // it returns the link's typed *netsim.RetryError when the retry budget is
 // exhausted.
+//
+// The leg is charged to its token end — the sender, or the receiving
+// token when the SSI sends — because the SSI is never the bottleneck:
+// every attempt costs that node one message of the payload under the
+// clean cost model, and the ARQ backoff between attempts delays it too.
 func (tp *transport) send(e netsim.Envelope, rcv func(netsim.Envelope)) error {
 	if e.Ctx.IsZero() {
 		e.Ctx = tp.ro.curCtx()
 	}
-	if tp.collect != nil && e.Kind == "tuple" {
-		s := tp.collect[e.From]
-		s.Messages++
-		s.Bytes += int64(len(e.Payload))
-		tp.collect[e.From] = s
-	}
+	var cost netsim.RelStats
+	var err error
 	if !tp.on {
 		out := tp.wire.Send(e)
 		if rcv != nil {
 			rcv(out)
 		}
-		return nil
+	} else {
+		cost, err = tp.link(linkKey(e)).TransferCost(e, rcv)
 	}
-	return tp.link(linkKey(e)).Transfer(e, rcv)
+	node := e.From
+	if node == "ssi" {
+		node = e.To
+	}
+	attempts := int64(1 + cost.Retransmits)
+	tp.mu.Lock()
+	l := tp.ledger[node]
+	l.wire.Messages += attempts
+	l.wire.Bytes += attempts * int64(len(e.Payload))
+	l.backoff += cost.Backoff
+	tp.ledger[node] = l
+	tp.mu.Unlock()
+	return err
 }
 
 // barrier is a protocol phase boundary: delayed envelopes surface here, in

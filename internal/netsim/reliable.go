@@ -229,6 +229,16 @@ func (l *Link) Stats() RelStats {
 // once per sequence number — duplicated copies are absorbed — and a frame
 // none of whose attempts survived yields a *RetryError.
 func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
+	_, err := l.TransferCost(e, deliver)
+	return err
+}
+
+// TransferCost is Transfer that also returns this transfer's own cost: its
+// retransmits and the backoff it waited before them. The link advances no
+// clock by that wait; the caller books it on the sending node's timeline,
+// so a retry delays its own node, not every node sharing the run's clock.
+func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error) {
+	cost := RelStats{Transfers: 1}
 	l.mu.Lock()
 	l.seq++
 	seq := l.seq
@@ -262,13 +272,15 @@ func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
 		acked := l.acked[seq]
 		l.mu.Unlock()
 		if acked {
-			return nil
+			return cost, nil
 		}
 		if attempt >= l.cfg.MaxRetries {
 			xfer.Annotate("outcome", "retries-exhausted")
-			return &RetryError{Kind: e.Kind, To: e.To, Seq: seq, Attempts: attempt + 1}
+			return cost, &RetryError{Kind: e.Kind, To: e.To, Seq: seq, Attempts: attempt + 1}
 		}
 		wait := baseBackoff << uint(min(attempt, 16))
+		cost.Retransmits++
+		cost.Backoff += wait
 		l.mu.Lock()
 		l.stats.Retransmits++
 		l.stats.Backoff += wait
@@ -276,9 +288,7 @@ func (l *Link) Transfer(e Envelope, deliver func(Envelope)) error {
 		if o := l.obsv(); o != nil {
 			o.rel(MetricRelRetrans, 1)
 			o.rel(MetricRelBackoffNS, int64(wait))
-			bo := o.startSpan("backoff", wireCtx)
-			o.reg.Clock().Advance(wait)
-			bo.End()
+			o.event("backoff", wireCtx)
 			o.event("retransmit", wireCtx)
 		}
 	}

@@ -99,11 +99,12 @@ func ComputeCriticalPath(spans []SpanRecord) CriticalPath {
 		cp.SlackNS = slack
 	}
 
-	// Phase breakdown: the primary root's direct children in start order.
+	// Phase breakdown: the primary root's direct children in start order,
+	// ties broken as the canonical export orders siblings, so raw and
+	// canonical span numbering give the same breakdown.
 	kids := slices.Clone(t.kids(primary))
-	slices.SortFunc(kids, func(a, b int) int {
-		return cmp.Or(cmp.Compare(spans[a].StartNS, spans[b].StartNS), cmp.Compare(spans[a].ID, spans[b].ID))
-	})
+	o := siblingOrder{spans: spans}
+	slices.SortFunc(kids, o.compare)
 	for _, k := range kids {
 		ph := PhasePath{
 			Name:    spans[k].Name,
@@ -117,6 +118,15 @@ func ComputeCriticalPath(spans []SpanRecord) CriticalPath {
 		cp.Phases = append(cp.Phases, ph)
 	}
 	return cp
+}
+
+// CriticalPath is ComputeCriticalPath over the tracer's own records, walked
+// in place under the lock: the walk does not depend on span numbering, so
+// it needs neither the renumbering nor the attrs copies of Spans.
+func (t *Tracer) CriticalPath() CriticalPath {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return ComputeCriticalPath(t.spans)
 }
 
 // schedScratch is the working memory of one critical-path walk, grown once

@@ -49,7 +49,8 @@ func secureSumOverNetwork(w transport.Transport, values []int64, modulus int64, 
 	// span under the previous one: the critical path of the protocol IS the
 	// ring, and the exported trace shows it as one dependency chain.
 	var tracer *obs.Tracer
-	if reg := w.Observer(); reg != nil {
+	reg := w.Observer()
+	if reg != nil {
 		tracer = reg.Tracer()
 	}
 	var ring *obs.Span
@@ -76,12 +77,17 @@ func secureSumOverNetwork(w transport.Transport, values []int64, modulus int64, 
 			got = running
 		} else {
 			delivered := false
-			if err := link.Transfer(e, func(in netsim.Envelope) {
+			cost, err := link.TransferCost(e, func(in netsim.Envelope) {
 				got = int64(binary.LittleEndian.Uint64(in.Payload))
 				inCtx = in.Ctx
 				delivered = true
-			}); err != nil {
+			})
+			if err != nil {
 				return 0, err
+			}
+			// The ring is serial: a hop's backoff delays the whole walk.
+			if reg != nil {
+				reg.Clock().Advance(cost.Backoff)
 			}
 			if !delivered {
 				return 0, fmt.Errorf("smc: ring hop %d→%d acked but not delivered", from, to)
