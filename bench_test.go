@@ -147,14 +147,13 @@ func BenchmarkE2SequentialLookup(b *testing.B) {
 
 func BenchmarkE2TreeLookup(b *testing.B) {
 	ix, alloc := e2Index(b, 20000)
-	tree, err := ix.Reorganize(16, 8)
-	if err != nil {
+	if err := ix.Reorganize(16, 8); err != nil {
 		b.Fatal(err)
 	}
 	alloc.Chip().ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tree.LookupValue(embdb.IntVal(1000)); err != nil {
+		if _, _, err := ix.Lookup(embdb.IntVal(1000)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,13 +165,9 @@ func BenchmarkE2Reorganize(b *testing.B) {
 		b.StopTimer()
 		ix, _ := e2Index(b, 20000)
 		b.StartTimer()
-		tree, err := ix.Reorganize(16, 8)
-		if err != nil {
+		if err := ix.Reorganize(16, 8); err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		tree.Drop()
-		b.StartTimer()
 	}
 }
 

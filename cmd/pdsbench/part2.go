@@ -142,22 +142,21 @@ func runE2(cfg config) error {
 		seqIO := chip.Stats().PageReads
 
 		chip.ResetStats()
-		tree, err := ix.Reorganize(16, 8)
-		if err != nil {
+		if err := ix.Reorganize(16, 8); err != nil {
 			return err
 		}
 		reorg := chip.Stats()
 
 		chip.ResetStats()
-		if _, err := tree.LookupValue(probe); err != nil {
+		if _, _, err := ix.Lookup(probe); err != nil {
 			return err
 		}
 		treeIO := chip.Stats().PageReads
 
+		tree := ix.Tree()
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			n, seqIO, treeIO, tree.Height(), tree.Pages(),
 			reorg.PageReads, reorg.PageWrites, reorg.BlockErases)
-		tree.Drop()
 	}
 	return w.Flush()
 }

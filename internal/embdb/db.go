@@ -31,16 +31,17 @@ const (
 var tselectListBounds = []int64{1, 10, 100, 1000, 10000, 100000}
 
 // DB is the embedded database of one secure token. It owns tables,
-// selection indexes (sequential or reorganized), foreign keys, and the
-// Tselect/Tjoin star indexes, and it maintains all of them on insert so
-// queries never see a stale index.
+// selection indexes, foreign keys, and the Tselect/Tjoin star indexes, and
+// it maintains all of them on insert so queries never see a stale index.
 type DB struct {
 	alloc *flash.Allocator
 	arena *mcu.Arena
 
 	tables  map[string]*Table
 	indexes map[string]map[string]*SelectIndex // table → col → index
-	trees   map[string]map[string]*TreeIndex   // table → col → reorganized index
+	// selects lists every selection and Tselect index in creation order,
+	// the order Flush folds them in, so one load leaves one chip.
+	selects []*SelectIndex
 	fks     []ForeignKey
 	fkCols  map[string]map[string]string // child table → col → parent table
 
@@ -70,7 +71,6 @@ func NewDB(alloc *flash.Allocator, arena *mcu.Arena) *DB {
 		arena:    arena,
 		tables:   map[string]*Table{},
 		indexes:  map[string]map[string]*SelectIndex{},
-		trees:    map[string]map[string]*TreeIndex{},
 		fkCols:   map[string]map[string]string{},
 		joins:    map[string]*JoinIndex{},
 		tselects: map[string]map[string]*SelectIndex{},
@@ -123,8 +123,8 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// CreateIndex adds a sequential (Keys + Bloom summaries) selection index on
-// table.col. Create indexes before loading data.
+// CreateIndex adds a selection index on table.col. Create indexes before
+// loading data.
 func (db *DB) CreateIndex(table, col string) (*SelectIndex, error) {
 	t, err := db.Table(table)
 	if err != nil {
@@ -138,25 +138,17 @@ func (db *DB) CreateIndex(table, col string) (*SelectIndex, error) {
 		db.indexes[table] = map[string]*SelectIndex{}
 	}
 	db.indexes[table][col] = ix
+	db.selects = append(db.selects, ix)
 	return ix, nil
 }
 
-// Index returns the sequential index on table.col.
+// Index returns the selection index on table.col.
 func (db *DB) Index(table, col string) (*SelectIndex, error) {
 	ix, ok := db.indexes[table][col]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoIndex, table, col)
 	}
 	return ix, nil
-}
-
-// Tree returns the reorganized index on table.col, if Reorganize was run.
-func (db *DB) Tree(table, col string) (*TreeIndex, error) {
-	tr, ok := db.trees[table][col]
-	if !ok {
-		return nil, fmt.Errorf("%w (reorganized): %s.%s", ErrNoIndex, table, col)
-	}
-	return tr, nil
 }
 
 // AddForeignKey declares child.col (an Int column holding parent rowids)
@@ -239,6 +231,7 @@ func (db *DB) CreateTselect(root, dimTable, dimCol string) error {
 		db.tselects[root] = map[string]*SelectIndex{}
 	}
 	db.tselects[root][dimTable+"."+dimCol] = ix
+	db.selects = append(db.selects, ix)
 	return nil
 }
 
@@ -359,18 +352,14 @@ func splitKey(k string) (string, string) {
 	return k, ""
 }
 
-// Flush persists every table and index.
+// Flush persists every table and index, then folds each selection and
+// Tselect index whose flushed tail has grown to its tree's size (see
+// SelectIndex.Reorganize): the tree is built on the first flush and
+// rebuilt each time the postings since have doubled it.
 func (db *DB) Flush() error {
 	for _, t := range db.tables {
 		if err := t.Flush(); err != nil {
 			return err
-		}
-	}
-	for _, m := range db.indexes {
-		for _, ix := range m {
-			if err := ix.Flush(); err != nil {
-				return err
-			}
 		}
 	}
 	for _, ji := range db.joins {
@@ -378,38 +367,15 @@ func (db *DB) Flush() error {
 			return err
 		}
 	}
-	for _, m := range db.tselects {
-		for _, ix := range m {
-			if err := ix.Flush(); err != nil {
+	for _, ix := range db.selects {
+		if err := ix.Flush(); err != nil {
+			return err
+		}
+		if ix.foldDue() {
+			if err := ix.Reorganize(foldRunPages, foldFanIn); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// ReorganizeIndex replaces future lookups on table.col with a B-tree-like
-// structure built from the sequential index (which stays registered for
-// inserts; Lookup prefers the tree for entries it covers — for simplicity
-// the tree covers everything present at reorganization time, and the DB
-// re-runs reorganization rather than serving hybrid lookups).
-func (db *DB) ReorganizeIndex(table, col string, runPages, fanIn int) (*TreeIndex, error) {
-	ix, err := db.Index(table, col)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := ix.Reorganize(runPages, fanIn)
-	if err != nil {
-		return nil, err
-	}
-	if db.trees[table] == nil {
-		db.trees[table] = map[string]*TreeIndex{}
-	}
-	if old, ok := db.trees[table][col]; ok {
-		if err := old.Drop(); err != nil {
-			return nil, err
-		}
-	}
-	db.trees[table][col] = tr
-	return tr, nil
 }

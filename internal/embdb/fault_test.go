@@ -3,6 +3,8 @@ package embdb
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"pds/internal/flash"
@@ -55,35 +57,88 @@ func TestInsertSurvivesWriteFault(t *testing.T) {
 	}
 }
 
+// A fold hit by a write fault at any of its page programs — in the
+// tail's sort, in the merge with the old tree, in the new tree's build —
+// must leave the index answering exactly as before and free every block
+// it wrote; the retry then succeeds. Swept over the first fold (no tree
+// yet) and over a second one that merges a tree with a flushed tail.
 func TestReorganizeSurvivesWriteFault(t *testing.T) {
 	alloc := bigAlloc()
-	_, ix, want := loadCustomer(t, alloc, 2000, 101)
+	tbl, ix, _ := loadCustomer(t, alloc, 2000, 101)
 	ix.Flush()
+	chip := alloc.Chip()
 
-	// Fault somewhere inside the external sort.
-	alloc.Chip().InjectWriteFault(10)
-	if _, err := ix.Reorganize(2, 4); !errors.Is(err, flash.ErrInjectedFault) {
-		t.Fatalf("reorganize err = %v, want injected fault", err)
+	// answers renders what the index returns for the rare key, a common
+	// one, and a range, after checking each against a table scan.
+	answers := func(stage string, after int) string {
+		t.Helper()
+		var out []string
+		for _, city := range []string{"Lyon", "city005"} {
+			got, _, err := ix.Lookup(StrVal(city))
+			if err != nil {
+				t.Fatalf("%s, fault after %d: lookup %s: %v", stage, after, city, err)
+			}
+			want, err := tbl.ScanFilter("city", StrVal(city))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, fault after %d: lookup %s = %d rids, scan %d", stage, after, city, len(got), len(want))
+			}
+			out = append(out, fmt.Sprint(got))
+		}
+		rng, _, err := ix.LookupRange(StrVal("city010"), StrVal("city020"))
+		if err != nil {
+			t.Fatalf("%s, fault after %d: range: %v", stage, after, err)
+		}
+		return strings.Join(append(out, fmt.Sprint(rng)), "|")
 	}
-	// The sequential index still answers correctly after the failed
-	// reorganization (the tutorial's reorganization is interruptible).
-	got, _, err := ix.Lookup(StrVal("Lyon"))
-	if err != nil {
+	foldUnderFaults := func(stage string) {
+		before, inUse := answers(stage, -1), alloc.InUse()
+		for after := 0; ; after++ {
+			chip.InjectWriteFault(after)
+			err := ix.Reorganize(2, 4)
+			if err == nil {
+				break // the fault point lies beyond this fold: sweep done
+			}
+			if !errors.Is(err, flash.ErrInjectedFault) {
+				t.Fatalf("%s, fault after %d: %v", stage, after, err)
+			}
+			if got := answers(stage, after); got != before {
+				t.Fatalf("%s, fault after %d: answers moved", stage, after)
+			}
+			if n := alloc.InUse(); n != inUse {
+				t.Fatalf("%s, fault after %d: %d blocks in use, %d before the fold", stage, after, n, inUse)
+			}
+		}
+		chip.InjectWriteFault(-1)
+		if ix.Tree() == nil || ix.KeysPages() != 0 {
+			t.Fatalf("%s: the fold did not land", stage)
+		}
+		if got := answers(stage, -1); got != before {
+			t.Fatalf("%s: the fold moved the answers", stage)
+		}
+	}
+	foldUnderFaults("first fold")
+
+	pad := StrVal(string(make([]byte, 100)))
+	for i := 2000; i < 2600; i++ {
+		city := fmt.Sprintf("city%03d", i%97)
+		if i%101 == 0 {
+			city = "Lyon"
+		}
+		rid, err := tbl.Insert(Row{IntVal(int64(i)), StrVal(city), pad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Add(StrVal(city), rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ix.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Errorf("post-fault lookup %d matches, want %d", len(got), len(want))
-	}
-	// A retry succeeds.
-	tree, err := ix.Reorganize(2, 4)
-	if err != nil {
-		t.Fatalf("retry reorganize: %v", err)
-	}
-	defer tree.Drop()
-	rids, err := tree.LookupValue(StrVal("Lyon"))
-	if err != nil || len(rids) != len(want) {
-		t.Errorf("retry tree lookup = %d, %v", len(rids), err)
-	}
+	foldUnderFaults("second fold")
 }
 
 func TestSortSurvivesEraseFault(t *testing.T) {

@@ -1,27 +1,44 @@
 package embdb
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 
 	"pds/internal/flash"
+	"pds/internal/logstore"
 	"pds/internal/mcu"
 	"pds/internal/race"
 )
 
-// A summary-scan lookup tests every filter and compares every posting
-// where it lies in two pooled pages: what it allocates is the probe key
-// and the rid list it returns — never per summary or per Keys page. Four
-// times the index behind the same four matches must cost the same.
+// A lookup descends the tree and scans the tail's summaries in two pooled
+// pages, searching node pages, testing filters and comparing postings
+// where they lie: what it allocates is the probe key and the rid list it
+// returns — never per node, summary or Keys page. Four times the index
+// behind the same four matches must cost the same, sequential or folded
+// into a tree with a tail behind it.
 func TestLookupAllocCeiling(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	measure := func(n int) (allocs float64, keyPages int) {
+	measure := func(n int, fold bool) (allocs float64, pages int) {
 		_, ix, want := loadCustomer(t, bigAlloc(), n, n/4)
 		if err := ix.Flush(); err != nil {
 			t.Fatal(err)
+		}
+		pages = ix.KeysPages()
+		if fold {
+			if err := ix.Reorganize(2, 4); err != nil {
+				t.Fatal(err)
+			}
+			// A tail of other keys, flushed and unflushed, behind the tree.
+			for i := 0; i < 300; i++ {
+				if err := ix.Add(StrVal("Nice"), RowID(n+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			pages = ix.Tree().Leaves()
 		}
 		allocs = testing.AllocsPerRun(20, func() {
 			got, _, err := ix.Lookup(StrVal("Lyon"))
@@ -29,19 +46,25 @@ func TestLookupAllocCeiling(t *testing.T) {
 				t.Fatalf("lookup = %d rids, %v; want %d", len(got), err, len(want))
 			}
 		})
-		return allocs, ix.KeysPages()
+		return allocs, pages
 	}
-	small, smallPages := measure(2000)
-	big, bigPages := measure(8000)
-	t.Logf("%.0f allocs over %d Keys pages, %.0f over %d", small, smallPages, big, bigPages)
-	if big > small {
-		t.Errorf("Lookup allocates per page: %.0f allocs over %d Keys pages, %.0f over %d", small, smallPages, big, bigPages)
-	}
-	// The key, and the rid list growing to four entries; it was 137 and
-	// 512: a filter copy per summary, a page copy and a record table per
-	// Keys page read.
-	if small > 4 {
-		t.Errorf("Lookup: %.0f allocs, ceiling 4", small)
+	for _, fold := range []bool{false, true} {
+		unit := "Keys pages"
+		if fold {
+			unit = "leaves"
+		}
+		small, smallPages := measure(2000, fold)
+		big, bigPages := measure(8000, fold)
+		t.Logf("%.0f allocs over %d %s, %.0f over %d", small, smallPages, unit, big, bigPages)
+		if big > small {
+			t.Errorf("Lookup allocates per page: %.0f allocs over %d %s, %.0f over %d", small, smallPages, unit, big, bigPages)
+		}
+		// The key, and the rid list growing to four entries; it was 137 and
+		// 512: a filter copy per summary, a page copy and a record table per
+		// Keys page read.
+		if small > 4 {
+			t.Errorf("Lookup over %s: %.0f allocs, ceiling 4", unit, small)
+		}
 	}
 }
 
@@ -94,6 +117,95 @@ func TestStarRowAllocCeiling(t *testing.T) {
 	// every column of each fetched tuple.
 	if perRow > 5 {
 		t.Errorf("StarRows.Next: %.0f allocs per row, ceiling 5", perRow)
+	}
+}
+
+// A star query holds a page for its Tjoin probes and one per fetched
+// table: it must hand every one back when the stream is drained, closed
+// early, or fails mid-stream.
+func TestStarRowsReleaseHeldPages(t *testing.T) {
+	alloc := bigAlloc()
+	db := NewDB(alloc, mcu.NewArena(0))
+	buildTPCD(t, db, 40, 6, 200, 1500, 3)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	held := func(r *StarRows) int {
+		n := 0
+		if r.jpage.Holding() {
+			n++
+		}
+		for i := range r.fetch {
+			if r.fetch[i].page.Holding() {
+				n++
+			}
+		}
+		return n
+	}
+	q := slideQuery()
+
+	rows, err := db.ExecuteStar(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := rows.All()
+	if err != nil || len(all) < 2 {
+		t.Fatalf("drained: %d rows, %v", len(all), err)
+	}
+	if n := held(rows); n != 0 {
+		t.Errorf("drained stream holds %d pages", n)
+	}
+	last := rows.rids[len(rows.rids)-1]
+
+	rows, err = db.ExecuteStar(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rows.Next(); !ok {
+		t.Fatal(rows.Err())
+	}
+	if n := held(rows); n != 1+len(rows.fetch) {
+		t.Errorf("mid-stream: %d pages held, want %d", n, 1+len(rows.fetch))
+	}
+	rows.Close()
+	if n := held(rows); n != 0 {
+		t.Errorf("stream closed early holds %d pages", n)
+	}
+	if row, ok := rows.Next(); ok {
+		t.Errorf("closed stream yielded %v", row)
+	}
+
+	// Corrupt the LINEITEM page of the last survivor: the stream fails
+	// when it gets there.
+	li, err := db.Table("LINEITEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := li.recordID(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppb := alloc.Chip().Geometry().PagesPerBlock
+	phys := li.log.Blocks()[int(id.Page)/ppb]*ppb + int(id.Page)%ppb
+	img, err := alloc.Chip().Page(phys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), img...)
+	bad[len(bad)-1] ^= 0x01
+	if err := alloc.Chip().CorruptPage(phys, bad); err != nil {
+		t.Fatal(err)
+	}
+	rows, err = db.ExecuteStar(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rows.All()
+	if !errors.Is(err, logstore.ErrCorruptPage) {
+		t.Fatalf("stream over a corrupt page: %d rows, err = %v; want ErrCorruptPage", len(got), err)
+	}
+	if n := held(rows); n != 0 {
+		t.Errorf("failed stream holds %d pages", n)
 	}
 }
 

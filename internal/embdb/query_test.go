@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pds/internal/mcu"
@@ -294,27 +295,81 @@ func TestDBInsertMaintainsIndexes(t *testing.T) {
 func TestDBReorganizeIndex(t *testing.T) {
 	db := NewDB(bigAlloc(), mcu.NewArena(0))
 	db.CreateTable("T", NewSchema(Column{"v", Int}))
-	db.CreateIndex("T", "v")
+	ix, err := db.CreateIndex("T", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 500; i++ {
 		db.Insert("T", Row{IntVal(int64(i % 50))})
 	}
-	tr, err := db.ReorganizeIndex("T", "v", 2, 4)
+	if err := ix.Reorganize(2, 4); err != nil {
+		t.Fatal(err)
+	}
+	tree := ix.Tree()
+	if tree == nil || tree.Len() != 500 {
+		t.Fatalf("tree = %v after folding 500 postings", tree)
+	}
+	// The next fold merges a tail into a new tree that replaces the first.
+	for i := 500; i < 600; i++ {
+		db.Insert("T", Row{IntVal(int64(i % 50))})
+	}
+	if err := ix.Reorganize(2, 4); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Tree() == tree || ix.Tree().Len() != 600 {
+		t.Fatalf("second fold: tree of %d postings", ix.Tree().Len())
+	}
+	got, _, err := ix.Lookup(IntVal(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := tr.LookupValue(IntVal(13))
+	want := []RowID{13, 63, 113, 163, 213, 263, 313, 363, 413, 463, 513, 563}
+	if !slices.Equal(got, want) {
+		t.Errorf("lookup = %v, want %v", got, want)
+	}
+}
+
+// DB.Flush folds an index on its first flush, and again only once the
+// tail has grown to the tree's size.
+func TestDBFlushFoldsIndexes(t *testing.T) {
+	db := NewDB(bigAlloc(), mcu.NewArena(0))
+	db.CreateTable("T", NewSchema(Column{"v", Int}))
+	ix, err := db.CreateIndex("T", "v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 10 {
-		t.Errorf("tree found %d, want 10", len(got))
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := db.Insert("T", Row{IntVal(int64(ix.Len() % 50))}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Second reorganization replaces the first.
-	if _, err := db.ReorganizeIndex("T", "v", 2, 4); err != nil {
+	insert(2000)
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Tree("T", "v"); err != nil {
+	tree := ix.Tree()
+	if tree == nil || tree.Len() != 2000 || ix.KeysPages() != 0 {
+		t.Fatalf("first flush: tree %v, tail %d Keys pages", tree, ix.KeysPages())
+	}
+	insert(200)
+	if err := db.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if ix.Tree() != tree || ix.KeysPages() == 0 || ix.KeysPages() >= tree.Leaves() {
+		t.Fatalf("a tail of %d Keys pages under %d leaves was folded", ix.KeysPages(), tree.Leaves())
+	}
+	insert(2000)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if ix.Tree() == tree || ix.Tree().Len() != 4200 || ix.KeysPages() != 0 {
+		t.Fatalf("a tail past the tree's size was not folded: tree of %d, tail %d Keys pages", ix.Tree().Len(), ix.KeysPages())
+	}
+	got, _, err := ix.Lookup(IntVal(7))
+	if err != nil || len(got) != 84 {
+		t.Fatalf("lookup = %d rids, %v; want 84", len(got), err)
 	}
 }
 

@@ -2,7 +2,9 @@ package embdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 
 	"pds/internal/bloom"
 	"pds/internal/logstore"
@@ -38,20 +40,26 @@ func decodeEntry(rec []byte) (keyEntry, error) {
 	}, nil
 }
 
-// SelectIndex is the tutorial's log-only selection index on one column:
+// SelectIndex is the tutorial's selection index on one column. Postings
+// enter a sequential tail of two logs,
 //
 //	Log1 "Keys":          (key, rowid) postings in insertion order;
-//	Log2 "Bloom Filters": one Bloom summary per flushed Keys page.
+//	Log2 "Bloom Filters": one Bloom summary per flushed Keys page,
 //
-// A lookup scans the (much smaller) summary log and touches only the Keys
-// pages whose filter answers positively — the "summary scan" that costs a
-// handful of I/Os where the full table scan costs hundreds.
+// which Reorganize folds into a TreeIndex the index owns — the tutorial's
+// scalability step. A lookup descends the tree, then scans the tail's
+// (much smaller) summary log and touches only the Keys pages whose filter
+// answers positively: the "summary scan" that costs a handful of I/Os
+// where the full table scan costs hundreds.
 type SelectIndex struct {
 	table  *Table
 	col    string
 	colIdx int
-	keys   *logstore.Log
-	sums   *logstore.Log
+	// tree holds the postings of every fold so far, nil before the first;
+	// each of its rowids is below every rowid of the tail.
+	tree *TreeIndex
+	keys *logstore.Log
+	sums *logstore.Log
 	// pageKeys accumulates the keys of the Keys page being filled, to
 	// build its summary at flush time (one page worth of RAM).
 	pageKeys [][]byte
@@ -72,16 +80,17 @@ func NewSelectIndex(table *Table, col string) (*SelectIndex, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchColumn, table.Name(), col)
 	}
-	ix := &SelectIndex{
-		table:       table,
-		col:         col,
-		colIdx:      ci,
-		keys:        logstore.NewLog(table.Alloc()),
-		sums:        logstore.NewLog(table.Alloc()),
-		SummaryBits: 16,
-	}
-	ix.keys.OnFlush(ix.flushSummary)
+	ix := &SelectIndex{table: table, col: col, colIdx: ci, SummaryBits: 16}
+	ix.newTail()
 	return ix, nil
+}
+
+// newTail starts an empty sequential tail.
+func (ix *SelectIndex) newTail() {
+	ix.keys = logstore.NewLog(ix.table.Alloc())
+	ix.sums = logstore.NewLog(ix.table.Alloc())
+	ix.keys.OnFlush(ix.flushSummary)
+	ix.pageKeys = ix.pageKeys[:0]
 }
 
 // flushSummary builds the Bloom summary of a freshly flushed Keys page.
@@ -110,11 +119,16 @@ func (ix *SelectIndex) Col() string { return ix.col }
 // Len returns the number of postings.
 func (ix *SelectIndex) Len() int { return ix.entries }
 
-// KeysPages returns the number of flushed Keys pages.
+// KeysPages returns the number of flushed Keys pages of the tail.
 func (ix *SelectIndex) KeysPages() int { return ix.keys.Pages() }
 
-// SummaryPages returns the number of flushed summary pages.
+// SummaryPages returns the number of flushed summary pages of the tail.
 func (ix *SelectIndex) SummaryPages() int { return ix.sums.Pages() }
+
+// Tree returns the tree the index has folded its postings into, nil
+// before the first fold. It is the index's own: read its shape, never
+// drop it.
+func (ix *SelectIndex) Tree() *TreeIndex { return ix.tree }
 
 // Add indexes one tuple. Call it with the value and rowid returned by the
 // table insert; the DB wrapper does this automatically.
@@ -140,14 +154,16 @@ func (ix *SelectIndex) Flush() error {
 
 // Drop frees the index's flash blocks.
 func (ix *SelectIndex) Drop() error {
-	if err := ix.keys.Drop(); err != nil {
-		return err
+	err := errors.Join(ix.keys.Drop(), ix.sums.Drop())
+	if ix.tree != nil {
+		err = errors.Join(err, ix.tree.Drop())
 	}
-	return ix.sums.Drop()
+	return err
 }
 
-// LookupStats reports the work a summary-scan lookup performed.
+// LookupStats reports the work a lookup performed.
 type LookupStats struct {
+	TreePages    int // tree node pages read
 	SummaryPages int // summary pages scanned
 	KeyPagesRead int // Keys pages read (filter positives)
 	FalseReads   int // positives that yielded no match
@@ -155,13 +171,22 @@ type LookupStats struct {
 }
 
 // Lookup returns the rowids whose indexed value equals v, in ascending
-// rowid order, using the summary scan. It holds two pages of RAM: the
-// summary iterator's, where each filter is tested in place, and one for
-// the Keys pages that answer positively.
+// rowid order: the tree's, then the tail's by the summary scan. It holds
+// two pages of RAM: one the tree's node pages and the tail's positive
+// Keys pages are read into in turn, and the summary iterator's, where
+// each filter is tested in place.
 func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 	key := Key(v)
 	var out []RowID
 	var st LookupStats
+	buf := ix.keys.PageBuf()
+	defer logstore.PutPageBuf(buf)
+	if ix.tree != nil {
+		var err error
+		if out, st.TreePages, err = ix.tree.appendRange(out, key, key, *buf); err != nil {
+			return nil, st, err
+		}
+	}
 	// match appends the rowids of page's postings under key.
 	match := func(page logstore.PageView) error {
 		for {
@@ -178,8 +203,6 @@ func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 			}
 		}
 	}
-	buf := ix.keys.PageBuf()
-	defer logstore.PutPageBuf(buf)
 
 	// Scan the summary log; each record names a Keys page and its filter.
 	st.SummaryPages = ix.sums.Pages()
@@ -225,18 +248,24 @@ func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 
 // LookupRange returns the rowids whose indexed value v satisfies
 // lo <= v <= hi (byte order of the canonical encoding), ascending by rowid.
-// Bloom summaries cannot prune range predicates, so this scans the whole
-// Keys log — the cost profile that motivates reorganizing hot columns into
-// a TreeIndex, whose Range runs in O(height + matching leaves).
+// The tree answers in O(height + matching leaves), its rowids sorted
+// afterwards; Bloom summaries cannot prune range predicates, so the tail
+// is scanned whole.
 func (ix *SelectIndex) LookupRange(lo, hi Value) ([]RowID, LookupStats, error) {
 	loKey, hiKey := Key(lo), Key(hi)
 	var out []RowID
 	var st LookupStats
-	st.SummaryPages = 0
-	st.KeyPagesRead = ix.keys.Pages()
-	inRange := func(k []byte) bool {
-		return string(k) >= string(loKey) && string(k) <= string(hiKey)
+	if ix.tree != nil {
+		buf := ix.keys.PageBuf()
+		var err error
+		out, st.TreePages, err = ix.tree.appendRange(out, loKey, hiKey, *buf)
+		logstore.PutPageBuf(buf)
+		if err != nil {
+			return nil, st, err
+		}
+		slices.Sort(out)
 	}
+	st.KeyPagesRead = ix.keys.Pages()
 	it := ix.keys.Iter()
 	for {
 		rec, _, ok := it.Next()
@@ -247,7 +276,7 @@ func (ix *SelectIndex) LookupRange(lo, hi Value) ([]RowID, LookupStats, error) {
 		if err != nil {
 			return nil, st, err
 		}
-		if inRange(e.key) {
+		if string(e.key) >= string(loKey) && string(e.key) <= string(hiKey) {
 			out = append(out, e.rid)
 		}
 	}
@@ -258,27 +287,115 @@ func (ix *SelectIndex) LookupRange(lo, hi Value) ([]RowID, LookupStats, error) {
 	return out, st, nil
 }
 
-// Reorganize transforms the sequential index into a B-tree-like TreeIndex
-// using only log structures (external sort into runs, then a bottom-up key
-// hierarchy), as the tutorial's scalability step prescribes. runPages and
-// fanIn bound the RAM used by the sort. The sequential index remains valid;
-// the caller typically drops it once the tree is adopted.
-func (ix *SelectIndex) Reorganize(runPages, fanIn int) (*TreeIndex, error) {
+// Fold parameters of DB.Flush: the RAM of the tail's sort (runs of four
+// pages, merged eight at a time).
+const (
+	foldRunPages = 4
+	foldFanIn    = 8
+)
+
+// foldDue reports whether the flushed tail has as many Keys pages as the
+// tree has leaves (always, once the tail holds a page and there is no
+// tree yet). Folding then at least doubles the tree, so the total fold
+// work stays O(n log n).
+func (ix *SelectIndex) foldDue() bool {
+	leaves := 0
+	if ix.tree != nil {
+		leaves = ix.tree.Leaves()
+	}
+	return ix.keys.Pages() > 0 && ix.keys.Pages() >= leaves
+}
+
+// Reorganize folds the tail into the tree using only log structures, as
+// the tutorial's scalability step prescribes. The tail is sorted into
+// runs and merged (runPages and fanIn bound the sort's RAM); the sorted
+// tail and the old tree's leaves are merged in one pass — on equal keys
+// the old entries first, so rowids stay ascending — into a new tree built
+// bottom-up. Only once that tree is complete are the old tree and the
+// tail's logs dropped and an empty tail started. A fold that fails before
+// then leaves the index as it was and frees every block it wrote; one
+// that fails in a drop has landed, and leaves only the block whose erase
+// failed.
+func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 	if err := ix.Flush(); err != nil {
-		return nil, err
+		return err
 	}
-	less := func(a, b []byte) bool {
-		ea, errA := decodeEntry(a)
-		eb, errB := decodeEntry(b)
-		if errA != nil || errB != nil {
-			return false
-		}
-		return string(ea.key) < string(eb.key)
+	if ix.keys.Len() == 0 {
+		return nil
 	}
-	sorted, err := logstore.Sort(ix.keys, less, runPages, fanIn)
+	sorted, err := logstore.Sort(ix.keys, entryLess, runPages, fanIn)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer sorted.Drop()
-	return BuildTree(ix.table.Alloc(), sorted)
+	buf := ix.keys.PageBuf()
+	tree, err := buildTree(ix.table.Alloc(), mergeEntries(ix.tree, sorted, *buf))
+	logstore.PutPageBuf(buf)
+	if err != nil {
+		return errors.Join(err, sorted.Drop())
+	}
+	old, keys, sums := ix.tree, ix.keys, ix.sums
+	ix.tree = tree
+	ix.newTail()
+	err = sorted.Drop()
+	if old != nil {
+		err = errors.Join(err, old.Drop())
+	}
+	return errors.Join(err, keys.Drop(), sums.Drop())
+}
+
+// entryLess orders encoded index entries by key. The fold's sort calls it
+// N log N times, so it reads the key in place — the bytes between the
+// length prefix and the rowid — without decodeEntry's checks.
+func entryLess(a, b []byte) bool { return string(entryKey(a)) < string(entryKey(b)) }
+
+// entryKey is the key of an encoded entry; empty for a record too short
+// to hold one.
+func entryKey(rec []byte) []byte {
+	if len(rec) < 6 {
+		return nil
+	}
+	return rec[2 : len(rec)-4]
+}
+
+// mergeEntries yields, in key order, the entries of old (nil for none)
+// and of sorted, a log of entries in key order; on equal keys old's come
+// first. Old's leaves are read into buf, a page of RAM the caller holds.
+// An entry's key is valid until the following call.
+func mergeEntries(old *TreeIndex, sorted *logstore.Log, buf []byte) func() (keyEntry, bool, error) {
+	var c treeCursor
+	if old != nil {
+		c = treeCursor{t: old, buf: buf, leaf: -1}
+	}
+	it := sorted.Iter()
+	var o, n keyEntry
+	var oOK, nOK bool
+	// The side whose head was yielded last moves on at the next call.
+	advOld, advNew := old != nil, true
+	return func() (keyEntry, bool, error) {
+		var err error
+		if advOld {
+			if o.key, o.rid, oOK, err = c.next(); err != nil {
+				return keyEntry{}, false, err
+			}
+		}
+		if advNew {
+			rec, _, ok := it.Next()
+			if nOK = ok; ok {
+				if n, err = decodeEntry(rec); err != nil {
+					return keyEntry{}, false, err
+				}
+			} else if err = it.Err(); err != nil {
+				return keyEntry{}, false, err
+			}
+		}
+		advOld = oOK && (!nOK || string(o.key) <= string(n.key))
+		advNew = !advOld && nOK
+		switch {
+		case advOld:
+			return o, true, nil
+		case advNew:
+			return n, true, nil
+		}
+		return keyEntry{}, false, nil
+	}
 }

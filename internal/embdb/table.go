@@ -75,22 +75,22 @@ func (t *Table) recordID(rid RowID) (logstore.RecordID, error) {
 	}, nil
 }
 
-// view reads one tuple's encoding where it lies in buf, a page of RAM the
-// caller holds (costing at most one page read): valid until buf's next
-// read.
-func (t *Table) view(rid RowID, buf []byte) ([]byte, error) {
+// view reads one tuple's encoding where it lies in h, a page of RAM the
+// caller holds: one page read, none if h already holds the tuple's page.
+// Valid until h reads another page.
+func (t *Table) view(rid RowID, h *logstore.HeldPage) ([]byte, error) {
 	id, err := t.recordID(rid)
 	if err != nil {
 		return nil, err
 	}
-	return t.log.ViewAt(id, buf)
+	return t.log.ViewHeld(id, h)
 }
 
 // Get fetches one tuple by rowid (costing at most one page read).
 func (t *Table) Get(rid RowID) (Row, error) {
-	buf := t.log.PageBuf()
-	defer logstore.PutPageBuf(buf)
-	data, err := t.view(rid, *buf)
+	var h logstore.HeldPage
+	defer h.Release()
+	data, err := t.view(rid, &h)
 	if err != nil {
 		return nil, err
 	}

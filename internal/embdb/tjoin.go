@@ -104,24 +104,25 @@ func (ji *JoinIndex) add(dimRids []RowID) error {
 
 // Get returns the dim rowids (aligned with Dims()) for a root rowid.
 func (ji *JoinIndex) Get(root RowID) ([]RowID, error) {
-	buf := ji.log.PageBuf()
-	defer logstore.PutPageBuf(buf)
-	return ji.get(root, make([]RowID, 0, len(ji.dims)), *buf)
+	var h logstore.HeldPage
+	defer h.Release()
+	return ji.get(root, make([]RowID, 0, len(ji.dims)), &h)
 }
 
 // get appends the dim rowids for a root rowid to dst, decoding the record
-// where it lies in buf, a page of RAM the caller holds.
-func (ji *JoinIndex) get(root RowID, dst []RowID, buf []byte) ([]RowID, error) {
+// where it lies in h, a page of RAM the caller holds: one page read, none
+// if h already holds the record's page.
+func (ji *JoinIndex) get(root RowID, dst []RowID, h *logstore.HeldPage) ([]RowID, error) {
 	if int(root) >= ji.rows {
 		return nil, fmt.Errorf("%w: tjoin probe %d of %d", ErrNoSuchRow, root, ji.rows)
 	}
 	p := sort.Search(len(ji.pageFirstRow), func(i int) bool {
 		return ji.pageFirstRow[i] > int32(root)
 	}) - 1
-	rec, err := ji.log.ViewAt(logstore.RecordID{
+	rec, err := ji.log.ViewHeld(logstore.RecordID{
 		Page: int32(p),
 		Slot: int32(root) - ji.pageFirstRow[p],
-	}, buf)
+	}, h)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,6 @@ package logstore
 import (
 	"fmt"
 	"slices"
-
-	"pds/internal/flash"
 )
 
 // Sort reorganizes src into a new sorted log using only sequential
@@ -23,8 +21,9 @@ import (
 // head records where they lie in each input's page buffer.
 //
 // src is flushed but otherwise left untouched; the caller decides when to
-// drop it. The result draws blocks from the same allocator.
-func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, error) {
+// drop it. The result draws blocks from the same allocator. A failed sort
+// frees every block it allocated.
+func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, err error) {
 	if runPages < 1 {
 		return nil, fmt.Errorf("logstore: runPages must be >= 1, got %d", runPages)
 	}
@@ -36,9 +35,22 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 	}
 	alloc := src.Alloc()
 	pageSize := src.Chip().Geometry().PageSize
+	// runs are the current pass's inputs, next its outputs so far; each
+	// joins its slice before its first write, so a failed sort drops every
+	// log it made (dropping one already consumed is a no-op).
+	var runs, next []*Log
+	defer func() {
+		if err != nil {
+			for _, l := range runs {
+				l.Drop()
+			}
+			for _, l := range next {
+				l.Drop()
+			}
+		}
+	}()
 
 	// Pass 0: form sorted runs.
-	var runs []*Log
 	budget := runPages * pageSize
 	// The batch closes on the record that reaches the budget, so the slab
 	// never outgrows budget plus one record and the views stay put.
@@ -58,6 +70,7 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 		}
 		slices.SortStableFunc(batch, cmp)
 		run := NewLog(alloc)
+		runs = append(runs, run)
 		for _, rec := range batch {
 			if _, err := run.Append(rec); err != nil {
 				return err
@@ -66,7 +79,6 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 		if err := run.Flush(); err != nil {
 			return err
 		}
-		runs = append(runs, run)
 		batch = batch[:0]
 		slab = slab[:0]
 		batchBytes = 0
@@ -101,14 +113,14 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 
 	// Merge passes.
 	for len(runs) > 1 {
-		var next []*Log
 		for lo := 0; lo < len(runs); lo += fanIn {
 			hi := lo + fanIn
 			if hi > len(runs) {
 				hi = len(runs)
 			}
-			merged, err := mergeRuns(alloc, runs[lo:hi], less)
-			if err != nil {
+			merged := NewLog(alloc)
+			next = append(next, merged)
+			if err := mergeRuns(merged, runs[lo:hi], less); err != nil {
 				return nil, err
 			}
 			for _, r := range runs[lo:hi] {
@@ -116,9 +128,8 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (*Log, err
 					return nil, err
 				}
 			}
-			next = append(next, merged)
 		}
-		runs = next
+		runs, next = next, nil
 	}
 	return runs[0], nil
 }
@@ -200,12 +211,11 @@ func (h *mergeHeap) pop() mergeEntry {
 	return e
 }
 
-// mergeRuns merges sorted runs into one sorted log. Each run contributes
-// one page of RAM via its iterator; the heap holds views of the head
-// records into those pages. A head is appended to the output before its
-// iterator moves on, so no view outlives its page.
-func mergeRuns(alloc *flash.Allocator, runs []*Log, less func(a, b []byte) bool) (*Log, error) {
-	out := NewLog(alloc)
+// mergeRuns merges sorted runs into out, an empty log. Each run
+// contributes one page of RAM via its iterator; the heap holds views of
+// the head records into those pages. A head is appended to the output
+// before its iterator moves on, so no view outlives its page.
+func mergeRuns(out *Log, runs []*Log, less func(a, b []byte) bool) error {
 	iters := make([]Iterator, len(runs))
 	h := &mergeHeap{items: make([]mergeEntry, 0, len(runs)), less: less}
 	for i, r := range runs {
@@ -213,20 +223,20 @@ func mergeRuns(alloc *flash.Allocator, runs []*Log, less func(a, b []byte) bool)
 		if rec, _, ok := iters[i].Next(); ok {
 			h.items = append(h.items, mergeEntry{rec: rec, src: i})
 		} else if err := iters[i].Err(); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	h.init()
 	for len(h.items) > 0 {
 		e := h.pop()
 		if _, err := out.Append(e.rec); err != nil {
-			return nil, err
+			return err
 		}
 		if rec, _, ok := iters[e.src].Next(); ok {
 			h.push(mergeEntry{rec: rec, src: e.src})
 		} else if err := iters[e.src].Err(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, out.Flush()
+	return out.Flush()
 }
