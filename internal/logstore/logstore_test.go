@@ -490,26 +490,36 @@ func TestReadPageAndUnflushed(t *testing.T) {
 	if got := l.Chip().Stats().PageReads - before; got != 0 {
 		t.Errorf("Unflushed cost %d page reads", got)
 	}
-	// ViewAt and ReadAt agree on both sides of the flush boundary; only
-	// ReadAt's result survives the buffer's next read.
+	// ViewHeld and ReadAt agree on both sides of the flush boundary; only
+	// ReadAt's result survives the held page's next read.
+	var h HeldPage
+	defer h.Release()
 	for _, id := range []RecordID{{Page: 0, Slot: 3}, {Page: int32(l.Pages()), Slot: 0}} {
 		kept, err := l.ReadAt(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		view, err := l.ViewAt(id, *buf)
+		view, err := l.ViewHeld(id, &h)
 		if err != nil || !bytes.Equal(view, kept) {
-			t.Fatalf("ViewAt(%v) = %q, %v; ReadAt = %q", id, view, err, kept)
+			t.Fatalf("ViewHeld(%v) = %q, %v; ReadAt = %q", id, view, err, kept)
 		}
 		want := string(kept)
-		if _, err := l.ReadPage(1, *buf); err != nil {
+		if _, err := l.ViewHeld(RecordID{Page: 1, Slot: 0}, &h); err != nil {
 			t.Fatal(err)
 		}
 		if string(kept) != want {
-			t.Errorf("ReadAt(%v) aliases the scratch page", id)
+			t.Errorf("ReadAt(%v) aliases the held page", id)
 		}
 	}
-	if _, err := l.ViewAt(RecordID{Page: int32(l.Pages()), Slot: int32(60 - flushed)}, *buf); !errors.Is(err, ErrBadRecordID) {
+	// A fetch from the page h holds reads nothing.
+	before = l.Chip().Stats().PageReads
+	if _, err := l.ViewHeld(RecordID{Page: 1, Slot: 1}, &h); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Chip().Stats().PageReads - before; got != 0 {
+		t.Errorf("fetch from the held page cost %d page reads", got)
+	}
+	if _, err := l.ViewHeld(RecordID{Page: int32(l.Pages()), Slot: int32(60 - flushed)}, &h); !errors.Is(err, ErrBadRecordID) {
 		t.Errorf("slot past the write buffer: err = %v", err)
 	}
 }
