@@ -6,14 +6,14 @@
 # (logstore, search, flash, embdb, kv, bloom), short fuzz passes over
 # every fuzz target,
 # the gofmt and determinism lints, the metrics smoke run, the multi-process
-# scenario gate (pdsd over the TCP substrate), the benchmark smoke run,
-# and a coverage summary.
+# scenario gate (pdsd over the TCP substrate) and the benchmark smoke run.
+# The test run prints each package's coverage as it goes.
 
 GO ?= go
 # Whole-gate fuzzing budget in seconds, divided evenly across the targets.
 FUZZTIME ?= 50s
 
-.PHONY: ci build test vet fmt race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 bench-smoke
+.PHONY: ci build test vet fmt race fuzz cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-part3 bench-smoke
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ fmt:
 	@echo "fmt: ok"
 
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -shuffle=on -cover ./...
 
 race:
 	$(GO) test -race ./internal/obs/... ./internal/gquery/... ./internal/netsim/... ./internal/ssi/... ./internal/privcrypto/... ./internal/smc/...
@@ -56,9 +56,6 @@ fuzz:
 	echo "$$targets" | while read pkg fn; do \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn\$$" -fuzztime=$$per; \
 	done
-
-cover:
-	$(GO) test -cover ./...
 
 # The simulation substrate and the observability layer must stay
 # deterministic: fault schedules and corruption decisions come from seeded
@@ -160,7 +157,7 @@ cover-recovery:
 	check ./internal/crashharness 75; \
 	check ./internal/flash 75
 
-ci: vet fmt build test race fuzz cover cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-smoke
+ci: vet fmt build test race fuzz cover-recovery lint-determinism smoke-metrics smoke-trace perf-regression crash-matrix-ci scenario-ci serve-ci telemetry-ci bench-smoke
 
 # Serial-vs-parallel perf trajectory for the Part III protocols.
 bench-part3:

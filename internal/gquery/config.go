@@ -90,14 +90,3 @@ func (c config) forEachChunk(n int, f func(i int)) {
 	}
 	wg.Wait()
 }
-
-// chunkOutcome is the per-chunk output of a worker token, folded into
-// RunStats and the partial list in deterministic chunk order. sealed
-// feeds the tree reduce: the partial's wire form.
-type chunkOutcome struct {
-	partial     partialAgg
-	sealed      []byte
-	worker      string
-	macFailures int
-	err         error
-}

@@ -1,19 +1,34 @@
 package gquery
 
 import (
-	"time"
+	"encoding/binary"
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
 )
 
-// foldJob describes one token-fold work item: which worker token runs
-// it, the wire kind of the SSI → token dispatch leg, and how the chunk
-// is labeled in the trace.
+// foldJob is one token-fold work item: which worker token runs it, the
+// wire kind of the SSI → token dispatch leg, how the chunk is labeled in
+// the trace, the envelopes it carries, how the token folds each of them,
+// and how its partial goes back over the wire.
 type foldJob struct {
 	worker string
 	kind   string
 	label  string
+	envs   []netsim.Envelope
+	fold   envProcessor
+	seal   sealPartialFn
+}
+
+// chunkOutcome is what a token's fold produced: its partial, the
+// partial's wire form (nil when it stayed at the token), and the
+// integrity failures and hard error it met.
+type chunkOutcome struct {
+	partial     partialAgg
+	sealed      []byte
+	worker      string
+	macFailures int
+	err         error
 }
 
 // envProcessor folds one delivered envelope into the outcome. It
@@ -32,7 +47,7 @@ type sealPartialFn func(out *chunkOutcome) ([]byte, error)
 // context, so the token's fold span attaches under it even across
 // retransmits and duplicated deliveries. Every leg is charged to the
 // worker's timeline, which is where the tree scheduler places the leaf.
-func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProcessor, sealFn sealPartialFn) chunkOutcome {
+func (tp *transport) runFold(job foldJob) chunkOutcome {
 	disp := tp.ro.span("ssi-dispatch", PhasePartition, "chunk", job.label, "worker", job.worker)
 	defer disp.End()
 	var fold *obs.Span
@@ -42,10 +57,10 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 		if fold == nil {
 			fold = tp.ro.remoteSpan(PhaseTokenFold, e.Ctx, "chunk", job.label, "worker", job.worker)
 		}
-		proc(&out, e)
+		job.fold(&out, e)
 	}
 	ctx := disp.Context()
-	for _, env := range envs {
+	for _, env := range job.envs {
 		sendErr := tp.send(netsim.Envelope{From: "ssi", To: job.worker, Kind: job.kind, Payload: env.Payload, Ctx: ctx}, rcv)
 		if sendErr != nil && out.err == nil {
 			out.err = sendErr
@@ -54,13 +69,13 @@ func (tp *transport) runFold(job foldJob, envs []netsim.Envelope, proc envProces
 			return out
 		}
 	}
-	if sealFn == nil {
+	if job.seal == nil {
 		return out
 	}
 	// Worker → SSI → merge plane: the partial rides sealed (and, for the
 	// protocols that verify it downstream, non-deterministically
 	// encrypted).
-	payload, err := sealFn(&out)
+	payload, err := job.seal(&out)
 	if err != nil {
 		out.err = err
 		return out
@@ -80,16 +95,18 @@ func sealedPartial(kr *Keyring) sealPartialFn {
 	}
 }
 
-// tupleProcessor folds one secure-agg envelope: verify the MAC, decrypt,
-// decode, accumulate (fakes contribute to the checksum only).
-func tupleProcessor(kr *Keyring) envProcessor {
+// tupleFold is the token's tuple processor, one for every protocol:
+// verify the MAC, decrypt the tuple ciphertext ct finds in the sealed
+// body, decode, and fold the value under key — or under the tuple's own
+// group when key is empty. Fakes count toward the checksum only.
+func tupleFold(kr *Keyring, ct func(body []byte) []byte, key string) envProcessor {
 	return func(out *chunkOutcome, e netsim.Envelope) {
-		ct, err := open(kr, e.Payload)
+		body, err := open(kr, e.Payload)
 		if err != nil {
 			out.macFailures++
 			return
 		}
-		pt, err := kr.NonDet.Decrypt(ct)
+		pt, err := kr.NonDet.Decrypt(ct(body))
 		if err != nil {
 			out.macFailures++
 			return
@@ -101,46 +118,48 @@ func tupleProcessor(kr *Keyring) envProcessor {
 		}
 		out.partial.IDSum += t.ID
 		out.partial.Count++
-		if !t.Fake {
-			out.partial.Aggs[t.Group] = out.partial.Aggs[t.Group].Fold(t.Value)
+		if t.Fake {
+			return
 		}
+		g := key
+		if g == "" {
+			g = t.Group
+		}
+		out.partial.Aggs[g] = out.partial.Aggs[g].Fold(t.Value)
 	}
 }
 
-// leafPartial is one level-0 input of the tree reduce: a worker token's
-// partial, its wire form, and when — in fold-phase-relative virtual
-// time — it becomes available to a parent.
-type leafPartial struct {
-	partial partialAgg
-	sealed  []byte
-	worker  string
-	end     time.Duration
-}
+// Where each protocol's token finds the tuple ciphertext in a sealed
+// upload body: secure-agg seals the tuple ciphertext alone, noise
+// prefixes u16 gctLen | Enc_det(group), histogram the clear u16 bucket id.
+func wholeBody(body []byte) []byte     { return body }
+func afterGroupCT(body []byte) []byte  { return body[2+int(binary.LittleEndian.Uint16(body[:2])):] }
+func afterBucketID(body []byte) []byte { return body[2:] }
 
-// foldOutcomes folds per-token outcomes into stats in deterministic
-// chunk order, returning both the flat partial list and the leaf inputs
-// a tree reduce needs. A leaf becomes available when its worker has
-// finished every chunk it was given: a token that folds several chunks
-// folds them one after another.
-func (tp *transport) foldOutcomes(outs []chunkOutcome, stats *RunStats) ([]partialAgg, []leafPartial, error) {
-	var partials []partialAgg
-	leaves := make([]leafPartial, 0, len(outs))
-	for _, out := range outs {
-		stats.MACFailures += out.macFailures
-		if out.macFailures > 0 {
-			stats.Detected = true
+// mergeSealed is the merging token's processor — an interior tree token
+// or the streaming run's final token: verify, decrypt and decode a
+// sealed partial, and merge it into out.partial.
+func mergeSealed(kr *Keyring) envProcessor {
+	return func(out *chunkOutcome, e netsim.Envelope) {
+		ct, err := open(kr, e.Payload)
+		if err != nil {
+			out.macFailures++
+			return
 		}
-		if out.err != nil {
-			return nil, nil, out.err
+		pt, err := kr.NonDet.Decrypt(ct)
+		if err != nil {
+			out.macFailures++
+			return
 		}
-		stats.WorkerCalls++
-		partials = append(partials, out.partial)
-		leaves = append(leaves, leafPartial{
-			partial: out.partial,
-			sealed:  out.sealed,
-			worker:  out.worker,
-			end:     tp.elapsed(out.worker, false),
-		})
+		p, err := decodePartial(pt)
+		if err != nil {
+			out.err = err
+			return
+		}
+		out.partial.IDSum += p.IDSum
+		out.partial.Count += p.Count
+		for g, a := range p.Aggs {
+			out.partial.Aggs[g] = out.partial.Aggs[g].Merge(a)
+		}
 	}
-	return partials, leaves, nil
 }

@@ -196,7 +196,7 @@ var (
 // exact answer or fail with one of these — never a silently wrong result.
 // errors.Is(err, ErrDetected) matches it; errors.As extracts the detail.
 type DetectionError struct {
-	Protocol    string // "secure-agg", "noise" or "histogram"
+	Protocol    string // "secure-agg", "noise", "histogram" or "paillier"
 	Reason      string // "mac-failure" or "checksum-mismatch"
 	MACFailures int
 }
@@ -384,22 +384,6 @@ func expectedChecksum(parts []Participant, fakesPer map[string]int) (uint64, int
 		count += int64(n)
 	}
 	return idSum, count
-}
-
-// mergePartials folds worker outputs and runs the integrity check.
-func mergePartials(partials []partialAgg, wantIDSum uint64, wantCount int64) (Result, bool) {
-	res := Result{}
-	var idSum uint64
-	var count int64
-	for _, p := range partials {
-		idSum += p.IDSum
-		count += p.Count
-		for g, a := range p.Aggs {
-			res[g] = res[g].Merge(a)
-		}
-	}
-	detected := idSum != wantIDSum || count != wantCount
-	return res, detected
 }
 
 // PlainResult computes the ground-truth aggregate directly — the reference

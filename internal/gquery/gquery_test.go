@@ -377,6 +377,48 @@ func TestHistogramOutOfDomainGroup(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketIDRange: the bucket id rides as a u16, so a run
+// with more buckets than it can name is refused before any upload —
+// bucket 65536 would otherwise fold into bucket 0 with a matching
+// checksum — while the largest nameable bucket lands where it belongs.
+func TestHistogramBucketIDRange(t *testing.T) {
+	oneGroupBuckets := func(n int) []Bucket {
+		buckets := make([]Bucket, n)
+		for i := range buckets {
+			g := fmt.Sprintf("g%06d", i)
+			buckets[i] = Bucket{Lo: g, Hi: g, Groups: []string{g}}
+		}
+		return buckets
+	}
+	tuples := func(buckets []Bucket) []Participant {
+		return []Participant{{ID: "p", Tuples: []Tuple{
+			{Group: buckets[0].Lo, Value: 100}, {Group: buckets[len(buckets)-1].Lo, Value: 1},
+		}}}
+	}
+	kr := mustKeyring(t)
+
+	over := oneGroupBuckets(maxBuckets + 5)
+	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+	res, stats, err := New().Histogram(net, srv, tuples(over), kr, over)
+	if err == nil {
+		t.Fatalf("%d buckets accepted: %v", len(over), res)
+	}
+	if errors.Is(err, ErrDetected) || stats.Net.Messages != 0 || net.Stats().Messages != 0 {
+		t.Fatalf("oversized bucket set not refused up front: err=%v stats=%+v", err, stats)
+	}
+
+	full := oneGroupBuckets(maxBuckets)
+	net, srv = freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+	res, _, err = New().Histogram(net, srv, tuples(full), kr, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := BucketResult{0: {Sum: 100, Count: 1, Min: 100, Max: 100}, maxBuckets - 1: {Sum: 1, Count: 1, Min: 1, Max: 1}}
+	if fpBuckets(res) != fpBuckets(want) {
+		t.Errorf("buckets = %v, want %v", res, want)
+	}
+}
+
 func TestGroupAggAvg(t *testing.T) {
 	if (GroupAgg{Sum: 10, Count: 4}).Avg() != 2.5 {
 		t.Error("Avg wrong")

@@ -7,7 +7,6 @@ import (
 	"strconv"
 
 	"pds/internal/netsim"
-	"pds/internal/ssi"
 	tnet "pds/internal/transport"
 )
 
@@ -96,48 +95,31 @@ type BucketResult map[int]GroupAgg
 func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	buckets []Bucket, cfg config) (BucketResult, RunStats, error) {
 
-	var stats RunStats
 	if len(parts) == 0 {
-		return nil, stats, ErrNoParticipants
+		return nil, RunStats{}, ErrNoParticipants
 	}
 	if len(buckets) == 0 {
-		return nil, stats, fmt.Errorf("gquery: no buckets")
+		return nil, RunStats{}, fmt.Errorf("gquery: no buckets")
 	}
-	tp := newTransport(w, cfg, "histogram")
-	defer tp.close()
+	if len(buckets) > maxBuckets {
+		return nil, RunStats{}, fmt.Errorf("gquery: %d buckets, at most %d fit the u16 bucket id", len(buckets), maxBuckets)
+	}
+	r := newRun(w, srv, parts, kr, cfg, "histogram")
+	defer r.tp.close()
 
 	// Collection: bucket id rides in clear, everything else encrypted.
-	for _, p := range parts {
-		for seq, t := range p.Tuples {
-			bkt := BucketOf(buckets, t.Group)
-			if bkt < 0 {
-				return nil, stats, fmt.Errorf("gquery: group %q outside bucketized domain", t.Group)
-			}
-			var bktID [2]byte
-			binary.LittleEndian.PutUint16(bktID[:], uint16(bkt))
-			payload, err := sealTuple(kr, bktID[:], tuplePlain{
-				ID:    ssi.HashID(p.ID, seq),
-				Group: t.Group,
-				Value: t.Value,
-			})
-			if err != nil {
-				return nil, stats, err
-			}
-			if err := tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload,
-			}, srv.Receive); err != nil {
-				return nil, stats, err
-			}
+	seal := eachTuple(func(id uint64, t Tuple) ([]byte, error) {
+		bkt := BucketOf(buckets, t.Group)
+		if bkt < 0 {
+			return nil, fmt.Errorf("gquery: group %q outside bucketized domain", t.Group)
 		}
-	}
-	// Phase barrier: delayed uploads surface before partitioning.
-	tp.barrier(srv.Receive)
-	tp.phase(PhasePartition)
-	srv.BindTrace(tp.ro.curCtx())
-
-	chunks, err := srv.Partition(1 << 30)
+		var bktID [2]byte
+		binary.LittleEndian.PutUint16(bktID[:], uint16(bkt))
+		return sealTuple(kr, bktID[:], tuplePlain{ID: id, Group: t.Group, Value: t.Value})
+	})
+	chunks, err := r.collect(1<<30, seal)
 	if err != nil {
-		return nil, stats, err
+		return nil, r.stats, err
 	}
 	byBucket := map[int][]netsim.Envelope{}
 	for _, chunk := range chunks {
@@ -152,90 +134,53 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 			byBucket[bkt] = append(byBucket[bkt], env)
 		}
 	}
-	stats.Chunks = len(byBucket)
-	tp.phase(PhaseTokenFold)
+	r.stats.Chunks = len(byBucket)
 
-	// Aggregation per bucket, fanned out over the token fleet in sorted
-	// bucket order so folding is deterministic.
+	// Aggregation per bucket, in sorted bucket order so folding is
+	// deterministic. The bucket aggregate lives in the partial's Aggs map
+	// under the bucket id's decimal key, so per-bucket aggregates survive
+	// a tree merge without collapsing into each other. In the flat
+	// topology the wire partial stays the historical 48-byte placeholder
+	// (the final token only checks idSum/count); in the tree topology
+	// partials must actually ride upward, so they are sealed for real.
 	ids := make([]int, 0, len(byBucket))
 	for bkt := range byBucket {
 		ids = append(ids, bkt)
 	}
 	sort.Ints(ids)
-	// The bucket aggregate lives in the partial's Aggs map under the
-	// bucket id's decimal key, so per-bucket aggregates survive a tree
-	// merge without collapsing into each other. In the flat topology the
-	// wire partial stays the historical 48-byte placeholder (the final
-	// token only checks idSum/count); in the tree topology partials must
-	// actually ride upward, so they are sealed for real.
-	sealFn := func(out *chunkOutcome) ([]byte, error) { return make([]byte, 48), nil }
+	sealP := func(*chunkOutcome) ([]byte, error) { return make([]byte, 48), nil }
 	if cfg.topology.IsTree() {
-		sealFn = sealedPartial(kr)
+		sealP = sealedPartial(kr)
 	}
-	outs := make([]chunkOutcome, len(ids))
-	cfg.forEachChunk(len(ids), func(i int) {
-		key := strconv.Itoa(ids[i])
-		proc := func(out *chunkOutcome, e netsim.Envelope) {
-			body, err := open(kr, e.Payload)
-			if err != nil {
-				out.macFailures++
-				return
-			}
-			pt, err := kr.NonDet.Decrypt(body[2:])
-			if err != nil {
-				out.macFailures++
-				return
-			}
-			t, err := decodeTuplePlain(pt)
-			if err != nil {
-				out.err = err
-				return
-			}
-			out.partial.IDSum += t.ID
-			out.partial.Count++
-			out.partial.Aggs[key] = out.partial.Aggs[key].Fold(t.Value)
-		}
-		outs[i] = tp.runFold(
-			foldJob{worker: parts[i%len(parts)].ID, kind: "bucket-chunk", label: key},
-			byBucket[ids[i]], proc, sealFn)
-	})
-	partials, leaves, err := tp.foldOutcomes(outs, &stats)
+	jobs := make([]foldJob, len(ids))
+	for i, bkt := range ids {
+		key := strconv.Itoa(bkt)
+		jobs[i] = foldJob{kind: "bucket-chunk", label: key, envs: byBucket[bkt], fold: tupleFold(kr, afterBucketID, key), seal: sealP}
+	}
+	leaves, err := r.foldJobs(jobs)
 	if err != nil {
-		return nil, stats, err
+		return nil, r.stats, err
 	}
-
-	if cfg.topology.IsTree() {
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.topology.Arity(), &stats); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		tp.phase(PhaseMerge)
-	}
-	tp.barrier(nil)
-	res := BucketResult{}
-	var idSum uint64
-	var count int64
-	for _, p := range partials {
-		idSum += p.IDSum
-		count += p.Count
-		for key, agg := range p.Aggs {
-			// Bucket -1 collects malformed envelopes: flagged by the
-			// token, excluded from the result.
-			if bkt, err := strconv.Atoi(key); err == nil && bkt >= 0 {
-				res[bkt] = res[bkt].Merge(agg)
-			}
-		}
+	partials, err := r.merge(leaves)
+	if err != nil {
+		return nil, r.stats, err
 	}
 	wantID, wantCount := expectedChecksum(parts, nil)
-	if idSum != wantID || count != wantCount {
-		stats.Detected = true
+	res, stats, err := r.verdict(partials, wantID, wantCount)
+	br := BucketResult{}
+	for key, agg := range res {
+		// Bucket -1 collects malformed envelopes: flagged by the token,
+		// excluded from the result.
+		if bkt, err := strconv.Atoi(key); err == nil && bkt >= 0 {
+			br[bkt] = agg
+		}
 	}
-	tp.finish(&stats)
-	if stats.Detected {
-		return res, stats, detectionError("histogram", stats)
-	}
-	return res, stats, nil
+	return br, stats, err
 }
+
+// maxBuckets is the most buckets a u16 bucket id can name: 0xFFFF stays
+// the key the SSI observes for a malformed envelope (bucket -1).
+const maxBuckets = 0xFFFF
 
 // peekBucketID extracts the clear bucket id the SSI partitions on.
 func peekBucketID(payload []byte) (int, bool) {

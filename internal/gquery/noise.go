@@ -55,82 +55,66 @@ func (k NoiseKind) String() string {
 func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	domain []string, noisePerTuple float64, kind NoiseKind, seed int64, cfg config) (Result, RunStats, error) {
 
-	var stats RunStats
 	if len(parts) == 0 {
-		return nil, stats, ErrNoParticipants
+		return nil, RunStats{}, ErrNoParticipants
 	}
 	if kind != NoNoise && len(domain) == 0 {
-		return nil, stats, fmt.Errorf("gquery: noise needs a public domain")
+		return nil, RunStats{}, fmt.Errorf("gquery: noise needs a public domain")
 	}
-	rng := rand.New(rand.NewSource(seed))
-	fakesPer := map[string]int{}
-	tp := newTransport(w, cfg, "noise")
-	defer tp.close()
+	r := newRun(w, srv, parts, kr, cfg, "noise")
+	defer r.tp.close()
 
 	// Collection: true tuples first, then fakes, under one id sequence.
-	for _, p := range parts {
+	rng := rand.New(rand.NewSource(seed))
+	fakesPer := map[string]int{}
+	seal := func(buf [][]byte, p Participant) ([][]byte, error) {
 		seq := 0
-		send := func(group string, value int64, fake bool) error {
-			var buf [64]byte
-			pt := appendTuplePlain(buf[:0], tuplePlain{
-				ID:    ssi.HashID(p.ID, seq),
-				Group: group,
-				Value: value,
-				Fake:  fake,
-			})
+		add := func(group string, value int64, fake bool) error {
+			var pt [64]byte
+			payload, err := sealNoise(kr, group, appendTuplePlain(pt[:0], tuplePlain{
+				ID: ssi.HashID(p.ID, seq), Group: group, Value: value, Fake: fake,
+			}))
 			seq++
-			// Sealed body: u16 gctLen | Enc_det(group) | Enc_nd(tuple).
-			gctLen := len(group) + privcrypto.Overhead
-			out := beginSeal(2 + gctLen + len(pt) + privcrypto.Overhead)
-			out = binary.LittleEndian.AppendUint16(out, uint16(gctLen))
-			out, err := kr.Det.AppendEncrypt(out, []byte(group))
 			if err != nil {
 				return err
 			}
-			if out, err = kr.NonDet.AppendEncrypt(out, pt); err != nil {
-				return err
-			}
-			return tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: endSeal(kr, out),
-			}, srv.Receive)
+			buf = append(buf, payload)
+			return nil
 		}
 		held := map[string]bool{}
 		for _, t := range p.Tuples {
 			held[t.Group] = true
-			if err := send(t.Group, t.Value, false); err != nil {
-				return nil, stats, err
+			if err := add(t.Group, t.Value, false); err != nil {
+				return buf, err
 			}
 		}
-		if kind != NoNoise {
-			nf := int(noisePerTuple * float64(len(p.Tuples)))
-			if rng.Float64() < noisePerTuple*float64(len(p.Tuples))-float64(nf) {
-				nf++
-			}
-			for f := 0; f < nf; f++ {
-				g, ok := drawFakeGroup(rng, domain, held, kind)
-				if !ok {
-					break // domain exhausted for controlled noise
-				}
-				if err := send(g, 0, true); err != nil {
-					return nil, stats, err
-				}
-				fakesPer[p.ID]++
-				stats.FakeTuples++
-			}
+		if kind == NoNoise {
+			return buf, nil
 		}
+		nf := int(noisePerTuple * float64(len(p.Tuples)))
+		if rng.Float64() < noisePerTuple*float64(len(p.Tuples))-float64(nf) {
+			nf++
+		}
+		for f := 0; f < nf; f++ {
+			g, ok := drawFakeGroup(rng, domain, held, kind)
+			if !ok {
+				break // domain exhausted for controlled noise
+			}
+			if err := add(g, 0, true); err != nil {
+				return buf, err
+			}
+			fakesPer[p.ID]++
+			r.stats.FakeTuples++
+		}
+		return buf, nil
 	}
-
-	// Phase barrier: delayed uploads surface before grouping.
-	tp.barrier(srv.Receive)
-	tp.phase(PhasePartition)
-	srv.BindTrace(tp.ro.curCtx())
+	chunks, err := r.collect(1<<30, seal) // one logical batch
+	if err != nil {
+		return nil, r.stats, err
+	}
 
 	// The SSI groups by equal deterministic ciphertext — its whole
 	// advantage, and its whole leakage.
-	chunks, err := srv.Partition(1 << 30) // one logical batch
-	if err != nil {
-		return nil, stats, err
-	}
 	groups := map[string][]netsim.Envelope{}
 	var forged []netsim.Envelope
 	for _, chunk := range chunks {
@@ -145,88 +129,53 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 			groups[string(gct)] = append(groups[string(gct)], env)
 		}
 	}
-	stats.Chunks = len(groups)
-	tp.phase(PhaseTokenFold)
+	r.stats.Chunks = len(groups)
 
-	// Aggregation: one token call per observed group, fanned out over the
-	// fleet. Schedule groups in sorted order so worker assignment and
-	// partial folding are deterministic regardless of pool size.
+	// Aggregation: one token call per observed group, in sorted order so
+	// worker assignment and partial folding are deterministic regardless
+	// of pool size.
 	keys := make([]string, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	// processEnv is the noise protocol's envelope fold: skip past the
-	// deterministic group ciphertext, decrypt the tuple, discard fakes.
-	processEnv := func(out *chunkOutcome, env netsim.Envelope) {
-		body, err := open(kr, env.Payload)
-		if err != nil {
-			out.macFailures++
-			return
-		}
-		n := int(binary.LittleEndian.Uint16(body[:2]))
-		vct := body[2+n:]
-		pt, err := kr.NonDet.Decrypt(vct)
-		if err != nil {
-			out.macFailures++
-			return
-		}
-		t, err := decodeTuplePlain(pt)
-		if err != nil {
-			out.err = err
-			return
-		}
-		out.partial.IDSum += t.ID
-		out.partial.Count++
-		if !t.Fake {
-			out.partial.Aggs[t.Group] = out.partial.Aggs[t.Group].Fold(t.Value)
-		}
-	}
-	outs := make([]chunkOutcome, len(keys))
-	cfg.forEachChunk(len(keys), func(i int) {
-		outs[i] = tp.runFold(
-			foldJob{worker: parts[i%len(parts)].ID, kind: "group-chunk", label: strconv.Itoa(i)},
-			groups[keys[i]], processEnv, sealedPartial(kr))
-	})
-	partials, leaves, err := tp.foldOutcomes(outs, &stats)
-	if err != nil {
-		return nil, stats, err
+	fold, sealP := tupleFold(kr, afterGroupCT, ""), sealedPartial(kr)
+	jobs := make([]foldJob, len(keys), len(keys)+1)
+	for i, k := range keys {
+		jobs[i] = foldJob{kind: "group-chunk", label: strconv.Itoa(i), envs: groups[k], fold: fold, seal: sealP}
 	}
 	if len(forged) > 0 {
 		// Malformed envelopes visit a token without a partial upload: the
 		// token's only job is to flag them (its partial rides locally in
 		// the flat topology, sealed on demand by the tree reduce).
-		out := tp.runFold(foldJob{worker: parts[0].ID, kind: "group-chunk", label: "forged"}, forged, processEnv, nil)
-		stats.MACFailures += out.macFailures
-		if out.macFailures > 0 {
-			stats.Detected = true
-		}
-		if out.err != nil {
-			return nil, stats, out.err
-		}
-		partials = append(partials, out.partial)
-		leaves = append(leaves, leafPartial{partial: out.partial, worker: out.worker, end: tp.elapsed(out.worker, false)})
+		jobs = append(jobs, foldJob{kind: "group-chunk", label: "forged", envs: forged, fold: fold})
 	}
-
-	// Merge + integrity check.
-	if cfg.topology.IsTree() {
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.topology.Arity(), &stats); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		tp.phase(PhaseMerge)
+	leaves, err := r.foldJobs(jobs)
+	if err != nil {
+		return nil, r.stats, err
 	}
-	tp.barrier(nil)
+	partials, err := r.merge(leaves)
+	if err != nil {
+		return nil, r.stats, err
+	}
 	wantID, wantCount := expectedChecksum(parts, fakesPer)
-	res, detected := mergePartials(partials, wantID, wantCount)
-	if detected {
-		stats.Detected = true
+	return r.verdict(partials, wantID, wantCount)
+}
+
+// sealNoise seals one noise-protocol upload, the tuple plaintext pt
+// under its group: u16 gctLen | Enc_det(group) | Enc_nd(pt).
+func sealNoise(kr *Keyring, group string, pt []byte) ([]byte, error) {
+	gctLen := len(group) + privcrypto.Overhead
+	out := beginSeal(2 + gctLen + len(pt) + privcrypto.Overhead)
+	out = binary.LittleEndian.AppendUint16(out, uint16(gctLen))
+	out, err := kr.Det.AppendEncrypt(out, []byte(group))
+	if err != nil {
+		return nil, err
 	}
-	tp.finish(&stats)
-	if stats.Detected {
-		return res, stats, detectionError("noise", stats)
+	if out, err = kr.NonDet.AppendEncrypt(out, pt); err != nil {
+		return nil, err
 	}
-	return res, stats, nil
+	return endSeal(kr, out), nil
 }
 
 // splitNoisePayload extracts the deterministic group ciphertext from a

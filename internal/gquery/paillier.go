@@ -8,7 +8,6 @@ import (
 
 	"pds/internal/netsim"
 	"pds/internal/privcrypto"
-	"pds/internal/ssi"
 	tnet "pds/internal/transport"
 )
 
@@ -40,57 +39,47 @@ import (
 func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	pk *privcrypto.PaillierPublicKey, sk *privcrypto.PaillierPrivateKey, cfg config) (Result, RunStats, error) {
 
-	var stats RunStats
 	if len(parts) == 0 {
-		return nil, stats, ErrNoParticipants
+		return nil, RunStats{}, ErrNoParticipants
 	}
 	if pk == nil || sk == nil {
-		return nil, stats, fmt.Errorf("gquery: paillier protocol needs a key pair")
+		return nil, RunStats{}, fmt.Errorf("gquery: paillier protocol needs a key pair")
 	}
-	tp := newTransport(w, cfg, "paillier")
-	defer tp.close()
+	r := newRun(w, srv, parts, kr, cfg, "paillier")
+	defer r.tp.close()
 
 	// Collection: payload = u16 gctLen | gct | u16 idBlobLen | idBlob | vct
 	// where idBlob = (u64 id | mac32) and vct is the Paillier ciphertext.
 	cipherLen := pk.CipherLen()
 	const idBlobLen = 8 + 32
-	for _, p := range parts {
-		for seq, t := range p.Tuples {
-			if t.Value < 0 {
-				return nil, stats, fmt.Errorf("gquery: paillier protocol needs non-negative values, got %d", t.Value)
-			}
-			vct, err := pk.EncryptInt64(t.Value, nil)
-			if err != nil {
-				return nil, stats, err
-			}
-			gctLen := len(t.Group) + privcrypto.Overhead
-			payload := make([]byte, 0, 4+gctLen+idBlobLen+cipherLen)
-			payload = binary.LittleEndian.AppendUint16(payload, uint16(gctLen))
-			if payload, err = kr.Det.AppendEncrypt(payload, []byte(t.Group)); err != nil {
-				return nil, stats, err
-			}
-			payload = binary.LittleEndian.AppendUint16(payload, idBlobLen)
-			payload = binary.LittleEndian.AppendUint64(payload, ssi.HashID(p.ID, seq))
-			payload = kr.keyed().Sum(payload, payload[len(payload)-8:])
-			off := len(payload)
-			payload = payload[:off+cipherLen]
-			vct.FillBytes(payload[off:])
-			if err := tp.send(netsim.Envelope{From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload},
-				srv.Receive); err != nil {
-				return nil, stats, err
-			}
+	seal := eachTuple(func(id uint64, t Tuple) ([]byte, error) {
+		if t.Value < 0 {
+			return nil, fmt.Errorf("gquery: paillier protocol needs non-negative values, got %d", t.Value)
 		}
+		vct, err := pk.EncryptInt64(t.Value, nil)
+		if err != nil {
+			return nil, err
+		}
+		gctLen := len(t.Group) + privcrypto.Overhead
+		payload := make([]byte, 0, 4+gctLen+idBlobLen+cipherLen)
+		payload = binary.LittleEndian.AppendUint16(payload, uint16(gctLen))
+		if payload, err = kr.Det.AppendEncrypt(payload, []byte(t.Group)); err != nil {
+			return nil, err
+		}
+		payload = binary.LittleEndian.AppendUint16(payload, idBlobLen)
+		payload = binary.LittleEndian.AppendUint64(payload, id)
+		payload = kr.keyed().Sum(payload, payload[len(payload)-8:])
+		off := len(payload)
+		payload = payload[:off+cipherLen]
+		vct.FillBytes(payload[off:])
+		return payload, nil
+	})
+	chunks, err := r.collect(1<<30, seal)
+	if err != nil {
+		return nil, r.stats, err
 	}
-	// Phase barrier: delayed uploads surface before grouping.
-	tp.barrier(srv.Receive)
-	tp.phase(PhasePartition)
-	srv.BindTrace(tp.ro.curCtx())
 
 	// The SSI groups by det ciphertext and aggregates homomorphically.
-	chunks, err := srv.Partition(1 << 30)
-	if err != nil {
-		return nil, stats, err
-	}
 	type groupAcc struct {
 		cipher *big.Int
 		count  int64
@@ -101,10 +90,10 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 		for _, env := range chunk {
 			gct, idBlob, vbytes, ok := splitPaillierPayload(env.Payload)
 			if !ok {
-				// Malformed envelope: pass to the token as an empty
-				// group with a bogus id so the checksum trips.
-				stats.Detected = true
-				stats.MACFailures++
+				// Malformed envelope: the SSI cannot parse it, so it
+				// never reaches the token; flag the run here.
+				r.stats.Detected = true
+				r.stats.MACFailures++
 				continue
 			}
 			srv.ObserveGroup(gct)
@@ -118,63 +107,54 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 			acc.ids = append(acc.ids, idBlob)
 		}
 	}
-	stats.Chunks = len(groups)
-	tp.phase(PhaseMerge)
+	r.stats.Chunks = len(groups)
+	r.tp.phase(PhaseMerge)
 
-	// Final token: decrypt per-group sums, verify every id MAC and the
-	// global checksum. Groups visit the token in sorted key order so the
-	// wire schedule does not depend on map iteration.
+	// Final token: decrypt per-group sums and verify every id MAC; the
+	// consumed ids form its one partial for the checksum. Groups visit
+	// the token in sorted key order so the wire schedule does not depend
+	// on map iteration.
 	keys := make([]string, 0, len(groups))
 	for gct := range groups {
 		keys = append(keys, gct)
 	}
 	sort.Strings(keys)
-	res := Result{}
-	var idSum uint64
-	var count int64
+	final := partialAgg{Aggs: map[string]GroupAgg{}}
 	for _, gct := range keys {
 		acc := groups[gct]
 		// One message models the SSI → token hand-over per group.
 		homPayload := make([]byte, cipherLen)
 		acc.cipher.FillBytes(homPayload)
-		if err := tp.send(netsim.Envelope{From: "ssi", To: parts[0].ID, Kind: "hom-group", Payload: homPayload},
+		if err := r.tp.send(netsim.Envelope{From: "ssi", To: parts[0].ID, Kind: "hom-group", Payload: homPayload},
 			nil); err != nil {
-			return nil, stats, err
+			return nil, r.stats, err
 		}
 		groupName, err := kr.Det.Decrypt([]byte(gct))
 		if err != nil {
-			stats.MACFailures++
-			stats.Detected = true
+			r.stats.MACFailures++
+			r.stats.Detected = true
 			continue
 		}
 		sum, err := sk.Decrypt(acc.cipher)
 		if err != nil {
-			stats.Detected = true
+			r.stats.Detected = true
 			continue
 		}
 		for _, blob := range acc.ids {
 			if len(blob) != idBlobLen || !kr.keyed().Verify(blob[:8], blob[8:]) {
-				stats.MACFailures++
-				stats.Detected = true
+				r.stats.MACFailures++
+				r.stats.Detected = true
 				continue
 			}
-			idSum += binary.LittleEndian.Uint64(blob[:8])
-			count++
+			final.IDSum += binary.LittleEndian.Uint64(blob[:8])
+			final.Count++
 		}
-		res[string(groupName)] = GroupAgg{Sum: sum.Int64(), Count: acc.count}
+		final.Aggs[string(groupName)] = GroupAgg{Sum: sum.Int64(), Count: acc.count}
 	}
-	stats.WorkerCalls = 1 // only the final decryption token
+	r.stats.WorkerCalls = 1 // only the final decryption token
 
-	tp.barrier(nil)
 	wantID, wantCount := expectedChecksum(parts, nil)
-	if idSum != wantID || count != wantCount {
-		stats.Detected = true
-	}
-	tp.finish(&stats)
-	if stats.Detected {
-		return res, stats, ErrDetected
-	}
-	return res, stats, nil
+	return r.verdict([]partialAgg{final}, wantID, wantCount)
 }
 
 // splitPaillierPayload parses an upload of the homomorphic protocol.

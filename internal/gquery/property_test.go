@@ -65,6 +65,7 @@ type protoRunner struct {
 func batteryRunners(t *testing.T, mk mkWire) []protoRunner {
 	t.Helper()
 	kr := mustKeyring(t)
+	sk := testPaillierKey(t)
 	buckets, err := EquiDepthBuckets(testDomain, nil, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +99,13 @@ func batteryRunners(t *testing.T, mk mkWire) []protoRunner {
 			w, srv := wires(t, mode, b)
 			res, stats, err := runHistogram(w, srv, parts, kr, buckets, cfg)
 			return fpBuckets(res), stats, err
+		}},
+		// The SSI folds Paillier ciphertexts itself, so the topology axis
+		// runs the same protocol three times.
+		{"paillier", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
+			w, srv := wires(t, mode, b)
+			res, stats, err := runPaillierAgg(w, srv, parts, kr, sk.Public(), sk, cfg)
+			return fpResult(res), stats, err
 		}},
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strconv"
 
 	"pds/internal/netsim"
-	"pds/internal/ssi"
 	tnet "pds/internal/transport"
 )
 
@@ -24,85 +23,49 @@ import (
 // RunStats are identical to the serial run on the same inputs — and, the
 // wire being pluggable, identical across substrates for the same seed.
 func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring, chunkSize int, cfg config) (Result, RunStats, error) {
-	var stats RunStats
 	if len(parts) == 0 {
-		return nil, stats, ErrNoParticipants
+		return nil, RunStats{}, ErrNoParticipants
 	}
 	if chunkSize < 1 {
-		return nil, stats, ErrBadChunkSize
+		return nil, RunStats{}, ErrBadChunkSize
 	}
-	tp := newTransport(w, cfg, "secure-agg")
-	defer tp.close()
+	r := newRun(w, srv, parts, kr, cfg, "secure-agg")
+	defer r.tp.close()
 
-	// Collection phase.
-	for _, p := range parts {
-		for seq, t := range p.Tuples {
-			payload, err := sealTuple(kr, nil, tuplePlain{
-				ID:    ssi.HashID(p.ID, seq),
-				Group: t.Group,
-				Value: t.Value,
-			})
-			if err != nil {
-				return nil, stats, err
-			}
-			if err := tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload,
-			}, srv.Receive); err != nil {
-				return nil, stats, err
-			}
-		}
-	}
-	// Phase barrier: delayed uploads surface before partitioning.
-	tp.barrier(srv.Receive)
-	tp.phase(PhasePartition)
-	srv.BindTrace(tp.ro.curCtx())
-
-	// Partition phase (where a weakly-malicious SSI misbehaves).
-	chunks, err := srv.Partition(chunkSize)
+	chunks, err := r.collect(chunkSize, secureAggSeal(kr))
 	if err != nil {
-		return nil, stats, err
+		return nil, r.stats, err
 	}
-	stats.Chunks = len(chunks)
-	tp.phase(PhaseTokenFold)
-
-	// Aggregation phase: the token fleet processes chunks independently
-	// through the shared fold step (fold.go).
-	outs := make([]chunkOutcome, len(chunks))
-	cfg.forEachChunk(len(chunks), func(i int) {
-		outs[i] = tp.runFold(
-			foldJob{worker: parts[i%len(parts)].ID, kind: "chunk", label: strconv.Itoa(i)},
-			chunks[i], tupleProcessor(kr), sealedPartial(kr))
-	})
-	partials, leaves, err := tp.foldOutcomes(outs, &stats)
+	r.stats.Chunks = len(chunks)
+	fold, seal := tupleFold(kr, wholeBody, ""), sealedPartial(kr)
+	jobs := make([]foldJob, len(chunks))
+	for i, chunk := range chunks {
+		jobs[i] = foldJob{kind: "chunk", label: strconv.Itoa(i), envs: chunk, fold: fold, seal: seal}
+	}
+	leaves, err := r.foldJobs(jobs)
 	if err != nil {
-		return nil, stats, err
+		return nil, r.stats, err
 	}
-
-	if cfg.topology.IsTree() {
-		// Hierarchical merge: partials climb the fan-in tree; the querier
-		// receives a single root partial.
-		if partials, err = tp.reduceTree(kr, parts, leaves, cfg.topology.Arity(), &stats); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		// Flat merge phase at the single final token.
-		tp.phase(PhaseMerge)
-		finalTo := parts[0].ID
+	partials, err := r.merge(leaves)
+	if err != nil {
+		return nil, r.stats, err
+	}
+	if !cfg.topology.IsTree() {
+		// The flat final token is charged one "merge" frame per partial.
 		for range partials {
-			if err := tp.send(netsim.Envelope{From: "ssi", To: finalTo, Kind: "merge", Payload: nil}, nil); err != nil {
-				return nil, stats, err
+			if err := r.tp.send(netsim.Envelope{From: "ssi", To: parts[0].ID, Kind: "merge"}, nil); err != nil {
+				return nil, r.stats, err
 			}
 		}
 	}
-	tp.barrier(nil)
 	wantID, wantCount := expectedChecksum(parts, nil)
-	res, detected := mergePartials(partials, wantID, wantCount)
-	if detected {
-		stats.Detected = true
-	}
-	tp.finish(&stats)
-	if stats.Detected {
-		return res, stats, detectionError("secure-agg", stats)
-	}
-	return res, stats, nil
+	return r.verdict(partials, wantID, wantCount)
+}
+
+// secureAggSeal uploads each tuple as Enc_nd(id|group|value) + MAC: every
+// payload is distinct, so the SSI can only partition blindly.
+func secureAggSeal(kr *Keyring) sealFn {
+	return eachTuple(func(id uint64, t Tuple) ([]byte, error) {
+		return sealTuple(kr, nil, tuplePlain{ID: id, Group: t.Group, Value: t.Value})
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"pds/internal/netsim"
-	"pds/internal/ssi"
 	tnet "pds/internal/transport"
 )
 
@@ -74,18 +73,18 @@ type streamLeaf struct {
 func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource,
 	kr *Keyring, chunkSize int, cfg config) (Result, RunStats, error) {
 
-	var stats RunStats
 	if src == nil {
-		return nil, stats, fmt.Errorf("gquery: streaming run needs a participant source")
+		return nil, RunStats{}, fmt.Errorf("gquery: streaming run needs a participant source")
 	}
 	if chunkSize < 1 {
-		return nil, stats, ErrBadChunkSize
+		return nil, RunStats{}, ErrBadChunkSize
 	}
 	if cfg.faults != nil {
-		return nil, stats, fmt.Errorf("gquery: streaming fold plane requires a clean wire (Faults must be nil)")
+		return nil, RunStats{}, fmt.Errorf("gquery: streaming fold plane requires a clean wire (Faults must be nil)")
 	}
-	tp := newTransport(w, cfg, "secure-agg-stream")
-	defer tp.close()
+	r := newRun(w, srv, nil, kr, cfg, "secure-agg-stream")
+	r.protocol = "secure-agg" // the stream executes secure-agg; only its trace says "stream"
+	defer r.tp.close()
 
 	// Fold plane: a bounded worker pool drains chunks as the SSI emits
 	// them. The jobs buffer is the memory bound that keeps a
@@ -95,42 +94,73 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	inflight := 2*workers + 2
 	jobs := make(chan streamLeaf, inflight)
 	results := make(chan streamLeaf, inflight)
+	fold, seal := tupleFold(kr, wholeBody, ""), sealedPartial(kr)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for job := range jobs {
-				job.out = tp.runFold(
-					foldJob{worker: "tok@L0." + strconv.Itoa(job.idx), kind: "chunk", label: strconv.Itoa(job.idx)},
-					job.envs, tupleProcessor(kr), sealedPartial(kr))
+				label := strconv.Itoa(job.idx)
+				job.out = r.tp.runFold(foldJob{worker: "tok@L0." + label, kind: "chunk", label: label, envs: job.envs, fold: fold, seal: seal})
 				job.envs = nil // folded: release the chunk's envelopes
 				results <- job
 			}
 		}()
 	}
 
-	// The folder consumes leaves in chunk-index order (reordering the
-	// pool's completions) so merging and tree placement are deterministic.
-	fold := newStreamFolder(tp, kr, cfg, &stats)
-	folderDone := make(chan struct{})
+	// The merger consumes leaves in chunk-index order (reordering the
+	// pool's completions) so merging and tree placement are
+	// deterministic: flat, the final token receives each sealed partial
+	// over the wire and folds it into a running partial — the serial tail
+	// its timeline charges to the merge phase at the end of the run; as a
+	// tree, each leaf is pushed into the fan-in tree.
+	tree := r.treeFolder(func(level, j int) string { return fmt.Sprintf("tok@L%d.%d", level, j) })
+	merge := mergeSealed(kr)
+	running := chunkOutcome{partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+	rcvMerge := func(e netsim.Envelope) { merge(&running, e) }
+	var foldMax time.Duration
+	var foldErr error
+	mergeLeaf := func(out chunkOutcome) error {
+		if err := r.tally(out); err != nil {
+			return err
+		}
+		end := r.tp.elapsed(out.worker, true)
+		if cfg.topology.IsTree() {
+			return tree.push(0, treeNode{partial: out.partial, sealed: out.sealed, worker: out.worker, end: end})
+		}
+		foldMax = max(foldMax, end)
+		if err := r.tp.send(netsim.Envelope{From: "ssi", To: mergeToken, Kind: "merge", Payload: out.sealed}, rcvMerge); err != nil {
+			return err
+		}
+		return running.err
+	}
+	mergerDone := make(chan struct{})
 	go func() {
-		defer close(folderDone)
+		defer close(mergerDone)
 		pending := map[int]chunkOutcome{}
 		next := 0
-		for r := range results {
-			pending[r.idx] = r.out
+		for res := range results {
+			pending[res.idx] = res.out
 			for {
 				out, ok := pending[next]
 				if !ok {
 					break
 				}
 				delete(pending, next)
-				fold.leaf(out)
 				next++
+				if foldErr == nil { // after an error, drain
+					foldErr = mergeLeaf(out)
+				}
 			}
 		}
 	}()
+	stop := func() {
+		close(jobs)
+		wg.Wait()
+		close(results)
+		<-mergerDone
+	}
 
 	// Collection: stream participants through the SSI; every filled chunk
 	// is handed straight to the fold plane. The checksum accumulates
@@ -140,15 +170,13 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 		jobs <- streamLeaf{idx: nChunks, envs: chunk}
 		nChunks++
 	}); err != nil {
-		close(jobs)
-		wg.Wait()
-		close(results)
-		<-folderDone
-		return nil, stats, err
+		stop()
+		return nil, r.stats, err
 	}
 	var wantID uint64
 	var wantCount int64
 	var collectMax time.Duration
+	sealTuples := secureAggSeal(kr)
 	participants := 0
 	var collectErr error
 	for {
@@ -157,64 +185,44 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 			break
 		}
 		participants++
-		for seq, t := range p.Tuples {
-			id := ssi.HashID(p.ID, seq)
-			wantID += id
-			wantCount++
-			payload, err := sealTuple(kr, nil, tuplePlain{ID: id, Group: t.Group, Value: t.Value})
-			if err != nil {
-				collectErr = err
-				break
-			}
-			if err := tp.send(netsim.Envelope{
-				From: p.ID, To: srv.Dest(p.ID), Kind: "tuple", Payload: payload,
-			}, srv.Receive); err != nil {
-				collectErr = err
-				break
-			}
-		}
-		if collectErr != nil {
+		id, n := expectedChecksum([]Participant{p}, nil)
+		wantID += id
+		wantCount += n
+		if collectErr = r.upload(sealTuples, p); collectErr != nil {
 			break
 		}
 		// Every PDS is its own serial resource: collection's virtual time
 		// is the slowest single PDS's upload, not the fleet's sum. Taking
 		// the PDS off the ledger keeps it O(in flight), not O(population).
-		collectMax = max(collectMax, tp.elapsed(p.ID, true))
+		collectMax = max(collectMax, r.tp.elapsed(p.ID, true))
 	}
 	srv.FinishStream()
-	close(jobs)
-	wg.Wait()
-	close(results)
-	<-folderDone
+	stop()
 
 	if collectErr != nil {
-		return nil, stats, collectErr
+		return nil, r.stats, collectErr
 	}
-	if fold.err != nil {
-		return nil, stats, fold.err
+	if foldErr != nil {
+		return nil, r.stats, foldErr
 	}
 	if participants == 0 {
-		return nil, stats, ErrNoParticipants
+		return nil, r.stats, ErrNoParticipants
 	}
-	stats.Chunks = nChunks
+	r.stats.Chunks = nChunks
+	if err := r.tally(running); err != nil { // the flat final token's MAC failures
+		return nil, r.stats, err
+	}
 
 	// All wire traffic is in; finish the tree (flushing partial arity
 	// blocks level by level) while the collect phase is still open so the
 	// flush traffic is absorbed with the rest.
-	var partials []partialAgg
+	partials := []partialAgg{running.partial}
 	var rootEnd time.Duration
 	if cfg.topology.IsTree() {
-		root, ok, err := fold.finishTree()
-		if err != nil {
-			return nil, stats, err
+		var err error
+		if partials, rootEnd, err = tree.root(); err != nil {
+			return nil, r.stats, err
 		}
-		if ok {
-			partials = []partialAgg{root.partial}
-			rootEnd = root.end
-			stats.TreeDepth = len(fold.record)
-		}
-	} else {
-		partials = []partialAgg{fold.running}
 	}
 
 	// Virtual-time layout from the per-node timelines, every one already
@@ -222,181 +230,18 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	// slowest PDS upload; the streaming SSI routed chunks inline, so the
 	// partition phase is a zero-width boundary; the fold plane then tiles
 	// the fold phase with explicit-time spans.
-	merge := tp.elapsed(mergeToken, true)
-	tp.phasePar(PhasePartition, collectMax)
-	tp.phasePar(PhaseTokenFold, 0)
+	mergeEnd := r.tp.elapsed(mergeToken, true)
+	r.tp.phasePar(PhasePartition, collectMax)
+	r.tp.phasePar(PhaseTokenFold, 0)
 	if cfg.topology.IsTree() {
-		base := tp.ro.reg.Clock().Now()
-		foldPhase := tp.ro.phases[PhaseTokenFold]
-		tracer := tp.ro.reg.Tracer()
-		for lvl, nodes := range fold.record {
-			emitLevel(tracer, foldPhase, base, lvl, nodes)
-		}
-		tp.phasePar(PhaseMerge, rootEnd)
+		tree.layout()
+		r.tp.phasePar(PhaseMerge, rootEnd)
 	} else {
 		// Flat: leaf folds overlap (fold phase = slowest chunk), then the
 		// single final token replays every sealed partial serially — the
 		// O(n) tail the tree removes.
-		tp.phasePar(PhaseMerge, fold.foldMax)
-		tp.ro.reg.Clock().Advance(merge)
+		r.tp.phasePar(PhaseMerge, foldMax)
+		r.tp.ro.reg.Clock().Advance(mergeEnd)
 	}
-
-	res, detected := mergePartials(partials, wantID, wantCount)
-	if detected {
-		stats.Detected = true
-	}
-	tp.finish(&stats)
-	if stats.Detected {
-		return res, stats, detectionError("secure-agg", stats)
-	}
-	return res, stats, nil
-}
-
-// streamFolder merges folded chunks with bounded state: a running
-// partial (flat) or the pending arity blocks of each tree level — at
-// most arity-1 nodes per level, O(arity·log n) total.
-type streamFolder struct {
-	tp    *transport
-	kr    *Keyring
-	tree  bool
-	arity int
-	stats *RunStats
-	err   error
-
-	// Flat topology: one running merged partial, and the slowest leaf.
-	running partialAgg
-	foldMax time.Duration
-
-	// Tree topology: pending holds each level's incomplete trailing
-	// block; record keeps every node's timeline (sealed bytes stripped)
-	// for span emission — O(chunks), not O(tuples).
-	pending [][]treeNode
-	record  [][]treeNode
-}
-
-func newStreamFolder(tp *transport, kr *Keyring, cfg config, stats *RunStats) *streamFolder {
-	return &streamFolder{
-		tp:      tp,
-		kr:      kr,
-		tree:    cfg.topology.IsTree(),
-		arity:   cfg.topology.Arity(),
-		stats:   stats,
-		running: partialAgg{Aggs: map[string]GroupAgg{}},
-	}
-}
-
-// leaf folds one completed chunk outcome in, in chunk-index order.
-func (f *streamFolder) leaf(out chunkOutcome) {
-	if f.err != nil {
-		return // drain mode: an earlier chunk already failed the run
-	}
-	f.stats.MACFailures += out.macFailures
-	if out.macFailures > 0 {
-		f.stats.Detected = true
-	}
-	if out.err != nil {
-		f.err = out.err
-		return
-	}
-	f.stats.WorkerCalls++
-	end := f.tp.elapsed(out.worker, true)
-	f.foldMax = max(f.foldMax, end)
-	if f.tree {
-		f.err = f.push(0, treeNode{partial: out.partial, sealed: out.sealed, worker: out.worker, end: end})
-		return
-	}
-	// Flat: the final token receives the sealed partial over the wire
-	// ("merge" frames) and folds it into the running aggregate — the
-	// serial tail its timeline charges to the merge phase at the end of
-	// the run.
-	f.err = f.tp.send(netsim.Envelope{From: "ssi", To: mergeToken, Kind: "merge", Payload: out.sealed},
-		func(e netsim.Envelope) {
-			ct, err := open(f.kr, e.Payload)
-			if err != nil {
-				f.stats.MACFailures++
-				f.stats.Detected = true
-				return
-			}
-			pt, err := f.kr.NonDet.Decrypt(ct)
-			if err != nil {
-				f.stats.MACFailures++
-				f.stats.Detected = true
-				return
-			}
-			p, err := decodePartial(pt)
-			if err != nil {
-				f.err = err
-				return
-			}
-			f.running.IDSum += p.IDSum
-			f.running.Count += p.Count
-			for g, a := range p.Aggs {
-				f.running.Aggs[g] = f.running.Aggs[g].Merge(a)
-			}
-		})
-}
-
-// push places a node at its tree level; a filled arity block folds
-// immediately into the next level — the streaming form of reduceTree's
-// contiguous blocks, so batch and stream build the identical tree.
-func (f *streamFolder) push(level int, n treeNode) error {
-	for len(f.pending) <= level {
-		f.pending = append(f.pending, nil)
-	}
-	for len(f.record) <= level {
-		f.record = append(f.record, nil)
-	}
-	rec := n
-	rec.sealed = nil
-	f.record[level] = append(f.record[level], rec)
-	f.pending[level] = append(f.pending[level], n)
-	if len(f.pending[level]) >= f.arity {
-		block := f.pending[level]
-		f.pending[level] = nil
-		return f.foldBlock(level, block)
-	}
-	return nil
-}
-
-// foldBlock runs one interior token over a contiguous block. Interior
-// tokens get deterministic fleet names by tree coordinate.
-func (f *streamFolder) foldBlock(level int, block []treeNode) error {
-	j := 0
-	if level+1 < len(f.record) {
-		j = len(f.record[level+1])
-	}
-	worker := fmt.Sprintf("tok@L%d.%d", level+1, j)
-	node, err := f.tp.foldTreeNode(f.kr, worker, block, f.stats)
-	if err != nil {
-		return err
-	}
-	f.stats.WorkerCalls++
-	f.stats.TreeNodes++
-	return f.push(level+1, node)
-}
-
-// finishTree flushes the partial trailing blocks level by level and
-// returns the root (ok=false when the stream was empty).
-func (f *streamFolder) finishTree() (treeNode, bool, error) {
-	for lvl := 0; lvl < len(f.pending); lvl++ {
-		block := f.pending[lvl]
-		if len(block) == 0 {
-			continue
-		}
-		f.pending[lvl] = nil
-		above := false
-		for k := lvl + 1; k < len(f.pending); k++ {
-			if len(f.pending[k]) > 0 {
-				above = true
-				break
-			}
-		}
-		if !above && len(block) == 1 {
-			return block[0], true, nil
-		}
-		if err := f.foldBlock(lvl, block); err != nil {
-			return treeNode{}, false, err
-		}
-	}
-	return treeNode{}, false, nil
+	return r.verdict(partials, wantID, wantCount)
 }

@@ -9,31 +9,51 @@ import (
 	"pds/internal/ssi"
 )
 
+// TestStreamMatchesBatchSecureAgg: the streaming executor answers what
+// the batch one does and builds the same fold plane — the same tree
+// depth, interior nodes and worker calls — at the chunk counts that hit
+// the tree folder's edges: one leaf, exactly one full block (k), one
+// leaf over (k+1), and one leaf over a full two-level tree (k²+1).
 func TestStreamMatchesBatchSecureAgg(t *testing.T) {
-	parts := makeParts(53, 3, testDomain, 7)
 	kr := mustKeyring(t)
-	want := PlainResult(parts)
-
-	for _, topo := range []Topology{Flat(), Tree(2), Tree(16)} {
-		for _, workers := range []int{1, 4} {
+	for _, topo := range []Topology{Flat(), Tree(2), Tree(4), Tree(16)} {
+		k := topo.Arity()
+		counts := []int{1, k, k + 1, k*k + 1}
+		if !topo.IsTree() {
+			counts = []int{1, 32}
+		}
+		for _, n := range counts {
+			// One tuple per participant and chunk size 1: n chunks.
+			parts := makeParts(n, 1, testDomain, int64(7+n))
+			want := PlainResult(parts)
 			net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-			eng := New(WithWorkers(workers), WithTopology(topo))
-			res, stats, err := eng.SecureAggStream(net, srv, SliceSource(parts), kr, 5)
+			_, batch, err := New(WithTopology(topo)).SecureAgg(net, srv, parts, kr, 1)
 			if err != nil {
-				t.Fatalf("%v workers=%d: %v", topo, workers, err)
+				t.Fatalf("%v chunks=%d: batch: %v", topo, n, err)
 			}
-			if !resultsEqual(res, want) {
-				t.Fatalf("%v workers=%d: stream result diverges from ground truth", topo, workers)
-			}
-			if stats.Chunks == 0 || stats.WorkerCalls == 0 {
-				t.Fatalf("%v workers=%d: stats not populated: %+v", topo, workers, stats)
-			}
-			if topo.IsTree() && (stats.TreeDepth < 2 || stats.TreeNodes == 0) {
-				t.Fatalf("%v workers=%d: tree shape missing: depth=%d nodes=%d",
-					topo, workers, stats.TreeDepth, stats.TreeNodes)
-			}
-			if !topo.IsTree() && (stats.TreeDepth != 0 || stats.TreeNodes != 0) {
-				t.Fatalf("flat stream reported tree shape: %+v", stats)
+			for _, workers := range []int{1, 4} {
+				net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+				eng := New(WithWorkers(workers), WithTopology(topo))
+				res, stats, err := eng.SecureAggStream(net, srv, SliceSource(parts), kr, 1)
+				if err != nil {
+					t.Fatalf("%v chunks=%d workers=%d: %v", topo, n, workers, err)
+				}
+				if !resultsEqual(res, want) {
+					t.Fatalf("%v chunks=%d workers=%d: stream result diverges from ground truth", topo, n, workers)
+				}
+				if stats.Chunks != n || batch.Chunks != n {
+					t.Fatalf("%v: chunks stream=%d batch=%d, want %d", topo, stats.Chunks, batch.Chunks, n)
+				}
+				if stats.TreeDepth != batch.TreeDepth || stats.TreeNodes != batch.TreeNodes || stats.WorkerCalls != batch.WorkerCalls {
+					t.Fatalf("%v chunks=%d workers=%d: stream depth/nodes/calls %d/%d/%d, batch %d/%d/%d", topo, n, workers,
+						stats.TreeDepth, stats.TreeNodes, stats.WorkerCalls, batch.TreeDepth, batch.TreeNodes, batch.WorkerCalls)
+				}
+				if topo.IsTree() && n > 1 && (stats.TreeDepth < 2 || stats.TreeNodes == 0) {
+					t.Fatalf("%v chunks=%d: tree shape missing: %+v", topo, n, stats)
+				}
+				if !topo.IsTree() && (stats.TreeDepth != 0 || stats.TreeNodes != 0) {
+					t.Fatalf("flat stream reported tree shape: %+v", stats)
+				}
 			}
 		}
 	}

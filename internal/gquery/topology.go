@@ -51,7 +51,9 @@ func (t Topology) String() string {
 	return fmt.Sprintf("tree(%d)", t.arity)
 }
 
-// treeNode is a fold-plane node during the level-by-level reduce.
+// treeNode is one fold-plane node: a token's partial, its wire form,
+// which token holds it, and — in fold-phase-relative virtual time — when
+// the token started on it and when the partial is available to a parent.
 type treeNode struct {
 	partial partialAgg
 	sealed  []byte
@@ -72,119 +74,145 @@ type treeNode struct {
 // Leaves and interior nodes are placed from the same ledger charges that
 // close every other phase. reduceTree closes the fold phase at the
 // root's end — no node ends later — and returns the single root partial.
-func (tp *transport) reduceTree(kr *Keyring, parts []Participant, leaves []leafPartial, arity int, stats *RunStats) ([]partialAgg, error) {
-	base := tp.ro.reg.Clock().Now()
-	tracer := tp.ro.reg.Tracer()
-	foldPhase := tp.ro.phases[PhaseTokenFold]
-
-	if len(leaves) == 0 {
-		tp.phasePar(PhaseMerge, 0)
-		return nil, nil
-	}
-
-	cur := make([]treeNode, len(leaves))
-	for i, lf := range leaves {
-		sealed := lf.sealed
-		if sealed == nil {
+func (r *run) reduceTree(leaves []treeNode) ([]partialAgg, error) {
+	// Interior workers are drawn from the participant pool like leaf
+	// workers: the SSI re-enrolls tokens it already knows.
+	f := r.treeFolder(func(level, j int) string { return r.parts[(level*131+j)%len(r.parts)].ID })
+	for _, lf := range leaves {
+		if lf.sealed == nil {
 			// A leaf whose flat protocol had no reason to upload its
 			// partial (the noise protocol's forged batch) still must ride
 			// up the tree: seal it here.
 			var err error
-			if sealed, err = sealedPartial(kr)(&chunkOutcome{partial: lf.partial}); err != nil {
+			if lf.sealed, err = sealNonDet(r.kr, nil, encodePartial(lf.partial)); err != nil {
 				return nil, err
 			}
 		}
-		cur[i] = treeNode{partial: lf.partial, sealed: sealed, worker: lf.worker, end: lf.end}
-	}
-	emitLevel(tracer, foldPhase, base, 0, cur)
-
-	depth := 1
-	for level := 1; len(cur) > 1; level++ {
-		depth++
-		next := make([]treeNode, 0, (len(cur)+arity-1)/arity)
-		for j := 0; j*arity < len(cur); j++ {
-			hi := (j + 1) * arity
-			if hi > len(cur) {
-				hi = len(cur)
-			}
-			children := cur[j*arity : hi]
-			// Interior workers are drawn from the participant pool like
-			// leaf workers: the SSI re-enrolls tokens it already knows.
-			worker := parts[(level*131+j)%len(parts)].ID
-			node, err := tp.foldTreeNode(kr, worker, children, stats)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next, node)
-			stats.WorkerCalls++
-			stats.TreeNodes++
+		if err := f.push(0, lf); err != nil {
+			return nil, err
 		}
-		emitLevel(tracer, foldPhase, base, level, next)
-		cur = next
 	}
-	stats.TreeDepth = depth
-	tp.phasePar(PhaseMerge, cur[0].end)
-	return []partialAgg{cur[0].partial}, nil
+	partials, end, err := f.root()
+	if err != nil {
+		return nil, err
+	}
+	f.layout()
+	r.tp.phasePar(PhaseMerge, end)
+	return partials, nil
 }
 
-// foldTreeNode runs one interior token: receive each child's sealed
-// partial via the SSI, verify + decrypt + merge it, and upload one
-// sealed merged partial. Virtual time: the node starts when its last
-// child result is available and then pays what its own receives and
-// send charged to its timeline, retries and backoff included.
-func (tp *transport) foldTreeNode(kr *Keyring, worker string, children []treeNode, stats *RunStats) (treeNode, error) {
-	out := chunkOutcome{worker: worker, partial: partialAgg{Aggs: map[string]GroupAgg{}}}
-	node := treeNode{worker: worker}
-	tp.elapsed(worker, true) // what the token did before (a leaf, another node) is already placed
+// treeFolder builds the fan-in tree push by push, for the batch and the
+// streaming executor alike: a node joins its level, and a filled block
+// of arity nodes folds at once into one node of the level above, so
+// every level is cut into the same contiguous blocks however the leaves
+// arrive. It holds at most arity-1 pending nodes per level,
+// O(arity·log n) in all.
+type treeFolder struct {
+	r     *run
+	arity int
+	name  func(level, j int) string // the interior token of node j at level
+	merge envProcessor
+
+	pending [][]treeNode // each level's incomplete trailing block
+	record  [][]treeNode // every node's timeline (sealed bytes stripped), for layout
+}
+
+func (r *run) treeFolder(name func(level, j int) string) *treeFolder {
+	return &treeFolder{r: r, arity: r.cfg.topology.Arity(), name: name, merge: mergeSealed(r.kr)}
+}
+
+// push places a node at its level and folds the level's block once it
+// holds arity nodes.
+func (f *treeFolder) push(level int, n treeNode) error {
+	if len(f.pending) <= level {
+		f.pending = append(f.pending, nil)
+		f.record = append(f.record, nil)
+	}
+	rec := n
+	rec.sealed = nil
+	f.record[level] = append(f.record[level], rec)
+	f.pending[level] = append(f.pending[level], n)
+	if len(f.pending[level]) < f.arity {
+		return nil
+	}
+	block := f.pending[level]
+	f.pending[level] = nil
+	return f.fold(level, block)
+}
+
+// fold runs one interior token over a block of children: receive each
+// child's sealed partial via the SSI, verify + decrypt + merge it, and
+// upload one sealed merged partial. Virtual time: the node starts when
+// its last child's partial is available and then pays what its own
+// receives and send charged to its timeline, retries and backoff
+// included.
+func (f *treeFolder) fold(level int, children []treeNode) error {
+	j := 0
+	if level+1 < len(f.record) {
+		j = len(f.record[level+1])
+	}
+	tp := f.r.tp
+	out := chunkOutcome{worker: f.name(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+	node := treeNode{worker: out.worker}
+	tp.elapsed(out.worker, true) // what the token did before (a leaf, another node) is already placed
+	rcv := func(e netsim.Envelope) { f.merge(&out, e) }
 	for _, c := range children {
-		if c.end > node.start {
-			node.start = c.end
-		}
-		sendErr := tp.send(netsim.Envelope{From: "ssi", To: worker, Kind: "tree-partial", Payload: c.sealed},
-			func(e netsim.Envelope) {
-				ct, err := open(kr, e.Payload)
-				if err != nil {
-					out.macFailures++
-					return
-				}
-				pt, err := kr.NonDet.Decrypt(ct)
-				if err != nil {
-					out.macFailures++
-					return
-				}
-				p, err := decodePartial(pt)
-				if err != nil {
-					out.err = err
-					return
-				}
-				out.partial.IDSum += p.IDSum
-				out.partial.Count += p.Count
-				for g, a := range p.Aggs {
-					out.partial.Aggs[g] = out.partial.Aggs[g].Merge(a)
-				}
-			})
-		if sendErr != nil && out.err == nil {
-			out.err = sendErr
+		node.start = max(node.start, c.end)
+		err := tp.send(netsim.Envelope{From: "ssi", To: out.worker, Kind: "tree-partial", Payload: c.sealed}, rcv)
+		if err != nil && out.err == nil {
+			out.err = err
 		}
 		if out.err != nil {
-			return node, out.err
+			return out.err
 		}
 	}
-	stats.MACFailures += out.macFailures
-	if out.macFailures > 0 {
-		stats.Detected = true
-	}
-	sealed, err := sealedPartial(kr)(&out)
+	sealed, err := sealNonDet(f.r.kr, nil, encodePartial(out.partial))
 	if err != nil {
-		return node, err
+		return err
 	}
-	if err := tp.send(netsim.Envelope{From: worker, To: "ssi", Kind: "partial", Payload: sealed}, nil); err != nil {
-		return node, err
+	if err := tp.send(netsim.Envelope{From: out.worker, To: "ssi", Kind: "partial", Payload: sealed}, nil); err != nil {
+		return err
 	}
-	node.partial = out.partial
-	node.sealed = sealed
-	node.end = node.start + tp.elapsed(worker, true)
-	return node, nil
+	out.sealed = sealed
+	if err := f.r.tally(out); err != nil {
+		return err
+	}
+	f.r.stats.TreeNodes++
+	node.partial, node.sealed = out.partial, sealed
+	node.end = node.start + tp.elapsed(out.worker, true)
+	return f.push(level+1, node)
+}
+
+// root folds the trailing partial blocks level by level and returns the
+// root's partial and when it is available (no partial when no leaf was
+// pushed). Every fold pushes a node one level up, so the top level is
+// never empty and a lone node there is the root.
+func (f *treeFolder) root() ([]partialAgg, time.Duration, error) {
+	for lvl := 0; lvl < len(f.pending); lvl++ {
+		block := f.pending[lvl]
+		if len(block) == 0 {
+			continue
+		}
+		f.pending[lvl] = nil
+		if len(block) == 1 && lvl == len(f.pending)-1 {
+			return []partialAgg{block[0].partial}, block[0].end, nil
+		}
+		if err := f.fold(lvl, block); err != nil {
+			return nil, 0, err
+		}
+	}
+	return nil, 0, nil
+}
+
+// layout lays the tree out under the fold phase, which starts at the
+// clock's current time, and reports its depth, leaf level included.
+func (f *treeFolder) layout() {
+	tp := f.r.tp
+	base := tp.ro.reg.Clock().Now()
+	for lvl, nodes := range f.record {
+		emitLevel(tp.ro.reg.Tracer(), tp.ro.phases[PhaseTokenFold], base, lvl, nodes)
+	}
+	f.r.stats.TreeDepth = len(f.record)
 }
 
 // emitLevel lays one tree level out as explicit-time spans under the
