@@ -87,12 +87,13 @@ smoke-trace:
 # tree topology's simulated critical path must stay strictly below the
 # flat plane's, with bit-identical aggregates. The per-node time model
 # (DESIGN, "Part III time model") must give the same critical path for
-# any fleet size and never a shorter one on a lossy wire. On the token,
+# any fleet size and never a shorter one on a lossy wire, and every bulk
+# leg — a PDS's upload, a chunk's dispatch — must be one frame. On the token,
 # the star query over folded Tselect trees with held pages (DESIGN §20)
 # must average at most 300 page reads and match the naive baseline.
 perf-regression:
 	$(GO) test ./cmd/pdsbench -run '^TestE20TreeCriticalPathRegression$$' -count=1
-	$(GO) test ./internal/gquery -run '^(TestCriticalPathInvariantToWorkers|TestLossyNeverFasterThanClean)$$' -count=1
+	$(GO) test ./internal/gquery -run '^(TestCriticalPathInvariantToWorkers|TestLossyNeverFasterThanClean|TestOneFramePerLeg)$$' -count=1
 	$(GO) test ./internal/embdb -run '^TestStarQueryPageBudget$$' -count=1
 
 # The power-fail property battery (DESIGN §11): every store workload ×

@@ -31,10 +31,11 @@ type chunkOutcome struct {
 	err         error
 }
 
-// envProcessor folds one delivered envelope into the outcome. It
-// reports integrity failures through out.macFailures and hard decode
-// errors through out.err; runFold stops the chunk on the latter.
-type envProcessor func(out *chunkOutcome, e netsim.Envelope)
+// envProcessor folds one delivered record — a sealed tuple or a sealed
+// partial — into the outcome. It reports integrity failures through
+// out.macFailures and hard decode errors through out.err; runFold stops
+// the chunk on the latter.
+type envProcessor func(out *chunkOutcome, payload []byte)
 
 // sealPartialFn builds the wire payload of the token's partial upload;
 // nil skips the upload (e.g. the noise protocol's forged batch, whose
@@ -43,10 +44,10 @@ type sealPartialFn func(out *chunkOutcome) ([]byte, error)
 
 // runFold executes the per-token fold step every protocol and topology
 // shares. The dispatch span is the "SSI partition message" handing the
-// chunk to its worker: every wire frame of the chunk carries its
-// context, so the token's fold span attaches under it even across
-// retransmits and duplicated deliveries. Every leg is charged to the
-// worker's timeline, which is where the tree scheduler places the leaf.
+// chunk to its worker as one frame: the frame carries its context, so
+// the token's fold span attaches under it even across retransmits and
+// duplicated deliveries. Every leg is charged to the worker's timeline,
+// which is where the tree scheduler places the leaf.
 func (tp *transport) runFold(job foldJob) chunkOutcome {
 	disp := tp.ro.span("ssi-dispatch", PhasePartition, "chunk", job.label, "worker", job.worker)
 	defer disp.End()
@@ -54,22 +55,16 @@ func (tp *transport) runFold(job foldJob) chunkOutcome {
 	defer func() { fold.End() }()
 	out := chunkOutcome{worker: job.worker, partial: partialAgg{Aggs: map[string]GroupAgg{}}}
 	rcv := func(e netsim.Envelope) {
-		if fold == nil {
-			fold = tp.ro.remoteSpan(PhaseTokenFold, e.Ctx, "chunk", job.label, "worker", job.worker)
-		}
-		job.fold(&out, e)
+		fold = tp.ro.remoteSpan(PhaseTokenFold, e.Ctx, "chunk", job.label, "worker", job.worker)
+		foldFrame(&out, job.fold, e.Payload)
 	}
-	ctx := disp.Context()
-	for _, env := range job.envs {
-		sendErr := tp.send(netsim.Envelope{From: "ssi", To: job.worker, Kind: job.kind, Payload: env.Payload, Ctx: ctx}, rcv)
-		if sendErr != nil && out.err == nil {
-			out.err = sendErr
-		}
-		if out.err != nil {
-			return out
-		}
+	frame := chunkFrame(job.envs)
+	err := tp.send(netsim.Envelope{From: "ssi", To: job.worker, Kind: job.kind, Payload: *frame, Ctx: disp.Context()}, rcv)
+	chunkFrames.Put(frame)
+	if err != nil && out.err == nil {
+		out.err = err
 	}
-	if job.seal == nil {
+	if out.err != nil || job.seal == nil {
 		return out
 	}
 	// Worker → SSI → merge plane: the partial rides sealed (and, for the
@@ -87,6 +82,21 @@ func (tp *transport) runFold(job foldJob) chunkOutcome {
 	return out
 }
 
+// foldFrame is the token's walk over a dispatch frame: every record is
+// folded in partition order until a hard error. A frame that does not
+// split into whole records is one more MAC failure, so a truncated or
+// rewritten frame ends the run in a detection, never in a silently
+// partial fold.
+func foldFrame(out *chunkOutcome, fold envProcessor, frame []byte) {
+	err := eachRecord(frame, func(rec []byte) bool {
+		fold(out, rec)
+		return out.err == nil
+	})
+	if err != nil {
+		out.macFailures++
+	}
+}
+
 // sealedPartial is the sealPartialFn of the protocols whose partials are
 // verified downstream: encode, encrypt non-deterministically, MAC.
 func sealedPartial(kr *Keyring) sealPartialFn {
@@ -100,8 +110,8 @@ func sealedPartial(kr *Keyring) sealPartialFn {
 // body, decode, and fold the value under key — or under the tuple's own
 // group when key is empty. Fakes count toward the checksum only.
 func tupleFold(kr *Keyring, ct func(body []byte) []byte, key string) envProcessor {
-	return func(out *chunkOutcome, e netsim.Envelope) {
-		body, err := open(kr, e.Payload)
+	return func(out *chunkOutcome, payload []byte) {
+		body, err := open(kr, payload)
 		if err != nil {
 			out.macFailures++
 			return
@@ -140,8 +150,8 @@ func afterBucketID(body []byte) []byte { return body[2:] }
 // or the streaming run's final token: verify, decrypt and decode a
 // sealed partial, and merge it into out.partial.
 func mergeSealed(kr *Keyring) envProcessor {
-	return func(out *chunkOutcome, e netsim.Envelope) {
-		ct, err := open(kr, e.Payload)
+	return func(out *chunkOutcome, payload []byte) {
+		ct, err := open(kr, payload)
 		if err != nil {
 			out.macFailures++
 			return

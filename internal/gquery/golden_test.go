@@ -61,24 +61,24 @@ func transcriptDigest(frames []string, ordered bool, stats RunStats, fp string) 
 // goroutine scheduling).
 func TestProtocolTranscriptGolden(t *testing.T) {
 	want := map[string]string{
-		"secure-agg/flat/ssi1":    "e521cfbe8ab91d54",
-		"secure-agg/flat/ssi3":    "4e1def92c1d6b876",
-		"secure-agg/tree(4)/ssi1": "2b3db6c5683722d2",
-		"secure-agg/tree(4)/ssi3": "66185ce237b67d03",
-		"noise/flat/ssi1":         "580e78bf26b5d7bd",
-		"noise/flat/ssi3":         "199e5f81f5e8d149",
-		"noise/tree(4)/ssi1":      "b5526b889a240528",
-		"noise/tree(4)/ssi3":      "49bbf9d32abdb169",
-		"histogram/flat/ssi1":     "8074ea1bc65c665f",
-		"histogram/flat/ssi3":     "67d10bce58f6aea8",
-		"histogram/tree(4)/ssi1":  "2488352cb4baf413",
-		"histogram/tree(4)/ssi3":  "f4b07cd1f284a70a",
-		"paillier/flat/ssi1":      "b62af6dfca19a312",
-		"paillier/flat/ssi3":      "490ea16018689653",
-		"stream/flat/ssi1":        "1152a7981b9a4695",
-		"stream/flat/ssi3":        "6ed0c1e2ab755d91",
-		"stream/tree(4)/ssi1":     "e9cf28a3685d8552",
-		"stream/tree(4)/ssi3":     "1f11f76bd300434b",
+		"secure-agg/flat/ssi1":    "2db1449343b8eb0b",
+		"secure-agg/flat/ssi3":    "0c873f3ca35c9b6a",
+		"secure-agg/tree(4)/ssi1": "365de572df25ad82",
+		"secure-agg/tree(4)/ssi3": "68d3599c06ff15aa",
+		"noise/flat/ssi1":         "ae6d6ede6d06bd5a",
+		"noise/flat/ssi3":         "bba78d078210e194",
+		"noise/tree(4)/ssi1":      "6260a1839d255d61",
+		"noise/tree(4)/ssi3":      "17bbef9d859babf6",
+		"histogram/flat/ssi1":     "ee1b6a921f61b80d",
+		"histogram/flat/ssi3":     "21e3ed2fbfab4116",
+		"histogram/tree(4)/ssi1":  "f669bc95a6310dc8",
+		"histogram/tree(4)/ssi3":  "1a15b4ab396734af",
+		"paillier/flat/ssi1":      "01d356a0bb06e64b",
+		"paillier/flat/ssi3":      "e9f4b9884575708c",
+		"stream/flat/ssi1":        "8b6328d54040ac51",
+		"stream/flat/ssi3":        "f9e1bbdfa4c8f392",
+		"stream/tree(4)/ssi1":     "42284fcae85e85de",
+		"stream/tree(4)/ssi3":     "746cf35619c16db9",
 	}
 	parts := makeParts(37, 3, testDomain, 17)
 	kr := mustKeyring(t)

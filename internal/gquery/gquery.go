@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -228,8 +229,11 @@ type tuplePlain struct {
 	Fake  bool
 }
 
+// tuplePlainLen is the encoded length of a tuple plaintext of group.
+func tuplePlainLen(group string) int { return 8 + 2 + len(group) + 8 + 1 }
+
 func encodeTuplePlain(t tuplePlain) []byte {
-	return appendTuplePlain(make([]byte, 0, 8+2+len(t.Group)+8+1), t)
+	return appendTuplePlain(make([]byte, 0, tuplePlainLen(t.Group)), t)
 }
 
 func appendTuplePlain(out []byte, t tuplePlain) []byte {
@@ -258,34 +262,52 @@ func decodeTuplePlain(data []byte) (tuplePlain, error) {
 }
 
 // A sealed payload wraps a body with a MAC: u16 bodyLen | body | mac(32).
-// Senders build it in one buffer: beginSeal sizes it and writes the length,
-// the body is appended in place, endSeal appends the MAC.
-func beginSeal(bodyLen int) []byte {
-	out := make([]byte, 2, 2+bodyLen+32)
-	binary.LittleEndian.PutUint16(out, uint16(bodyLen))
-	return out
+// Senders build it in place at the end of a buffer: beginSeal writes the
+// length, the body is appended, endSeal appends the MAC over it.
+func sealedLen(bodyLen int) int { return 2 + bodyLen + 32 }
+
+func beginSeal(dst []byte, bodyLen int) []byte {
+	return binary.LittleEndian.AppendUint16(dst, uint16(bodyLen))
 }
 
-func endSeal(kr *Keyring, out []byte) []byte {
-	return kr.keyed().Sum(out, out[2:])
+func endSeal(kr *Keyring, dst []byte, bodyLen int) []byte {
+	return kr.keyed().Sum(dst, dst[len(dst)-bodyLen:])
 }
 
-// sealNonDet seals prefix | Enc_nd(pt).
-func sealNonDet(kr *Keyring, prefix, pt []byte) ([]byte, error) {
-	out := append(beginSeal(len(prefix)+len(pt)+privcrypto.Overhead), prefix...)
-	out, err := kr.NonDet.AppendEncrypt(out, pt)
+// appendSealNonDet appends the sealed prefix | Enc_nd(pt) to dst.
+func appendSealNonDet(dst []byte, kr *Keyring, prefix, pt []byte) ([]byte, error) {
+	bodyLen := len(prefix) + len(pt) + privcrypto.Overhead
+	dst = append(beginSeal(dst, bodyLen), prefix...)
+	dst, err := kr.NonDet.AppendEncrypt(dst, pt)
 	if err != nil {
 		return nil, err
 	}
-	return endSeal(kr, out), nil
+	return endSeal(kr, dst, bodyLen), nil
 }
 
-// sealTuple is a tuple upload: prefix is the protocol's clear routing part,
-// if any, and the plaintext is encoded on the stack (a group too long for
-// the buffer spills to the heap).
-func sealTuple(kr *Keyring, prefix []byte, t tuplePlain) ([]byte, error) {
+// sealNonDet seals prefix | Enc_nd(pt) into a buffer of its own.
+func sealNonDet(kr *Keyring, prefix, pt []byte) ([]byte, error) {
+	return appendSealNonDet(make([]byte, 0, sealedLen(len(prefix)+len(pt)+privcrypto.Overhead)), kr, prefix, pt)
+}
+
+// tupleRecordLen is the frame space of one sealTuple record: prefixLen
+// clear routing bytes plus the encrypted plaintext of a tuple of group.
+func tupleRecordLen(prefixLen int, group string) int {
+	return recordPrefix + sealedLen(prefixLen+tuplePlainLen(group)+privcrypto.Overhead)
+}
+
+// sealTuple appends one tuple upload to its PDS's upload frame as a
+// record: prefix is the protocol's clear routing part, if any, and the
+// plaintext is encoded on the stack (a group too long for the buffer
+// spills to the heap). A frame sized by tupleRecordLen never grows.
+func sealTuple(dst []byte, kr *Keyring, prefix []byte, t tuplePlain) ([]byte, error) {
 	var buf [64]byte
-	return sealNonDet(kr, prefix, appendTuplePlain(buf[:0], t))
+	dst, at := beginRecord(slices.Grow(dst, tupleRecordLen(len(prefix), t.Group)))
+	dst, err := appendSealNonDet(dst, kr, prefix, appendTuplePlain(buf[:0], t))
+	if err != nil {
+		return nil, err
+	}
+	return endRecord(dst, at), nil
 }
 
 // open verifies and unwraps a sealed payload.

@@ -108,15 +108,16 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	defer r.tp.close()
 
 	// Collection: bucket id rides in clear, everything else encrypted.
-	seal := eachTuple(func(id uint64, t Tuple) ([]byte, error) {
-		bkt := BucketOf(buckets, t.Group)
-		if bkt < 0 {
-			return nil, fmt.Errorf("gquery: group %q outside bucketized domain", t.Group)
-		}
-		var bktID [2]byte
-		binary.LittleEndian.PutUint16(bktID[:], uint16(bkt))
-		return sealTuple(kr, bktID[:], tuplePlain{ID: id, Group: t.Group, Value: t.Value})
-	})
+	seal := eachTuple(func(t Tuple) int { return tupleRecordLen(2, t.Group) },
+		func(dst []byte, id uint64, t Tuple) ([]byte, error) {
+			bkt := BucketOf(buckets, t.Group)
+			if bkt < 0 {
+				return nil, fmt.Errorf("gquery: group %q outside bucketized domain", t.Group)
+			}
+			var bktID [2]byte
+			binary.LittleEndian.PutUint16(bktID[:], uint16(bkt))
+			return sealTuple(dst, kr, bktID[:], tuplePlain{ID: id, Group: t.Group, Value: t.Value})
+		})
 	chunks, err := r.collect(1<<30, seal)
 	if err != nil {
 		return nil, r.stats, err

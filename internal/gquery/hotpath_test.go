@@ -23,7 +23,18 @@ func seqMaster() []byte {
 
 // sealBody seals an already-built body the way every sender does.
 func sealBody(kr *Keyring, body []byte) []byte {
-	return endSeal(kr, append(beginSeal(len(body)), body...))
+	dst := beginSeal(make([]byte, 0, sealedLen(len(body))), len(body))
+	return endSeal(kr, append(dst, body...), len(body))
+}
+
+// onlyRecord returns the sealed payload of a one-record frame.
+func onlyRecord(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	var recs [][]byte
+	if err := eachRecord(frame, func(rec []byte) bool { recs = append(recs, rec); return true }); err != nil || len(recs) != 1 {
+		t.Fatalf("frame of %d bytes: %d records, %v", len(frame), len(recs), err)
+	}
+	return recs[0]
 }
 
 // Sealed payloads captured while seal still copied its body and drew a
@@ -63,25 +74,36 @@ func TestSealedPayloadGoldenVectors(t *testing.T) {
 			}
 		}
 	}
-	// The one-buffer tuple upload is the same layout around a fresh
-	// non-deterministic ciphertext.
+	// A tuple upload is one record of its PDS's frame, u32 recLen | the
+	// same layout around a fresh non-deterministic ciphertext, sealed in
+	// place into a frame sized exactly.
 	tuple := tuplePlain{ID: 7, Group: "flu", Value: 42}
 	pt := encodeTuplePlain(tuple)
-	sealed, err := sealTuple(derived, []byte{3, 0}, tuple)
+	sized := make([]byte, 0, tupleRecordLen(2, tuple.Group))
+	frame, err := sealTuple(sized, derived, []byte{3, 0}, tuple)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := open(derived, sealed)
-	if err != nil || len(body) != 2+len(pt)+privcrypto.Overhead || cap(sealed) != len(sealed) {
-		t.Fatalf("sealTuple: open = %d bytes, %v; len %d cap %d", len(body), err, len(sealed), cap(sealed))
+	if len(frame) != cap(sized) || &frame[0] != &sized[:1][0] {
+		t.Fatalf("sealTuple: len %d, want the %d-byte frame filled in place", len(frame), cap(sized))
+	}
+	body, err := open(derived, onlyRecord(t, frame))
+	if err != nil || len(body) != 2+len(pt)+privcrypto.Overhead {
+		t.Fatalf("sealTuple: open = %d bytes, %v", len(body), err)
 	}
 	if got, err := derived.NonDet.Decrypt(body[2:]); err != nil || !bytes.Equal(got, pt) || body[0] != 3 {
 		t.Fatalf("sealTuple body does not decrypt to the tuple: %q, %v", got, err)
 	}
-	// A group longer than the stack buffer spills, and still round-trips.
+	// A group longer than the stack buffer spills, and still round-trips;
+	// a second record lands behind the first without moving it.
 	long := tuplePlain{ID: 8, Group: strings.Repeat("hypertension-", 12), Value: -3, Fake: true}
-	sealed, _ = sealTuple(derived, nil, long)
-	body, _ = open(derived, sealed)
+	two, _ := sealTuple(append([]byte(nil), frame...), derived, nil, long)
+	var recs [][]byte
+	if err := eachRecord(two, func(rec []byte) bool { recs = append(recs, rec); return true }); err != nil || len(recs) != 2 ||
+		!bytes.Equal(two[:len(frame)], frame) {
+		t.Fatalf("two-record frame: %d records, %v", len(recs), err)
+	}
+	body, _ = open(derived, recs[1])
 	if got, err := derived.NonDet.Decrypt(body); err != nil || !bytes.Equal(got, encodeTuplePlain(long)) {
 		t.Fatalf("sealTuple of a %d-byte group: %v", len(long.Group), err)
 	}
@@ -105,9 +127,9 @@ func TestSealOpenAllocCeilings(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("open: %.1f allocs/op, ceiling 0", got)
 	}
-	// The payload and the CTR stream; the tuple's plaintext stays on the stack.
+	// The frame and the CTR stream; the tuple's plaintext stays on the stack.
 	tuple := tuplePlain{ID: 7, Group: "flu", Value: 42}
-	if got := testing.AllocsPerRun(200, func() { sealTuple(kr, nil, tuple) }); got > 2 {
+	if got := testing.AllocsPerRun(200, func() { sealTuple(nil, kr, nil, tuple) }); got > 2 {
 		t.Errorf("sealTuple: %.1f allocs/op, ceiling 2", got)
 	}
 }
@@ -127,12 +149,12 @@ func TestKeyringSharedByFleet(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				tuple := tuplePlain{ID: uint64(g*1000 + i), Group: testDomain[i%len(testDomain)], Value: int64(i)}
 				pt := encodeTuplePlain(tuple)
-				sealed, err := sealTuple(kr, nil, tuple)
+				frame, err := sealTuple(nil, kr, nil, tuple)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				ct, err := open(kr, sealed)
+				ct, err := open(kr, frame[recordPrefix:])
 				if err != nil {
 					t.Errorf("goroutine %d: open: %v", g, err)
 					return

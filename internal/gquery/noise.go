@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -65,48 +66,50 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	defer r.tp.close()
 
 	// Collection: true tuples first, then fakes, under one id sequence.
+	// Every fake group is drawn before the first record is sealed, so the
+	// frame is sized exactly.
 	rng := rand.New(rand.NewSource(seed))
 	fakesPer := map[string]int{}
-	seal := func(buf [][]byte, p Participant) ([][]byte, error) {
-		seq := 0
-		add := func(group string, value int64, fake bool) error {
-			var pt [64]byte
-			payload, err := sealNoise(kr, group, appendTuplePlain(pt[:0], tuplePlain{
-				ID: ssi.HashID(p.ID, seq), Group: group, Value: value, Fake: fake,
-			}))
-			seq++
-			if err != nil {
-				return err
-			}
-			buf = append(buf, payload)
-			return nil
-		}
+	var fakes []string // one participant's fake groups, reused across participants
+	seal := func(p Participant) ([]byte, error) {
 		held := map[string]bool{}
+		n := 0
 		for _, t := range p.Tuples {
 			held[t.Group] = true
-			if err := add(t.Group, t.Value, false); err != nil {
-				return buf, err
+			n += noiseRecordLen(t.Group)
+		}
+		fakes = fakes[:0]
+		if kind != NoNoise {
+			nf := int(noisePerTuple * float64(len(p.Tuples)))
+			if rng.Float64() < noisePerTuple*float64(len(p.Tuples))-float64(nf) {
+				nf++
+			}
+			for ; nf > 0; nf-- {
+				g, ok := drawFakeGroup(rng, domain, held, kind)
+				if !ok {
+					break // domain exhausted for controlled noise
+				}
+				fakes = append(fakes, g)
+				n += noiseRecordLen(g)
 			}
 		}
-		if kind == NoNoise {
-			return buf, nil
-		}
-		nf := int(noisePerTuple * float64(len(p.Tuples)))
-		if rng.Float64() < noisePerTuple*float64(len(p.Tuples))-float64(nf) {
-			nf++
-		}
-		for f := 0; f < nf; f++ {
-			g, ok := drawFakeGroup(rng, domain, held, kind)
-			if !ok {
-				break // domain exhausted for controlled noise
+		frame := make([]byte, 0, n)
+		var err error
+		for seq, t := range p.Tuples {
+			if frame, err = sealNoise(frame, kr, tuplePlain{ID: ssi.HashID(p.ID, seq), Group: t.Group, Value: t.Value}); err != nil {
+				return nil, err
 			}
-			if err := add(g, 0, true); err != nil {
-				return buf, err
-			}
-			fakesPer[p.ID]++
-			r.stats.FakeTuples++
 		}
-		return buf, nil
+		for i, g := range fakes {
+			if frame, err = sealNoise(frame, kr, tuplePlain{ID: ssi.HashID(p.ID, len(p.Tuples)+i), Group: g, Fake: true}); err != nil {
+				return nil, err
+			}
+		}
+		if len(fakes) > 0 {
+			fakesPer[p.ID] += len(fakes)
+			r.stats.FakeTuples += len(fakes)
+		}
+		return frame, nil
 	}
 	chunks, err := r.collect(1<<30, seal) // one logical batch
 	if err != nil {
@@ -162,20 +165,31 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	return r.verdict(partials, wantID, wantCount)
 }
 
-// sealNoise seals one noise-protocol upload, the tuple plaintext pt
-// under its group: u16 gctLen | Enc_det(group) | Enc_nd(pt).
-func sealNoise(kr *Keyring, group string, pt []byte) ([]byte, error) {
+// noiseRecordLen is the frame space of one sealNoise record of group.
+func noiseRecordLen(group string) int {
 	gctLen := len(group) + privcrypto.Overhead
-	out := beginSeal(2 + gctLen + len(pt) + privcrypto.Overhead)
-	out = binary.LittleEndian.AppendUint16(out, uint16(gctLen))
-	out, err := kr.Det.AppendEncrypt(out, []byte(group))
+	return recordPrefix + sealedLen(2+gctLen+tuplePlainLen(group)+privcrypto.Overhead)
+}
+
+// sealNoise appends one noise-protocol upload to its PDS's upload frame
+// as a record, the tuple under its group: u16 gctLen | Enc_det(group) |
+// Enc_nd(plaintext), the plaintext encoded on the stack. A frame sized
+// by noiseRecordLen never grows.
+func sealNoise(dst []byte, kr *Keyring, t tuplePlain) ([]byte, error) {
+	var buf [64]byte
+	pt := appendTuplePlain(buf[:0], t)
+	gctLen := len(t.Group) + privcrypto.Overhead
+	bodyLen := 2 + gctLen + len(pt) + privcrypto.Overhead
+	dst, at := beginRecord(slices.Grow(dst, noiseRecordLen(t.Group)))
+	dst = binary.LittleEndian.AppendUint16(beginSeal(dst, bodyLen), uint16(gctLen))
+	dst, err := kr.Det.AppendEncrypt(dst, []byte(t.Group))
 	if err != nil {
 		return nil, err
 	}
-	if out, err = kr.NonDet.AppendEncrypt(out, pt); err != nil {
+	if dst, err = kr.NonDet.AppendEncrypt(dst, pt); err != nil {
 		return nil, err
 	}
-	return endSeal(kr, out), nil
+	return endRecord(endSeal(kr, dst, bodyLen), at), nil
 }
 
 // splitNoisePayload extracts the deterministic group ciphertext from a

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
 
 	"pds/internal/netsim"
@@ -52,7 +53,10 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 	// where idBlob = (u64 id | mac32) and vct is the Paillier ciphertext.
 	cipherLen := pk.CipherLen()
 	const idBlobLen = 8 + 32
-	seal := eachTuple(func(id uint64, t Tuple) ([]byte, error) {
+	recordLen := func(t Tuple) int {
+		return recordPrefix + 4 + len(t.Group) + privcrypto.Overhead + idBlobLen + cipherLen
+	}
+	seal := eachTuple(recordLen, func(dst []byte, id uint64, t Tuple) ([]byte, error) {
 		if t.Value < 0 {
 			return nil, fmt.Errorf("gquery: paillier protocol needs non-negative values, got %d", t.Value)
 		}
@@ -60,19 +64,18 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 		if err != nil {
 			return nil, err
 		}
-		gctLen := len(t.Group) + privcrypto.Overhead
-		payload := make([]byte, 0, 4+gctLen+idBlobLen+cipherLen)
-		payload = binary.LittleEndian.AppendUint16(payload, uint16(gctLen))
-		if payload, err = kr.Det.AppendEncrypt(payload, []byte(t.Group)); err != nil {
+		dst, at := beginRecord(slices.Grow(dst, recordLen(t)))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(len(t.Group)+privcrypto.Overhead))
+		if dst, err = kr.Det.AppendEncrypt(dst, []byte(t.Group)); err != nil {
 			return nil, err
 		}
-		payload = binary.LittleEndian.AppendUint16(payload, idBlobLen)
-		payload = binary.LittleEndian.AppendUint64(payload, id)
-		payload = kr.keyed().Sum(payload, payload[len(payload)-8:])
-		off := len(payload)
-		payload = payload[:off+cipherLen]
-		vct.FillBytes(payload[off:])
-		return payload, nil
+		dst = binary.LittleEndian.AppendUint16(dst, idBlobLen)
+		dst = binary.LittleEndian.AppendUint64(dst, id)
+		dst = kr.keyed().Sum(dst, dst[len(dst)-8:])
+		off := len(dst)
+		dst = dst[:off+cipherLen]
+		vct.FillBytes(dst[off:])
+		return endRecord(dst, at), nil
 	})
 	chunks, err := r.collect(1<<30, seal)
 	if err != nil {

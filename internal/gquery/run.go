@@ -22,46 +22,55 @@ type run struct {
 	cfg      config
 	protocol string // named by the detection abort
 	stats    RunStats
-	sealed   [][]byte // one participant's uploads, reused across participants
+	receive  func(netsim.Envelope) // the SSI end of an upload leg
 }
 
 // newRun opens the run's wire and observability epoch; the caller
 // defers r.tp.close().
 func newRun(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring, cfg config, protocol string) *run {
-	return &run{tp: newTransport(w, cfg, protocol), srv: srv, parts: parts, kr: kr, cfg: cfg, protocol: protocol}
+	r := &run{tp: newTransport(w, cfg, protocol), srv: srv, parts: parts, kr: kr, cfg: cfg, protocol: protocol}
+	inbox := func(e netsim.Envelope) bool {
+		srv.Receive(e)
+		return true
+	}
+	r.receive = func(frame netsim.Envelope) { EachUpload(frame, inbox) }
+	return r
 }
 
-// sealFn seals one participant's uploads, appending them to buf in
-// upload order.
-type sealFn func(buf [][]byte, p Participant) ([][]byte, error)
+// sealFn seals one participant's uploads into its upload frame, one
+// record per tuple in upload order. The frame is sized before the first
+// record is sealed, so it is allocated once.
+type sealFn func(p Participant) ([]byte, error)
 
 // eachTuple is the sealFn of the protocols that upload every tuple
-// exactly once, under its tuple id.
-func eachTuple(seal func(id uint64, t Tuple) ([]byte, error)) sealFn {
-	return func(buf [][]byte, p Participant) ([][]byte, error) {
-		for seq, t := range p.Tuples {
-			payload, err := seal(ssi.HashID(p.ID, seq), t)
-			if err != nil {
-				return buf, err
-			}
-			buf = append(buf, payload)
+// exactly once, under its tuple id: size gives a tuple's record length,
+// seal appends its record.
+func eachTuple(size func(t Tuple) int, seal func(dst []byte, id uint64, t Tuple) ([]byte, error)) sealFn {
+	return func(p Participant) ([]byte, error) {
+		n := 0
+		for _, t := range p.Tuples {
+			n += size(t)
 		}
-		return buf, nil
+		frame := make([]byte, 0, n)
+		for seq, t := range p.Tuples {
+			var err error
+			if frame, err = seal(frame, ssi.HashID(p.ID, seq), t); err != nil {
+				return nil, err
+			}
+		}
+		return frame, nil
 	}
 }
 
-// upload seals one participant's uploads and moves them to its SSI node.
+// upload seals one participant's uploads and moves them to its SSI node
+// as one frame; the SSI end splits it back into its inbox envelopes. A
+// participant with nothing to upload sends nothing.
 func (r *run) upload(seal sealFn, p Participant) error {
-	var err error
-	if r.sealed, err = seal(r.sealed[:0], p); err != nil {
+	frame, err := seal(p)
+	if err != nil || len(frame) == 0 {
 		return err
 	}
-	for _, payload := range r.sealed {
-		if err := r.tp.send(netsim.Envelope{From: p.ID, To: r.srv.Dest(p.ID), Kind: "tuple", Payload: payload}, r.srv.Receive); err != nil {
-			return err
-		}
-	}
-	return nil
+	return r.tp.send(netsim.Envelope{From: p.ID, To: r.srv.Dest(p.ID), Kind: "tuple", Payload: frame}, r.receive)
 }
 
 // collect is the collection and partition phases: every participant's
@@ -74,7 +83,7 @@ func (r *run) collect(chunkSize int, seal sealFn) ([][]netsim.Envelope, error) {
 			return nil, err
 		}
 	}
-	r.tp.barrier(r.srv.Receive)
+	r.tp.barrier(r.receive)
 	r.tp.phase(PhasePartition)
 	r.srv.BindTrace(r.tp.ro.curCtx())
 	return r.srv.Partition(chunkSize)

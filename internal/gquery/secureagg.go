@@ -65,7 +65,8 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 // secureAggSeal uploads each tuple as Enc_nd(id|group|value) + MAC: every
 // payload is distinct, so the SSI can only partition blindly.
 func secureAggSeal(kr *Keyring) sealFn {
-	return eachTuple(func(id uint64, t Tuple) ([]byte, error) {
-		return sealTuple(kr, nil, tuplePlain{ID: id, Group: t.Group, Value: t.Value})
-	})
+	return eachTuple(func(t Tuple) int { return tupleRecordLen(0, t.Group) },
+		func(dst []byte, id uint64, t Tuple) ([]byte, error) {
+			return sealTuple(dst, kr, nil, tuplePlain{ID: id, Group: t.Group, Value: t.Value})
+		})
 }

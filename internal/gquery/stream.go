@@ -41,12 +41,14 @@ func (s *sliceSource) Next() (Participant, bool) {
 }
 
 // SecureAggStream runs the secure-aggregation protocol over a participant
-// stream with bounded memory: uploads flow through the SSI's streaming
-// partition mode, each filled chunk is dispatched to a fold token as soon
-// as it exists, and partials are merged incrementally (flat) or climb the
-// fan-in tree as contiguous arity blocks complete (Tree topology). At no
-// point does the engine materialize the fleet's tuple set; the number of
-// filled-but-unfolded chunks is bounded at 2·workers+2.
+// stream with bounded memory: each PDS's upload frame flows through the
+// SSI's streaming partition mode, each filled chunk is dispatched to a
+// fold token as one frame as soon as it exists, and partials are merged
+// incrementally (flat) or climb the fan-in tree as contiguous arity
+// blocks complete (Tree topology). At no point does the engine
+// materialize the fleet's tuple set: at most 3·workers+3 filled chunks
+// are unfolded at once — 2·workers+2 queued, one in each worker's hands,
+// one the collector is blocked handing over.
 //
 // The integrity contract is unchanged — the run returns the exact result
 // or a typed DetectionError — but the fault plane is not supported:
@@ -88,8 +90,8 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 
 	// Fold plane: a bounded worker pool drains chunks as the SSI emits
 	// them. The jobs buffer is the memory bound that keeps a
-	// million-token run flat — once 2·workers+2 chunks are filled but
-	// unfolded, the collector blocks.
+	// million-token run flat — once 2·workers+2 chunks wait for a
+	// worker, the collector blocks.
 	workers := cfg.fleet(math.MaxInt)
 	inflight := 2*workers + 2
 	jobs := make(chan streamLeaf, inflight)
@@ -118,7 +120,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	tree := r.treeFolder(func(level, j int) string { return fmt.Sprintf("tok@L%d.%d", level, j) })
 	merge := mergeSealed(kr)
 	running := chunkOutcome{partial: partialAgg{Aggs: map[string]GroupAgg{}}}
-	rcvMerge := func(e netsim.Envelope) { merge(&running, e) }
+	rcvMerge := func(e netsim.Envelope) { merge(&running, e.Payload) }
 	var foldMax time.Duration
 	var foldErr error
 	mergeLeaf := func(out chunkOutcome) error {

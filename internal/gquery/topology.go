@@ -155,7 +155,7 @@ func (f *treeFolder) fold(level int, children []treeNode) error {
 	out := chunkOutcome{worker: f.name(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
 	node := treeNode{worker: out.worker}
 	tp.elapsed(out.worker, true) // what the token did before (a leaf, another node) is already placed
-	rcv := func(e netsim.Envelope) { f.merge(&out, e) }
+	rcv := func(e netsim.Envelope) { f.merge(&out, e.Payload) }
 	for _, c := range children {
 		node.start = max(node.start, c.end)
 		err := tp.send(netsim.Envelope{From: "ssi", To: out.worker, Kind: "tree-partial", Payload: c.sealed}, rcv)

@@ -203,11 +203,11 @@ type ShardReport struct {
 }
 
 // ServeSSI runs one SSI node over conn: it claims the shard endpoint,
-// ingests forwarded uploads through a FrameSink, and serves the control
-// calls until a stop call arrives, the connection dies, or — when
-// exitAfter > 0 — the node has ingested exitAfter uploads (the planned
-// crash of a restart scenario; the process is expected to exit and be
-// respawned empty). The returned report is what the process prints on
+// ingests forwarded upload frames through a FrameSink, splitting each
+// into its tuples, and serves the control calls until a stop call
+// arrives, the connection dies, or — when exitAfter > 0 — the node has
+// ingested exitAfter tuples (the planned crash of a restart scenario;
+// the process is expected to exit and be respawned empty). The returned report is what the process prints on
 // stdout for pdsd to collect.
 func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardReport, error) {
 	reg := obs.NewRegistry()
@@ -276,20 +276,24 @@ func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardRepor
 		return []byte("ok")
 	})
 
+	// One upload frame splits into its tuples here; a crash inside a
+	// frame loses the rest of it, and nothing lands after the crash.
+	ingest := func(e netsim.Envelope) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if early {
+			return false
+		}
+		srv.Receive(e)
+		received++
+		if exitAfter > 0 && received == exitAfter {
+			early = true
+			stop()
+		}
+		return !early
+	}
 	if err := conn.Handle(Dest(shard), func(e netsim.Envelope) {
-		sink.Accept(e, func(d netsim.Envelope) {
-			srv.Receive(d)
-			mu.Lock()
-			received++
-			crash := exitAfter > 0 && received == exitAfter
-			if crash {
-				early = true
-			}
-			mu.Unlock()
-			if crash {
-				stop()
-			}
-		})
+		sink.Accept(e, func(frame netsim.Envelope) { gquery.EachUpload(frame, ingest) })
 	}); err != nil {
 		return ShardReport{}, err
 	}

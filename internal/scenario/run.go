@@ -151,23 +151,35 @@ func (p Plan) localInfra(w transport.Transport) (gquery.Infra, error) {
 }
 
 // restartInfra loses all state accumulated before the after-th upload —
-// exactly what an SSI process crash-and-respawn does to its inbox.
+// exactly what an SSI process crash-and-respawn does to its inbox. The
+// crash can fall inside a PDS's upload frame: the rest of that frame dies
+// with the process, as it does on a remote node (ServeSSI).
 type restartInfra struct {
 	mu    sync.Mutex
 	inner gquery.Infra
 	fresh func() gquery.Infra
 	after int
 	seen  int
+	lost  string // the PDS whose frame was cut by the crash, while its rest arrives
 }
 
+// Receive ingests one tuple of an upload frame. The tuples of a frame
+// arrive one after another under their sender's id, so the rest of the
+// crashing frame is every following tuple from the same sender.
 func (r *restartInfra) Receive(e netsim.Envelope) {
 	r.mu.Lock()
+	if e.From == r.lost {
+		r.mu.Unlock()
+		return
+	}
+	r.lost = ""
 	r.seen++
 	in := r.inner
 	if r.seen == r.after {
 		// The crash fires after this upload lands, so the discarded inbox
 		// includes it — matching the process that dies holding 1..after.
 		r.inner = r.fresh()
+		r.lost = e.From
 	}
 	r.mu.Unlock()
 	in.Receive(e)

@@ -23,7 +23,7 @@ func teleFleetPlan() Plan {
 // Prometheus hardening regression.
 func TestFleetTelemetryScrape(t *testing.T) {
 	p := teleFleetPlan()
-	q := startFleet(t, p)
+	q, _ := startFleet(t, p)
 	infra := NewRemoteInfra(q, p.Shards)
 	if err := infra.WaitReady(15 * time.Second); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestFleetTelemetryCountersAdvance(t *testing.T) {
 	if !ok {
 		t.Fatal("clean plan missing from the registry")
 	}
-	q := startFleet(t, p)
+	q, _ := startFleet(t, p)
 	infra := NewRemoteInfra(q, p.Shards)
 	if err := infra.WaitReady(15 * time.Second); err != nil {
 		t.Fatal(err)

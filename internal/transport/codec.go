@@ -36,8 +36,11 @@ const (
 	opForward
 )
 
-// maxMessage bounds one wire message (4 MiB payloads dwarf anything the
-// protocols send; Paillier ciphertexts are KiB-scale).
+// maxMessage bounds one wire message. The largest a protocol sends is a
+// dispatch frame, a whole chunk of sealed tuples of about 110 B each: a
+// secure-agg chunk is a few KiB, but a noise group or histogram bucket
+// is one chunk however many tuples it holds, so 64 MiB caps it at about
+// 600 000 tuples on this substrate.
 const maxMessage = 64 << 20
 
 // errMalformed marks bytes from the wire that are not a message: a length
