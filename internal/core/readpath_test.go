@@ -199,13 +199,14 @@ func (r rpResult) fold(h io.Writer) {
 // its star queries, and the digest of everything the ops returned. The
 // search and get vectors and the results were captured at the parent of
 // the in-place page views (ff8716a) and have not moved since; the star
-// vector moved once, when star queries began to read the Tselect trees
-// and to hold one page per structure.
+// vector moved twice: when star queries began to read the Tselect trees
+// and to hold one page per structure, and when they began to fetch each
+// window's dimension tuples in dimension rowid order.
 func TestReadPathGolden(t *testing.T) {
 	wantIO := [3]string{
 		"545972fde42f15a60f1540fbece457677e4f36a77c4525fa267817ddcc41b182", // 621 page reads
 		"e1e5901f6594ae8a06f931a1b05f3fb092267c91c0aa6ddfbea1a39c0ca0adc9", // 211
-		"22a34f48d560f5f9d00ee7fe6fffda212e9d5bb83132bbbaa3afe114163b555e", // 5425; was 798b22d4…, 22462
+		"d79560a0a0b962688119d3e2bf83f7e6c4b00fb98b13928cf19d6cb80f031d04", // 3194; was 22a34f48…, 5425; before that 798b22d4…, 22462
 	}
 	const wantResults = "a227a87af062e0282ce49a9f7a61efedb5b577e695f3869b2bf737acf4b54616"
 	tk := newReadPathToken(t)

@@ -3,6 +3,7 @@ package embdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -69,8 +70,9 @@ func TestLookupAllocCeiling(t *testing.T) {
 }
 
 // A Tjoin probe allocates the rid slice it returns; a result row of a
-// star query the Row and the boxes of its projected values — the tuples
-// the row is assembled from are never materialized.
+// star query its share of its window's slab of rows and the boxes of its
+// projected values — the tuples the row is assembled from are never
+// materialized.
 func TestStarRowAllocCeiling(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -112,25 +114,38 @@ func TestStarRowAllocCeiling(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocs per Tjoin probe, %.0f per result row", probe, perRow)
-	// The Row, and a string plus its box for each of the two Str columns;
-	// it was 17: a map, the Tjoin record and its rid slice, and a copy and
-	// every column of each fetched tuple.
-	if perRow > 5 {
-		t.Errorf("StarRows.Next: %.0f allocs per row, ceiling 5", perRow)
+	// Rows are assembled a window of 16 at a time (256-byte pages, two
+	// dimension steps): the window's slab, and a string plus its box for
+	// each of the two Str columns of each row — 65 allocations. The 200
+	// rows after the warm-up row span twelve windows, 780 allocations,
+	// which AllocsPerRun floors to 3 per row; one more allocation per row,
+	// or two more per window, reads 4. It was 5 with one Row per row, and
+	// 17 before that: a map, the Tjoin record and its rid slice, and a copy
+	// and every column of each fetched tuple.
+	if perRow > 3 {
+		t.Errorf("StarRows.Next: %.0f allocs per row, ceiling 3", perRow)
 	}
 }
 
-// A star query holds a page for its Tjoin probes and one per fetched
-// table: it must hand every one back when the stream is drained, closed
-// early, or fails mid-stream.
+// A star query holds a page for its Tjoin probes, one per fetched table
+// and its page of sort entries, and reserves RAM for its rid lists and
+// entries: it must hand every page back and leave the arena idle when the
+// stream is drained, closed early, or fails mid-window. A failure ends
+// the stream at the window that hit it, so what came before is a whole
+// number of windows of the baseline's rows.
 func TestStarRowsReleaseHeldPages(t *testing.T) {
-	alloc := bigAlloc()
-	db := NewDB(alloc, mcu.NewArena(0))
-	buildTPCD(t, db, 40, 6, 200, 1500, 3)
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
+	build := func() (*DB, *flash.Allocator, *mcu.Arena) {
+		alloc := bigAlloc()
+		arena := mcu.NewArena(0)
+		db := NewDB(alloc, arena)
+		buildTPCD(t, db, 40, 6, 200, 1500, 3)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return db, alloc, arena
 	}
-	held := func(r *StarRows) int {
+	released := func(r *StarRows, arena *mcu.Arena, when string) {
+		t.Helper()
 		n := 0
 		if r.jpage.Holding() {
 			n++
@@ -140,22 +155,28 @@ func TestStarRowsReleaseHeldPages(t *testing.T) {
 				n++
 			}
 		}
-		return n
+		if n != 0 {
+			t.Errorf("%s: %d pages held", when, n)
+		}
+		if r.ents != nil {
+			t.Errorf("%s: entry page not handed back to its pool", when)
+		}
+		if used := arena.Used(); used != 0 {
+			t.Errorf("%s: arena holds %d bytes", when, used)
+		}
 	}
 	q := slideQuery()
 
+	db, _, arena := build()
 	rows, err := db.ExecuteStar(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	all, err := rows.All()
-	if err != nil || len(all) < 2 {
-		t.Fatalf("drained: %d rows, %v", len(all), err)
+	if err != nil || len(all) <= 2*rows.window {
+		t.Fatalf("drained: %d rows in windows of %d, %v", len(all), rows.window, err)
 	}
-	if n := held(rows); n != 0 {
-		t.Errorf("drained stream holds %d pages", n)
-	}
-	last := rows.rids[len(rows.rids)-1]
+	released(rows, arena, "drained stream")
 
 	rows, err = db.ExecuteStar(q)
 	if err != nil {
@@ -164,48 +185,97 @@ func TestStarRowsReleaseHeldPages(t *testing.T) {
 	if _, ok := rows.Next(); !ok {
 		t.Fatal(rows.Err())
 	}
-	if n := held(rows); n != 1+len(rows.fetch) {
-		t.Errorf("mid-stream: %d pages held, want %d", n, 1+len(rows.fetch))
+	n := 0
+	for i := range rows.fetch {
+		if rows.fetch[i].page.Holding() {
+			n++
+		}
+	}
+	if !rows.jpage.Holding() || n != len(rows.fetch) || rows.ents == nil || arena.Used() == 0 {
+		t.Errorf("mid-stream: want %d pages, the entry page and a reservation held", 1+len(rows.fetch))
 	}
 	rows.Close()
-	if n := held(rows); n != 0 {
-		t.Errorf("stream closed early holds %d pages", n)
-	}
+	released(rows, arena, "stream closed early")
 	if row, ok := rows.Next(); ok {
 		t.Errorf("closed stream yielded %v", row)
 	}
+	rows.Close()
 
-	// Corrupt the LINEITEM page of the last survivor: the stream fails
-	// when it gets there.
-	li, err := db.Table("LINEITEM")
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := li.recordID(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ppb := alloc.Chip().Geometry().PagesPerBlock
-	phys := li.log.Blocks()[int(id.Page)/ppb]*ppb + int(id.Page)%ppb
-	img, err := alloc.Chip().Page(phys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), img...)
-	bad[len(bad)-1] ^= 0x01
-	if err := alloc.Chip().CorruptPage(phys, bad); err != nil {
-		t.Fatal(err)
-	}
-	rows, err = db.ExecuteStar(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rows.All()
-	if !errors.Is(err, logstore.ErrCorruptPage) {
-		t.Fatalf("stream over a corrupt page: %d rows, err = %v; want ErrCorruptPage", len(got), err)
-	}
-	if n := held(rows); n != 0 {
-		t.Errorf("failed stream holds %d pages", n)
+	// Corrupt the page of LINEITEM (read in pass 1), then, on a fresh
+	// database, of ORDERS (read in pass 2) that the stream needs last: it
+	// fails at the first window that needs the page.
+	for _, table := range []string{"LINEITEM", "ORDERS"} {
+		db, alloc, arena := build()
+		want, _, err := db.ExecuteStarNaive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := db.ExecuteStar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, rids := rows.window, rows.rids
+		rows.Close()
+		tbl, err := db.Table(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ji, err := db.JoinIndexOf(q.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first window that reads each page of the table.
+		first := map[int32]int{}
+		for i, rid := range rids {
+			trid := rid
+			if table != q.Root {
+				dims, err := ji.Get(rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				trid = dims[slices.Index(ji.Dims(), table)]
+			}
+			id, err := tbl.recordID(trid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := first[id.Page]; !ok {
+				first[id.Page] = i / w
+			}
+		}
+		page, failing := int32(0), -1
+		for p, win := range first {
+			if win > failing || win == failing && p < page {
+				page, failing = p, win
+			}
+		}
+		if failing < 1 {
+			t.Fatalf("%s: every page is read in the first window", table)
+		}
+		ppb := alloc.Chip().Geometry().PagesPerBlock
+		phys := tbl.log.Blocks()[int(page)/ppb]*ppb + int(page)%ppb
+		img, err := alloc.Chip().Page(phys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), img...)
+		bad[len(bad)-1] ^= 0x01
+		if err := alloc.Chip().CorruptPage(phys, bad); err != nil {
+			t.Fatal(err)
+		}
+		rows, err = db.ExecuteStar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rows.All()
+		if !errors.Is(err, logstore.ErrCorruptPage) {
+			t.Fatalf("%s: stream over a corrupt page: %d rows, err = %v; want ErrCorruptPage", table, len(got), err)
+		}
+		if len(got) != failing*w || fmt.Sprint(got) != fmt.Sprint(want[:len(got)]) {
+			t.Errorf("%s: failed stream returned %d rows; want the %d windows of %d before the failing one", table, len(got), failing, w)
+		}
+		t.Logf("%s: failed at window %d of %d, %d rows", table, failing, (len(rids)+w-1)/w, len(got))
+		released(rows, arena, table+": failed stream")
 	}
 }
 

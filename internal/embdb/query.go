@@ -3,6 +3,7 @@ package embdb
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"pds/internal/logstore"
 	"pds/internal/mcu"
@@ -50,25 +51,47 @@ type QueryStats struct {
 }
 
 // StarRows streams the result tuples of a star query. Join assembly is
-// lazy: each Next call probes the Tjoin index and fetches only the tuples
-// the projection needs, keeping RAM at a page per involved structure —
-// the Tjoin's and one per fetched table. Each page stays held across
-// rows, and survivors come in ascending rowid order, so a probe or fetch
-// that lands on the page already held reads nothing.
+// lazy and goes a window of survivors at a time, keeping RAM at a page
+// per involved structure — the Tjoin's and one per fetched table — plus
+// one page of sort entries. A window is assembled in two passes:
+//
+//   - in root rowid order, each survivor's Tjoin record is probed and the
+//     root tuple fetched when the projection names it; every dimension
+//     tuple the row needs is noted as an entry (step, rowid, window slot);
+//   - the entries are sorted and each tuple fetched in that order, so a
+//     dimension page is read at most once per window, and its projected
+//     columns are decoded into the row at the entry's slot.
+//
+// Next then hands the window's rows out in root rowid order. Each page
+// stays held across rows and windows, so a probe or fetch that lands on
+// the page already held reads nothing. A failure ends the stream at the
+// window that hit it: none of that window's rows is returned.
 type StarRows struct {
 	db      *DB
 	ji      *JoinIndex
 	rids    []RowID
-	pos     int
-	root    *Table
+	pos     int         // next survivor to assemble
 	fetch   []fetchStep // the distinct projected tables, in first-use order
 	proj    []projCol
-	dimRids []RowID           // the Tjoin record of the row being assembled
+	dimRids []RowID           // the Tjoin record of the row being probed
 	jpage   logstore.HeldPage // the Tjoin page of RAM
+	window  int               // survivors per window
+	ents    *[]uint64         // the page of sort entries, nil when none is held
+	slab    []Value           // the window's rows, len(proj) values each
+	wpos    int               // next row of the window to hand out
+	wlen    int               // rows in the window
 	stats   QueryStats
 	res     *mcu.Reservation
 	err     error
 }
+
+// entryPages recycles the pages of sort entries of star queries: one
+// uint64 per entry, step<<48 | rowid<<16 | slot, so that sorting the
+// words sorts the entries by (step, rowid, slot).
+var entryPages sync.Pool
+
+// maxWindow bounds a window so that a slot fits an entry's 16 bits.
+const maxWindow = 1 << 16
 
 // fetchStep is one tuple fetch of a result row: the root tuple itself
 // (dim < 0) or the tuple of table that entry dim of the Tjoin record names,
@@ -88,7 +111,12 @@ type projCol struct {
 
 // ExecuteStar evaluates a star query in pipeline through Tselect and Tjoin
 // indexes: each condition yields an ascending list of root rowids, the
-// lists are merge-intersected, and surviving rowids drive index-probe joins.
+// lists are merge-intersected, and surviving rowids drive index-probe joins
+// a window at a time — Tjoin probes and root tuples in rowid order, then
+// each dimension table's tuples sorted by dimension rowid (see StarRows).
+// A window holds max(1, PageSize / (8 × dimension steps)) survivors, so
+// that its sort entries fill at most one page, which the query reserves
+// with its rid lists.
 func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 	ji, err := db.JoinIndexOf(q.Root)
 	if err != nil {
@@ -99,12 +127,13 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 		return nil, err
 	}
 	rows := &StarRows{
-		db: db, ji: ji, root: root,
+		db: db, ji: ji,
 		fetch: make([]fetchStep, 0, len(q.Project)),
 		proj:  make([]projCol, 0, len(q.Project)),
 	}
 	// Resolve projection columns; each distinct table is fetched once per
 	// result row, in the order the projection first names it.
+	dimSteps := 0
 	for _, p := range q.Project {
 		t, err := db.Table(p.Table)
 		if err != nil {
@@ -124,6 +153,9 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 		if step < 0 {
 			step = len(rows.fetch)
 			rows.fetch = append(rows.fetch, fetchStep{table: t, dim: dim})
+			if dim >= 0 {
+				dimSteps++
+			}
 		}
 		rows.proj = append(rows.proj, projCol{step: step, colIdx: ci})
 	}
@@ -156,9 +188,9 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 		rows.stats.CandidateLists = append(rows.stats.CandidateLists, len(rids))
 		lists = append(lists, rids)
 	}
-	// Account the materialized rid lists against the MCU RAM. The
-	// survivors are written over the first list, so they add nothing to
-	// its share.
+	// Account the materialized rid lists and the page of sort entries
+	// against the MCU RAM. The survivors are written over the first list,
+	// so they add nothing to its share.
 	var survivors []RowID
 	ram := 0
 	if len(lists) == 0 {
@@ -174,11 +206,24 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 	for _, l := range lists {
 		ram += 4 * len(l)
 	}
+	pageSize := root.Chip().Geometry().PageSize
+	rows.window = min(max(1, pageSize/(8*max(1, dimSteps))), maxWindow)
+	if dimSteps > 0 {
+		ram += pageSize
+	}
 	res, err := db.arena.Reserve(ram)
 	if err != nil {
 		return nil, fmt.Errorf("embdb: star query rid lists: %w", err)
 	}
 	rows.res = res
+	if dimSteps > 0 {
+		ents, _ := entryPages.Get().(*[]uint64)
+		if ents == nil || cap(*ents) < pageSize/8 {
+			e := make([]uint64, 0, pageSize/8)
+			ents = &e
+		}
+		rows.ents = ents
+	}
 	rows.rids = survivors
 	rows.stats.Survivors = len(survivors)
 	if db.obsv != nil {
@@ -221,52 +266,87 @@ func intersectSorted(lists [][]RowID) []RowID {
 	return out
 }
 
-// Next returns the next projected result row. A failed row ends the stream
-// and releases its RAM like the last one does.
+// Next returns the next projected result row. A failed window ends the
+// stream and releases its RAM like the last one does.
 func (r *StarRows) Next() (Row, bool) {
-	if r.err != nil || r.pos >= len(r.rids) {
-		r.Close()
-		return nil, false
+	if r.wpos == r.wlen {
+		if r.err != nil || r.pos >= len(r.rids) {
+			r.Close()
+			return nil, false
+		}
+		if err := r.fill(); err != nil {
+			r.err = err
+			r.Close()
+			return nil, false
+		}
 	}
-	rid := r.rids[r.pos]
-	r.pos++
-	row, err := r.assemble(rid)
-	if err != nil {
-		r.err = err
-		r.Close()
-		return nil, false
-	}
+	n := len(r.proj)
+	row := r.slab[r.wpos*n : (r.wpos+1)*n : (r.wpos+1)*n]
+	r.wpos++
 	return row, true
 }
 
-// assemble builds the result row of root rowid rid: the Tjoin probe, then
-// each projected table's tuple, is viewed in its structure's held page and
-// only the projected columns are copied out.
-func (r *StarRows) assemble(rid RowID) (Row, error) {
-	dimRids, err := r.ji.get(rid, r.dimRids[:0], &r.jpage)
-	r.db.count(MetricTjoinProbes, 1)
-	if err != nil {
-		return nil, err
+// fill assembles the next window of survivors into a fresh slab of rows.
+// Pass 1 probes the Tjoin and fetches the root tuple in root rowid order
+// and notes one sort entry per dimension fetch; pass 2 fetches the
+// dimension tuples in entry order. Every tuple is viewed in its
+// structure's held page and only the projected columns are copied out.
+func (r *StarRows) fill() error {
+	rids := r.rids[r.pos:min(r.pos+r.window, len(r.rids))]
+	r.pos += len(rids)
+	n := len(r.proj)
+	r.slab = make([]Value, len(rids)*n)
+	r.wpos, r.wlen = 0, 0
+	var ents []uint64
+	if r.ents != nil {
+		ents = (*r.ents)[:0]
 	}
-	r.dimRids = dimRids
-	out := make(Row, len(r.proj))
-	for step := range r.fetch {
-		f := &r.fetch[step]
-		trid := rid
-		if f.dim >= 0 {
-			trid = dimRids[f.dim]
-		}
-		data, err := f.table.view(trid, &f.page)
+	probes, fetched := 0, 0
+	defer func() {
+		r.stats.TuplesFetched += fetched
+		r.db.count(MetricTjoinProbes, int64(probes))
+		r.db.count(MetricTuplesFetched, int64(fetched))
+	}()
+	for slot, rid := range rids {
+		dimRids, err := r.ji.get(rid, r.dimRids[:0], &r.jpage)
+		probes++
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := decodeCols(f.table.schema, data, r.proj, step, out); err != nil {
-			return nil, err
+		r.dimRids = dimRids
+		for step := range r.fetch {
+			f := &r.fetch[step]
+			if f.dim >= 0 {
+				ents = append(ents, uint64(step)<<48|uint64(dimRids[f.dim])<<16|uint64(slot))
+				continue
+			}
+			if err := r.decode(step, rid, slot); err != nil {
+				return err
+			}
+			fetched++
 		}
-		r.stats.TuplesFetched++
-		r.db.count(MetricTuplesFetched, 1)
 	}
-	return out, nil
+	slices.Sort(ents)
+	for _, e := range ents {
+		if err := r.decode(int(e>>48), RowID(uint32(e>>16)), int(e&0xffff)); err != nil {
+			return err
+		}
+		fetched++
+	}
+	r.wlen = len(rids)
+	return nil
+}
+
+// decode views tuple rid of fetch step step in the step's held page and
+// copies its projected columns into the window's row at slot.
+func (r *StarRows) decode(step int, rid RowID, slot int) error {
+	f := &r.fetch[step]
+	data, err := f.table.view(rid, &f.page)
+	if err != nil {
+		return err
+	}
+	n := len(r.proj)
+	return decodeCols(f.table.schema, data, r.proj, step, r.slab[slot*n:(slot+1)*n])
 }
 
 // Err returns the first error hit while streaming.
@@ -276,10 +356,15 @@ func (r *StarRows) Err() error { return r.err }
 func (r *StarRows) Stats() QueryStats { return r.stats }
 
 // Close ends the stream: it releases the query's RAM reservation and
-// hands its held pages back. Safe to call repeatedly; Next calls it
-// automatically when the stream ends or fails.
+// hands its held pages and its page of sort entries back. Safe to call
+// repeatedly; Next calls it automatically when the stream ends or fails.
 func (r *StarRows) Close() {
 	r.pos = len(r.rids)
+	r.slab, r.wpos, r.wlen = nil, 0, 0
+	if r.ents != nil {
+		entryPages.Put(r.ents)
+		r.ents = nil
+	}
 	if r.res != nil {
 		r.res.Release()
 		r.res = nil

@@ -564,3 +564,150 @@ func TestSelectIndexLookupRange(t *testing.T) {
 		t.Errorf("inverted range = %v, %v", inv, err)
 	}
 }
+
+// buildWindowed builds a star of three dimension tables of a few pages
+// each under a root SALE of 400 rows whose tag column has exactly k rows
+// of tag k for k in {1, 10, 11, 32, 33}, scattered over the table, and 0
+// elsewhere — the survivor counts that fill one, W and W+1 windows at the
+// window sizes of 256-byte pages.
+func buildWindowed(t *testing.T) *DB {
+	t.Helper()
+	db := NewDB(bigAlloc(), mcu.NewArena(0))
+	dims := []struct {
+		name, a, b string
+		rows       int
+	}{{"CUST", "name", "city", 60}, {"SUPP", "name", "nation", 8}, {"PART", "name", "kind", 12}}
+	for _, d := range dims {
+		if _, err := db.CreateTable(d.name, NewSchema(Column{d.a, Str}, Column{d.b, Str})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.CreateTable("SALE", NewSchema(
+		Column{"cust", Int}, Column{"supp", Int}, Column{"part", Int}, Column{"tag", Int}, Column{"qty", Int},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	for _, fk := range []ForeignKey{{"SALE", "cust", "CUST"}, {"SALE", "supp", "SUPP"}, {"SALE", "part", "PART"}} {
+		if err := db.AddForeignKey(fk.ChildTable, fk.ChildCol, fk.Parent); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.CreateJoinIndex("SALE"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTselect("SALE", "SALE", "tag"); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range dims {
+		for i := 0; i < d.rows; i++ {
+			if _, err := db.Insert(d.name, Row{StrVal(fmt.Sprintf("%s-%02d", d.name, i)), StrVal(fmt.Sprintf("%s%d", d.b, i%7))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	tags := make([]int64, 0, 400)
+	for _, k := range []int{1, 10, 11, 32, 33} {
+		for i := 0; i < k; i++ {
+			tags = append(tags, int64(k))
+		}
+	}
+	tags = tags[:400] // the rest are 0
+	rng.Shuffle(len(tags), func(i, j int) { tags[i], tags[j] = tags[j], tags[i] })
+	for _, tag := range tags {
+		if _, err := db.Insert("SALE", Row{
+			IntVal(rng.Int63n(int64(dims[0].rows))),
+			IntVal(rng.Int63n(int64(dims[1].rows))),
+			IntVal(rng.Int63n(int64(dims[2].rows))),
+			IntVal(tag),
+			IntVal(rng.Int63n(1000)),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// A star query assembles its rows a window at a time: whether the
+// survivors fill one window, exactly W, W+1 or many, and whether the
+// projection names one dimension table, three, or two columns of one, it
+// must return exactly the index-free baseline's rows in root rowid order,
+// and each window may read each dimension table's pages at most once.
+// The dimension reads are the query's reads less those of the same query
+// projecting the root column alone: same lookups, probes and root fetches.
+func TestStarWindowBoundaries(t *testing.T) {
+	db := buildWindowed(t)
+	chip := db.Alloc().Chip()
+	pageSize := chip.Geometry().PageSize
+	pagesOf := func(name string) int {
+		tbl, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.Pages() < 1 {
+			t.Fatalf("%s: %d pages", name, tbl.Pages())
+		}
+		return tbl.Pages()
+	}
+	run := func(q StarQuery) (rows []Row, window int, stats QueryStats, reads int64) {
+		before := chip.Stats()
+		r, err := db.ExecuteStar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window = r.window
+		if rows, err = r.All(); err != nil {
+			t.Fatal(err)
+		}
+		return rows, window, r.Stats(), chip.Stats().Sub(before).PageReads
+	}
+	shapes := []struct {
+		name string
+		proj []ColRef
+		dims []string
+	}{
+		{"one dimension", []ColRef{{"CUST", "name"}, {"SALE", "qty"}}, []string{"CUST"}},
+		{"three dimensions", []ColRef{{"CUST", "name"}, {"SUPP", "nation"}, {"SALE", "qty"}, {"PART", "kind"}}, []string{"CUST", "SUPP", "PART"}},
+		{"two columns of one dimension", []ColRef{{"CUST", "city"}, {"SALE", "qty"}, {"CUST", "name"}}, []string{"CUST"}},
+	}
+	for _, sh := range shapes {
+		w := max(1, pageSize/(8*len(sh.dims)))
+		dimPages := 0
+		for _, d := range sh.dims {
+			dimPages += pagesOf(d)
+		}
+		for _, tag := range []int{1, w, w + 1, -1} {
+			var conds []Cond
+			survivors := 400
+			if tag >= 0 {
+				conds = []Cond{{Table: "SALE", Col: "tag", Val: IntVal(int64(tag))}}
+				survivors = tag
+			}
+			name := fmt.Sprintf("%s/%d survivors", sh.name, survivors)
+			q := StarQuery{Root: "SALE", Conds: conds, Project: sh.proj}
+			got, window, stats, reads := run(q)
+			want, _, err := db.ExecuteStarNaive(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if window != w {
+				t.Errorf("%s: window of %d survivors, want %d", name, window, w)
+			}
+			if len(want) != survivors || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("%s: pipeline %d rows, naive %d, want %d, in the same order", name, len(got), len(want), survivors)
+			}
+			fetchSteps := len(sh.dims) + 1
+			if stats.Survivors != survivors || stats.TuplesFetched != survivors*fetchSteps {
+				t.Errorf("%s: stats %+v, want %d survivors and %d tuples fetched", name, stats, survivors, survivors*fetchSteps)
+			}
+			_, _, _, baseReads := run(StarQuery{Root: "SALE", Conds: conds, Project: []ColRef{{"SALE", "qty"}}})
+			windows := (survivors + w - 1) / w
+			if dim := reads - baseReads; dim > int64(windows*dimPages) {
+				t.Errorf("%s: %d dimension page reads over %d windows of %d pages", name, dim, windows, dimPages)
+			}
+		}
+	}
+}
