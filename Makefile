@@ -90,11 +90,15 @@ smoke-trace:
 # any fleet size and never a shorter one on a lossy wire, and every bulk
 # leg — a PDS's upload, a chunk's dispatch — must be one frame. On the token,
 # the star query over folded Tselect trees with held pages (DESIGN §20)
-# must average at most 300 page reads and match the naive baseline.
+# must average at most 300 page reads and match the naive baseline, and a
+# search reorganization over twice the compact index (same new postings)
+# may add at most one read and one write per added compact page (DESIGN
+# §3, "Search reorganization is a merge-fold").
 perf-regression:
 	$(GO) test ./cmd/pdsbench -run '^TestE20TreeCriticalPathRegression$$' -count=1
 	$(GO) test ./internal/gquery -run '^(TestCriticalPathInvariantToWorkers|TestLossyNeverFasterThanClean|TestOneFramePerLeg)$$' -count=1
 	$(GO) test ./internal/embdb -run '^TestStarQueryPageBudget$$' -count=1
+	$(GO) test ./internal/search -run '^TestReorganizeIOBound$$' -count=1
 
 # The power-fail property battery (DESIGN §11): every store workload ×
 # every crash point × {write, torn-write, erase}, pinned seeds, full

@@ -386,7 +386,9 @@ func (s *Store) ScanGet(key []byte) ([]byte, error) {
 // live values are rewritten into a fresh sequential value log. The old
 // blocks are freed at block grain. Compaction uses only log structures
 // (runPages/fanIn bound the sort RAM, as in the tutorial's reorganization).
-func (s *Store) Compact(runPages, fanIn int) error {
+// A compaction that fails before its switch record lands leaves the store
+// as it was and frees every block it wrote.
+func (s *Store) Compact(runPages, fanIn int) (err error) {
 	if s.closed {
 		return ErrClosed
 	}
@@ -412,6 +414,12 @@ func (s *Store) Compact(runPages, fanIn int) error {
 	newSums := logstore.NewLog(s.alloc)
 	next := &Store{alloc: s.alloc, values: newValues, keys: newKeys, sums: newSums}
 	newKeys.OnFlush(next.flushSummary)
+	switched := false
+	defer func() {
+		if !switched {
+			err = errors.Join(err, newValues.Drop(), newKeys.Drop(), newSums.Drop())
+		}
+	}()
 
 	// Stream the sorted bindings; equal keys arrive oldest→newest (stable
 	// sort), so remember the last of each run of equal keys.
@@ -471,16 +479,23 @@ func (s *Store) Compact(runPages, fanIn int) error {
 	// referencing the new logs is the switch point. Until it lands the
 	// old structure stays authoritative — a crash anywhere during the
 	// rebuild recovers the old logs and reclaims the half-built new ones;
-	// a crash after it recovers the new logs and reclaims the old.
+	// a crash after it recovers the new logs and reclaims the old. A
+	// commit whose record did not land keeps the old logs.
+	var commitErr error
+	if s.j != nil {
+		seq := s.j.Seq()
+		if commitErr = s.j.Commit(next.manifest()); commitErr != nil && s.j.Seq() == seq {
+			return commitErr
+		}
+	}
+	switched = true
 	old := [3]*logstore.Log{s.values, s.keys, s.sums}
 	s.values, s.keys, s.sums = newValues, newKeys, newSums
 	s.pageKeys = next.pageKeys
 	s.puts = next.puts
 	s.keys.OnFlush(s.flushSummary)
-	if s.j != nil {
-		if err := s.j.Commit(s.manifest()); err != nil {
-			return err
-		}
+	if commitErr != nil {
+		return commitErr
 	}
 	// Free the superseded blocks only after the switch record is durable.
 	for _, l := range old {

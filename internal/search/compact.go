@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -13,14 +14,15 @@ import (
 // engine: timely reorganization of the sequential bucket chains into a
 // more efficient structure, itself built only from sequential writes.
 //
-// Reorganization externally sorts every posting by (term ascending, docid
-// DESCENDING) — stable, log-only — and rewrites them as densely packed
-// "compact" pages. A small in-RAM directory (last term of each page) routes
-// a query keyword to exactly the pages holding its postings, instead of a
-// whole hash-bucket chain shared with other terms. Documents indexed after
-// a reorganization go to fresh bucket chains; since docids only grow, a
-// cursor serves chain postings first and compact postings second, and the
-// merged stream stays strictly docid-descending.
+// Reorganization externally sorts the postings indexed since the last one
+// by (term ascending, docid DESCENDING) — stable, log-only — merges them
+// with the previous compact pages in one pass, and rewrites the result as
+// densely packed "compact" pages. A small in-RAM directory (last term of
+// each page) routes a query keyword to exactly the pages holding its
+// postings, instead of a whole hash-bucket chain shared with other terms.
+// Documents indexed after a reorganization go to fresh bucket chains;
+// since docids only grow, a cursor serves chain postings first and compact
+// postings second, and the merged stream stays strictly docid-descending.
 
 // compact page layout: u16 count | count × triple (same triple encoding as
 // bucket pages, without the chain pointer).
@@ -33,80 +35,119 @@ type compactIndex struct {
 	dir []string
 }
 
-// Reorganize merges every bucket chain (and any previous compact index)
-// into a fresh compact index, then resets the chains and frees the old
-// blocks. runPages and fanIn bound the external sort's RAM, as in the
-// tutorial's reorganization step.
+// Reorganize merges the postings indexed since the last reorganization
+// into the compact index, then resets the bucket chains and frees the old
+// blocks. Only that delta is sorted: every chain docid exceeds every
+// compact docid, so the sorted delta and the old compact pages merge in
+// one pass into exactly the stream a sort of everything would give.
+// runPages and fanIn bound the external sort's RAM, as in the tutorial's
+// reorganization step; the merge holds one page of RAM for each of the
+// delta, the old compact page and the page being packed. A
+// reorganization that fails before its switch record lands leaves the
+// engine as it was and frees every block it wrote.
 func (e *Engine) Reorganize(runPages, fanIn int) error {
 	if err := e.Flush(); err != nil {
 		return err
 	}
-	alloc := e.pw.Alloc()
-
-	// Gather all postings into a temporary log (sequential writes only).
-	// A triple is encoded on a bucket or compact page exactly as in the
-	// log record, so each goes from the page image straight into the log.
-	tmp := logstore.NewLog(alloc)
-	var buf []byte // one page of RAM for the walk
-	emit := func(body []byte) error {
-		for len(body) > 0 {
-			var rec []byte
-			rec, body = nextTriple(body)
-			if _, err := tmp.Append(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for b := 0; b < e.nbuckets; b++ {
-		next := e.heads[b]
-		for next >= 0 {
-			img, err := readPage(e.pw.Chip(), int(next), &buf)
-			if err != nil {
-				return err
-			}
-			prev, body, err := bucketPage(img)
-			if err != nil {
-				return err
-			}
-			if err := emit(body); err != nil {
-				return err
-			}
-			next = prev
-		}
-	}
-	if e.compact != nil {
-		for p := 0; p < e.compact.pw.Pages(); p++ {
-			body, err := e.compact.page(p, &buf)
-			if err != nil {
-				return err
-			}
-			if err := emit(body); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Sort by (term asc, docid desc).
-	sorted, err := logstore.Sort(tmp, tripleLess, runPages, fanIn)
+	ci, sorted, err := e.mergeDelta(runPages, fanIn)
 	if err != nil {
-		return err
-	}
-	if err := tmp.Drop(); err != nil {
 		return err
 	}
 	defer sorted.Drop()
 
-	// Pack into compact pages, recording the directory. The chip copies
-	// each page it programs, so the page of RAM the walk used serves every
-	// image; lastTerm is the last triple's term where it lies in it.
-	ci := &compactIndex{pw: logstore.NewPageWriter(alloc)}
-	if buf == nil {
-		buf = make([]byte, e.pageSize)
+	// Swap in, then free the old chains and old compact index. In durable
+	// mode the commit record between the two is the atomic switch point
+	// (DESIGN §11): until it lands the old structure is what recovery
+	// restores (the half-built compact pages are reclaimed as unowned), and
+	// once it lands the old blocks are garbage whether or not the drops
+	// below complete. A commit whose record did not land puts the old
+	// structure back.
+	oldPW, oldCompact, oldHeads := e.pw, e.compact, e.heads
+	e.pw = logstore.NewPageWriter(oldPW.Alloc())
+	e.compact = ci
+	e.heads = make([]int32, e.nbuckets)
+	for b := range e.heads {
+		e.heads[b] = -1
 	}
-	page := buf[:compactPageHeader]
+	if e.j != nil {
+		seq := e.j.Seq()
+		if err := e.j.Commit(e.manifest()); err != nil {
+			if e.j.Seq() == seq {
+				e.pw, e.compact, e.heads = oldPW, oldCompact, oldHeads
+				return errors.Join(err, ci.pw.Drop())
+			}
+			return err
+		}
+	}
+	err = oldPW.Drop()
+	if oldCompact != nil {
+		err = errors.Join(err, oldCompact.pw.Drop())
+	}
+	return err
+}
+
+// mergeDelta builds the new compact index: it gathers the chain postings
+// into a temporary log (sequential writes only; a triple is encoded on a
+// bucket page exactly as in the log record, so each goes from the page
+// image straight into the log), sorts that delta by (term asc, docid
+// desc), and merges it with the old compact pages, packing the merged
+// stream into new compact pages and recording the directory. The merge
+// trusts the old index's order but checks it: a record that does not
+// come strictly after the one packed before it is ErrCompactOrder. The
+// caller drops the sorted delta once the old structure is gone. A
+// failure frees every block mergeDelta wrote.
+func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, _ *logstore.Log, err error) {
+	alloc := e.pw.Alloc()
+	tmp := logstore.NewLog(alloc)
+	ci := &compactIndex{pw: logstore.NewPageWriter(alloc)}
+	var sorted *logstore.Log
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, tmp.Drop(), ci.pw.Drop())
+			if sorted != nil {
+				err = errors.Join(err, sorted.Drop())
+			}
+		}
+	}()
+	// One page of RAM walks the chains and then reads the old compact
+	// pages; another is the compact page being packed.
+	walk, pack := e.pw.PageBuf(), e.pw.PageBuf()
+	defer logstore.PutPageBuf(walk)
+	defer logstore.PutPageBuf(pack)
+
+	for b := 0; b < e.nbuckets; b++ {
+		next := e.heads[b]
+		for next >= 0 {
+			img, err := readPage(e.pw.Chip(), int(next), walk)
+			if err != nil {
+				return nil, nil, err
+			}
+			prev, body, err := bucketPage(img)
+			if err != nil {
+				return nil, nil, err
+			}
+			for len(body) > 0 {
+				var rec []byte
+				rec, body = nextTriple(body)
+				if _, err := tmp.Append(rec); err != nil {
+					return nil, nil, err
+				}
+			}
+			next = prev
+		}
+	}
+	if sorted, err = logstore.Sort(tmp, tripleLess, runPages, fanIn); err != nil {
+		return nil, nil, err
+	}
+	if err := tmp.Drop(); err != nil {
+		return nil, nil, err
+	}
+
+	// The chip copies each page it programs, so one page of RAM serves
+	// every image; last is the last triple packed, where it lies in it.
+	page := (*pack)[:compactPageHeader]
 	cnt := 0
-	var lastTerm []byte
+	var last []byte
 	flushPage := func() error {
 		if cnt == 0 {
 			return nil
@@ -115,19 +156,15 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 		if _, err := ci.pw.Write(page); err != nil {
 			return err
 		}
-		ci.dir = append(ci.dir, string(lastTerm))
+		ci.dir = append(ci.dir, string(tripleTerm(last)))
 		page = page[:compactPageHeader]
 		cnt = 0
 		return nil
 	}
-	it := sorted.Iter()
-	for {
-		rec, _, ok := it.Next()
-		if !ok {
-			break
-		}
-		if err := checkTripleRec(rec); err != nil {
-			return err
+	emit := func(rec []byte) error {
+		if last != nil && !tripleLess(last, rec) {
+			return fmt.Errorf("%w: %q doc %d after %q doc %d", ErrCompactOrder,
+				tripleTerm(rec), tripleDoc(rec), tripleTerm(last), tripleDoc(last))
 		}
 		if len(page)+len(rec) > e.pageSize {
 			if err := flushPage(); err != nil {
@@ -136,42 +173,74 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 		}
 		page = append(page, rec...)
 		cnt++
-		lastTerm = tripleTerm(page[len(page)-len(rec):])
-	}
-	if err := it.Err(); err != nil {
-		return err
-	}
-	if err := flushPage(); err != nil {
-		return err
+		last = page[len(page)-len(rec):]
+		return nil
 	}
 
-	// Swap in, then free the old chains and old compact index. In durable
-	// mode the commit record between the two is the atomic switch point
-	// (DESIGN §11): until it lands the old structure is what recovery
-	// restores (the half-built compact pages are reclaimed as unowned), and
-	// once it lands the old blocks are garbage whether or not the drops
-	// below complete.
-	oldPW := e.pw
-	oldCompact := e.compact
-	e.pw = logstore.NewPageWriter(alloc)
-	e.compact = ci
-	for b := range e.heads {
-		e.heads[b] = -1
+	it := sorted.Iter()
+	nextDelta := func() ([]byte, error) {
+		rec, _, ok := it.Next()
+		if !ok {
+			return nil, it.Err()
+		}
+		return rec, checkTripleRec(rec)
 	}
-	if e.j != nil {
-		if err := e.j.Commit(e.manifest()); err != nil {
-			return err
+	old := compactStream{ci: e.compact, buf: walk}
+	d, err := nextDelta()
+	if err != nil {
+		return nil, nil, err
+	}
+	o, err := old.next()
+	if err != nil {
+		return nil, nil, err
+	}
+	for d != nil || o != nil {
+		if d != nil && (o == nil || tripleLess(d, o)) {
+			if err := emit(d); err != nil {
+				return nil, nil, err
+			}
+			d, err = nextDelta()
+		} else {
+			if err := emit(o); err != nil {
+				return nil, nil, err
+			}
+			o, err = old.next()
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := oldPW.Drop(); err != nil {
-		return err
+	if err := flushPage(); err != nil {
+		return nil, nil, err
 	}
-	if oldCompact != nil {
-		if err := oldCompact.pw.Drop(); err != nil {
-			return err
+	return ci, sorted, nil
+}
+
+// compactStream yields the triples of a compact index (nil for none) in
+// page order, reading each page once into buf.
+type compactStream struct {
+	ci   *compactIndex
+	buf  *[]byte
+	page int
+	body []byte
+}
+
+// next returns the next triple, where it lies in buf, or nil at the end.
+func (s *compactStream) next() ([]byte, error) {
+	for len(s.body) == 0 {
+		if s.ci == nil || s.page == s.ci.pw.Pages() {
+			return nil, nil
 		}
+		body, err := s.ci.page(s.page, s.buf)
+		if err != nil {
+			return nil, err
+		}
+		s.body = body
+		s.page++
 	}
-	return nil
+	var rec []byte
+	rec, s.body = nextTriple(s.body)
+	return rec, nil
 }
 
 // CompactPages returns the size of the reorganized structure (0 if the

@@ -54,6 +54,11 @@ var (
 	ErrTermTooLong = errors.New("search: term longer than 255 bytes")
 	ErrNoKeywords  = errors.New("search: empty keyword list")
 	ErrBadTopN     = errors.New("search: topN must be >= 1")
+	// ErrCompactOrder reports postings that Reorganize's merge found out
+	// of (term ascending, docid descending) order: a compact page, or a
+	// chain docid that does not exceed the compact ones, broke the
+	// invariant the merge relies on.
+	ErrCompactOrder = errors.New("search: postings out of order")
 )
 
 // triple is one posting: a term occurrence in a document with its weight
