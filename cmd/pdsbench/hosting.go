@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"time"
 
+	"pds/internal/obs"
 	"pds/internal/tenant"
 )
 
@@ -54,9 +55,15 @@ func runE22(cfg config) error {
 	fmt.Printf("%7s %8s %7s %7s %6s %6s %6s %7s %7s %9s %10s %10s\n",
 		"tenants", "rate/s", "admit", "queued", "shed", "deny", "quota", "evict", "reopen", "ram", "kv p99", "search p99")
 	for _, pt := range e22Points(cfg.quick) {
-		rep, err := tenant.Serve(e22Config(pt), cfg.obs)
+		// The report reads its counters and percentiles off the registry,
+		// so each point serves on its own and is rolled up afterwards.
+		reg := obs.NewRegistry()
+		rep, err := tenant.Serve(e22Config(pt), reg)
 		if err != nil {
 			return fmt.Errorf("serve %d@%v: %w", pt.tenants, pt.rate, err)
+		}
+		if cfg.obs != nil {
+			cfg.obs.Merge(reg)
 		}
 		if rep.ACLDecisions != int64(rep.Arrivals) {
 			return fmt.Errorf("serve %d@%v: %d acl decisions for %d arrivals — unguarded path",

@@ -20,7 +20,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"pds/internal/obs"
 )
@@ -86,13 +85,10 @@ func main() {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
-		fmt.Printf("=== %s: %s ===\n", e.id, e.title)
-		start := time.Now()
-		if err := e.run(cfg); err != nil {
+		if err := e.print(cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
 			os.Exit(1)
 		}
-		fmt.Printf("--- %s done in %v ---\n\n", e.id, time.Since(start).Round(time.Millisecond))
 		ran++
 	}
 	if ran == 0 {
@@ -118,6 +114,17 @@ func main() {
 			}
 		}
 	}
+}
+
+// print runs the experiment and writes its tables to stdout under a
+// header line, followed by a blank line.
+func (e experiment) print(cfg config) error {
+	fmt.Printf("=== %s: %s ===\n", e.id, e.title)
+	if err := e.run(cfg); err != nil {
+		return err
+	}
+	fmt.Println()
+	return nil
 }
 
 // writeMetrics dumps the registry snapshot as JSON to path ('-' = stdout).

@@ -10,33 +10,13 @@ import (
 	"pds/internal/obs"
 )
 
-// TestMetricsSnapshotSmoke runs the fast experiments under an attached
-// registry — the same wiring as `pdsbench -metrics` — and asserts the
-// exported JSON parses and covers the subsystem families the flag promises:
-// netsim, gquery, flash, and embdb.
+// TestMetricsSnapshotSmoke writes the quick sweep's registry the way
+// `pdsbench -metrics` does and asserts the JSON parses and covers the
+// subsystem families the flag promises: netsim, gquery, flash, and embdb.
 func TestMetricsSnapshotSmoke(t *testing.T) {
-	cfg := config{quick: true, obs: obs.NewRegistry()}
-
-	// Silence the experiment tables; they are not under test.
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	errE1 := runE1(cfg)
-	errE4 := runE4(cfg)
-	errE6 := runE6(cfg)
-	os.Stdout = stdout
-	for _, err := range []error{errE1, errE4, errE6} {
-		if err != nil {
-			t.Fatalf("experiment failed: %v", err)
-		}
-	}
-
+	_, reg := quickSweep(t)
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := writeMetrics(path, cfg.obs); err != nil {
+	if err := writeMetrics(path, reg); err != nil {
 		t.Fatalf("writeMetrics: %v", err)
 	}
 	data, err := os.ReadFile(path)

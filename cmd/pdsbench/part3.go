@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"time"
 
@@ -185,59 +184,16 @@ func runE6(cfg config) error {
 		fmt.Fprintf(w, "%d\t%.1f\t%d\n",
 			len(buckets), relSumError(est, truth), len(srv.Observations().GroupFrequencies))
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	// Token-fleet execution: the aggregation phase fanned out over a
-	// worker pool (Workers=1 is the paper-faithful serial baseline).
-	fleet := runtime.GOMAXPROCS(0)
-	fmt.Printf("\n-- token-fleet execution: serial vs parallel secure-agg (%d workers) --\n", fleet)
-	fleetPops := []int{200, 1000}
-	if cfg.quick {
-		fleetPops = []int{200}
-	}
-	w = newTab()
-	fmt.Fprintln(w, "PDS\tserial\tparallel\tspeedup\tresult-equal")
-	for _, n := range fleetPops {
-		parts := workload.Participants(n, 3, 42)
-		net := netsim.New()
-		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-		start := time.Now()
-		serRes, _, err := eng.SecureAgg(net, srv, parts, kr, 64)
-		if err != nil {
-			return err
-		}
-		serial := time.Since(start)
-		net = netsim.New()
-		srv = ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-		start = time.Now()
-		parRes, _, err := gquery.New(gquery.WithWorkers(0), gquery.WithObserver(cfg.obs)).
-			SecureAgg(net, srv, parts, kr, 64)
-		if err != nil {
-			return err
-		}
-		parallel := time.Since(start)
-		equal := len(serRes) == len(parRes)
-		for g, a := range serRes {
-			if parRes[g] != a {
-				equal = false
-			}
-		}
-		fmt.Fprintf(w, "%d\t%v\t%v\t%.2fx\t%v\n",
-			n, serial.Round(time.Microsecond), parallel.Round(time.Microsecond),
-			float64(serial)/float64(parallel), equal)
-	}
 	return w.Flush()
 }
 
-// runE7 measures the [CKV+02] toolkit, Yao's millionaire protocol, and the
-// Paillier primitive costs.
+// runE7 measures the message cost of the [CKV+02] toolkit and of Yao's
+// millionaire protocol.
 func runE7(cfg config) error {
 	toolkit := smc.New(smc.WithObserver(cfg.obs))
 	fmt.Println("-- secure sum (ring) --")
 	w := newTab()
-	fmt.Fprintln(w, "parties\tmsgs\tbytes\twall-time")
+	fmt.Fprintln(w, "parties\tmsgs\tbytes")
 	partySizes := []int{10, 100, 1000}
 	if cfg.quick {
 		partySizes = []int{10, 100}
@@ -247,12 +203,11 @@ func runE7(cfg config) error {
 		for i := range vals {
 			vals[i] = int64(i % 97)
 		}
-		start := time.Now()
 		_, tr, err := toolkit.SecureSum(vals, 1<<40, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%d\t%d\t%d\t%v\n", n, tr.Messages, tr.Bytes, time.Since(start).Round(time.Microsecond))
+		fmt.Fprintf(w, "%d\t%d\t%d\n", n, tr.Messages, tr.Bytes)
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -260,7 +215,7 @@ func runE7(cfg config) error {
 
 	fmt.Println("\n-- set protocols (3 parties, commutative encryption) --")
 	w = newTab()
-	fmt.Fprintln(w, "items/party\tprotocol\tmsgs\twall-time")
+	fmt.Fprintln(w, "items/party\tprotocol\tmsgs")
 	setSizes := []int{10, 30}
 	if cfg.quick {
 		setSizes = []int{10}
@@ -272,18 +227,16 @@ func runE7(cfg config) error {
 				sets[p] = append(sets[p], int64(p*sz/2+i)) // overlapping ranges
 			}
 		}
-		start := time.Now()
 		_, tr, err := smc.SecureSetUnion(sets)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%d\tunion\t%d\t%v\n", sz, tr.Messages, time.Since(start).Round(time.Millisecond))
-		start = time.Now()
+		fmt.Fprintf(w, "%d\tunion\t%d\n", sz, tr.Messages)
 		_, tr, err = smc.SecureIntersectionSize(sets)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%d\tintersect-size\t%d\t%v\n", sz, tr.Messages, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "%d\tintersect-size\t%d\n", sz, tr.Messages)
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -295,24 +248,18 @@ func runE7(cfg config) error {
 		return err
 	}
 	w = newTab()
-	fmt.Fprintln(w, "workload\tparam\tmsgs\twall-time")
+	fmt.Fprintln(w, "workload\tparam\tmsgs")
 	for _, n := range []int{10, 100} {
 		a := make([]int64, n)
 		b := make([]int64, n)
 		for i := range a {
 			a[i], b[i] = int64(i), int64(i%7)
 		}
-		start := time.Now()
 		_, tr, err := toolkit.ScalarProduct(a, b, sk)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "scalar-product\tlen=%d\t%d\t%v\n", n, tr.Messages, time.Since(start).Round(time.Millisecond))
-		start = time.Now()
-		if _, _, err := smc.New(smc.WithWorkers(0), smc.WithObserver(cfg.obs)).ScalarProduct(a, b, sk); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "scalar-product(par)\tlen=%d\t%d\t%v\n", n, tr.Messages, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "scalar-product\tlen=%d\t%d\n", n, tr.Messages)
 	}
 	rsa, err := privcrypto.GenerateRSA(512, nil)
 	if err != nil {
@@ -323,65 +270,13 @@ func runE7(cfg config) error {
 		domains = []int64{4, 16}
 	}
 	for _, d := range domains {
-		start := time.Now()
 		_, tr, err := smc.Millionaire(d/2, d/2+1, d, rsa)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "millionaire\tdomain=%d\t%d\t%v\n", d, tr.Messages, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(w, "millionaire\tdomain=%d\t%d\n", d, tr.Messages)
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-
-	fmt.Println("\n-- Paillier primitive costs (512-bit modulus) --")
-	const ops = 20
-	pk := sk.Public()
-	pool, err := pk.NewRandomizerPool(ops, nil)
-	if err != nil {
-		return err
-	}
-	var start time.Time
-	var encTotal, encPoolTotal, addTotal, decTotal, decTextbookTotal time.Duration
-	acc, err := pk.EncryptZero(nil)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < ops; i++ {
-		start = time.Now()
-		c, err := pk.EncryptInt64(int64(i), nil)
-		if err != nil {
-			return err
-		}
-		encTotal += time.Since(start)
-		start = time.Now()
-		if _, err := pool.EncryptInt64(int64(i)); err != nil {
-			return err
-		}
-		encPoolTotal += time.Since(start)
-		start = time.Now()
-		acc = pk.AddCipher(acc, c)
-		addTotal += time.Since(start)
-		start = time.Now()
-		if _, err := sk.Decrypt(acc); err != nil {
-			return err
-		}
-		decTotal += time.Since(start)
-		start = time.Now()
-		if _, err := sk.DecryptTextbook(acc); err != nil {
-			return err
-		}
-		decTextbookTotal += time.Since(start)
-	}
-	fmt.Printf("encrypt %v/op (pooled randomizer %v/op), homomorphic-add %v/op\n",
-		(encTotal / ops).Round(time.Microsecond),
-		(encPoolTotal / ops).Round(time.Microsecond),
-		(addTotal / ops).Round(time.Microsecond))
-	fmt.Printf("decrypt textbook %v/op, CRT %v/op (%.1fx)\n",
-		(decTextbookTotal / ops).Round(time.Microsecond),
-		(decTotal / ops).Round(time.Microsecond),
-		float64(decTextbookTotal)/float64(decTotal))
-	return nil
+	return w.Flush()
 }
 
 // runE8 sweeps k and l over census microdata, via the token-mediated
@@ -392,11 +287,10 @@ func runE8(cfg config) error {
 		sizes = []int{1000}
 	}
 	w := newTab()
-	fmt.Fprintln(w, "records\tk\tl\tlevels\tinfo-loss\tclasses\tdiscernibility\tsuppressed\twall-time")
+	fmt.Fprintln(w, "records\tk\tl\tlevels\tinfo-loss\tclasses\tdiscernibility\tsuppressed")
 	for _, n := range sizes {
 		ds := workload.Census(n, 5)
 		for _, k := range []int{2, 5, 10, 25, 50, 100} {
-			start := time.Now()
 			a, err := anon.Anonymize(ds, anon.Params{K: k, MaxSuppression: 0.01})
 			if err != nil {
 				return err
@@ -404,19 +298,16 @@ func runE8(cfg config) error {
 			if !anon.VerifyKAnonymous(a.Records, k) {
 				return fmt.Errorf("E8: k=%d result not k-anonymous", k)
 			}
-			fmt.Fprintf(w, "%d\t%d\t-\t%v\t%.2f\t%d\t%d\t%d\t%v\n",
-				n, k, a.Levels, a.InfoLoss, a.Classes, a.Discernibility, a.Suppressed,
-				time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(w, "%d\t%d\t-\t%v\t%.2f\t%d\t%d\t%d\n",
+				n, k, a.Levels, a.InfoLoss, a.Classes, a.Discernibility, a.Suppressed)
 		}
 		for _, l := range []int{2, 3} {
-			start := time.Now()
 			a, err := anon.Anonymize(ds, anon.Params{K: 5, L: l, MaxSuppression: 0.01})
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%d\t%d\t%d\t%v\t%.2f\t%d\t%d\t%d\t%v\n",
-				n, 5, l, a.Levels, a.InfoLoss, a.Classes, a.Discernibility, a.Suppressed,
-				time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(w, "%d\t%d\t%d\t%v\t%.2f\t%d\t%d\t%d\n",
+				n, 5, l, a.Levels, a.InfoLoss, a.Classes, a.Discernibility, a.Suppressed)
 		}
 	}
 	if err := w.Flush(); err != nil {

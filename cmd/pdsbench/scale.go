@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"pds/internal/gquery"
@@ -11,54 +10,18 @@ import (
 	"pds/internal/workload"
 )
 
-// heapSampler polls the runtime heap while a run is in flight and keeps
-// the peak, so E20 can show the streaming fold plane's memory stays flat
-// while the fleet grows a thousandfold.
-type heapSampler struct {
-	stop chan struct{}
-	done chan struct{}
-	peak uint64
-}
-
-func startHeapSampler() *heapSampler {
-	h := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(h.done)
-		tick := time.NewTicker(10 * time.Millisecond)
-		defer tick.Stop()
-		var ms runtime.MemStats
-		for {
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > h.peak {
-				h.peak = ms.HeapAlloc
-			}
-			select {
-			case <-h.stop:
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-	return h
-}
-
-// peakMB stops the sampler and returns the peak heap in MiB.
-func (h *heapSampler) peakMB() float64 {
-	close(h.stop)
-	<-h.done
-	return float64(h.peak) / (1 << 20)
-}
-
 // runE20 measures the hierarchical fold plane's scaling behaviour: the
 // same streaming secure aggregation over fleets of 1e3 / 1e4 / 1e6 PDSs,
-// flat vs fan-in tree. Three claims are on trial:
+// flat vs fan-in tree. Two claims are on trial:
 //
 //   - the tree's simulated critical path grows ~log n (depth × fold cost)
 //     while the flat plane's grows ~n (serial merge of every partial);
-//   - flat and tree produce bit-identical aggregates at every size;
-//   - peak heap stays bounded by the in-flight chunk window regardless of
-//     fleet size — the fleet is generated, uploaded, folded and discarded
-//     without ever being materialized.
+//   - flat and tree produce bit-identical aggregates at every size.
+//
+// The third, that memory stays bounded by the in-flight chunk window
+// whatever the fleet size, is counted by gquery's
+// TestStreamInFlightWindow: the fleet is generated, uploaded, folded and
+// discarded without ever being materialized.
 //
 // (EXPERIMENTS.md discusses this study as E20.)
 func runE20(cfg config) error {
@@ -73,31 +36,21 @@ func runE20(cfg config) error {
 	}
 
 	type row struct {
-		res    gquery.Result
-		stats  gquery.RunStats
-		wall   time.Duration
-		peakMB float64
+		res   gquery.Result
+		stats gquery.RunStats
 	}
 	run := func(fleet int, topo gquery.Topology) (row, error) {
 		net := netsim.New()
 		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
 		src := workload.ParticipantStream(fleet, 1, 42)
-		runtime.GC()
-		sampler := startHeapSampler()
-		start := time.Now()
 		res, stats, err := gquery.New(gquery.WithTopology(topo), gquery.WithObserver(cfg.obs)).
 			SecureAggStream(net, srv, src, kr, chunk)
-		wall := time.Since(start)
-		peak := sampler.peakMB()
-		if err != nil {
-			return row{}, err
-		}
-		return row{res: res, stats: stats, wall: wall, peakMB: peak}, nil
+		return row{res: res, stats: stats}, err
 	}
 
 	fmt.Printf("-- streaming secure-agg, chunk=%d, 1 tuple/PDS: flat vs fan-in tree(16) --\n", chunk)
 	w := newTab()
-	fmt.Fprintln(w, "fleet\ttopology\tchunks\tdepth\tnodes\tmsgs\tsim-critical\twall\tpeak-heap\texact")
+	fmt.Fprintln(w, "fleet\ttopology\tchunks\tdepth\tnodes\tmsgs\tsim-critical\texact")
 	for _, fleet := range fleets {
 		flat, err := run(fleet, gquery.Flat())
 		if err != nil {
@@ -122,15 +75,14 @@ func runE20(cfg config) error {
 			row
 		}{{"flat", flat}, {"tree(16)", tree}} {
 			crit := time.Duration(r.stats.CriticalPath.TotalNS)
-			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%v\t%v\t%.1f MiB\t%v\n",
+			fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%d\t%d\t%v\t%v\n",
 				fleet, r.topo, r.stats.Chunks, r.stats.TreeDepth, r.stats.TreeNodes,
-				r.stats.Net.Messages, crit.Round(time.Millisecond), r.wall.Round(time.Millisecond),
-				r.peakMB, exact)
+				r.stats.Net.Messages, crit.Round(time.Millisecond), exact)
 		}
 	}
 	w.Flush()
 	fmt.Println("\n  flat sim-critical grows ~n (serial merge tail); tree grows ~log n (depth × fold cost).")
-	fmt.Println("  peak heap is bounded by the in-flight chunk window, not the fleet size.")
+	fmt.Println("  chunks in flight are bounded by the fold window, not the fleet size.")
 	return nil
 }
 

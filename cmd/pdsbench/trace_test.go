@@ -9,28 +9,13 @@ import (
 	"pds/internal/obs"
 )
 
-// TestTraceExportSmoke runs the Part III experiment under an attached
-// registry — the same wiring as `pdsbench -trace` — and asserts the
-// Perfetto export parses as JSON and every span's parent id resolves
-// within the file.
+// TestTraceExportSmoke writes the quick sweep's span tree the way
+// `pdsbench -trace` does and asserts the Perfetto export parses as JSON
+// and every span's parent id resolves within the file.
 func TestTraceExportSmoke(t *testing.T) {
-	cfg := config{quick: true, obs: obs.NewRegistry()}
-
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer null.Close()
-	stdout := os.Stdout
-	os.Stdout = null
-	errE6 := runE6(cfg)
-	os.Stdout = stdout
-	if errE6 != nil {
-		t.Fatalf("E6 failed: %v", errE6)
-	}
-
+	_, reg := quickSweep(t)
 	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := writeTrace(path, cfg.obs); err != nil {
+	if err := writeTrace(path, reg); err != nil {
 		t.Fatalf("writeTrace: %v", err)
 	}
 	data, err := os.ReadFile(path)
@@ -71,7 +56,7 @@ func TestTraceExportSmoke(t *testing.T) {
 			t.Errorf("span %q parent %s unresolved within the file", ev.Name, p)
 		}
 	}
-	// The protocol roots from all three E6 sub-runs must be present.
+	// The protocol roots of E6's three sub-runs must be present.
 	want := map[string]bool{"gquery/secure-agg": false, "gquery/noise": false, "gquery/histogram": false}
 	for _, ev := range file.TraceEvents {
 		if _, ok := want[ev.Name]; ok && ev.Phase != "M" {

@@ -192,14 +192,15 @@ func (n *node) drop(id uint64) {
 }
 
 // Step advances the simulation: random-waypoint movement, then pairwise
-// exchange at every location.
+// exchange at every location, in ascending location order so the seed
+// alone fixes the run.
 func (s *Sim) Step() {
 	s.step++
 	for _, n := range s.nodes {
 		n.loc = s.rng.Intn(s.locations)
 	}
 	// Group by location.
-	byLoc := map[int][]*node{}
+	byLoc := make([][]*node, s.locations)
 	for _, n := range s.nodes {
 		byLoc[n.loc] = append(byLoc[n.loc], n)
 	}

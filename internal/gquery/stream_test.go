@@ -2,11 +2,13 @@ package gquery
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pds/internal/netsim"
 	"pds/internal/ssi"
+	tnet "pds/internal/transport"
 )
 
 // TestStreamMatchesBatchSecureAgg: the streaming executor answers what
@@ -142,5 +144,64 @@ func TestStreamTreeCriticalPathBelowFlat(t *testing.T) {
 	tree := run(Tree(4))
 	if tree >= flat {
 		t.Fatalf("stream tree critical path (%v) not below flat (%v)", tree, flat)
+	}
+}
+
+// emitCounter wraps a StreamInfra's emit callback to count the chunks
+// the SSI hands to the fold plane, and records the largest number of
+// emitted chunks not yet folded at the moment each one is emitted.
+type emitCounter struct {
+	StreamInfra
+	emitted, folded *atomic.Int64
+	peak            int64
+}
+
+func (c *emitCounter) StartStream(chunkSize int, emit func(chunk []netsim.Envelope)) error {
+	return c.StreamInfra.StartStream(chunkSize, func(chunk []netsim.Envelope) {
+		c.peak = max(c.peak, c.emitted.Add(1)-c.folded.Load())
+		emit(chunk)
+	})
+}
+
+// partialCounter counts the sealed partials fold tokens send back: one
+// per folded chunk.
+type partialCounter struct {
+	tnet.Transport
+	folded *atomic.Int64
+}
+
+func (c partialCounter) Send(e netsim.Envelope) netsim.Envelope {
+	if e.Kind == "partial" {
+		c.folded.Add(1)
+	}
+	return c.Transport.Send(e)
+}
+
+// TestStreamInFlightWindow backs SecureAggStream's memory bound with a
+// count: over a fleet more than a hundred times the window, the chunks
+// the SSI has emitted but no token has folded never exceed 3·workers+3
+// (2·workers+2 queued, one in each worker's hands, one being handed
+// over), so memory does not grow with the fleet.
+func TestStreamInFlightWindow(t *testing.T) {
+	const workers = 2
+	const window = 3*workers + 3
+	const fleet = 100*window + 100
+	var emitted, folded atomic.Int64
+	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+	infra := &emitCounter{StreamInfra: srv, emitted: &emitted, folded: &folded}
+	parts := makeParts(fleet, 1, testDomain, 17)
+	res, stats, err := New(WithWorkers(workers), WithTopology(Flat())).
+		SecureAggStream(partialCounter{Transport: net, folded: &folded}, infra, SliceSource(parts), mustKeyring(t), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resultsEqual(res, PlainResult(parts)) {
+		t.Fatal("streaming aggregate differs from the plaintext one")
+	}
+	if n := int64(stats.Chunks); emitted.Load() != n || folded.Load() != n || n != fleet {
+		t.Fatalf("emitted %d, folded %d, chunks %d; want %d each", emitted.Load(), folded.Load(), n, fleet)
+	}
+	if infra.peak > window || infra.peak < 1 {
+		t.Fatalf("peak emitted−folded %d, want within [1, %d]", infra.peak, window)
 	}
 }

@@ -21,32 +21,25 @@ const (
 // Engine is the option-based execution surface of the SMC toolkit,
 // collapsing the Cfg-suffixed twins into one config path:
 //
-//	sum, tr, err := smc.New(smc.WithWorkers(8), smc.WithObserver(reg)).
+//	sum, tr, err := smc.New(smc.WithObserver(reg)).
 //		SecureSumSegmented(values, modulus, segments, rng)
 //
 // An Engine is immutable after New and safe to reuse across runs.
 type Engine struct {
-	workers int
-	reg     *obs.Registry
-	faults  *netsim.FaultPlan
+	reg    *obs.Registry
+	faults *netsim.FaultPlan
 }
 
 // Option configures an Engine.
 type Option func(*Engine)
 
-// New builds an engine; the default is the serial, clean-wire baseline.
+// New builds an engine; the default is the clean-wire, unobserved baseline.
 func New(opts ...Option) *Engine {
-	e := &Engine{workers: 1}
+	e := &Engine{}
 	for _, opt := range opts {
 		opt(e)
 	}
 	return e
-}
-
-// WithWorkers bounds the worker pool for the parallelizable phases:
-// 0 means every core, 1 (the default) runs serially.
-func WithWorkers(n int) Option {
-	return func(e *Engine) { e.workers = n }
 }
 
 // WithObserver mirrors every run's transcript cost into reg.
@@ -76,18 +69,16 @@ func (e *Engine) SecureSum(values []int64, modulus int64, rng *rand.Rand) (int64
 	return sum, tr, err
 }
 
-// SecureSumSegmented runs the collusion-hardened segmented variant over
-// the engine's worker pool.
+// SecureSumSegmented runs the collusion-hardened segmented variant.
 func (e *Engine) SecureSumSegmented(values []int64, modulus int64, segments int, rng *rand.Rand) (int64, *Trace, error) {
-	sum, tr, err := secureSumSegmented(values, modulus, segments, rng, e.workers)
+	sum, tr, err := SecureSumSegmented(values, modulus, segments, rng)
 	e.observe("secure-sum-segmented", tr)
 	return sum, tr, err
 }
 
-// ScalarProduct runs the two-party Paillier scalar product over the
-// engine's worker pool.
+// ScalarProduct runs the two-party Paillier scalar product.
 func (e *Engine) ScalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey) (int64, *Trace, error) {
-	dot, tr, err := scalarProduct(a, b, sk, e.workers)
+	dot, tr, err := ScalarProduct(a, b, sk)
 	e.observe("scalar-product", tr)
 	return dot, tr, err
 }

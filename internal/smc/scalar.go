@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
-	"sync"
 
 	"pds/internal/privcrypto"
 )
@@ -20,19 +18,8 @@ var (
 // the Paillier private key and vector a) sends element-wise encryptions;
 // Bob (vector b) computes Enc(Σ aᵢbᵢ) purely homomorphically and returns
 // it re-randomized. Alice learns only the dot product; Bob learns nothing
-// (he only ever sees ciphertexts under Alice's key). This entry point is
-// the serial paper baseline; ScalarProductCfg fans the per-element
-// public-key work out across cores.
+// (he only ever sees ciphertexts under Alice's key).
 func ScalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey) (int64, *Trace, error) {
-	return scalarProduct(a, b, sk, 1)
-}
-
-// scalarProduct is ScalarProduct with a bounded worker pool (workers
-// <= 0 means GOMAXPROCS). Both expensive phases parallelize: Alice's
-// element encryptions (via privcrypto's batch helper) and Bob's
-// Enc(a_i)^{b_i} exponentiations. The protocol transcript and the result
-// are unchanged — only the schedule differs.
-func scalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey, workers int) (int64, *Trace, error) {
 	if len(a) == 0 || len(a) != len(b) {
 		return 0, nil, fmt.Errorf("%w: %d vs %d", ErrVectorLength, len(a), len(b))
 	}
@@ -50,9 +37,13 @@ func scalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey, workers int)
 	tr := &Trace{}
 
 	// Alice → Bob: Enc(a_i).
-	encA, err := pk.EncryptBatchInt64(a, nil, workers)
-	if err != nil {
-		return 0, nil, err
+	encA := make([]*big.Int, len(a))
+	for i, v := range a {
+		c, err := pk.EncryptInt64(v, nil)
+		if err != nil {
+			return 0, nil, err
+		}
+		encA[i] = c
 	}
 	// Ciphertexts are accounted at the key's fixed wire width so the
 	// transcript cost is identical run to run (a raw big.Int serialization
@@ -63,20 +54,13 @@ func scalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey, workers int)
 	}
 
 	// Bob: Enc(Σ a_i·b_i) = Π Enc(a_i)^{b_i}, re-randomized with Enc(0).
-	// The exponentiations are independent; multiply the terms afterwards.
-	terms := make([]*big.Int, len(b))
-	parallelRange(len(b), workers, func(i int) {
-		if b[i] != 0 {
-			terms[i] = pk.MulPlain(encA[i], big.NewInt(b[i]))
-		}
-	})
 	acc, err := pk.EncryptZero(nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	for _, term := range terms {
-		if term != nil {
-			acc = pk.AddCipher(acc, term)
+	for i, w := range b {
+		if w != 0 {
+			acc = pk.AddCipher(acc, pk.MulPlain(encA[i], big.NewInt(w)))
 		}
 	}
 
@@ -88,37 +72,4 @@ func scalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey, workers int)
 		return 0, nil, err
 	}
 	return dot.Int64(), tr, nil
-}
-
-// parallelRange runs f(0..n-1) over a bounded pool; workers <= 0 means
-// GOMAXPROCS, 1 runs inline.
-func parallelRange(n, workers int, f func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -63,13 +63,12 @@ func SecureSum(values []int64, modulus int64, rng *rand.Rand) (int64, *Trace, er
 	if rng == nil {
 		rng = rand.New(rand.NewSource(rand.Int63()))
 	}
-	return secureSumWithMask(values, modulus, rng.Int63n(modulus))
+	sum, tr := secureSumWithMask(values, modulus, rng.Int63n(modulus))
+	return sum, tr, nil
 }
 
-// secureSumWithMask runs the ring with a pre-drawn initiator mask — the
-// hook that lets segment rings run on parallel workers while all
-// randomness is still drawn serially from one rng.
-func secureSumWithMask(values []int64, modulus, r int64) (int64, *Trace, error) {
+// secureSumWithMask runs the ring with the initiator's mask r.
+func secureSumWithMask(values []int64, modulus, r int64) (int64, *Trace) {
 	tr := &Trace{}
 	running := (values[0] + r) % modulus
 	// P0 → P1 → … → Pn-1 → P0.
@@ -78,8 +77,7 @@ func secureSumWithMask(values []int64, modulus, r int64) (int64, *Trace, error) 
 		running = (running + values[i]) % modulus
 	}
 	tr.record(0, running, 8)
-	sum := ((running-r)%modulus + modulus) % modulus
-	return sum, tr, nil
+	return ((running-r)%modulus + modulus) % modulus, tr
 }
 
 // SecureSumSegmented is the collusion-hardened variant [CKV+02] suggest:
@@ -87,15 +85,6 @@ func secureSumWithMask(values []int64, modulus, r int64) (int64, *Trace, error) 
 // protocol runs once per segment with a different party order, so a
 // coalition of neighbours learns only masked segments. Returns the total.
 func SecureSumSegmented(values []int64, modulus int64, segments int, rng *rand.Rand) (int64, *Trace, error) {
-	return secureSumSegmented(values, modulus, segments, rng, 1)
-}
-
-// secureSumSegmented is SecureSumSegmented over a bounded worker pool
-// (workers <= 0 means GOMAXPROCS): the per-segment rings are independent
-// once shares and masks are drawn, so they run concurrently. All
-// randomness is drawn serially from rng first, so the result and trace are
-// identical to the serial run with the same seed.
-func secureSumSegmented(values []int64, modulus int64, segments int, rng *rand.Rand, workers int) (int64, *Trace, error) {
 	if segments < 1 {
 		return 0, nil, fmt.Errorf("smc: segments must be >= 1, got %d", segments)
 	}
@@ -126,31 +115,18 @@ func secureSumSegmented(values []int64, modulus int64, segments int, rng *rand.R
 		}
 		shares[segments-1][i] = rest
 	}
-	// Draw every segment mask serially, then fan the independent rings out.
-	masks := make([]int64, segments)
-	for s := range masks {
-		masks[s] = rng.Int63n(modulus)
-	}
-	sums := make([]int64, segments)
-	traces := make([]*Trace, segments)
-	errs := make([]error, segments)
-	parallelRange(segments, workers, func(s int) {
+	total := int64(0)
+	agg := &Trace{}
+	rot := make([]int64, n)
+	for s := 0; s < segments; s++ {
 		// Rotate the ring start per segment.
-		rot := make([]int64, n)
 		for i := range rot {
 			rot[i] = shares[s][(i+s)%n]
 		}
-		sums[s], traces[s], errs[s] = secureSumWithMask(rot, modulus, masks[s])
-	})
-	total := int64(0)
-	agg := &Trace{}
-	for s := 0; s < segments; s++ {
-		if errs[s] != nil {
-			return 0, nil, errs[s]
-		}
-		agg.Messages += traces[s].Messages
-		agg.Bytes += traces[s].Bytes
-		total = (total + sums[s]) % modulus
+		sum, tr := secureSumWithMask(rot, modulus, rng.Int63n(modulus))
+		agg.Messages += tr.Messages
+		agg.Bytes += tr.Bytes
+		total = (total + sum) % modulus
 	}
 	return total, agg, nil
 }

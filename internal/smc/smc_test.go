@@ -323,57 +323,3 @@ func TestMillionaireCostGrowsWithDomain(t *testing.T) {
 		t.Errorf("messages: domain 16 = %d, domain 4 = %d; want growth", tr16.Messages, tr4.Messages)
 	}
 }
-
-func TestSecureSumSegmentedParallelMatchesSerial(t *testing.T) {
-	vals := []int64{11, 22, 33, 44, 55, 66}
-	const modulus, segments = 1 << 30, 5
-	serSum, serTr, err := secureSumSegmented(vals, modulus, segments, rand.New(rand.NewSource(77)), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSum, parTr, err := secureSumSegmented(vals, modulus, segments, rand.New(rand.NewSource(77)), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serSum != parSum {
-		t.Errorf("parallel segmented sum %d != serial %d", parSum, serSum)
-	}
-	if serTr.Messages != parTr.Messages || serTr.Bytes != parTr.Bytes {
-		t.Errorf("traces diverge: serial %+v parallel %+v", serTr, parTr)
-	}
-	want := int64(0)
-	for _, v := range vals {
-		want += v
-	}
-	if serSum != want {
-		t.Errorf("sum = %d, want %d", serSum, want)
-	}
-}
-
-func TestScalarProductParallelMatchesSerial(t *testing.T) {
-	sk, err := privcrypto.GeneratePaillier(256, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := []int64{3, 0, 7, 11, 2, 9}
-	b := []int64{5, 8, 0, 2, 6, 1}
-	var want int64
-	for i := range a {
-		want += a[i] * b[i]
-	}
-	for _, workers := range []int{1, 0, 4} {
-		got, tr, err := scalarProduct(a, b, sk, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("workers=%d: dot = %d, want %d", workers, got, want)
-		}
-		if tr.Messages != len(a)+1 {
-			t.Errorf("workers=%d: messages = %d, want %d", workers, tr.Messages, len(a)+1)
-		}
-	}
-	if _, _, err := scalarProduct([]int64{-1}, []int64{1}, sk, 2); !errors.Is(err, ErrNegative) {
-		t.Errorf("negative input err = %v", err)
-	}
-}

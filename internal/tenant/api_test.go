@@ -168,7 +168,7 @@ func TestClassMismatch(t *testing.T) {
 // Concurrent guard decisions from many tenants must be race-free: the
 // host serializes requests, but guards (policy reads, audit appends,
 // obs mirroring) are shared with transports and verifiers. Run with
-// -race (serve-ci does).
+// -race (`make race` does).
 func TestGuardConcurrencyHammer(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := tenant.NewHost(tenant.HostConfig{}, reg)

@@ -66,7 +66,7 @@ func TestServeThousandTenants(t *testing.T) {
 }
 
 // Two serve runs with the same seed must produce identical decision
-// streams, digests and reports — the property serve-ci pins in CI.
+// streams, digests and reports — the property `make ci` pins.
 func TestServeDeterministic(t *testing.T) {
 	cfg := tenant.ServeConfig{Tenants: 120, Arrivals: 1500, Seed: 7, RatePerSec: 4000}
 	r1, err := tenant.Serve(cfg, nil)
