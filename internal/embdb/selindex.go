@@ -308,13 +308,14 @@ func (ix *SelectIndex) foldDue() bool {
 
 // Reorganize folds the tail into the tree using only log structures, as
 // the tutorial's scalability step prescribes. The tail is sorted into
-// runs and merged (runPages and fanIn bound the sort's RAM); the sorted
-// tail and the old tree's leaves are merged in one pass — on equal keys
-// the old entries first, so rowids stay ascending — into a new tree built
-// bottom-up. Only once that tree is complete are the old tree and the
-// tail's logs dropped and an empty tail started. A fold that fails before
-// then leaves the index as it was and frees every block it wrote; one
-// that fails in a drop has landed, and leaves only the block whose erase
+// runs and merged (runPages and fanIn bound the sort's RAM); the sort's
+// final merge and the old tree's leaves are merged in one pass — on equal
+// keys the old entries first, so rowids stay ascending — into a new tree
+// built bottom-up. Once that tree is complete the sort's runs are
+// dropped, and then the old tree and the tail's logs, and an empty tail
+// is started. A fold that fails before the old tree's drop leaves the
+// index as it was and frees every block it wrote; one that fails in that
+// drop or a later one has landed, and leaves only the block whose erase
 // failed.
 func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 	if err := ix.Flush(); err != nil {
@@ -323,20 +324,26 @@ func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 	if ix.keys.Len() == 0 {
 		return nil
 	}
-	sorted, err := logstore.Sort(ix.keys, entryLess, runPages, fanIn)
+	it := ix.keys.Iter()
+	sorted, err := logstore.SortStream(ix.table.Alloc(), func() ([]byte, bool, error) {
+		rec, _, ok := it.Next()
+		return rec, ok, it.Err()
+	}, entryLess, runPages, fanIn)
 	if err != nil {
 		return err
 	}
 	buf := ix.keys.PageBuf()
 	tree, err := buildTree(ix.table.Alloc(), mergeEntries(ix.tree, sorted, *buf))
 	logstore.PutPageBuf(buf)
-	if err != nil {
-		return errors.Join(err, sorted.Drop())
+	if err = errors.Join(err, sorted.Drop()); err != nil {
+		if tree != nil {
+			err = errors.Join(err, tree.Drop())
+		}
+		return err
 	}
 	old, keys, sums := ix.tree, ix.keys, ix.sums
 	ix.tree = tree
 	ix.newTail()
-	err = sorted.Drop()
 	if old != nil {
 		err = errors.Join(err, old.Drop())
 	}
@@ -358,15 +365,14 @@ func entryKey(rec []byte) []byte {
 }
 
 // mergeEntries yields, in key order, the entries of old (nil for none)
-// and of sorted, a log of entries in key order; on equal keys old's come
-// first. Old's leaves are read into buf, a page of RAM the caller holds.
-// An entry's key is valid until the following call.
-func mergeEntries(old *TreeIndex, sorted *logstore.Log, buf []byte) func() (keyEntry, bool, error) {
+// and of sorted, a stream of entries in key order; on equal keys old's
+// come first. Old's leaves are read into buf, a page of RAM the caller
+// holds. An entry's key is valid until the following call.
+func mergeEntries(old *TreeIndex, sorted *logstore.Sorted, buf []byte) func() (keyEntry, bool, error) {
 	var c treeCursor
 	if old != nil {
 		c = treeCursor{t: old, buf: buf, leaf: -1}
 	}
-	it := sorted.Iter()
 	var o, n keyEntry
 	var oOK, nOK bool
 	// The side whose head was yielded last moves on at the next call.
@@ -379,12 +385,12 @@ func mergeEntries(old *TreeIndex, sorted *logstore.Log, buf []byte) func() (keyE
 			}
 		}
 		if advNew {
-			rec, _, ok := it.Next()
+			rec, ok := sorted.Next()
 			if nOK = ok; ok {
 				if n, err = decodeEntry(rec); err != nil {
 					return keyEntry{}, false, err
 				}
-			} else if err = it.Err(); err != nil {
+			} else if err = sorted.Err(); err != nil {
 				return keyEntry{}, false, err
 			}
 		}

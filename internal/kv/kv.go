@@ -27,11 +27,9 @@ import (
 // Errors returned by the store.
 var (
 	ErrNotFound    = errors.New("kv: key not found")
-	ErrKeyTooLarge = errors.New("kv: key larger than 1024 bytes")
+	ErrKeyTooLarge = errors.New("kv: key too large for a key-log page")
 	ErrClosed      = errors.New("kv: store closed")
 )
-
-const maxKey = 1024
 
 // binding flags.
 const (
@@ -44,6 +42,9 @@ type binding struct {
 	ref   logstore.RecordID
 	flags byte
 }
+
+// bindingOverhead is what a binding's record adds to its key.
+const bindingOverhead = 2 + 4 + 4 + 1
 
 // appendBinding appends b's record: u16 keyLen | key | u32 page | u32 slot
 // | u8 flags. The logs copy what they are handed, so callers encode into
@@ -63,11 +64,11 @@ func appendBinding(dst []byte, b binding) []byte {
 type bindingBuf [96]byte
 
 func decodeBinding(rec []byte) (binding, error) {
-	if len(rec) < 2+4+4+1 {
+	if len(rec) < bindingOverhead {
 		return binding{}, fmt.Errorf("kv: short binding (%d bytes)", len(rec))
 	}
 	n := int(binary.LittleEndian.Uint16(rec[0:2]))
-	if 2+n+9 != len(rec) {
+	if n+bindingOverhead != len(rec) {
 		return binding{}, fmt.Errorf("kv: corrupt binding")
 	}
 	off := 2 + n
@@ -94,11 +95,8 @@ type Store struct {
 	values *logstore.Log
 	keys   *logstore.Log
 	sums   *logstore.Log
-	// pageKeys mirrors the keys of the key-log page being filled, for the
-	// Bloom summary built at flush time.
-	pageKeys [][]byte
-	puts     int
-	closed   bool
+	puts   int
+	closed bool
 	// j, when set, is the commit-record journal of the durable mode:
 	// Sync flushes and commits, Reopen recovers to the last commit.
 	j *logstore.Journal
@@ -185,10 +183,21 @@ func Reopen(rec *logstore.Recovered) (*Store, error) {
 	return s, nil
 }
 
+// flushSummary builds the Bloom summary of the key-log page being
+// flushed from its bindings, still in the write buffer.
 func (s *Store) flushSummary(page int) error {
-	f := bloom.NewPageSummary(len(s.pageKeys))
-	for _, k := range s.pageKeys {
-		f.Add(k)
+	v := s.keys.Unflushed()
+	f := bloom.NewPageSummary(v.Len())
+	for {
+		rec, ok := v.Next()
+		if !ok {
+			break
+		}
+		b, err := decodeBinding(rec)
+		if err != nil {
+			return err
+		}
+		f.Add(b.key)
 	}
 	blob, err := f.MarshalBinary()
 	if err != nil {
@@ -197,11 +206,8 @@ func (s *Store) flushSummary(page int) error {
 	rec := make([]byte, 4+len(blob))
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(page))
 	copy(rec[4:], blob)
-	if _, err := s.sums.Append(rec); err != nil {
-		return err
-	}
-	s.pageKeys = s.pageKeys[:0]
-	return nil
+	_, err = s.sums.Append(rec)
+	return err
 }
 
 // Len returns the number of puts (including overwrites and deletes).
@@ -224,8 +230,9 @@ func (s *Store) append(key, value []byte, flags byte) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if len(key) > maxKey {
-		return fmt.Errorf("%w: %d", ErrKeyTooLarge, len(key))
+	// The binding must fit a key-log page before the value log is touched.
+	if limit := logstore.MaxRecord(s.alloc.Chip().Geometry()) - bindingOverhead; len(key) > limit {
+		return fmt.Errorf("%w: %d bytes, the limit on this chip is %d", ErrKeyTooLarge, len(key), limit)
 	}
 	ref, err := s.values.Append(value)
 	if err != nil {
@@ -235,7 +242,6 @@ func (s *Store) append(key, value []byte, flags byte) error {
 	if _, err := s.keys.Append(appendBinding(buf[:0], binding{key: key, ref: ref, flags: flags})); err != nil {
 		return err
 	}
-	s.pageKeys = append(s.pageKeys, append([]byte(nil), key...))
 	s.puts++
 	return nil
 }
@@ -386,112 +392,217 @@ func (s *Store) ScanGet(key []byte) ([]byte, error) {
 // live values are rewritten into a fresh sequential value log. The old
 // blocks are freed at block grain. Compaction uses only log structures
 // (runPages/fanIn bound the sort RAM, as in the tutorial's reorganization).
+//
+// The key log's leading run of strictly ascending keys is already sorted:
+// after a compaction it is exactly the compacted bindings. Only the
+// bindings after it go through the external sort, whose final merge meets
+// the leading run in a two-way merge that takes the run's binding first on
+// equal keys. That is the stable sort of the whole log: the run holds at
+// most one binding per key, and each of its bindings precedes every later
+// one.
+//
 // A compaction that fails before its switch record lands leaves the store
 // as it was and frees every block it wrote.
-func (s *Store) Compact(runPages, fanIn int) (err error) {
+func (s *Store) Compact(runPages, fanIn int) error {
 	if s.closed {
 		return ErrClosed
 	}
 	if err := s.Flush(); err != nil {
 		return err
 	}
-	less := func(a, b []byte) bool {
-		ba, errA := decodeBinding(a)
-		bb, errB := decodeBinding(b)
-		if errA != nil || errB != nil {
-			return false
-		}
-		return string(ba.key) < string(bb.key)
-	}
-	sorted, err := logstore.Sort(s.keys, less, runPages, fanIn)
-	if err != nil {
-		return err
-	}
-	defer sorted.Drop()
-
-	newValues := logstore.NewLog(s.alloc)
-	newKeys := logstore.NewLog(s.alloc)
-	newSums := logstore.NewLog(s.alloc)
-	next := &Store{alloc: s.alloc, values: newValues, keys: newKeys, sums: newSums}
-	newKeys.OnFlush(next.flushSummary)
-	switched := false
-	defer func() {
-		if !switched {
-			err = errors.Join(err, newValues.Drop(), newKeys.Drop(), newSums.Drop())
-		}
-	}()
-
-	// Stream the sorted bindings; equal keys arrive oldest→newest (stable
-	// sort), so remember the last of each run of equal keys.
-	it := sorted.Iter()
-	var pendKey []byte
-	var pend binding
-	havePend := false
-	emit := func() error {
-		if !havePend || pend.flags&flagTombstone != 0 {
-			return nil
-		}
-		val, err := s.values.ReadAt(pend.ref)
-		if err != nil {
-			return err
-		}
-		ref, err := newValues.Append(val)
-		if err != nil {
-			return err
-		}
-		var buf bindingBuf
-		if _, err := newKeys.Append(appendBinding(buf[:0], binding{key: pendKey, ref: ref})); err != nil {
-			return err
-		}
-		next.pageKeys = append(next.pageKeys, append([]byte(nil), pendKey...))
-		next.puts++
-		return nil
-	}
+	// Find the end of the leading run: the binding that ends it heads the
+	// rest of the log.
+	scan := s.keys.Iter()
+	defer scan.Release()
+	var lastBuf bindingBuf
+	last := lastBuf[:0]
+	ordered := 0
+	var head []byte
 	for {
-		rec, _, ok := it.Next()
+		rec, _, ok := scan.Next()
 		if !ok {
+			if err := scan.Err(); err != nil {
+				return err
+			}
 			break
 		}
 		b, err := decodeBinding(rec)
 		if err != nil {
 			return err
 		}
+		if ordered > 0 && string(b.key) <= string(last) {
+			head = rec
+			break
+		}
+		last = append(last[:0], b.key...)
+		ordered++
+	}
+	rest := func() ([]byte, bool, error) {
+		if rec := head; rec != nil {
+			head = nil
+			return rec, true, nil
+		}
+		rec, _, ok := scan.Next()
+		return rec, ok, scan.Err()
+	}
+	sorted, err := logstore.SortStream(s.alloc, rest, bindingLess, runPages, fanIn)
+	if err != nil {
+		return err
+	}
+	defer sorted.Drop()
+
+	// Merge the leading run, read a second time, with the sorted rest; on
+	// equal keys the run's binding, the older, comes first. The side
+	// yielded last moves on at the next call.
+	run := s.keys.Iter()
+	defer run.Release()
+	takeRun := func() (binding, bool, error) {
+		if ordered == 0 {
+			return binding{}, false, nil
+		}
+		ordered--
+		rec, _, ok := run.Next()
+		if !ok {
+			return binding{}, false, errors.Join(errors.New("kv: key log shorter than its leading run"), run.Err())
+		}
+		b, err := decodeBinding(rec)
+		return b, err == nil, err
+	}
+	takeRest := func() (binding, bool, error) {
+		rec, ok := sorted.Next()
+		if !ok {
+			return binding{}, false, sorted.Err()
+		}
+		b, err := decodeBinding(rec)
+		return b, err == nil, err
+	}
+	var r, n binding
+	var rOK, nOK bool
+	advRun, advRest := true, true
+	merged := func() (_ binding, _ bool, err error) {
+		if advRun {
+			if r, rOK, err = takeRun(); err != nil {
+				return binding{}, false, err
+			}
+		}
+		if advRest {
+			if n, nOK, err = takeRest(); err != nil {
+				return binding{}, false, err
+			}
+		}
+		advRun = rOK && (!nOK || string(r.key) <= string(n.key))
+		advRest = !advRun && nOK
+		switch {
+		case advRun:
+			return r, true, nil
+		case advRest:
+			return n, true, nil
+		}
+		return binding{}, false, nil
+	}
+	next, err := s.rebuild(merged)
+	if err != nil {
+		return err
+	}
+	if err := sorted.Drop(); err != nil {
+		return errors.Join(err, next.dropLogs())
+	}
+	return s.switchTo(next)
+}
+
+// bindingLess orders encoded bindings by key. A binding that does not
+// decode is before nothing and nothing is before it; rebuild rejects it.
+func bindingLess(a, b []byte) bool {
+	ba, errA := decodeBinding(a)
+	bb, errB := decodeBinding(b)
+	if errA != nil || errB != nil {
+		return false
+	}
+	return string(ba.key) < string(bb.key)
+}
+
+// rebuild writes the logs of a compacted store from bindings, which
+// yields every binding in key order, equal keys oldest first: the last
+// binding of each key survives unless it is a tombstone, and its value is
+// copied into the new value log, read through one held page of RAM. The
+// new logs are flushed; a failure drops them.
+func (s *Store) rebuild(bindings func() (binding, bool, error)) (_ *Store, err error) {
+	next := &Store{
+		alloc:  s.alloc,
+		values: logstore.NewLog(s.alloc),
+		keys:   logstore.NewLog(s.alloc),
+		sums:   logstore.NewLog(s.alloc),
+	}
+	next.keys.OnFlush(next.flushSummary)
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, next.dropLogs())
+		}
+	}()
+	var vals logstore.HeldPage
+	defer vals.Release()
+	var keyBuf bindingBuf
+	pendKey := keyBuf[:0]
+	var pend binding
+	havePend := false
+	emit := func() error {
+		if !havePend || pend.flags&flagTombstone != 0 {
+			return nil
+		}
+		val, err := s.values.ViewHeld(pend.ref, &vals)
+		if err != nil {
+			return err
+		}
+		ref, err := next.values.Append(val)
+		if err != nil {
+			return err
+		}
+		var buf bindingBuf
+		if _, err := next.keys.Append(appendBinding(buf[:0], binding{key: pendKey, ref: ref})); err != nil {
+			return err
+		}
+		next.puts++
+		return nil
+	}
+	for {
+		b, ok, err := bindings()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			break
+		}
 		if havePend && string(b.key) != string(pendKey) {
 			if err := emit(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		pendKey = append(pendKey[:0], b.key...)
 		pend = binding{key: pendKey, ref: b.ref, flags: b.flags}
 		havePend = true
 	}
-	if err := it.Err(); err != nil {
-		return err
-	}
 	if err := emit(); err != nil {
-		return err
+		return nil, err
 	}
-	if err := next.Flush(); err != nil {
-		return err
-	}
+	return next, next.Flush()
+}
 
-	// Atomic switch (DESIGN §11): in durable mode the commit record
-	// referencing the new logs is the switch point. Until it lands the
-	// old structure stays authoritative — a crash anywhere during the
-	// rebuild recovers the old logs and reclaims the half-built new ones;
-	// a crash after it recovers the new logs and reclaims the old. A
-	// commit whose record did not land keeps the old logs.
+// switchTo makes next's logs the store's. In durable mode the commit
+// record referencing the new logs is the switch point (DESIGN §11). Until
+// it lands the old structure stays authoritative — a crash anywhere during
+// the rebuild recovers the old logs and reclaims the half-built new ones;
+// a crash after it recovers the new logs and reclaims the old. A commit
+// whose record did not land keeps the old logs and drops next's.
+func (s *Store) switchTo(next *Store) error {
 	var commitErr error
 	if s.j != nil {
 		seq := s.j.Seq()
 		if commitErr = s.j.Commit(next.manifest()); commitErr != nil && s.j.Seq() == seq {
-			return commitErr
+			return errors.Join(commitErr, next.dropLogs())
 		}
 	}
-	switched = true
 	old := [3]*logstore.Log{s.values, s.keys, s.sums}
-	s.values, s.keys, s.sums = newValues, newKeys, newSums
-	s.pageKeys = next.pageKeys
+	s.values, s.keys, s.sums = next.values, next.keys, next.sums
 	s.puts = next.puts
 	s.keys.OnFlush(s.flushSummary)
 	if commitErr != nil {
@@ -504,6 +615,11 @@ func (s *Store) Compact(runPages, fanIn int) (err error) {
 		}
 	}
 	return nil
+}
+
+// dropLogs frees the blocks of all three logs.
+func (s *Store) dropLogs() error {
+	return errors.Join(s.values.Drop(), s.keys.Drop(), s.sums.Drop())
 }
 
 // Close drops every log.

@@ -216,6 +216,36 @@ func TestKeyTooLarge(t *testing.T) {
 	}
 }
 
+// A key whose binding cannot fit a key-log page is refused before the
+// value log is touched, so no orphan value is left behind; the longest
+// key that fits is stored.
+func TestKeyTooLargeLeavesNoValue(t *testing.T) {
+	s := Open(flash.NewAllocator(flash.NewChip(flash.Geometry{PageSize: 256, PagesPerBlock: 8, Blocks: 64})))
+	defer s.Close()
+	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	values := s.values.Len()
+	for _, n := range []int{300, 256 - 6 - 2 - 10} {
+		if err := s.Put(make([]byte, n), []byte("orphan")); !errors.Is(err, ErrKeyTooLarge) {
+			t.Errorf("%d-byte key on 256-byte pages: err = %v, want ErrKeyTooLarge", n, err)
+		}
+		if err := s.Delete(make([]byte, n)); !errors.Is(err, ErrKeyTooLarge) {
+			t.Errorf("delete of a %d-byte key: err = %v, want ErrKeyTooLarge", n, err)
+		}
+	}
+	if got := s.values.Len(); got != values {
+		t.Errorf("refused puts appended %d value records", got-values)
+	}
+	longest := bytes.Repeat([]byte("x"), 256-6-2-11)
+	if err := s.Put(longest, []byte("fits")); err != nil {
+		t.Fatalf("%d-byte key: %v", len(longest), err)
+	}
+	if v, _, err := s.Get(longest); err != nil || string(v) != "fits" {
+		t.Fatalf("get of the longest key = %q, %v", v, err)
+	}
+}
+
 func TestClosedStore(t *testing.T) {
 	s := testStore()
 	s.Close()
@@ -303,10 +333,12 @@ func TestQuickMapEquivalence(t *testing.T) {
 }
 
 // A compaction hit by a write fault at any of its page programs — in the
-// key log's sort, in the new value, key and summary logs, in the switch
-// record — must leave the store answering exactly as before and free
-// every block it wrote; the retry then succeeds. Swept over a first
-// compaction and a second one after more puts and deletes.
+// sort's runs and merge passes, in the new value, key and summary logs, in
+// the switch record — must leave the store answering exactly as before
+// and free every block it wrote; the retry then succeeds. Swept over a
+// first compaction, a second one whose leading run is the first's output
+// and whose delta of puts and deletes takes several runs, and a third
+// with no delta at all.
 func TestCompactSurvivesWriteFault(t *testing.T) {
 	chip := flash.NewChip(flash.Geometry{PageSize: 256, PagesPerBlock: 8, Blocks: 512})
 	alloc := flash.NewAllocator(chip)
@@ -379,4 +411,5 @@ func TestCompactSurvivesWriteFault(t *testing.T) {
 	compactUnderFaults("first compaction")
 	load(200)
 	compactUnderFaults("second compaction")
+	compactUnderFaults("compaction of a compacted store")
 }

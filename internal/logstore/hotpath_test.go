@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -59,10 +60,22 @@ func chipPages(t *testing.T, chip *flash.Chip) map[int]string {
 	return pages
 }
 
+// records is a SortStream source over a whole log.
+func records(l *Log) func() ([]byte, bool, error) {
+	it := l.Iter()
+	return func() ([]byte, bool, error) {
+		rec, _, ok := it.Next()
+		return rec, ok, it.Err()
+	}
+}
+
 // FuzzSortMatchesStable holds Sort to the implementation it replaced: the
 // same records in the same order, the same page reads, writes and erases,
 // and the same bytes on every page of the chip, for any record set, RAM
-// budget, fan-in and comparator.
+// budget, fan-in and comparator. It holds SortStream to the same oracle:
+// the same records, the same reads and erases, and only the runs' pages
+// programmed — none at all for an input that fits one batch — and every
+// block back once the stream is dropped.
 func FuzzSortMatchesStable(f *testing.F) {
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over"), uint8(1), uint8(2), uint8(0))
 	f.Add(bytes.Repeat([]byte{3, 1, 2, 0xFF, 9, 1, 1, 7}, 40), uint8(2), uint8(3), uint8(1))
@@ -90,6 +103,7 @@ func FuzzSortMatchesStable(f *testing.F) {
 		}
 		src, chip := load()
 		oracleSrc, oracleChip := load()
+		streamSrc, streamChip := load()
 		got, err := Sort(src, less, rp, fi)
 		if err != nil {
 			t.Fatal(err)
@@ -98,6 +112,7 @@ func FuzzSortMatchesStable(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		oracleCost := oracleChip.Stats()
 		gotRecs, wantRecs := drain(t, got), drain(t, want)
 		if len(gotRecs) != len(wantRecs) {
 			t.Fatalf("Sort yields %d records, the oracle %d", len(gotRecs), len(wantRecs))
@@ -118,6 +133,55 @@ func FuzzSortMatchesStable(f *testing.F) {
 			if gotPages[n] != img {
 				t.Fatalf("page %d differs from the oracle's", n)
 			}
+		}
+
+		if err := streamSrc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		alloc := streamSrc.Alloc()
+		inUse, before := alloc.InUse(), streamChip.Stats()
+		s, err := SortStream(alloc, records(streamSrc), less, rp, fi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; ; i++ {
+			rec, ok := s.Next()
+			if !ok {
+				if i != len(wantRecs) {
+					t.Fatalf("SortStream yields %d records, the oracle %d", i, len(wantRecs))
+				}
+				break
+			}
+			if i == len(wantRecs) || !bytes.Equal(rec, wantRecs[i]) {
+				t.Fatalf("streamed record %d = %x, the oracle has %d records", i, rec, len(wantRecs))
+			}
+		}
+		if err := s.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Drop(); err != nil {
+			t.Fatal(err)
+		}
+		if n := alloc.InUse(); n != inUse {
+			t.Fatalf("%d blocks in use after Drop, %d before the sort", n, inUse)
+		}
+		g, w := streamChip.Stats(), oracleCost
+		if g.PageReads != w.PageReads || g.BlockErases != w.BlockErases || g.PageWrites != w.PageWrites-int64(want.Pages()) {
+			t.Fatalf("SortStream cost %v, the oracle %v with a %d-page result", g, w, want.Pages())
+		}
+		// The batch closes on the record that reaches the budget: the input
+		// fits one batch when no record before the last one does.
+		fits, batch := true, 0
+		for rest := data; len(rest) > 0; {
+			if batch >= rp*geo.PageSize {
+				fits = false
+			}
+			n := min(int(rest[0]%8)+1, len(rest))
+			batch += n + slotHeader
+			rest = rest[n:]
+		}
+		if d := g.Sub(before); fits && (d.PageWrites != 0 || d.BlockErases != 0) {
+			t.Fatalf("an input of one batch cost %v", d)
 		}
 	})
 }
@@ -201,4 +265,57 @@ func TestReadAtSharedScratchConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// A write fault at any page program of a multi-pass SortStream — in run
+// formation or in any merge pass — surfaces as the typed fault and leaves
+// no block allocated; past the last program the sort succeeds, in order.
+func TestSortStreamWriteFaultLeaksNothing(t *testing.T) {
+	chip := flash.NewChip(flash.Geometry{PageSize: 64, PagesPerBlock: 4, Blocks: 512})
+	alloc := flash.NewAllocator(chip)
+	src := NewLog(alloc)
+	const n = 300
+	for i := 0; i < n; i++ {
+		if _, err := src.Append([]byte(fmt.Sprintf("r%05d", (i*7919)%n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	less := func(a, b []byte) bool { return bytes.Compare(a, b) < 0 }
+	inUse := alloc.InUse()
+	for after := 0; ; after++ {
+		chip.InjectWriteFault(after)
+		s, err := SortStream(alloc, records(src), less, 1, 2)
+		if n := alloc.InUse(); n != inUse && err != nil {
+			t.Fatalf("fault after %d: %d blocks in use, %d before the sort", after, n, inUse)
+		}
+		if err == nil {
+			chip.InjectWriteFault(-1)
+			// Runs of one page merged two at a time: several passes.
+			if after < 3*src.Pages() {
+				t.Fatalf("the sort programmed %d pages over a %d-page input; want several merge passes", after, src.Pages())
+			}
+			var prev []byte
+			got := 0
+			for rec, ok := s.Next(); ok; rec, ok = s.Next() {
+				if prev != nil && bytes.Compare(prev, rec) > 0 {
+					t.Fatalf("record %d = %q after %q", got, rec, prev)
+				}
+				prev = append(prev[:0], rec...)
+				got++
+			}
+			if err := errors.Join(s.Err(), s.Drop()); err != nil || got != n {
+				t.Fatalf("sorted %d of %d records: %v", got, n, err)
+			}
+			if m := alloc.InUse(); m != inUse {
+				t.Fatalf("%d blocks in use after Drop, %d before the sort", m, inUse)
+			}
+			return
+		}
+		if !errors.Is(err, flash.ErrInjectedFault) {
+			t.Fatalf("fault after %d: %v", after, err)
+		}
+	}
 }

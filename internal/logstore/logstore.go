@@ -168,7 +168,8 @@ type Log struct {
 }
 
 // OnFlush registers f to be called with the logical page number of each
-// page at the moment it is flushed to flash.
+// page at the moment it is flushed to flash. While f runs, Unflushed still
+// views the records of that page.
 func (l *Log) OnFlush(f func(page int) error) { l.onFlush = f }
 
 // NewLog creates an empty log drawing blocks from alloc.
@@ -495,3 +496,13 @@ func (it *Iterator) Next() ([]byte, RecordID, bool) {
 
 // Err returns the first error the iterator hit, if any.
 func (it *Iterator) Err() error { return it.err }
+
+// Release ends the stream early: the iterator hands its page of RAM back
+// to the pool, and Next reports the end from then on.
+func (it *Iterator) Release() {
+	if it.buf != nil {
+		PutPageBuf(it.buf)
+		it.buf = nil
+	}
+	it.done = true
+}

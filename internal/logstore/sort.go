@@ -1,62 +1,97 @@
 package logstore
 
 import (
+	"errors"
 	"fmt"
 	"slices"
+	"sync"
+
+	"pds/internal/flash"
 )
 
 // Sort reorganizes src into a new sorted log using only sequential
 // structures, exactly as the tutorial's reorganization step prescribes:
-//
-//  1. records are read in stream order and accumulated until roughly
-//     runPages pages of RAM are full, then sorted in RAM and emitted as a
-//     temporary log (a sorted "run");
-//  2. runs are merged fanIn at a time, each input consuming one page of
-//     RAM, until a single sorted log remains. Intermediate runs are
-//     dropped (block-grain deallocation) as soon as they are consumed.
-//
-// The Go process holds what that model grants and no more: run formation
-// copies records into one slab of runPages pages (plus the record that
-// crosses the budget) and sorts views into it, and a merge compares the
-// head records where they lie in each input's page buffer.
+// it drains SortStream over src's records into a fresh log, so the result
+// holds the same pages as when the final merge pass wrote its own log.
 //
 // src is flushed but otherwise left untouched; the caller decides when to
 // drop it. The result draws blocks from the same allocator. A failed sort
 // frees every block it allocated.
 func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, err error) {
+	if err := src.Flush(); err != nil {
+		return nil, err
+	}
+	it := src.Iter()
+	s, err := SortStream(src.Alloc(), func() ([]byte, bool, error) {
+		rec, _, ok := it.Next()
+		return rec, ok, it.Err()
+	}, less, runPages, fanIn)
+	if err != nil {
+		return nil, err
+	}
+	out := NewLog(src.Alloc())
+	for {
+		rec, ok := s.Next()
+		if !ok {
+			break
+		}
+		if _, err = out.Append(rec); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = s.Err()
+	}
+	if err == nil {
+		err = out.Flush()
+	}
+	if err = errors.Join(err, s.Drop()); err != nil {
+		return nil, errors.Join(err, out.Drop())
+	}
+	return out, nil
+}
+
+// SortStream externally sorts the records next yields, stably under less,
+// using only sequential structures, and yields the final merge to the
+// caller instead of writing it to flash — the tutorial's pipelined
+// evaluation, where the last merge feeds the structure being built:
+//
+//  1. records are accumulated until roughly runPages pages of RAM are
+//     full, then sorted in RAM and emitted as a temporary log (a sorted
+//     "run");
+//  2. while more than fanIn runs remain, they are merged fanIn at a time,
+//     each input consuming one page of RAM; a consumed run is dropped
+//     (block-grain deallocation) as soon as its merge is complete;
+//  3. the last at most fanIn runs are merged as the caller pulls records
+//     with Sorted.Next. An input that fits one batch is never written:
+//     the batch is yielded from RAM.
+//
+// next returns the source's records in order, then ok false; a record may
+// be a view the following call overwrites, since it is copied at once.
+// The Go process holds what that model grants and no more: run formation
+// copies records into one pooled slab of runPages pages (plus the record
+// that crosses the budget) and sorts views into it, and a merge compares
+// the head records where they lie in each input's page buffer.
+//
+// The runs draw blocks from alloc. A failed sort frees every block it
+// allocated; a successful one holds its runs until Sorted.Drop.
+func SortStream(alloc *flash.Allocator, next func() ([]byte, bool, error), less func(a, b []byte) bool, runPages, fanIn int) (_ *Sorted, err error) {
 	if runPages < 1 {
 		return nil, fmt.Errorf("logstore: runPages must be >= 1, got %d", runPages)
 	}
 	if fanIn < 2 {
 		return nil, fmt.Errorf("logstore: fanIn must be >= 2, got %d", fanIn)
 	}
-	if err := src.Flush(); err != nil {
-		return nil, err
-	}
-	alloc := src.Alloc()
-	pageSize := src.Chip().Geometry().PageSize
-	// runs are the current pass's inputs, next its outputs so far; each
-	// joins its slice before its first write, so a failed sort drops every
-	// log it made (dropping one already consumed is a no-op).
-	var runs, next []*Log
-	defer func() {
-		if err != nil {
-			for _, l := range runs {
-				l.Drop()
-			}
-			for _, l := range next {
-				l.Drop()
-			}
-		}
-	}()
-
-	// Pass 0: form sorted runs.
+	pageSize := alloc.Chip().Geometry().PageSize
 	budget := runPages * pageSize
 	// The batch closes on the record that reaches the budget, so the slab
 	// never outgrows budget plus one record and the views stay put.
-	slab := make([]byte, 0, budget+pageSize)
-	var batch [][]byte
-	batchBytes := 0
+	s := &Sorted{slab: takeSlab(budget + pageSize)}
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, s.Drop())
+		}
+	}()
 	// The stable sort only ever asks "is a before b".
 	cmp := func(a, b []byte) int {
 		if less(a, b) {
@@ -64,75 +99,157 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, e
 		}
 		return 0
 	}
-	flushBatch := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		slices.SortStableFunc(batch, cmp)
-		run := NewLog(alloc)
-		runs = append(runs, run)
-		for _, rec := range batch {
-			if _, err := run.Append(rec); err != nil {
-				return err
-			}
-		}
-		if err := run.Flush(); err != nil {
-			return err
-		}
-		batch = batch[:0]
-		slab = slab[:0]
-		batchBytes = 0
-		return nil
-	}
-	it := src.Iter()
+
+	// Pass 0: form sorted runs. A closed batch is written only once
+	// another record follows it, so an input that fits one batch stays in
+	// RAM.
+	slab := s.slab
+	batchBytes := 0
 	for {
-		rec, _, ok := it.Next()
+		rec, ok, err := next()
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			break
 		}
-		at := len(slab)
-		slab = append(slab, rec...)
-		batch = append(batch, slab[at:len(slab):len(slab)])
-		batchBytes += len(rec) + slotHeader
 		if batchBytes >= budget {
-			if err := flushBatch(); err != nil {
+			if err := s.writeRun(alloc, cmp); err != nil {
 				return nil, err
 			}
+			batchBytes = 0
 		}
+		at := len(slab.bytes)
+		slab.bytes = append(slab.bytes, rec...)
+		slab.recs = append(slab.recs, slab.bytes[at:len(slab.bytes):len(slab.bytes)])
+		batchBytes += len(rec) + slotHeader
 	}
-	if err := it.Err(); err != nil {
+	if len(s.runs) == 0 {
+		slices.SortStableFunc(slab.recs, cmp)
+		return s, nil
+	}
+	if err := s.writeRun(alloc, cmp); err != nil {
 		return nil, err
 	}
-	if err := flushBatch(); err != nil {
-		return nil, err
-	}
-	if len(runs) == 0 {
-		out := NewLog(alloc)
-		return out, out.Flush()
-	}
+	putSlab(slab)
+	s.slab = nil
 
-	// Merge passes.
-	for len(runs) > 1 {
-		for lo := 0; lo < len(runs); lo += fanIn {
-			hi := lo + fanIn
-			if hi > len(runs) {
-				hi = len(runs)
-			}
+	// Merge passes, while the final merge would need more than fanIn
+	// pages of RAM.
+	for len(s.runs) > fanIn {
+		var out []*Log
+		for lo := 0; lo < len(s.runs); lo += fanIn {
+			hi := min(lo+fanIn, len(s.runs))
 			merged := NewLog(alloc)
-			next = append(next, merged)
-			if err := mergeRuns(merged, runs[lo:hi], less); err != nil {
-				return nil, err
-			}
-			for _, r := range runs[lo:hi] {
-				if err := r.Drop(); err != nil {
-					return nil, err
+			out = append(out, merged)
+			err := mergeRuns(merged, s.runs[lo:hi], less)
+			for _, r := range s.runs[lo:hi] {
+				if err == nil {
+					err = r.Drop()
 				}
 			}
+			if err != nil {
+				// Every run and every merged log is s's to drop; a run
+				// already dropped drops as a no-op.
+				s.runs = append(s.runs, out...)
+				return nil, err
+			}
 		}
-		runs, next = next, nil
+		s.runs = out
 	}
-	return runs[0], nil
+	s.m.start(s.runs, less)
+	return s, nil
 }
+
+// Sorted is the final merge of an external sort (see SortStream): its
+// records in order, pulled one at a time. It holds the runs the merge
+// reads, and a page of RAM per run, or the one batch of a small input,
+// until Drop.
+type Sorted struct {
+	slab *runSlab // the one batch of an input that fit one, else nil
+	pos  int      // records of slab yielded so far
+	runs []*Log
+	m    merger
+	err  error
+}
+
+// Next returns the next record in sort order; ok is false after the last
+// one or on an error (see Err). The record is a view valid until the
+// following call.
+func (s *Sorted) Next() (rec []byte, ok bool) {
+	if s.err != nil {
+		return nil, false
+	}
+	if s.slab != nil {
+		if s.pos == len(s.slab.recs) {
+			return nil, false
+		}
+		s.pos++
+		return s.slab.recs[s.pos-1], true
+	}
+	rec, ok, s.err = s.m.next()
+	return rec, ok
+}
+
+// Err returns the error that ended the stream, if any.
+func (s *Sorted) Err() error { return s.err }
+
+// Drop frees the runs' blocks and hands the sort's RAM back to the pools.
+// Call it once the stream is consumed or abandoned; calling it again does
+// nothing.
+func (s *Sorted) Drop() error {
+	if s.slab != nil {
+		putSlab(s.slab)
+		s.slab = nil
+	}
+	s.m.release()
+	var err error
+	for _, r := range s.runs {
+		err = errors.Join(err, r.Drop())
+	}
+	s.runs = nil
+	return err
+}
+
+// writeRun sorts the batch in the slab, writes it as a new run and empties
+// the slab.
+func (s *Sorted) writeRun(alloc *flash.Allocator, cmp func(a, b []byte) int) error {
+	slab := s.slab
+	slices.SortStableFunc(slab.recs, cmp)
+	run := NewLog(alloc)
+	s.runs = append(s.runs, run)
+	for _, rec := range slab.recs {
+		if _, err := run.Append(rec); err != nil {
+			return err
+		}
+	}
+	slab.recs = slab.recs[:0]
+	slab.bytes = slab.bytes[:0]
+	return run.Flush()
+}
+
+// runSlab is the RAM of run formation: the batch's record bytes and the
+// views sorted over them.
+type runSlab struct {
+	bytes []byte
+	recs  [][]byte
+}
+
+// runSlabs recycles run-formation slabs across sorts, as pageBufs does
+// pages, so a sort allocates its RAM only when the pool is empty.
+var runSlabs sync.Pool
+
+// takeSlab takes an empty slab of at least size bytes from the pool.
+func takeSlab(size int) *runSlab {
+	if s, _ := runSlabs.Get().(*runSlab); s != nil && cap(s.bytes) >= size {
+		s.bytes, s.recs = s.bytes[:0], s.recs[:0]
+		return s
+	}
+	return &runSlab{bytes: make([]byte, 0, size)}
+}
+
+// putSlab returns a slab to the pool.
+func putSlab(s *runSlab) { runSlabs.Put(s) }
 
 // mergeEntry is one heap element of a k-way merge: the head record of
 // input src, viewed in that input's page buffer.
@@ -211,32 +328,80 @@ func (h *mergeHeap) pop() mergeEntry {
 	return e
 }
 
-// mergeRuns merges sorted runs into out, an empty log. Each run
-// contributes one page of RAM via its iterator; the heap holds views of
-// the head records into those pages. A head is appended to the output
-// before its iterator moves on, so no view outlives its page.
-func mergeRuns(out *Log, runs []*Log, less func(a, b []byte) bool) error {
-	iters := make([]Iterator, len(runs))
-	h := &mergeHeap{items: make([]mergeEntry, 0, len(runs)), less: less}
+// merger is a k-way merge of sorted runs. Each run contributes one page
+// of RAM via its iterator; the heap holds views of the head records into
+// those pages. The input of the record yielded last moves on only at the
+// following call, so no view outlives its page.
+type merger struct {
+	iters []Iterator
+	h     mergeHeap
+	// last is the input of the record yielded last, -1 before the first.
+	last int
+	done bool
+}
+
+// start positions the merge before the first record of runs.
+func (m *merger) start(runs []*Log, less func(a, b []byte) bool) {
+	m.iters = make([]Iterator, len(runs))
+	m.h = mergeHeap{items: make([]mergeEntry, 0, len(runs)), less: less}
+	m.last = -1
 	for i, r := range runs {
-		iters[i] = Iterator{log: r, curPage: -1}
-		if rec, _, ok := iters[i].Next(); ok {
-			h.items = append(h.items, mergeEntry{rec: rec, src: i})
-		} else if err := iters[i].Err(); err != nil {
+		m.iters[i] = Iterator{log: r, curPage: -1}
+	}
+}
+
+// next returns the next merged record, a view valid until the following
+// call, and false at the end.
+func (m *merger) next() ([]byte, bool, error) {
+	if m.done {
+		return nil, false, nil
+	}
+	if m.last == -1 {
+		// The first call reads every input's head.
+		for i := range m.iters {
+			if rec, _, ok := m.iters[i].Next(); ok {
+				m.h.items = append(m.h.items, mergeEntry{rec: rec, src: i})
+			} else if err := m.iters[i].Err(); err != nil {
+				return nil, false, err
+			}
+		}
+		m.h.init()
+	} else if rec, _, ok := m.iters[m.last].Next(); ok {
+		m.h.push(mergeEntry{rec: rec, src: m.last})
+	} else if err := m.iters[m.last].Err(); err != nil {
+		return nil, false, err
+	}
+	if len(m.h.items) == 0 {
+		m.done = true
+		return nil, false, nil
+	}
+	e := m.h.pop()
+	m.last = e.src
+	return e.rec, true, nil
+}
+
+// release hands back the page of RAM of every input not read to its end.
+func (m *merger) release() {
+	for i := range m.iters {
+		m.iters[i].Release()
+	}
+}
+
+// mergeRuns merges sorted runs into out, an empty log.
+func mergeRuns(out *Log, runs []*Log, less func(a, b []byte) bool) error {
+	var m merger
+	m.start(runs, less)
+	defer m.release()
+	for {
+		rec, ok, err := m.next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			return out.Flush()
+		}
+		if _, err := out.Append(rec); err != nil {
 			return err
 		}
 	}
-	h.init()
-	for len(h.items) > 0 {
-		e := h.pop()
-		if _, err := out.Append(e.rec); err != nil {
-			return err
-		}
-		if rec, _, ok := iters[e.src].Next(); ok {
-			h.push(mergeEntry{rec: rec, src: e.src})
-		} else if err := iters[e.src].Err(); err != nil {
-			return err
-		}
-	}
-	return out.Flush()
 }

@@ -8,7 +8,9 @@
 // virtual now, and the window takes one sample per crossed boundary.
 // Nothing here reads wall clock, so two same-seed runs produce the same
 // sample sequence, and the running digest over the canonical sample
-// encodings is byte-identical — the property the telemetry-ci gate pins.
+// encodings is byte-identical — the property
+// TestWindowDigestDeterministicAndSensitive and, over a whole serve run,
+// tenant's TestServeObservedTelemetryDeterministic pin.
 package obs
 
 import (

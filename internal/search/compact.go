@@ -41,19 +41,19 @@ type compactIndex struct {
 // compact docid, so the sorted delta and the old compact pages merge in
 // one pass into exactly the stream a sort of everything would give.
 // runPages and fanIn bound the external sort's RAM, as in the tutorial's
-// reorganization step; the merge holds one page of RAM for each of the
-// delta, the old compact page and the page being packed. A
-// reorganization that fails before its switch record lands leaves the
-// engine as it was and frees every block it wrote.
+// reorganization step; the sort's final merge feeds the merge with the
+// old compact pages directly, which adds one page of RAM for the old
+// compact page and one for the page being packed. A reorganization that
+// fails before its switch record lands leaves the engine as it was and
+// frees every block it wrote.
 func (e *Engine) Reorganize(runPages, fanIn int) error {
 	if err := e.Flush(); err != nil {
 		return err
 	}
-	ci, sorted, err := e.mergeDelta(runPages, fanIn)
+	ci, err := e.mergeDelta(runPages, fanIn)
 	if err != nil {
 		return err
 	}
-	defer sorted.Drop()
 
 	// Swap in, then free the old chains and old compact index. In durable
 	// mode the commit record between the two is the atomic switch point
@@ -86,62 +86,58 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 	return err
 }
 
-// mergeDelta builds the new compact index: it gathers the chain postings
-// into a temporary log (sequential writes only; a triple is encoded on a
-// bucket page exactly as in the log record, so each goes from the page
-// image straight into the log), sorts that delta by (term asc, docid
-// desc), and merges it with the old compact pages, packing the merged
-// stream into new compact pages and recording the directory. The merge
-// trusts the old index's order but checks it: a record that does not
-// come strictly after the one packed before it is ErrCompactOrder. The
-// caller drops the sorted delta once the old structure is gone. A
-// failure frees every block mergeDelta wrote.
-func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, _ *logstore.Log, err error) {
+// mergeDelta builds the new compact index: it walks the chain postings
+// straight into an external sort by (term asc, docid desc) — a triple is
+// encoded on a bucket page exactly as in a sort record, so each goes from
+// the page image into the sort's RAM — and merges the sort's final merge
+// with the old compact pages, packing the merged stream into new compact
+// pages and recording the directory. The merge trusts the old index's
+// order but checks it: a record that does not come strictly after the one
+// packed before it is ErrCompactOrder. The sort's runs are dropped once
+// the merge is done. A failure frees every block mergeDelta wrote.
+func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, err error) {
 	alloc := e.pw.Alloc()
-	tmp := logstore.NewLog(alloc)
 	ci := &compactIndex{pw: logstore.NewPageWriter(alloc)}
-	var sorted *logstore.Log
 	defer func() {
 		if err != nil {
-			err = errors.Join(err, tmp.Drop(), ci.pw.Drop())
-			if sorted != nil {
-				err = errors.Join(err, sorted.Drop())
-			}
+			err = errors.Join(err, ci.pw.Drop())
 		}
 	}()
 	// One page of RAM walks the chains and then reads the old compact
-	// pages; another is the compact page being packed.
-	walk, pack := e.pw.PageBuf(), e.pw.PageBuf()
+	// pages; another, taken once the sort is done, is the compact page
+	// being packed.
+	walk := e.pw.PageBuf()
 	defer logstore.PutPageBuf(walk)
-	defer logstore.PutPageBuf(pack)
 
-	for b := 0; b < e.nbuckets; b++ {
-		next := e.heads[b]
-		for next >= 0 {
+	b, next := -1, int32(-1)
+	var body []byte
+	chains := func() ([]byte, bool, error) {
+		for len(body) == 0 {
+			for next < 0 {
+				if b++; b == e.nbuckets {
+					return nil, false, nil
+				}
+				next = e.heads[b]
+			}
 			img, err := readPage(e.pw.Chip(), int(next), walk)
 			if err != nil {
-				return nil, nil, err
+				return nil, false, err
 			}
-			prev, body, err := bucketPage(img)
-			if err != nil {
-				return nil, nil, err
+			if next, body, err = bucketPage(img); err != nil {
+				return nil, false, err
 			}
-			for len(body) > 0 {
-				var rec []byte
-				rec, body = nextTriple(body)
-				if _, err := tmp.Append(rec); err != nil {
-					return nil, nil, err
-				}
-			}
-			next = prev
 		}
+		var rec []byte
+		rec, body = nextTriple(body)
+		return rec, true, nil
 	}
-	if sorted, err = logstore.Sort(tmp, tripleLess, runPages, fanIn); err != nil {
-		return nil, nil, err
+	sorted, err := logstore.SortStream(alloc, chains, tripleLess, runPages, fanIn)
+	if err != nil {
+		return nil, err
 	}
-	if err := tmp.Drop(); err != nil {
-		return nil, nil, err
-	}
+	defer func() { err = errors.Join(err, sorted.Drop()) }()
+	pack := e.pw.PageBuf()
+	defer logstore.PutPageBuf(pack)
 
 	// The chip copies each page it programs, so one page of RAM serves
 	// every image; last is the last triple packed, where it lies in it.
@@ -177,43 +173,42 @@ func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, _ *logstore.L
 		return nil
 	}
 
-	it := sorted.Iter()
 	nextDelta := func() ([]byte, error) {
-		rec, _, ok := it.Next()
+		rec, ok := sorted.Next()
 		if !ok {
-			return nil, it.Err()
+			return nil, sorted.Err()
 		}
 		return rec, checkTripleRec(rec)
 	}
 	old := compactStream{ci: e.compact, buf: walk}
 	d, err := nextDelta()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	o, err := old.next()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for d != nil || o != nil {
 		if d != nil && (o == nil || tripleLess(d, o)) {
 			if err := emit(d); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			d, err = nextDelta()
 		} else {
 			if err := emit(o); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			o, err = old.next()
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if err := flushPage(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return ci, sorted, nil
+	return ci, nil
 }
 
 // compactStream yields the triples of a compact index (nil for none) in

@@ -12,7 +12,7 @@ import (
 )
 
 // Reorganize gathers, sorts and merges triples where they lie in page
-// images: what it allocates is the logs and page buffers of the delta's
+// images: what it allocates is the runs and page buffers of the delta's
 // external sort and one directory string per compact page — per run and
 // per page, never per posting. Ten times the postings through the same
 // number of runs and compact pages must cost the same.
@@ -81,8 +81,9 @@ func TestReorganizeAllocCeiling(t *testing.T) {
 			small, triples, big, bigTriples)
 	}
 	// A 336-posting delta sorted in runs of two pages and merged with as
-	// many compact postings: 288. Re-sorting both, as Reorganize did before
-	// it merged, took 516.
+	// many compact postings: 222. Through a temporary log and a sorted
+	// log on flash it took 288; re-sorting both, as Reorganize did before
+	// it merged, 516.
 	if small > 300 {
 		t.Errorf("Reorganize: %.0f allocs for %d postings, ceiling 300", small, triples)
 	}

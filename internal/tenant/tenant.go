@@ -19,7 +19,8 @@
 // absorbed into an unbounded backlog. Service times derive from the
 // deterministic flash I/O of the request under the NAND cost model, so
 // two runs over the same schedule produce byte-identical decision
-// streams — the property the serve-ci gate pins.
+// streams — the property TestServeDeterministic and
+// TestHostDecisionStreamDeterministic pin.
 package tenant
 
 import (
