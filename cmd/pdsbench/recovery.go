@@ -107,7 +107,8 @@ func runE21(cfg config) error {
 			}
 		}
 	}
-	fmt.Println("\nRecovery is bounded: a two-block journal scan, one manifest validation, block")
-	fmt.Println("reclamation, and a per-store directory rebuild — independent of the crash point.")
+	fmt.Println("\nRecovery is bounded: a two-block journal scan, one manifest validation, the")
+	fmt.Println("unowned blocks handed back dirty (their erases owed, not paid), and a per-store")
+	fmt.Println("directory rebuild — independent of the crash point.")
 	return nil
 }

@@ -131,14 +131,20 @@ func (p *Policy) Decide(q Request) bool {
 	return allowed
 }
 
-// AuditEntry records one decision in the accountability chain.
+// Digest is the SHA-256 an audit entry commits to.
+type Digest [sha256.Size]byte
+
+// String returns the digest in lower-case hex.
+func (d Digest) String() string { return hex.EncodeToString(d[:]) }
+
+// AuditEntry records one decision in the accountability chain. Its Hash
+// commits to the previous entry's, which Verify recomputes.
 type AuditEntry struct {
-	Seq      int
-	Time     time.Time
-	Request  Request
-	Allowed  bool
-	PrevHash string
-	Hash     string
+	Seq     int
+	Time    time.Time
+	Request Request
+	Allowed bool
+	Hash    Digest
 }
 
 // AuditLog is a hash-chained decision journal: each entry commits to its
@@ -169,9 +175,10 @@ func (l *AuditLog) SetClock(clock func() time.Time) {
 	l.now = clock
 }
 
-// entryHash commits to an entry and its predecessor: the SHA-256, in hex,
-// of prev|seq|unixnano|subject|role|collection|action|purpose|allowed.
-func entryHash(prev string, seq int, t time.Time, q Request, allowed bool) string {
+// entryHash commits to an entry and its predecessor: the SHA-256 of
+// prev|seq|unixnano|subject|role|collection|action|purpose|allowed, where
+// prev is the predecessor's digest in hex, empty for the first entry.
+func entryHash[P string | []byte](prev P, seq int, t time.Time, q Request, allowed bool) Digest {
 	bp := preimages.Get().(*[]byte)
 	b := append((*bp)[:0], prev...)
 	b = strconv.AppendInt(append(b, '|'), int64(seq), 10)
@@ -185,9 +192,13 @@ func entryHash(prev string, seq int, t time.Time, q Request, allowed bool) strin
 	sum := sha256.Sum256(b)
 	*bp = b
 	preimages.Put(bp)
-	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], sum[:])
-	return string(out[:])
+	return sum
+}
+
+// hexLink is prev's pre-image in its successor's hash: its hex, in buf.
+func hexLink(buf *[2 * sha256.Size]byte, prev Digest) []byte {
+	hex.Encode(buf[:], prev[:])
+	return buf[:]
 }
 
 // preimages recycles entryHash's scratch across every audit log of the
@@ -198,16 +209,16 @@ var preimages = sync.Pool{New: func() any { return new([]byte) }}
 func (l *AuditLog) Record(q Request, allowed bool) AuditEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	prev := ""
+	var buf [2 * sha256.Size]byte
+	var prev []byte
 	if n := len(l.entries); n > 0 {
-		prev = l.entries[n-1].Hash
+		prev = hexLink(&buf, l.entries[n-1].Hash)
 	}
 	e := AuditEntry{
-		Seq:      len(l.entries),
-		Time:     l.now(),
-		Request:  q,
-		Allowed:  allowed,
-		PrevHash: prev,
+		Seq:     len(l.entries),
+		Time:    l.now(),
+		Request: q,
+		Allowed: allowed,
 	}
 	e.Hash = entryHash(prev, e.Seq, e.Time, q, allowed)
 	l.entries = append(l.entries, e)
@@ -231,15 +242,13 @@ func (l *AuditLog) Len() int {
 // Verify checks the whole chain, returning the index of the first broken
 // entry (-1 if intact).
 func Verify(entries []AuditEntry) int {
-	prev := ""
+	var buf [2 * sha256.Size]byte
+	var prev []byte
 	for i, e := range entries {
-		if e.PrevHash != prev || e.Seq != i {
+		if e.Seq != i || entryHash(prev, e.Seq, e.Time, e.Request, e.Allowed) != e.Hash {
 			return i
 		}
-		if entryHash(prev, e.Seq, e.Time, e.Request, e.Allowed) != e.Hash {
-			return i
-		}
-		prev = e.Hash
+		prev = hexLink(&buf, e.Hash)
 	}
 	return -1
 }

@@ -31,15 +31,15 @@ func TestEntryHashGoldenVectors(t *testing.T) {
 			Request{Subject: "é", Action: Share, Purpose: "%d"}, false,
 			"8d618507c5394511410a8116802599994208bb5a809ff04ea97bd431f4547fd7"},
 	} {
-		if got := entryHash(c.prev, c.seq, c.at, c.q, c.allowed); got != c.want {
+		if got := entryHash(c.prev, c.seq, c.at, c.q, c.allowed).String(); got != c.want {
 			t.Errorf("entryHash(seq %d) = %s, want %s", c.seq, got, c.want)
 		}
 	}
 }
 
-// A check on an observed guard keeps its audit entry (the hash string, the
-// journal's amortised growth) and nothing else: no series name, no
-// formatted pre-image.
+// A check on an observed guard keeps its audit entry, whose only heap cost
+// is the journal's amortised growth, and nothing else: no series name, no
+// formatted pre-image, no hex of the hash.
 func TestGuardCheckAllocCeiling(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -52,8 +52,8 @@ func TestGuardCheckAllocCeiling(t *testing.T) {
 		if !g.Check(q) {
 			t.Fatal("denied")
 		}
-	}); got > 3 {
-		t.Errorf("Guard.Check: %.1f allocs/op, ceiling 3", got)
+	}); got > 1 {
+		t.Errorf("Guard.Check: %.1f allocs/op, ceiling 1", got)
 	}
 	if bad := g.VerifyChain(); bad >= 0 {
 		t.Fatalf("audit chain broken at %d", bad)

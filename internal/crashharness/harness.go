@@ -10,8 +10,10 @@
 // fingerprint of the store after every Sync; a crash run must recover to
 // the fingerprint of some boundary in the admissible window
 // [last acknowledged Sync, last attempted Sync] — the upper end because a
-// commit record can land even though the Sync that wrote it then died in
-// post-commit cleanup (e.g. erasing superseded blocks).
+// commit record can land even though the Sync that wrote it then died
+// before returning. After every acknowledged Sync the run erases the
+// blocks the store freed, as a host does in the chip's idle time, so the
+// erase sweeps also cut power between a Free and its erase.
 package crashharness
 
 import (
@@ -120,7 +122,8 @@ type Result struct {
 	// Recovery is the recovery-plane accounting (also mirrored into obs).
 	Recovery logstore.RecoveryStats
 	// RecoveryIO is the total chip I/O spent between Reopen and the store
-	// being servable again (scan + reclaim + adoption + store rebuild).
+	// being servable again (scan + adoption + store rebuild; the unowned
+	// blocks recovery reclaims are handed to the allocator dirty).
 	RecoveryIO flash.Stats
 	// FootprintPages is the recovered store's flash page footprint — the
 	// quota currency a multi-tenant host meters per tenant.
@@ -134,7 +137,8 @@ type Result struct {
 func CrashRun(w Workload, plan flash.CrashPlan, baseline []string) (Result, error) {
 	res := Result{Plan: plan}
 	chip := flash.NewChip(w.geometry())
-	st, err := w.Open(flash.NewAllocator(chip))
+	alloc := flash.NewAllocator(chip)
+	st, err := w.Open(alloc)
 	if err != nil {
 		return res, err
 	}
@@ -151,7 +155,8 @@ func CrashRun(w Workload, plan flash.CrashPlan, baseline []string) (Result, erro
 			}
 			boundary++
 			acked = boundary
-			return nil
+			_, err := alloc.EraseDirty(alloc.Dirty())
+			return err
 		}
 		for i := 0; i < w.Ops; i++ {
 			if err := st.Apply(i); err != nil {

@@ -88,15 +88,21 @@ func (v imageVector) check(t *testing.T, chip *flash.Chip) {
 // going through a log on flash, kv's compaction started sorting only the
 // bindings after its leading ascending run and reading values through one
 // held page (kv 174/192/41 → 91/151/27, search 234/255/53 → 184/205/37;
-// again only the blocks the pages land in moved).
+// again only the blocks the pages land in moved). Re-captured once more
+// when a freed block stopped being erased on the spot: reads and writes
+// are unchanged, and the erases of the blocks still dirty at the end are
+// owed, not paid (kv 27 → 21, search 37 → 33, the same blocks' wear in
+// each map one lower). Those blocks' pages stay programmed with empty
+// images, which is all that moved the page digest: over the non-empty
+// pages it is still a90e8b31… (kv) and 277d58c9… (search).
 func TestOpScriptChipImageGolden(t *testing.T) {
 	want := map[string]imageVector{
-		"kv": {flash.Stats{PageReads: 91, PageWrites: 151, BlockErases: 27},
-			"0:1 1:1 2:4 3:3 4:4 5:3 6:3 7:3 8:2 9:1 10:2",
-			"a90e8b31f07331f27f9e64cd74d4aaaa6c2f8e41622263a6c0ab54884723b48e"},
-		"search": {flash.Stats{PageReads: 184, PageWrites: 205, BlockErases: 37},
-			"0:1 1:1 2:6 3:7 4:6 5:6 6:5 7:2 8:3",
-			"277d58c9f2e1e7a770a103b1615c85ad8db47b65fa331f7728b21561110dc8a6"},
+		"kv": {flash.Stats{PageReads: 91, PageWrites: 151, BlockErases: 21},
+			"0:1 1:1 2:3 3:2 4:3 5:3 6:2 7:2 8:2 9:1 10:1",
+			"f1ffc513664d7c53e1bdd94b866cee81b648c3317dc8bf4e20cbf463d18309e0"},
+		"search": {flash.Stats{PageReads: 184, PageWrites: 205, BlockErases: 33},
+			"0:1 1:1 2:6 3:7 4:5 5:5 6:4 7:2 8:2",
+			"c6f6405dc7582a7ed35fb8094a07b9cb047592bf3730ca3be312dcb4863ce4a0"},
 		"embdb": {flash.Stats{PageReads: 21, PageWrites: 45, BlockErases: 0},
 			"",
 			"5e97fc498c49aa13ad51221fdeb5c2909276454d9db66916759b2ddfcbd872b9"},
@@ -174,8 +180,12 @@ func TestSelectIndexReorganizeChipImageGolden(t *testing.T) {
 	// Was {210, 295, 41} while the final merge wrote the sorted log, and
 	// {210, 295, 35} before that, without the erases of blocks 1 2 4 6 8
 	// 10, and eb5b06cb… over the pages of the two logs too: the same chip
-	// as the old fold followed by dropping the sequential index.
-	imageVector{flash.Stats{PageReads: 172, PageWrites: 257, BlockErases: 36},
-		"1:1 2:1 4:1 6:1 8:1 10:1 12:1 13:1 14:3 15:1 16:1 17:3 18:1 19:1 20:2 21:1 22:1 23:2 24:1 25:1 26:2 27:2 28:2 29:2 30:2",
-		"acadaeb543f29a4c0ca1ae0514ec80f5e1586226b4b8ab8acde5120851ef9c72"}.check(t, chip)
+	// as the old fold followed by dropping the sequential index. Was
+	// {172, 257, 36} and acadaeb5… while a freed block was erased on the
+	// spot: the 19 erases of blocks still dirty at the end are owed, not
+	// paid, and their pages stay programmed with empty images (over the
+	// non-empty pages the digest is still acadaeb5…).
+	imageVector{flash.Stats{PageReads: 172, PageWrites: 257, BlockErases: 17},
+		"14:2 17:2 20:2 22:1 23:2 24:1 25:1 26:2 27:1 28:1 29:1 30:1",
+		"75bda38cd2f5855190ab4db387a00fe0bb3ca87db009ce82d2d81580fc3cfa29"}.check(t, chip)
 }

@@ -315,7 +315,7 @@ func (ix *SelectIndex) foldDue() bool {
 // dropped, and then the old tree and the tail's logs, and an empty tail
 // is started. A fold that fails before the old tree's drop leaves the
 // index as it was and frees every block it wrote; one that fails in that
-// drop or a later one has landed, and leaves only the block whose erase
+// drop or a later one has landed, and leaves only the block whose free
 // failed.
 func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 	if err := ix.Flush(); err != nil {

@@ -1,6 +1,7 @@
 package flash
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -228,7 +229,7 @@ func (c *Chip) Reopen() *Chip {
 	}
 	for i, d := range c.data {
 		if d != nil {
-			n.data[i] = append([]byte(nil), d...)
+			n.data[i] = bytes.Clone(d)
 			n.next[i/c.geo.PagesPerBlock] = i%c.geo.PagesPerBlock + 1
 		}
 	}

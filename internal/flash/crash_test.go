@@ -181,6 +181,25 @@ func TestReopenCursorSkipsHoles(t *testing.T) {
 	}
 }
 
+// A zero-length programmed page survives a power cycle as programmed: its
+// cursor and its written flag agree.
+func TestReopenKeepsZeroLengthPages(t *testing.T) {
+	c := NewChip(SmallGeometry())
+	if err := c.WritePage(0, nil); err != nil {
+		t.Fatal(err)
+	}
+	r := c.Reopen()
+	if w, err := r.Written(0); err != nil || !w {
+		t.Fatalf("Written(0) after reopen = %v, %v; want true", w, err)
+	}
+	if err := r.WritePage(0, []byte("x")); !errors.Is(err, ErrOverwrite) {
+		t.Errorf("rewrite of a programmed page = %v, want ErrOverwrite", err)
+	}
+	if err := r.WritePage(1, []byte("x")); err != nil {
+		t.Errorf("write at the cursor: %v", err)
+	}
+}
+
 // The crash countdown counts only successful operations of the armed kind.
 func TestCrashPlanCountdownCountsSuccessesOnly(t *testing.T) {
 	c := NewChip(SmallGeometry())

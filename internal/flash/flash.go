@@ -20,6 +20,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -147,10 +148,11 @@ var (
 type Chip struct {
 	mu  sync.Mutex
 	geo Geometry
-	// data holds the page images; nil means erased. The table covers only
-	// the blocks up to the highest one ever programmed (see at, ensure):
-	// a fleet of mostly-empty tenant chips must not pin a slice header
-	// per addressable page.
+	// data holds the page images; nil means erased, and a programmed page
+	// of a freed block holds an empty image (see dropImages). The table
+	// covers only the blocks up to the highest one ever programmed (see
+	// at, ensure): a fleet of mostly-empty tenant chips must not pin a
+	// slice header per addressable page.
 	data  [][]byte
 	next  []int // per block: next programmable page index within block
 	stats Stats
@@ -201,8 +203,34 @@ func (c *Chip) at(n int) []byte {
 // ensure extends the page table, with c.mu held, to cover block b.
 func (c *Chip) ensure(b int) {
 	if end := (b + 1) * c.geo.PagesPerBlock; end > len(c.data) {
-		c.data = append(c.data, make([][]byte, end-len(c.data))...)
+		c.data = slices.Grow(c.data, end-len(c.data))[:end]
 	}
+}
+
+// dropped is the image of a programmed page of a freed block.
+var dropped = []byte{}
+
+// dropImages empties the images of block b's programmed pages when the
+// allocator frees it. The pages stay programmed: the block must still be
+// erased before it is reprogrammed, and recovery still sees it written.
+// Only the bytes no reader may follow any more are let go. It is not an
+// I/O.
+func (c *Chip) dropImages(b int) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.crashed {
+		return fmt.Errorf("%w: free of block %d", ErrCrashed, b)
+	}
+	start := b * c.geo.PagesPerBlock
+	if start >= len(c.data) {
+		return nil
+	}
+	for i, d := range c.data[start : start+c.geo.PagesPerBlock] {
+		if d != nil {
+			c.data[start+i] = dropped
+		}
+	}
+	return nil
 }
 
 // InjectWriteFault arms a single-shot fault: the write after `after` more

@@ -248,8 +248,8 @@ func TestAllocatorLifecycle(t *testing.T) {
 	c := NewChip(SmallGeometry())
 	a := NewAllocator(c)
 	total := c.Geometry().Blocks
-	if a.FreeBlocks() != total || a.InUse() != 0 {
-		t.Fatalf("fresh allocator free=%d inuse=%d", a.FreeBlocks(), a.InUse())
+	if a.FreeBlocks() != total || a.InUse() != 0 || a.Dirty() != 0 {
+		t.Fatalf("fresh allocator free=%d inuse=%d dirty=%d", a.FreeBlocks(), a.InUse(), a.Dirty())
 	}
 	b1, err := a.Alloc()
 	if err != nil {
@@ -265,7 +265,8 @@ func TestAllocatorLifecycle(t *testing.T) {
 	if a.InUse() != 2 {
 		t.Errorf("InUse = %d, want 2", a.InUse())
 	}
-	// Write into b1, free it, verify erase happened.
+	// Write into b1 and free it: the erase is owed, not paid, and the
+	// page stays programmed until it is.
 	p := b1 * c.Geometry().PagesPerBlock
 	if err := c.WritePage(p, []byte("data")); err != nil {
 		t.Fatal(err)
@@ -273,14 +274,149 @@ func TestAllocatorLifecycle(t *testing.T) {
 	if err := a.Free(b1); err != nil {
 		t.Fatal(err)
 	}
-	if w, _ := c.Written(p); w {
-		t.Error("freed block not erased")
+	if got := c.Stats().BlockErases + int64(a.Dirty()); got != 1 {
+		t.Errorf("owed erases after one free = %d, want 1", got)
+	}
+	if c.Stats().BlockErases != 0 || a.Dirty() != 1 || a.FreeBlocks() != total-1 {
+		t.Errorf("free erased on the spot: erases=%d dirty=%d free=%d", c.Stats().BlockErases, a.Dirty(), a.FreeBlocks())
+	}
+	if w, _ := c.Written(p); !w {
+		t.Error("freed block's page no longer programmed before its erase")
+	}
+	if err := c.WritePage(p, []byte("x")); !errors.Is(err, ErrOverwrite) {
+		t.Errorf("rewrite of a dirty block's page = %v, want ErrOverwrite", err)
 	}
 	if err := a.Free(b1); err == nil {
 		t.Error("double free succeeded")
 	}
+	// The next Alloc hands the most recently freed block back, erased.
+	b3, err := a.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b3 != b1 {
+		t.Errorf("Alloc after free = %d, want the freed block %d", b3, b1)
+	}
+	if w, _ := c.Written(p); w || c.Stats().BlockErases != 1 || a.Dirty() != 0 {
+		t.Errorf("reallocated block not erased: written=%v erases=%d dirty=%d", w, c.Stats().BlockErases, a.Dirty())
+	}
+	if err := c.WritePage(p, []byte("again")); err != nil {
+		t.Fatalf("reallocated block not programmable: %v", err)
+	}
 	if a.Chip() != c {
 		t.Error("Chip() mismatch")
+	}
+}
+
+// EraseDirty retires the oldest frees first and leaves the allocation
+// order what it would have been had every free erased on the spot.
+func TestEraseDirtyOldestFirst(t *testing.T) {
+	c := NewChip(SmallGeometry())
+	a := NewAllocator(c)
+	var bs []int
+	for i := 0; i < 4; i++ {
+		b, err := a.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.WritePage(b*c.Geometry().PagesPerBlock, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		bs = append(bs, b)
+	}
+	for _, b := range []int{bs[2], bs[0], bs[3], bs[1]} {
+		if err := a.Free(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := a.EraseDirty(2)
+	if err != nil || n != 2 {
+		t.Fatalf("EraseDirty(2) = %d, %v", n, err)
+	}
+	for _, b := range bs {
+		w, _ := c.WrittenInBlock(b)
+		if erased := w == 0; erased != (b == bs[2] || b == bs[0]) {
+			t.Errorf("block %d erased=%v after retiring the two oldest frees", b, erased)
+		}
+	}
+	if a.Dirty() != 2 || c.Stats().BlockErases != 2 {
+		t.Errorf("dirty=%d erases=%d, want 2 and 2", a.Dirty(), c.Stats().BlockErases)
+	}
+	// Most recently freed first, erased or not.
+	for _, want := range []int{bs[1], bs[3], bs[0], bs[2]} {
+		b, err := a.Alloc()
+		if err != nil || b != want {
+			t.Fatalf("Alloc = %d, %v; want %d", b, err, want)
+		}
+		if w, _ := c.WrittenInBlock(b); w != 0 {
+			t.Fatalf("block %d handed out unerased", b)
+		}
+	}
+	if a.Dirty() != 0 || c.Stats().BlockErases != 4 {
+		t.Errorf("dirty=%d erases=%d after reallocating all, want 0 and 4", a.Dirty(), c.Stats().BlockErases)
+	}
+	if n, err := a.EraseDirty(10); n != 0 || err != nil {
+		t.Errorf("EraseDirty on a clean pool = %d, %v", n, err)
+	}
+}
+
+// A freed block lets go of its bytes but not of its programmed state, and
+// a power cycle keeps it that way.
+func TestFreeDropsImagesKeepsBlockProgrammed(t *testing.T) {
+	c := NewChip(SmallGeometry())
+	a := NewAllocator(c)
+	b, _ := a.Alloc()
+	base := b * c.Geometry().PagesPerBlock
+	for i := 0; i < 3; i++ {
+		if err := c.WritePage(base+i, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	img, err := c.Page(base)
+	if err != nil || len(img) != 0 {
+		t.Errorf("freed page image = %q, %v; want empty", img, err)
+	}
+	r := c.Reopen()
+	if w, _ := r.WrittenInBlock(b); w != 3 {
+		t.Errorf("after reopen the freed block holds %d programmed pages, want 3", w)
+	}
+	if err := r.WritePage(base+3, []byte("x")); err != nil {
+		t.Errorf("cursor past the dropped pages: %v", err)
+	}
+	c.Crash()
+	if err := NewAllocatorWithUsed(c, []int{b}, nil).Free(b); !errors.Is(err, ErrCrashed) {
+		t.Errorf("free on a dead chip = %v, want ErrCrashed", err)
+	}
+}
+
+// Recovery hands unowned written blocks over dirty: they keep the
+// allocation order of erased ones and are erased when handed out.
+func TestAllocatorWithDirtyBlocks(t *testing.T) {
+	c := NewChip(SmallGeometry())
+	ppb := c.Geometry().PagesPerBlock
+	for _, b := range []int{1, 3} {
+		if err := c.WritePage(b*ppb, []byte("stale")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := NewAllocatorWithUsed(c, []int{0}, []int{1, 3})
+	if a.Dirty() != 2 || a.InUse() != 1 || a.FreeBlocks() != c.Geometry().Blocks-1 {
+		t.Fatalf("dirty=%d inuse=%d free=%d", a.Dirty(), a.InUse(), a.FreeBlocks())
+	}
+	for _, want := range []int{1, 2, 3} {
+		b, err := a.Alloc()
+		if err != nil || b != want {
+			t.Fatalf("Alloc = %d, %v; want %d", b, err, want)
+		}
+		if w, _ := c.WrittenInBlock(b); w != 0 {
+			t.Fatalf("block %d handed out unerased", b)
+		}
+	}
+	if a.Dirty() != 0 || c.Stats().BlockErases != 2 {
+		t.Errorf("dirty=%d erases=%d, want 0 and 2", a.Dirty(), c.Stats().BlockErases)
 	}
 }
 

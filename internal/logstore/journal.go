@@ -248,7 +248,7 @@ type Journal struct {
 	nextPage int
 	seq      uint64
 	// retire holds blocks that became garbage during recovery (tail
-	// copies) and may only be erased once a newer commit record no longer
+	// copies) and may only be freed once a newer commit record no longer
 	// references them.
 	retire []int
 }
@@ -277,7 +277,7 @@ func (j *Journal) Block() int { return j.block }
 func (j *Journal) Retire(b int) { j.retire = append(j.retire, b) }
 
 // Commit appends a record carrying m. On success m.Seq holds the record's
-// sequence number and every retired block has been reclaimed. When the
+// sequence number and every retired block has been freed. When the
 // journal block is full, the record is written to a fresh block before
 // the old one is erased, so a crash at any point leaves a valid record.
 func (j *Journal) Commit(m *Manifest) error {

@@ -171,7 +171,8 @@ func TestJournalRollsBlocksNewestRecordWins(t *testing.T) {
 }
 
 // A dirty tail (uncommitted pages in the committed last block) is
-// tail-copied; the dirty block is retired only after the next commit.
+// tail-copied; the dirty block is retired only after the next commit,
+// which frees it: from then on its erase is owed.
 func TestRecoverTailCopyRetiresAfterCommit(t *testing.T) {
 	chip := testChip()
 	alloc := flash.NewAllocator(chip)
@@ -214,20 +215,97 @@ func TestRecoverTailCopyRetiresAfterCommit(t *testing.T) {
 	if v := reg.CounterValue(flash.MetricRecoveryTailCopyPages); v != int64(committedPages) {
 		t.Fatalf("tail-copy pages = %d, want %d", v, committedPages)
 	}
-	// The dirty block must still be intact (the on-flash manifest
-	// references it) until the next commit erases it.
+	// The dirty block must still be intact and owned (the on-flash
+	// manifest references it) until the next commit frees it.
+	owed := func() int64 { return chip2.Stats().BlockErases + int64(rec.Alloc.Dirty()) }
+	owed0, inUse := owed(), rec.Alloc.InUse()
 	if wc, _ := chip2.WrittenInBlock(dirty); wc == 0 {
 		t.Fatal("dirty tail block erased before the next commit")
 	}
 	if err := rec.Journal.Commit(&Manifest{Streams: []Stream{StreamOf("data", l2)}}); err != nil {
 		t.Fatal(err)
 	}
+	if d := owed() - owed0; d != 1 || rec.Alloc.InUse() != inUse-1 {
+		t.Fatalf("the commit owes %d erases and holds %d blocks, want 1 and %d", d, rec.Alloc.InUse(), inUse-1)
+	}
+	if _, err := rec.Alloc.EraseDirty(rec.Alloc.Dirty()); err != nil {
+		t.Fatal(err)
+	}
 	if wc, _ := chip2.WrittenInBlock(dirty); wc != 0 {
-		t.Fatal("dirty tail block not reclaimed by the commit")
+		t.Fatal("dirty tail block not reclaimed once its erase ran")
 	}
 	// And the recovered log still reads correctly afterwards.
 	if got := len(logContents(t, l2)); got != 5 {
 		t.Fatal("recovered log damaged by retirement")
+	}
+}
+
+// A power cut between a Free and its erase: recovery finds the freed block
+// still written and unowned, lists it dirty and leaks nothing, and the
+// next Alloc that hands it out erases it before anything is programmed.
+func TestRecoverCrashBetweenFreeAndErase(t *testing.T) {
+	chip := testChip()
+	alloc := flash.NewAllocator(chip)
+	j, err := NewJournal(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := NewLog(alloc)
+	appendN(t, old, 0, 5)
+	if err := old.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(&Manifest{Streams: []Stream{StreamOf("data", old)}}); err != nil {
+		t.Fatal(err)
+	}
+	l := NewLog(alloc)
+	appendN(t, l, 10, 5)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	freed := old.Blocks()[0]
+	j.Retire(freed)
+	if err := j.Commit(&Manifest{Streams: []Stream{StreamOf("data", l)}}); err != nil {
+		t.Fatal(err)
+	}
+	if alloc.Dirty() != 1 || chip.Stats().BlockErases != 0 {
+		t.Fatalf("after the switch: dirty=%d erases=%d, want 1 and 0", alloc.Dirty(), chip.Stats().BlockErases)
+	}
+	chip.Crash()
+
+	chip2 := chip.Reopen()
+	rec, err := Recover(chip2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Alloc.Dirty() != 1 || rec.Stats.BlocksReclaimed != 1 || chip2.Stats().BlockErases != 0 {
+		t.Fatalf("recovery: dirty=%d reclaimed=%d erases=%d, want 1, 1 and 0",
+			rec.Alloc.Dirty(), rec.Stats.BlocksReclaimed, chip2.Stats().BlockErases)
+	}
+	owned := 2 + len(l.Blocks()) // the journal area and the committed log
+	if rec.Alloc.InUse() != owned || rec.Alloc.FreeBlocks() != chip2.Geometry().Blocks-owned {
+		t.Fatalf("recovered allocator holds %d blocks and frees %d, want %d and %d",
+			rec.Alloc.InUse(), rec.Alloc.FreeBlocks(), owned, chip2.Geometry().Blocks-owned)
+	}
+	l2, err := rec.OpenLog("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := logContents(t, l2); len(got) != 5 || got[0] != "record-0010-padding-padding" {
+		t.Fatalf("recovered the wrong log: %q", got)
+	}
+	b, err := rec.Alloc.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b != freed {
+		t.Fatalf("next Alloc = %d, want the lowest free block %d", b, freed)
+	}
+	if wc, _ := chip2.WrittenInBlock(b); wc != 0 || chip2.Stats().BlockErases != 1 || rec.Alloc.Dirty() != 0 {
+		t.Fatalf("handed out unerased: %d pages, %d erases, %d dirty", wc, chip2.Stats().BlockErases, rec.Alloc.Dirty())
+	}
+	if err := chip2.WritePage(b*chip2.Geometry().PagesPerBlock, []byte("fresh")); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -94,7 +94,8 @@ func (w *PageWriter) PhysPage(logical int) (int, error) {
 	return w.blocks[logical/g.PagesPerBlock]*g.PagesPerBlock + logical%g.PagesPerBlock, nil
 }
 
-// Drop frees (erases) every block owned by the writer.
+// Drop frees every block owned by the writer; their erases are owed, not
+// paid (see flash.Allocator).
 func (w *PageWriter) Drop() error {
 	if w.closed {
 		return nil

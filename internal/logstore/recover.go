@@ -21,7 +21,7 @@ type RecoveryStats struct {
 	PageReads       int64 // pages read while scanning and tail-copying
 	CommitRecords   int64 // valid commit records encountered
 	TornPages       int64 // written pages that failed record validation
-	BlocksReclaimed int64 // unowned blocks erased
+	BlocksReclaimed int64 // unowned written blocks handed back dirty
 	TailCopyPages   int64 // committed pages copied off a dirty tail block
 }
 
@@ -133,9 +133,14 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 
 	// Phase 3: reclaim every unowned block that still holds written pages
 	// (uncommitted appends, abandoned reorganizations, stale journals,
-	// interrupted erases).
+	// freed blocks whose erase was still owed, interrupted erases). They
+	// are handed to the allocator dirty, in block order: their erase is
+	// owed, like that of a freed block, not paid here.
+	usedList := make([]int, 0, len(used))
+	var dirty []int
 	for b := 0; b < g.Blocks; b++ {
 		if used[b] {
+			usedList = append(usedList, b)
 			continue
 		}
 		wc, err := chip.WrittenInBlock(b)
@@ -145,9 +150,7 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 		if wc == 0 {
 			continue
 		}
-		if err := chip.EraseBlock(b); err != nil {
-			return nil, err
-		}
+		dirty = append(dirty, b)
 		r.Stats.BlocksReclaimed++
 		r.count(flash.MetricRecoveryBlocksReclaimed, 1)
 	}
@@ -156,13 +159,7 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 	// journal block is the one holding the winning record; its partner may
 	// carry stale records, which the next ping-pong erases. With no record
 	// at all, the journal area is wiped and the journal starts fresh.
-	usedList := make([]int, 0, len(used))
-	for b := 0; b < g.Blocks; b++ {
-		if used[b] {
-			usedList = append(usedList, b)
-		}
-	}
-	r.Alloc = flash.NewAllocatorWithUsed(chip, usedList)
+	r.Alloc = flash.NewAllocatorWithUsed(chip, usedList, dirty)
 	if bestBlock >= 0 {
 		wc, err := chip.WrittenInBlock(bestBlock)
 		if err != nil {

@@ -25,14 +25,15 @@ const (
 func crashTerm(i int) string { return fmt.Sprintf("term-%02d", i%crashVocab) }
 
 // TestReorganizeCrashMidCompaction sweeps a crash across every page write
-// of one Reorganize. Whatever the crash point, the recovered engine must
+// of one Reorganize, and every erase of it and of the retirement of the
+// blocks it superseded. Whatever the crash point, the recovered engine must
 // answer queries exactly as before the reorganization started — from the
 // old chains if the crash hit before the switch record, from the new
 // compact index after — and must accept further documents.
 func TestReorganizeCrashMidCompaction(t *testing.T) {
-	build := func() (*flash.Chip, *Engine, error) {
-		chip := flash.NewChip(flash.SmallGeometry())
-		e, err := OpenDurable(flash.NewAllocator(chip), mcu.NewArena(crashArena), crashBuckets)
+	build := func() (*flash.Allocator, *Engine, error) {
+		alloc := flash.NewAllocator(flash.NewChip(flash.SmallGeometry()))
+		e, err := OpenDurable(alloc, mcu.NewArena(crashArena), crashBuckets)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -44,7 +45,7 @@ func TestReorganizeCrashMidCompaction(t *testing.T) {
 				return nil, nil, err
 			}
 		}
-		return chip, e, e.Sync()
+		return alloc, e, e.Sync()
 	}
 
 	// Reference answers from the committed pre-reorganization state.
@@ -64,16 +65,21 @@ func TestReorganizeCrashMidCompaction(t *testing.T) {
 	sawOld, sawNew := false, false
 	// Write faults cover everything up to and including the switch record;
 	// erase faults also land in the post-switch cleanup (the rebuild's last
-	// writes are the compact pages and the commit — after that Reorganize
-	// only erases superseded blocks).
+	// writes are the compact pages and the commit — after that the blocks
+	// Reorganize superseded only owe their erases, which are retired here
+	// as a host retires them in the chip's idle time).
 	for _, op := range []flash.CrashOp{flash.CrashWrite, flash.CrashErase} {
 		for after := 0; ; after++ {
-			chip, e, err := build()
+			alloc, e, err := build()
 			if err != nil {
 				t.Fatal(err)
 			}
+			chip := alloc.Chip()
 			chip.SetCrashPlan(&flash.CrashPlan{Seed: int64(after), Op: op, After: after})
 			rerr := e.Reorganize(2, 4)
+			if rerr == nil {
+				_, rerr = alloc.EraseDirty(alloc.Dirty())
+			}
 			if rerr == nil {
 				break // crash point past the whole reorganization: sweep done
 			}

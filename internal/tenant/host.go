@@ -113,6 +113,13 @@ type envelope struct {
 	kind  durable.Kind
 	chip  *flash.Chip
 	guard *acl.Guard
+	// alloc is the live store's allocator, which holds the blocks whose
+	// erase is owed (nil while evicted: a reopen rebuilds it, and recovery
+	// finds those blocks dirty again).
+	alloc *flash.Allocator
+	// idleAt is the virtual instant the chip went idle: the end of the
+	// tenant's last service, or its eviction.
+	idleAt int64
 	// st is nil while the tenant is evicted to flash.
 	st durable.Store
 	// res is the tenant's slice of the host arena (nil when evicted).
@@ -391,7 +398,7 @@ func (h *Host) resolve(name string, class Class) (*envelope, error) {
 // (durability point), close (volatile release), free its arena slice.
 // Returns false when nothing is evictable. The tenant being made resident
 // holds no reservation yet, so it is never the victim.
-func (h *Host) evictOne() (bool, error) {
+func (h *Host) evictOne(at int64) (bool, error) {
 	if len(h.lru) == 0 {
 		return false, nil
 	}
@@ -407,10 +414,11 @@ func (h *Host) evictOne() (bool, error) {
 			return false, fmt.Errorf("evict %s: close: %w", victim.name, err)
 		}
 		victim.pages = victim.st.Pages()
-		victim.st = nil
+		victim.st, victim.alloc = nil, nil
 	}
 	victim.res.Release()
 	victim.res = nil
+	victim.idleAt = max(victim.idleAt, at)
 	heap.Pop(&h.lru)
 	if h.met.evictions == nil {
 		h.met.evictions = h.reg.Counter(MetricEvictions)
@@ -421,10 +429,10 @@ func (h *Host) evictOne() (bool, error) {
 }
 
 // makeResident gives the envelope RAM and a live store, evicting LRU
-// tenants as needed. Reopen goes through the same log-replay recovery a
-// power cycle uses — eviction leaves nothing behind that a crash
-// wouldn't also preserve.
-func (h *Host) makeResident(e *envelope) error {
+// tenants as needed at virtual instant at. Reopen goes through the same
+// log-replay recovery a power cycle uses — eviction leaves nothing behind
+// that a crash wouldn't also preserve.
+func (h *Host) makeResident(e *envelope, at int64) error {
 	if e.res == nil {
 		for {
 			res, err := h.arena.Reserve(residentBytes)
@@ -436,7 +444,7 @@ func (h *Host) makeResident(e *envelope) error {
 			if !errors.Is(err, mcu.ErrOutOfRAM) {
 				return err
 			}
-			ok, everr := h.evictOne()
+			ok, everr := h.evictOne(at)
 			if everr != nil {
 				return everr
 			}
@@ -450,11 +458,12 @@ func (h *Host) makeResident(e *envelope) error {
 		return nil
 	}
 	if !e.everOpened {
-		st, err := e.kind.Open(flash.NewAllocator(e.chip))
+		alloc := flash.NewAllocator(e.chip)
+		st, err := e.kind.Open(alloc)
 		if err != nil {
 			return fmt.Errorf("tenant %s: open: %w", e.name, err)
 		}
-		e.st = st
+		e.st, e.alloc = st, alloc
 		e.everOpened = true
 		return nil
 	}
@@ -467,7 +476,7 @@ func (h *Host) makeResident(e *envelope) error {
 	if err != nil {
 		return fmt.Errorf("tenant %s: reopen: %w", e.name, err)
 	}
-	e.st = st
+	e.st, e.alloc = st, rec.Alloc
 	if h.met.reopens == nil {
 		h.met.reopens = h.reg.Counter(MetricReopens)
 	}
@@ -477,6 +486,24 @@ func (h *Host) makeResident(e *envelope) error {
 		h.attr.AddReopenIO(e.name, io.PageReads+io.PageWrites)
 	}
 	return nil
+}
+
+// retire spends the chip's idle time [e.idleAt, start) on the erases its
+// stores owe, oldest freed block first, one EraseBlock latency each; that
+// I/O is background work, outside the request's service. An erase still
+// running at start cannot be preempted, so the request waits out its
+// remainder, which retire returns. A chip still busy at start with the
+// tenant's earlier request starts no erase.
+func (h *Host) retire(e *envelope, start int64) (wait int64, err error) {
+	if start <= e.idleAt {
+		return 0, nil
+	}
+	eraseNS := h.model.EraseBlock.Nanoseconds()
+	n, err := e.alloc.EraseDirty(int((start - e.idleAt + eraseNS - 1) / eraseNS))
+	if err != nil {
+		return 0, fmt.Errorf("tenant %s: erase: %w", e.name, err)
+	}
+	return max(0, e.idleAt+int64(n)*eraseNS-start), nil
 }
 
 // Do serves one request through the full hosted path: provision →
@@ -535,12 +562,22 @@ func (h *Host) Do(req Request) (Response, error) {
 	}
 
 	// Execute serially; virtual service time is the request's flash I/O
-	// under the NAND cost model plus a CPU epsilon. A reopen-on-demand
-	// pays its recovery I/O here, visible in the tail.
+	// under the NAND cost model plus a CPU epsilon, after any wait for an
+	// erase of the chip's idle time. A reopen-on-demand pays its recovery
+	// I/O here, visible in the tail.
 	before := e.chip.Stats()
-	if err := h.makeResident(e); err != nil {
+	if err := h.makeResident(e, start); err != nil {
 		return resp, err
 	}
+	// The idle window precedes the request, and nothing a reopen reads
+	// depends on whether a dirty block was erased yet; its erases shift
+	// the baseline instead of entering the request's I/O.
+	idle := e.chip.Stats()
+	wait, err := h.retire(e, start)
+	if err != nil {
+		return resp, err
+	}
+	before = before.Add(e.chip.Stats().Sub(idle))
 	if err := e.st.Apply(e.ops); err != nil {
 		return resp, fmt.Errorf("tenant %s: op %d: %w", e.name, e.ops, err)
 	}
@@ -552,8 +589,9 @@ func (h *Host) Do(req Request) (Response, error) {
 		}
 		e.unsynced = 0
 	}
-	svc := e.chip.Stats().Sub(before).Cost(h.model).Nanoseconds() + baseCPUNS
+	svc := wait + e.chip.Stats().Sub(before).Cost(h.model).Nanoseconds() + baseCPUNS
 	cs.slots[slot] = start + svc
+	e.idleAt = max(e.idleAt, start+svc)
 	e.pages = e.st.Pages()
 	e.lastUsed = now
 	heap.Fix(&h.lru, e.lruPos)

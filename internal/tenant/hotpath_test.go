@@ -58,7 +58,9 @@ func TestResidentDoAllocCeiling(t *testing.T) {
 // reorganizations moved the virtual clock, so fewer requests queue and
 // none is shed), and again when reorganizations stopped writing the sort's
 // final merge to flash and kv compaction stopped re-sorting its compacted
-// bindings (one more request admitted, one fewer queued). The decision
+// bindings (one more request admitted, one fewer queued), and again when
+// erases left the request path for the chip's idle time (the last queued
+// request is admitted; evictions and reopens unchanged). The decision
 // counts are pinned with them.
 func TestServeDigestsGolden(t *testing.T) {
 	rep, err := tenant.Serve(tenant.ServeConfig{Tenants: 300, Arrivals: 3000, Seed: 5}, obs.NewRegistry())
@@ -66,12 +68,12 @@ func TestServeDigestsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const (
-		window   = "6bc0ff69ace0c7d3313075620bfe03e812614c4fc141bffef898a2b93ec8ec52"
-		decision = "802ad7e7c4bfa0d5840865a78743efba945c23de34744b5c4b2f816fb732a6f3"
+		window   = "7d541306c982208d772f440223a286b380a164c199b5180c48cb4a4d6a872f83"
+		decision = "100f04e3c3d307034a58af498581f144c8b86057e51c12907ad55b54700312d5"
 	)
 	type counts struct{ admitted, queued, shed, denied, quota, evictions, reopens int }
 	got := counts{rep.Admitted, rep.Queued, rep.Shed, rep.Denied, rep.Quota, int(rep.Evictions), int(rep.Reopens)}
-	if want := (counts{2940, 1, 0, 59, 0, 340, 205}); got != want {
+	if want := (counts{2941, 0, 0, 59, 0, 340, 205}); got != want {
 		t.Errorf("decision counts = %+v, want %+v", got, want)
 	}
 	if rep.WindowDigest != window || rep.WindowSamples != 6 {
