@@ -45,8 +45,8 @@ test:
 	floor internal/logstore 80; floor internal/crashharness 75; floor internal/flash 75
 
 # The race detector over the concurrent substrate (obs registry, gquery
-# token fleet, netsim fault/reliability plane, ssi accounting, privcrypto
-# batch helpers), the storage layers that share pooled page buffers, the
+# token fleet, netsim fault/reliability plane, ssi accounting, privcrypto's
+# shared keyed-MAC and cipher pools), the storage layers that share pooled page buffers, the
 # TCP substrate and the scenario executors, and the tenant plane (shared
 # guards and scrape-during-serve hammered from many goroutines).
 race:

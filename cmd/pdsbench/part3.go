@@ -190,7 +190,6 @@ func runE6(cfg config) error {
 // runE7 measures the message cost of the [CKV+02] toolkit and of Yao's
 // millionaire protocol.
 func runE7(cfg config) error {
-	toolkit := smc.New(smc.WithObserver(cfg.obs))
 	fmt.Println("-- secure sum (ring) --")
 	w := newTab()
 	fmt.Fprintln(w, "parties\tmsgs\tbytes")
@@ -203,7 +202,7 @@ func runE7(cfg config) error {
 		for i := range vals {
 			vals[i] = int64(i % 97)
 		}
-		_, tr, err := toolkit.SecureSum(vals, 1<<40, nil)
+		_, tr, err := smc.SecureSum(vals, 1<<40, nil)
 		if err != nil {
 			return err
 		}
@@ -255,7 +254,7 @@ func runE7(cfg config) error {
 		for i := range a {
 			a[i], b[i] = int64(i), int64(i%7)
 		}
-		_, tr, err := toolkit.ScalarProduct(a, b, sk)
+		_, tr, err := smc.ScalarProduct(a, b, sk)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"pds/internal/gquery"
@@ -117,8 +118,8 @@ func runE18(cfg config) error {
 			want += values[i]
 		}
 		net := netsim.New()
-		ring := smc.New(smc.WithFaults(pl.plan), smc.WithObserver(cfg.obs))
-		sum, stats, rel, err := ring.SecureSumOverNetwork(net, values, 1<<30, nil)
+		net.SetObserver(cfg.obs)
+		sum, stats, rel, err := smc.SecureSumOverNetwork(net, values, 1<<30, rand.New(rand.NewSource(18)), pl.plan)
 		if err != nil {
 			return fmt.Errorf("ring under %s: %w", pl.name, err)
 		}

@@ -281,25 +281,6 @@ func VerifyKAnonymous(records []Record, k int) bool {
 	return true
 }
 
-// VerifyLDiverse checks that each class has at least l distinct sensitive
-// values.
-func VerifyLDiverse(records []Record, l int) bool {
-	classes := map[string]map[string]bool{}
-	for _, r := range records {
-		key := strings.Join(r.QI, "\x00")
-		if classes[key] == nil {
-			classes[key] = map[string]bool{}
-		}
-		classes[key][r.Sensitive] = true
-	}
-	for _, s := range classes {
-		if len(s) < l {
-			return false
-		}
-	}
-	return true
-}
-
 // ClassSizes returns the sorted equivalence-class sizes of published
 // records (diagnostics for experiments).
 func ClassSizes(records []Record) []int {

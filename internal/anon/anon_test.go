@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -109,7 +110,7 @@ func TestLDiversity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !VerifyLDiverse(a.Records, 2) {
+	if !verifyLDiverse(a.Records, 2) {
 		t.Error("published table not 2-diverse")
 	}
 	if !VerifyKAnonymous(a.Records, 3) {
@@ -269,4 +270,23 @@ func TestRecordEncodeDecode(t *testing.T) {
 	if _, _, err := decodeRecord([]byte{1, 2, 3}); err == nil {
 		t.Error("short record accepted")
 	}
+}
+
+// verifyLDiverse is the l-diversity oracle: each class has at least l
+// distinct sensitive values.
+func verifyLDiverse(records []Record, l int) bool {
+	classes := map[string]map[string]bool{}
+	for _, r := range records {
+		key := strings.Join(r.QI, "\x00")
+		if classes[key] == nil {
+			classes[key] = map[string]bool{}
+		}
+		classes[key][r.Sensitive] = true
+	}
+	for _, s := range classes {
+		if len(s) < l {
+			return false
+		}
+	}
+	return true
 }

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 )
 
 // Filter is a classic Bloom filter with k hash functions derived from a
@@ -30,23 +29,6 @@ func New(m, k int) *Filter {
 		k = 1
 	}
 	return &Filter{bits: make([]byte, (m+7)/8), m: uint32(m), k: uint32(k)}
-}
-
-// NewForCapacity sizes a filter for n elements at the target false positive
-// rate using the standard formulas m = -n·ln p/ln²2, k = m/n·ln 2.
-func NewForCapacity(n int, p float64) *Filter {
-	if n < 1 {
-		n = 1
-	}
-	if p <= 0 || p >= 1 {
-		p = 0.01
-	}
-	m := int(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return New(m, k)
 }
 
 // NewPageSummary sizes a filter with the paper's budget of roughly 2 bytes
@@ -106,34 +88,6 @@ func (f *Filter) Add(key []byte) {
 	f.n++
 }
 
-// AddString inserts a string key.
-func (f *Filter) AddString(key string) { f.Add([]byte(key)) }
-
-// Test reports whether key may be in the filter (false positives possible,
-// false negatives impossible).
-func (f *Filter) Test(key []byte) bool { return testBits(f.bits, f.m, f.k, key) }
-
-// TestString reports membership of a string key.
-func (f *Filter) TestString(key string) bool { return f.Test([]byte(key)) }
-
-// Count returns the number of Add calls.
-func (f *Filter) Count() int { return f.n }
-
-// Bits returns the size of the filter in bits.
-func (f *Filter) Bits() int { return int(f.m) }
-
-// SizeBytes returns the marshaled size of the filter.
-func (f *Filter) SizeBytes() int { return 12 + len(f.bits) }
-
-// EstimatedFPRate returns the expected false positive probability given the
-// current fill: (1 - e^{-kn/m})^k.
-func (f *Filter) EstimatedFPRate() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
-}
-
 // ErrCorrupt reports an unparseable marshaled filter.
 var ErrCorrupt = errors.New("bloom: corrupt filter encoding")
 
@@ -181,15 +135,3 @@ func ViewOf(data []byte) (View, error) {
 
 // Test reports whether key may be in the filter.
 func (v View) Test(key []byte) bool { return testBits(v.bits, v.m, v.k, key) }
-
-// UnmarshalBinary decodes a filter produced by MarshalBinary: a view of
-// data, copied.
-func (f *Filter) UnmarshalBinary(data []byte) error {
-	v, err := ViewOf(data)
-	if err != nil {
-		return err
-	}
-	f.m, f.k, f.n = v.m, v.k, int(v.n)
-	f.bits = append([]byte(nil), v.bits...)
-	return nil
-}

@@ -1,45 +1,64 @@
 package bloom
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 )
 
-func TestNoFalseNegatives(t *testing.T) {
-	f := NewForCapacity(1000, 0.01)
-	for i := 0; i < 1000; i++ {
-		f.AddString(fmt.Sprintf("key-%d", i))
+// has reports whether key may be in f: the answer a View of f's encoding
+// gives.
+func has(f *Filter, key string) bool { return testBits(f.bits, f.m, f.k, []byte(key)) }
+
+func addAll(f *Filter, format string, n int) {
+	for i := 0; i < n; i++ {
+		f.Add([]byte(fmt.Sprintf(format, i)))
 	}
+}
+
+// viewOf marshals f and views the encoding, as a summary scan reads it.
+func viewOf(t testing.TB, f *Filter) View {
+	t.Helper()
+	data, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := ViewOf(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func TestNoFalseNegatives(t *testing.T) {
+	f := NewPageSummaryBits(1000, 10)
+	addAll(f, "key-%d", 1000)
 	for i := 0; i < 1000; i++ {
-		if !f.TestString(fmt.Sprintf("key-%d", i)) {
+		if !has(f, fmt.Sprintf("key-%d", i)) {
 			t.Fatalf("false negative for key-%d", i)
 		}
 	}
-	if f.Count() != 1000 {
-		t.Errorf("Count = %d", f.Count())
+	if f.n != 1000 {
+		t.Errorf("added = %d", f.n)
 	}
 }
 
 func TestFalsePositiveRate(t *testing.T) {
+	// 10 bits per key at k = 7: about 0.8 % in theory.
 	n := 2000
-	f := NewForCapacity(n, 0.01)
-	for i := 0; i < n; i++ {
-		f.AddString(fmt.Sprintf("member-%d", i))
-	}
+	f := NewPageSummaryBits(n, 10)
+	addAll(f, "member-%d", n)
 	fp := 0
 	probes := 20000
 	for i := 0; i < probes; i++ {
-		if f.TestString(fmt.Sprintf("absent-%d", i)) {
+		if has(f, fmt.Sprintf("absent-%d", i)) {
 			fp++
 		}
 	}
 	rate := float64(fp) / float64(probes)
 	if rate > 0.03 {
-		t.Errorf("false positive rate %.4f, want <= 0.03 (target 0.01)", rate)
-	}
-	if est := f.EstimatedFPRate(); est <= 0 || est > 0.05 {
-		t.Errorf("EstimatedFPRate = %f", est)
+		t.Errorf("false positive rate %.4f, want <= 0.03 (theory 0.008)", rate)
 	}
 }
 
@@ -47,20 +66,22 @@ func TestPageSummaryBudget(t *testing.T) {
 	// The paper's summary budget: ~2 bytes per key.
 	keys := 100
 	f := NewPageSummary(keys)
-	if got := f.Bits(); got != 16*keys {
-		t.Errorf("Bits = %d, want %d", got, 16*keys)
+	if f.m != uint32(16*keys) {
+		t.Errorf("bits = %d, want %d", f.m, 16*keys)
 	}
-	perKey := float64(f.SizeBytes()-12) / float64(keys)
+	data, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perKey := float64(len(data)-12) / float64(keys)
 	if perKey != 2 {
 		t.Errorf("bytes per key = %.2f, want 2", perKey)
 	}
-	for i := 0; i < keys; i++ {
-		f.AddString(fmt.Sprintf("k%d", i))
-	}
+	addAll(f, "k%d", keys)
 	// At 16 bits/key with k=6 the FP rate must be well under 1%.
 	fp := 0
 	for i := 0; i < 10000; i++ {
-		if f.TestString(fmt.Sprintf("absent%d", i)) {
+		if has(f, fmt.Sprintf("absent%d", i)) {
 			fp++
 		}
 	}
@@ -70,59 +91,47 @@ func TestPageSummaryBudget(t *testing.T) {
 }
 
 func TestEmptyFilter(t *testing.T) {
-	f := New(64, 3)
-	if f.TestString("anything") {
+	if viewOf(t, New(64, 3)).Test([]byte("anything")) {
 		t.Error("empty filter claims membership")
-	}
-	if f.EstimatedFPRate() != 0 {
-		t.Errorf("empty FP rate = %f", f.EstimatedFPRate())
 	}
 }
 
 func TestDegenerateParams(t *testing.T) {
 	f := New(0, 0) // clamped
-	f.AddString("x")
-	if !f.TestString("x") {
+	f.Add([]byte("x"))
+	if !viewOf(t, f).Test([]byte("x")) {
 		t.Error("clamped filter lost key")
 	}
-	g := NewForCapacity(0, 2.0) // clamped
-	g.AddString("y")
-	if !g.TestString("y") {
-		t.Error("clamped capacity filter lost key")
-	}
-	if NewPageSummary(0).Bits() != 16 {
+	if NewPageSummary(0).m != 16 {
 		t.Error("NewPageSummary(0) not clamped to 1 key")
 	}
 }
 
 func TestMarshalRoundTrip(t *testing.T) {
-	f := NewForCapacity(100, 0.01)
-	for i := 0; i < 100; i++ {
-		f.AddString(fmt.Sprintf("k%d", i))
-	}
+	f := NewPageSummaryBits(100, 10)
+	addAll(f, "k%d", 100)
 	data, err := f.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != f.SizeBytes() {
-		t.Errorf("marshaled len %d, SizeBytes %d", len(data), f.SizeBytes())
+	if len(data) != 12+len(f.bits) {
+		t.Errorf("marshaled len %d, want %d", len(data), 12+len(f.bits))
 	}
-	var g Filter
-	if err := g.UnmarshalBinary(data); err != nil {
+	v, err := ViewOf(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Count() != f.Count() || g.Bits() != f.Bits() {
+	if int(v.n) != f.n || v.m != f.m || v.k != f.k {
 		t.Errorf("metadata mismatch after round trip")
 	}
 	for i := 0; i < 100; i++ {
-		if !g.TestString(fmt.Sprintf("k%d", i)) {
+		if !v.Test([]byte(fmt.Sprintf("k%d", i))) {
 			t.Fatalf("false negative after round trip: k%d", i)
 		}
 	}
 }
 
 func TestUnmarshalCorrupt(t *testing.T) {
-	var f Filter
 	cases := [][]byte{
 		nil,
 		make([]byte, 5),
@@ -131,8 +140,8 @@ func TestUnmarshalCorrupt(t *testing.T) {
 		{8, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF}, // extra bits
 	}
 	for i, c := range cases {
-		if err := f.UnmarshalBinary(c); err == nil {
-			t.Errorf("case %d: corrupt input accepted", i)
+		if _, err := ViewOf(c); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("case %d: corrupt input accepted (err %v)", i, err)
 		}
 	}
 }
@@ -140,12 +149,12 @@ func TestUnmarshalCorrupt(t *testing.T) {
 // Property: membership is preserved for every inserted key set.
 func TestQuickMembership(t *testing.T) {
 	f := func(keys []string) bool {
-		fl := NewForCapacity(len(keys)+1, 0.01)
+		fl := NewPageSummaryBits(len(keys)+1, 10)
 		for _, k := range keys {
-			fl.AddString(k)
+			fl.Add([]byte(k))
 		}
 		for _, k := range keys {
-			if !fl.TestString(k) {
+			if !has(fl, k) {
 				return false
 			}
 		}
@@ -156,22 +165,22 @@ func TestQuickMembership(t *testing.T) {
 	}
 }
 
-// Property: marshal/unmarshal is the identity on membership.
+// Property: marshal then view is the identity on membership.
 func TestQuickMarshalIdentity(t *testing.T) {
 	f := func(keys []string, probe string) bool {
-		fl := NewForCapacity(len(keys)+1, 0.01)
+		fl := NewPageSummaryBits(len(keys)+1, 10)
 		for _, k := range keys {
-			fl.AddString(k)
+			fl.Add([]byte(k))
 		}
 		data, err := fl.MarshalBinary()
 		if err != nil {
 			return false
 		}
-		var g Filter
-		if err := g.UnmarshalBinary(data); err != nil {
+		v, err := ViewOf(data)
+		if err != nil {
 			return false
 		}
-		return g.TestString(probe) == fl.TestString(probe)
+		return v.Test([]byte(probe)) == has(fl, probe)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -181,20 +190,18 @@ func TestQuickMarshalIdentity(t *testing.T) {
 func TestNewPageSummaryBits(t *testing.T) {
 	for _, bits := range []int{1, 2, 8, 16, 64} {
 		f := NewPageSummaryBits(100, bits)
-		if f.Bits() != bits*100 {
-			t.Errorf("bits/key=%d: Bits=%d", bits, f.Bits())
+		if f.m != uint32(bits*100) {
+			t.Errorf("bits/key=%d: bits=%d", bits, f.m)
 		}
+		addAll(f, "k%d", 100)
 		for i := 0; i < 100; i++ {
-			f.AddString(fmt.Sprintf("k%d", i))
-		}
-		for i := 0; i < 100; i++ {
-			if !f.TestString(fmt.Sprintf("k%d", i)) {
+			if !has(f, fmt.Sprintf("k%d", i)) {
 				t.Fatalf("bits/key=%d: false negative", bits)
 			}
 		}
 	}
 	// Clamps.
-	if NewPageSummaryBits(0, 0).Bits() < 8 {
+	if NewPageSummaryBits(0, 0).m < 8 {
 		t.Error("degenerate params not clamped")
 	}
 }
@@ -202,12 +209,10 @@ func TestNewPageSummaryBits(t *testing.T) {
 func TestSummaryBitsMonotoneFPRate(t *testing.T) {
 	rate := func(bits int) float64 {
 		f := NewPageSummaryBits(500, bits)
-		for i := 0; i < 500; i++ {
-			f.AddString(fmt.Sprintf("member%d", i))
-		}
+		addAll(f, "member%d", 500)
 		fp := 0
 		for i := 0; i < 5000; i++ {
-			if f.TestString(fmt.Sprintf("absent%d", i)) {
+			if has(f, fmt.Sprintf("absent%d", i)) {
 				fp++
 			}
 		}

@@ -10,12 +10,15 @@ import (
 // touching flash only on positives.
 func Example() {
 	summary := bloom.NewPageSummary(3)
-	summary.AddString("Lyon")
-	summary.AddString("Paris")
-	summary.AddString("Nice")
+	for _, city := range []string{"Lyon", "Paris", "Nice"} {
+		summary.Add([]byte(city))
+	}
+	// The summary is stored marshaled and tested where it lies.
+	data, _ := summary.MarshalBinary()
+	v, _ := bloom.ViewOf(data)
 
-	fmt.Println(summary.TestString("Lyon"))
-	fmt.Println(summary.TestString("Atlantis"))
+	fmt.Println(v.Test([]byte("Lyon")))
+	fmt.Println(v.Test([]byte("Atlantis")))
 	// Output:
 	// true
 	// false

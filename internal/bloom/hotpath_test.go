@@ -1,23 +1,20 @@
 package bloom
 
 import (
-	"fmt"
 	"testing"
 
 	"pds/internal/race"
 )
 
 // A summary scan validates and tests one marshaled filter per key page,
-// where it lies: neither step may allocate. (UnmarshalBinary copies the
-// bits — one allocation per summary, which is what the scan paid.)
+// where it lies: neither step may allocate. (The copying decoder it
+// replaced paid one allocation per summary.)
 func TestViewAllocCeiling(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	f := NewPageSummary(100)
-	for i := 0; i < 100; i++ {
-		f.AddString(fmt.Sprintf("key-%03d", i))
-	}
+	addAll(f, "key-%03d", 100)
 	blob, err := f.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

@@ -88,10 +88,6 @@ func New(id string, cfg Config) (*PDS, error) {
 	}, nil
 }
 
-// MasterKey exposes the token secret (owner-only operation, used to build
-// vaults and to provision sibling tokens in tests and examples).
-func (p *PDS) MasterKey() []byte { return append([]byte(nil), p.masterKey...) }
-
 // AddDocument indexes a document for the owner (no policy check: the owner
 // has all local privileges on her own data).
 func (p *PDS) AddDocument(terms map[string]int) (search.DocID, error) {

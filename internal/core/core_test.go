@@ -32,8 +32,8 @@ func TestNewDefaults(t *testing.T) {
 	if p.Device.Profile.Name != "smartcard" {
 		t.Errorf("default profile = %s", p.Device.Profile.Name)
 	}
-	if len(p.MasterKey()) != 32 {
-		t.Errorf("master key len = %d", len(p.MasterKey()))
+	if len(p.masterKey) != 32 {
+		t.Errorf("master key len = %d", len(p.masterKey))
 	}
 }
 

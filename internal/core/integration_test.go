@@ -193,7 +193,7 @@ func TestFolderIntegratesWithPolicies(t *testing.T) {
 	doctor.Put("rx-1", "medical/rx", []byte("aspirin"))
 	badge.Touch(doctor)
 	badge.Touch(patient.Folder)
-	if _, ok := patient.Folder.Get("rx-1"); !ok {
+	if docs := patient.Folder.Docs(); len(docs) != 1 || docs[0].ID != "rx-1" {
 		t.Error("badge did not deliver the prescription")
 	}
 	// An advertiser's write is denied and audited.

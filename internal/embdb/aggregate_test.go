@@ -82,7 +82,7 @@ func TestAggregateGroupBy(t *testing.T) {
 
 func TestAggregateWhereUsesIndex(t *testing.T) {
 	db := loadSales(t)
-	alloc := db.Alloc()
+	alloc := db.alloc
 	db.Flush()
 	alloc.Chip().ResetStats()
 	res, err := db.Aggregate(AggQuery{

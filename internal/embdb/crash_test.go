@@ -108,7 +108,7 @@ func TestInPlaceFailedUpdateKeepsPriorValues(t *testing.T) {
 			t.Fatalf("after=%d: %v", after, err)
 		}
 		for i := 0; i < loaded; i++ {
-			rids, err := x.Lookup(key(i))
+			rids, err := lookup(x, key(i))
 			if err != nil {
 				t.Fatalf("after=%d: lookup %s: %v", after, key(i), err)
 			}
@@ -124,8 +124,8 @@ func TestInPlaceFailedUpdateKeepsPriorValues(t *testing.T) {
 		}
 	}
 	// The sweep's final Insert succeeded, and the index keeps working.
-	if x.Len() != loaded+1 {
-		t.Fatalf("entries = %d, want %d", x.Len(), loaded+1)
+	if x.entries != loaded+1 {
+		t.Fatalf("entries = %d, want %d", x.entries, loaded+1)
 	}
 }
 
@@ -146,7 +146,7 @@ func TestInPlaceFailedReleaseKeepsPriorValues(t *testing.T) {
 		t.Fatalf("insert with erase fault = %v, want ErrInjectedFault", err)
 	}
 	for i := 0; i < loaded; i++ {
-		rids, err := x.Lookup([]byte(fmt.Sprintf("key-%04d", i)))
+		rids, err := lookup(x, []byte(fmt.Sprintf("key-%04d", i)))
 		if err != nil {
 			t.Fatalf("lookup %d: %v", i, err)
 		}

@@ -77,9 +77,6 @@ func NewDB(alloc *flash.Allocator, arena *mcu.Arena) *DB {
 	}
 }
 
-// Arena returns the RAM arena queries draw from.
-func (db *DB) Arena() *mcu.Arena { return db.arena }
-
 // SetObserver attaches (or, with nil, detaches) a metrics registry; every
 // subsequent query mirrors its pipeline cardinalities into it.
 func (db *DB) SetObserver(reg *obs.Registry) { db.obsv = reg }
@@ -90,9 +87,6 @@ func (db *DB) count(family string, d int64) {
 		db.obsv.Counter(family).Add(d)
 	}
 }
-
-// Alloc returns the flash allocator.
-func (db *DB) Alloc() *flash.Allocator { return db.alloc }
 
 // CreateTable registers a new empty table.
 func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {

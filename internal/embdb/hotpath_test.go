@@ -87,12 +87,12 @@ func TestStarRowAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := testing.AllocsPerRun(50, func() {
-		if rids, err := ji.Get(700); err != nil || len(rids) != 4 {
+		if rids, err := probeJoin(ji, 700); err != nil || len(rids) != 4 {
 			t.Fatalf("tjoin probe = %v, %v", rids, err)
 		}
 	})
 	if probe > 1 {
-		t.Errorf("JoinIndex.Get: %.0f allocs, ceiling 1", probe)
+		t.Errorf("tjoin probe: %.0f allocs, ceiling 1", probe)
 	}
 
 	// Two strings and a small int out of three tables of two to three
@@ -229,7 +229,7 @@ func TestStarRowsReleaseHeldPages(t *testing.T) {
 		for i, rid := range rids {
 			trid := rid
 			if table != q.Root {
-				dims, err := ji.Get(rid)
+				dims, err := probeJoin(ji, rid)
 				if err != nil {
 					t.Fatal(err)
 				}

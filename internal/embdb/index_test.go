@@ -132,20 +132,6 @@ func TestSelectIndexNoSuchColumn(t *testing.T) {
 	}
 }
 
-func TestSelectIndexDrop(t *testing.T) {
-	alloc := bigAlloc()
-	tbl, ix, _ := loadCustomer(t, alloc, 1000, 10)
-	tbl.Flush()
-	ix.Flush()
-	before := alloc.InUse()
-	if err := ix.Drop(); err != nil {
-		t.Fatal(err)
-	}
-	if alloc.InUse() >= before {
-		t.Error("drop freed nothing")
-	}
-}
-
 func TestReorganizeLookup(t *testing.T) {
 	alloc := bigAlloc()
 	_, ix, want := loadCustomer(t, alloc, 3000, 97)

@@ -32,12 +32,6 @@ func NewInPlaceIndex(alloc *flash.Allocator) *InPlaceIndex {
 	}
 }
 
-// Len returns the number of entries.
-func (x *InPlaceIndex) Len() int { return x.entries }
-
-// Pages returns the pages in use.
-func (x *InPlaceIndex) Pages() int { return x.pages }
-
 // physPage maps a logical page to flash.
 func (x *InPlaceIndex) physPage(logical int) (int, error) {
 	g := x.alloc.Chip().Geometry()
@@ -206,44 +200,5 @@ func (x *InPlaceIndex) Insert(key []byte, rid RowID) error {
 	}
 	x.pages++
 	x.entries++
-	return nil
-}
-
-// Lookup returns the rowids matching key (ascending insertion order not
-// guaranteed; the baseline only serves cost comparisons).
-func (x *InPlaceIndex) Lookup(key []byte) ([]RowID, error) {
-	var out []RowID
-	for p := 0; p < x.pages; p++ {
-		entries, err := x.readPage(p)
-		if err != nil {
-			return nil, err
-		}
-		if len(entries) == 0 {
-			continue
-		}
-		if bytes.Compare(entries[len(entries)-1].key, key) < 0 {
-			continue
-		}
-		for _, e := range entries {
-			c := bytes.Compare(e.key, key)
-			if c == 0 {
-				out = append(out, RowID(e.ptr))
-			} else if c > 0 {
-				return out, nil
-			}
-		}
-	}
-	return out, nil
-}
-
-// Drop frees the index blocks.
-func (x *InPlaceIndex) Drop() error {
-	for _, b := range x.blocks {
-		if err := x.alloc.Free(b); err != nil {
-			return err
-		}
-	}
-	x.blocks = nil
-	x.pages = 0
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"pds/internal/logstore"
 	"pds/internal/mcu"
 )
 
@@ -388,7 +389,7 @@ func TestJoinIndexContents(t *testing.T) {
 	dims := ji.Dims()
 	// Verify a sample of entries against the actual FK chain.
 	for _, rid := range []RowID{0, 17, 50, 99} {
-		entry, err := ji.Get(rid)
+		entry, err := probeJoin(ji, rid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +413,7 @@ func TestJoinIndexContents(t *testing.T) {
 			t.Errorf("rid %d: tjoin CUSTOMER = %d, want %d", rid, at("CUSTOMER"), cusRid)
 		}
 	}
-	if _, err := ji.Get(100); !errors.Is(err, ErrNoSuchRow) {
+	if _, err := probeJoin(ji, 100); !errors.Is(err, ErrNoSuchRow) {
 		t.Errorf("OOB tjoin err = %v", err)
 	}
 }
@@ -640,7 +641,7 @@ func buildWindowed(t *testing.T) *DB {
 // projecting the root column alone: same lookups, probes and root fetches.
 func TestStarWindowBoundaries(t *testing.T) {
 	db := buildWindowed(t)
-	chip := db.Alloc().Chip()
+	chip := db.alloc.Chip()
 	pageSize := chip.Geometry().PageSize
 	pagesOf := func(name string) int {
 		tbl, err := db.Table(name)
@@ -710,4 +711,12 @@ func TestStarWindowBoundaries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// probeJoin returns the dim rowids (aligned with Dims()) for a root rowid,
+// through a page held for this one probe.
+func probeJoin(ji *JoinIndex, root RowID) ([]RowID, error) {
+	var h logstore.HeldPage
+	defer h.Release()
+	return ji.get(root, make([]RowID, 0, len(ji.dims)), &h)
 }

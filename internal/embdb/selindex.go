@@ -113,9 +113,6 @@ func (ix *SelectIndex) flushSummary(page int) error {
 	return nil
 }
 
-// Col returns the indexed column name.
-func (ix *SelectIndex) Col() string { return ix.col }
-
 // Len returns the number of postings.
 func (ix *SelectIndex) Len() int { return ix.entries }
 
@@ -150,15 +147,6 @@ func (ix *SelectIndex) Flush() error {
 		return err
 	}
 	return ix.sums.Flush()
-}
-
-// Drop frees the index's flash blocks.
-func (ix *SelectIndex) Drop() error {
-	err := errors.Join(ix.keys.Drop(), ix.sums.Drop())
-	if ix.tree != nil {
-		err = errors.Join(err, ix.tree.Drop())
-	}
-	return err
 }
 
 // LookupStats reports the work a lookup performed.

@@ -100,9 +100,6 @@ func (t *Table) Get(rid RowID) (Row, error) {
 // Flush persists buffered tuples.
 func (t *Table) Flush() error { return t.log.Flush() }
 
-// Drop frees the table's flash blocks.
-func (t *Table) Drop() error { return t.log.Drop() }
-
 // Chip exposes the chip for I/O accounting.
 func (t *Table) Chip() *flash.Chip { return t.log.Chip() }
 

@@ -124,21 +124,3 @@ func TestTableInsertBadRow(t *testing.T) {
 		t.Error("failed insert bumped Len")
 	}
 }
-
-func TestTableDrop(t *testing.T) {
-	alloc := bigAlloc()
-	tbl := NewTable(alloc, "t", personSchema())
-	for i := 0; i < 500; i++ {
-		tbl.Insert(Row{IntVal(int64(i)), StrVal("x")})
-	}
-	tbl.Flush()
-	if alloc.InUse() == 0 {
-		t.Fatal("no blocks used")
-	}
-	if err := tbl.Drop(); err != nil {
-		t.Fatal(err)
-	}
-	if alloc.InUse() != 0 {
-		t.Errorf("blocks leaked: %d", alloc.InUse())
-	}
-}

@@ -102,13 +102,6 @@ func (ji *JoinIndex) add(dimRids []RowID) error {
 	return nil
 }
 
-// Get returns the dim rowids (aligned with Dims()) for a root rowid.
-func (ji *JoinIndex) Get(root RowID) ([]RowID, error) {
-	var h logstore.HeldPage
-	defer h.Release()
-	return ji.get(root, make([]RowID, 0, len(ji.dims)), &h)
-}
-
 // get appends the dim rowids for a root rowid to dst, decoding the record
 // where it lies in h, a page of RAM the caller holds: one page read, none
 // if h already holds the record's page.
@@ -137,6 +130,3 @@ func (ji *JoinIndex) get(root RowID, dst []RowID, h *logstore.HeldPage) ([]RowID
 
 // Flush persists buffered entries.
 func (ji *JoinIndex) Flush() error { return ji.log.Flush() }
-
-// Drop frees the index blocks.
-func (ji *JoinIndex) Drop() error { return ji.log.Drop() }

@@ -73,17 +73,6 @@ func (r *Replica) Put(id, category string, body []byte) Document {
 	return d
 }
 
-// Get returns a document copy.
-func (r *Replica) Get(id string) (Document, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	d, ok := r.docs[id]
-	if ok {
-		d.Body = append([]byte(nil), d.Body...)
-	}
-	return d, ok
-}
-
 // Len returns the number of documents.
 func (r *Replica) Len() int {
 	r.mu.Lock()
@@ -123,47 +112,17 @@ func (r *Replica) absorb(d Document) bool {
 // Badge is a smart badge physically carried between sites: it holds a
 // folder snapshot and merges with every replica it touches, transporting
 // updates in both directions without any network.
-//
-// A badge may be provisioned with a scope filter: it then carries only
-// the documents the filter admits. This realizes the field experiment's
-// partial replicas — the social worker's badge moves social documents and
-// nothing medical, no matter which replicas it touches.
 type Badge struct {
 	ID    string
 	cargo map[string]Document
-	scope func(Document) bool // nil = carry everything
 	// Hops counts replica touches (the "cost" of disconnected sync).
 	Hops int
 }
 
-// NewBadge creates an empty badge carrying every category.
+// NewBadge creates an empty badge.
 func NewBadge(id string) *Badge {
 	return &Badge{ID: id, cargo: map[string]Document{}}
 }
-
-// NewScopedBadge creates a badge that only carries documents admitted by
-// scope. A nil scope carries everything.
-func NewScopedBadge(id string, scope func(Document) bool) *Badge {
-	return &Badge{ID: id, cargo: map[string]Document{}, scope: scope}
-}
-
-// CategoryScope returns a scope admitting documents whose Category equals
-// one of the prefixes or sits underneath it ("social" admits
-// "social/aids").
-func CategoryScope(prefixes ...string) func(Document) bool {
-	return func(d Document) bool {
-		for _, p := range prefixes {
-			if d.Category == p || (len(d.Category) > len(p) &&
-				d.Category[:len(p)] == p && d.Category[len(p)] == '/') {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Cargo returns how many documents the badge carries.
-func (b *Badge) Cargo() int { return len(b.cargo) }
 
 // Touch synchronizes the badge with a replica in both directions and
 // returns (toReplica, toBadge) applied-update counts.
@@ -177,9 +136,6 @@ func (b *Badge) Touch(r *Replica) (int, int) {
 	}
 	toBadge := 0
 	for _, d := range r.Docs() {
-		if b.scope != nil && !b.scope(d) {
-			continue
-		}
 		cur, ok := b.cargo[d.ID]
 		if !ok || d.Stamp.Newer(cur.Stamp) {
 			b.cargo[d.ID] = d
@@ -223,13 +179,6 @@ func NewArchive() *Archive { return &Archive{blobs: map[string][]byte{}} }
 
 // ErrNotArchived reports a missing document.
 var ErrNotArchived = errors.New("folder: document not in archive")
-
-// Blobs returns the number of stored ciphertexts.
-func (a *Archive) Blobs() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.blobs)
-}
 
 // RawBlob exposes a stored ciphertext (what a curious server sees).
 func (a *Archive) RawBlob(id string) ([]byte, bool) {

@@ -9,14 +9,24 @@ import (
 	"testing/quick"
 )
 
+// get finds one document in the copies Docs hands out.
+func get(r *Replica, id string) (Document, bool) {
+	for _, d := range r.Docs() {
+		if d.ID == id {
+			return d, true
+		}
+	}
+	return Document{}, false
+}
+
 func TestPutGet(t *testing.T) {
 	r := NewReplica("patient")
 	r.Put("doc1", "medical/notes", []byte("checkup ok"))
-	d, ok := r.Get("doc1")
+	d, ok := get(r, "doc1")
 	if !ok || string(d.Body) != "checkup ok" || d.Stamp.Writer != "patient" {
 		t.Errorf("Get = %+v, %v", d, ok)
 	}
-	if _, ok := r.Get("missing"); ok {
+	if _, ok := get(r, "missing"); ok {
 		t.Error("missing doc found")
 	}
 	if r.Len() != 1 {
@@ -31,7 +41,7 @@ func TestUpdateBumpsStamp(t *testing.T) {
 	if !d2.Stamp.Newer(d1.Stamp) {
 		t.Error("second write not newer")
 	}
-	got, _ := r.Get("d")
+	got, _ := get(r, "d")
 	if string(got.Body) != "v2" {
 		t.Errorf("body = %q", got.Body)
 	}
@@ -44,14 +54,14 @@ func TestBadgeTransportsUpdates(t *testing.T) {
 
 	badge := NewBadge("badge-1")
 	badge.Touch(patient) // picks up rx
-	if badge.Cargo() != 1 {
-		t.Fatalf("cargo = %d", badge.Cargo())
+	if len(badge.cargo) != 1 {
+		t.Fatalf("cargo = %d", len(badge.cargo))
 	}
 	applied, _ := badge.Touch(doctor)
 	if applied != 1 {
 		t.Errorf("applied = %d", applied)
 	}
-	d, ok := doctor.Get("rx")
+	d, ok := get(doctor, "rx")
 	if !ok || string(d.Body) != "aspirin" {
 		t.Errorf("doctor replica = %+v, %v", d, ok)
 	}
@@ -79,10 +89,10 @@ func TestLastWriterWinsDeterministic(t *testing.T) {
 	badge2.Touch(a2)
 	badge2.Touch(b2)
 
-	da, _ := a.Get("d")
-	db, _ := b.Get("d")
-	da2, _ := a2.Get("d")
-	db2, _ := b2.Get("d")
+	da, _ := get(a, "d")
+	db, _ := get(b, "d")
+	da2, _ := get(a2, "d")
+	db2, _ := get(b2, "d")
 	if string(da.Body) != string(db.Body) || string(da.Body) != string(da2.Body) || string(da.Body) != string(db2.Body) {
 		t.Errorf("merge not deterministic: %q %q %q %q", da.Body, db.Body, da2.Body, db2.Body)
 	}
@@ -159,8 +169,8 @@ func TestArchiveIsOpaque(t *testing.T) {
 	if bytes.Contains(blob, []byte("very-secret-diagnosis")) {
 		t.Error("archive stores plaintext")
 	}
-	if arch.Blobs() != 1 {
-		t.Errorf("blobs = %d", arch.Blobs())
+	if len(arch.blobs) != 1 {
+		t.Errorf("blobs = %d", len(arch.blobs))
 	}
 }
 
@@ -244,67 +254,5 @@ func TestQuickEventualConvergence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestScopedBadgeCarriesOnlyItsCategories(t *testing.T) {
-	patient := NewReplica("patient")
-	patient.Put("rx-1", "medical/prescriptions", []byte("aspirin"))
-	patient.Put("aid-1", "social/aids", []byte("home help"))
-	patient.Put("note-1", "medical/notes", []byte("bp 12/8"))
-
-	socialBadge := NewScopedBadge("social-badge", CategoryScope("social"))
-	socialBadge.Touch(patient)
-	if socialBadge.Cargo() != 1 {
-		t.Fatalf("social badge carries %d docs, want 1", socialBadge.Cargo())
-	}
-	worker := NewReplica("social-worker")
-	socialBadge.Touch(worker)
-	if _, ok := worker.Get("aid-1"); !ok {
-		t.Error("social doc not delivered")
-	}
-	if _, ok := worker.Get("rx-1"); ok {
-		t.Error("medical doc leaked through social badge")
-	}
-
-	// The medical badge mirrors the complement.
-	medBadge := NewScopedBadge("med-badge", CategoryScope("medical"))
-	medBadge.Touch(patient)
-	if medBadge.Cargo() != 2 {
-		t.Errorf("medical badge carries %d docs, want 2", medBadge.Cargo())
-	}
-}
-
-func TestCategoryScopeMatching(t *testing.T) {
-	scope := CategoryScope("medical", "admin")
-	cases := []struct {
-		cat  string
-		want bool
-	}{
-		{"medical", true},
-		{"medical/notes", true},
-		{"medicalx", false},
-		{"social/aids", false},
-		{"admin", true},
-		{"admin/tax", true},
-	}
-	for _, c := range cases {
-		if got := scope(Document{Category: c.cat}); got != c.want {
-			t.Errorf("scope(%q) = %v, want %v", c.cat, got, c.want)
-		}
-	}
-}
-
-func TestScopedBadgeStillDeliversForeignCargo(t *testing.T) {
-	// Scope restricts what a badge PICKS UP; anything already in cargo is
-	// still delivered (store-carry-forward semantics).
-	src := NewReplica("src")
-	src.Put("m-1", "medical/x", []byte("v"))
-	full := NewBadge("full")
-	full.Touch(src)
-	dst := NewReplica("dst")
-	full.Touch(dst)
-	if _, ok := dst.Get("m-1"); !ok {
-		t.Error("unscoped badge failed to deliver")
 	}
 }

@@ -139,15 +139,6 @@ func NewSim(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// Nodes returns the node ids.
-func (s *Sim) Nodes() []string {
-	out := make([]string, len(s.nodes))
-	for i, n := range s.nodes {
-		out[i] = n.id
-	}
-	return out
-}
-
 // Send queues a message at its source node and returns its id.
 func (s *Sim) Send(from, to string, payload []byte) (uint64, error) {
 	src, ok := s.byID[from]

@@ -142,7 +142,8 @@ func TestCarriersSeeOnlyCiphertext(t *testing.T) {
 	}
 	s.Run(5)
 	// Inspect every intermediate buffer: the plaintext must never appear.
-	for _, id := range s.Nodes() {
+	for _, n := range s.nodes {
+		id := n.id
 		views, err := s.BufferOf(id)
 		if err != nil {
 			t.Fatal(err)
@@ -170,8 +171,8 @@ func TestAntiEntropyPurgesDelivered(t *testing.T) {
 	// After enough anti-entropy rounds, no node should still carry it.
 	s.Run(30)
 	carriers := 0
-	for _, nid := range s.Nodes() {
-		views, _ := s.BufferOf(nid)
+	for _, n := range s.nodes {
+		views, _ := s.BufferOf(n.id)
 		for _, v := range views {
 			if v.ID == id {
 				carriers++

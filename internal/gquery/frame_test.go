@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pds/internal/netsim"
+	"pds/internal/obs"
 	"pds/internal/ssi"
 )
 
@@ -43,14 +44,16 @@ func TestOneFramePerLeg(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+			reg := obs.NewRegistry()
+			net.SetObserver(reg)
 			stats, err := c.run(net, srv)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := net.KindStats("tuple").Messages; got != int64(len(parts)) {
+			if got := reg.CounterValue(netsim.MetricKindMessages, "kind", "tuple"); got != int64(len(parts)) {
 				t.Errorf("tuple messages = %d, want one frame per participant (%d)", got, len(parts))
 			}
-			if got := net.KindStats(c.kind).Messages; got != int64(stats.Chunks) || got == 0 {
+			if got := reg.CounterValue(netsim.MetricKindMessages, "kind", c.kind); got != int64(stats.Chunks) || got == 0 {
 				t.Errorf("%s messages = %d, want one frame per chunk (%d)", c.kind, got, stats.Chunks)
 			}
 		})

@@ -232,10 +232,6 @@ type tuplePlain struct {
 // tuplePlainLen is the encoded length of a tuple plaintext of group.
 func tuplePlainLen(group string) int { return 8 + 2 + len(group) + 8 + 1 }
 
-func encodeTuplePlain(t tuplePlain) []byte {
-	return appendTuplePlain(make([]byte, 0, tuplePlainLen(t.Group)), t)
-}
-
 func appendTuplePlain(out []byte, t tuplePlain) []byte {
 	out = binary.LittleEndian.AppendUint64(out, t.ID)
 	out = binary.LittleEndian.AppendUint16(out, uint16(len(t.Group)))

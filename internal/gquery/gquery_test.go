@@ -582,3 +582,8 @@ func TestSecureAggInvariantUnderSplit(t *testing.T) {
 		t.Error("splitting a participant changed the aggregate")
 	}
 }
+
+// encodeTuplePlain encodes one tuple plaintext on its own.
+func encodeTuplePlain(t tuplePlain) []byte {
+	return appendTuplePlain(make([]byte, 0, tuplePlainLen(t.Group)), t)
+}

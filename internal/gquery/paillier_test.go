@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"pds/internal/netsim"
+	"pds/internal/obs"
 	"pds/internal/privcrypto"
 	"pds/internal/ssi"
 )
@@ -56,15 +58,17 @@ func TestPaillierAggSSIComputesWithoutTokens(t *testing.T) {
 	parts := makeParts(30, 3, testDomain, 31)
 	sk := testPaillierKey(t)
 	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+	reg := obs.NewRegistry()
+	net.SetObserver(reg)
 	res, _, err := New().PaillierAgg(net, srv, parts, mustKeyring(t), sk.Public(), sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks := net.KindStats("hom-group")
-	if int(ks.Messages) != len(res) {
-		t.Errorf("token messages = %d, groups = %d", ks.Messages, len(res))
+	kind := func(k string) int64 { return reg.CounterValue(netsim.MetricKindMessages, "kind", k) }
+	if got := kind("hom-group"); int(got) != len(res) {
+		t.Errorf("token messages = %d, groups = %d", got, len(res))
 	}
-	if net.KindStats("chunk").Messages != 0 || net.KindStats("group-chunk").Messages != 0 {
+	if kind("chunk") != 0 || kind("group-chunk") != 0 {
 		t.Error("worker chunk traffic present in homomorphic protocol")
 	}
 }

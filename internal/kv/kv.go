@@ -636,6 +636,3 @@ func (s *Store) Close() error {
 	}
 	return s.sums.Drop()
 }
-
-// Chip exposes the flash chip for I/O accounting.
-func (s *Store) Chip() *flash.Chip { return s.alloc.Chip() }

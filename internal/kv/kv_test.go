@@ -112,7 +112,7 @@ func TestGetCheaperThanScan(t *testing.T) {
 		s.Put([]byte(fmt.Sprintf("key-%04d", i)), bytes.Repeat([]byte("v"), 40))
 	}
 	s.Flush()
-	chip := s.Chip()
+	chip := s.alloc.Chip()
 
 	chip.ResetStats()
 	if _, _, err := s.Get([]byte("key-1500")); err != nil {
@@ -266,12 +266,12 @@ func TestClosedStore(t *testing.T) {
 func TestNoErasesDuringNormalOperation(t *testing.T) {
 	s := testStore()
 	defer s.Close()
-	s.Chip().ResetStats()
+	s.alloc.Chip().ResetStats()
 	for i := 0; i < 2000; i++ {
 		s.Put([]byte(fmt.Sprintf("k%d", i%100)), []byte("value"))
 	}
 	s.Flush()
-	if e := s.Chip().Stats().BlockErases; e != 0 {
+	if e := s.alloc.Chip().Stats().BlockErases; e != 0 {
 		t.Errorf("puts caused %d erases", e)
 	}
 }

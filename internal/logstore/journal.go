@@ -268,9 +268,6 @@ func NewJournal(alloc *flash.Allocator) (*Journal, error) {
 // Seq returns the sequence number of the last committed record.
 func (j *Journal) Seq() uint64 { return j.seq }
 
-// Block returns the journal's current erase block.
-func (j *Journal) Block() int { return j.block }
-
 // Retire queues block b for erasure after the next successful Commit —
 // used by recovery when a tail copy supersedes a block that the on-flash
 // manifest still references.

@@ -191,16 +191,6 @@ func SensorNode() Profile {
 	}
 }
 
-// TestProfile is a tiny device for unit tests.
-func TestProfile() Profile {
-	return Profile{
-		Name:     "test",
-		RAM:      4 << 10,
-		Geometry: flash.SmallGeometry(),
-		Cost:     flash.DefaultCostModel(),
-	}
-}
-
 // TestProfileLarge is a roomy device for integration tests: generous RAM
 // and a 32 MiB flash array with small pages, so structures span many pages
 // without long load times.

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"pds/internal/flash"
 )
 
 func TestArenaReserveRelease(t *testing.T) {
@@ -151,8 +153,18 @@ func TestTamperStateString(t *testing.T) {
 	}
 }
 
+// testProfile is a tiny device for unit tests.
+func testProfile() Profile {
+	return Profile{
+		Name:     "test",
+		RAM:      4 << 10,
+		Geometry: flash.SmallGeometry(),
+		Cost:     flash.DefaultCostModel(),
+	}
+}
+
 func TestProfiles(t *testing.T) {
-	for _, p := range []Profile{Smartcard(), SecureMicroSD(), SensorNode(), TestProfile()} {
+	for _, p := range []Profile{Smartcard(), SecureMicroSD(), SensorNode(), testProfile()} {
 		if err := p.Geometry.Validate(); err != nil {
 			t.Errorf("%s geometry: %v", p.Name, err)
 		}
@@ -169,14 +181,14 @@ func TestProfiles(t *testing.T) {
 }
 
 func TestNewDevice(t *testing.T) {
-	d := NewDevice(TestProfile())
+	d := NewDevice(testProfile())
 	if d.Chip == nil || d.Alloc == nil || d.RAM == nil {
 		t.Fatal("device missing components")
 	}
 	if d.Tamper != Unbreakable {
 		t.Error("fresh device should be unbreakable")
 	}
-	if d.RAM.Budget() != TestProfile().RAM {
+	if d.RAM.Budget() != testProfile().RAM {
 		t.Errorf("RAM budget = %d", d.RAM.Budget())
 	}
 	if d.Alloc.Chip() != d.Chip {

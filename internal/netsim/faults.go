@@ -46,17 +46,6 @@ func (p FaultPlan) spec(kind string) FaultSpec {
 	return p.Default
 }
 
-// FaultStats counts the faults a plane injected.
-type FaultStats struct {
-	Dropped    int64
-	Duplicated int64
-	Delayed    int64
-	Reordered  int64
-}
-
-// Total returns the number of injected faults.
-func (s FaultStats) Total() int64 { return s.Dropped + s.Duplicated + s.Delayed + s.Reordered }
-
 // HashUniform maps a seed plus length-prefixed byte fields to a uniform
 // float64 in [0,1) through SHA-256 — the deterministic randomness source
 // shared by the fault plane and the weakly-malicious SSI, chosen over a
@@ -112,10 +101,9 @@ type FaultPlane struct {
 	plan FaultPlan
 	obsv atomic.Pointer[netObserver] // bound by Network.SetFaults / SetObserver
 
-	mu    sync.Mutex
-	held  []Envelope        // delayed until the next Flush
-	swap  map[flow]Envelope // reordered: released after the next transmit of the same flow
-	stats FaultStats
+	mu   sync.Mutex
+	held []Envelope        // delayed until the next Flush
+	swap map[flow]Envelope // reordered: released after the next transmit of the same flow
 }
 
 // flow scopes a reorder slot: one ARQ link runs per (kind, destination).
@@ -126,23 +114,14 @@ func NewFaultPlane(plan FaultPlan) *FaultPlane {
 	return &FaultPlane{plan: plan, swap: map[flow]Envelope{}}
 }
 
-// Plan returns the schedule the plane applies.
-func (fp *FaultPlane) Plan() FaultPlan { return fp.plan }
-
 // BindObserver mirrors the plane's fault decisions into reg (nil
-// detaches). Network.SetFaults/SetObserver bind the in-process network's
+// detaches) as netsim_faults_total{fault,kind}, the plane's only fault
+// accounting. Network.SetFaults/SetObserver bind the in-process network's
 // observer automatically; out-of-process transports that arm a plane
 // client-side call this to keep fault accounting identical across
 // substrates.
 func (fp *FaultPlane) BindObserver(reg *obs.Registry) {
 	fp.obsv.Store(newNetObserver(reg))
-}
-
-// Stats returns a snapshot of the injected-fault counters.
-func (fp *FaultPlane) Stats() FaultStats {
-	fp.mu.Lock()
-	defer fp.mu.Unlock()
-	return fp.stats
 }
 
 // decide draws the (deterministic) fault outcome for one envelope.
@@ -197,18 +176,14 @@ func (fp *FaultPlane) transmit(e Envelope) (out [3]Envelope, n int) {
 	reordered := false
 	switch fp.decide(e) {
 	case faultDrop:
-		fp.stats.Dropped++
 		fp.obsv.Load().fault("drop", e.Kind)
 	case faultDuplicate:
-		fp.stats.Duplicated++
 		fp.obsv.Load().fault("duplicate", e.Kind)
 		out[0], out[1], n = e, e, 2
 	case faultDelay:
-		fp.stats.Delayed++
 		fp.obsv.Load().fault("delay", e.Kind)
 		fp.held = append(fp.held, e)
 	case faultReorder:
-		fp.stats.Reordered++
 		fp.obsv.Load().fault("reorder", e.Kind)
 		reordered = true
 	default:

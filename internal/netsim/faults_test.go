@@ -4,10 +4,36 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"pds/internal/obs"
 )
 
 func mkEnv(i int, kind string) Envelope {
 	return Envelope{From: "a", To: "b", Kind: kind, Payload: []byte(fmt.Sprintf("payload-%04d", i))}
+}
+
+// faultCounts is a plane's injected faults of the given envelope kinds,
+// read from netsim_faults_total{fault,kind}.
+type faultCounts struct{ Dropped, Duplicated, Delayed, Reordered int64 }
+
+func readFaults(reg *obs.Registry, kinds ...string) faultCounts {
+	var c faultCounts
+	for _, k := range kinds {
+		c.Dropped += reg.CounterValue(MetricFaults, "fault", "drop", "kind", k)
+		c.Duplicated += reg.CounterValue(MetricFaults, "fault", "duplicate", "kind", k)
+		c.Delayed += reg.CounterValue(MetricFaults, "fault", "delay", "kind", k)
+		c.Reordered += reg.CounterValue(MetricFaults, "fault", "reorder", "kind", k)
+	}
+	return c
+}
+
+// observedPlane builds a plane whose fault decisions land in a fresh
+// registry.
+func observedPlane(plan FaultPlan) (*FaultPlane, *obs.Registry) {
+	fp := NewFaultPlane(plan)
+	reg := obs.NewRegistry()
+	fp.BindObserver(reg)
+	return fp, reg
 }
 
 func TestHashUniformDeterministicAndSpread(t *testing.T) {
@@ -39,8 +65,8 @@ func TestHashUniformDeterministicAndSpread(t *testing.T) {
 
 func TestFaultPlaneReproducibleFromSeed(t *testing.T) {
 	plan := FaultPlan{Seed: 42, Default: FaultSpec{Drop: 0.3, Duplicate: 0.2, Delay: 0.1, Reorder: 0.1}}
-	run := func() ([]string, FaultStats) {
-		fp := NewFaultPlane(plan)
+	run := func() ([]string, faultCounts) {
+		fp, reg := observedPlane(plan)
 		var got []string
 		for i := 0; i < 200; i++ {
 			for _, e := range fp.Transmit(mkEnv(i, "tuple")) {
@@ -48,14 +74,14 @@ func TestFaultPlaneReproducibleFromSeed(t *testing.T) {
 			}
 		}
 		fp.Flush(func(e Envelope) { got = append(got, "late:"+string(e.Payload)) })
-		return got, fp.Stats()
+		return got, readFaults(reg, "tuple")
 	}
 	a, as := run()
 	b, bs := run()
 	if as != bs {
 		t.Fatalf("stats diverge: %+v vs %+v", as, bs)
 	}
-	if as.Total() == 0 {
+	if as == (faultCounts{}) {
 		t.Fatal("no faults injected at 70% combined rate over 200 envelopes")
 	}
 	if len(a) != len(b) {
@@ -95,7 +121,7 @@ func TestFaultPlaneDropAndDuplicate(t *testing.T) {
 }
 
 func TestFaultPlaneDelayUntilFlush(t *testing.T) {
-	fp := NewFaultPlane(FaultPlan{Seed: 4, Default: FaultSpec{Delay: 1}})
+	fp, reg := observedPlane(FaultPlan{Seed: 4, Default: FaultSpec{Delay: 1}})
 	for i := 0; i < 5; i++ {
 		if out := fp.Transmit(mkEnv(i, "k")); len(out) != 0 {
 			t.Fatalf("delayed envelope delivered early")
@@ -108,8 +134,8 @@ func TestFaultPlaneDelayUntilFlush(t *testing.T) {
 	}
 	// A second flush is empty.
 	fp.Flush(func(Envelope) { t.Fatal("second flush released envelopes") })
-	if st := fp.Stats(); st.Delayed != 5 {
-		t.Errorf("stats = %+v", st)
+	if st := readFaults(reg, "k"); st != (faultCounts{Delayed: 5}) {
+		t.Errorf("faults = %+v", st)
 	}
 }
 
@@ -199,7 +225,6 @@ func TestResetConcurrentWithSend(t *testing.T) {
 				}
 				n.Send(Envelope{Kind: "k", Payload: []byte{1, 2, 3}})
 				n.Stats()
-				n.KindStats("k")
 			}
 		}()
 	}

@@ -80,7 +80,7 @@ func TestEncodeFrameGoldenVectors(t *testing.T) {
 // seeded order Flush releases the withheld rest in — captured before Flush
 // hashed each envelope once instead of once per comparison.
 func TestFaultPlaneScheduleGolden(t *testing.T) {
-	fp := NewFaultPlane(FaultPlan{Seed: 99, Default: FaultSpec{Delay: 0.45, Reorder: 0.25, Duplicate: 0.1, Drop: 0.05}})
+	fp, reg := observedPlane(FaultPlan{Seed: 99, Default: FaultSpec{Delay: 0.45, Reorder: 0.25, Duplicate: 0.1, Drop: 0.05}})
 	var now, late []int
 	for i := 0; i < 64; i++ {
 		e := Envelope{From: "a", To: []string{"ssi", "pds-1", "pds-2", "ssi:3"}[i%4], Kind: []string{"tuple", "chunk", "partial"}[i%3], Payload: []byte{byte(i), 1, 2, 3}}
@@ -97,8 +97,8 @@ func TestFaultPlaneScheduleGolden(t *testing.T) {
 	if !reflect.DeepEqual(late, wantLate) {
 		t.Errorf("flush order = %v\nwant %v", late, wantLate)
 	}
-	if got, want := fp.Stats(), (FaultStats{Dropped: 2, Duplicated: 6, Delayed: 31, Reordered: 15}); got != want {
-		t.Errorf("stats = %+v, want %+v", got, want)
+	if got, want := readFaults(reg, "tuple", "chunk", "partial"), (faultCounts{Dropped: 2, Duplicated: 6, Delayed: 31, Reordered: 15}); got != want {
+		t.Errorf("faults = %+v, want %+v", got, want)
 	}
 }
 
@@ -118,7 +118,8 @@ func TestWireAllocCeilings(t *testing.T) {
 	// Drop, duplicate and reorder exercise every transmit branch that does
 	// not grow the plane's own withheld list.
 	n := New()
-	n.SetObserver(obs.NewRegistry())
+	reg := obs.NewRegistry()
+	n.SetObserver(reg)
 	fp := NewFaultPlane(FaultPlan{Seed: 3, Default: FaultSpec{Drop: 0.2, Duplicate: 0.2, Reorder: 0.2}})
 	n.SetFaults(fp)
 	e := Envelope{From: "pds-0001", To: "ssi", Kind: "tuple", Payload: pay}
@@ -132,7 +133,7 @@ func TestWireAllocCeilings(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("Deliver through a faulty plane: %.2f allocs/op, ceiling 0", got)
 	}
-	if s := fp.Stats(); s.Dropped == 0 || s.Duplicated == 0 || s.Reordered == 0 || arrived == 0 {
+	if s := readFaults(reg, "tuple"); s.Dropped == 0 || s.Duplicated == 0 || s.Reordered == 0 || arrived == 0 {
 		t.Fatalf("the plan did not exercise every branch: %+v, %d arrivals", s, arrived)
 	}
 

@@ -91,24 +91,18 @@ func (c *counter) stats() Stats {
 	return Stats{Messages: c.messages.Load(), Bytes: c.bytes.Load()}
 }
 
-// netState is one accounting epoch: all counters between two Resets.
-type netState struct {
-	totals  counter
-	perKind sync.Map // string -> *counter
-}
-
 // Network counts and exposes traffic. It is safe for concurrent use; the
-// hot path (Send) is lock-free — totals are atomic and per-kind counters
-// are sharded into a concurrent map — so a parallel token fleet does not
-// serialize on the accounting plane. Totals read while sends are in flight
-// are each exact, though Messages and Bytes may be from instants an
-// envelope apart; protocols read stats only at phase barriers, where they
-// are exact.
+// hot path (Send) is lock-free — the totals are atomic, and per-kind
+// traffic is counted only by an attached observer (netsim_kind_*) — so a
+// parallel token fleet does not serialize on the accounting plane. Totals
+// read while sends are in flight are each exact, though Messages and Bytes
+// may be from instants an envelope apart; protocols read stats only at
+// phase barriers, where they are exact.
 //
 // An optional FaultPlane (SetFaults) injects deterministic drop, duplicate,
 // delay and reorder faults into envelopes routed through Deliver.
 type Network struct {
-	st     atomic.Pointer[netState]
+	st     atomic.Pointer[counter] // one accounting epoch: the totals between two Resets
 	faults atomic.Pointer[FaultPlane]
 	obsv   atomic.Pointer[netObserver]
 
@@ -119,7 +113,7 @@ type Network struct {
 // New creates an empty network.
 func New() *Network {
 	n := &Network{}
-	n.st.Store(&netState{})
+	n.st.Store(&counter{})
 	return n
 }
 
@@ -128,13 +122,7 @@ func New() *Network {
 // accounting: the fault plane applies only to envelopes routed through
 // Deliver, where dropping or duplicating can actually take effect.
 func (n *Network) Send(e Envelope) Envelope {
-	st := n.st.Load()
-	st.totals.add(len(e.Payload))
-	c, ok := st.perKind.Load(e.Kind)
-	if !ok {
-		c, _ = st.perKind.LoadOrStore(e.Kind, &counter{})
-	}
-	c.(*counter).add(len(e.Payload))
+	n.st.Load().add(len(e.Payload))
 	if o := n.obsv.Load(); o != nil {
 		o.record(e)
 	}
@@ -203,15 +191,7 @@ func (n *Network) Tap(f func(Envelope)) {
 
 // Stats returns total traffic.
 func (n *Network) Stats() Stats {
-	return n.st.Load().totals.stats()
-}
-
-// KindStats returns traffic for one protocol phase.
-func (n *Network) KindStats(kind string) Stats {
-	if c, ok := n.st.Load().perKind.Load(kind); ok {
-		return c.(*counter).stats()
-	}
-	return Stats{}
+	return n.st.Load().stats()
 }
 
 // Reset zeroes all counters by opening a fresh accounting epoch. It is
@@ -220,5 +200,5 @@ func (n *Network) KindStats(kind string) Stats {
 // retired epoch (i.e. discarded with it) rather than corrupting the new
 // one.
 func (n *Network) Reset() {
-	n.st.Store(&netState{})
+	n.st.Store(&counter{})
 }

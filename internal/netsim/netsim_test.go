@@ -5,20 +5,33 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pds/internal/obs"
 )
+
+// kindStats reads one kind's traffic from the observer's netsim_kind_*
+// families.
+func kindStats(reg *obs.Registry, kind string) Stats {
+	return Stats{
+		Messages: reg.CounterValue(MetricKindMessages, "kind", kind),
+		Bytes:    reg.CounterValue(MetricKindBytes, "kind", kind),
+	}
+}
 
 func TestSendCounts(t *testing.T) {
 	n := New()
+	reg := obs.NewRegistry()
+	n.SetObserver(reg)
 	n.Send(Envelope{From: "a", To: "b", Kind: "x", Payload: make([]byte, 10)})
 	n.Send(Envelope{From: "a", To: "b", Kind: "y", Payload: make([]byte, 5)})
 	s := n.Stats()
 	if s.Messages != 2 || s.Bytes != 15 {
 		t.Errorf("stats = %+v", s)
 	}
-	if ks := n.KindStats("x"); ks.Messages != 1 || ks.Bytes != 10 {
+	if ks := kindStats(reg, "x"); ks.Messages != 1 || ks.Bytes != 10 {
 		t.Errorf("kind x = %+v", ks)
 	}
-	if ks := n.KindStats("missing"); ks.Messages != 0 {
+	if ks := kindStats(reg, "missing"); ks.Messages != 0 {
 		t.Errorf("missing kind = %+v", ks)
 	}
 }
@@ -48,9 +61,6 @@ func TestReset(t *testing.T) {
 	n.Reset()
 	if s := n.Stats(); s.Messages != 0 || s.Bytes != 0 {
 		t.Errorf("stats after reset = %+v", s)
-	}
-	if ks := n.KindStats("x"); ks.Messages != 0 {
-		t.Errorf("kind stats after reset = %+v", ks)
 	}
 }
 
@@ -92,9 +102,11 @@ func TestConcurrentSends(t *testing.T) {
 }
 
 func TestConcurrentSendsAcrossKinds(t *testing.T) {
-	// Distinct kinds shard onto distinct counters; readers may observe
+	// Distinct kinds land on distinct observer series; readers may observe
 	// mid-flight totals without tripping the race detector.
 	n := New()
+	reg := obs.NewRegistry()
+	n.SetObserver(reg)
 	kinds := []string{"tuple", "chunk", "partial", "merge"}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -112,14 +124,14 @@ func TestConcurrentSendsAcrossKinds(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 100; i++ {
 			n.Stats()
-			n.KindStats("chunk")
+			kindStats(reg, "chunk")
 		}
 	}()
 	wg.Wait()
 	<-done
 	var total int64
 	for _, k := range kinds {
-		ks := n.KindStats(k)
+		ks := kindStats(reg, k)
 		if ks.Messages != 400 || ks.Bytes != 800 {
 			t.Errorf("kind %s = %+v", k, ks)
 		}

@@ -1,7 +1,8 @@
 // Observer bridge: when a registry is attached, every envelope, injected
-// fault and reliability-layer event is mirrored into obs counters alongside
-// the legacy Stats/FaultStats/RelStats structs. The bridge caches resolved
-// counters so the hot Send path stays lock-free.
+// fault and reliability-layer event is counted in obs counters. The
+// per-kind traffic and fault counts live only here; Network.Stats and
+// Link.Stats keep the totals programs read without a registry. The bridge
+// caches resolved counters so the hot Send path stays lock-free.
 package netsim
 
 import (

@@ -49,21 +49,6 @@ type RelStats struct {
 	Backoff     time.Duration // simulated time spent waiting between retries
 }
 
-// add folds o into s.
-func (s *RelStats) add(o RelStats) {
-	s.Transfers += o.Transfers
-	s.Retransmits += o.Retransmits
-	s.Acks += o.Acks
-	s.TagFailures += o.TagFailures
-	s.Backoff += o.Backoff
-}
-
-// Add returns s with o folded in.
-func (s RelStats) Add(o RelStats) RelStats {
-	s.add(o)
-	return s
-}
-
 // ErrRetriesExhausted is the typed failure of a reliable transfer: every
 // attempt (original plus MaxRetries retransmissions) was lost. Match with
 // errors.Is; the concrete *RetryError carries the frame's coordinates.

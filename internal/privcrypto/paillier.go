@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"runtime"
-	"sync"
 )
 
 // Errors returned by Paillier operations.
@@ -157,21 +155,6 @@ func (pk *PaillierPublicKey) drawRandomizer(random io.Reader) (*big.Int, error) 
 	}
 }
 
-// encryptWithRn assembles Enc(m) = (1+mN)·rn mod N² from a precomputed
-// blinding factor rn = r^N mod N². No exponentiation happens here — this is
-// the cheap half of encryption the randomizer pool keeps on the hot path.
-func (pk *PaillierPublicKey) encryptWithRn(m, rn *big.Int) (*big.Int, error) {
-	if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
-		return nil, fmt.Errorf("%w: %v", ErrMessageRange, m)
-	}
-	c := new(big.Int).Mul(m, pk.N)
-	c.Add(c, one)
-	c.Mod(c, pk.N2)
-	c.Mul(c, rn)
-	c.Mod(c, pk.N2)
-	return c, nil
-}
-
 // Encrypt encrypts m in [0, N) with fresh randomness (the generator is the
 // standard g = N+1, so Enc(m) = (1+mN)·r^N mod N²).
 func (pk *PaillierPublicKey) Encrypt(m *big.Int, random io.Reader) (*big.Int, error) {
@@ -182,7 +165,12 @@ func (pk *PaillierPublicKey) Encrypt(m *big.Int, random io.Reader) (*big.Int, er
 	if err != nil {
 		return nil, err
 	}
-	return pk.encryptWithRn(m, new(big.Int).Exp(r, pk.N, pk.N2))
+	c := new(big.Int).Mul(m, pk.N)
+	c.Add(c, one)
+	c.Mod(c, pk.N2)
+	c.Mul(c, new(big.Int).Exp(r, pk.N, pk.N2))
+	c.Mod(c, pk.N2)
+	return c, nil
 }
 
 // EncryptInt64 encrypts a non-negative int64.
@@ -248,206 +236,4 @@ func (pk *PaillierPublicKey) MulPlain(c *big.Int, k *big.Int) *big.Int {
 // aggregates before they leave a token).
 func (pk *PaillierPublicKey) EncryptZero(random io.Reader) (*big.Int, error) {
 	return pk.Encrypt(big.NewInt(0), random)
-}
-
-// --- randomizer pool --------------------------------------------------------
-
-// RandomizerPool precomputes the blinding factors r^N mod N² that dominate
-// Paillier encryption, so tokens can pay the exponentiation during idle
-// time and keep only a modular multiplication on the hot path. The pool is
-// safe for concurrent use; when drained it transparently computes fresh
-// factors (correctness never depends on pool size).
-type RandomizerPool struct {
-	pk     *PaillierPublicKey
-	random io.Reader
-
-	mu   sync.Mutex
-	pool []*big.Int
-}
-
-// NewRandomizerPool precomputes size blinding factors, fanning the
-// exponentiations across all cores. random may be nil (crypto/rand).
-func (pk *PaillierPublicKey) NewRandomizerPool(size int, random io.Reader) (*RandomizerPool, error) {
-	if size < 0 {
-		return nil, fmt.Errorf("privcrypto: negative pool size %d", size)
-	}
-	rp := &RandomizerPool{pk: pk, random: random}
-	if err := rp.Refill(size); err != nil {
-		return nil, err
-	}
-	return rp, nil
-}
-
-// Refill precomputes n more blinding factors in parallel.
-func (rp *RandomizerPool) Refill(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	// Randomness is drawn serially (io.Readers need not be concurrency
-	// safe); only the heavy r^N mod N² exponentiations run in parallel.
-	rs := make([]*big.Int, n)
-	for i := range rs {
-		r, err := rp.pk.drawRandomizer(rp.random)
-		if err != nil {
-			return err
-		}
-		rs[i] = r
-	}
-	rns := make([]*big.Int, n)
-	parallelFor(n, 0, func(i int) error {
-		rns[i] = new(big.Int).Exp(rs[i], rp.pk.N, rp.pk.N2)
-		return nil
-	})
-	rp.mu.Lock()
-	rp.pool = append(rp.pool, rns...)
-	rp.mu.Unlock()
-	return nil
-}
-
-// Size reports how many precomputed factors remain.
-func (rp *RandomizerPool) Size() int {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return len(rp.pool)
-}
-
-// take pops one precomputed factor, or computes a fresh one when drained.
-func (rp *RandomizerPool) take() (*big.Int, error) {
-	rp.mu.Lock()
-	if n := len(rp.pool); n > 0 {
-		rn := rp.pool[n-1]
-		rp.pool = rp.pool[:n-1]
-		rp.mu.Unlock()
-		return rn, nil
-	}
-	rp.mu.Unlock()
-	r, err := rp.pk.drawRandomizer(rp.random)
-	if err != nil {
-		return nil, err
-	}
-	return new(big.Int).Exp(r, rp.pk.N, rp.pk.N2), nil
-}
-
-// Encrypt encrypts m consuming one pooled blinding factor.
-func (rp *RandomizerPool) Encrypt(m *big.Int) (*big.Int, error) {
-	if m.Sign() < 0 || m.Cmp(rp.pk.N) >= 0 {
-		return nil, fmt.Errorf("%w: %v", ErrMessageRange, m)
-	}
-	rn, err := rp.take()
-	if err != nil {
-		return nil, err
-	}
-	return rp.pk.encryptWithRn(m, rn)
-}
-
-// EncryptInt64 encrypts a non-negative int64 via the pool.
-func (rp *RandomizerPool) EncryptInt64(m int64) (*big.Int, error) {
-	if m < 0 {
-		return nil, fmt.Errorf("%w: %d", ErrMessageRange, m)
-	}
-	return rp.Encrypt(big.NewInt(m))
-}
-
-// --- batch helpers ----------------------------------------------------------
-
-// parallelFor runs f(0..n-1) over a bounded worker pool and returns the
-// lowest-index error. workers <= 0 means GOMAXPROCS; workers == 1 runs
-// inline (the faithful serial baseline).
-func parallelFor(n, workers int, f func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = f(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncryptBatch encrypts a slice, drawing randomness serially and fanning
-// the r^N exponentiations across workers (<= 0 means GOMAXPROCS).
-func (pk *PaillierPublicKey) EncryptBatch(ms []*big.Int, random io.Reader, workers int) ([]*big.Int, error) {
-	rs := make([]*big.Int, len(ms))
-	for i, m := range ms {
-		if m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
-			return nil, fmt.Errorf("%w: %v", ErrMessageRange, m)
-		}
-		r, err := pk.drawRandomizer(random)
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = r
-	}
-	out := make([]*big.Int, len(ms))
-	err := parallelFor(len(ms), workers, func(i int) error {
-		c, err := pk.encryptWithRn(ms[i], new(big.Int).Exp(rs[i], pk.N, pk.N2))
-		if err != nil {
-			return err
-		}
-		out[i] = c
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EncryptBatchInt64 is EncryptBatch over int64 measures.
-func (pk *PaillierPublicKey) EncryptBatchInt64(ms []int64, random io.Reader, workers int) ([]*big.Int, error) {
-	bs := make([]*big.Int, len(ms))
-	for i, m := range ms {
-		if m < 0 {
-			return nil, fmt.Errorf("%w: %d", ErrMessageRange, m)
-		}
-		bs[i] = big.NewInt(m)
-	}
-	return pk.EncryptBatch(bs, random, workers)
-}
-
-// DecryptBatch decrypts a slice across workers (<= 0 means GOMAXPROCS),
-// taking the CRT fast path per element when available.
-func (sk *PaillierPrivateKey) DecryptBatch(cs []*big.Int, workers int) ([]*big.Int, error) {
-	out := make([]*big.Int, len(cs))
-	err := parallelFor(len(cs), workers, func(i int) error {
-		m, err := sk.Decrypt(cs[i])
-		if err != nil {
-			return err
-		}
-		out[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

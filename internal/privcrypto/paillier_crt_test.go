@@ -89,86 +89,3 @@ func TestPaillierFromPrimesRoundTrip(t *testing.T) {
 		t.Fatalf("got %v", m)
 	}
 }
-
-func TestRandomizerPoolEncrypts(t *testing.T) {
-	sk := testKey(t)
-	rp, err := sk.Public().NewRandomizerPool(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rp.Size() != 4 {
-		t.Fatalf("pool size %d, want 4", rp.Size())
-	}
-	// Drain past the precomputed supply: encryption must keep working.
-	for i := int64(0); i < 6; i++ {
-		c, err := rp.EncryptInt64(100 + i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sk.Decrypt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Int64() != 100+i {
-			t.Fatalf("pooled encrypt: got %v want %d", m, 100+i)
-		}
-	}
-	if rp.Size() != 0 {
-		t.Fatalf("pool should be drained, size %d", rp.Size())
-	}
-	if err := rp.Refill(3); err != nil {
-		t.Fatal(err)
-	}
-	if rp.Size() != 3 {
-		t.Fatalf("refilled size %d, want 3", rp.Size())
-	}
-	if _, err := rp.EncryptInt64(-1); !errors.Is(err, ErrMessageRange) {
-		t.Fatalf("want range error, got %v", err)
-	}
-}
-
-func TestRandomizerPoolNonDeterministic(t *testing.T) {
-	sk := testKey(t)
-	rp, err := sk.Public().NewRandomizerPool(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := rp.EncryptInt64(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := rp.EncryptInt64(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Cmp(c2) == 0 {
-		t.Fatal("pooled ciphertexts of equal plaintexts must differ")
-	}
-}
-
-func TestEncryptDecryptBatch(t *testing.T) {
-	sk := testKey(t)
-	pk := sk.Public()
-	for _, workers := range []int{0, 1, 4} {
-		ms := []int64{0, 1, 17, 1 << 30}
-		cs, err := pk.EncryptBatchInt64(ms, nil, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.DecryptBatch(cs, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, m := range ms {
-			if got[i].Int64() != m {
-				t.Fatalf("workers=%d: batch[%d]=%v want %d", workers, i, got[i], m)
-			}
-		}
-	}
-	if _, err := pk.EncryptBatchInt64([]int64{-1}, nil, 2); !errors.Is(err, ErrMessageRange) {
-		t.Fatalf("want range error, got %v", err)
-	}
-	if _, err := sk.DecryptBatch([]*big.Int{big.NewInt(0)}, 2); !errors.Is(err, ErrBadCipher) {
-		t.Fatalf("want bad cipher error, got %v", err)
-	}
-}

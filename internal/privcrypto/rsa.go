@@ -64,10 +64,3 @@ func (k *RSAKey) Decrypt(c *big.Int) (*big.Int, error) {
 	}
 	return new(big.Int).Exp(c, k.d, k.N), nil
 }
-
-// MulCipher multiplies two ciphertexts; decrypting the product yields the
-// product of the plaintexts mod N.
-func (k *RSAKey) MulCipher(c1, c2 *big.Int) *big.Int {
-	out := new(big.Int).Mul(c1, c2)
-	return out.Mod(out, k.N)
-}

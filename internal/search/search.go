@@ -207,9 +207,6 @@ func (e *Engine) DocFreq(term string) int { return e.df[term] }
 // Pages returns the number of flash pages the index occupies.
 func (e *Engine) Pages() int { return e.pw.Pages() }
 
-// Buckets returns the configured number of hash buckets.
-func (e *Engine) Buckets() int { return e.nbuckets }
-
 func (e *Engine) bucketOf(term string) int {
 	h := fnv.New32a()
 	h.Write([]byte(term))
@@ -497,17 +494,6 @@ const resultEntryBytes = 16
 // pipeline: one RAM page per distinct keyword plus the bounded result heap,
 // all reserved from the arena.
 func (e *Engine) Search(keywords []string, topN int) ([]Result, error) {
-	return e.search(keywords, topN, false)
-}
-
-// SearchAll is Search with AND semantics: only documents containing every
-// keyword are returned. The pipeline is identical — the merge simply skips
-// documents not matched by all cursors.
-func (e *Engine) SearchAll(keywords []string, topN int) ([]Result, error) {
-	return e.search(keywords, topN, true)
-}
-
-func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result, error) {
 	if len(keywords) == 0 {
 		return nil, ErrNoKeywords
 	}
@@ -515,11 +501,7 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 		return nil, ErrBadTopN
 	}
 	if e.obsv != nil {
-		mode := "or"
-		if requireAll {
-			mode = "and"
-		}
-		e.obsv.Counter(MetricQueries, "mode", mode).Inc()
+		e.obsv.Counter(MetricQueries, "mode", "or").Inc()
 	}
 	// Deduplicate keywords.
 	uniq := make([]string, 0, len(keywords))
@@ -549,26 +531,11 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 			c.close()
 		}
 	}
-	// Whatever streams are still open when the merge stops — a conjunction
-	// can stop early — are closed on the way out. A failed search closes
-	// none: its cursors are left to the collector.
-	closeAll := func() {
-		for _, c := range cursors {
-			c.close()
-		}
-	}
-	required := len(uniq)
-	if requireAll && len(cursors) < required {
-		// Some keyword has no postings at all: the conjunction is empty.
-		closeAll()
-		return nil, nil
-	}
-
+	// The merge runs until every stream is exhausted, closing each as it
+	// dries up. A failed search closes none: its cursors are left to the
+	// collector.
 	h := make(topNHeap, 0, topN)
 	for len(cursors) > 0 {
-		if requireAll && len(cursors) < required {
-			break // a keyword stream dried up: no further doc can match all
-		}
 		// Current document = max head docid across cursors.
 		var cur DocID
 		for i, c := range cursors {
@@ -579,11 +546,9 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 		}
 		// Fold every cursor positioned on cur; drop exhausted cursors.
 		score := 0.0
-		matched := 0
 		alive := cursors[:0]
 		for _, c := range cursors {
 			ok := true
-			contributed := false
 			for {
 				t, has := c.head()
 				if !has || t.doc != cur {
@@ -591,7 +556,6 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 				}
 				score += float64(t.weight) * c.idf
 				e.count(MetricPostings, 1)
-				contributed = true
 				ok, err = c.advance()
 				if err != nil {
 					return nil, err
@@ -600,9 +564,6 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 					break
 				}
 			}
-			if contributed {
-				matched++
-			}
 			if _, has := c.head(); has {
 				alive = append(alive, c)
 			} else {
@@ -610,9 +571,6 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 			}
 		}
 		cursors = alive
-		if requireAll && matched < required {
-			continue
-		}
 		r := Result{Doc: cur, Score: score}
 		if len(h) < topN {
 			heap.Push(&h, r)
@@ -621,7 +579,6 @@ func (e *Engine) search(keywords []string, topN int, requireAll bool) ([]Result,
 			heap.Fix(&h, 0)
 		}
 	}
-	closeAll()
 	// Extract in descending score order.
 	out := make([]Result, len(h))
 	for i := len(h) - 1; i >= 0; i-- {

@@ -420,98 +420,3 @@ func TestAgainstReferenceImplementation(t *testing.T) {
 		}
 	}
 }
-
-func TestSearchAllConjunction(t *testing.T) {
-	e := newTestEngine(t, 4)
-	dBoth, _ := e.AddDocument(map[string]int{"alpha": 2, "beta": 1})
-	e.AddDocument(map[string]int{"alpha": 5})
-	e.AddDocument(map[string]int{"beta": 5})
-	dBoth2, _ := e.AddDocument(map[string]int{"alpha": 1, "beta": 4, "gamma": 1})
-
-	res, err := e.SearchAll([]string{"alpha", "beta"}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 2 {
-		t.Fatalf("AND results = %v, want 2 docs", res)
-	}
-	found := map[DocID]bool{}
-	for _, r := range res {
-		found[r.Doc] = true
-	}
-	if !found[dBoth] || !found[dBoth2] {
-		t.Errorf("AND results = %v, want docs %d and %d", res, dBoth, dBoth2)
-	}
-}
-
-func TestSearchAllMissingKeywordEmpty(t *testing.T) {
-	e := newTestEngine(t, 4)
-	e.AddDocument(map[string]int{"alpha": 1})
-	res, err := e.SearchAll([]string{"alpha", "neverseen"}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Errorf("AND with absent keyword = %v", res)
-	}
-}
-
-func TestSearchAllSingleKeywordEqualsSearch(t *testing.T) {
-	e := newTestEngine(t, 4)
-	for i := 0; i < 50; i++ {
-		e.AddDocument(map[string]int{"x": 1 + i%3, "y": 1})
-	}
-	a, err := e.Search([]string{"x"}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.SearchAll([]string{"x"}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("single-keyword AND/OR differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("rank %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestSearchAllMatchesBruteForce(t *testing.T) {
-	e := newTestEngine(t, 8)
-	rng := rand.New(rand.NewSource(11))
-	type doc map[string]int
-	var corpus []doc
-	vocab := []string{"a", "b", "c", "d"}
-	for i := 0; i < 200; i++ {
-		d := doc{}
-		for _, v := range vocab {
-			if rng.Float64() < 0.4 {
-				d[v] = 1 + rng.Intn(3)
-			}
-		}
-		if len(d) == 0 {
-			d["a"] = 1
-		}
-		corpus = append(corpus, d)
-		if _, err := e.AddDocument(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	kws := []string{"a", "b"}
-	res, err := e.SearchAll(kws, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, d := range corpus {
-		if d["a"] > 0 && d["b"] > 0 {
-			want++
-		}
-	}
-	if len(res) != want {
-		t.Errorf("AND matched %d docs, brute force %d", len(res), want)
-	}
-}

@@ -10,14 +10,22 @@ import (
 	"pds/internal/transport"
 )
 
-// secureSumOverNetwork runs the [CKV+02] ring protocol over a possibly
+// SecureSumOverNetwork runs the [CKV+02] ring protocol over a possibly
 // faulty wire instead of the in-process Trace: each hop P(i) → P(i+1)
 // travels as a netsim envelope of kind "ring", on whichever substrate w
 // is. When plan is non-nil the wire injects the seeded fault schedule and
-// every hop crosses a reliable ARQ link, so the protocol still yields the
-// exact sum — or fails with netsim's typed retry error, never a wrong
-// answer. The returned stats expose both the wire cost and the
-// reliability cost.
+// every hop crosses a reliable ARQ link with the default retry budget, so
+// the protocol still yields the exact sum — or fails with netsim's typed
+// retry error, never a wrong answer. The returned stats expose both the
+// wire cost and the reliability cost; an observer attached to w sees the
+// ring frames, injected faults and ARQ overhead in its netsim_* families.
+func SecureSumOverNetwork(w transport.Transport, values []int64, modulus int64, rng *rand.Rand,
+	plan *netsim.FaultPlan) (int64, netsim.Stats, netsim.RelStats, error) {
+	return secureSumOverNetwork(w, values, modulus, rng, plan, netsim.Reliability{})
+}
+
+// secureSumOverNetwork is SecureSumOverNetwork with an explicit retry
+// budget for the ARQ link.
 func secureSumOverNetwork(w transport.Transport, values []int64, modulus int64, rng *rand.Rand,
 	plan *netsim.FaultPlan, rel netsim.Reliability) (int64, netsim.Stats, netsim.RelStats, error) {
 

@@ -125,7 +125,6 @@ type Track struct {
 	curSet bool
 	lastT  int64
 	hasT   bool
-	n      int
 }
 
 // New creates an empty track drawing blocks from alloc.
@@ -149,9 +148,6 @@ func (t *Track) flushSummary(page int) error {
 	t.curSet = false
 	return nil
 }
-
-// Len returns the number of fixes appended.
-func (t *Track) Len() int { return t.n }
 
 // Pages returns the flash pages in use.
 func (t *Track) Pages() int { return t.fixes.Pages() + t.sums.Pages() }
@@ -179,7 +175,6 @@ func (t *Track) Append(p Fix) error {
 	t.cur.count++
 	t.lastT = p.T
 	t.hasT = true
-	t.n++
 	return nil
 }
 
@@ -198,9 +193,6 @@ func (t *Track) Drop() error {
 	}
 	return t.sums.Drop()
 }
-
-// Chip exposes the chip for I/O accounting.
-func (t *Track) Chip() *flash.Chip { return t.fixes.Chip() }
 
 // QueryStats describes the pruning a query achieved.
 type QueryStats struct {
@@ -288,21 +280,4 @@ func (t *Track) ScanQuery(t0, t1 int64, reg Region) ([]Fix, error) {
 		}
 	}
 	return out, it.Err()
-}
-
-// DwellTime returns how long (in time units, last-fix-to-next-fix deltas)
-// the track spent inside the region during [t0, t1] — the "was this person
-// at the clinic" primitive of the search-the-physical-world scenarios.
-func (t *Track) DwellTime(t0, t1 int64, reg Region) (int64, error) {
-	fixes, _, err := t.Query(t0, t1, Region{MinX: -1 << 62, MinY: -1 << 62, MaxX: 1 << 62, MaxY: 1 << 62})
-	if err != nil {
-		return 0, err
-	}
-	var dwell int64
-	for i := 1; i < len(fixes); i++ {
-		if reg.Contains(fixes[i-1].X, fixes[i-1].Y) {
-			dwell += fixes[i].T - fixes[i-1].T
-		}
-	}
-	return dwell, nil
 }

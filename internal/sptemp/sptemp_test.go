@@ -69,7 +69,7 @@ func TestQueryPrunesSegments(t *testing.T) {
 	fixes := walk(tr, 20000, 3)
 	tr.Flush()
 	f := fixes[10000]
-	chip := tr.Chip()
+	chip := tr.fixes.Chip()
 	chip.ResetStats()
 	_, st, err := tr.Query(9900, 10100, Region{
 		MinX: f.X - 30, MinY: f.Y - 30, MaxX: f.X + 30, MaxY: f.Y + 30,
@@ -145,27 +145,6 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := tr.ScanQuery(5, 1, Region{}); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("scan inverted err = %v", err)
-	}
-}
-
-func TestDwellTime(t *testing.T) {
-	tr := testTrack()
-	defer tr.Drop()
-	// At the clinic (0..10, 0..10) for t in [0, 50), away afterwards.
-	for i := int64(0); i < 50; i += 10 {
-		tr.Append(Fix{T: i, X: 5, Y: 5})
-	}
-	for i := int64(50); i <= 100; i += 10 {
-		tr.Append(Fix{T: i, X: 500, Y: 500})
-	}
-	clinic := Region{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10}
-	dwell, err := tr.DwellTime(0, 100, clinic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fixes at 0,10,20,30,40 inside → intervals to the next fix sum to 50.
-	if dwell != 50 {
-		t.Errorf("dwell = %d, want 50", dwell)
 	}
 }
 

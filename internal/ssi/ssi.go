@@ -114,9 +114,6 @@ func New(net Wire, mode Mode, b Behavior) *Server {
 	}
 }
 
-// Mode returns the adversary mode.
-func (s *Server) Mode() Mode { return s.mode }
-
 // Dest names the server as an upload destination. A single server is
 // always plain "ssi"; a ShardSet routes per PDS instead.
 func (s *Server) Dest(pds string) string { return "ssi" }

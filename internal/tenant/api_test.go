@@ -134,7 +134,7 @@ func TestEvictReopenUnderPressure(t *testing.T) {
 		t.Fatalf("no churn: evictions=%d reopens=%d",
 			reg.CounterValue(tenant.MetricEvictions), reg.CounterValue(tenant.MetricReopens))
 	}
-	if got := h.Resident(); got > 2 {
+	if got := reg.GaugeValue(tenant.MetricResident); got > 2 {
 		t.Fatalf("%d residents in a 2-slot arena", got)
 	}
 	if hw := h.Arena().HighWater(); hw > 4<<10 {

@@ -284,9 +284,6 @@ func NewHost(cfg HostConfig, reg *obs.Registry) *Host {
 	return h
 }
 
-// Registry returns the host's metrics registry.
-func (h *Host) Registry() *obs.Registry { return h.reg }
-
 // Arena exposes the host RAM envelope (budget, usage, high-water).
 func (h *Host) Arena() *mcu.Arena { return h.arena }
 
@@ -298,11 +295,8 @@ func (h *Host) Digest() string { return hex.EncodeToString(h.digest.Sum(nil)) }
 // NowNS is the host's virtual clock (the latest arrival seen).
 func (h *Host) NowNS() int64 { return h.nowNS }
 
-// Tenants returns how many envelopes exist; Resident how many hold RAM.
+// Tenants returns how many envelopes exist.
 func (h *Host) Tenants() int { return len(h.order) }
-
-// Resident counts tenants currently holding a RAM reservation.
-func (h *Host) Resident() int { return len(h.lru) }
 
 // setResident publishes the resident count.
 func (h *Host) setResident() {

@@ -10,6 +10,7 @@ package transport_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"pds/internal/gquery"
@@ -56,6 +57,9 @@ func TestConformanceSynchronousOrdering(t *testing.T) {
 	for _, s := range substrates() {
 		t.Run(s.name, func(t *testing.T) {
 			w := s.mk(t)
+			reg := obs.NewRegistry()
+			w.SetObserver(reg)
+			defer w.SetObserver(nil)
 			var arrivals []string
 			bytes := 0
 			for i := 0; i < 16; i++ {
@@ -77,8 +81,8 @@ func TestConformanceSynchronousOrdering(t *testing.T) {
 			if st := w.Stats(); st.Messages != 16 || st.Bytes != int64(bytes) {
 				t.Errorf("stats = %+v, want 16 msgs / %d bytes", st, bytes)
 			}
-			if ks := w.KindStats("kind-1"); ks.Messages != 5 {
-				t.Errorf("kind-1 stats = %+v, want 5 msgs", ks)
+			if got := reg.CounterValue(netsim.MetricKindMessages, "kind", "kind-1"); got != 5 {
+				t.Errorf("kind-1 messages = %d, want 5", got)
 			}
 			out := w.Send(netsim.Envelope{From: "a", To: "b", Kind: "direct", Payload: []byte("xyz")})
 			if out.Kind != "direct" || string(out.Payload) != "xyz" {
@@ -98,7 +102,12 @@ func TestConformanceSeededFaultTranscript(t *testing.T) {
 		Default: netsim.FaultSpec{Drop: 0.2, Duplicate: 0.2, Delay: 0.2, Reorder: 0.2},
 	}
 	kinds := []string{"tuple", "chunk", "partial"}
-	transcript := func(w tnet.Transport) ([]string, netsim.FaultStats) {
+	// faults reads the plane's netsim_faults_total{fault,kind} series.
+	type faults map[string]int64
+	transcript := func(w tnet.Transport) ([]string, faults) {
+		reg := obs.NewRegistry()
+		w.SetObserver(reg)
+		defer w.SetObserver(nil)
 		w.SetFaults(netsim.NewFaultPlane(plan))
 		var got []string
 		for i := 0; i < 64; i++ {
@@ -115,24 +124,31 @@ func TestConformanceSeededFaultTranscript(t *testing.T) {
 		w.FlushFaults(func(a netsim.Envelope) {
 			got = append(got, "flush/"+a.Kind+":"+string(a.Payload))
 		})
-		st := w.Faults().Stats()
 		w.SetFaults(nil)
+		st := faults{}
+		for _, f := range []string{"drop", "duplicate", "delay", "reorder"} {
+			for _, k := range kinds {
+				if n := reg.CounterValue(netsim.MetricFaults, "fault", f, "kind", k); n != 0 {
+					st[f+"/"+k] = n
+				}
+			}
+		}
 		return got, st
 	}
 
 	var want []string
-	var wantStats netsim.FaultStats
+	var wantStats faults
 	for i, s := range substrates() {
 		t.Run(s.name, func(t *testing.T) {
 			got, st := transcript(s.mk(t))
-			if st.Total() == 0 {
+			if len(st) == 0 {
 				t.Fatal("plan injected no faults at all")
 			}
 			if i == 0 {
 				want, wantStats = got, st
 				return
 			}
-			if st != wantStats {
+			if !maps.Equal(st, wantStats) {
 				t.Errorf("fault stats diverge: %+v vs %+v", st, wantStats)
 			}
 			if len(got) != len(want) {

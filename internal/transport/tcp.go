@@ -4,8 +4,8 @@
 //
 // Accounting rides an embedded netsim.Network used purely as a counter
 // plane (its Deliver path is never taken): the same Send bookkeeping code
-// runs on both substrates, so traffic counters, per-kind counters and obs
-// mirroring are identical by construction. The fault plane is armed
+// runs on both substrates, so traffic totals and obs mirroring (per-kind
+// traffic included) are identical by construction. The fault plane is armed
 // client-side — decisions are content-hashed, so where they are drawn does
 // not matter — which keeps the seeded schedule reproducible and means a
 // dropped frame never even reaches the wire, exactly like the simulator.
@@ -367,9 +367,6 @@ func (t *TCP) Observer() *obs.Registry { return t.acct.Observer() }
 
 // Stats returns total traffic sent by this node.
 func (t *TCP) Stats() netsim.Stats { return t.acct.Stats() }
-
-// KindStats returns this node's traffic for one protocol phase tag.
-func (t *TCP) KindStats(kind string) netsim.Stats { return t.acct.KindStats(kind) }
 
 // Tap registers a local wire tap (a test probe; it sees this node's sends).
 func (t *TCP) Tap(f func(netsim.Envelope)) { t.acct.Tap(f) }

@@ -53,10 +53,9 @@ type Transport interface {
 	// for the duration of one run.
 	SetObserver(reg *obs.Registry)
 
-	// Stats returns total traffic; KindStats the traffic of one protocol
-	// phase tag.
+	// Stats returns total traffic. Per-kind traffic is counted by the
+	// attached observer (netsim_kind_messages_total{kind}).
 	Stats() netsim.Stats
-	KindStats(kind string) netsim.Stats
 }
 
 // Both substrates implement the full surface.

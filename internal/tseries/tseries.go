@@ -19,22 +19,6 @@ import (
 
 	"pds/internal/flash"
 	"pds/internal/logstore"
-	"pds/internal/obs"
-)
-
-// Metric families a series emits on an attached observer: write-path
-// volume (points, segment flushes, summary appends) and the window-query
-// economics the summary log exists for — how many segments were answered
-// from summaries alone versus boundary segments whose pages had to be
-// read back.
-const (
-	MetricPoints             = "tseries_points_total"
-	MetricSegmentFlushes     = "tseries_segment_flushes_total"
-	MetricSummaryAppends     = "tseries_summary_appends_total"
-	MetricWindowQueries      = "tseries_window_queries_total"
-	MetricWindowSummaryPages = "tseries_window_summary_pages_total"
-	MetricWindowSummaryHits  = "tseries_window_summary_hits_total"
-	MetricWindowBoundaryRead = "tseries_window_boundary_reads_total"
 )
 
 // Errors returned by series operations.
@@ -154,17 +138,6 @@ type Series struct {
 	curSet  bool
 	lastT   int64
 	hasLast bool
-	n       int
-
-	// Observer counters, resolved once at SetObserver; all nil when no
-	// registry is attached (the zero-cost default).
-	obsPoints       *obs.Counter
-	obsFlushes      *obs.Counter
-	obsSumAppends   *obs.Counter
-	obsQueries      *obs.Counter
-	obsSumPages     *obs.Counter
-	obsSumHits      *obs.Counter
-	obsBoundaryRead *obs.Counter
 }
 
 // New creates an empty series drawing blocks from alloc.
@@ -177,29 +150,7 @@ func New(alloc *flash.Allocator) *Series {
 	return s
 }
 
-// SetObserver attaches (or, with nil, detaches) a metrics registry;
-// subsequent appends, segment flushes and window queries are mirrored
-// into it. Mirrors flash.Chip.SetObserver so the storage stack attaches
-// uniformly.
-func (s *Series) SetObserver(reg *obs.Registry) {
-	if reg == nil {
-		s.obsPoints, s.obsFlushes, s.obsSumAppends = nil, nil, nil
-		s.obsQueries, s.obsSumPages, s.obsSumHits, s.obsBoundaryRead = nil, nil, nil, nil
-		return
-	}
-	s.obsPoints = reg.Counter(MetricPoints)
-	s.obsFlushes = reg.Counter(MetricSegmentFlushes)
-	s.obsSumAppends = reg.Counter(MetricSummaryAppends)
-	s.obsQueries = reg.Counter(MetricWindowQueries)
-	s.obsSumPages = reg.Counter(MetricWindowSummaryPages)
-	s.obsSumHits = reg.Counter(MetricWindowSummaryHits)
-	s.obsBoundaryRead = reg.Counter(MetricWindowBoundaryRead)
-}
-
 func (s *Series) flushSummary(page int) error {
-	if s.obsFlushes != nil {
-		s.obsFlushes.Inc()
-	}
 	if !s.curSet {
 		return nil
 	}
@@ -207,16 +158,10 @@ func (s *Series) flushSummary(page int) error {
 	if _, err := s.sums.Append(encodeSummary(s.cur)); err != nil {
 		return err
 	}
-	if s.obsSumAppends != nil {
-		s.obsSumAppends.Inc()
-	}
 	s.cur = summary{}
 	s.curSet = false
 	return nil
 }
-
-// Len returns the number of points appended.
-func (s *Series) Len() int { return s.n }
 
 // Pages returns the flash pages used.
 func (s *Series) Pages() int { return s.points.Pages() + s.sums.Pages() }
@@ -239,10 +184,6 @@ func (s *Series) Append(p Point) error {
 	s.cur.agg.add(p.V)
 	s.lastT = p.T
 	s.hasLast = true
-	s.n++
-	if s.obsPoints != nil {
-		s.obsPoints.Inc()
-	}
 	return nil
 }
 
@@ -262,9 +203,6 @@ func (s *Series) Drop() error {
 	return s.sums.Drop()
 }
 
-// Chip exposes the flash chip for I/O accounting.
-func (s *Series) Chip() *flash.Chip { return s.points.Chip() }
-
 // WindowStats describes the work one window query performed.
 type WindowStats struct {
 	SummaryPages   int
@@ -279,14 +217,6 @@ func (s *Series) Window(t0, t1 int64) (Agg, WindowStats, error) {
 	var st WindowStats
 	if t0 > t1 {
 		return out, st, ErrBadWindow
-	}
-	if s.obsQueries != nil {
-		s.obsQueries.Inc()
-		defer func() {
-			s.obsSumPages.Add(int64(st.SummaryPages))
-			s.obsSumHits.Add(int64(st.SegmentsInside))
-			s.obsBoundaryRead.Add(int64(st.SegmentsRead))
-		}()
 	}
 	// scan folds the points of page that fall inside the window.
 	scan := func(page logstore.PageView) error {

@@ -78,7 +78,7 @@ func TestWindowUsesSummaries(t *testing.T) {
 		s.Append(Point{T: i, V: 1})
 	}
 	s.Flush()
-	chip := s.Chip()
+	chip := s.points.Chip()
 	chip.ResetStats()
 	_, st, err := s.Window(5000, 15000)
 	if err != nil {
