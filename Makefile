@@ -107,10 +107,14 @@ ci: vet fmt build test race fuzz lint-determinism bench-smoke
 # equals NaiveSearch, ExecuteStar equals ExecuteStarNaive and every Get
 # returns its value; and three of the TCP substrate, whose episode-0
 # replay on the simulator must give the same virtual cost and wire totals,
-# so the per-node clock is independent of the substrate. Perf itself is
+# so the per-node clock is independent of the substrate; and three of the
+# hosted-request path with both passes, which exits non-zero unless every
+# arrival got an ACL decision, the sampled audit chains verify and the
+# measured and traced passes decide every request alike. Perf itself is
 # judged by paired `go run ./bench` runs, not here.
 bench-smoke:
 	$(GO) test ./bench -count=1
 	$(GO) run ./bench -workload gquery-lossy -seconds 3 -trace 0
 	$(GO) run ./bench -workload token-query -seconds 3 -trace 0
 	$(GO) run ./bench -workload gquery-tcp -seconds 3 -trace 0
+	$(GO) run ./bench -workload serve-steady -seconds 3

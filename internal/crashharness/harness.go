@@ -11,9 +11,11 @@
 // the fingerprint of some boundary in the admissible window
 // [last acknowledged Sync, last attempted Sync] — the upper end because a
 // commit record can land even though the Sync that wrote it then died
-// before returning. After every acknowledged Sync the run erases the
-// blocks the store freed, as a host does in the chip's idle time, so the
-// erase sweeps also cut power between a Free and its erase.
+// before returning. After every acknowledged Sync the run pays the
+// reorganization the boundary owes and then erases the blocks the store
+// freed, as a host does in the chip's idle time, so the sweeps also cut
+// power inside every rebuild, on both sides of its switch record, and
+// between a Free and its erase.
 package crashharness
 
 import (
@@ -28,8 +30,9 @@ import (
 
 // Store is the store-side contract a workload adapts to the battery —
 // the unified durable-store surface. Apply must not append commit
-// records (those belong to Sync); Sync is the durability point (and may
-// reorganize first); Fingerprint digests logical contents canonically.
+// records (those belong to Sync); Sync is the durability point and
+// Reorganize the pass a boundary owes; Fingerprint digests logical
+// contents canonically.
 type Store = durable.Store
 
 // Workload describes one deterministic store workload.
@@ -76,6 +79,11 @@ func Baseline(w Workload) ([]string, error) {
 	sync := func() error {
 		if err := st.Sync(); err != nil {
 			return err
+		}
+		if st.Owes() {
+			if err := st.Reorganize(); err != nil {
+				return err
+			}
 		}
 		fp, err := st.Fingerprint()
 		if err != nil {
@@ -155,6 +163,11 @@ func CrashRun(w Workload, plan flash.CrashPlan, baseline []string) (Result, erro
 			}
 			boundary++
 			acked = boundary
+			if st.Owes() {
+				if err := st.Reorganize(); err != nil {
+					return err
+				}
+			}
 			_, err := alloc.EraseDirty(alloc.Dirty())
 			return err
 		}

@@ -52,6 +52,10 @@ func (p *plainLog) Sync() error {
 	return p.j.Commit(&logstore.Manifest{Streams: []logstore.Stream{logstore.StreamOf("log", p.l)}})
 }
 
+// A plain log never reorganizes.
+func (p *plainLog) Owes() bool        { return false }
+func (p *plainLog) Reorganize() error { return nil }
+
 func (p *plainLog) Fingerprint() (string, error) {
 	h := sha256.New()
 	it := p.l.Iter()

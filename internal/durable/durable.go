@@ -9,6 +9,11 @@
 // battery (internal/crashharness) and the multi-process store role of
 // cmd/pdsd both drive Kinds generically, so a new engine joins every
 // durability harness by adding one Kind here.
+//
+// A Sync is only the durability point. The reorganization its boundary
+// owes (kv compacts on every third, search reorganizes on every second,
+// embdb never) is a separate call, Reorganize, so a host can run it in
+// the chip's idle time and the crash battery right after the sync.
 package durable
 
 import (
@@ -29,10 +34,18 @@ import (
 // Store is one live durable store behind the unified surface. Apply and
 // Fingerprint make the store drivable by deterministic harnesses: Apply
 // performs the op-th workload operation (pure in op), Sync is the
-// durability point (flush + commit record, possibly preceded by a
-// reorganization), and Fingerprint digests the logical contents
-// canonically — equal across physical layouts, e.g. before and after
-// compaction.
+// durability point (flush + commit record, nothing else), and
+// Fingerprint digests the logical contents canonically — equal across
+// physical layouts, e.g. before and after compaction.
+//
+// Owes and Reorganize are the background half. Owes reports whether a
+// sync boundary since the last Reorganize owed a reorganization, at the
+// engine's fixed cadence; a second owed boundary merges into the first.
+// Reorganize runs the engine's whole reorganization pass and clears the
+// debt; it needs none to run (a host carries a debt across an eviction
+// and pays it on the reopened store), and embdb's is a no-op. Its switch
+// record commits what it rewrote, so run right after Sync it moves the
+// store from one layout of the acknowledged boundary to another.
 //
 // Close and Pages are the tenant-lifecycle half of the contract. Close
 // releases the store's volatile resources (RAM reservations, buffered
@@ -47,6 +60,8 @@ import (
 type Store interface {
 	Apply(op int) error
 	Sync() error
+	Owes() bool
+	Reorganize() error
 	Fingerprint() (string, error)
 	Close() error
 	Pages() int
@@ -91,10 +106,27 @@ const kvKeyUniverse = 17
 // kvStore drives the kv log store: put/overwrite/delete with periodic
 // compaction, fingerprinted by the full key universe.
 type kvStore struct {
-	s     *kv.Store
-	syncs int
-	fp    footprint
+	s *kv.Store
+	cadence
+	fp footprint
 }
+
+// cadence counts a store's sync boundaries and owes a reorganization at
+// every every-th one, until Reorganize pays it.
+type cadence struct {
+	every, syncs int
+	owed         bool
+}
+
+func (c *cadence) synced() {
+	c.syncs++
+	if c.syncs%c.every == 0 {
+		c.owed = true
+	}
+}
+
+// Owes reports a reorganization owed since the last Reorganize.
+func (c *cadence) Owes() bool { return c.owed }
 
 // footprint implements the Close/Pages half of the Store contract for a
 // conformer: live reads delegate, the closed value is frozen. release
@@ -159,15 +191,20 @@ func (w *kvStore) Apply(op int) error {
 }
 
 func (w *kvStore) Sync() error {
-	w.syncs++
-	// Every third boundary reorganizes first, so crash sweeps also land
-	// inside Compact's rebuild and atomic switch.
-	if w.syncs%3 == 0 {
-		if err := w.s.Compact(2, 4); err != nil {
-			return err
-		}
+	if err := w.s.Sync(); err != nil {
+		return err
 	}
-	return w.s.Sync()
+	w.synced()
+	return nil
+}
+
+// Reorganize compacts the logs; Compact's switch record commits it.
+func (w *kvStore) Reorganize() error {
+	if err := w.s.Compact(2, 4); err != nil {
+		return err
+	}
+	w.owed = false
+	return nil
 }
 
 // Close drops the in-memory key index; the logs stay on flash for Reopen.
@@ -203,14 +240,14 @@ func kvKind() Kind {
 			if err != nil {
 				return nil, err
 			}
-			return &kvStore{s: s}, nil
+			return &kvStore{s: s, cadence: cadence{every: 3}}, nil
 		},
 		Reopen: func(rec *logstore.Recovered) (Store, error) {
 			s, err := kv.Reopen(rec)
 			if err != nil {
 				return nil, err
 			}
-			return &kvStore{s: s}, nil
+			return &kvStore{s: s, cadence: cadence{every: 3}}, nil
 		},
 	}
 }
@@ -237,9 +274,9 @@ func searchTerm(i int) string { return searchTerms[i%searchVocab] }
 // periodic reorganization, fingerprinted by per-term document frequencies
 // and ranked scores.
 type searchStore struct {
-	e     *search.Engine
-	syncs int
-	fp    footprint
+	e *search.Engine
+	cadence
+	fp footprint
 }
 
 func (w *searchStore) pages() int { return w.e.Pages() + w.e.CompactPages() }
@@ -262,15 +299,21 @@ func (w *searchStore) Apply(op int) error {
 }
 
 func (w *searchStore) Sync() error {
-	w.syncs++
-	// Every second boundary reorganizes first, so sweeps hit crash points
-	// throughout the rebuild and on both sides of the switch record.
-	if w.syncs%2 == 0 {
-		if err := w.e.Reorganize(2, 4); err != nil {
-			return err
-		}
+	if err := w.e.Sync(); err != nil {
+		return err
 	}
-	return w.e.Sync()
+	w.synced()
+	return nil
+}
+
+// Reorganize merges the bucket chains into the compact index behind one
+// switch record.
+func (w *searchStore) Reorganize() error {
+	if err := w.e.Reorganize(2, 4); err != nil {
+		return err
+	}
+	w.owed = false
+	return nil
 }
 
 func (w *searchStore) Fingerprint() (string, error) {
@@ -304,14 +347,14 @@ func searchKind() Kind {
 			if err != nil {
 				return nil, err
 			}
-			return &searchStore{e: e}, nil
+			return &searchStore{e: e, cadence: cadence{every: 2}}, nil
 		},
 		Reopen: func(rec *logstore.Recovered) (Store, error) {
 			e, err := search.Reopen(rec, mcu.NewArena(searchArena), searchBuckets)
 			if err != nil {
 				return nil, err
 			}
-			return &searchStore{e: e}, nil
+			return &searchStore{e: e, cadence: cadence{every: 2}}, nil
 		},
 	}
 }
@@ -343,6 +386,12 @@ func (w *embdbStore) Apply(op int) error {
 }
 
 func (w *embdbStore) Sync() error { return embdb.SyncTables(w.j, w.t) }
+
+// Owes is always false: a sequential table never reorganizes.
+func (w *embdbStore) Owes() bool { return false }
+
+// Reorganize has nothing to do.
+func (w *embdbStore) Reorganize() error { return nil }
 
 func (w *embdbStore) Fingerprint() (string, error) {
 	h := sha256.New()

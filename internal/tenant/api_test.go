@@ -2,6 +2,7 @@ package tenant_test
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -211,4 +212,84 @@ func TestGuardConcurrencyHammer(t *testing.T) {
 			t.Fatalf("tenant %s audit chain broken at %d after hammer", n, bad)
 		}
 	}
+}
+
+// The quota verdict reads the footprint after any reorganization the
+// tenant owes. A sync leaves its reorganization to the chip's idle time,
+// and a refused request never reaches one, so a tenant at the quota with
+// a reorganization owed runs it on the spot. One tenant per class, 400
+// requests, PageQuota 4…40, arriving 50 ms apart or back to back (no idle
+// window at all), with or without an eviction after every 7th request
+// (out of step with both classes' syncs, so some evictions sync and some
+// carry a debt into a reopen): no request may be refused earlier than
+// when each sync ran its reorganization inline, whose first refusals
+// (request index, -1 for none; the same at either spacing) are pinned
+// here. Without the rule, kv at PageQuota 16–18 refused 352 of 400
+// requests 50 ms apart.
+func TestQuotaSeesFootprintAfterOwedReorganization(t *testing.T) {
+	inline := map[bool]map[tenant.Class][]int{
+		false: {
+			tenant.ClassKV: {8, 15, 16, 16, 16, 23, 32, 38, 40, 40, 40, 47, -1, -1, -1, -1, -1, -1, -1,
+				-1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1},
+			tenant.ClassSearch: {6, 18, 18, 30, 30, 42, 42, 54, 54, 66, 66, 78, 78, 90, 90, 102, 114, 114, 126,
+				126, 138, 138, 150, 150, 162, 162, 174, 174, 186, 198, 198, 210, 210, 222, 222, 234, 234},
+		},
+		true: {
+			tenant.ClassKV: {7, 14, 14, 14, 14, 21, 21, 21, 21, 28, 28, 28, 28, 35, 35, 35, 35, 42, 42,
+				42, 42, 49, 49, 49, 49, 56, 56, 56, 56, 63, 63, 63, 63, 70, 70, 70, 70},
+			tenant.ClassSearch: {6, 13, 13, 20, 27, 34, 41, 48, 55, 62, 69, 76, 83, 90, 90, 97, 104, 111, 118,
+				125, 132, 139, 146, 153, 160, 167, 167, 174, 181, 188, 195, 202, 209, 216, 223, 230, 237},
+		},
+	}
+	for _, evict := range []bool{false, true} {
+		for _, busy := range []bool{false, true} {
+			for class, firsts := range inline[evict] {
+				for i, want := range firsts {
+					quota := 4 + i
+					first := firstRefusal(t, class, quota, busy, evict)
+					if first >= 0 && (want < 0 || first < want) {
+						t.Errorf("%v quota %d, back to back %v, evicted %v: first refusal at request %d, with inline reorganizations at %d",
+							class, quota, busy, evict, first, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// firstRefusal drives one tenant of class c through 400 requests under
+// the page quota and returns the index of the first refused one, -1 for
+// none. Requests arrive 50 ms apart, or, when busy, each at the previous
+// one's end, so the chip is busy at every start and runs no idle work.
+// When evict, a one-request tenant evicts it after every 7th request, so
+// the next one reopens its store.
+func firstRefusal(t *testing.T, c tenant.Class, quota int, busy, evict bool) int {
+	t.Helper()
+	cfg := tenant.HostConfig{PageQuota: quota}
+	if evict {
+		cfg.ArenaBytes = 2 << 10 // one resident tenant
+	}
+	h := tenant.NewHost(cfg, obs.NewRegistry())
+	at := int64(1)
+	for r := 0; r < 400; r++ {
+		if !busy {
+			at = int64(r+1) * 50_000_000
+		}
+		resp, err := h.Do(serveReq("t", c, at))
+		switch {
+		case errors.Is(err, tenant.ErrQuota):
+			return r
+		case err != nil:
+			t.Fatalf("%v quota %d request %d: %v", c, quota, r, err)
+		}
+		at = resp.EndNS
+		if evict && (r+1)%7 == 0 {
+			resp, err := h.Do(serveReq("x"+strconv.Itoa(r), c, at))
+			if err != nil {
+				t.Fatalf("%v quota %d evicting after request %d: %v", c, quota, r, err)
+			}
+			at = resp.EndNS
+		}
+	}
+	return -1
 }

@@ -120,6 +120,10 @@ type envelope struct {
 	// idleAt is the virtual instant the chip went idle: the end of the
 	// tenant's last service, or its eviction.
 	idleAt int64
+	// owed is a reorganization a sync boundary left owed and no idle
+	// window has run yet. It survives eviction: the reopened store pays
+	// it in the window after the reopen.
+	owed bool
 	// st is nil while the tenant is evicted to flash.
 	st durable.Store
 	// res is the tenant's slice of the host arena (nil when evicted).
@@ -399,10 +403,12 @@ func (h *Host) evictOne(at int64) (bool, error) {
 	victim := h.lru[0]
 	if victim.st != nil {
 		if victim.unsynced > 0 {
-			if err := victim.st.Sync(); err != nil {
-				return false, fmt.Errorf("evict %s: sync: %w", victim.name, err)
+			if err := h.sync(victim); err != nil {
+				return false, fmt.Errorf("evict %s: %w", victim.name, err)
 			}
-			victim.unsynced = 0
+		}
+		if err := h.payAtQuota(victim); err != nil {
+			return false, fmt.Errorf("evict %s: %w", victim.name, err)
 		}
 		if err := victim.st.Close(); err != nil {
 			return false, fmt.Errorf("evict %s: close: %w", victim.name, err)
@@ -482,6 +488,62 @@ func (h *Host) makeResident(e *envelope, at int64) error {
 	return nil
 }
 
+// sync is the tenant's durability point. The reorganization the
+// boundary may owe joins the envelope's debt.
+func (h *Host) sync(e *envelope) error {
+	if err := e.st.Sync(); err != nil {
+		return fmt.Errorf("sync: %w", err)
+	}
+	e.unsynced = 0
+	e.owed = e.owed || e.st.Owes()
+	return nil
+}
+
+// payAtQuota runs the envelope's owed reorganization on the spot when
+// its footprint is at the quota. It runs wherever the footprint the
+// quota verdict reads is recorded — the end of a request, an eviction —
+// because the verdict must see the footprint after the reorganization
+// and a refused request never reaches an idle window.
+func (h *Host) payAtQuota(e *envelope) error {
+	if e.owed && e.st.Pages() >= h.cfg.PageQuota {
+		return e.reorganize()
+	}
+	return nil
+}
+
+// reorganize pays the envelope's reorganization debt.
+func (e *envelope) reorganize() error {
+	if err := e.st.Reorganize(); err != nil {
+		return fmt.Errorf("reorganize: %w", err)
+	}
+	e.owed = false
+	return nil
+}
+
+// background spends the chip's idle time [e.idleAt, start) on the work
+// the tenant's store owes: first the reorganization a sync boundary left
+// owed, then retire's erases, which then include the blocks the
+// reorganization freed. Its I/O is priced under the cost model from
+// e.idleAt on, outside the request's service. A reorganization still
+// running at start cannot be preempted: the request waits out its
+// remainder, which background returns, and no erase starts. A chip still
+// busy at start starts nothing, and the debt stays owed. A store this
+// request has just reopened keeps its debt for the next window: the one
+// before the reopen had no store in RAM to run it on.
+func (h *Host) background(e *envelope, start int64, reopened bool) (wait int64, err error) {
+	if e.owed && !reopened && start > e.idleAt {
+		before := e.chip.Stats()
+		if err := e.reorganize(); err != nil {
+			return 0, fmt.Errorf("tenant %s: %w", e.name, err)
+		}
+		e.idleAt += e.chip.Stats().Sub(before).Cost(h.model).Nanoseconds()
+		if e.idleAt >= start {
+			return e.idleAt - start, nil
+		}
+	}
+	return h.retire(e, start)
+}
+
 // retire spends the chip's idle time [e.idleAt, start) on the erases its
 // stores owe, oldest freed block first, one EraseBlock latency each; that
 // I/O is background work, outside the request's service. An erase still
@@ -556,18 +618,20 @@ func (h *Host) Do(req Request) (Response, error) {
 	}
 
 	// Execute serially; virtual service time is the request's flash I/O
-	// under the NAND cost model plus a CPU epsilon, after any wait for an
-	// erase of the chip's idle time. A reopen-on-demand pays its recovery
-	// I/O here, visible in the tail.
+	// under the NAND cost model plus a CPU epsilon, after any wait for
+	// background work of the chip's idle time. A reopen-on-demand pays
+	// its recovery I/O here, visible in the tail.
 	before := e.chip.Stats()
+	reopened := e.st == nil
 	if err := h.makeResident(e, start); err != nil {
 		return resp, err
 	}
-	// The idle window precedes the request, and nothing a reopen reads
-	// depends on whether a dirty block was erased yet; its erases shift
-	// the baseline instead of entering the request's I/O.
+	// The idle window precedes the request: its reorganization and erases
+	// shift the baseline instead of entering the request's I/O. Erases may
+	// follow a reopen, because nothing it reads depends on whether a dirty
+	// block was erased yet; a reorganization never does.
 	idle := e.chip.Stats()
-	wait, err := h.retire(e, start)
+	wait, err := h.background(e, start, reopened)
 	if err != nil {
 		return resp, err
 	}
@@ -578,10 +642,12 @@ func (h *Host) Do(req Request) (Response, error) {
 	e.ops++
 	e.unsynced++
 	if e.unsynced >= e.kind.SyncEvery {
-		if err := e.st.Sync(); err != nil {
-			return resp, fmt.Errorf("tenant %s: sync: %w", e.name, err)
+		if err := h.sync(e); err != nil {
+			return resp, fmt.Errorf("tenant %s: %w", e.name, err)
 		}
-		e.unsynced = 0
+	}
+	if err := h.payAtQuota(e); err != nil {
+		return resp, fmt.Errorf("tenant %s: %w", e.name, err)
 	}
 	svc := wait + e.chip.Stats().Sub(before).Cost(h.model).Nanoseconds() + baseCPUNS
 	cs.slots[slot] = start + svc
