@@ -89,11 +89,17 @@ lint-determinism:
 
 # The power-fail property battery (DESIGN §11): every store workload ×
 # every crash point × {write, torn-write, erase}, pinned seeds, full
-# sweeps, plus the E21 recovery-cost report. `make test` runs the same
+# sweeps, the per-engine crash and write-fault tests (the durable stores'
+# battery, a crash around the host's idle-time reorganization, each
+# engine's reorganization under faults), plus the E21 recovery-cost
+# report. Every -run pattern matches a test in each package it names
+# (check with `go test PKG -list PATTERN`). `make test` runs the same
 # batteries, and the pdsbench golden pins E21's quick report.
 crash-matrix:
 	$(GO) test ./internal/crashharness -count=1
-	$(GO) test ./internal/kv ./internal/search ./internal/embdb -run 'Crash|Reorganize|InPlaceFailed|SyncDurability|ReopenTable' -count=1
+	$(GO) test ./internal/durable -run 'CrashBattery' -count=1
+	$(GO) test ./internal/tenant -run 'CrashAroundIdleReorganization' -count=1
+	$(GO) test ./internal/kv ./internal/search ./internal/embdb -run 'Crash|Reorganize|InPlaceFailed|SyncDurability|ReopenTable|WriteFault' -count=1
 	$(GO) test ./internal/logstore -run 'Journal|Recover|Manifest|CommitCrash' -count=1
 	$(GO) run ./cmd/pdsbench -exp E21
 

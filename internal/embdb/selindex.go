@@ -41,7 +41,7 @@ func decodeEntry(rec []byte) (keyEntry, error) {
 }
 
 // SelectIndex is the tutorial's selection index on one column. Postings
-// enter a sequential tail of two logs,
+// enter a sequential tail, a summarized log (logstore.NewSummarized):
 //
 //	Log1 "Keys":          (key, rowid) postings in insertion order;
 //	Log2 "Bloom Filters": one Bloom summary per flushed Keys page,
@@ -57,20 +57,14 @@ type SelectIndex struct {
 	colIdx int
 	// tree holds the postings of every fold so far, nil before the first;
 	// each of its rowids is below every rowid of the tail.
-	tree *TreeIndex
-	keys *logstore.Log
-	sums *logstore.Log
-	// pageKeys accumulates the keys of the Keys page being filled, to
-	// build its summary at flush time (one page worth of RAM).
-	pageKeys [][]byte
-	entries  int
+	tree    *TreeIndex
+	keys    *logstore.Log
+	entries int
 	// SummaryBits is the Bloom budget in bits per key (default 16 ≈ the
 	// paper's 2 bytes/key). Change it before the first insertion; the
 	// ablation experiment sweeps it.
 	SummaryBits int
 }
-
-// summary log record: u32 keysPage | marshaled bloom filter.
 
 // NewSelectIndex creates an index over table.col. Existing tuples are not
 // back-filled; create indexes before loading (as the embedded design
@@ -87,30 +81,25 @@ func NewSelectIndex(table *Table, col string) (*SelectIndex, error) {
 
 // newTail starts an empty sequential tail.
 func (ix *SelectIndex) newTail() {
-	ix.keys = logstore.NewLog(ix.table.Alloc())
-	ix.sums = logstore.NewLog(ix.table.Alloc())
-	ix.keys.OnFlush(ix.flushSummary)
-	ix.pageKeys = ix.pageKeys[:0]
+	ix.keys = logstore.NewSummarized(ix.table.Alloc(), ix.summarize)
 }
 
-// flushSummary builds the Bloom summary of a freshly flushed Keys page.
-func (ix *SelectIndex) flushSummary(page int) error {
-	f := bloom.NewPageSummaryBits(len(ix.pageKeys), ix.SummaryBits)
-	for _, k := range ix.pageKeys {
-		f.Add(k)
+// summarize appends the Bloom filter of a Keys page's keys.
+func (ix *SelectIndex) summarize(dst []byte, page logstore.PageView) ([]byte, error) {
+	f := bloom.NewPageSummaryBits(page.Len(), ix.SummaryBits)
+	for {
+		rec, ok := page.Next()
+		if !ok {
+			break
+		}
+		e, err := decodeEntry(rec)
+		if err != nil {
+			return nil, err
+		}
+		f.Add(e.key)
 	}
 	blob, err := f.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	rec := make([]byte, 4+len(blob))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(page))
-	copy(rec[4:], blob)
-	if _, err := ix.sums.Append(rec); err != nil {
-		return err
-	}
-	ix.pageKeys = ix.pageKeys[:0]
-	return nil
+	return append(dst, blob...), err
 }
 
 // Len returns the number of postings.
@@ -120,7 +109,7 @@ func (ix *SelectIndex) Len() int { return ix.entries }
 func (ix *SelectIndex) KeysPages() int { return ix.keys.Pages() }
 
 // SummaryPages returns the number of flushed summary pages of the tail.
-func (ix *SelectIndex) SummaryPages() int { return ix.sums.Pages() }
+func (ix *SelectIndex) SummaryPages() int { return ix.keys.SummaryPages() }
 
 // Tree returns the tree the index has folded its postings into, nil
 // before the first fold. It is the index's own: read its shape, never
@@ -130,24 +119,15 @@ func (ix *SelectIndex) Tree() *TreeIndex { return ix.tree }
 // Add indexes one tuple. Call it with the value and rowid returned by the
 // table insert; the DB wrapper does this automatically.
 func (ix *SelectIndex) Add(v Value, rid RowID) error {
-	key := Key(v)
-	// Append first: if this append flushes the previous Keys page, its
-	// summary must be built before the new key joins pageKeys.
-	if _, err := ix.keys.Append(encodeEntry(key, rid)); err != nil {
+	if _, err := ix.keys.Append(encodeEntry(Key(v), rid)); err != nil {
 		return err
 	}
-	ix.pageKeys = append(ix.pageKeys, key)
 	ix.entries++
 	return nil
 }
 
 // Flush persists pending postings and their summary.
-func (ix *SelectIndex) Flush() error {
-	if err := ix.keys.Flush(); err != nil {
-		return err
-	}
-	return ix.sums.Flush()
-}
+func (ix *SelectIndex) Flush() error { return ix.keys.Flush() }
 
 // LookupStats reports the work a lookup performed.
 type LookupStats struct {
@@ -192,38 +172,27 @@ func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 		}
 	}
 
-	// Scan the summary log; each record names a Keys page and its filter.
-	st.SummaryPages = ix.sums.Pages()
-	it := ix.sums.Iter()
-	for {
-		rec, _, ok := it.Next()
-		if !ok {
-			break
+	// Scan the summary log; each summary is a Keys page's filter.
+	st.SummaryPages = ix.keys.SummaryPages()
+	if err := ix.keys.Summaries(func(p int, sum []byte) error {
+		f, err := bloom.ViewOf(sum)
+		if err != nil || !f.Test(key) {
+			return err
 		}
-		if len(rec) < 4 {
-			return nil, st, fmt.Errorf("embdb: corrupt summary record")
-		}
-		f, err := bloom.ViewOf(rec[4:])
+		page, err := ix.keys.ReadPage(p, *buf)
 		if err != nil {
-			return nil, st, err
-		}
-		if !f.Test(key) {
-			continue
-		}
-		page, err := ix.keys.ReadPage(int(binary.LittleEndian.Uint32(rec[0:4])), *buf)
-		if err != nil {
-			return nil, st, err
+			return err
 		}
 		st.KeyPagesRead++
 		before := len(out)
 		if err := match(page); err != nil {
-			return nil, st, err
+			return err
 		}
 		if len(out) == before {
 			st.FalseReads++
 		}
-	}
-	if err := it.Err(); err != nil {
+		return nil
+	}); err != nil {
 		return nil, st, err
 	}
 	// Unflushed postings live in RAM: no I/O to check them.
@@ -329,13 +298,13 @@ func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 		}
 		return err
 	}
-	old, keys, sums := ix.tree, ix.keys, ix.sums
+	old, keys := ix.tree, ix.keys
 	ix.tree = tree
 	ix.newTail()
 	if old != nil {
 		err = errors.Join(err, old.Drop())
 	}
-	return errors.Join(err, keys.Drop(), sums.Drop())
+	return errors.Join(err, keys.Drop())
 }
 
 // entryLess orders encoded index entries by key. The fold's sort calls it

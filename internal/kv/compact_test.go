@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -47,6 +48,20 @@ func logRecords(t *testing.T, l *logstore.Log) []string {
 		out = append(out, string(rec))
 	}
 	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// summaryRecords returns the records of s's summary log, u32 page |
+// summary, in order.
+func summaryRecords(t *testing.T, s *Store) []string {
+	t.Helper()
+	var out []string
+	if err := s.keys.Summaries(func(page int, sum []byte) error {
+		out = append(out, string(binary.LittleEndian.AppendUint32(nil, uint32(page)))+string(sum))
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -125,12 +140,12 @@ func compareCompactions(t *testing.T, geo flash.Geometry, seed int64, runPages, 
 		}
 		compactions++
 		stage := fmt.Sprintf("compaction %d", compactions)
-		for _, pick := range []func(s *Store) *logstore.Log{
-			func(s *Store) *logstore.Log { return s.values },
-			func(s *Store) *logstore.Log { return s.keys },
-			func(s *Store) *logstore.Log { return s.sums },
+		for _, records := range []func(s *Store) []string{
+			func(s *Store) []string { return logRecords(t, s.values) },
+			func(s *Store) []string { return logRecords(t, s.keys) },
+			func(s *Store) []string { return summaryRecords(t, s) },
 		} {
-			if got, want := logRecords(t, pick(stores[0])), logRecords(t, pick(stores[1])); !slices.Equal(got, want) {
+			if got, want := records(stores[0]), records(stores[1]); !slices.Equal(got, want) {
 				t.Fatalf("%s: the merge wrote %d records %q, the full sort %d %q", stage, len(got), got, len(want), want)
 			}
 		}
@@ -217,14 +232,14 @@ func TestCompactIOBound(t *testing.T) {
 		if err := s.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		oldBlocks := len(s.values.Blocks()) + len(s.keys.Blocks()) + len(s.sums.Blocks())
+		oldBlocks := len(s.values.Blocks()) + len(s.keys.Blocks()) + len(s.keys.SummaryStream(streamSums).Blocks)
 		before, dirty := chip.Stats(), alloc.Dirty()
 		if err := s.Compact(2, 4); err != nil {
 			t.Fatal(err)
 		}
 		cost = chip.Stats().Sub(before)
 		owed := cost.BlockErases + int64(alloc.Dirty()-dirty)
-		if w := s.values.Pages() + s.keys.Pages() + s.sums.Pages(); cost.PageWrites != int64(w) {
+		if w := s.Pages(); cost.PageWrites != int64(w) {
 			t.Errorf("%d live keys: the compaction programmed %d pages, its new logs hold %d", live, cost.PageWrites, w)
 		}
 		if owed != int64(oldBlocks) {

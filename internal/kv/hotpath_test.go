@@ -72,7 +72,7 @@ func TestGetAllocCeiling(t *testing.T) {
 			}
 		})
 		if missing > 0 {
-			t.Errorf("Get of an absent key: %.0f allocs over %d summary pages, want 0", missing, s.sums.Pages())
+			t.Errorf("Get of an absent key: %.0f allocs over %d summary pages, want 0", missing, s.keys.SummaryPages())
 		}
 		return allocs, s.keys.Pages()
 	}

@@ -89,12 +89,13 @@ const (
 	streamSums   = "kv.sums"
 )
 
-// Store is a log-only key-value store on simulated NAND flash.
+// Store is a log-only key-value store on simulated NAND flash. Its key
+// log is summarized: the summary of a key-log page is u32 page | Bloom
+// filter of its keys.
 type Store struct {
 	alloc  *flash.Allocator
 	values *logstore.Log
 	keys   *logstore.Log
-	sums   *logstore.Log
 	puts   int
 	closed bool
 	// j, when set, is the commit-record journal of the durable mode:
@@ -104,14 +105,11 @@ type Store struct {
 
 // Open creates an empty store drawing blocks from alloc.
 func Open(alloc *flash.Allocator) *Store {
-	s := &Store{
+	return &Store{
 		alloc:  alloc,
 		values: logstore.NewLog(alloc),
-		keys:   logstore.NewLog(alloc),
-		sums:   logstore.NewLog(alloc),
+		keys:   logstore.NewSummarized(alloc, summarize),
 	}
-	s.keys.OnFlush(s.flushSummary)
-	return s
 }
 
 // OpenDurable creates an empty store with a commit-record journal on a
@@ -133,7 +131,7 @@ func (s *Store) manifest() *logstore.Manifest {
 	return &logstore.Manifest{Streams: []logstore.Stream{
 		logstore.StreamOf(streamValues, s.values),
 		logstore.StreamOf(streamKeys, s.keys),
-		logstore.StreamOf(streamSums, s.sums),
+		s.keys.SummaryStream(streamSums),
 	}}
 }
 
@@ -163,58 +161,42 @@ func Reopen(rec *logstore.Recovered) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	keys, err := rec.OpenLog(streamKeys)
+	keys, err := rec.OpenSummarized(streamKeys, streamSums, summarize)
 	if err != nil {
 		return nil, err
 	}
-	sums, err := rec.OpenLog(streamSums)
-	if err != nil {
-		return nil, err
-	}
-	s := &Store{
+	return &Store{
 		alloc:  rec.Alloc,
 		values: values,
 		keys:   keys,
-		sums:   sums,
 		puts:   keys.Len(),
 		j:      rec.Journal,
-	}
-	s.keys.OnFlush(s.flushSummary)
-	return s, nil
+	}, nil
 }
 
-// flushSummary builds the Bloom summary of the key-log page being
-// flushed from its bindings, still in the write buffer.
-func (s *Store) flushSummary(page int) error {
-	v := s.keys.Unflushed()
-	f := bloom.NewPageSummary(v.Len())
+// summarize appends the Bloom filter of a key-log page's keys.
+func summarize(dst []byte, page logstore.PageView) ([]byte, error) {
+	f := bloom.NewPageSummary(page.Len())
 	for {
-		rec, ok := v.Next()
+		rec, ok := page.Next()
 		if !ok {
 			break
 		}
 		b, err := decodeBinding(rec)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		f.Add(b.key)
 	}
 	blob, err := f.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	rec := make([]byte, 4+len(blob))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(page))
-	copy(rec[4:], blob)
-	_, err = s.sums.Append(rec)
-	return err
+	return append(dst, blob...), err
 }
 
 // Len returns the number of puts (including overwrites and deletes).
 func (s *Store) Len() int { return s.puts }
 
 // Pages returns the flash pages used by all three logs.
-func (s *Store) Pages() int { return s.values.Pages() + s.keys.Pages() + s.sums.Pages() }
+func (s *Store) Pages() int { return s.values.Pages() + s.keys.Pages() + s.keys.SummaryPages() }
 
 // Put writes key → value.
 func (s *Store) Put(key, value []byte) error {
@@ -251,10 +233,7 @@ func (s *Store) Flush() error {
 	if err := s.values.Flush(); err != nil {
 		return err
 	}
-	if err := s.keys.Flush(); err != nil {
-		return err
-	}
-	return s.sums.Flush()
+	return s.keys.Flush()
 }
 
 // GetStats describes the work one Get performed.
@@ -302,27 +281,16 @@ func (s *Store) Get(key []byte) ([]byte, GetStats, error) {
 		return s.resolve(b, st)
 	}
 	// Collect candidate pages from the summary log (small, sequential).
-	st.SummaryPages = s.sums.Pages()
+	st.SummaryPages = s.keys.SummaryPages()
 	var few [8]int // a key's live candidates are its page and the odd false positive
 	candidates := few[:0]
-	it := s.sums.Iter()
-	for {
-		rec, _, ok := it.Next()
-		if !ok {
-			break
+	if err := s.keys.Summaries(func(page int, sum []byte) error {
+		f, err := bloom.ViewOf(sum)
+		if err == nil && f.Test(key) {
+			candidates = append(candidates, page)
 		}
-		if len(rec) < 4 {
-			return nil, st, fmt.Errorf("kv: corrupt summary")
-		}
-		f, err := bloom.ViewOf(rec[4:])
-		if err != nil {
-			return nil, st, err
-		}
-		if f.Test(key) {
-			candidates = append(candidates, int(binary.LittleEndian.Uint32(rec[0:4])))
-		}
-	}
-	if err := it.Err(); err != nil {
+		return err
+	}); err != nil {
 		return nil, st, err
 	}
 	// Probe newest candidate pages first.
@@ -527,13 +495,7 @@ func bindingLess(a, b []byte) bool {
 // copied into the new value log, read through one held page of RAM. The
 // new logs are flushed; a failure drops them.
 func (s *Store) rebuild(bindings func() (binding, bool, error)) (_ *Store, err error) {
-	next := &Store{
-		alloc:  s.alloc,
-		values: logstore.NewLog(s.alloc),
-		keys:   logstore.NewLog(s.alloc),
-		sums:   logstore.NewLog(s.alloc),
-	}
-	next.keys.OnFlush(next.flushSummary)
+	next := Open(s.alloc)
 	defer func() {
 		if err != nil {
 			err = errors.Join(err, next.dropLogs())
@@ -601,10 +563,9 @@ func (s *Store) switchTo(next *Store) error {
 			return errors.Join(commitErr, next.dropLogs())
 		}
 	}
-	old := [3]*logstore.Log{s.values, s.keys, s.sums}
-	s.values, s.keys, s.sums = next.values, next.keys, next.sums
+	old := [2]*logstore.Log{s.values, s.keys}
+	s.values, s.keys = next.values, next.keys
 	s.puts = next.puts
-	s.keys.OnFlush(s.flushSummary)
 	if commitErr != nil {
 		return commitErr
 	}
@@ -619,7 +580,7 @@ func (s *Store) switchTo(next *Store) error {
 
 // dropLogs frees the blocks of all three logs.
 func (s *Store) dropLogs() error {
-	return errors.Join(s.values.Drop(), s.keys.Drop(), s.sums.Drop())
+	return errors.Join(s.values.Drop(), s.keys.Drop())
 }
 
 // Close drops every log.
@@ -628,11 +589,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if err := s.values.Drop(); err != nil {
-		return err
-	}
-	if err := s.keys.Drop(); err != nil {
-		return err
-	}
-	return s.sums.Drop()
+	return s.dropLogs()
 }

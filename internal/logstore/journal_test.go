@@ -40,6 +40,49 @@ func logContents(t *testing.T, l *Log) []string {
 	return out
 }
 
+// OpenSummarized after Recover yields the committed summaries, and the
+// reopened log goes on summarizing its new pages.
+func TestOpenSummarizedAfterRecover(t *testing.T) {
+	chip := testChip()
+	alloc := flash.NewAllocator(chip)
+	j, err := NewJournal(alloc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewSummarized(alloc, countSummary)
+	appendN(t, l, 0, 120)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(&Manifest{Streams: []Stream{StreamOf("data", l), l.SummaryStream("sums")}}); err != nil {
+		t.Fatal(err)
+	}
+	want := summaryContents(t, l)
+	// Uncommitted pages and summaries after the commit point.
+	appendN(t, l, 120, 40)
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(chip.Reopen(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := rec.OpenSummarized("data", "sums", countSummary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := summaryContents(t, l2); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("recovered summaries %q, committed %q", got, want)
+	}
+	appendN(t, l2, 120, 40)
+	if err := l2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := summaryContents(t, l2); len(got) != l2.Pages() || fmt.Sprint(got[:len(want)]) != fmt.Sprint(want) {
+		t.Errorf("%d summaries for %d pages after the reopen", len(got), l2.Pages())
+	}
+}
+
 func TestJournalCommitRecoverRoundTrip(t *testing.T) {
 	chip := testChip()
 	alloc := flash.NewAllocator(chip)

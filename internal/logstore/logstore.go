@@ -11,7 +11,9 @@
 //
 // A PageWriter hands out physical pages in append order — the primitive on
 // which record logs, chained hash buckets and reorganized trees are built.
-// A Log stores variable-size records packed into pages.
+// A Log stores variable-size records packed into pages; a summarized Log
+// also keeps one small summary per page in a log of its own — the summary
+// scan of the tutorial's embedded database.
 package logstore
 
 import (
@@ -33,6 +35,9 @@ var (
 	// slot directory runs past the page end — torn or bit-rotted media
 	// surfaces as this typed error, never as silently garbled records.
 	ErrCorruptPage = errors.New("logstore: corrupt page")
+	// ErrCorruptSummary is returned by a summary scan that meets a
+	// record too short to name its page.
+	ErrCorruptSummary = errors.New("logstore: corrupt summary record")
 )
 
 // PageWriter appends pages to flash, allocating blocks on demand. Pages are
@@ -163,19 +168,34 @@ type Log struct {
 	recs int    // total records appended (including buffered)
 	// flushedRecs counts records durable in flash.
 	flushedRecs int
-	// onFlush, if set, observes each page as it is flushed (used by
-	// summary structures that maintain one Bloom filter per page).
-	onFlush func(page int) error
+	// sum is the summary side of a summarized log, nil for a plain one.
+	sum *summaries
 }
 
-// OnFlush registers f to be called with the logical page number of each
-// page at the moment it is flushed to flash. While f runs, Unflushed still
-// views the records of that page.
-func (l *Log) OnFlush(f func(page int) error) { l.onFlush = f }
+// Summarize appends to dst the summary of one page of a summarized Log,
+// built from the page's records.
+type Summarize func(dst []byte, page PageView) ([]byte, error)
+
+// summaries is the summary side of a summarized Log: a log holding one
+// record per flushed data page, u32 page | summary.
+type summaries struct {
+	log       *Log
+	summarize Summarize
+}
 
 // NewLog creates an empty log drawing blocks from alloc.
 func NewLog(alloc *flash.Allocator) *Log {
 	return &Log{w: NewPageWriter(alloc)}
+}
+
+// NewSummarized creates an empty summarized log drawing blocks from
+// alloc: whenever it writes a page, summarize builds that page's summary
+// from its records, and the summary is appended to the log's summary log.
+// Flush and Drop cover both logs; Pages, Len and Blocks the data only.
+func NewSummarized(alloc *flash.Allocator, summarize Summarize) *Log {
+	l := NewLog(alloc)
+	l.sum = &summaries{log: NewLog(alloc), summarize: summarize}
+	return l
 }
 
 // pageSize returns the device page size.
@@ -192,7 +212,7 @@ func (l *Log) Append(rec []byte) (RecordID, error) {
 		l.buf = make([]byte, pageHeader, l.pageSize())
 	}
 	if len(l.buf)+need > l.pageSize() {
-		if err := l.Flush(); err != nil {
+		if err := l.flushPage(); err != nil {
 			return RecordID{}, err
 		}
 	}
@@ -206,8 +226,20 @@ func (l *Log) Append(rec []byte) (RecordID, error) {
 	return id, nil
 }
 
-// Flush writes the buffered page, if any, to flash.
+// Flush writes the buffered page, if any, to flash, and then the summary
+// log's.
 func (l *Log) Flush() error {
+	err := l.flushPage()
+	if err == nil && l.sum != nil {
+		err = l.sum.log.Flush()
+	}
+	return err
+}
+
+// flushPage writes the buffered page, if any, and appends its summary to
+// the summary log's buffer. The summary is built in a page of RAM from
+// the pool, while the write buffer still holds the page's records.
+func (l *Log) flushPage() error {
 	if l.cnt == 0 {
 		return nil
 	}
@@ -216,8 +248,14 @@ func (l *Log) Flush() error {
 	if _, err := l.w.Write(l.buf); err != nil {
 		return err
 	}
-	if l.onFlush != nil {
-		if err := l.onFlush(page); err != nil {
+	if s := l.sum; s != nil {
+		buf := l.PageBuf()
+		rec, err := s.summarize(binary.LittleEndian.AppendUint32((*buf)[:0], uint32(page)), l.Unflushed())
+		if err == nil {
+			_, err = s.log.Append(rec)
+		}
+		PutPageBuf(buf)
+		if err != nil {
 			return err
 		}
 	}
@@ -290,11 +328,44 @@ func (l *Log) Pages() int { return l.w.Pages() }
 // Blocks returns the erase blocks the log occupies.
 func (l *Log) Blocks() []int { return l.w.Blocks() }
 
-// Drop flushes nothing and frees every block.
+// SummaryPages returns the number of flash pages a summarized log's
+// summary log occupies (flushed only).
+func (l *Log) SummaryPages() int { return l.sum.log.Pages() }
+
+// SummaryStream captures a summarized log's summary log as a manifest
+// stream; see StreamOf.
+func (l *Log) SummaryStream(name string) Stream { return StreamOf(name, l.sum.log) }
+
+// Summaries is the summary scan of a summarized log: it calls fn with the
+// summary of every flushed page, in page order. It holds one page of RAM,
+// taken from the pool; sum is a view into it, valid until fn returns. An
+// error from fn ends the scan and is returned.
+func (l *Log) Summaries(fn func(page int, sum []byte) error) error {
+	it := l.sum.log.Iter()
+	defer it.Release()
+	for {
+		rec, _, ok := it.Next()
+		if !ok {
+			return it.Err()
+		}
+		if len(rec) < 4 {
+			return fmt.Errorf("%w: %d bytes", ErrCorruptSummary, len(rec))
+		}
+		if err := fn(int(binary.LittleEndian.Uint32(rec)), rec[4:]); err != nil {
+			return err
+		}
+	}
+}
+
+// Drop flushes nothing and frees every block, the summary log's too.
 func (l *Log) Drop() error {
 	l.buf = nil
 	l.cnt = 0
-	return l.w.Drop()
+	err := l.w.Drop()
+	if l.sum != nil {
+		err = errors.Join(err, l.sum.log.Drop())
+	}
+	return err
 }
 
 // Chip exposes the chip for I/O accounting.

@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -387,51 +388,118 @@ func TestQuickSortPermutation(t *testing.T) {
 	}
 }
 
-func TestOnFlushHook(t *testing.T) {
+// countSummary summarizes a page as u16 record count | first record.
+func countSummary(dst []byte, page PageView) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(page.Len()))
+	first, _ := page.Next()
+	return append(dst, first...), nil
+}
+
+// summaryContents lists a summarized log's summaries as page:summary.
+func summaryContents(t *testing.T, l *Log) []string {
+	t.Helper()
+	var out []string
+	if err := l.Summaries(func(page int, sum []byte) error {
+		out = append(out, fmt.Sprintf("%d:%x", page, sum))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A summarized log writes one summary per data page, in page order, built
+// from exactly that page's records. Pages counts the data pages only, and
+// Drop frees the summary log's blocks too.
+func TestSummarizedLog(t *testing.T) {
 	a := testAlloc()
-	l := NewLog(a)
-	var pages []int
-	var counts []int
-	buf := l.PageBuf()
-	defer PutPageBuf(buf)
-	l.OnFlush(func(page int) error {
-		// The page is on flash by the time the hook runs.
-		v, err := l.ReadPage(page, *buf)
-		pages = append(pages, page)
-		counts = append(counts, v.Len())
-		return err
-	})
-	for i := 0; i < 100; i++ {
-		if _, err := l.Append([]byte("0123456789abcdef")); err != nil {
+	l := NewSummarized(a, countSummary)
+	const n = 300
+	for i := 0; i < n; i++ {
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%04d-abcdefgh", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(pages) != l.Pages() {
-		t.Fatalf("hook fired %d times for %d pages", len(pages), l.Pages())
+	if l.SummaryPages() < 2 {
+		t.Fatalf("the test wants a summary log of several pages, got %d", l.SummaryPages())
 	}
-	total := 0
-	for i, p := range pages {
-		if p != i {
-			t.Errorf("hook page %d fired as %d", i, p)
+	buf := l.PageBuf()
+	defer PutPageBuf(buf)
+	next, total := 0, 0
+	if err := l.Summaries(func(page int, sum []byte) error {
+		if page != next {
+			t.Errorf("summary %d names page %d", next, page)
 		}
-		total += counts[i]
+		next++
+		v, err := l.ReadPage(page, *buf)
+		if err != nil {
+			return err
+		}
+		cnt := v.Len()
+		first, _ := v.Next()
+		if got := int(binary.LittleEndian.Uint16(sum)); got != cnt || string(sum[2:]) != string(first) {
+			t.Errorf("page %d: summary %d records from %q, the page holds %d from %q", page, got, sum[2:], cnt, first)
+		}
+		total += cnt
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if total != 100 {
-		t.Errorf("hook saw %d records, want 100", total)
+	if next != l.Pages() {
+		t.Errorf("%d summaries for %d pages", next, l.Pages())
+	}
+	if total != n {
+		t.Errorf("the summaries count %d records, want %d", total, n)
+	}
+	if err := l.Drop(); err != nil {
+		t.Fatal(err)
+	}
+	if a.InUse() != 0 {
+		t.Errorf("%d blocks in use after Drop", a.InUse())
 	}
 }
 
-func TestOnFlushHookErrorPropagates(t *testing.T) {
-	a := testAlloc()
-	l := NewLog(a)
+// A summarize error surfaces from the Flush that writes the page, and
+// from an Append that fills one.
+func TestSummarizeErrorPropagates(t *testing.T) {
 	boom := errors.New("summary build failed")
-	l.OnFlush(func(int) error { return boom })
-	l.Append([]byte("x"))
+	fail := func([]byte, PageView) ([]byte, error) { return nil, boom }
+	l := NewSummarized(testAlloc(), fail)
+	if _, err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Flush(); !errors.Is(err, boom) {
-		t.Errorf("flush err = %v, want hook error", err)
+		t.Errorf("flush err = %v, want the summarize error", err)
+	}
+	l = NewSummarized(testAlloc(), fail)
+	var err error
+	for i := 0; err == nil && i < 100; i++ {
+		_, err = l.Append([]byte("0123456789abcdef"))
+	}
+	if !errors.Is(err, boom) {
+		t.Errorf("append err = %v, want the summarize error", err)
+	}
+}
+
+// A summary record too short to name its page fails the scan with
+// ErrCorruptSummary.
+func TestSummariesShortRecord(t *testing.T) {
+	l := NewSummarized(testAlloc(), func(dst []byte, _ PageView) ([]byte, error) { return dst[:3], nil })
+	if _, err := l.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	err := l.Summaries(func(int, []byte) error {
+		t.Error("fn called with a short record")
+		return nil
+	})
+	if !errors.Is(err, ErrCorruptSummary) {
+		t.Errorf("scan err = %v, want ErrCorruptSummary", err)
 	}
 }
 

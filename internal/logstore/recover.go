@@ -293,6 +293,21 @@ func (r *Recovered) OpenLog(name string) (*Log, error) {
 	return &Log{w: w, recs: s.Recs, flushedRecs: s.Recs}, nil
 }
 
+// OpenSummarized reconstructs a summarized Log (see NewSummarized) from
+// its data stream and its summary stream, each at its committed extent.
+func (r *Recovered) OpenSummarized(dataStream, sumStream string, summarize Summarize) (*Log, error) {
+	l, err := r.OpenLog(dataStream)
+	if err != nil {
+		return nil, err
+	}
+	sums, err := r.OpenLog(sumStream)
+	if err != nil {
+		return nil, err
+	}
+	l.sum = &summaries{log: sums, summarize: summarize}
+	return l, nil
+}
+
 // OpenPageWriter reconstructs the named raw PageWriter. waste selects the
 // tail policy (see adoptWriter); physically addressed structures must
 // pass true.

@@ -86,26 +86,23 @@ func (r Region) expand(x, y int64) Region {
 	return r
 }
 
-// segment summary: minT | maxT | bbox | count | page.
+// segment summary: minT | maxT | bbox | count, after the page number the
+// summary log puts first.
 type segSummary struct {
 	minT, maxT int64
 	bbox       Region
 	count      int64
-	page       int
 }
 
-func encodeSegSummary(s segSummary) []byte {
-	out := make([]byte, 8*7+4)
-	vals := [7]int64{s.minT, s.maxT, s.bbox.MinX, s.bbox.MinY, s.bbox.MaxX, s.bbox.MaxY, s.count}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
+func encodeSegSummary(dst []byte, s segSummary) []byte {
+	for _, v := range [7]int64{s.minT, s.maxT, s.bbox.MinX, s.bbox.MinY, s.bbox.MaxX, s.bbox.MaxY, s.count} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	binary.LittleEndian.PutUint32(out[56:], uint32(s.page))
-	return out
+	return dst
 }
 
 func decodeSegSummary(rec []byte) (segSummary, error) {
-	if len(rec) != 8*7+4 {
+	if len(rec) != 8*7 {
 		return segSummary{}, fmt.Errorf("sptemp: corrupt summary (%d bytes)", len(rec))
 	}
 	at := func(i int) int64 { return int64(binary.LittleEndian.Uint64(rec[8*i:])) }
@@ -113,44 +110,45 @@ func decodeSegSummary(rec []byte) (segSummary, error) {
 		minT: at(0), maxT: at(1),
 		bbox:  Region{MinX: at(2), MinY: at(3), MaxX: at(4), MaxY: at(5)},
 		count: at(6),
-		page:  int(binary.LittleEndian.Uint32(rec[56:])),
 	}, nil
 }
 
-// Track is one device's append-only spatio-temporal log.
+// summarize appends the summary of a segment page's fixes.
+func summarize(dst []byte, page logstore.PageView) ([]byte, error) {
+	var s segSummary
+	for {
+		rec, ok := page.Next()
+		if !ok {
+			return encodeSegSummary(dst, s), nil
+		}
+		p, err := decodeFix(rec)
+		if err != nil {
+			return nil, err
+		}
+		if s.count == 0 {
+			s.minT, s.bbox = p.T, Region{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
+		}
+		s.maxT = p.T
+		s.bbox = s.bbox.expand(p.X, p.Y)
+		s.count++
+	}
+}
+
+// Track is one device's append-only spatio-temporal log: a summarized log
+// of fixes.
 type Track struct {
-	fixes  *logstore.Log
-	sums   *logstore.Log
-	cur    segSummary
-	curSet bool
-	lastT  int64
-	hasT   bool
+	fixes *logstore.Log
+	lastT int64
+	hasT  bool
 }
 
 // New creates an empty track drawing blocks from alloc.
 func New(alloc *flash.Allocator) *Track {
-	t := &Track{
-		fixes: logstore.NewLog(alloc),
-		sums:  logstore.NewLog(alloc),
-	}
-	t.fixes.OnFlush(t.flushSummary)
-	return t
-}
-
-func (t *Track) flushSummary(page int) error {
-	if !t.curSet {
-		return nil
-	}
-	t.cur.page = page
-	if _, err := t.sums.Append(encodeSegSummary(t.cur)); err != nil {
-		return err
-	}
-	t.curSet = false
-	return nil
+	return &Track{fixes: logstore.NewSummarized(alloc, summarize)}
 }
 
 // Pages returns the flash pages in use.
-func (t *Track) Pages() int { return t.fixes.Pages() + t.sums.Pages() }
+func (t *Track) Pages() int { return t.fixes.Pages() + t.fixes.SummaryPages() }
 
 // Append records one fix; timestamps must be non-decreasing.
 func (t *Track) Append(p Fix) error {
@@ -160,39 +158,16 @@ func (t *Track) Append(p Fix) error {
 	if _, err := t.fixes.Append(encodeFix(p)); err != nil {
 		return err
 	}
-	if !t.curSet {
-		t.cur = segSummary{
-			minT: p.T, maxT: p.T,
-			bbox: Region{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y},
-		}
-		t.curSet = true
-	} else {
-		if p.T > t.cur.maxT {
-			t.cur.maxT = p.T
-		}
-		t.cur.bbox = t.cur.bbox.expand(p.X, p.Y)
-	}
-	t.cur.count++
 	t.lastT = p.T
 	t.hasT = true
 	return nil
 }
 
 // Flush persists buffered fixes and their summary.
-func (t *Track) Flush() error {
-	if err := t.fixes.Flush(); err != nil {
-		return err
-	}
-	return t.sums.Flush()
-}
+func (t *Track) Flush() error { return t.fixes.Flush() }
 
 // Drop frees the track's flash blocks.
-func (t *Track) Drop() error {
-	if err := t.fixes.Drop(); err != nil {
-		return err
-	}
-	return t.sums.Drop()
-}
+func (t *Track) Drop() error { return t.fixes.Drop() }
 
 // QueryStats describes the pruning a query achieved.
 type QueryStats struct {
@@ -209,7 +184,7 @@ func (t *Track) Query(t0, t1 int64, reg Region) ([]Fix, QueryStats, error) {
 		return nil, st, ErrBadQuery
 	}
 	var out []Fix
-	st.SummaryPages = t.sums.Pages()
+	st.SummaryPages = t.fixes.SummaryPages()
 	scanPage := func(page logstore.PageView) error {
 		for {
 			r, ok := page.Next()
@@ -227,30 +202,22 @@ func (t *Track) Query(t0, t1 int64, reg Region) ([]Fix, QueryStats, error) {
 	}
 	buf := t.fixes.PageBuf()
 	defer logstore.PutPageBuf(buf)
-	it := t.sums.Iter()
-	for {
-		rec, _, ok := it.Next()
-		if !ok {
-			break
-		}
+	if err := t.fixes.Summaries(func(p int, rec []byte) error {
 		sum, err := decodeSegSummary(rec)
-		if err != nil {
-			return nil, st, err
-		}
-		if sum.maxT < t0 || sum.minT > t1 || !sum.bbox.Intersects(reg) {
+		switch {
+		case err != nil:
+			return err
+		case sum.maxT < t0 || sum.minT > t1 || !sum.bbox.Intersects(reg):
 			st.SegmentsPruned++
-			continue
+			return nil
 		}
-		page, err := t.fixes.ReadPage(sum.page, *buf)
+		page, err := t.fixes.ReadPage(p, *buf)
 		if err != nil {
-			return nil, st, err
+			return err
 		}
 		st.SegmentsRead++
-		if err := scanPage(page); err != nil {
-			return nil, st, err
-		}
-	}
-	if err := it.Err(); err != nil {
+		return scanPage(page)
+	}); err != nil {
 		return nil, st, err
 	}
 	if err := scanPage(t.fixes.Unflushed()); err != nil {

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"pds/internal/flash"
 	"pds/internal/logstore"
@@ -92,79 +91,66 @@ func (a *Agg) add(v int64) {
 	a.merge(Agg{Count: 1, Sum: v, Min: v, Max: v})
 }
 
-// segment summary record layout: minT | maxT | count | sum | min | max |
-// page (all little-endian 64/32-bit).
+// segment summary layout: minT | maxT | count | sum | min | max (all
+// little-endian 64-bit), after the page number the summary log puts first.
 type summary struct {
 	minT, maxT int64
 	agg        Agg
-	page       int
 }
 
-func encodeSummary(s summary) []byte {
-	out := make([]byte, 6*8+4)
-	binary.LittleEndian.PutUint64(out[0:], uint64(s.minT))
-	binary.LittleEndian.PutUint64(out[8:], uint64(s.maxT))
-	binary.LittleEndian.PutUint64(out[16:], uint64(s.agg.Count))
-	binary.LittleEndian.PutUint64(out[24:], uint64(s.agg.Sum))
-	binary.LittleEndian.PutUint64(out[32:], uint64(s.agg.Min))
-	binary.LittleEndian.PutUint64(out[40:], uint64(s.agg.Max))
-	binary.LittleEndian.PutUint32(out[48:], uint32(s.page))
-	return out
+func encodeSummary(dst []byte, s summary) []byte {
+	for _, v := range [6]int64{s.minT, s.maxT, s.agg.Count, s.agg.Sum, s.agg.Min, s.agg.Max} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	}
+	return dst
 }
 
 func decodeSummary(rec []byte) (summary, error) {
-	if len(rec) != 6*8+4 {
+	if len(rec) != 6*8 {
 		return summary{}, fmt.Errorf("tseries: corrupt summary (%d bytes)", len(rec))
 	}
+	at := func(i int) int64 { return int64(binary.LittleEndian.Uint64(rec[8*i:])) }
 	return summary{
-		minT: int64(binary.LittleEndian.Uint64(rec[0:])),
-		maxT: int64(binary.LittleEndian.Uint64(rec[8:])),
-		agg: Agg{
-			Count: int64(binary.LittleEndian.Uint64(rec[16:])),
-			Sum:   int64(binary.LittleEndian.Uint64(rec[24:])),
-			Min:   int64(binary.LittleEndian.Uint64(rec[32:])),
-			Max:   int64(binary.LittleEndian.Uint64(rec[40:])),
-		},
-		page: int(binary.LittleEndian.Uint32(rec[48:])),
+		minT: at(0), maxT: at(1),
+		agg: Agg{Count: at(2), Sum: at(3), Min: at(4), Max: at(5)},
 	}, nil
 }
 
-// Series is an append-only time series on flash.
+// summarize appends the summary of a segment page's points.
+func summarize(dst []byte, page logstore.PageView) ([]byte, error) {
+	var s summary
+	for first := true; ; first = false {
+		rec, ok := page.Next()
+		if !ok {
+			return encodeSummary(dst, s), nil
+		}
+		p, err := decodePoint(rec)
+		if err != nil {
+			return nil, err
+		}
+		if first {
+			s.minT = p.T
+		}
+		s.maxT = p.T
+		s.agg.add(p.V)
+	}
+}
+
+// Series is an append-only time series on flash: a summarized log of
+// points.
 type Series struct {
-	points *logstore.Log
-	sums   *logstore.Log
-	// Running summary of the page being filled.
-	cur     summary
-	curSet  bool
+	points  *logstore.Log
 	lastT   int64
 	hasLast bool
 }
 
 // New creates an empty series drawing blocks from alloc.
 func New(alloc *flash.Allocator) *Series {
-	s := &Series{
-		points: logstore.NewLog(alloc),
-		sums:   logstore.NewLog(alloc),
-	}
-	s.points.OnFlush(s.flushSummary)
-	return s
-}
-
-func (s *Series) flushSummary(page int) error {
-	if !s.curSet {
-		return nil
-	}
-	s.cur.page = page
-	if _, err := s.sums.Append(encodeSummary(s.cur)); err != nil {
-		return err
-	}
-	s.cur = summary{}
-	s.curSet = false
-	return nil
+	return &Series{points: logstore.NewSummarized(alloc, summarize)}
 }
 
 // Pages returns the flash pages used.
-func (s *Series) Pages() int { return s.points.Pages() + s.sums.Pages() }
+func (s *Series) Pages() int { return s.points.Pages() + s.points.SummaryPages() }
 
 // Append adds one point; timestamps must be non-decreasing.
 func (s *Series) Append(p Point) error {
@@ -174,34 +160,16 @@ func (s *Series) Append(p Point) error {
 	if _, err := s.points.Append(encodePoint(p)); err != nil {
 		return err
 	}
-	if !s.curSet {
-		s.cur = summary{minT: p.T, maxT: p.T}
-		s.curSet = true
-	}
-	if p.T > s.cur.maxT {
-		s.cur.maxT = p.T
-	}
-	s.cur.agg.add(p.V)
 	s.lastT = p.T
 	s.hasLast = true
 	return nil
 }
 
 // Flush persists buffered points and their summary.
-func (s *Series) Flush() error {
-	if err := s.points.Flush(); err != nil {
-		return err
-	}
-	return s.sums.Flush()
-}
+func (s *Series) Flush() error { return s.points.Flush() }
 
 // Drop frees the series' flash blocks.
-func (s *Series) Drop() error {
-	if err := s.points.Drop(); err != nil {
-		return err
-	}
-	return s.sums.Drop()
-}
+func (s *Series) Drop() error { return s.points.Drop() }
 
 // WindowStats describes the work one window query performed.
 type WindowStats struct {
@@ -210,16 +178,23 @@ type WindowStats struct {
 	SegmentsRead   int // boundary segments whose points were scanned
 }
 
-// Window aggregates the points with t0 <= T <= t1. Fully covered segments
-// are answered from their summaries; only boundary segments are read.
-func (s *Series) Window(t0, t1 int64) (Agg, WindowStats, error) {
-	var out Agg
+// aggregate folds the points with lo <= T <= hi into out, in buckets of
+// width (0: one bucket), with one summary-log scan: a segment inside one
+// bucket merges from its summary, any other segment that meets [lo, hi]
+// is read once, and the buffered points are folded in last.
+func (s *Series) aggregate(lo, hi, width int64, out []Agg) (WindowStats, error) {
 	var st WindowStats
-	if t0 > t1 {
-		return out, st, ErrBadWindow
+	// bucket returns the bucket of t, -1 outside [lo, hi].
+	bucket := func(t int64) int64 {
+		switch {
+		case t < lo || t > hi:
+			return -1
+		case width == 0:
+			return 0
+		}
+		return (t - lo) / width
 	}
-	// scan folds the points of page that fall inside the window.
-	scan := func(page logstore.PageView) error {
+	fold := func(page logstore.PageView) error {
 		for {
 			r, ok := page.Next()
 			if !ok {
@@ -229,50 +204,45 @@ func (s *Series) Window(t0, t1 int64) (Agg, WindowStats, error) {
 			if err != nil {
 				return err
 			}
-			if p.T >= t0 && p.T <= t1 {
-				out.add(p.V)
+			if b := bucket(p.T); b >= 0 {
+				out[b].add(p.V)
 			}
 		}
 	}
 	buf := s.points.PageBuf()
 	defer logstore.PutPageBuf(buf)
-	st.SummaryPages = s.sums.Pages()
-	it := s.sums.Iter()
-	for {
-		rec, _, ok := it.Next()
-		if !ok {
-			break
-		}
+	st.SummaryPages = s.points.SummaryPages()
+	if err := s.points.Summaries(func(p int, rec []byte) error {
 		sum, err := decodeSummary(rec)
-		if err != nil {
-			return out, st, err
-		}
-		if sum.maxT < t0 || sum.minT > t1 {
-			continue
-		}
-		if sum.minT >= t0 && sum.maxT <= t1 {
-			out.merge(sum.agg)
+		switch b := bucket(sum.minT); {
+		case err != nil || sum.maxT < lo || sum.minT > hi:
+			return err
+		case b >= 0 && b == bucket(sum.maxT):
+			out[b].merge(sum.agg)
 			st.SegmentsInside++
-			continue
+			return nil
 		}
-		// Boundary segment: scan its points.
-		page, err := s.points.ReadPage(sum.page, *buf)
+		page, err := s.points.ReadPage(p, *buf)
 		if err != nil {
-			return out, st, err
+			return err
 		}
 		st.SegmentsRead++
-		if err := scan(page); err != nil {
-			return out, st, err
-		}
+		return fold(page)
+	}); err != nil {
+		return st, err
 	}
-	if err := it.Err(); err != nil {
-		return out, st, err
+	return st, fold(s.points.Unflushed())
+}
+
+// Window aggregates the points with t0 <= T <= t1. Fully covered segments
+// are answered from their summaries; only boundary segments are read.
+func (s *Series) Window(t0, t1 int64) (Agg, WindowStats, error) {
+	if t0 > t1 {
+		return Agg{}, WindowStats{}, ErrBadWindow
 	}
-	// Buffered (unflushed) points are in RAM.
-	if err := scan(s.points.Unflushed()); err != nil {
-		return out, st, err
-	}
-	return out, st, nil
+	var out [1]Agg
+	st, err := s.aggregate(t0, t1, 0, out[:])
+	return out[0], st, err
 }
 
 // ScanWindow is the baseline: a full scan of every point.
@@ -299,8 +269,7 @@ func (s *Series) ScanWindow(t0, t1 int64) (Agg, error) {
 }
 
 // Downsample returns per-bucket aggregates for buckets of the given width
-// covering [t0, t1), computed with one summary-log scan plus boundary
-// reads per bucket.
+// covering [t0, t1), computed with one summary-log scan.
 func (s *Series) Downsample(t0, t1, width int64) ([]Agg, error) {
 	if width <= 0 || t0 > t1 {
 		return nil, ErrBadWindow
@@ -310,23 +279,10 @@ func (s *Series) Downsample(t0, t1, width int64) ([]Agg, error) {
 		return nil, fmt.Errorf("tseries: %d buckets is unreasonable", nb)
 	}
 	out := make([]Agg, nb)
-	for i := range out {
-		lo := t0 + int64(i)*width
-		hi := lo + width - 1
-		if hi > t1-1 {
-			hi = t1 - 1
-		}
-		agg, _, err := s.Window(lo, hi)
-		if err != nil {
+	if nb > 0 {
+		if _, err := s.aggregate(t0, t1-1, width, out); err != nil {
 			return nil, err
 		}
-		out[i] = agg
 	}
 	return out, nil
 }
-
-// MinInt64 sentinel helpers for tests.
-const (
-	MinTime = math.MinInt64
-	MaxTime = math.MaxInt64
-)

@@ -2,11 +2,14 @@ package tseries
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pds/internal/flash"
+	"pds/internal/logstore"
 )
 
 func testSeries() *Series {
@@ -173,6 +176,85 @@ func TestDownsample(t *testing.T) {
 	}
 	if len(buckets) != 10 || buckets[9].Count != 5 {
 		t.Errorf("ragged buckets = %d, last = %+v", len(buckets), buckets[len(buckets)-1])
+	}
+}
+
+// windowDownsample is Downsample as one Window per bucket, each checked
+// against the full scan: the oracle.
+func windowDownsample(s *Series, t0, t1, width int64) ([]Agg, error) {
+	out := make([]Agg, (t1-t0+width-1)/width)
+	for i := range out {
+		lo := t0 + int64(i)*width
+		hi := min(lo+width-1, t1-1)
+		agg, _, err := s.Window(lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		if scan, err := s.ScanWindow(lo, hi); err != nil || scan != agg {
+			return nil, fmt.Errorf("window [%d, %d] = %+v, the scan %+v, %v", lo, hi, agg, scan, err)
+		}
+		out[i] = agg
+	}
+	return out, nil
+}
+
+// On random series, Downsample equals one Window per bucket, and it reads
+// the summary pages once plus each flushed segment that meets [t0, t1)
+// without lying inside one bucket, once.
+func TestDownsampleOneSummaryPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		s := testSeries()
+		tcur := rng.Int63n(100) - 50
+		for i := rng.Intn(3000); i > 0; i-- {
+			tcur += rng.Int63n(4)
+			if err := s.Append(Point{T: tcur, V: rng.Int63n(2000) - 1000}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		t0 := rng.Int63n(tcur+100) - 100
+		t1 := t0 + rng.Int63n(tcur-t0+200)
+		width := 1 + rng.Int63n(200)
+		want, err := windowDownsample(s, t0, t1, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The segments a bucket edge, t0 or t1 cuts, from their points.
+		buf := s.points.PageBuf()
+		cut := 0
+		for p := 0; p < s.points.Pages(); p++ {
+			page, err := s.points.ReadPage(p, *buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, _ := page.Next()
+			last := first
+			for r, ok := page.Next(); ok; r, ok = page.Next() {
+				last = r
+			}
+			lo, _ := decodePoint(first)
+			hi, _ := decodePoint(last)
+			meets := hi.T >= t0 && lo.T < t1
+			inside := lo.T >= t0 && hi.T < t1 && (lo.T-t0)/width == (hi.T-t0)/width
+			if meets && !inside {
+				cut++
+			}
+		}
+		logstore.PutPageBuf(buf)
+		chip := s.points.Chip()
+		chip.ResetStats()
+		got, err := s.Downsample(t0, t1, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := chip.Stats().PageReads
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Downsample(%d, %d, %d) = %+v, per-bucket Window %+v", trial, t0, t1, width, got, want)
+		}
+		if want := int64(s.points.SummaryPages() + cut); reads != want {
+			t.Errorf("trial %d: %d page reads, want %d summary pages + %d cut segments", trial, reads, s.points.SummaryPages(), cut)
+		}
+		s.Drop()
 	}
 }
 
