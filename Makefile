@@ -91,16 +91,30 @@ lint-determinism:
 # every crash point × {write, torn-write, erase}, pinned seeds, full
 # sweeps, the per-engine crash and write-fault tests (the durable stores'
 # battery, a crash around the host's idle-time reorganization, each
-# engine's reorganization under faults), plus the E21 recovery-cost
-# report. Every -run pattern matches a test in each package it names
-# (check with `go test PKG -list PATTERN`). `make test` runs the same
-# batteries, and the pdsbench golden pins E21's quick report.
+# engine's reorganization under faults), the journal's commit and
+# recovery tests, the chip's crash plane and the allocator's owed erases
+# (the journal's stale block owes its erase there), plus the E21
+# recovery-cost report. `run PATTERN PKG...` fails the gate when PATTERN
+# lists no test in one of its packages, so a renamed test cannot drop out
+# of the battery unnoticed. `make test` runs the same batteries, and the
+# pdsbench golden pins E21's quick report.
 crash-matrix:
-	$(GO) test ./internal/crashharness -count=1
-	$(GO) test ./internal/durable -run 'CrashBattery' -count=1
-	$(GO) test ./internal/tenant -run 'CrashAroundIdleReorganization' -count=1
-	$(GO) test ./internal/kv ./internal/search ./internal/embdb -run 'Crash|Reorganize|InPlaceFailed|SyncDurability|ReopenTable|WriteFault' -count=1
-	$(GO) test ./internal/logstore -run 'Journal|Recover|Manifest|CommitCrash' -count=1
+	@set -e; \
+	run() { \
+		pat="$$1"; shift; \
+		for pkg in "$$@"; do \
+			if ! $(GO) test "$$pkg" -list "$$pat" | grep -q '^Test'; then \
+				echo "crash-matrix: -run '$$pat' lists no test in $$pkg"; exit 1; \
+			fi; \
+		done; \
+		$(GO) test "$$@" -run "$$pat" -count=1; \
+	}; \
+	$(GO) test ./internal/crashharness -count=1; \
+	run 'CrashBattery' ./internal/durable; \
+	run 'CrashAroundIdleReorganization' ./internal/tenant; \
+	run 'Crash|Reorganize|InPlaceFailed|SyncDurability|ReopenTable|WriteFault' ./internal/kv ./internal/search ./internal/embdb; \
+	run 'Journal|Recover|Manifest|CommitCrash' ./internal/logstore; \
+	run 'Erase|Crash' ./internal/flash; \
 	$(GO) run ./cmd/pdsbench -exp E21
 
 ci: vet fmt build test race fuzz lint-determinism bench-smoke

@@ -3,6 +3,7 @@ package flash
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -17,14 +18,19 @@ var ErrNoSpace = errors.New("flash: no free blocks")
 // dirty, its pages still programmed, and is erased either by EraseDirty —
 // reclamation as background work, in the chip's idle time — or by the
 // Alloc that hands it out again. Either way its erase is paid once, before
-// the block is reprogrammed, and recovery still finds it written.
+// the block is reprogrammed, and recovery still finds it written. A block
+// its owner keeps but will reprogram, like the journal's stale partner,
+// owes its erase the same way (Owe), paid by EraseDirty or by the owner's
+// CleanOwed.
 type Allocator struct {
 	mu    sync.Mutex
 	chip  *Chip
 	free  []int  // stack of free block ids, dirty ones included
 	inUse []bool // per block
-	dirty []int  // free blocks not yet erased, oldest free first
-	used  int    // blocks in use
+	// dirty is the stack of blocks that owe their erase, newest on top:
+	// free ones in the order Alloc hands them out, and owed ones in use.
+	dirty []int
+	used  int // blocks in use
 }
 
 // NewAllocator creates an allocator owning all blocks of chip.
@@ -36,11 +42,14 @@ func NewAllocator(chip *Chip) *Allocator {
 // the listed used blocks are already occupied by surviving structures.
 // Every other block goes to the free pool, low ids handed out first, as in
 // NewAllocator. The dirty blocks, distinct and not used, are free but
-// still hold written pages: they are erased, in the order listed, by
-// EraseDirty or by the Alloc that hands one out. The allocator keeps the
-// dirty slice.
+// still hold written pages: they are erased by EraseDirty, in the order
+// Alloc hands them out, or by the Alloc that hands one out. The allocator
+// keeps the dirty slice and sorts it in place.
 func NewAllocatorWithUsed(chip *Chip, used, dirty []int) *Allocator {
 	g := chip.Geometry()
+	// High ids at the bottom of the stack: Alloc hands low ids out first.
+	slices.Sort(dirty)
+	slices.Reverse(dirty)
 	a := &Allocator{
 		chip:  chip,
 		free:  make([]int, 0, g.Blocks),
@@ -69,9 +78,9 @@ func (a *Allocator) take(b int) {
 	}
 }
 
-// clean erases free block b if it is dirty, with a.mu held. The search
-// starts from the most recently freed block, which is the one Alloc hands
-// out.
+// clean erases block b if it owes its erase, with a.mu held. The search
+// starts from the top of the dirty stack, where the block Alloc hands out
+// next sits.
 func (a *Allocator) clean(b int) error {
 	for i := len(a.dirty) - 1; i >= 0; i-- {
 		if a.dirty[i] == b {
@@ -143,24 +152,48 @@ func (a *Allocator) Free(b int) error {
 	return nil
 }
 
-// EraseDirty erases up to n dirty blocks, oldest free first, and returns
-// how many it erased. The blocks keep their places in the free pool, so
-// the allocation order is the same whether or not their erase ran ahead.
+// Owe records that block b, in use and owing no erase yet, owes its
+// erase: its owner keeps it but will reprogram it, and until then
+// EraseDirty may erase it in the chip's idle time. The owner pays what is
+// still owed with CleanOwed before it programs b again. Its pages stay
+// readable until the erase.
+func (a *Allocator) Owe(b int) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.held(b) {
+		return fmt.Errorf("flash: owed erase of unallocated block %d", b)
+	}
+	a.dirty = append(a.dirty, b)
+	return nil
+}
+
+// CleanOwed erases block b if its erase is still owed: the on-demand half
+// of Owe, which the owner calls before it programs b again.
+func (a *Allocator) CleanOwed(b int) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.clean(b)
+}
+
+// EraseDirty erases up to n blocks that owe their erase, newest first —
+// the order Alloc hands free blocks out, so a short idle window erases
+// exactly the blocks the next allocations take — and returns how many it
+// erased. The blocks keep their places in the free pool, so the
+// allocation order is the same whether or not their erase ran ahead.
 func (a *Allocator) EraseDirty(n int) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	done := 0
-	var err error
-	for ; done < n && done < len(a.dirty); done++ {
-		if err = a.chip.EraseBlock(a.dirty[done]); err != nil {
-			break
+	for ; done < n && len(a.dirty) > 0; done++ {
+		if err := a.chip.EraseBlock(a.dirty[len(a.dirty)-1]); err != nil {
+			return done, err
 		}
+		a.dirty = a.dirty[:len(a.dirty)-1]
 	}
-	a.dirty = append(a.dirty[:0], a.dirty[done:]...)
-	return done, err
+	return done, nil
 }
 
-// Dirty returns how many free blocks still owe their erase.
+// Dirty returns how many blocks still owe their erase, free and owed ones.
 func (a *Allocator) Dirty() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

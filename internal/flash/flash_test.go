@@ -308,9 +308,11 @@ func TestAllocatorLifecycle(t *testing.T) {
 	}
 }
 
-// EraseDirty retires the oldest frees first and leaves the allocation
-// order what it would have been had every free erased on the spot.
-func TestEraseDirtyOldestFirst(t *testing.T) {
+// EraseDirty retires the newest frees first — the order Alloc hands them
+// out, so after EraseDirty(k) the next k Allocs erase nothing — and leaves
+// the allocation order what it would have been had every free erased on
+// the spot.
+func TestEraseDirtyNewestFirst(t *testing.T) {
 	c := NewChip(SmallGeometry())
 	a := NewAllocator(c)
 	var bs []int
@@ -335,15 +337,16 @@ func TestEraseDirtyOldestFirst(t *testing.T) {
 	}
 	for _, b := range bs {
 		w, _ := c.WrittenInBlock(b)
-		if erased := w == 0; erased != (b == bs[2] || b == bs[0]) {
-			t.Errorf("block %d erased=%v after retiring the two oldest frees", b, erased)
+		if erased := w == 0; erased != (b == bs[1] || b == bs[3]) {
+			t.Errorf("block %d erased=%v after retiring the two newest frees", b, erased)
 		}
 	}
 	if a.Dirty() != 2 || c.Stats().BlockErases != 2 {
 		t.Errorf("dirty=%d erases=%d, want 2 and 2", a.Dirty(), c.Stats().BlockErases)
 	}
-	// Most recently freed first, erased or not.
-	for _, want := range []int{bs[1], bs[3], bs[0], bs[2]} {
+	// Most recently freed first, erased or not; the first two were
+	// erased ahead, so handing them out erases nothing.
+	for i, want := range []int{bs[1], bs[3], bs[0], bs[2]} {
 		b, err := a.Alloc()
 		if err != nil || b != want {
 			t.Fatalf("Alloc = %d, %v; want %d", b, err, want)
@@ -351,12 +354,88 @@ func TestEraseDirtyOldestFirst(t *testing.T) {
 		if w, _ := c.WrittenInBlock(b); w != 0 {
 			t.Fatalf("block %d handed out unerased", b)
 		}
+		if want := int64(max(2, i+1)); c.Stats().BlockErases != want {
+			t.Fatalf("after Alloc %d: %d erases, want %d", i+1, c.Stats().BlockErases, want)
+		}
 	}
 	if a.Dirty() != 0 || c.Stats().BlockErases != 4 {
 		t.Errorf("dirty=%d erases=%d after reallocating all, want 0 and 4", a.Dirty(), c.Stats().BlockErases)
 	}
 	if n, err := a.EraseDirty(10); n != 0 || err != nil {
 		t.Errorf("EraseDirty on a clean pool = %d, %v", n, err)
+	}
+}
+
+// Dirty blocks handed over by recovery, listed in any order, are retired
+// in the order Alloc hands them out: low ids first.
+func TestEraseDirtyAfterRecoveryFollowsAlloc(t *testing.T) {
+	c := NewChip(SmallGeometry())
+	ppb := c.Geometry().PagesPerBlock
+	for _, b := range []int{2, 4, 5} {
+		if err := c.WritePage(b*ppb, []byte("stale")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := NewAllocatorWithUsed(c, []int{0, 1, 3}, []int{5, 2, 4})
+	if n, err := a.EraseDirty(2); n != 2 || err != nil {
+		t.Fatalf("EraseDirty(2) = %d, %v", n, err)
+	}
+	for _, want := range []int{2, 4} {
+		if b, err := a.Alloc(); err != nil || b != want {
+			t.Fatalf("Alloc = %d, %v; want %d", b, err, want)
+		}
+	}
+	if c.Stats().BlockErases != 2 || a.Dirty() != 1 {
+		t.Errorf("erases=%d dirty=%d, want 2 and 1: an Alloc erased a block EraseDirty skipped", c.Stats().BlockErases, a.Dirty())
+	}
+}
+
+// A block its owner keeps can owe its erase: EraseDirty pays it in idle
+// time, or CleanOwed on demand, and either way it is paid once.
+func TestOweAndCleanOwed(t *testing.T) {
+	c := NewChip(SmallGeometry())
+	a := NewAllocator(c)
+	b, err := a.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := b * c.Geometry().PagesPerBlock
+	if err := a.Owe(b + 1); err == nil {
+		t.Error("Owe of an unallocated block succeeded")
+	}
+	if err := c.WritePage(p, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Owe(b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Dirty() != 1 || a.InUse() != 1 {
+		t.Fatalf("after owing: dirty=%d inuse=%d, want 1 and 1", a.Dirty(), a.InUse())
+	}
+	if got, _ := c.Page(p); string(got) != "old" {
+		t.Errorf("owed block lost its page before the erase: %q", got)
+	}
+	if n, err := a.EraseDirty(5); n != 1 || err != nil {
+		t.Fatalf("EraseDirty = %d, %v; want 1", n, err)
+	}
+	if err := a.CleanOwed(b); err != nil || c.Stats().BlockErases != 1 {
+		t.Fatalf("CleanOwed after the idle erase: %v, %d erases; want nil and 1", err, c.Stats().BlockErases)
+	}
+	// Owed again, paid on demand this time.
+	if err := c.WritePage(p, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Owe(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.CleanOwed(b); err != nil || c.Stats().BlockErases != 2 || a.Dirty() != 0 {
+		t.Fatalf("CleanOwed: %v, %d erases, %d dirty; want nil, 2 and 0", err, c.Stats().BlockErases, a.Dirty())
+	}
+	if err := c.WritePage(p, []byte("again")); err != nil {
+		t.Fatalf("owed block not programmable after CleanOwed: %v", err)
+	}
+	if a.InUse() != 1 {
+		t.Errorf("owing an erase released the block: inuse=%d", a.InUse())
 	}
 }
 

@@ -10,19 +10,25 @@
 // JournalBlockB, the "journal area" — so recovery can find the newest
 // record by scanning exactly two blocks, the way a real controller scans
 // its superblock area. Records fill one block of the pair; when it is
-// full the journal ping-pongs: the partner block (which only holds
-// strictly older records, if any) is erased and the next record opens it.
+// full the journal ping-pongs: the next record opens the partner block,
+// and the block it left, which now holds only strictly older records,
+// owes its erase to the allocator like a freed block (flash.Allocator's
+// Owe). The chip's idle time may pay that erase (EraseDirty); the next
+// ping-pong into the block pays it if it is still owed (CleanOwed). The
+// journal erases nothing itself.
 //
 // Crash safety of Commit:
 //
 //   - a crash before the record page is programmed (or a torn record
 //     page, which fails the CRC) leaves the previous record
 //     authoritative;
-//   - the partner block is erased only while the current block holds the
-//     winning record, so at every instant at least one valid record
-//     exists on flash (once the first commit landed);
-//   - an interrupted erase of the partner leaves stale or corrupt
-//     records that lose on sequence number or CRC.
+//   - a block comes to owe its erase only after the record of the
+//     ping-pong out of it has landed in the partner, so the block holding
+//     the winning record is never erased and at every instant at least
+//     one valid record exists on flash (once the first commit landed);
+//   - an interrupted erase of the stale block leaves stale or corrupt
+//     records that lose on sequence number or CRC, and recovery registers
+//     the still-written stale block as owing its erase again.
 package logstore
 
 import (
@@ -275,8 +281,9 @@ func (j *Journal) Retire(b int) { j.retire = append(j.retire, b) }
 
 // Commit appends a record carrying m. On success m.Seq holds the record's
 // sequence number and every retired block has been freed. When the
-// journal block is full, the record is written to a fresh block before
-// the old one is erased, so a crash at any point leaves a valid record.
+// journal block is full, the record is written to the partner block
+// before the old one owes its erase, so a crash at any point leaves a
+// valid record.
 func (j *Journal) Commit(m *Manifest) error {
 	payload, err := encodeManifest(m)
 	if err != nil {
@@ -290,22 +297,21 @@ func (j *Journal) Commit(m *Manifest) error {
 	chip := j.alloc.Chip()
 	if j.nextPage == g.PagesPerBlock {
 		// Ping-pong: the partner only holds strictly older records, so
-		// erasing it before programming is safe — the current block keeps
-		// the winning record until the new one lands.
+		// paying its owed erase before programming is safe — the current
+		// block keeps the winning record until the new one lands. Only
+		// then does the current block owe its own erase.
 		partner := JournalBlockA + JournalBlockB - j.block
-		wc, err := chip.WrittenInBlock(partner)
-		if err != nil {
+		if err := j.alloc.CleanOwed(partner); err != nil {
 			return err
-		}
-		if wc > 0 {
-			if err := chip.EraseBlock(partner); err != nil {
-				return err
-			}
 		}
 		if err := chip.WritePage(partner*g.PagesPerBlock, rec); err != nil {
 			return err
 		}
+		stale := j.block
 		j.block, j.nextPage = partner, 1
+		if err := j.alloc.Owe(stale); err != nil {
+			return err
+		}
 	} else {
 		if err := chip.WritePage(j.block*g.PagesPerBlock+j.nextPage, rec); err != nil {
 			return err

@@ -181,6 +181,9 @@ type Summarize func(dst []byte, page PageView) ([]byte, error)
 type summaries struct {
 	log       *Log
 	summarize Summarize
+	// pending is the summary record of a data page already on flash whose
+	// append to the summary log failed; the next flush appends it first.
+	pending *[]byte
 }
 
 // NewLog creates an empty log drawing blocks from alloc.
@@ -237,32 +240,51 @@ func (l *Log) Flush() error {
 }
 
 // flushPage writes the buffered page, if any, and appends its summary to
-// the summary log's buffer. The summary is built in a page of RAM from
-// the pool, while the write buffer still holds the page's records.
+// the summary log's buffer. The summary is built first, in a page of RAM
+// from the pool: a failure to build it leaves the page buffered and
+// nothing written. Once the page is written it counts as flushed, even if
+// appending its summary fails; the summary then stays pending, and the
+// next flush appends it before anything else.
 func (l *Log) flushPage() error {
+	s := l.sum
+	if s != nil && s.pending != nil {
+		if _, err := s.log.Append(*s.pending); err != nil {
+			return err
+		}
+		PutPageBuf(s.pending)
+		s.pending = nil
+	}
 	if l.cnt == 0 {
 		return nil
 	}
 	sealPage(l.buf, l.cnt)
-	page := l.w.Pages()
-	if _, err := l.w.Write(l.buf); err != nil {
-		return err
-	}
-	if s := l.sum; s != nil {
-		buf := l.PageBuf()
-		rec, err := s.summarize(binary.LittleEndian.AppendUint32((*buf)[:0], uint32(page)), l.Unflushed())
-		if err == nil {
-			_, err = s.log.Append(rec)
-		}
-		PutPageBuf(buf)
+	var sum *[]byte
+	if s != nil {
+		sum = l.PageBuf()
+		rec, err := s.summarize(binary.LittleEndian.AppendUint32((*sum)[:0], uint32(l.w.Pages())), l.Unflushed())
 		if err != nil {
+			PutPageBuf(sum)
 			return err
 		}
+		*sum = rec
+	}
+	if _, err := l.w.Write(l.buf); err != nil {
+		if sum != nil {
+			PutPageBuf(sum)
+		}
+		return err
 	}
 	l.flushedRecs += l.cnt
 	// The chip copied the image: the page of RAM serves the next page.
 	l.buf = l.buf[:pageHeader]
 	l.cnt = 0
+	if sum != nil {
+		if _, err := s.log.Append(*sum); err != nil {
+			s.pending = sum
+			return err
+		}
+		PutPageBuf(sum)
+	}
 	return nil
 }
 
@@ -362,8 +384,12 @@ func (l *Log) Drop() error {
 	l.buf = nil
 	l.cnt = 0
 	err := l.w.Drop()
-	if l.sum != nil {
-		err = errors.Join(err, l.sum.log.Drop())
+	if s := l.sum; s != nil {
+		if s.pending != nil {
+			PutPageBuf(s.pending)
+			s.pending = nil
+		}
+		err = errors.Join(err, s.log.Drop())
 	}
 	return err
 }

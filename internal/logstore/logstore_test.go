@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -482,6 +483,107 @@ func TestSummarizeErrorPropagates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("append err = %v, want the summarize error", err)
 	}
+}
+
+// flushedOnce fails unless l holds exactly recs, one per data page, each
+// read back once, with exactly one summary per page.
+func flushedOnce(t *testing.T, l *Log, recs ...string) {
+	t.Helper()
+	if l.Len() != len(recs) || l.Pages() != len(recs) {
+		t.Errorf("Len %d, Pages %d; want %d and %d", l.Len(), l.Pages(), len(recs), len(recs))
+	}
+	if got := logContents(t, l); fmt.Sprint(got) != fmt.Sprint(recs) {
+		t.Errorf("Iter yields %q, want %q", got, recs)
+	}
+	var pages []int
+	if err := l.Summaries(func(page int, _ []byte) error {
+		pages = append(pages, page)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(pages) != len(recs) {
+		t.Fatalf("summaries for pages %v, want one for each of %d pages", pages, len(recs))
+	}
+	for i, p := range pages {
+		if p != i {
+			t.Errorf("summaries for pages %v, want 0..%d once each", pages, len(recs)-1)
+			break
+		}
+	}
+}
+
+// A failed flush of a summarized log writes no data page twice: a
+// summarize failure leaves the page unwritten and buffered, and a summary
+// that cannot reach the summary log after its data page landed stays
+// pending until the next flush appends it.
+func TestSummarizedFlushFailureWritesOnce(t *testing.T) {
+	t.Run("summarize fails once", func(t *testing.T) {
+		boom := errors.New("summary build failed")
+		failed := false
+		l := NewSummarized(testAlloc(), func(dst []byte, page PageView) ([]byte, error) {
+			if !failed {
+				failed = true
+				return nil, boom
+			}
+			return countSummary(dst, page)
+		})
+		if _, err := l.Append([]byte("only")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Flush(); !errors.Is(err, boom) {
+			t.Fatalf("first flush = %v, want the summarize error", err)
+		}
+		if l.Pages() != 0 {
+			t.Fatalf("a page was written although its summary failed: Pages %d", l.Pages())
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		flushedOnce(t, l, "only")
+	})
+	t.Run("summary page write fault", func(t *testing.T) {
+		a := testAlloc()
+		l := NewSummarized(a, countSummary)
+		if _, err := l.Append([]byte("only")); err != nil {
+			t.Fatal(err)
+		}
+		a.Chip().InjectWriteFault(1) // the data page lands, the summary page fails
+		if err := l.Flush(); !errors.Is(err, flash.ErrInjectedFault) {
+			t.Fatalf("first flush = %v, want the injected fault", err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		flushedOnce(t, l, "only")
+	})
+	t.Run("summary append fails", func(t *testing.T) {
+		// Summaries and records of more than half a page: every data page
+		// holds one record, and the second summary's append must first
+		// write the summary log's full page, which fails.
+		a := testAlloc()
+		half := a.Chip().Geometry().PageSize / 2
+		l := NewSummarized(a, func(dst []byte, page PageView) ([]byte, error) {
+			return append(dst, make([]byte, half)...), nil
+		})
+		recs := []string{strings.Repeat("a", half), strings.Repeat("b", half)}
+		for _, r := range recs {
+			if _, err := l.Append([]byte(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a.Chip().InjectWriteFault(1) // data page 1 lands, summary page 0 fails
+		if err := l.Flush(); !errors.Is(err, flash.ErrInjectedFault) {
+			t.Fatalf("first flush = %v, want the injected fault", err)
+		}
+		if err := l.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		flushedOnce(t, l, recs...)
+		if err := l.Drop(); err != nil || a.InUse() != 0 {
+			t.Errorf("Drop = %v with %d blocks in use", err, a.InUse())
+		}
+	})
 }
 
 // A summary record too short to name its page fails the scan with

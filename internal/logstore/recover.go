@@ -132,10 +132,10 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 	}
 
 	// Phase 3: reclaim every unowned block that still holds written pages
-	// (uncommitted appends, abandoned reorganizations, stale journals,
-	// freed blocks whose erase was still owed, interrupted erases). They
-	// are handed to the allocator dirty, in block order: their erase is
-	// owed, like that of a freed block, not paid here.
+	// (uncommitted appends, abandoned reorganizations, freed blocks whose
+	// erase was still owed, interrupted erases). They are handed to the
+	// allocator dirty: their erase is owed, like that of a freed block,
+	// not paid here.
 	usedList := make([]int, 0, len(used))
 	var dirty []int
 	for b := 0; b < g.Blocks; b++ {
@@ -156,9 +156,11 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 	}
 
 	// Phase 4: rebuild the allocator and adopt the journal. The active
-	// journal block is the one holding the winning record; its partner may
-	// carry stale records, which the next ping-pong erases. With no record
-	// at all, the journal area is wiped and the journal starts fresh.
+	// journal block is the one holding the winning record; its partner
+	// may carry stale records (or a torn ping-pong record, or the
+	// remains of an interrupted erase), and then it owes its erase, paid
+	// in idle time or by the next ping-pong. With no record at all, the
+	// journal area is wiped and the journal starts fresh.
 	r.Alloc = flash.NewAllocatorWithUsed(chip, usedList, dirty)
 	if bestBlock >= 0 {
 		wc, err := chip.WrittenInBlock(bestBlock)
@@ -166,6 +168,16 @@ func Recover(chip *flash.Chip, reg *obs.Registry) (*Recovered, error) {
 			return nil, err
 		}
 		r.Journal = &Journal{alloc: r.Alloc, block: bestBlock, nextPage: wc, seq: bestSeq}
+		partner := JournalBlockA + JournalBlockB - bestBlock
+		stale, err := chip.WrittenInBlock(partner)
+		if err != nil {
+			return nil, err
+		}
+		if stale > 0 {
+			if err := r.Alloc.Owe(partner); err != nil {
+				return nil, err
+			}
+		}
 	} else {
 		for _, b := range []int{JournalBlockA, JournalBlockB} {
 			wc, err := chip.WrittenInBlock(b)

@@ -545,11 +545,14 @@ func (h *Host) background(e *envelope, start int64, reopened bool) (wait int64, 
 }
 
 // retire spends the chip's idle time [e.idleAt, start) on the erases its
-// stores owe, oldest freed block first, one EraseBlock latency each; that
-// I/O is background work, outside the request's service. An erase still
-// running at start cannot be preempted, so the request waits out its
-// remainder, which retire returns. A chip still busy at start with the
-// tenant's earlier request starts no erase.
+// stores owe, newest first — the order Alloc hands freed blocks out, so
+// the blocks the next requests allocate are the ones erased — one
+// EraseBlock latency each; the journal's stale block is among them, so a
+// ping-pong commit finds it erased. That I/O is background work, outside
+// the request's service. An erase still running at start cannot be
+// preempted, so the request waits out its remainder, which retire
+// returns. A chip still busy at start with the tenant's earlier request
+// starts no erase.
 func (h *Host) retire(e *envelope, start int64) (wait int64, err error) {
 	if start <= e.idleAt {
 		return 0, nil

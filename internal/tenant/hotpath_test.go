@@ -63,14 +63,15 @@ func TestResidentDoAllocCeiling(t *testing.T) {
 // request is admitted; evictions and reopens unchanged), and again when
 // the reorganizations a sync owes followed them there (only the latency
 // histograms, so the window digest, moved: decisions and counts are
-// unchanged). The decision counts are pinned with them.
+// unchanged), and again when the journal's ping-pong erase followed them
+// too (the window digest only). The decision counts are pinned with them.
 func TestServeDigestsGolden(t *testing.T) {
 	rep, err := tenant.Serve(tenant.ServeConfig{Tenants: 300, Arrivals: 3000, Seed: 5}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const (
-		window   = "2a0264a80c05c2bfc26b60afd668f511808d1833b83fd9ba18b314ac938e5054"
+		window   = "e1d612478189c53d617f7fc5400166caab42b47527472c60a27798cf7219ab68"
 		decision = "100f04e3c3d307034a58af498581f144c8b86057e51c12907ad55b54700312d5"
 	)
 	type counts struct{ admitted, queued, shed, denied, quota, evictions, reopens int }

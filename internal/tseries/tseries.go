@@ -192,7 +192,8 @@ func (s *Series) aggregate(lo, hi, width int64, out []Agg) (WindowStats, error) 
 		case width == 0:
 			return 0
 		}
-		return (t - lo) / width
+		// t-lo may exceed the int64 range; as uint64 it is exact.
+		return int64((uint64(t) - uint64(lo)) / uint64(width))
 	}
 	fold := func(page logstore.PageView) error {
 		for {
@@ -274,7 +275,12 @@ func (s *Series) Downsample(t0, t1, width int64) ([]Agg, error) {
 	if width <= 0 || t0 > t1 {
 		return nil, ErrBadWindow
 	}
-	nb := (t1 - t0 + width - 1) / width
+	// t1-t0 may exceed the int64 range; as uint64 it is exact.
+	span := uint64(t1) - uint64(t0)
+	nb := span / uint64(width)
+	if span%uint64(width) != 0 {
+		nb++
+	}
 	if nb > 1<<20 {
 		return nil, fmt.Errorf("tseries: %d buckets is unreasonable", nb)
 	}

@@ -3,6 +3,7 @@ package tseries
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -176,6 +177,58 @@ func TestDownsample(t *testing.T) {
 	}
 	if len(buckets) != 10 || buckets[9].Count != 5 {
 		t.Errorf("ragged buckets = %d, last = %+v", len(buckets), buckets[len(buckets)-1])
+	}
+}
+
+// A window spanning the whole int64 range neither overflows the bucket
+// count nor the bucket index: each bucket equals the full scan of its
+// range, and a span needing more than 1<<20 buckets is still refused.
+func TestDownsampleFullRange(t *testing.T) {
+	s := testSeries()
+	defer s.Drop()
+	const n = 400
+	start := uint64(1) << 63 // math.MinInt64 as uint64
+	for i := uint64(0); i <= n; i++ {
+		// Evenly from MinInt64 up, and the last one at MaxInt64.
+		p := Point{T: int64(start + i*(math.MaxUint64/n)), V: int64(i)}
+		if i == n {
+			p.T = math.MaxInt64
+		}
+		if err := s.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		if i == n/2 {
+			if err := s.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const width = 1 << 62
+	buckets, err := s.Downsample(math.MinInt64, math.MaxInt64, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(buckets) != 4 {
+		t.Fatalf("%d buckets, want 4", len(buckets))
+	}
+	total := int64(0)
+	for i, b := range buckets {
+		lo := int64(start + uint64(i)*width)
+		hi := min(int64(uint64(lo)+width-1), math.MaxInt64-1)
+		scan, err := s.ScanWindow(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b != scan {
+			t.Errorf("bucket %d [%d, %d] = %+v, the scan %+v", i, lo, hi, b, scan)
+		}
+		total += b.Count
+	}
+	if total != n { // every point but the one at MaxInt64, which [t0, t1) excludes
+		t.Errorf("the buckets count %d points, want %d", total, n)
+	}
+	if _, err := s.Downsample(math.MinInt64, math.MaxInt64, 1<<43); err == nil {
+		t.Error("2^21 buckets accepted")
 	}
 }
 
