@@ -100,16 +100,23 @@ func viewNode(img []byte) (nodeView, error) {
 
 // next returns the next entry; the key is a view into the page.
 func (v *nodeView) next() (key []byte, ptr uint32, ok bool) {
-	if v.left == 0 {
+	e, ok := v.nextEntry()
+	if !ok {
 		return nil, 0, false
 	}
+	return e[2 : len(e)-4], binary.LittleEndian.Uint32(e[len(e)-4:]), true
+}
+
+// nextEntry returns the next entry as it is encoded, u16 keyLen | key |
+// u32 ptr, a view into the page.
+func (v *nodeView) nextEntry() ([]byte, bool) {
+	if v.left == 0 {
+		return nil, false
+	}
 	v.left--
-	n := int(binary.LittleEndian.Uint16(v.img[v.off : v.off+2]))
-	key = v.img[v.off+2 : v.off+2+n]
-	v.off += 2 + n
-	ptr = binary.LittleEndian.Uint32(v.img[v.off : v.off+4])
-	v.off += 4
-	return key, ptr, true
+	at := v.off
+	v.off += 2 + int(binary.LittleEndian.Uint16(v.img[at:at+2])) + 4
+	return v.img[at:v.off], true
 }
 
 // treeBuilder assembles one level of the tree with a single page of RAM.
@@ -327,20 +334,22 @@ func (c *treeCursor) seek(key []byte) (ok bool, err error) {
 	}
 }
 
-// next returns the next entry in key order, reading the following leaf
-// when the loaded one is exhausted; the key is a view into c.buf.
-func (c *treeCursor) next() (key []byte, rid RowID, ok bool, err error) {
+// next returns the next leaf entry in key order, reading the following
+// leaf when the loaded one is exhausted. A leaf entry is laid out as an
+// index entry (see encodeEntry), so it is returned as one, a view into
+// c.buf: the leaves are a SortStream input where they lie.
+func (c *treeCursor) next() (rec []byte, ok bool, err error) {
 	for c.v.left == 0 {
 		if c.leaf+1 >= c.t.Leaves() {
-			return nil, 0, false, nil
+			return nil, false, nil
 		}
 		c.leaf++
 		if c.v, err = c.readNode(0, c.leaf); err != nil {
-			return nil, 0, false, err
+			return nil, false, err
 		}
 	}
-	key, ptr, _ := c.v.next()
-	return key, RowID(ptr), true, nil
+	rec, ok = c.v.nextEntry()
+	return rec, ok, nil
 }
 
 // appendRange appends to dst, in key order, the rowids of the entries
@@ -354,12 +363,15 @@ func (t *TreeIndex) appendRange(dst []RowID, lo, hi, buf []byte) ([]RowID, int, 
 	c := treeCursor{t: t, buf: buf}
 	ok, err := c.seek(lo)
 	for ok {
-		var key []byte
-		var rid RowID
-		if key, rid, ok, err = c.next(); !ok || bytes.Compare(key, hi) > 0 {
+		var rec []byte
+		if rec, ok, err = c.next(); !ok {
 			break
 		}
-		dst = append(dst, rid)
+		var e keyEntry
+		if e, err = decodeEntry(rec); err != nil || bytes.Compare(e.key, hi) > 0 {
+			break
+		}
+		dst = append(dst, e.rid)
 	}
 	return dst, c.pages, err
 }

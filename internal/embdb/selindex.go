@@ -266,9 +266,9 @@ func (ix *SelectIndex) foldDue() bool {
 // Reorganize folds the tail into the tree using only log structures, as
 // the tutorial's scalability step prescribes. The tail is sorted into
 // runs and merged (runPages and fanIn bound the sort's RAM); the sort's
-// final merge and the old tree's leaves are merged in one pass — on equal
-// keys the old entries first, so rowids stay ascending — into a new tree
-// built bottom-up. Once that tree is complete the sort's runs are
+// final merge folds in the old tree's leaves — on equal keys the old
+// entries first, so rowids stay ascending — and feeds a new tree built
+// bottom-up. Once that tree is complete the sort's runs are
 // dropped, and then the old tree and the tail's logs, and an empty tail
 // is started. A fold that fails before the old tree's drop leaves the
 // index as it was and frees every block it wrote; one that fails in that
@@ -281,17 +281,39 @@ func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 	if ix.keys.Len() == 0 {
 		return nil
 	}
+	// The old tree's leaves are the structure the sort folds into, read
+	// into a page of RAM taken at the merge's first read.
+	var leaves func() ([]byte, bool, error)
+	var buf *[]byte
+	if ix.tree != nil {
+		c := treeCursor{t: ix.tree, leaf: -1}
+		leaves = func() ([]byte, bool, error) {
+			if buf == nil {
+				buf = ix.keys.PageBuf()
+				c.buf = *buf
+			}
+			return c.next()
+		}
+	}
 	it := ix.keys.Iter()
-	sorted, err := logstore.SortStream(ix.table.Alloc(), func() ([]byte, bool, error) {
+	sorted, err := logstore.SortStream(ix.table.Alloc(), leaves, func() ([]byte, bool, error) {
 		rec, _, ok := it.Next()
 		return rec, ok, it.Err()
 	}, entryLess, runPages, fanIn)
 	if err != nil {
 		return err
 	}
-	buf := ix.keys.PageBuf()
-	tree, err := buildTree(ix.table.Alloc(), mergeEntries(ix.tree, sorted, *buf))
-	logstore.PutPageBuf(buf)
+	tree, err := buildTree(ix.table.Alloc(), func() (keyEntry, bool, error) {
+		rec, ok := sorted.Next()
+		if !ok {
+			return keyEntry{}, false, sorted.Err()
+		}
+		e, err := decodeEntry(rec)
+		return e, err == nil, err
+	})
+	if buf != nil {
+		logstore.PutPageBuf(buf)
+	}
 	if err = errors.Join(err, sorted.Drop()); err != nil {
 		if tree != nil {
 			err = errors.Join(err, tree.Drop())
@@ -319,46 +341,4 @@ func entryKey(rec []byte) []byte {
 		return nil
 	}
 	return rec[2 : len(rec)-4]
-}
-
-// mergeEntries yields, in key order, the entries of old (nil for none)
-// and of sorted, a stream of entries in key order; on equal keys old's
-// come first. Old's leaves are read into buf, a page of RAM the caller
-// holds. An entry's key is valid until the following call.
-func mergeEntries(old *TreeIndex, sorted *logstore.Sorted, buf []byte) func() (keyEntry, bool, error) {
-	var c treeCursor
-	if old != nil {
-		c = treeCursor{t: old, buf: buf, leaf: -1}
-	}
-	var o, n keyEntry
-	var oOK, nOK bool
-	// The side whose head was yielded last moves on at the next call.
-	advOld, advNew := old != nil, true
-	return func() (keyEntry, bool, error) {
-		var err error
-		if advOld {
-			if o.key, o.rid, oOK, err = c.next(); err != nil {
-				return keyEntry{}, false, err
-			}
-		}
-		if advNew {
-			rec, ok := sorted.Next()
-			if nOK = ok; ok {
-				if n, err = decodeEntry(rec); err != nil {
-					return keyEntry{}, false, err
-				}
-			} else if err = sorted.Err(); err != nil {
-				return keyEntry{}, false, err
-			}
-		}
-		advOld = oOK && (!nOK || string(o.key) <= string(n.key))
-		advNew = !advOld && nOK
-		switch {
-		case advOld:
-			return o, true, nil
-		case advNew:
-			return n, true, nil
-		}
-		return keyEntry{}, false, nil
-	}
 }

@@ -363,8 +363,8 @@ func (s *Store) ScanGet(key []byte) ([]byte, error) {
 //
 // The key log's leading run of strictly ascending keys is already sorted:
 // after a compaction it is exactly the compacted bindings. Only the
-// bindings after it go through the external sort, whose final merge meets
-// the leading run in a two-way merge that takes the run's binding first on
+// bindings after it go through the external sort, whose final merge folds
+// in the leading run as its old structure, the run's binding first on
 // equal keys. That is the stable sort of the whole log: the run holds at
 // most one binding per key, and each of its bindings precedes every later
 // one.
@@ -413,62 +413,34 @@ func (s *Store) Compact(runPages, fanIn int) error {
 		rec, _, ok := scan.Next()
 		return rec, ok, scan.Err()
 	}
-	sorted, err := logstore.SortStream(s.alloc, rest, bindingLess, runPages, fanIn)
-	if err != nil {
-		return err
-	}
-	defer sorted.Drop()
-
-	// Merge the leading run, read a second time, with the sorted rest; on
-	// equal keys the run's binding, the older, comes first. The side
-	// yielded last moves on at the next call.
+	// The leading run, read a second time, is the old structure the sort
+	// folds the rest into.
 	run := s.keys.Iter()
 	defer run.Release()
-	takeRun := func() (binding, bool, error) {
+	leading := func() ([]byte, bool, error) {
 		if ordered == 0 {
-			return binding{}, false, nil
+			return nil, false, nil
 		}
 		ordered--
 		rec, _, ok := run.Next()
 		if !ok {
-			return binding{}, false, errors.Join(errors.New("kv: key log shorter than its leading run"), run.Err())
+			return nil, false, errors.Join(errors.New("kv: key log shorter than its leading run"), run.Err())
 		}
-		b, err := decodeBinding(rec)
-		return b, err == nil, err
+		return rec, true, nil
 	}
-	takeRest := func() (binding, bool, error) {
+	sorted, err := logstore.SortStream(s.alloc, leading, rest, bindingLess, runPages, fanIn)
+	if err != nil {
+		return err
+	}
+	defer sorted.Drop()
+	next, err := s.rebuild(func() (binding, bool, error) {
 		rec, ok := sorted.Next()
 		if !ok {
 			return binding{}, false, sorted.Err()
 		}
 		b, err := decodeBinding(rec)
 		return b, err == nil, err
-	}
-	var r, n binding
-	var rOK, nOK bool
-	advRun, advRest := true, true
-	merged := func() (_ binding, _ bool, err error) {
-		if advRun {
-			if r, rOK, err = takeRun(); err != nil {
-				return binding{}, false, err
-			}
-		}
-		if advRest {
-			if n, nOK, err = takeRest(); err != nil {
-				return binding{}, false, err
-			}
-		}
-		advRun = rOK && (!nOK || string(r.key) <= string(n.key))
-		advRest = !advRun && nOK
-		switch {
-		case advRun:
-			return r, true, nil
-		case advRest:
-			return n, true, nil
-		}
-		return binding{}, false, nil
-	}
-	next, err := s.rebuild(merged)
+	})
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, e
 		return nil, err
 	}
 	it := src.Iter()
-	s, err := SortStream(src.Alloc(), func() ([]byte, bool, error) {
+	s, err := SortStream(src.Alloc(), nil, func() ([]byte, bool, error) {
 		rec, _, ok := it.Next()
 		return rec, ok, it.Err()
 	}, less, runPages, fanIn)
@@ -64,18 +64,29 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, e
 //     (block-grain deallocation) as soon as its merge is complete;
 //  3. the last at most fanIn runs are merged as the caller pulls records
 //     with Sorted.Next. An input that fits one batch is never written:
-//     the batch is yielded from RAM.
+//     the batch joins the final merge from RAM.
+//
+// old, when not nil, is the structure the sort is folded into — the
+// tutorial's reorganization, which merges the sorted new entries with the
+// old structure in the same pass. It yields that structure's records,
+// already sorted under less, then ok false, and joins the final merge as
+// its first input: on equal keys its records come before the new ones,
+// as in a stable sort of old's records followed by next's. It is first
+// called at the merge's first read, after run formation and the merge
+// passes, so the page of RAM it reads into need not be taken before, and
+// its records are read once, in order, and never written.
 //
 // next returns the source's records in order, then ok false; a record may
 // be a view the following call overwrites, since it is copied at once.
-// The Go process holds what that model grants and no more: run formation
-// copies records into one pooled slab of runPages pages (plus the record
-// that crosses the budget) and sorts views into it, and a merge compares
-// the head records where they lie in each input's page buffer.
+// A record of old must stay valid until old's following call. The Go
+// process holds what that model grants and no more: run formation copies
+// records into one pooled slab of runPages pages (plus the record that
+// crosses the budget) and sorts views into it, and a merge compares the
+// head records where they lie in each input's page buffer.
 //
 // The runs draw blocks from alloc. A failed sort frees every block it
 // allocated; a successful one holds its runs until Sorted.Drop.
-func SortStream(alloc *flash.Allocator, next func() ([]byte, bool, error), less func(a, b []byte) bool, runPages, fanIn int) (_ *Sorted, err error) {
+func SortStream(alloc *flash.Allocator, old, next func() ([]byte, bool, error), less func(a, b []byte) bool, runPages, fanIn int) (_ *Sorted, err error) {
 	if runPages < 1 {
 		return nil, fmt.Errorf("logstore: runPages must be >= 1, got %d", runPages)
 	}
@@ -126,6 +137,7 @@ func SortStream(alloc *flash.Allocator, next func() ([]byte, bool, error), less 
 	}
 	if len(s.runs) == 0 {
 		slices.SortStableFunc(slab.recs, cmp)
+		s.m.start(old, slab.recs, nil, less)
 		return s, nil
 	}
 	if err := s.writeRun(alloc, cmp); err != nil {
@@ -157,17 +169,16 @@ func SortStream(alloc *flash.Allocator, next func() ([]byte, bool, error), less 
 		}
 		s.runs = out
 	}
-	s.m.start(s.runs, less)
+	s.m.start(old, nil, s.runs, less)
 	return s, nil
 }
 
-// Sorted is the final merge of an external sort (see SortStream): its
-// records in order, pulled one at a time. It holds the runs the merge
-// reads, and a page of RAM per run, or the one batch of a small input,
-// until Drop.
+// Sorted is the final merge of an external sort (see SortStream): the
+// records of old, if any, and of the sorted input, in order, pulled one
+// at a time. It holds the runs the merge reads, and a page of RAM per
+// run, or the one batch of a small input, until Drop.
 type Sorted struct {
 	slab *runSlab // the one batch of an input that fit one, else nil
-	pos  int      // records of slab yielded so far
 	runs []*Log
 	m    merger
 	err  error
@@ -179,13 +190,6 @@ type Sorted struct {
 func (s *Sorted) Next() (rec []byte, ok bool) {
 	if s.err != nil {
 		return nil, false
-	}
-	if s.slab != nil {
-		if s.pos == len(s.slab.recs) {
-			return nil, false
-		}
-		s.pos++
-		return s.slab.recs[s.pos-1], true
 	}
 	rec, ok, s.err = s.m.next()
 	return rec, ok
@@ -328,26 +332,73 @@ func (h *mergeHeap) pop() mergeEntry {
 	return e
 }
 
-// merger is a k-way merge of sorted runs. Each run contributes one page
-// of RAM via its iterator; the heap holds views of the head records into
-// those pages. The input of the record yielded last moves on only at the
-// following call, so no view outlives its page.
+// merger is a k-way merge of sorted inputs: old, the caller's stream,
+// when there is one, then the batch of a small input held in RAM or the
+// sorted runs. Each run contributes one page of RAM via its iterator; the
+// heap holds views of the head records into those pages. The input of the
+// record yielded last moves on only at the following call, so no view
+// outlives its page.
 type merger struct {
-	iters []Iterator
+	old   func() ([]byte, bool, error)
+	batch [][]byte
+	runs  []Iterator // nil when the batch is the input
 	h     mergeHeap
+	// room backs the heap of a merge of at most two inputs.
+	room [2]mergeEntry
 	// last is the input of the record yielded last, -1 before the first.
 	last int
 	done bool
 }
 
-// start positions the merge before the first record of runs.
-func (m *merger) start(runs []*Log, less func(a, b []byte) bool) {
-	m.iters = make([]Iterator, len(runs))
-	m.h = mergeHeap{items: make([]mergeEntry, 0, len(runs)), less: less}
-	m.last = -1
-	for i, r := range runs {
-		m.iters[i] = Iterator{log: r, curPage: -1}
+// start positions the merge before the first record of old (nil for
+// none), then of batch when runs is nil, else of the runs.
+func (m *merger) start(old func() ([]byte, bool, error), batch [][]byte, runs []*Log, less func(a, b []byte) bool) {
+	m.old, m.batch = old, batch
+	if runs != nil {
+		m.runs = make([]Iterator, len(runs))
+		for i, r := range runs {
+			m.runs[i] = Iterator{log: r, curPage: -1}
+		}
 	}
+	m.h = mergeHeap{items: m.room[:0], less: less}
+	if n := m.inputs(); n > len(m.room) {
+		m.h.items = make([]mergeEntry, 0, n)
+	}
+	m.last = -1
+}
+
+// inputs returns the number of inputs of the merge.
+func (m *merger) inputs() int {
+	n := len(m.runs)
+	if m.runs == nil {
+		n = 1
+	}
+	if m.old != nil {
+		n++
+	}
+	return n
+}
+
+// read returns the next record of input src, a view valid until that
+// input's following read, and false at its end.
+func (m *merger) read(src int) ([]byte, bool, error) {
+	if m.old != nil {
+		if src == 0 {
+			return m.old()
+		}
+		src--
+	}
+	if m.runs != nil {
+		it := &m.runs[src]
+		rec, _, ok := it.Next()
+		return rec, ok, it.Err()
+	}
+	if len(m.batch) == 0 {
+		return nil, false, nil
+	}
+	rec := m.batch[0]
+	m.batch = m.batch[1:]
+	return rec, true, nil
 }
 
 // next returns the next merged record, a view valid until the following
@@ -358,18 +409,20 @@ func (m *merger) next() ([]byte, bool, error) {
 	}
 	if m.last == -1 {
 		// The first call reads every input's head.
-		for i := range m.iters {
-			if rec, _, ok := m.iters[i].Next(); ok {
-				m.h.items = append(m.h.items, mergeEntry{rec: rec, src: i})
-			} else if err := m.iters[i].Err(); err != nil {
+		for i := range m.inputs() {
+			rec, ok, err := m.read(i)
+			if err != nil {
 				return nil, false, err
+			}
+			if ok {
+				m.h.items = append(m.h.items, mergeEntry{rec: rec, src: i})
 			}
 		}
 		m.h.init()
-	} else if rec, _, ok := m.iters[m.last].Next(); ok {
-		m.h.push(mergeEntry{rec: rec, src: m.last})
-	} else if err := m.iters[m.last].Err(); err != nil {
+	} else if rec, ok, err := m.read(m.last); err != nil {
 		return nil, false, err
+	} else if ok {
+		m.h.push(mergeEntry{rec: rec, src: m.last})
 	}
 	if len(m.h.items) == 0 {
 		m.done = true
@@ -380,17 +433,17 @@ func (m *merger) next() ([]byte, bool, error) {
 	return e.rec, true, nil
 }
 
-// release hands back the page of RAM of every input not read to its end.
+// release hands back the page of RAM of every run not read to its end.
 func (m *merger) release() {
-	for i := range m.iters {
-		m.iters[i].Release()
+	for i := range m.runs {
+		m.runs[i].Release()
 	}
 }
 
 // mergeRuns merges sorted runs into out, an empty log.
 func mergeRuns(out *Log, runs []*Log, less func(a, b []byte) bool) error {
 	var m merger
-	m.start(runs, less)
+	m.start(nil, nil, runs, less)
 	defer m.release()
 	for {
 		rec, ok, err := m.next()

@@ -38,12 +38,11 @@ type compactIndex struct {
 // Reorganize merges the postings indexed since the last reorganization
 // into the compact index, then resets the bucket chains and frees the old
 // blocks. Only that delta is sorted: every chain docid exceeds every
-// compact docid, so the sorted delta and the old compact pages merge in
-// one pass into exactly the stream a sort of everything would give.
-// runPages and fanIn bound the external sort's RAM, as in the tutorial's
-// reorganization step; the sort's final merge feeds the merge with the
-// old compact pages directly, which adds one page of RAM for the old
-// compact page and one for the page being packed. A reorganization that
+// compact docid, so the sort's final merge, which folds in the old
+// compact pages as its old structure, yields exactly the stream a sort of
+// everything would give. runPages and fanIn bound the external sort's
+// RAM, as in the tutorial's reorganization step; the final merge adds one
+// page of RAM for the old compact page and one for the page being packed. A reorganization that
 // fails before its switch record lands leaves the engine as it was and
 // frees every block it wrote.
 func (e *Engine) Reorganize(runPages, fanIn int) error {
@@ -89,11 +88,11 @@ func (e *Engine) Reorganize(runPages, fanIn int) error {
 // mergeDelta builds the new compact index: it walks the chain postings
 // straight into an external sort by (term asc, docid desc) — a triple is
 // encoded on a bucket page exactly as in a sort record, so each goes from
-// the page image into the sort's RAM — and merges the sort's final merge
-// with the old compact pages, packing the merged stream into new compact
-// pages and recording the directory. The merge trusts the old index's
-// order but checks it: a record that does not come strictly after the one
-// packed before it is ErrCompactOrder. The sort's runs are dropped once
+// the page image into the sort's RAM — whose final merge folds in the old
+// compact pages, and packs the merged stream into new compact pages,
+// recording the directory. The merge trusts the old index's order but
+// checks it: a record that does not come strictly after the one packed
+// before it is ErrCompactOrder. The sort's runs are dropped once
 // the merge is done. A failure frees every block mergeDelta wrote.
 func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, err error) {
 	alloc := e.pw.Alloc()
@@ -103,9 +102,9 @@ func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, err error) {
 			err = errors.Join(err, ci.pw.Drop())
 		}
 	}()
-	// One page of RAM walks the chains and then reads the old compact
-	// pages; another, taken once the sort is done, is the compact page
-	// being packed.
+	// One page of RAM walks the chains and then, in the final merge, reads
+	// the old compact pages; another, taken once the sort is done, is the
+	// compact page being packed.
 	walk := e.pw.PageBuf()
 	defer logstore.PutPageBuf(walk)
 
@@ -131,7 +130,8 @@ func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, err error) {
 		rec, body = nextTriple(body)
 		return rec, true, nil
 	}
-	sorted, err := logstore.SortStream(alloc, chains, tripleLess, runPages, fanIn)
+	old := compactStream{ci: e.compact, buf: walk}
+	sorted, err := logstore.SortStream(alloc, old.next, chains, tripleLess, runPages, fanIn)
 	if err != nil {
 		return nil, err
 	}
@@ -157,53 +157,25 @@ func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, err error) {
 		cnt = 0
 		return nil
 	}
-	emit := func(rec []byte) error {
+	for rec, ok := sorted.Next(); ok; rec, ok = sorted.Next() {
+		if err := checkTripleRec(rec); err != nil {
+			return nil, err
+		}
 		if last != nil && !tripleLess(last, rec) {
-			return fmt.Errorf("%w: %q doc %d after %q doc %d", ErrCompactOrder,
+			return nil, fmt.Errorf("%w: %q doc %d after %q doc %d", ErrCompactOrder,
 				tripleTerm(rec), tripleDoc(rec), tripleTerm(last), tripleDoc(last))
 		}
 		if len(page)+len(rec) > e.pageSize {
 			if err := flushPage(); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		page = append(page, rec...)
 		cnt++
 		last = page[len(page)-len(rec):]
-		return nil
 	}
-
-	nextDelta := func() ([]byte, error) {
-		rec, ok := sorted.Next()
-		if !ok {
-			return nil, sorted.Err()
-		}
-		return rec, checkTripleRec(rec)
-	}
-	old := compactStream{ci: e.compact, buf: walk}
-	d, err := nextDelta()
-	if err != nil {
+	if err := sorted.Err(); err != nil {
 		return nil, err
-	}
-	o, err := old.next()
-	if err != nil {
-		return nil, err
-	}
-	for d != nil || o != nil {
-		if d != nil && (o == nil || tripleLess(d, o)) {
-			if err := emit(d); err != nil {
-				return nil, err
-			}
-			d, err = nextDelta()
-		} else {
-			if err := emit(o); err != nil {
-				return nil, err
-			}
-			o, err = old.next()
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	if err := flushPage(); err != nil {
 		return nil, err
@@ -220,22 +192,23 @@ type compactStream struct {
 	body []byte
 }
 
-// next returns the next triple, where it lies in buf, or nil at the end.
-func (s *compactStream) next() ([]byte, error) {
+// next returns the next triple, where it lies in buf, and false at the
+// end.
+func (s *compactStream) next() ([]byte, bool, error) {
 	for len(s.body) == 0 {
 		if s.ci == nil || s.page == s.ci.pw.Pages() {
-			return nil, nil
+			return nil, false, nil
 		}
 		body, err := s.ci.page(s.page, s.buf)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		s.body = body
 		s.page++
 	}
 	var rec []byte
 	rec, s.body = nextTriple(s.body)
-	return rec, nil
+	return rec, true, nil
 }
 
 // CompactPages returns the size of the reorganized structure (0 if the
