@@ -92,11 +92,13 @@ lint-determinism:
 # sweeps, the per-engine crash and write-fault tests (the durable stores'
 # battery, a crash around the host's idle-time reorganization, each
 # engine's reorganization under faults), the journal's commit and
-# recovery tests, the chip's crash plane and the allocator's owed erases
-# (the journal's stale block owes its erase there), plus the E21
+# recovery tests, the external sort's write faults (the merge every
+# reorganization runs), the chip's crash plane and the allocator's owed
+# erases (the journal's stale block owes its erase there), plus the E21
 # recovery-cost report. `run PATTERN PKG...` fails the gate when PATTERN
-# lists no test in one of its packages, so a renamed test cannot drop out
-# of the battery unnoticed. `make test` runs the same batteries, and the
+# lists no test in one of its packages, or when one of its |-separated
+# alternatives lists none in any of them, so a renamed test cannot drop
+# out of the battery unnoticed. `make test` runs the same batteries, and the
 # pdsbench golden pins E21's quick report.
 crash-matrix:
 	@set -e; \
@@ -107,13 +109,18 @@ crash-matrix:
 				echo "crash-matrix: -run '$$pat' lists no test in $$pkg"; exit 1; \
 			fi; \
 		done; \
+		for alt in $$(echo "$$pat" | tr '|' ' '); do \
+			if ! $(GO) test "$$@" -list "$$alt" | grep -q '^Test'; then \
+				echo "crash-matrix: '$$alt' of -run '$$pat' lists no test"; exit 1; \
+			fi; \
+		done; \
 		$(GO) test "$$@" -run "$$pat" -count=1; \
 	}; \
 	$(GO) test ./internal/crashharness -count=1; \
 	run 'CrashBattery' ./internal/durable; \
 	run 'CrashAroundIdleReorganization' ./internal/tenant; \
 	run 'Crash|Reorganize|InPlaceFailed|SyncDurability|ReopenTable|WriteFault' ./internal/kv ./internal/search ./internal/embdb; \
-	run 'Journal|Recover|Manifest|CommitCrash' ./internal/logstore; \
+	run 'Journal|Recover|Manifest|CommitCrash|WriteFault' ./internal/logstore; \
 	run 'Erase|Crash' ./internal/flash; \
 	$(GO) run ./cmd/pdsbench -exp E21
 

@@ -35,24 +35,18 @@ import (
 // contents canonically.
 type Store = durable.Store
 
-// Workload describes one deterministic store workload.
+// Workload describes one deterministic store workload: its Kind's
+// script — Ops operations, a Sync every SyncEvery, a Reorganize at every
+// boundary the Kind owes, counted over the run — on a chip of Geometry.
 type Workload struct {
-	Name      string
-	Ops       int
-	SyncEvery int
-	Geometry  flash.Geometry // zero value → flash.SmallGeometry
-	// Open creates a fresh durable store (journal included) on alloc.
-	Open func(alloc *flash.Allocator) (Store, error)
-	// Reopen reconstructs the store from recovered state.
-	Reopen func(rec *logstore.Recovered) (Store, error)
+	durable.Kind
+	Geometry flash.Geometry // zero value → flash.SmallGeometry
 }
 
 // WorkloadFor adapts a conforming engine to its canonical crash
 // workload: the battery drives any durable.Kind without knowing which
 // store is behind it.
-func WorkloadFor(k durable.Kind) Workload {
-	return Workload{Name: k.Name, Ops: k.Ops, SyncEvery: k.SyncEvery, Open: k.Open, Reopen: k.Reopen}
-}
+func WorkloadFor(k durable.Kind) Workload { return Workload{Kind: k} }
 
 func (w Workload) geometry() flash.Geometry {
 	if (w.Geometry == flash.Geometry{}) {
@@ -80,7 +74,7 @@ func Baseline(w Workload) ([]string, error) {
 		if err := st.Sync(); err != nil {
 			return err
 		}
-		if st.Owes() {
+		if w.Owes(len(fps)) {
 			if err := st.Reorganize(); err != nil {
 				return err
 			}
@@ -163,7 +157,7 @@ func CrashRun(w Workload, plan flash.CrashPlan, baseline []string) (Result, erro
 			}
 			boundary++
 			acked = boundary
-			if st.Owes() {
+			if w.Owes(boundary) {
 				if err := st.Reorganize(); err != nil {
 					return err
 				}

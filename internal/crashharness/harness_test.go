@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pds/internal/durable"
 	"pds/internal/flash"
 	"pds/internal/logstore"
 )
@@ -53,7 +54,6 @@ func (p *plainLog) Sync() error {
 }
 
 // A plain log never reorganizes.
-func (p *plainLog) Owes() bool        { return false }
 func (p *plainLog) Reorganize() error { return nil }
 
 func (p *plainLog) Fingerprint() (string, error) {
@@ -74,7 +74,7 @@ func (p *plainLog) Fingerprint() (string, error) {
 }
 
 func logWorkload(commit bool) Workload {
-	return Workload{
+	return Workload{Kind: durable.Kind{
 		Name:      "plainlog",
 		Ops:       40,
 		SyncEvery: 10,
@@ -92,7 +92,7 @@ func logWorkload(commit bool) Workload {
 			}
 			return &plainLog{l: l, j: rec.Journal, commit: commit}, nil
 		},
-	}
+	}}
 }
 
 func TestBaselineBoundaries(t *testing.T) {

@@ -12,8 +12,10 @@
 //
 // A Sync is only the durability point. The reorganization its boundary
 // owes (kv compacts on every third, search reorganizes on every second,
-// embdb never) is a separate call, Reorganize, so a host can run it in
-// the chip's idle time and the crash battery right after the sync.
+// embdb never: Kind.ReorgEvery) is a separate call, Reorganize, so a host
+// can run it in the chip's idle time and the crash battery right after
+// the sync. Whoever drives a store across its lifetime counts its
+// boundaries, since a reopened instance starts with none.
 package durable
 
 import (
@@ -38,14 +40,13 @@ import (
 // Fingerprint digests the logical contents canonically — equal across
 // physical layouts, e.g. before and after compaction.
 //
-// Owes and Reorganize are the background half. Owes reports whether a
-// sync boundary since the last Reorganize owed a reorganization, at the
-// engine's fixed cadence; a second owed boundary merges into the first.
-// Reorganize runs the engine's whole reorganization pass and clears the
-// debt; it needs none to run (a host carries a debt across an eviction
-// and pays it on the reopened store), and embdb's is a no-op. Its switch
-// record commits what it rewrote, so run right after Sync it moves the
-// store from one layout of the acknowledged boundary to another.
+// Reorganize is the background half: it runs the engine's whole
+// reorganization pass, the one a sync boundary owes at the Kind's
+// cadence (Kind.Owes), whenever its caller pays that debt — a host
+// carries it across an eviction and pays it on the reopened store — and
+// embdb's is a no-op. Its switch record commits what it rewrote, so run
+// right after Sync it moves the store from one layout of the
+// acknowledged boundary to another.
 //
 // Close and Pages are the tenant-lifecycle half of the contract. Close
 // releases the store's volatile resources (RAM reservations, buffered
@@ -60,7 +61,6 @@ import (
 type Store interface {
 	Apply(op int) error
 	Sync() error
-	Owes() bool
 	Reorganize() error
 	Fingerprint() (string, error)
 	Close() error
@@ -73,6 +73,9 @@ type Kind struct {
 	// Ops and SyncEvery shape the engine's canonical crash workload.
 	Ops       int
 	SyncEvery int
+	// ReorgEvery is the reorganization cadence: every ReorgEvery-th sync
+	// boundary of a store owes a Reorganize; 0 never does.
+	ReorgEvery int
 	// CrashOps lists the fault kinds the engine's battery sweeps.
 	CrashOps []flash.CrashOp
 	// Open creates a fresh store (journal included) on alloc. The opened
@@ -83,6 +86,11 @@ type Kind struct {
 	// Reopen reconstructs the store from recovered state.
 	Reopen func(rec *logstore.Recovered) (Store, error)
 }
+
+// Owes reports whether a store's syncs-th sync boundary, counted from
+// its first Open across every Reopen, owes a reorganization. A second
+// owed boundary merges into an unpaid first.
+func (k Kind) Owes(syncs int) bool { return k.ReorgEvery > 0 && syncs%k.ReorgEvery == 0 }
 
 // Kinds returns every conforming engine, in stable order.
 func Kinds() []Kind {
@@ -106,27 +114,9 @@ const kvKeyUniverse = 17
 // kvStore drives the kv log store: put/overwrite/delete with periodic
 // compaction, fingerprinted by the full key universe.
 type kvStore struct {
-	s *kv.Store
-	cadence
+	s  *kv.Store
 	fp footprint
 }
-
-// cadence counts a store's sync boundaries and owes a reorganization at
-// every every-th one, until Reorganize pays it.
-type cadence struct {
-	every, syncs int
-	owed         bool
-}
-
-func (c *cadence) synced() {
-	c.syncs++
-	if c.syncs%c.every == 0 {
-		c.owed = true
-	}
-}
-
-// Owes reports a reorganization owed since the last Reorganize.
-func (c *cadence) Owes() bool { return c.owed }
 
 // footprint implements the Close/Pages half of the Store contract for a
 // conformer: live reads delegate, the closed value is frozen. release
@@ -190,22 +180,10 @@ func (w *kvStore) Apply(op int) error {
 	return w.s.Put(key, val)
 }
 
-func (w *kvStore) Sync() error {
-	if err := w.s.Sync(); err != nil {
-		return err
-	}
-	w.synced()
-	return nil
-}
+func (w *kvStore) Sync() error { return w.s.Sync() }
 
 // Reorganize compacts the logs; Compact's switch record commits it.
-func (w *kvStore) Reorganize() error {
-	if err := w.s.Compact(2, 4); err != nil {
-		return err
-	}
-	w.owed = false
-	return nil
-}
+func (w *kvStore) Reorganize() error { return w.s.Compact(2, 4) }
 
 // Close drops the in-memory key index; the logs stay on flash for Reopen.
 func (w *kvStore) Close() error { return w.fp.close(w.s.Pages, nil) }
@@ -231,23 +209,24 @@ func (w *kvStore) Fingerprint() (string, error) {
 
 func kvKind() Kind {
 	return Kind{
-		Name:      "kv",
-		Ops:       56,
-		SyncEvery: 8,
-		CrashOps:  []flash.CrashOp{flash.CrashWrite, flash.CrashTornWrite, flash.CrashErase},
+		Name:       "kv",
+		Ops:        56,
+		SyncEvery:  8,
+		ReorgEvery: 3,
+		CrashOps:   []flash.CrashOp{flash.CrashWrite, flash.CrashTornWrite, flash.CrashErase},
 		Open: func(alloc *flash.Allocator) (Store, error) {
 			s, err := kv.OpenDurable(alloc)
 			if err != nil {
 				return nil, err
 			}
-			return &kvStore{s: s, cadence: cadence{every: 3}}, nil
+			return &kvStore{s: s}, nil
 		},
 		Reopen: func(rec *logstore.Recovered) (Store, error) {
 			s, err := kv.Reopen(rec)
 			if err != nil {
 				return nil, err
 			}
-			return &kvStore{s: s, cadence: cadence{every: 3}}, nil
+			return &kvStore{s: s}, nil
 		},
 	}
 }
@@ -274,8 +253,7 @@ func searchTerm(i int) string { return searchTerms[i%searchVocab] }
 // periodic reorganization, fingerprinted by per-term document frequencies
 // and ranked scores.
 type searchStore struct {
-	e *search.Engine
-	cadence
+	e  *search.Engine
 	fp footprint
 }
 
@@ -298,23 +276,11 @@ func (w *searchStore) Apply(op int) error {
 	return err
 }
 
-func (w *searchStore) Sync() error {
-	if err := w.e.Sync(); err != nil {
-		return err
-	}
-	w.synced()
-	return nil
-}
+func (w *searchStore) Sync() error { return w.e.Sync() }
 
 // Reorganize merges the bucket chains into the compact index behind one
 // switch record.
-func (w *searchStore) Reorganize() error {
-	if err := w.e.Reorganize(2, 4); err != nil {
-		return err
-	}
-	w.owed = false
-	return nil
-}
+func (w *searchStore) Reorganize() error { return w.e.Reorganize(2, 4) }
 
 func (w *searchStore) Fingerprint() (string, error) {
 	h := sha256.New()
@@ -338,23 +304,24 @@ func (w *searchStore) Fingerprint() (string, error) {
 
 func searchKind() Kind {
 	return Kind{
-		Name:      "search",
-		Ops:       36,
-		SyncEvery: 6,
-		CrashOps:  []flash.CrashOp{flash.CrashWrite, flash.CrashTornWrite, flash.CrashErase},
+		Name:       "search",
+		Ops:        36,
+		SyncEvery:  6,
+		ReorgEvery: 2,
+		CrashOps:   []flash.CrashOp{flash.CrashWrite, flash.CrashTornWrite, flash.CrashErase},
 		Open: func(alloc *flash.Allocator) (Store, error) {
 			e, err := search.OpenDurable(alloc, mcu.NewArena(searchArena), searchBuckets)
 			if err != nil {
 				return nil, err
 			}
-			return &searchStore{e: e, cadence: cadence{every: 2}}, nil
+			return &searchStore{e: e}, nil
 		},
 		Reopen: func(rec *logstore.Recovered) (Store, error) {
 			e, err := search.Reopen(rec, mcu.NewArena(searchArena), searchBuckets)
 			if err != nil {
 				return nil, err
 			}
-			return &searchStore{e: e, cadence: cadence{every: 2}}, nil
+			return &searchStore{e: e}, nil
 		},
 	}
 }
@@ -387,10 +354,7 @@ func (w *embdbStore) Apply(op int) error {
 
 func (w *embdbStore) Sync() error { return embdb.SyncTables(w.j, w.t) }
 
-// Owes is always false: a sequential table never reorganizes.
-func (w *embdbStore) Owes() bool { return false }
-
-// Reorganize has nothing to do.
+// Reorganize has nothing to do: a sequential table never reorganizes.
 func (w *embdbStore) Reorganize() error { return nil }
 
 func (w *embdbStore) Fingerprint() (string, error) {

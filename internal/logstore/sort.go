@@ -66,23 +66,22 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, e
 //     with Sorted.Next. An input that fits one batch is never written:
 //     the batch joins the final merge from RAM.
 //
-// old, when not nil, is the structure the sort is folded into — the
-// tutorial's reorganization, which merges the sorted new entries with the
-// old structure in the same pass. It yields that structure's records,
-// already sorted under less, then ok false, and joins the final merge as
-// its first input: on equal keys its records come before the new ones,
-// as in a stable sort of old's records followed by next's. It is first
-// called at the merge's first read, after run formation and the merge
-// passes, so the page of RAM it reads into need not be taken before, and
-// its records are read once, in order, and never written.
+// old, when not nil, is the structure the sort is folded into: the
+// tutorial's reorganization merges the sorted new entries with it in the
+// same pass. It yields that structure's records, already sorted under
+// less, each valid until its following call, then ok false. It joins the
+// final merge as its first input, so on equal keys its records come
+// first — the stable sort of old's records followed by next's. It is
+// first called at the merge's first read, so the page of RAM it reads
+// into need not be taken earlier; its records are read once, in order,
+// and never written.
 //
 // next returns the source's records in order, then ok false; a record may
 // be a view the following call overwrites, since it is copied at once.
-// A record of old must stay valid until old's following call. The Go
-// process holds what that model grants and no more: run formation copies
-// records into one pooled slab of runPages pages (plus the record that
-// crosses the budget) and sorts views into it, and a merge compares the
-// head records where they lie in each input's page buffer.
+// The Go process holds what that model grants and no more: run formation
+// copies records into one pooled slab of runPages pages (plus the record
+// that crosses the budget) and sorts views into it, and a merge compares
+// the head records where they lie in each input's page buffer.
 //
 // The runs draw blocks from alloc. A failed sort frees every block it
 // allocated; a successful one holds its runs until Sorted.Drop.

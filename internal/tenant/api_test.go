@@ -293,3 +293,32 @@ func firstRefusal(t *testing.T, c tenant.Class, quota int, busy, evict bool) int
 	}
 	return -1
 }
+
+// A tenant evicted more often than its reorganization cadence still owes
+// its reorganizations: the cadence counts the tenant's syncs, evictions'
+// included, not the syncs of each store instance a reopen starts afresh.
+// Two tenants of one class share an arena that holds one, so each request
+// evicts the other tenant, whose eviction syncs its store — one sync per
+// instance, short of kv's third and search's second. While each instance
+// counted its own syncs, neither tenant ever owed a reorganization, its
+// footprint only grew, and the quota refused kv for good at request 44
+// and search at 50.
+func TestCadenceOutlivesEviction(t *testing.T) {
+	for _, c := range []tenant.Class{tenant.ClassKV, tenant.ClassSearch} {
+		reg := obs.NewRegistry()
+		h := tenant.NewHost(tenant.HostConfig{ArenaBytes: 2 << 10, PageQuota: 64}, reg)
+		for r := 0; r < 400; r++ {
+			name := "a"
+			if r%2 == 1 {
+				name = "b"
+			}
+			_, err := h.Do(serveReq(name, c, int64(r+1)*50_000_000))
+			if err != nil {
+				t.Fatalf("%v request %d (tenant %s): %v", c, r, name, err)
+			}
+		}
+		if ev := reg.CounterValue(tenant.MetricEvictions); ev < 390 {
+			t.Fatalf("%v: %d evictions in 400 requests; the schedule must evict at nearly every one", c, ev)
+		}
+	}
+}

@@ -53,7 +53,10 @@ func tieSchedule(n int) []Request {
 // index; the digest re-captured when a reopened store's stale journal
 // block came to owe its erase to idle time instead of paying it at the
 // next ping-pong: 94 requests that queued find a slot free, evictions and
-// reopens unchanged).
+// reopens unchanged; and again when the host, not the store instance,
+// started counting a tenant's syncs toward its reorganization cadence, so
+// that an eviction no longer resets it: 39 more requests find a slot
+// free, 179 → 140 queued, evictions and reopens unchanged).
 func TestEvictionIndexMatchesScan(t *testing.T) {
 	h := NewHost(HostConfig{ArenaBytes: 24 << 10}, obs.NewRegistry())
 	ties := 0
@@ -91,7 +94,7 @@ func TestEvictionIndexMatchesScan(t *testing.T) {
 	if ties < 100 {
 		t.Errorf("only %d states tied on lastUsed: the schedule does not exercise the tie rule", ties)
 	}
-	const digest = "2812e01404aed9236b6b91c62f7eb947cba0385e176230078f241e9f6e38eeaf"
+	const digest = "b355d0a1506d01fdb04b445cfea5bda43d1071a9f07cb95265b2e02b9a3789b2"
 	if got := h.Digest(); got != digest {
 		t.Errorf("decision digest = %s, want %s", got, digest)
 	}

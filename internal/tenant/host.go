@@ -120,10 +120,13 @@ type envelope struct {
 	// idleAt is the virtual instant the chip went idle: the end of the
 	// tenant's last service, or its eviction.
 	idleAt int64
-	// owed is a reorganization a sync boundary left owed and no idle
-	// window has run yet. It survives eviction: the reopened store pays
-	// it in the window after the reopen.
-	owed bool
+	// syncs counts the tenant's sync boundaries, evictions' included, and
+	// owed is a reorganization one of them left owed (kind.Owes) and no
+	// idle window has run yet. Both survive eviction: a reopened store
+	// starts counting nothing, and pays the debt in the window after the
+	// reopen.
+	syncs int
+	owed  bool
 	// st is nil while the tenant is evicted to flash.
 	st durable.Store
 	// res is the tenant's slice of the host arena (nil when evicted).
@@ -495,7 +498,8 @@ func (h *Host) sync(e *envelope) error {
 		return fmt.Errorf("sync: %w", err)
 	}
 	e.unsynced = 0
-	e.owed = e.owed || e.st.Owes()
+	e.syncs++
+	e.owed = e.owed || e.kind.Owes(e.syncs)
 	return nil
 }
 

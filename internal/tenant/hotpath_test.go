@@ -64,14 +64,17 @@ func TestResidentDoAllocCeiling(t *testing.T) {
 // the reorganizations a sync owes followed them there (only the latency
 // histograms, so the window digest, moved: decisions and counts are
 // unchanged), and again when the journal's ping-pong erase followed them
-// too (the window digest only). The decision counts are pinned with them.
+// too (the window digest only), and again when the host took over
+// counting a tenant's syncs toward its reorganization cadence across
+// evictions (the window digest only). The decision counts are pinned with
+// them.
 func TestServeDigestsGolden(t *testing.T) {
 	rep, err := tenant.Serve(tenant.ServeConfig{Tenants: 300, Arrivals: 3000, Seed: 5}, obs.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
 	const (
-		window   = "e1d612478189c53d617f7fc5400166caab42b47527472c60a27798cf7219ab68"
+		window   = "12d69b0a2b3600e527230f21dc00d9ebb68ccfdcd8ec5cacd07e6d5a9d4c2061"
 		decision = "100f04e3c3d307034a58af498581f144c8b86057e51c12907ad55b54700312d5"
 	)
 	type counts struct{ admitted, queued, shed, denied, quota, evictions, reopens int }

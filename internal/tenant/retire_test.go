@@ -151,13 +151,14 @@ func TestDoPricesIdleErasesOutside(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reorganized, retired := 0, 0
+		reorganized, retired, owed := 0, 0, false
 		for i := 0; i < 60; i++ {
-			if twin.Owes() {
+			if owed {
 				if err := twin.Reorganize(); err != nil {
 					t.Fatal(err)
 				}
 				reorganized++
+				owed = false
 			}
 			n, err := alloc.EraseDirty(alloc.Dirty())
 			if err != nil {
@@ -172,6 +173,7 @@ func TestDoPricesIdleErasesOutside(t *testing.T) {
 				if err := twin.Sync(); err != nil {
 					t.Fatal(err)
 				}
+				owed = kind.Owes((i + 1) / kind.SyncEvery)
 			}
 			own := chip.Stats().Sub(before)
 
