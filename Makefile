@@ -130,7 +130,8 @@ ci: vet fmt build test race fuzz lint-determinism bench-smoke
 # BENCHMARK.json, pinned input digests, the comparer), then three seconds
 # of the Part III hot-path workload, which exits non-zero on a wrong
 # aggregate, an untyped failure or a lossy wire that cost no retransmit,
-# and three of the token read path, which exits non-zero unless Search
+# and three of the same protocols on a clean wire, where every query must
+# equal the plain aggregate, and three of the token read path, which exits non-zero unless Search
 # equals NaiveSearch, ExecuteStar equals ExecuteStarNaive and every Get
 # returns its value; and three of the TCP substrate, whose episode-0
 # replay on the simulator must give the same virtual cost and wire totals,
@@ -142,6 +143,7 @@ ci: vet fmt build test race fuzz lint-determinism bench-smoke
 bench-smoke:
 	$(GO) test ./bench -count=1
 	$(GO) run ./bench -workload gquery-lossy -seconds 3 -trace 0
+	$(GO) run ./bench -workload gquery-clean -seconds 3 -trace 0
 	$(GO) run ./bench -workload token-query -seconds 3 -trace 0
 	$(GO) run ./bench -workload gquery-tcp -seconds 3 -trace 0
 	$(GO) run ./bench -workload serve-steady -seconds 3

@@ -15,7 +15,9 @@ import (
 // flat vs fan-in tree. Two claims are on trial:
 //
 //   - the tree's simulated critical path grows ~log n (depth × fold cost)
-//     while the flat plane's grows ~n (serial merge of every partial);
+//     while the flat plane's grows ~n (its one root frame carries every
+//     partial), from a lower start: flat pays one merge hop, the tree
+//     one per level;
 //   - flat and tree produce bit-identical aggregates at every size.
 //
 // The third, that memory stays bounded by the in-flight chunk window
@@ -81,7 +83,7 @@ func runE20(cfg config) error {
 		}
 	}
 	w.Flush()
-	fmt.Println("\n  flat sim-critical grows ~n (serial merge tail); tree grows ~log n (depth × fold cost).")
+	fmt.Println("\n  flat sim-critical grows ~n (one root frame of every partial); tree grows ~log n (depth × fold cost).")
 	fmt.Println("  chunks in flight are bounded by the fold window, not the fleet size.")
 	return nil
 }

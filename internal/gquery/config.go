@@ -32,11 +32,11 @@ type config struct {
 	maxRetries int
 
 	// topology selects the fan-in structure of the aggregation plane:
-	// the zero value is the flat historical round trip (one final merge
-	// token), Tree(k) folds partials up a k-ary tree of interior tokens
-	// so the merge plane is O(log n) deep. Results are identical either
-	// way: GroupAgg.Merge is associative and commutative, and the
-	// checksum sums are order-free.
+	// the zero value is the flat one-level tree (one merging token takes
+	// every partial in one frame), Tree(k) folds partials up a k-ary tree
+	// of interior tokens so the merge plane is O(log n) deep. Results are
+	// identical either way: GroupAgg.Merge is associative and
+	// commutative, and the checksum sums are order-free.
 	topology Topology
 
 	// observer, when non-nil, receives the run's metrics and spans merged

@@ -9,19 +9,18 @@ import (
 
 // foldJob is one token-fold work item: which worker token runs it, the
 // wire kind of the SSI → token dispatch leg, how the chunk is labeled in
-// the trace, the envelopes it carries, how the token folds each of them,
-// and how its partial goes back over the wire.
+// the trace, the envelopes it carries and how the token folds each of
+// them.
 type foldJob struct {
 	worker string
 	kind   string
 	label  string
 	envs   []netsim.Envelope
 	fold   envProcessor
-	seal   sealPartialFn
 }
 
 // chunkOutcome is what a token's fold produced: its partial, the
-// partial's wire form (nil when it stayed at the token), and the
+// partial's wire form (nil while it stays at the token), and the
 // integrity failures and hard error it met.
 type chunkOutcome struct {
 	partial     partialAgg
@@ -37,18 +36,15 @@ type chunkOutcome struct {
 // the chunk on the latter.
 type envProcessor func(out *chunkOutcome, payload []byte)
 
-// sealPartialFn builds the wire payload of the token's partial upload;
-// nil skips the upload (e.g. the noise protocol's forged batch, whose
-// partial only rides locally in the flat topology).
-type sealPartialFn func(out *chunkOutcome) ([]byte, error)
-
 // runFold executes the per-token fold step every protocol and topology
 // shares. The dispatch span is the "SSI partition message" handing the
 // chunk to its worker as one frame: the frame carries its context, so
 // the token's fold span attaches under it even across retransmits and
-// duplicated deliveries. Every leg is charged to the worker's timeline,
-// which is where the tree scheduler places the leaf.
-func (tp *transport) runFold(job foldJob) chunkOutcome {
+// duplicated deliveries. The token then uploads its partial, sealed, for
+// the merge plane. Every leg is charged to the worker's timeline, which
+// is where the tree scheduler places the leaf.
+func (r *run) runFold(job foldJob) chunkOutcome {
+	tp := r.tp
 	disp := tp.ro.span("ssi-dispatch", PhasePartition, "chunk", job.label, "worker", job.worker)
 	defer disp.End()
 	var fold *obs.Span
@@ -58,19 +54,18 @@ func (tp *transport) runFold(job foldJob) chunkOutcome {
 		fold = tp.ro.remoteSpan(PhaseTokenFold, e.Ctx, "chunk", job.label, "worker", job.worker)
 		foldFrame(&out, job.fold, e.Payload)
 	}
-	frame := chunkFrame(job.envs)
+	frame := recordFrame(job.envs, envPayload)
 	err := tp.send(netsim.Envelope{From: "ssi", To: job.worker, Kind: job.kind, Payload: *frame, Ctx: disp.Context()}, rcv)
 	chunkFrames.Put(frame)
 	if err != nil && out.err == nil {
 		out.err = err
 	}
-	if out.err != nil || job.seal == nil {
+	if out.err != nil {
 		return out
 	}
-	// Worker → SSI → merge plane: the partial rides sealed (and, for the
-	// protocols that verify it downstream, non-deterministically
-	// encrypted).
-	payload, err := job.seal(&out)
+	// Worker → SSI → merge plane: the partial rides sealed and
+	// non-deterministically encrypted, for the merging token to verify.
+	payload, err := sealNonDet(r.kr, nil, encodePartial(out.partial))
 	if err != nil {
 		out.err = err
 		return out
@@ -94,14 +89,6 @@ func foldFrame(out *chunkOutcome, fold envProcessor, frame []byte) {
 	})
 	if err != nil {
 		out.macFailures++
-	}
-}
-
-// sealedPartial is the sealPartialFn of the protocols whose partials are
-// verified downstream: encode, encrypt non-deterministically, MAC.
-func sealedPartial(kr *Keyring) sealPartialFn {
-	return func(out *chunkOutcome) ([]byte, error) {
-		return sealNonDet(kr, nil, encodePartial(out.partial))
 	}
 }
 
@@ -146,9 +133,9 @@ func wholeBody(body []byte) []byte     { return body }
 func afterGroupCT(body []byte) []byte  { return body[2+int(binary.LittleEndian.Uint16(body[:2])):] }
 func afterBucketID(body []byte) []byte { return body[2:] }
 
-// mergeSealed is the merging token's processor — an interior tree token
-// or the streaming run's final token: verify, decrypt and decode a
-// sealed partial, and merge it into out.partial.
+// mergeSealed is the merging token's processor, one record of its
+// "tree-partial" frame at a time: verify, decrypt and decode a sealed
+// partial, and merge it into out.partial.
 func mergeSealed(kr *Keyring) envProcessor {
 	return func(out *chunkOutcome, payload []byte) {
 		ct, err := open(kr, payload)

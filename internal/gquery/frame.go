@@ -10,12 +10,14 @@ import (
 )
 
 // A frame is what one bulk leg of a run carries: a PDS's upload to its
-// SSI node, or the chunk the SSI dispatches to a fold token. It is a run
-// of records, each u32 length | record bytes, in upload or partition
-// order, so a leg costs one message however many tuples it moves. The
-// SSI learns nothing from a frame it did not already know: an upload
-// frame's record count is the tuple count it sees from the sender, a
-// chunk frame's is the chunk size it chose.
+// SSI node, the chunk the SSI dispatches to a fold token, or the sealed
+// partials the SSI relays to a merging token. It is a run of records,
+// each u32 length | record bytes, in upload, partition or child order,
+// so a leg costs one message however many records it moves. The SSI
+// learns nothing from a frame it did not already know: an upload frame's
+// record count is the tuple count it sees from the sender, a chunk
+// frame's is the chunk size it chose, and a merge frame's is the number
+// of partials it relays — under Flat() the chunk count it dispatched.
 
 // recordPrefix is the length prefix in front of every record.
 const recordPrefix = 4
@@ -69,26 +71,29 @@ func EachUpload(frame netsim.Envelope, receive func(netsim.Envelope) bool) {
 	})
 }
 
-// chunkFrames holds the dispatch buffers of the fold plane. The token
-// retains nothing of the frame it folds (it decrypts each record into
-// fresh memory), so a buffer is reused as soon as its leg is sent.
+// chunkFrames holds the frame buffers of the fold and merge legs. The
+// token retains nothing of the frame it folds (it decrypts each record
+// into fresh memory), so a buffer is reused as soon as its leg is sent.
 var chunkFrames = sync.Pool{New: func() any { return new([]byte) }}
 
-// chunkFrame packs a chunk's envelopes into one dispatch frame, in
-// partition order, in a pooled buffer the caller puts back into
-// chunkFrames once the leg is sent.
-func chunkFrame(envs []netsim.Envelope) *[]byte {
+// recordFrame packs the payload of each item into one frame, in order,
+// in a pooled buffer the caller puts back into chunkFrames once the leg
+// is sent.
+func recordFrame[T any](items []T, payload func(T) []byte) *[]byte {
 	n := 0
-	for _, e := range envs {
-		n += recordPrefix + len(e.Payload)
+	for _, it := range items {
+		n += recordPrefix + len(payload(it))
 	}
 	buf := chunkFrames.Get().(*[]byte)
 	frame := slices.Grow((*buf)[:0], n)
-	for _, e := range envs {
+	for _, it := range items {
 		var at int
 		frame, at = beginRecord(frame)
-		frame = endRecord(append(frame, e.Payload...), at)
+		frame = endRecord(append(frame, payload(it)...), at)
 	}
 	*buf = frame
 	return buf
 }
+
+// envPayload is a chunk's record: the envelope's sealed upload.
+func envPayload(e netsim.Envelope) []byte { return e.Payload }

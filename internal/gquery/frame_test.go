@@ -10,10 +10,11 @@ import (
 	"pds/internal/ssi"
 )
 
-// TestOneFramePerLeg: on a clean, flat, one-SSI run every bulk leg is one
+// TestOneFramePerLeg: on a clean, one-SSI run every bulk leg is one
 // message — one "tuple" frame per participant, one dispatch frame per
-// chunk — for every protocol with a fold plane and for the stream
-// executor.
+// chunk, one "tree-partial" frame per interior node of the merge tree —
+// for every protocol with a fold plane and for the stream executor. A
+// single-chunk run has no interior node and sends no merge frame.
 func TestOneFramePerLeg(t *testing.T) {
 	parts := makeParts(29, 4, testDomain, 51)
 	kr := mustKeyring(t)
@@ -27,6 +28,14 @@ func TestOneFramePerLeg(t *testing.T) {
 	}{
 		{"secure-agg", "chunk", func(net *netsim.Network, srv *ssi.Server) (RunStats, error) {
 			_, stats, err := New().SecureAgg(net, srv, parts, kr, 7)
+			return stats, err
+		}},
+		{"secure-agg-tree", "chunk", func(net *netsim.Network, srv *ssi.Server) (RunStats, error) {
+			_, stats, err := New(WithTopology(Tree(4))).SecureAgg(net, srv, parts, kr, 7)
+			return stats, err
+		}},
+		{"single-chunk", "chunk", func(net *netsim.Network, srv *ssi.Server) (RunStats, error) {
+			_, stats, err := New().SecureAgg(net, srv, parts, kr, 4*len(parts))
 			return stats, err
 		}},
 		{"noise", "group-chunk", func(net *netsim.Network, srv *ssi.Server) (RunStats, error) {
@@ -56,12 +65,17 @@ func TestOneFramePerLeg(t *testing.T) {
 			if got := reg.CounterValue(netsim.MetricKindMessages, "kind", c.kind); got != int64(stats.Chunks) || got == 0 {
 				t.Errorf("%s messages = %d, want one frame per chunk (%d)", c.kind, got, stats.Chunks)
 			}
+			got := reg.CounterValue(netsim.MetricKindMessages, "kind", "tree-partial")
+			if got != int64(stats.TreeNodes) || (got == 0) != (stats.Chunks == 1) {
+				t.Errorf("tree-partial messages = %d, want one frame per interior node (%d) over %d chunks",
+					got, stats.TreeNodes, stats.Chunks)
+			}
 		})
 	}
 }
 
-// tamperWire rewrites the first dispatch frame of one kind in flight on
-// the clean wire's direct path.
+// tamperWire rewrites the first frame of one kind in flight on the clean
+// wire's direct path.
 type tamperWire struct {
 	*netsim.Network
 	kind   string
@@ -78,11 +92,14 @@ func (w *tamperWire) Send(e netsim.Envelope) netsim.Envelope {
 	return e
 }
 
-// A chunk frame truncated or with one length prefix rewritten in flight
-// ends the run in a typed DetectionError, never in a partial fold that
-// passes: a frame that no longer splits into the sealed records the SSI
-// dispatched is a MAC failure, and one cut at a record boundary folds
-// too few tuples for the checksum.
+// A frame truncated, with one length prefix rewritten or with a record
+// duplicated in flight ends the run in a typed DetectionError, never in
+// a partial fold that passes: a frame that no longer splits into the
+// sealed records the SSI relayed is a MAC failure, and one cut at a
+// record boundary or grown by a copied record folds the wrong tuples
+// for the checksum. That holds on every hop the SSI relays: the chunk
+// frame a fold token opens and the "tree-partial" frame a merging token
+// opens, the flat root's as well as a Tree(4) node's.
 func TestTamperedChunkFrameDetected(t *testing.T) {
 	parts := makeParts(20, 3, testDomain, 53)
 	kr := mustKeyring(t)
@@ -93,13 +110,18 @@ func TestTamperedChunkFrameDetected(t *testing.T) {
 		}
 		return off
 	}
-	for _, c := range []struct {
+	records := func(frame []byte) int {
+		n := 0
+		eachRecord(frame, func([]byte) bool { n++; return true })
+		return n
+	}
+	tampers := []struct {
 		name, reason string
 		tamper       func(frame []byte) []byte
 	}{
 		{"truncate-record", "mac-failure", func(f []byte) []byte { return f[:len(f)-9] }},
 		{"truncate-prefix", "mac-failure", func(f []byte) []byte { return f[:prefix(f, 2)+2] }},
-		{"truncate-at-record", "checksum-mismatch", func(f []byte) []byte { return f[:prefix(f, 4)] }},
+		{"truncate-at-record", "checksum-mismatch", func(f []byte) []byte { return f[:prefix(f, records(f)-1)] }},
 		{"prefix-past-end", "mac-failure", func(f []byte) []byte {
 			binary.LittleEndian.PutUint32(f[prefix(f, 1):], uint32(len(f)))
 			return f
@@ -114,18 +136,29 @@ func TestTamperedChunkFrameDetected(t *testing.T) {
 			binary.LittleEndian.PutUint32(f[at:], uint32(prefix(f, 2)-recordPrefix))
 			return f
 		}},
+		{"duplicate-record", "checksum-mismatch", func(f []byte) []byte { return append(f, f[:prefix(f, 1)]...) }},
+	}
+	for _, hop := range []struct {
+		name, kind string
+		topo       Topology
+	}{
+		{"chunk", "chunk", Flat()},
+		{"merge-flat", "tree-partial", Flat()},
+		{"merge-tree4", "tree-partial", Tree(4)},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			w := &tamperWire{Network: netsim.New(), kind: "chunk", tamper: c.tamper}
-			srv := ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
-			_, stats, err := New().SecureAgg(w, srv, parts, kr, 6)
-			var de *DetectionError
-			if !errors.As(err, &de) || de.Reason != c.reason || !stats.Detected {
-				t.Fatalf("tampered frame: err = %v, stats %+v; want a %s DetectionError", err, stats, c.reason)
-			}
-			if !w.done {
-				t.Fatal("no chunk frame crossed the wire — test is vacuous")
-			}
-		})
+		for _, c := range tampers {
+			t.Run(hop.name+"/"+c.name, func(t *testing.T) {
+				w := &tamperWire{Network: netsim.New(), kind: hop.kind, tamper: c.tamper}
+				srv := ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
+				_, stats, err := New(WithTopology(hop.topo)).SecureAgg(w, srv, parts, kr, 6)
+				if !w.done {
+					t.Fatalf("no %s frame crossed the wire — test is vacuous", hop.kind)
+				}
+				var de *DetectionError
+				if !errors.As(err, &de) || de.Reason != c.reason || !stats.Detected {
+					t.Fatalf("tampered frame: err = %v, stats %+v; want a %s DetectionError", err, stats, c.reason)
+				}
+			})
+		}
 	}
 }

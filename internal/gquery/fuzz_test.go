@@ -61,7 +61,7 @@ func FuzzChunkFrame(f *testing.F) {
 		}
 		envs = append(envs, netsim.Envelope{Payload: rec[recordPrefix:]})
 	}
-	valid := chunkFrame(envs)
+	valid := recordFrame(envs, envPayload)
 	f.Add(append([]byte(nil), *valid...))
 	chunkFrames.Put(valid)
 	f.Add([]byte{})
@@ -82,7 +82,7 @@ func FuzzChunkFrame(f *testing.F) {
 			}
 			return
 		}
-		again := chunkFrame(recs)
+		again := recordFrame(recs, envPayload)
 		defer chunkFrames.Put(again)
 		if string(*again) != string(data) {
 			t.Fatalf("re-framed %d records to %d bytes, want the %d input bytes", len(recs), len(*again), len(data))

@@ -61,24 +61,24 @@ func transcriptDigest(frames []string, ordered bool, stats RunStats, fp string) 
 // goroutine scheduling).
 func TestProtocolTranscriptGolden(t *testing.T) {
 	want := map[string]string{
-		"secure-agg/flat/ssi1":    "2db1449343b8eb0b",
-		"secure-agg/flat/ssi3":    "0c873f3ca35c9b6a",
-		"secure-agg/tree(4)/ssi1": "365de572df25ad82",
-		"secure-agg/tree(4)/ssi3": "68d3599c06ff15aa",
-		"noise/flat/ssi1":         "ae6d6ede6d06bd5a",
-		"noise/flat/ssi3":         "bba78d078210e194",
-		"noise/tree(4)/ssi1":      "6260a1839d255d61",
-		"noise/tree(4)/ssi3":      "17bbef9d859babf6",
-		"histogram/flat/ssi1":     "ee1b6a921f61b80d",
-		"histogram/flat/ssi3":     "21e3ed2fbfab4116",
-		"histogram/tree(4)/ssi1":  "f669bc95a6310dc8",
-		"histogram/tree(4)/ssi3":  "1a15b4ab396734af",
+		"secure-agg/flat/ssi1":    "474139d9a1c87ffe",
+		"secure-agg/flat/ssi3":    "3c67461c435b75f6",
+		"secure-agg/tree(4)/ssi1": "e50baa8511346c43",
+		"secure-agg/tree(4)/ssi3": "bd636b825c8ad8d9",
+		"noise/flat/ssi1":         "dfacb2dda94b42b4",
+		"noise/flat/ssi3":         "7c60e551745ac2d0",
+		"noise/tree(4)/ssi1":      "72bd7ff406dd95a7",
+		"noise/tree(4)/ssi3":      "625758d9ab04ee19",
+		"histogram/flat/ssi1":     "c9e0a32ee818bffa",
+		"histogram/flat/ssi3":     "d34808d9618231b1",
+		"histogram/tree(4)/ssi1":  "66834a8116b41e58",
+		"histogram/tree(4)/ssi3":  "70cd55195701f562",
 		"paillier/flat/ssi1":      "01d356a0bb06e64b",
 		"paillier/flat/ssi3":      "e9f4b9884575708c",
-		"stream/flat/ssi1":        "8b6328d54040ac51",
-		"stream/flat/ssi3":        "f9e1bbdfa4c8f392",
-		"stream/tree(4)/ssi1":     "42284fcae85e85de",
-		"stream/tree(4)/ssi3":     "746cf35619c16db9",
+		"stream/flat/ssi1":        "dac773f75cff18e9",
+		"stream/flat/ssi3":        "cf512b5ee290c3b8",
+		"stream/tree(4)/ssi1":     "e0719d2ea8b64dc1",
+		"stream/tree(4)/ssi3":     "51f1b90c8a45f947",
 	}
 	parts := makeParts(37, 3, testDomain, 17)
 	kr := mustKeyring(t)

@@ -174,9 +174,10 @@ type RunStats struct {
 	TagFailures  int           // frames rejected by the transport integrity tag
 	RetryBackoff time.Duration // simulated time spent backing off between retries
 
-	// Tree-topology shape, zero under Flat(): how many fold levels the
-	// partials climbed (leaf level included) and how many interior token
-	// folds the tree spent doing it.
+	// Merge-tree shape: how many fold levels the partials climbed (leaf
+	// level included) and how many interior token folds the tree spent
+	// doing it, one "tree-partial" frame each. Flat() is the one-level
+	// tree: depth 2 and one node, or depth 1 and none for a single chunk.
 	TreeDepth int
 	TreeNodes int
 

@@ -140,23 +140,16 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	// Aggregation per bucket, in sorted bucket order so folding is
 	// deterministic. The bucket aggregate lives in the partial's Aggs map
 	// under the bucket id's decimal key, so per-bucket aggregates survive
-	// a tree merge without collapsing into each other. In the flat
-	// topology the wire partial stays the historical 48-byte placeholder
-	// (the final token only checks idSum/count); in the tree topology
-	// partials must actually ride upward, so they are sealed for real.
+	// the merge without collapsing into each other.
 	ids := make([]int, 0, len(byBucket))
 	for bkt := range byBucket {
 		ids = append(ids, bkt)
 	}
 	sort.Ints(ids)
-	sealP := func(*chunkOutcome) ([]byte, error) { return make([]byte, 48), nil }
-	if cfg.topology.IsTree() {
-		sealP = sealedPartial(kr)
-	}
 	jobs := make([]foldJob, len(ids))
 	for i, bkt := range ids {
 		key := strconv.Itoa(bkt)
-		jobs[i] = foldJob{kind: "bucket-chunk", label: key, envs: byBucket[bkt], fold: tupleFold(kr, afterBucketID, key), seal: sealP}
+		jobs[i] = foldJob{kind: "bucket-chunk", label: key, envs: byBucket[bkt], fold: tupleFold(kr, afterBucketID, key)}
 	}
 	leaves, err := r.foldJobs(jobs)
 	if err != nil {

@@ -142,15 +142,14 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fold, sealP := tupleFold(kr, afterGroupCT, ""), sealedPartial(kr)
+	fold := tupleFold(kr, afterGroupCT, "")
 	jobs := make([]foldJob, len(keys), len(keys)+1)
 	for i, k := range keys {
-		jobs[i] = foldJob{kind: "group-chunk", label: strconv.Itoa(i), envs: groups[k], fold: fold, seal: sealP}
+		jobs[i] = foldJob{kind: "group-chunk", label: strconv.Itoa(i), envs: groups[k], fold: fold}
 	}
 	if len(forged) > 0 {
-		// Malformed envelopes visit a token without a partial upload: the
-		// token's only job is to flag them (its partial rides locally in
-		// the flat topology, sealed on demand by the tree reduce).
+		// Malformed envelopes visit a token too, whose job is to flag
+		// them; its partial joins the merge like any other.
 		jobs = append(jobs, foldJob{kind: "group-chunk", label: "forged", envs: forged, fold: fold})
 	}
 	leaves, err := r.foldJobs(jobs)

@@ -101,7 +101,7 @@ func (r *run) foldJobs(jobs []foldJob) ([]treeNode, error) {
 		jobs[i].worker = r.parts[i%len(r.parts)].ID
 	}
 	outs := make([]chunkOutcome, len(jobs))
-	r.cfg.forEachChunk(len(jobs), func(i int) { outs[i] = r.tp.runFold(jobs[i]) })
+	r.cfg.forEachChunk(len(jobs), func(i int) { outs[i] = r.runFold(jobs[i]) })
 	leaves := make([]treeNode, 0, len(outs))
 	for _, out := range outs {
 		if err := r.tally(out); err != nil {
@@ -129,18 +129,24 @@ func (r *run) tally(out chunkOutcome) error {
 	return nil
 }
 
-// merge brings the leaves' partials to the final token: up the fan-in
-// tree under Tree(k), or — under Flat(), where every partial is already
-// at the final token — straight into the merge phase.
+// merge folds the leaves' partials up the fan-in tree to the final
+// token, which keeps the root's partial for the verdict. Interior tokens
+// are drawn from the participant pool like leaf workers: the SSI
+// re-enrolls tokens it already knows. The tree is laid out under the
+// fold phase, which closes at the root's end — no node ends later.
 func (r *run) merge(leaves []treeNode) ([]partialAgg, error) {
-	if r.cfg.topology.IsTree() {
-		return r.reduceTree(leaves)
+	f := r.treeFolder(func(level, j int) string { return r.parts[(level*131+j)%len(r.parts)].ID })
+	for _, lf := range leaves {
+		if err := f.push(0, lf); err != nil {
+			return nil, err
+		}
 	}
-	r.tp.phase(PhaseMerge)
-	partials := make([]partialAgg, len(leaves))
-	for i, lf := range leaves {
-		partials[i] = lf.partial
+	partials, end, err := f.root()
+	if err != nil {
+		return nil, err
 	}
+	f.layout()
+	r.tp.phasePar(PhaseMerge, end)
 	return partials, nil
 }
 

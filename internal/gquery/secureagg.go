@@ -3,7 +3,6 @@ package gquery
 import (
 	"strconv"
 
-	"pds/internal/netsim"
 	tnet "pds/internal/transport"
 )
 
@@ -14,8 +13,10 @@ import (
 //	partition  : the SSI splits the blind ciphertext set into chunks;
 //	aggregation: each chunk goes to a (participant) token that decrypts,
 //	             partially aggregates, and returns a sealed partial;
-//	merge      : a final token merges partials and verifies the tuple-id
-//	             checksum, detecting drops, duplicates and forgeries.
+//	merge      : the SSI relays the sealed partials up the fan-in tree;
+//	             each merging token verifies every one, and the root
+//	             checks the tuple-id checksum, detecting drops,
+//	             duplicates and forgeries.
 //
 // The SSI observes only ciphertexts: every payload is distinct, so no
 // grouping information leaks. The aggregation phase runs over cfg.workers
@@ -37,10 +38,10 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		return nil, r.stats, err
 	}
 	r.stats.Chunks = len(chunks)
-	fold, seal := tupleFold(kr, wholeBody, ""), sealedPartial(kr)
+	fold := tupleFold(kr, wholeBody, "")
 	jobs := make([]foldJob, len(chunks))
 	for i, chunk := range chunks {
-		jobs[i] = foldJob{kind: "chunk", label: strconv.Itoa(i), envs: chunk, fold: fold, seal: seal}
+		jobs[i] = foldJob{kind: "chunk", label: strconv.Itoa(i), envs: chunk, fold: fold}
 	}
 	leaves, err := r.foldJobs(jobs)
 	if err != nil {
@@ -49,14 +50,6 @@ func runSecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	partials, err := r.merge(leaves)
 	if err != nil {
 		return nil, r.stats, err
-	}
-	if !cfg.topology.IsTree() {
-		// The flat final token is charged one "merge" frame per partial.
-		for range partials {
-			if err := r.tp.send(netsim.Envelope{From: "ssi", To: parts[0].ID, Kind: "merge"}, nil); err != nil {
-				return nil, r.stats, err
-			}
-		}
 	}
 	wantID, wantCount := expectedChecksum(parts, nil)
 	return r.verdict(partials, wantID, wantCount)

@@ -43,12 +43,15 @@ func (s *sliceSource) Next() (Participant, bool) {
 // SecureAggStream runs the secure-aggregation protocol over a participant
 // stream with bounded memory: each PDS's upload frame flows through the
 // SSI's streaming partition mode, each filled chunk is dispatched to a
-// fold token as one frame as soon as it exists, and partials are merged
-// incrementally (flat) or climb the fan-in tree as contiguous arity
-// blocks complete (Tree topology). At no point does the engine
-// materialize the fleet's tuple set: at most 3·workers+3 filled chunks
-// are unfolded at once — 2·workers+2 queued, one in each worker's hands,
-// one the collector is blocked handing over.
+// fold token as one frame as soon as it exists, and the sealed partials
+// climb the fan-in tree as contiguous arity blocks complete, the same
+// tree the batch run builds. At no point does the engine materialize the
+// fleet's tuple set: at most 3·workers+3 filled chunks are unfolded at
+// once — 2·workers+2 queued, one in each worker's hands, one the
+// collector is blocked handing over. Partials are another matter under
+// Flat(): its one interior token takes every partial in one frame, so the
+// run holds one sealed partial per chunk until the root's frame; Tree(k)
+// holds O(k·log n).
 //
 // The integrity contract is unchanged — the run returns the exact result
 // or a typed DetectionError — but the fault plane is not supported:
@@ -60,9 +63,6 @@ func (e *Engine) SecureAggStream(w tnet.Transport, srv StreamInfra, src Particip
 	kr *Keyring, chunkSize int) (Result, RunStats, error) {
 	return runSecureAggStream(w, srv, src, kr, chunkSize, e.cfg)
 }
-
-// mergeToken is the flat streaming run's final merge token.
-const mergeToken = "tok@merge"
 
 // streamLeaf is one chunk travelling through the fold plane: envs on
 // the way to a worker, out on the way back.
@@ -96,7 +96,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	inflight := 2*workers + 2
 	jobs := make(chan streamLeaf, inflight)
 	results := make(chan streamLeaf, inflight)
-	fold, seal := tupleFold(kr, wholeBody, ""), sealedPartial(kr)
+	fold := tupleFold(kr, wholeBody, "")
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
 		wg.Add(1)
@@ -104,7 +104,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 			defer wg.Done()
 			for job := range jobs {
 				label := strconv.Itoa(job.idx)
-				job.out = r.tp.runFold(foldJob{worker: "tok@L0." + label, kind: "chunk", label: label, envs: job.envs, fold: fold, seal: seal})
+				job.out = r.runFold(foldJob{worker: "tok@L0." + label, kind: "chunk", label: label, envs: job.envs, fold: fold})
 				job.envs = nil // folded: release the chunk's envelopes
 				results <- job
 			}
@@ -112,30 +112,15 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	}
 
 	// The merger consumes leaves in chunk-index order (reordering the
-	// pool's completions) so merging and tree placement are
-	// deterministic: flat, the final token receives each sealed partial
-	// over the wire and folds it into a running partial — the serial tail
-	// its timeline charges to the merge phase at the end of the run; as a
-	// tree, each leaf is pushed into the fan-in tree.
+	// pool's completions) so tree placement is deterministic: each leaf
+	// is pushed into the fan-in tree.
 	tree := r.treeFolder(func(level, j int) string { return fmt.Sprintf("tok@L%d.%d", level, j) })
-	merge := mergeSealed(kr)
-	running := chunkOutcome{partial: partialAgg{Aggs: map[string]GroupAgg{}}}
-	rcvMerge := func(e netsim.Envelope) { merge(&running, e.Payload) }
-	var foldMax time.Duration
 	var foldErr error
 	mergeLeaf := func(out chunkOutcome) error {
 		if err := r.tally(out); err != nil {
 			return err
 		}
-		end := r.tp.elapsed(out.worker, true)
-		if cfg.topology.IsTree() {
-			return tree.push(0, treeNode{partial: out.partial, sealed: out.sealed, worker: out.worker, end: end})
-		}
-		foldMax = max(foldMax, end)
-		if err := r.tp.send(netsim.Envelope{From: "ssi", To: mergeToken, Kind: "merge", Payload: out.sealed}, rcvMerge); err != nil {
-			return err
-		}
-		return running.err
+		return tree.push(0, treeNode{partial: out.partial, sealed: out.sealed, worker: out.worker, end: r.tp.elapsed(out.worker, true)})
 	}
 	mergerDone := make(chan struct{})
 	go func() {
@@ -211,39 +196,23 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 		return nil, r.stats, ErrNoParticipants
 	}
 	r.stats.Chunks = nChunks
-	if err := r.tally(running); err != nil { // the flat final token's MAC failures
-		return nil, r.stats, err
-	}
 
 	// All wire traffic is in; finish the tree (flushing partial arity
 	// blocks level by level) while the collect phase is still open so the
 	// flush traffic is absorbed with the rest.
-	partials := []partialAgg{running.partial}
-	var rootEnd time.Duration
-	if cfg.topology.IsTree() {
-		var err error
-		if partials, rootEnd, err = tree.root(); err != nil {
-			return nil, r.stats, err
-		}
+	partials, rootEnd, err := tree.root()
+	if err != nil {
+		return nil, r.stats, err
 	}
 
 	// Virtual-time layout from the per-node timelines, every one already
-	// read off the ledger but the flat merge token's: collect ends at the
-	// slowest PDS upload; the streaming SSI routed chunks inline, so the
-	// partition phase is a zero-width boundary; the fold plane then tiles
-	// the fold phase with explicit-time spans.
-	mergeEnd := r.tp.elapsed(mergeToken, true)
+	// read off the ledger: collect ends at the slowest PDS upload; the
+	// streaming SSI routed chunks inline, so the partition phase is a
+	// zero-width boundary; the fold plane then tiles the fold phase with
+	// explicit-time spans.
 	r.tp.phasePar(PhasePartition, collectMax)
 	r.tp.phasePar(PhaseTokenFold, 0)
-	if cfg.topology.IsTree() {
-		tree.layout()
-		r.tp.phasePar(PhaseMerge, rootEnd)
-	} else {
-		// Flat: leaf folds overlap (fold phase = slowest chunk), then the
-		// single final token replays every sealed partial serially — the
-		// O(n) tail the tree removes.
-		r.tp.phasePar(PhaseMerge, foldMax)
-		r.tp.ro.reg.Clock().Advance(mergeEnd)
-	}
+	tree.layout()
+	r.tp.phasePar(PhaseMerge, rootEnd)
 	return r.verdict(partials, wantID, wantCount)
 }

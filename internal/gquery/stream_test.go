@@ -15,7 +15,9 @@ import (
 // the batch one does and builds the same fold plane — the same tree
 // depth, interior nodes and worker calls — at the chunk counts that hit
 // the tree folder's edges: one leaf, exactly one full block (k), one
-// leaf over (k+1), and one leaf over a full two-level tree (k²+1).
+// leaf over (k+1), and one leaf over a full two-level tree (k²+1). Flat()
+// is the one-level tree: one interior node over every leaf of a run with
+// more than one chunk, none for a single chunk.
 func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 	kr := mustKeyring(t)
 	for _, topo := range []Topology{Flat(), Tree(2), Tree(4), Tree(16)} {
@@ -50,11 +52,14 @@ func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 					t.Fatalf("%v chunks=%d workers=%d: stream depth/nodes/calls %d/%d/%d, batch %d/%d/%d", topo, n, workers,
 						stats.TreeDepth, stats.TreeNodes, stats.WorkerCalls, batch.TreeDepth, batch.TreeNodes, batch.WorkerCalls)
 				}
-				if topo.IsTree() && n > 1 && (stats.TreeDepth < 2 || stats.TreeNodes == 0) {
+				if n > 1 && (stats.TreeDepth < 2 || stats.TreeNodes == 0) {
 					t.Fatalf("%v chunks=%d: tree shape missing: %+v", topo, n, stats)
 				}
-				if !topo.IsTree() && (stats.TreeDepth != 0 || stats.TreeNodes != 0) {
-					t.Fatalf("flat stream reported tree shape: %+v", stats)
+				if n == 1 && (stats.TreeDepth != 1 || stats.TreeNodes != 0) {
+					t.Fatalf("%v: a single chunk is its own root, got depth %d, %d nodes", topo, stats.TreeDepth, stats.TreeNodes)
+				}
+				if !topo.IsTree() && n > 1 && (stats.TreeDepth != 2 || stats.TreeNodes != 1) {
+					t.Fatalf("flat stream: depth %d, %d nodes, want the one-level tree (2, 1)", stats.TreeDepth, stats.TreeNodes)
 				}
 			}
 		}
@@ -129,21 +134,34 @@ func TestStreamShardFailureDetected(t *testing.T) {
 	}
 }
 
+// The streaming executor builds the batch run's tree, so the crossover
+// of TestTreeCriticalPathBelowFlat holds here too: on one tuple per
+// participant at chunk size 4 it sits between 224 and 256 chunks for
+// Tree(16) and between 800 and 864 for Tree(4).
 func TestStreamTreeCriticalPathBelowFlat(t *testing.T) {
-	parts := makeParts(256, 1, testDomain, 13)
 	kr := mustKeyring(t)
-	run := func(topo Topology) time.Duration {
+	run := func(topo Topology, chunks int) time.Duration {
 		net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+		parts := makeParts(4*chunks, 1, testDomain, 13)
 		_, stats, err := New(WithTopology(topo)).SecureAggStream(net, srv, SliceSource(parts), kr, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return time.Duration(stats.CriticalPath.TotalNS)
 	}
-	flat := run(Flat())
-	tree := run(Tree(4))
-	if tree >= flat {
-		t.Fatalf("stream tree critical path (%v) not below flat (%v)", tree, flat)
+	for _, c := range []struct {
+		topo        Topology
+		under, over int // chunk counts either side of the crossover
+	}{
+		{Tree(16), 128, 512},
+		{Tree(4), 512, 2048},
+	} {
+		if flat, tree := run(Flat(), c.under), run(c.topo, c.under); flat >= tree {
+			t.Errorf("%d chunks: stream flat critical path (%v) not below %v (%v)", c.under, flat, c.topo, tree)
+		}
+		if flat, tree := run(Flat(), c.over), run(c.topo, c.over); tree >= flat {
+			t.Errorf("%d chunks: stream %v critical path (%v) not below flat (%v)", c.over, c.topo, tree, flat)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package gquery
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -15,18 +16,19 @@ import (
 const DefaultTreeArity = 16
 
 // Topology selects the fan-in structure of the token fleet's
-// aggregation plane. The zero value is the flat historical round trip:
-// every worker token uploads its partial and a single final token
-// merges all of them — an O(n) serial tail. Tree(k) folds partials up a
-// k-ary tree of interior tokens instead: each interior token merges at
-// most k children and forwards one sealed partial upward, so the merge
-// plane is O(log_k n) deep and the critical path scales with the depth,
-// not the fleet.
+// aggregation plane. Every topology is a fan-in tree of interior tokens:
+// the SSI relays each interior token its children's sealed partials as
+// one frame, and the token verifies, decrypts and merges them. The zero
+// value, Flat(), is the one-level tree: a single interior token merges
+// every worker's partial, so its one frame grows with the fleet. Tree(k)
+// bounds the fan-in at k: each interior token merges at most k children
+// and uploads one sealed partial for its parent's frame, so the merge
+// plane is O(log_k n) deep.
 type Topology struct {
 	arity int
 }
 
-// Flat is the historical single-merge-token topology.
+// Flat is the one-level tree: one interior token over every leaf.
 func Flat() Topology { return Topology{} }
 
 // Tree arranges the fold plane as a k-ary fan-in tree; arity < 2
@@ -38,10 +40,10 @@ func Tree(arity int) Topology {
 	return Topology{arity: arity}
 }
 
-// IsTree reports whether the topology is hierarchical.
+// IsTree reports whether the fan-in is bounded (Tree(k), not Flat()).
 func (t Topology) IsTree() bool { return t.arity >= 2 }
 
-// Arity returns the tree fan-in (0 for the flat topology).
+// Arity returns the tree fan-in (0 for the flat topology: unbounded).
 func (t Topology) Arity() int { return t.arity }
 
 func (t Topology) String() string {
@@ -51,9 +53,10 @@ func (t Topology) String() string {
 	return fmt.Sprintf("tree(%d)", t.arity)
 }
 
-// treeNode is one fold-plane node: a token's partial, its wire form,
-// which token holds it, and — in fold-phase-relative virtual time — when
-// the token started on it and when the partial is available to a parent.
+// treeNode is one fold-plane node: a token's partial, its wire form (nil
+// until the token uploads it), which token holds it, and — in
+// fold-phase-relative virtual time — when the token started on it and
+// when the partial is available to a parent.
 type treeNode struct {
 	partial partialAgg
 	sealed  []byte
@@ -62,51 +65,20 @@ type treeNode struct {
 	end     time.Duration
 }
 
-// reduceTree folds the leaf partials up the k-ary fan-in tree over the
-// wire and lays the fold plane out in virtual time. The model is the
-// paper's asymmetric architecture: every token is its own serial
-// resource while the SSI routing plane is never the bottleneck, so
-// independent folds overlap and a node starts when its last child's
-// partial has arrived. Each tree edge is a real protocol hop — the
-// parent token MAC-verifies, decrypts and merges each child partial, so
-// integrity checking happens at every level, not only at the root.
-//
-// Leaves and interior nodes are placed from the same ledger charges that
-// close every other phase. reduceTree closes the fold phase at the
-// root's end — no node ends later — and returns the single root partial.
-func (r *run) reduceTree(leaves []treeNode) ([]partialAgg, error) {
-	// Interior workers are drawn from the participant pool like leaf
-	// workers: the SSI re-enrolls tokens it already knows.
-	f := r.treeFolder(func(level, j int) string { return r.parts[(level*131+j)%len(r.parts)].ID })
-	for _, lf := range leaves {
-		if lf.sealed == nil {
-			// A leaf whose flat protocol had no reason to upload its
-			// partial (the noise protocol's forged batch) still must ride
-			// up the tree: seal it here.
-			var err error
-			if lf.sealed, err = sealNonDet(r.kr, nil, encodePartial(lf.partial)); err != nil {
-				return nil, err
-			}
-		}
-		if err := f.push(0, lf); err != nil {
-			return nil, err
-		}
-	}
-	partials, end, err := f.root()
-	if err != nil {
-		return nil, err
-	}
-	f.layout()
-	r.tp.phasePar(PhaseMerge, end)
-	return partials, nil
-}
-
 // treeFolder builds the fan-in tree push by push, for the batch and the
 // streaming executor alike: a node joins its level, and a filled block
 // of arity nodes folds at once into one node of the level above, so
 // every level is cut into the same contiguous blocks however the leaves
 // arrive. It holds at most arity-1 pending nodes per level,
-// O(arity·log n) in all.
+// O(arity·log n) in all; under Flat() that is every leaf until root.
+//
+// The model is the paper's asymmetric architecture: every token is its
+// own serial resource while the SSI routing plane is never the
+// bottleneck, so independent folds overlap and a node starts when its
+// last child's partial has arrived. Each merge hop is a real protocol
+// leg — the parent token MAC-verifies, decrypts and merges each child
+// partial of its frame, so a partial the SSI drops, duplicates or forges
+// in transit is caught where it lands.
 type treeFolder struct {
 	r     *run
 	arity int
@@ -118,7 +90,11 @@ type treeFolder struct {
 }
 
 func (r *run) treeFolder(name func(level, j int) string) *treeFolder {
-	return &treeFolder{r: r, arity: r.cfg.topology.Arity(), name: name, merge: mergeSealed(r.kr)}
+	arity := r.cfg.topology.Arity()
+	if arity == 0 {
+		arity = math.MaxInt
+	}
+	return &treeFolder{r: r, arity: arity, name: name, merge: mergeSealed(r.kr)}
 }
 
 // push places a node at its level and folds the level's block once it
@@ -140,47 +116,65 @@ func (f *treeFolder) push(level int, n treeNode) error {
 	return f.fold(level, block)
 }
 
-// fold runs one interior token over a block of children: receive each
-// child's sealed partial via the SSI, verify + decrypt + merge it, and
-// upload one sealed merged partial. Virtual time: the node starts when
-// its last child's partial is available and then pays what its own
-// receives and send charged to its timeline, retries and backoff
-// included.
+// fold runs one interior token over a block of children: the SSI relays
+// the children's sealed partials to it as one "tree-partial" frame, in
+// order, and the token verifies, decrypts and merges each record. The
+// merged partial stays at the token until a parent's frame needs it (see
+// upload), so the root never uploads one. Virtual time: the node starts
+// when its last child's partial is available and then pays what its
+// frame charged to its timeline, retries and backoff included.
 func (f *treeFolder) fold(level int, children []treeNode) error {
+	rec := f.record[level][len(f.record[level])-len(children):] // a block is its level's trailing nodes
+	node := treeNode{}
+	for i := range children {
+		if err := f.upload(&children[i]); err != nil {
+			return err
+		}
+		rec[i].end = children[i].end
+		node.start = max(node.start, children[i].end)
+	}
 	j := 0
 	if level+1 < len(f.record) {
 		j = len(f.record[level+1])
 	}
 	tp := f.r.tp
 	out := chunkOutcome{worker: f.name(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
-	node := treeNode{worker: out.worker}
+	node.worker = out.worker
 	tp.elapsed(out.worker, true) // what the token did before (a leaf, another node) is already placed
-	rcv := func(e netsim.Envelope) { f.merge(&out, e.Payload) }
-	for _, c := range children {
-		node.start = max(node.start, c.end)
-		err := tp.send(netsim.Envelope{From: "ssi", To: out.worker, Kind: "tree-partial", Payload: c.sealed}, rcv)
-		if err != nil && out.err == nil {
-			out.err = err
-		}
-		if out.err != nil {
-			return out.err
-		}
+	frame := recordFrame(children, func(c treeNode) []byte { return c.sealed })
+	err := tp.send(netsim.Envelope{From: "ssi", To: out.worker, Kind: "tree-partial", Payload: *frame},
+		func(e netsim.Envelope) { foldFrame(&out, f.merge, e.Payload) })
+	chunkFrames.Put(frame)
+	if err != nil && out.err == nil {
+		out.err = err
 	}
-	sealed, err := sealNonDet(f.r.kr, nil, encodePartial(out.partial))
-	if err != nil {
-		return err
-	}
-	if err := tp.send(netsim.Envelope{From: out.worker, To: "ssi", Kind: "partial", Payload: sealed}, nil); err != nil {
-		return err
-	}
-	out.sealed = sealed
 	if err := f.r.tally(out); err != nil {
 		return err
 	}
 	f.r.stats.TreeNodes++
-	node.partial, node.sealed = out.partial, sealed
+	node.partial = out.partial
 	node.end = node.start + tp.elapsed(out.worker, true)
 	return f.push(level+1, node)
+}
+
+// upload sends an interior node's partial, sealed, from its token to the
+// SSI once its parent's frame needs it, and moves the node's end past the
+// upload. A leaf's partial went up with its fold.
+func (f *treeFolder) upload(n *treeNode) error {
+	if n.sealed != nil {
+		return nil
+	}
+	sealed, err := sealNonDet(f.r.kr, nil, encodePartial(n.partial))
+	if err != nil {
+		return err
+	}
+	if err := f.r.tp.send(netsim.Envelope{From: n.worker, To: "ssi", Kind: "partial", Payload: sealed}, nil); err != nil {
+		return err
+	}
+	n.sealed = sealed
+	n.end += f.r.tp.elapsed(n.worker, true)
+	f.r.stats.WorkerCalls++
+	return nil
 }
 
 // root folds the trailing partial blocks level by level and returns the

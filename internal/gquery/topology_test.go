@@ -2,6 +2,7 @@ package gquery
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"pds/internal/ssi"
@@ -67,33 +68,53 @@ func TestTreeTopologyMatchesFlat(t *testing.T) {
 	}
 }
 
-// The tree run's critical path must be strictly below the flat run's on
-// the same workload: the flat merge tail is O(chunks) serial, the tree
-// schedule's makespan is O(chunk + arity·log chunks).
+// Every topology is a fan-in tree; Flat() is the one-level tree whose
+// root takes every partial in one frame. That frame grows with the chunk
+// count, while a bounded tree pays a merge hop per level, so neither
+// wins everywhere. On this workload (two tuples per participant, chunk
+// size 4) the measured crossover sits between 224 and 256 chunks for
+// Tree(16) and between 800 and 864 for Tree(4). Each tree's critical
+// path must sit above flat's well under its crossover and below it well
+// over it.
 func TestTreeCriticalPathBelowFlat(t *testing.T) {
 	kr := mustKeyring(t)
-	parts := makeParts(256, 2, testDomain, 3)
-
-	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	_, flat, err := New().SecureAgg(net, srv, parts, kr, 4)
-	if err != nil {
-		t.Fatal(err)
+	runs := map[string]RunStats{}
+	run := func(topo Topology, chunks int) RunStats {
+		key := fmt.Sprintf("%v/%d", topo, chunks)
+		if s, ok := runs[key]; ok {
+			return s
+		}
+		net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+		_, stats, err := New(WithTopology(topo)).SecureAgg(net, srv, makeParts(2*chunks, 2, testDomain, 3), kr, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[key] = stats
+		return stats
 	}
-	net, srv = freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	_, tree, err := New(WithTopology(Tree(4))).SecureAgg(net, srv, parts, kr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.CriticalPath.TotalNS >= flat.CriticalPath.TotalNS {
-		t.Fatalf("tree critical path %d ns not below flat %d ns",
-			tree.CriticalPath.TotalNS, flat.CriticalPath.TotalNS)
-	}
-	// The tree's fold phase holds the whole reduce; the flat run's reduce
-	// is its fold phase plus the serial merge at one token. The tree's
-	// must sit below it.
+	// The fold phase holds the whole reduce (leaf folds, every merge hop);
+	// the merge phase only the verdict.
 	reduce := func(s RunStats) int64 { return phaseChain(s, PhaseTokenFold) + phaseChain(s, PhaseMerge) }
-	if ft, fl := reduce(tree), reduce(flat); ft <= 0 || fl <= 0 || ft >= fl {
-		t.Fatalf("fold + merge chains: tree %d ns vs flat %d ns", ft, fl)
+	for _, c := range []struct {
+		topo        Topology
+		under, over int // chunk counts either side of the crossover
+	}{
+		{Tree(16), 128, 512},
+		{Tree(4), 512, 2048},
+	} {
+		flat, tree := run(Flat(), c.under), run(c.topo, c.under)
+		if flat.CriticalPath.TotalNS >= tree.CriticalPath.TotalNS {
+			t.Errorf("%d chunks: flat critical path %d ns not below %v %d ns",
+				c.under, flat.CriticalPath.TotalNS, c.topo, tree.CriticalPath.TotalNS)
+		}
+		flat, tree = run(Flat(), c.over), run(c.topo, c.over)
+		if tree.CriticalPath.TotalNS >= flat.CriticalPath.TotalNS {
+			t.Errorf("%d chunks: %v critical path %d ns not below flat %d ns",
+				c.over, c.topo, tree.CriticalPath.TotalNS, flat.CriticalPath.TotalNS)
+		}
+		if ft, fl := reduce(tree), reduce(flat); ft <= 0 || fl <= 0 || ft >= fl {
+			t.Errorf("%d chunks: fold + merge chains: %v %d ns vs flat %d ns", c.over, c.topo, ft, fl)
+		}
 	}
 }
 
