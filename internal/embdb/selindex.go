@@ -60,6 +60,8 @@ type SelectIndex struct {
 	tree    *TreeIndex
 	keys    *logstore.Log
 	entries int
+	// fold is the old structure of the reorganization under way.
+	fold leafFold
 	// SummaryBits is the Bloom budget in bits per key (default 16 ≈ the
 	// paper's 2 bytes/key). Change it before the first insertion; the
 	// ablation experiment sweeps it.
@@ -263,6 +265,32 @@ func (ix *SelectIndex) foldDue() bool {
 	return ix.keys.Pages() > 0 && ix.keys.Pages() >= leaves
 }
 
+// leafFold yields the old tree's leaf entries, the structure a
+// reorganization folds the tail into, read into a page of RAM taken at
+// the merge's first read. It is a field of the SelectIndex, so handing it
+// to the sort allocates nothing.
+type leafFold struct {
+	c    treeCursor
+	keys *logstore.Log // whose pool the page comes from
+	buf  *[]byte
+}
+
+func (f *leafFold) Next() ([]byte, bool, error) {
+	if f.buf == nil {
+		f.buf = f.keys.PageBuf()
+		f.c.buf = *f.buf
+	}
+	return f.c.next()
+}
+
+// release hands the page back and forgets the tree.
+func (f *leafFold) release() {
+	if f.buf != nil {
+		logstore.PutPageBuf(f.buf)
+	}
+	*f = leafFold{}
+}
+
 // Reorganize folds the tail into the tree using only log structures, as
 // the tutorial's scalability step prescribes. The tail is sorted into
 // runs and merged (runPages and fanIn bound the sort's RAM); the sort's
@@ -281,19 +309,11 @@ func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 	if ix.keys.Len() == 0 {
 		return nil
 	}
-	// The old tree's leaves are the structure the sort folds into, read
-	// into a page of RAM taken at the merge's first read.
-	var leaves func() ([]byte, bool, error)
-	var buf *[]byte
+	// The old tree's leaves are the structure the sort folds into.
+	var leaves logstore.Source
 	if ix.tree != nil {
-		c := treeCursor{t: ix.tree, leaf: -1}
-		leaves = func() ([]byte, bool, error) {
-			if buf == nil {
-				buf = ix.keys.PageBuf()
-				c.buf = *buf
-			}
-			return c.next()
-		}
+		ix.fold = leafFold{c: treeCursor{t: ix.tree, leaf: -1}, keys: ix.keys}
+		leaves = &ix.fold
 	}
 	it := ix.keys.Iter()
 	sorted, err := logstore.SortStream(ix.table.Alloc(), leaves, func() ([]byte, bool, error) {
@@ -301,6 +321,7 @@ func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 		return rec, ok, it.Err()
 	}, entryLess, runPages, fanIn)
 	if err != nil {
+		ix.fold.release()
 		return err
 	}
 	tree, err := buildTree(ix.table.Alloc(), func() (keyEntry, bool, error) {
@@ -311,9 +332,7 @@ func (ix *SelectIndex) Reorganize(runPages, fanIn int) error {
 		e, err := decodeEntry(rec)
 		return e, err == nil, err
 	})
-	if buf != nil {
-		logstore.PutPageBuf(buf)
-	}
+	ix.fold.release()
 	if err = errors.Join(err, sorted.Drop()); err != nil {
 		if tree != nil {
 			err = errors.Join(err, tree.Drop())

@@ -101,6 +101,8 @@ type Store struct {
 	// j, when set, is the commit-record journal of the durable mode:
 	// Sync flushes and commits, Reopen recovers to the last commit.
 	j *logstore.Journal
+	// lead is the old structure of the compaction under way.
+	lead leadingRun
 }
 
 // Open creates an empty store drawing blocks from alloc.
@@ -355,6 +357,32 @@ func (s *Store) ScanGet(key []byte) ([]byte, error) {
 	return s.values.ReadAt(last.ref)
 }
 
+// leadingRun yields the key log's first left records: its leading run,
+// the old structure a compaction folds the rest of the log into. It is a
+// field of the Store, so handing it to the sort allocates nothing.
+type leadingRun struct {
+	it   logstore.Iterator
+	left int
+}
+
+func (r *leadingRun) Next() ([]byte, bool, error) {
+	if r.left == 0 {
+		return nil, false, nil
+	}
+	r.left--
+	rec, _, ok := r.it.Next()
+	if !ok {
+		return nil, false, errors.Join(errors.New("kv: key log shorter than its leading run"), r.it.Err())
+	}
+	return rec, true, nil
+}
+
+// release hands the iterator's page back and forgets the log it read.
+func (r *leadingRun) release() {
+	r.it.Release()
+	*r = leadingRun{}
+}
+
 // Compact reorganizes the store: bindings are stably sorted by key, only
 // the latest version of each key survives, tombstoned keys vanish, and
 // live values are rewritten into a fresh sequential value log. The old
@@ -415,20 +443,9 @@ func (s *Store) Compact(runPages, fanIn int) error {
 	}
 	// The leading run, read a second time, is the old structure the sort
 	// folds the rest into.
-	run := s.keys.Iter()
-	defer run.Release()
-	leading := func() ([]byte, bool, error) {
-		if ordered == 0 {
-			return nil, false, nil
-		}
-		ordered--
-		rec, _, ok := run.Next()
-		if !ok {
-			return nil, false, errors.Join(errors.New("kv: key log shorter than its leading run"), run.Err())
-		}
-		return rec, true, nil
-	}
-	sorted, err := logstore.SortStream(s.alloc, leading, rest, bindingLess, runPages, fanIn)
+	s.lead = leadingRun{it: *s.keys.Iter(), left: ordered}
+	defer s.lead.release()
+	sorted, err := logstore.SortStream(s.alloc, &s.lead, rest, bindingLess, runPages, fanIn)
 	if err != nil {
 		return err
 	}

@@ -62,13 +62,18 @@ func chipPages(t *testing.T, chip *flash.Chip) map[int]string {
 }
 
 // records is a SortStream source over a whole log.
-func records(l *Log) func() ([]byte, bool, error) {
+func records(l *Log) sourceFunc {
 	it := l.Iter()
 	return func() ([]byte, bool, error) {
 		rec, _, ok := it.Next()
 		return rec, ok, it.Err()
 	}
 }
+
+// sourceFunc is a Source that calls itself.
+type sourceFunc func() ([]byte, bool, error)
+
+func (f sourceFunc) Next() ([]byte, bool, error) { return f() }
 
 // FuzzSortMatchesStable holds Sort to the implementation it replaced: the
 // same records in the same order, the same page reads, writes and erases,
@@ -211,13 +216,13 @@ func FuzzSortMatchesStable(f *testing.F) {
 		}
 		inUse, before = alloc.InUse(), foldChip.Stats()
 		oldReads, oldSrc := 0, records(oldLog)
-		s, err = SortStream(alloc, func() ([]byte, bool, error) {
+		s, err = SortStream(alloc, sourceFunc(func() ([]byte, bool, error) {
 			rec, ok, err := oldSrc()
 			if ok {
 				oldReads++
 			}
 			return rec, ok, err
-		}, records(foldSrc), less, rp, fi)
+		}), records(foldSrc), less, rp, fi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +391,7 @@ func TestSortStreamWriteFaultLeaksNothing(t *testing.T) {
 			inUse := alloc.InUse()
 			for after := 0; ; after++ {
 				chip.InjectWriteFault(after)
-				var oldSrc func() ([]byte, bool, error)
+				var oldSrc Source
 				if fold {
 					oldSrc = records(old)
 				}

@@ -69,7 +69,10 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, e
 // old, when not nil, is the structure the sort is folded into: the
 // tutorial's reorganization merges the sorted new entries with it in the
 // same pass. It yields that structure's records, already sorted under
-// less, each valid until its following call, then ok false. It joins the
+// less, each valid until its following call, then ok false. The merge
+// holds it until Drop, so a caller that keeps its source in a structure
+// it already has (a field of the store being reorganized) hands it over
+// without allocating. It joins the
 // final merge as its first input, so on equal keys its records come
 // first — the stable sort of old's records followed by next's. It is
 // first called at the merge's first read, so the page of RAM it reads
@@ -85,7 +88,7 @@ func Sort(src *Log, less func(a, b []byte) bool, runPages, fanIn int) (_ *Log, e
 //
 // The runs draw blocks from alloc. A failed sort frees every block it
 // allocated; a successful one holds its runs until Sorted.Drop.
-func SortStream(alloc *flash.Allocator, old, next func() ([]byte, bool, error), less func(a, b []byte) bool, runPages, fanIn int) (_ *Sorted, err error) {
+func SortStream(alloc *flash.Allocator, old Source, next func() ([]byte, bool, error), less func(a, b []byte) bool, runPages, fanIn int) (_ *Sorted, err error) {
 	if runPages < 1 {
 		return nil, fmt.Errorf("logstore: runPages must be >= 1, got %d", runPages)
 	}
@@ -172,6 +175,12 @@ func SortStream(alloc *flash.Allocator, old, next func() ([]byte, bool, error), 
 	return s, nil
 }
 
+// Source is a stream of records in order: Next returns each, a view
+// valid until the following call, then ok false.
+type Source interface {
+	Next() (rec []byte, ok bool, err error)
+}
+
 // Sorted is the final merge of an external sort (see SortStream): the
 // records of old, if any, and of the sorted input, in order, pulled one
 // at a time. It holds the runs the merge reads, and a page of RAM per
@@ -206,6 +215,7 @@ func (s *Sorted) Drop() error {
 		s.slab = nil
 	}
 	s.m.release()
+	s.m.old = nil
 	var err error
 	for _, r := range s.runs {
 		err = errors.Join(err, r.Drop())
@@ -338,7 +348,7 @@ func (h *mergeHeap) pop() mergeEntry {
 // record yielded last moves on only at the following call, so no view
 // outlives its page.
 type merger struct {
-	old   func() ([]byte, bool, error)
+	old   Source
 	batch [][]byte
 	runs  []Iterator // nil when the batch is the input
 	h     mergeHeap
@@ -351,7 +361,7 @@ type merger struct {
 
 // start positions the merge before the first record of old (nil for
 // none), then of batch when runs is nil, else of the runs.
-func (m *merger) start(old func() ([]byte, bool, error), batch [][]byte, runs []*Log, less func(a, b []byte) bool) {
+func (m *merger) start(old Source, batch [][]byte, runs []*Log, less func(a, b []byte) bool) {
 	m.old, m.batch = old, batch
 	if runs != nil {
 		m.runs = make([]Iterator, len(runs))
@@ -383,7 +393,7 @@ func (m *merger) inputs() int {
 func (m *merger) read(src int) ([]byte, bool, error) {
 	if m.old != nil {
 		if src == 0 {
-			return m.old()
+			return m.old.Next()
 		}
 		src--
 	}

@@ -130,8 +130,9 @@ func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, err error) {
 		rec, body = nextTriple(body)
 		return rec, true, nil
 	}
-	old := compactStream{ci: e.compact, buf: walk}
-	sorted, err := logstore.SortStream(alloc, old.next, chains, tripleLess, runPages, fanIn)
+	e.old = compactStream{ci: e.compact, buf: walk}
+	defer func() { e.old = compactStream{} }() // keep neither the old index nor the page
+	sorted, err := logstore.SortStream(alloc, &e.old, chains, tripleLess, runPages, fanIn)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +185,8 @@ func (e *Engine) mergeDelta(runPages, fanIn int) (_ *compactIndex, err error) {
 }
 
 // compactStream yields the triples of a compact index (nil for none) in
-// page order, reading each page once into buf.
+// page order, reading each page once into buf. It is a field of the
+// Engine, so handing it to the sort allocates nothing.
 type compactStream struct {
 	ci   *compactIndex
 	buf  *[]byte
@@ -192,9 +194,9 @@ type compactStream struct {
 	body []byte
 }
 
-// next returns the next triple, where it lies in buf, and false at the
+// Next returns the next triple, where it lies in buf, and false at the
 // end.
-func (s *compactStream) next() ([]byte, bool, error) {
+func (s *compactStream) Next() ([]byte, bool, error) {
 	for len(s.body) == 0 {
 		if s.ci == nil || s.page == s.ci.pw.Pages() {
 			return nil, false, nil

@@ -124,6 +124,8 @@ type Engine struct {
 	pageSize int
 	// compact holds the reorganized postings, if Reorganize has run.
 	compact *compactIndex
+	// old is the old structure of the reorganization under way.
+	old compactStream
 	// obsv mirrors query-path work into a metrics registry when attached.
 	// The engine is single-threaded by design, so a plain field suffices.
 	obsv *obs.Registry
