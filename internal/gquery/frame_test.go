@@ -92,8 +92,8 @@ func (w *tamperWire) Send(e netsim.Envelope) netsim.Envelope {
 	return e
 }
 
-// A frame truncated, with one length prefix rewritten or with a record
-// duplicated in flight ends the run in a typed DetectionError, never in
+// A frame truncated, with one length prefix rewritten, or with a record
+// duplicated or rewritten in flight ends the run in a typed DetectionError, never in
 // a partial fold that passes: a frame that no longer splits into the
 // sealed records the SSI relayed is a MAC failure, and one cut at a
 // record boundary or grown by a copied record folds the wrong tuples
@@ -137,17 +137,21 @@ func TestTamperedChunkFrameDetected(t *testing.T) {
 			return f
 		}},
 		{"duplicate-record", "checksum-mismatch", func(f []byte) []byte { return append(f, f[:prefix(f, 1)]...) }},
+		{"forge-record", "mac-failure", func(f []byte) []byte {
+			f[prefix(f, 1)-1] ^= 0xff // the last byte of record 0: its MAC
+			return f
+		}},
 	}
 	for _, hop := range []struct {
-		name, kind string
-		topo       Topology
+		prefix, kind string // a chunk case is named by its tamper alone
+		topo         Topology
 	}{
-		{"chunk", "chunk", Flat()},
-		{"merge-flat", "tree-partial", Flat()},
-		{"merge-tree4", "tree-partial", Tree(4)},
+		{"", "chunk", Flat()},
+		{"merge-flat/", "tree-partial", Flat()},
+		{"merge-tree4/", "tree-partial", Tree(4)},
 	} {
 		for _, c := range tampers {
-			t.Run(hop.name+"/"+c.name, func(t *testing.T) {
+			t.Run(hop.prefix+c.name, func(t *testing.T) {
 				w := &tamperWire{Network: netsim.New(), kind: hop.kind, tamper: c.tamper}
 				srv := ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
 				_, stats, err := New(WithTopology(hop.topo)).SecureAgg(w, srv, parts, kr, 6)
