@@ -202,7 +202,7 @@ func runE7(cfg config) error {
 		for i := range vals {
 			vals[i] = int64(i % 97)
 		}
-		_, tr, err := smc.SecureSum(vals, 1<<40, nil)
+		_, tr, err := smc.SecureSum(netsim.New(), vals, 1<<40, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -325,7 +325,11 @@ func runE8(cfg config) error {
 	}
 	net := netsim.New()
 	srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-	a, stats, err := anon.PublishViaTokens(net, srv, contributors, make([]byte, 32),
+	kr, err := gquery.KeyringFrom(make([]byte, 32))
+	if err != nil {
+		return err
+	}
+	a, stats, err := anon.PublishViaTokens(gquery.New(), net, srv, kr, contributors,
 		ds.QINames, ds.Hierarchies, anon.Params{K: 10})
 	if err != nil {
 		return err

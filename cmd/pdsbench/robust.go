@@ -119,12 +119,12 @@ func runE18(cfg config) error {
 		}
 		net := netsim.New()
 		net.SetObserver(cfg.obs)
-		sum, stats, rel, err := smc.SecureSumOverNetwork(net, values, 1<<30, rand.New(rand.NewSource(18)), pl.plan)
+		sum, tr, err := smc.SecureSum(net, values, 1<<30, rand.New(rand.NewSource(18)), pl.plan)
 		if err != nil {
 			return fmt.Errorf("ring under %s: %w", pl.name, err)
 		}
 		fmt.Fprintf(w, "%d\t%s\t%d\t%d\t%v\t%v\n",
-			len(values), pl.name, stats.Messages, rel.Retransmits, rel.Backoff, sum == want)
+			len(values), pl.name, tr.Messages, tr.Rel.Retransmits, tr.Rel.Backoff, sum == want)
 	}
 	w.Flush()
 

@@ -117,7 +117,7 @@ func Run(w io.Writer) error {
 	for _, k := range []int{5, 20, 50} {
 		net := netsim.New()
 		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-		a, _, err := anon.PublishViaTokens(net, srv, contributors, make([]byte, 32),
+		a, _, err := anon.PublishViaTokens(gquery.New(), net, srv, kr, contributors,
 			ds.QINames, ds.Hierarchies, anon.Params{K: k})
 		if err != nil {
 			return err

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 
+	"pds/internal/netsim"
 	"pds/internal/privcrypto"
 	"pds/internal/smc"
 	"pds/internal/workload"
@@ -42,6 +43,7 @@ func Run(w io.Writer) error {
 	fmt.Fprintln(w, "\n-- secure sum ring (no server at all) --")
 	const modulus = int64(1) << 40
 	rng := rand.New(rand.NewSource(1))
+	net := netsim.New()
 	var msgs int
 	ok := true
 	ringTotals := make([]int64, 96)
@@ -50,7 +52,7 @@ func Run(w io.Writer) error {
 		for h := range slot {
 			slot[h] = readings[h][q]
 		}
-		sum, tr, err := smc.SecureSum(slot, modulus, rng)
+		sum, tr, err := smc.SecureSum(net, slot, modulus, rng, nil)
 		if err != nil {
 			return err
 		}

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pds/internal/netsim"
-	"pds/internal/ssi"
 )
 
 func censusDataset(n int, seed int64) Dataset {
@@ -213,62 +211,6 @@ func TestClassSizes(t *testing.T) {
 	sizes := ClassSizes(recs)
 	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 2 {
 		t.Errorf("sizes = %v", sizes)
-	}
-}
-
-func TestPublishViaTokens(t *testing.T) {
-	ds := censusDataset(200, 6)
-	contributors := make([]Contributor, 20)
-	for i := range contributors {
-		contributors[i].ID = fmt.Sprintf("pds-%d", i)
-	}
-	for i, r := range ds.Records {
-		c := &contributors[i%len(contributors)]
-		c.Records = append(c.Records, r)
-	}
-	net := netsim.New()
-	srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-	key := make([]byte, 32)
-	a, stats, err := PublishViaTokens(net, srv, contributors, key, ds.QINames, ds.Hierarchies, Params{K: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifyKAnonymous(a.Records, 5) {
-		t.Error("published table not 5-anonymous")
-	}
-	if stats.Records != 200 {
-		t.Errorf("collected %d records", stats.Records)
-	}
-	// The SSI saw only ciphertexts: all payloads distinct, no grouping.
-	o := srv.Observations()
-	if o.DistinctPayloads != o.Envelopes {
-		t.Error("payload collisions suggest deterministic leakage")
-	}
-}
-
-func TestPublishDetectsTampering(t *testing.T) {
-	ds := censusDataset(100, 7)
-	contributors := []Contributor{{ID: "pds-0", Records: ds.Records}}
-	net := netsim.New()
-	srv := ssi.New(net, ssi.WeaklyMalicious, ssi.Behavior{DropRate: 0.2, Seed: 8})
-	key := make([]byte, 32)
-	_, stats, err := PublishViaTokens(net, srv, contributors, key, ds.QINames, ds.Hierarchies, Params{K: 5})
-	if !errors.Is(err, ErrDetected) || !stats.Detected {
-		t.Errorf("tampering not detected: err=%v", err)
-	}
-}
-
-func TestRecordEncodeDecode(t *testing.T) {
-	r := Record{QI: []string{"37", "75013"}, Sensitive: "flu"}
-	id, got, err := decodeRecord(encodeRecord(42, r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 42 || got.Sensitive != "flu" || len(got.QI) != 2 || got.QI[1] != "75013" {
-		t.Errorf("round trip = %d %+v", id, got)
-	}
-	if _, _, err := decodeRecord([]byte{1, 2, 3}); err == nil {
-		t.Error("short record accepted")
 	}
 }
 

@@ -141,7 +141,11 @@ func TestEndToEndScenario(t *testing.T) {
 	}
 	net := netsim.New()
 	srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
-	pub, _, err := anon.PublishViaTokens(net, srv, contributors, key,
+	kr, err := gquery.KeyringFrom(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, _, err := anon.PublishViaTokens(gquery.New(), net, srv, kr, contributors,
 		[]string{"age", "zip"},
 		[]anon.Hierarchy{anon.RangeHierarchy{Base: 5, Depth: 4}, anon.PrefixHierarchy{MaxLen: 5}},
 		anon.Params{K: 4})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pds/internal/netsim"
 	"pds/internal/smc"
 )
 
@@ -11,7 +12,7 @@ import (
 // every message on the ring is masked by the initiator's random offset.
 func ExampleSecureSum() {
 	incomes := []int64{48000, 52000, 61000}
-	sum, _, err := smc.SecureSum(incomes, 1<<40, rand.New(rand.NewSource(1)))
+	sum, _, err := smc.SecureSum(netsim.New(), incomes, 1<<40, rand.New(rand.NewSource(1)), nil)
 	if err != nil {
 		panic(err)
 	}

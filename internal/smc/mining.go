@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"pds/internal/netsim"
 )
 
 // The [CKV+02] paper the tutorial presents positions its toolkit as the
@@ -62,9 +64,10 @@ var (
 // sumModulus bounds counts; far above any realistic transaction count.
 const sumModulus = int64(1) << 40
 
-// secureCount runs one secure-sum round over the parties' local counts.
+// secureCount runs one secure-sum round over the parties' local counts,
+// on an in-process wire of its own.
 func secureCount(local []int64, rng *rand.Rand, tr *Trace) (int64, error) {
-	sum, t, err := SecureSum(local, sumModulus, rng)
+	sum, t, err := SecureSum(netsim.New(), local, sumModulus, rng, nil)
 	if err != nil {
 		return 0, err
 	}

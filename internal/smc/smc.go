@@ -4,15 +4,21 @@
 // set intersection and scalar product — plus Yao's original millionaire
 // protocol as the historical reference point for generic (and costly) SMC.
 //
-// Every protocol is simulated among in-process parties and records a Trace
-// of the messages exchanged, so benchmarks can report communication cost
-// and tests can verify what each party could observe.
+// The secure-sum ring runs on a transport (the in-process simulator or
+// the TCP wire), clean or faulty; the other protocols are simulated among
+// in-process parties. Every protocol records a Trace of the messages
+// exchanged, so benchmarks can report communication cost.
 package smc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"pds/internal/netsim"
+	"pds/internal/obs"
+	"pds/internal/transport"
 )
 
 // Errors returned by toolkit protocols.
@@ -26,70 +32,38 @@ var (
 type Trace struct {
 	Messages int
 	Bytes    int
-	// Observations[i] holds the raw values party i received — used by
-	// tests to check that intermediate messages leak nothing.
-	Observations [][]int64
+	// Rel is the ARQ links' cost of a ring run on a faulty wire: zero on
+	// a clean wire and for the in-process protocols.
+	Rel netsim.RelStats
 }
 
-func (tr *Trace) record(to int, value int64, size int) {
-	tr.Messages++
-	tr.Bytes += size
-	for len(tr.Observations) <= to {
-		tr.Observations = append(tr.Observations, nil)
-	}
-	tr.Observations[to] = append(tr.Observations[to], value)
-}
-
-// SecureSum runs the [CKV+02] ring protocol: the initiator masks its value
-// with a uniform random R modulo m; each party adds its value modulo m and
-// forwards; the initiator finally subtracts R. Every intermediate message
-// is uniformly distributed, so an honest-but-curious party learns nothing
-// beyond the final sum.
+// SecureSum runs the [CKV+02] ring protocol over w: the initiator masks
+// its value with a uniform random R modulo m; each party adds its value
+// modulo m and forwards; the initiator finally subtracts R. Every
+// intermediate message is uniformly distributed, so an honest-but-curious
+// party — or an eavesdropper on w — learns nothing beyond the final sum.
 //
 // values[i] is party i's private input, all in [0, modulus). The returned
-// sum is Σ values mod modulus.
-func SecureSum(values []int64, modulus int64, rng *rand.Rand) (int64, *Trace, error) {
-	if len(values) < 3 {
-		return 0, nil, fmt.Errorf("%w: have %d", ErrTooFewParties, len(values))
-	}
-	if modulus <= 0 {
-		return 0, nil, ErrBadModulus
-	}
-	for i, v := range values {
-		if v < 0 || v >= modulus {
-			return 0, nil, fmt.Errorf("%w: party %d value %d", ErrValueRange, i, v)
-		}
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
-	}
-	sum, tr := secureSumWithMask(values, modulus, rng.Int63n(modulus))
-	return sum, tr, nil
-}
-
-// secureSumWithMask runs the ring with the initiator's mask r.
-func secureSumWithMask(values []int64, modulus, r int64) (int64, *Trace) {
-	tr := &Trace{}
-	running := (values[0] + r) % modulus
-	// P0 → P1 → … → Pn-1 → P0.
-	for i := 1; i < len(values); i++ {
-		tr.record(i, running, 8)
-		running = (running + values[i]) % modulus
-	}
-	tr.record(0, running, 8)
-	return ((running-r)%modulus + modulus) % modulus, tr
+// sum is Σ values mod modulus. Each hop P(i) → P(i+1) travels as one
+// envelope of kind "ring". A nil plan keeps w's wire as it is; a non-nil
+// plan arms its seeded fault schedule for the run and moves every hop
+// over a reliable ARQ link, so the ring still yields the exact sum — or
+// fails with netsim's typed retry error, never a wrong answer. The Trace
+// counts what w carried during the run, acks and retransmits included.
+func SecureSum(w transport.Transport, values []int64, modulus int64, rng *rand.Rand,
+	plan *netsim.FaultPlan) (int64, *Trace, error) {
+	return SecureSumSegmented(w, values, modulus, 1, rng, plan)
 }
 
 // SecureSumSegmented is the collusion-hardened variant [CKV+02] suggest:
 // each party splits its value into `segments` random shares and the ring
 // protocol runs once per segment with a different party order, so a
 // coalition of neighbours learns only masked segments. Returns the total.
-func SecureSumSegmented(values []int64, modulus int64, segments int, rng *rand.Rand) (int64, *Trace, error) {
+// The wire and the plan are SecureSum's; one segment is SecureSum.
+func SecureSumSegmented(w transport.Transport, values []int64, modulus int64, segments int, rng *rand.Rand,
+	plan *netsim.FaultPlan) (int64, *Trace, error) {
 	if segments < 1 {
 		return 0, nil, fmt.Errorf("smc: segments must be >= 1, got %d", segments)
-	}
-	if rng == nil {
-		rng = rand.New(rand.NewSource(rand.Int63()))
 	}
 	n := len(values)
 	if n < 3 {
@@ -98,15 +72,20 @@ func SecureSumSegmented(values []int64, modulus int64, segments int, rng *rand.R
 	if modulus <= 0 {
 		return 0, nil, ErrBadModulus
 	}
+	for i, v := range values {
+		if v < 0 || v >= modulus {
+			return 0, nil, fmt.Errorf("%w: party %d value %d", ErrValueRange, i, v)
+		}
+	}
+	if rng == nil {
+		rng = rand.New(rand.NewSource(rand.Int63()))
+	}
 	// Split each value into random shares summing to it modulo m.
 	shares := make([][]int64, segments)
 	for s := range shares {
 		shares[s] = make([]int64, n)
 	}
 	for i, v := range values {
-		if v < 0 || v >= modulus {
-			return 0, nil, fmt.Errorf("%w: party %d value %d", ErrValueRange, i, v)
-		}
 		rest := v
 		for s := 0; s < segments-1; s++ {
 			sh := rng.Int63n(modulus)
@@ -115,18 +94,116 @@ func SecureSumSegmented(values []int64, modulus int64, segments int, rng *rand.R
 		}
 		shares[segments-1][i] = rest
 	}
+
+	r := ring{w: w, reg: w.Observer()}
+	if plan != nil {
+		prev := w.Faults()
+		w.SetFaults(netsim.NewFaultPlane(*plan))
+		defer w.SetFaults(prev)
+		r.link = netsim.NewLink(w, netsim.Reliability{})
+	}
+	before := w.Stats()
+	trace := func() *Trace {
+		st := w.Stats()
+		tr := &Trace{Messages: int(st.Messages - before.Messages), Bytes: int(st.Bytes - before.Bytes)}
+		if r.link != nil {
+			tr.Rel = r.link.Stats()
+		}
+		return tr
+	}
 	total := int64(0)
-	agg := &Trace{}
-	rot := make([]int64, n)
 	for s := 0; s < segments; s++ {
 		// Rotate the ring start per segment.
-		for i := range rot {
-			rot[i] = shares[s][(i+s)%n]
+		sum, err := r.walk(shares[s], s, modulus, rng.Int63n(modulus))
+		if err != nil {
+			return 0, trace(), err
 		}
-		sum, tr := secureSumWithMask(rot, modulus, rng.Int63n(modulus))
-		agg.Messages += tr.Messages
-		agg.Bytes += tr.Bytes
 		total = (total + sum) % modulus
 	}
-	return total, agg, nil
+	return total, trace(), nil
+}
+
+// ring is the wire one SecureSumSegmented run walks: the hops cross the
+// reliable link when a fault plan is armed, and an observer attached to
+// the wire sees each walk as one causal chain of spans.
+type ring struct {
+	w    transport.Transport
+	link *netsim.Link // nil on a clean wire
+	reg  *obs.Registry
+}
+
+// walk runs the ring once over in, starting at party start: the initiator
+// masks its input with mask, each party in turn adds its own, and the
+// initiator removes the mask from what comes back.
+func (r ring) walk(in []int64, start int, modulus, mask int64) (int64, error) {
+	n := len(in)
+	// The ring walk is inherently sequential, so the trace chains each hop
+	// span under the previous one: the critical path of the protocol IS the
+	// ring, and the exported trace shows it as one dependency chain.
+	var tracer *obs.Tracer
+	if r.reg != nil {
+		tracer = r.reg.Tracer()
+	}
+	var root *obs.Span
+	if tracer != nil {
+		root = tracer.Start("smc/secure-sum-ring", nil)
+		root.Annotate("parties", fmt.Sprintf("%d", n))
+		defer root.End()
+	}
+	prevCtx := root.Context()
+	hop := func(from, to int, running int64) (int64, error) {
+		var payload [8]byte
+		binary.LittleEndian.PutUint64(payload[:], uint64(running))
+		e := netsim.Envelope{
+			From:    fmt.Sprintf("party-%d", (from+start)%n),
+			To:      fmt.Sprintf("party-%d", (to+start)%n),
+			Kind:    "ring",
+			Payload: payload[:],
+			Ctx:     prevCtx,
+		}
+		var got int64
+		inCtx := prevCtx
+		if r.link == nil {
+			got = int64(binary.LittleEndian.Uint64(r.w.Send(e).Payload))
+		} else {
+			delivered := false
+			cost, err := r.link.TransferCost(e, func(in netsim.Envelope) {
+				got = int64(binary.LittleEndian.Uint64(in.Payload))
+				inCtx = in.Ctx
+				delivered = true
+			})
+			if err != nil {
+				return 0, err
+			}
+			// The ring is serial: a hop's backoff delays the whole walk.
+			if r.reg != nil {
+				r.reg.Clock().Advance(cost.Backoff)
+			}
+			if !delivered {
+				return 0, fmt.Errorf("smc: ring hop %s→%s acked but not delivered", e.From, e.To)
+			}
+		}
+		if tracer != nil {
+			hs := tracer.StartRemote("ring-hop", inCtx)
+			hs.Annotate("from", e.From)
+			hs.Annotate("to", e.To)
+			hs.End()
+			prevCtx = hs.Context()
+		}
+		return got, nil
+	}
+
+	running := (in[start%n] + mask) % modulus
+	for i := 1; i < n; i++ {
+		got, err := hop(i-1, i, running)
+		if err != nil {
+			return 0, err
+		}
+		running = (got + in[(i+start)%n]) % modulus
+	}
+	got, err := hop(n-1, 0, running)
+	if err != nil {
+		return 0, err
+	}
+	return ((got-mask)%modulus + modulus) % modulus, nil
 }

@@ -1,31 +1,44 @@
 package smc
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"pds/internal/netsim"
+	"pds/internal/obs"
 	"pds/internal/privcrypto"
 )
 
+// cleanSum runs the ring on a fresh in-process wire without faults.
+func cleanSum(values []int64, modulus int64, rng *rand.Rand) (int64, *Trace, error) {
+	return SecureSum(netsim.New(), values, modulus, rng, nil)
+}
+
 func TestSecureSumCorrect(t *testing.T) {
 	vals := []int64{10, 20, 30, 40}
-	sum, tr, err := SecureSum(vals, 1000, rand.New(rand.NewSource(1)))
+	sum, tr, err := cleanSum(vals, 1000, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum != 100 {
 		t.Errorf("sum = %d, want 100", sum)
 	}
-	if tr.Messages != len(vals) {
-		t.Errorf("messages = %d, want %d (one per ring hop)", tr.Messages, len(vals))
+	// One hop per party: P0→P1→…→Pn-1→P0, 8 bytes each.
+	if tr.Messages != len(vals) || tr.Bytes != 8*len(vals) {
+		t.Errorf("trace = %d msgs / %d bytes, want %d / %d (one per ring hop)", tr.Messages, tr.Bytes, len(vals), 8*len(vals))
+	}
+	if tr.Rel != (netsim.RelStats{}) {
+		t.Errorf("clean run accrued reliability cost: %+v", tr.Rel)
 	}
 }
 
 func TestSecureSumModular(t *testing.T) {
-	sum, _, err := SecureSum([]int64{60, 60, 60}, 100, rand.New(rand.NewSource(2)))
+	sum, _, err := cleanSum([]int64{60, 60, 60}, 100, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,34 +48,41 @@ func TestSecureSumModular(t *testing.T) {
 }
 
 func TestSecureSumValidation(t *testing.T) {
-	if _, _, err := SecureSum([]int64{1, 2}, 10, nil); !errors.Is(err, ErrTooFewParties) {
+	if _, _, err := cleanSum([]int64{1, 2}, 10, nil); !errors.Is(err, ErrTooFewParties) {
 		t.Errorf("2 parties err = %v", err)
 	}
-	if _, _, err := SecureSum([]int64{1, 2, 3}, 0, nil); !errors.Is(err, ErrBadModulus) {
+	if _, _, err := cleanSum([]int64{1, 2, 3}, 0, nil); !errors.Is(err, ErrBadModulus) {
 		t.Errorf("modulus 0 err = %v", err)
 	}
-	if _, _, err := SecureSum([]int64{1, 2, 30}, 10, nil); !errors.Is(err, ErrValueRange) {
+	if _, _, err := cleanSum([]int64{1, 2, 30}, 10, nil); !errors.Is(err, ErrValueRange) {
 		t.Errorf("range err = %v", err)
 	}
-	if _, _, err := SecureSum([]int64{1, -1, 3}, 10, nil); !errors.Is(err, ErrValueRange) {
+	if _, _, err := cleanSum([]int64{1, -1, 3}, 10, nil); !errors.Is(err, ErrValueRange) {
 		t.Errorf("negative err = %v", err)
 	}
 }
 
 // The security property of the ring protocol: the message each
 // intermediate party sees is uniformly distributed regardless of the
-// inputs, because it is masked by the initiator's fresh random R.
+// inputs, because it is masked by the initiator's fresh random R. The
+// observation is read off the wire itself, as an eavesdropper would.
 func TestSecureSumIntermediatesMasked(t *testing.T) {
 	const m = 16
 	const trials = 4000
 	buckets := make([]int, m)
 	for s := 0; s < trials; s++ {
-		_, tr, err := SecureSum([]int64{7, 7, 7}, m, rand.New(rand.NewSource(int64(s))))
-		if err != nil {
+		net := netsim.New()
+		var first []netsim.Envelope
+		net.Tap(func(e netsim.Envelope) { first = append(first, e) })
+		if _, _, err := SecureSum(net, []int64{7, 7, 7}, m, rand.New(rand.NewSource(int64(s))), nil); err != nil {
 			t.Fatal(err)
 		}
-		// Party 1's observation of the masked value.
-		buckets[tr.Observations[1][0]]++
+		// Party 1's observation of the masked value: the first hop.
+		e := first[0]
+		if e.From != "party-0" || e.To != "party-1" || e.Kind != "ring" {
+			t.Fatalf("first hop %s→%s %q, want party-0→party-1 ring", e.From, e.To, e.Kind)
+		}
+		buckets[binary.LittleEndian.Uint64(e.Payload)]++
 	}
 	want := trials / m
 	for v, n := range buckets {
@@ -87,7 +107,7 @@ func TestQuickSecureSum(t *testing.T) {
 			vals[i] = int64(v)
 			want += int64(v)
 		}
-		sum, _, err := SecureSum(vals, m, rand.New(rand.NewSource(seed)))
+		sum, _, err := cleanSum(vals, m, rand.New(rand.NewSource(seed)))
 		return err == nil && sum == want%m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -97,7 +117,7 @@ func TestQuickSecureSum(t *testing.T) {
 
 func TestSecureSumSegmented(t *testing.T) {
 	vals := []int64{100, 200, 300, 400, 500}
-	sum, tr, err := SecureSumSegmented(vals, 1<<30, 4, rand.New(rand.NewSource(3)))
+	sum, tr, err := SecureSumSegmented(netsim.New(), vals, 1<<30, 4, rand.New(rand.NewSource(3)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +127,180 @@ func TestSecureSumSegmented(t *testing.T) {
 	if tr.Messages != 4*len(vals) {
 		t.Errorf("messages = %d, want %d", tr.Messages, 4*len(vals))
 	}
-	if _, _, err := SecureSumSegmented(vals, 100, 0, nil); err == nil {
+}
+
+// Each segment's walk starts one party later, and the hops name the
+// parties they really connect.
+func TestSecureSumSegmentedRotatesRing(t *testing.T) {
+	net := netsim.New()
+	var hops []string
+	net.Tap(func(e netsim.Envelope) { hops = append(hops, e.From+">"+e.To) })
+	if _, _, err := SecureSumSegmented(net, []int64{1, 2, 3}, 100, 2, rand.New(rand.NewSource(1)), nil); err != nil {
+		t.Fatal(err)
+	}
+	want := "party-0>party-1 party-1>party-2 party-2>party-0 party-1>party-2 party-2>party-0 party-0>party-1"
+	if got := strings.Join(hops, " "); got != want {
+		t.Errorf("hops = %s\nwant   %s", got, want)
+	}
+}
+
+// An armed ARQ link on a wire that never faults yields the plain ring's
+// sum under the same mask: the link adds acks, never a different answer.
+func TestSecureSumOverNetworkCleanMatchesSecureSum(t *testing.T) {
+	values := []int64{10, 20, 30, 40, 5}
+	const mod = int64(1000)
+	want, plain, err := cleanSum(values, mod, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, tr, err := SecureSum(netsim.New(), values, mod, rand.New(rand.NewSource(1)), &netsim.FaultPlan{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("armed sum = %d, want %d", got, want)
+	}
+	if tr.Rel.Transfers != len(values) || tr.Rel.Retransmits != 0 || tr.Messages <= plain.Messages {
+		t.Errorf("armed faultless run: %d msgs, %+v; want %d transfers, no retransmits, more than %d msgs",
+			tr.Messages, tr.Rel, len(values), plain.Messages)
+	}
+}
+
+func TestSecureSumOverNetworkValidation(t *testing.T) {
+	plan := &netsim.FaultPlan{Seed: 1}
+	for _, segments := range []int{1, 2} {
+		if _, _, err := SecureSumSegmented(netsim.New(), []int64{1, 2}, 10, segments, nil, plan); !errors.Is(err, ErrTooFewParties) {
+			t.Errorf("2 parties: err = %v", err)
+		}
+		if _, _, err := SecureSumSegmented(netsim.New(), []int64{1, 2, 3}, 0, segments, nil, plan); !errors.Is(err, ErrBadModulus) {
+			t.Errorf("bad modulus: err = %v", err)
+		}
+		if _, _, err := SecureSumSegmented(netsim.New(), []int64{1, 2, 99}, 10, segments, nil, plan); !errors.Is(err, ErrValueRange) {
+			t.Errorf("out of range: err = %v", err)
+		}
+	}
+	if _, _, err := SecureSumSegmented(netsim.New(), []int64{1, 2, 3}, 100, 0, nil, nil); err == nil {
 		t.Error("segments=0 accepted")
+	}
+}
+
+func TestSecureSumOverNetworkExactUnderDrops(t *testing.T) {
+	values := []int64{7, 13, 21, 34, 55, 89}
+	const mod = int64(10000)
+	want := int64(0)
+	for _, v := range values {
+		want += v
+	}
+	plan := &netsim.FaultPlan{Seed: 77, Default: netsim.FaultSpec{Drop: 0.2, Duplicate: 0.1}}
+	for _, segments := range []int{1, 3} {
+		got, tr, err := SecureSumSegmented(netsim.New(), values, mod, segments, rand.New(rand.NewSource(3)), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%d segments: sum under faults = %d, want %d", segments, got, want)
+		}
+		if tr.Messages <= segments*len(values) {
+			t.Errorf("%d segments: faulty wire cost %d messages, want > %d (frames + acks + retries)",
+				segments, tr.Messages, segments*len(values))
+		}
+		if tr.Rel.Transfers != segments*len(values) {
+			t.Errorf("%d segments: transfers = %d, want %d", segments, tr.Rel.Transfers, segments*len(values))
+		}
+	}
+}
+
+func TestSecureSumOverNetworkRetriesExhaustedTyped(t *testing.T) {
+	plan := &netsim.FaultPlan{Seed: 5, Default: netsim.FaultSpec{Drop: 1}}
+	_, _, err := SecureSum(netsim.New(), []int64{1, 2, 3}, 100, rand.New(rand.NewSource(4)), plan)
+	if !errors.Is(err, netsim.ErrRetriesExhausted) {
+		t.Fatalf("err = %v, want ErrRetriesExhausted", err)
+	}
+}
+
+func TestSecureSumOverNetworkRestoresFaultPlane(t *testing.T) {
+	// The run installs a fault plane on the caller's Network for its own
+	// duration only; both the success and the retries-exhausted path must
+	// restore the pre-run plane (here: none).
+	net := netsim.New()
+	plan := &netsim.FaultPlan{Seed: 78, Default: netsim.FaultSpec{Drop: 0.2}}
+	if _, _, err := SecureSum(net, []int64{1, 2, 3}, 100, rand.New(rand.NewSource(5)), plan); err != nil {
+		t.Fatal(err)
+	}
+	if net.Faults() != nil {
+		t.Error("successful run left its fault plane armed")
+	}
+	dead := &netsim.FaultPlan{Seed: 79, Default: netsim.FaultSpec{Drop: 1}}
+	if _, _, err := SecureSum(net, []int64{1, 2, 3}, 100, rand.New(rand.NewSource(6)), dead); err == nil {
+		t.Fatal("drop=1 run unexpectedly succeeded")
+	}
+	if net.Faults() != nil {
+		t.Error("failed run left its fault plane armed")
+	}
+}
+
+// TestSecureSumOverNetworkRingTrace: with an observer attached, the ring protocol
+// records one ring-hop span per hop, each causally parented under the
+// previous hop (through the transfer span when the reliable link is
+// armed) — the exported trace shows the ring as one chain.
+func TestSecureSumOverNetworkRingTrace(t *testing.T) {
+	net := netsim.New()
+	reg := obs.NewRegistry()
+	net.SetObserver(reg)
+	values := []int64{5, 7, 11, 13}
+	mod := int64(1 << 30)
+	plan := &netsim.FaultPlan{Seed: 9, Default: netsim.FaultSpec{Drop: 0.1}}
+	got, _, err := SecureSum(net, values, mod, rand.New(rand.NewSource(4)), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != 36 {
+		t.Fatalf("sum = %d, want 36", got)
+	}
+	spans := reg.Snapshot().Spans
+	byID := map[int]obs.SpanRecord{}
+	var ringRoot obs.SpanRecord
+	var hops []obs.SpanRecord
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+		switch sp.Name {
+		case "smc/secure-sum-ring":
+			ringRoot = sp
+		case "ring-hop":
+			hops = append(hops, sp)
+		}
+	}
+	if ringRoot.ID == 0 {
+		t.Fatal("no ring root span")
+	}
+	// n parties -> n hops (including the closing hop back to party 0).
+	if len(hops) != len(values) {
+		t.Fatalf("ring-hop spans = %d, want %d", len(hops), len(values))
+	}
+	// Every hop's ancestry must reach the ring root, and hop depths must
+	// strictly increase: each hop hangs under its predecessor.
+	depth := func(sp obs.SpanRecord) int {
+		d := 0
+		for sp.Parent != 0 {
+			sp = byID[sp.Parent]
+			d++
+		}
+		return d
+	}
+	seen := map[int]bool{}
+	for _, h := range hops {
+		root := h
+		for root.Parent != 0 {
+			root = byID[root.Parent]
+		}
+		if root.ID != ringRoot.ID {
+			t.Errorf("hop %d not rooted at the ring span", h.ID)
+		}
+		d := depth(h)
+		if seen[d] {
+			t.Errorf("two hops at depth %d — ring did not chain", d)
+		}
+		seen[d] = true
 	}
 }
 
