@@ -61,18 +61,18 @@ func transcriptDigest(frames []string, ordered bool, stats RunStats, fp string) 
 // goroutine scheduling).
 func TestProtocolTranscriptGolden(t *testing.T) {
 	want := map[string]string{
-		"secure-agg/flat/ssi1":    "474139d9a1c87ffe",
-		"secure-agg/flat/ssi3":    "3c67461c435b75f6",
-		"secure-agg/tree(4)/ssi1": "e50baa8511346c43",
-		"secure-agg/tree(4)/ssi3": "bd636b825c8ad8d9",
-		"noise/flat/ssi1":         "dfacb2dda94b42b4",
-		"noise/flat/ssi3":         "7c60e551745ac2d0",
-		"noise/tree(4)/ssi1":      "72bd7ff406dd95a7",
-		"noise/tree(4)/ssi3":      "625758d9ab04ee19",
-		"histogram/flat/ssi1":     "c9e0a32ee818bffa",
-		"histogram/flat/ssi3":     "d34808d9618231b1",
-		"histogram/tree(4)/ssi1":  "66834a8116b41e58",
-		"histogram/tree(4)/ssi3":  "70cd55195701f562",
+		"secure-agg/flat/ssi1":    "7f41fe026145dbe0",
+		"secure-agg/flat/ssi3":    "65ea065d72ca0e29",
+		"secure-agg/tree(4)/ssi1": "8f70049c570425fa",
+		"secure-agg/tree(4)/ssi3": "36e4ade520990880",
+		"noise/flat/ssi1":         "e0d61bcd5369efb1",
+		"noise/flat/ssi3":         "5c98c6771430f355",
+		"noise/tree(4)/ssi1":      "1ca24e69a8d3c759",
+		"noise/tree(4)/ssi3":      "fcb68e7457381ab3",
+		"histogram/flat/ssi1":     "2196b5c20b5a6329",
+		"histogram/flat/ssi3":     "37ac99aca493f2fc",
+		"histogram/tree(4)/ssi1":  "9e689bd84fa2d89d",
+		"histogram/tree(4)/ssi3":  "e8bb6510ad2e60a6",
 		"paillier/flat/ssi1":      "01d356a0bb06e64b",
 		"paillier/flat/ssi3":      "e9f4b9884575708c",
 		"stream/flat/ssi1":        "dac773f75cff18e9",
@@ -116,7 +116,7 @@ func TestProtocolTranscriptGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, p := range protos {
 		for _, topo := range []Topology{Flat(), Tree(4)} {
-			if p.name == "paillier" && topo.IsTree() {
+			if p.name == "paillier" && topo.Arity() != 0 {
 				continue // the SSI folds Paillier ciphertexts itself: no fold plane
 			}
 			for _, shards := range []int{1, 3} {
@@ -132,7 +132,7 @@ func TestProtocolTranscriptGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				ordered := !topo.IsTree() && p.name != "stream"
+				ordered := topo.Arity() == 0 && p.name != "stream"
 				got[name] = transcriptDigest(w.frames, ordered, stats, fp)
 			}
 		}

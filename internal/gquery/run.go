@@ -130,12 +130,11 @@ func (r *run) tally(out chunkOutcome) error {
 }
 
 // merge folds the leaves' partials up the fan-in tree to the final
-// token, which keeps the root's partial for the verdict. Interior tokens
-// are drawn from the participant pool like leaf workers: the SSI
-// re-enrolls tokens it already knows. The tree is laid out under the
-// fold phase, which closes at the root's end — no node ends later.
+// token, which keeps the root's partial for the verdict. The tree is
+// laid out under the fold phase, which closes at the root's end — no
+// node ends later.
 func (r *run) merge(leaves []treeNode) ([]partialAgg, error) {
-	f := r.treeFolder(func(level, j int) string { return r.parts[(level*131+j)%len(r.parts)].ID })
+	f := r.treeFolder()
 	for _, lf := range leaves {
 		if err := f.push(0, lf); err != nil {
 			return nil, err

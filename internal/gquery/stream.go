@@ -114,7 +114,7 @@ func runSecureAggStream(w tnet.Transport, srv StreamInfra, src ParticipantSource
 	// The merger consumes leaves in chunk-index order (reordering the
 	// pool's completions) so tree placement is deterministic: each leaf
 	// is pushed into the fan-in tree.
-	tree := r.treeFolder(func(level, j int) string { return fmt.Sprintf("tok@L%d.%d", level, j) })
+	tree := r.treeFolder()
 	var foldErr error
 	mergeLeaf := func(out chunkOutcome) error {
 		if err := r.tally(out); err != nil {

@@ -23,7 +23,7 @@ func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 	for _, topo := range []Topology{Flat(), Tree(2), Tree(4), Tree(16)} {
 		k := topo.Arity()
 		counts := []int{1, k, k + 1, k*k + 1}
-		if !topo.IsTree() {
+		if topo.Arity() == 0 {
 			counts = []int{1, 32}
 		}
 		for _, n := range counts {
@@ -58,7 +58,7 @@ func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 				if n == 1 && (stats.TreeDepth != 1 || stats.TreeNodes != 0) {
 					t.Fatalf("%v: a single chunk is its own root, got depth %d, %d nodes", topo, stats.TreeDepth, stats.TreeNodes)
 				}
-				if !topo.IsTree() && n > 1 && (stats.TreeDepth != 2 || stats.TreeNodes != 1) {
+				if topo.Arity() == 0 && n > 1 && (stats.TreeDepth != 2 || stats.TreeNodes != 1) {
 					t.Fatalf("flat stream: depth %d, %d nodes, want the one-level tree (2, 1)", stats.TreeDepth, stats.TreeNodes)
 				}
 			}

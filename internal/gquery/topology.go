@@ -40,14 +40,11 @@ func Tree(arity int) Topology {
 	return Topology{arity: arity}
 }
 
-// IsTree reports whether the fan-in is bounded (Tree(k), not Flat()).
-func (t Topology) IsTree() bool { return t.arity >= 2 }
-
 // Arity returns the tree fan-in (0 for the flat topology: unbounded).
 func (t Topology) Arity() int { return t.arity }
 
 func (t Topology) String() string {
-	if !t.IsTree() {
+	if t.arity == 0 {
 		return "flat"
 	}
 	return fmt.Sprintf("tree(%d)", t.arity)
@@ -82,19 +79,18 @@ type treeNode struct {
 type treeFolder struct {
 	r     *run
 	arity int
-	name  func(level, j int) string // the interior token of node j at level
 	merge envProcessor
 
 	pending [][]treeNode // each level's incomplete trailing block
 	record  [][]treeNode // every node's timeline (sealed bytes stripped), for layout
 }
 
-func (r *run) treeFolder(name func(level, j int) string) *treeFolder {
+func (r *run) treeFolder() *treeFolder {
 	arity := r.cfg.topology.Arity()
 	if arity == 0 {
 		arity = math.MaxInt
 	}
-	return &treeFolder{r: r, arity: arity, name: name, merge: mergeSealed(r.kr)}
+	return &treeFolder{r: r, arity: arity, merge: mergeSealed(r.kr)}
 }
 
 // push places a node at its level and folds the level's block once it
@@ -138,9 +134,8 @@ func (f *treeFolder) fold(level int, children []treeNode) error {
 		j = len(f.record[level+1])
 	}
 	tp := f.r.tp
-	out := chunkOutcome{worker: f.name(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+	out := chunkOutcome{worker: interiorToken(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
 	node.worker = out.worker
-	tp.elapsed(out.worker, true) // what the token did before (a leaf, another node) is already placed
 	frame := recordFrame(children, func(c treeNode) []byte { return c.sealed })
 	err := tp.send(netsim.Envelope{From: "ssi", To: out.worker, Kind: "tree-partial", Payload: *frame},
 		func(e netsim.Envelope) { foldFrame(&out, f.merge, e.Payload) })
@@ -156,6 +151,11 @@ func (f *treeFolder) fold(level int, children []treeNode) error {
 	node.end = node.start + tp.elapsed(out.worker, true)
 	return f.push(level+1, node)
 }
+
+// interiorToken names the token of node j at a tree level above the
+// leaves. Every interior node is a token of its own, whichever executor
+// built the tree, so its timeline starts empty.
+func interiorToken(level, j int) string { return fmt.Sprintf("tok@L%d.%d", level, j) }
 
 // upload sends an interior node's partial, sealed, from its token to the
 // SSI once its parent's frame needs it, and moves the node's end past the
