@@ -2,16 +2,16 @@
 # one gate per concern: vet, gofmt, build, the full (shuffled) test suite
 # with its coverage floors, the race detector over the concurrent
 # packages, short fuzz passes over every fuzz target, the determinism
-# lint and the benchmark smoke run. Every check runs once: the test run
-# carries the end-to-end tests (pdsd processes over TCP, serve and
-# telemetry e2e, the pdsbench golden that pins E1–E22 but E18), and the
-# race run carries the concurrent packages' -race passes.
+# lint, the linker audit and the benchmark smoke run. Every check runs
+# once: the test run carries the end-to-end tests (pdsd processes over
+# TCP, serve and telemetry e2e, the pdsbench golden that pins E1–E22 but
+# E18), and the race run carries the concurrent packages' -race passes.
 
 GO ?= go
 # Whole-gate fuzzing budget in seconds, divided evenly across the targets.
 FUZZTIME ?= 50s
 
-.PHONY: ci build test vet fmt race fuzz lint-determinism crash-matrix bench-smoke
+.PHONY: ci build test vet fmt race fuzz lint-determinism linkaudit crash-matrix bench-smoke
 
 build:
 	$(GO) build ./...
@@ -87,6 +87,34 @@ lint-determinism:
 	fi
 	@echo "lint-determinism: ok"
 
+# The linker audit (DESIGN §17): every program is built with inlining
+# off, so each function it can reach keeps its symbol, and the
+# pds/internal functions no program links are compared with the
+# committed allow-list, linkaudit.allow (one function and the reason it
+# stays per line). A function only tests reach fails the gate, and so
+# does an allow-list line whose function is linked again or gone. A
+# generic instantiation's symbol has spaces in its type arguments, so
+# each symbol is cut at its first '['.
+linkaudit:
+	@set -e; A=$$(mktemp -d); trap 'rm -rf $$A' EXIT; \
+	for m in ./cmd/pdsbench ./cmd/pdsctl ./cmd/pdsd ./bench ./examples/*/; do \
+		$(GO) build -gcflags=all=-l -o $$A/ "$$m"; \
+	done; \
+	for b in $$A/*; do $(GO) tool nm "$$b"; done | \
+		sed -nE 's/^ *[0-9a-f]* +[Tt] (pds\/internal\/[^[]*).*/\1/p' | \
+		sed -E 's/\.(func|gowrap|deferwrap)[0-9.]+$$//; s/\(\*([A-Za-z0-9_]+)\)/\1/' | \
+		sort -u >$$A/linked; \
+	for f in $$(git ls-files 'internal/*.go' | grep -v '_test\.go$$'); do \
+		sed -nE 's/^func (\(([a-z_0-9]+ )?\*?([A-Za-z0-9_]+)(\[[^]]*\])?\) )?([A-Za-z0-9_]+).*/\3.\5/p' "$$f" | \
+			sed -E "s/^\.//; s|^|pds/$$(dirname "$$f").|"; \
+	done | sort -u >$$A/declared; \
+	comm -13 $$A/linked $$A/declared | grep -vE '\.(init|main)$$' >$$A/unlinked || true; \
+	grep -v '^#' linkaudit.allow | cut -f1 | sort >$$A/allowed; \
+	if ! diff -u $$A/allowed $$A/unlinked; then \
+		echo "linkaudit: unlinked functions differ from linkaudit.allow (+ unlinked, - allowed)"; exit 1; \
+	fi; \
+	echo "linkaudit: ok ($$(wc -l <$$A/unlinked) allowed)"
+
 # The power-fail property battery (DESIGN §11): every store workload ×
 # every crash point × {write, torn-write, erase}, pinned seeds, full
 # sweeps, the per-engine crash and write-fault tests (the durable stores'
@@ -124,7 +152,7 @@ crash-matrix:
 	run 'Erase|Crash' ./internal/flash; \
 	$(GO) run ./cmd/pdsbench -exp E21
 
-ci: vet fmt build test race fuzz lint-determinism bench-smoke
+ci: vet fmt build test race fuzz lint-determinism linkaudit bench-smoke
 
 # Benchmark smoke gate: the harness's own tests (metric tables equal to
 # BENCHMARK.json, pinned input digests, the comparer), then three seconds

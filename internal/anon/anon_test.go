@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
 )
 
 func censusDataset(n int, seed int64) Dataset {

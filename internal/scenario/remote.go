@@ -311,67 +311,45 @@ func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardRepor
 
 // --- chunk codec: [][]netsim.Envelope over the control channel ---
 
+// encodeChunks writes the chunk count, then each chunk's envelope count
+// and its envelopes in the transport's envelope layout; the counts are
+// uvarints.
 func encodeChunks(chunks [][]netsim.Envelope) []byte {
-	var out []byte
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(chunks)))
+	out := binary.AppendUvarint(nil, uint64(len(chunks)))
 	for _, c := range chunks {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(c)))
+		out = binary.AppendUvarint(out, uint64(len(c)))
 		for _, e := range c {
-			out = appendString(out, e.From)
-			out = appendString(out, e.To)
-			out = appendString(out, e.Kind)
-			out = binary.LittleEndian.AppendUint64(out, e.Ctx.Trace)
-			out = binary.LittleEndian.AppendUint64(out, e.Ctx.Span)
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(e.Payload)))
-			out = append(out, e.Payload...)
+			out = transport.AppendEnvelope(out, e)
 		}
 	}
 	return out
 }
 
-var errShortChunks = errors.New("scenario: truncated chunk encoding")
-
 func decodeChunks(b []byte) ([][]netsim.Envelope, error) {
-	n, b, err := takeUint32(b)
+	count := func() (int, error) {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)) {
+			return 0, errors.New("scenario: corrupt chunk count")
+		}
+		b = b[k:]
+		return int(n), nil
+	}
+	n, err := count()
 	if err != nil {
 		return nil, err
 	}
 	chunks := make([][]netsim.Envelope, 0, n)
-	for i := uint32(0); i < n; i++ {
-		m, rest, err := takeUint32(b)
+	for range n {
+		m, err := count()
 		if err != nil {
 			return nil, err
 		}
-		b = rest
 		chunk := make([]netsim.Envelope, 0, m)
-		for j := uint32(0); j < m; j++ {
+		for range m {
 			var e netsim.Envelope
-			if e.From, b, err = takeString(b); err != nil {
+			if e, b, err = transport.DecodeEnvelope(b); err != nil {
 				return nil, err
 			}
-			if e.To, b, err = takeString(b); err != nil {
-				return nil, err
-			}
-			if e.Kind, b, err = takeString(b); err != nil {
-				return nil, err
-			}
-			if len(b) < 16 {
-				return nil, errShortChunks
-			}
-			e.Ctx.Trace = binary.LittleEndian.Uint64(b)
-			e.Ctx.Span = binary.LittleEndian.Uint64(b[8:])
-			b = b[16:]
-			var pl uint32
-			if pl, b, err = takeUint32(b); err != nil {
-				return nil, err
-			}
-			if uint32(len(b)) < pl {
-				return nil, errShortChunks
-			}
-			if pl > 0 {
-				e.Payload = append([]byte(nil), b[:pl]...)
-			}
-			b = b[pl:]
 			chunk = append(chunk, e)
 		}
 		chunks = append(chunks, chunk)
@@ -380,30 +358,6 @@ func decodeChunks(b []byte) ([][]netsim.Envelope, error) {
 		return nil, errors.New("scenario: trailing bytes after chunk encoding")
 	}
 	return chunks, nil
-}
-
-func appendString(out []byte, s string) []byte {
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(s)))
-	return append(out, s...)
-}
-
-func takeUint32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, errShortChunks
-	}
-	return binary.LittleEndian.Uint32(b), b[4:], nil
-}
-
-func takeString(b []byte) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, errShortChunks
-	}
-	n := int(binary.LittleEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, errShortChunks
-	}
-	return string(b[:n]), b[n:], nil
 }
 
 // Interface conformance.

@@ -54,9 +54,7 @@ type message struct {
 }
 
 func putStr(buf []byte, s string) []byte {
-	var b2 [2]byte
-	binary.LittleEndian.PutUint16(b2[:], uint16(len(s)))
-	return append(append(buf, b2[:]...), s...)
+	return append(binary.LittleEndian.AppendUint16(buf, uint16(len(s))), s...)
 }
 
 // encodeMessage appends the message body (everything after the length
@@ -65,21 +63,24 @@ func encodeMessage(buf []byte, m message) ([]byte, error) {
 	if len(m.env.From) > math.MaxUint16 || len(m.env.To) > math.MaxUint16 || len(m.env.Kind) > math.MaxUint16 {
 		return nil, fmt.Errorf("transport: envelope address fields exceed 64 KiB")
 	}
-	buf = append(buf, m.op)
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], m.id)
-	buf = append(buf, b8[:]...)
-	buf = putStr(buf, m.env.From)
-	buf = putStr(buf, m.env.To)
-	buf = putStr(buf, m.env.Kind)
-	binary.LittleEndian.PutUint64(b8[:], m.env.Ctx.Trace)
-	buf = append(buf, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], m.env.Ctx.Span)
-	buf = append(buf, b8[:]...)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(m.env.Payload)))
-	buf = append(buf, b4[:]...)
-	return append(buf, m.env.Payload...), nil
+	buf = binary.LittleEndian.AppendUint64(append(buf, m.op), m.id)
+	return AppendEnvelope(buf, m.env), nil
+}
+
+// AppendEnvelope appends e in the wire's envelope layout: From, To and
+// Kind as u16-length-prefixed strings, the span context's trace and span
+// ids, then the u32-length-prefixed payload. Every envelope the TCP
+// substrate carries, and every envelope a scenario's control channel
+// returns, has this layout; an envelope that crossed the TCP substrate
+// has address fields short enough for it.
+func AppendEnvelope(buf []byte, e netsim.Envelope) []byte {
+	buf = putStr(buf, e.From)
+	buf = putStr(buf, e.To)
+	buf = putStr(buf, e.Kind)
+	buf = binary.LittleEndian.AppendUint64(buf, e.Ctx.Trace)
+	buf = binary.LittleEndian.AppendUint64(buf, e.Ctx.Span)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
+	return append(buf, e.Payload...)
 }
 
 // writeMessage frames and writes one message. The caller serializes
@@ -144,36 +145,58 @@ func decodeMessage(body []byte) (message, error) {
 	if m.id, err = d.u64(); err != nil {
 		return message{}, err
 	}
-	if m.env.From, err = d.str(); err != nil {
+	if m.env, err = d.envelope(); err != nil {
 		return message{}, err
-	}
-	if m.env.To, err = d.str(); err != nil {
-		return message{}, err
-	}
-	if m.env.Kind, err = d.str(); err != nil {
-		return message{}, err
-	}
-	if m.env.Ctx.Trace, err = d.u64(); err != nil {
-		return message{}, err
-	}
-	if m.env.Ctx.Span, err = d.u64(); err != nil {
-		return message{}, err
-	}
-	nb, err := d.bytes(4)
-	if err != nil {
-		return message{}, err
-	}
-	payload, err := d.bytes(int(binary.LittleEndian.Uint32(nb)))
-	if err != nil {
-		return message{}, err
-	}
-	if len(payload) > 0 {
-		m.env.Payload = append([]byte(nil), payload...)
 	}
 	if d.off != len(body) {
 		return message{}, fmt.Errorf("%w: %d trailing bytes", errMalformed, len(body)-d.off)
 	}
 	return m, nil
+}
+
+// DecodeEnvelope reads one envelope in AppendEnvelope's layout from the
+// front of b and returns the bytes after it. The payload is copied out of
+// b; a truncated envelope is an error.
+func DecodeEnvelope(b []byte) (netsim.Envelope, []byte, error) {
+	d := &decoder{data: b}
+	e, err := d.envelope()
+	if err != nil {
+		return netsim.Envelope{}, nil, err
+	}
+	return e, b[d.off:], nil
+}
+
+// envelope reads one envelope in AppendEnvelope's layout.
+func (d *decoder) envelope() (netsim.Envelope, error) {
+	var e netsim.Envelope
+	var err error
+	if e.From, err = d.str(); err != nil {
+		return e, err
+	}
+	if e.To, err = d.str(); err != nil {
+		return e, err
+	}
+	if e.Kind, err = d.str(); err != nil {
+		return e, err
+	}
+	if e.Ctx.Trace, err = d.u64(); err != nil {
+		return e, err
+	}
+	if e.Ctx.Span, err = d.u64(); err != nil {
+		return e, err
+	}
+	nb, err := d.bytes(4)
+	if err != nil {
+		return e, err
+	}
+	payload, err := d.bytes(int(binary.LittleEndian.Uint32(nb)))
+	if err != nil {
+		return e, err
+	}
+	if len(payload) > 0 {
+		e.Payload = append([]byte(nil), payload...)
+	}
+	return e, nil
 }
 
 // readMessage reads one length-prefixed message.
