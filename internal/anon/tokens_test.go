@@ -32,10 +32,27 @@ func testKeyring(t *testing.T) *gquery.Keyring {
 	return kr
 }
 
+// uploadRecords taps w and counts the upload records that reach the SSI
+// and how many of them are distinct: the SSI's view, read off the wire.
+func uploadRecords(w *netsim.Network) (records map[string]bool, uploads *int) {
+	records, uploads = map[string]bool{}, new(int)
+	w.Tap(func(e netsim.Envelope) {
+		if e.Kind == "tuple" {
+			gquery.EachUpload(e, func(u netsim.Envelope) bool {
+				*uploads++
+				records[string(u.Payload)] = true
+				return true
+			})
+		}
+	})
+	return records, uploads
+}
+
 func TestPublishViaTokens(t *testing.T) {
 	ds := censusDataset(200, 6)
 	contributors := contributorsOf(ds, 20)
 	net := netsim.New()
+	records, uploads := uploadRecords(net)
 	srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
 	a, stats, err := PublishViaTokens(gquery.New(), net, srv, testKeyring(t), contributors, ds.QINames, ds.Hierarchies, Params{K: 5})
 	if err != nil {
@@ -48,15 +65,23 @@ func TestPublishViaTokens(t *testing.T) {
 		t.Errorf("collected %d records", stats.Records)
 	}
 	// One chunk gathers everything at one token: one upload frame per
-	// contributor, one dispatch frame, one partial, one message per
-	// published record.
-	if stats.Chunks != 1 || stats.Net.Messages != int64(20+1+1+len(a.Records)) {
-		t.Errorf("%d chunks, %d messages; want 1 chunk, %d messages", stats.Chunks, stats.Net.Messages, 20+2+len(a.Records))
+	// contributor, one dispatch frame, and one message per published
+	// record. The token is the tree's root, so its partial never leaves it.
+	if stats.Chunks != 1 || stats.WorkerCalls != 0 || stats.Net.Messages != int64(20+1+len(a.Records)) {
+		t.Errorf("%d chunks, %d worker calls, %d messages; want 1 chunk, none, %d messages",
+			stats.Chunks, stats.WorkerCalls, stats.Net.Messages, 20+1+len(a.Records))
 	}
-	// The SSI saw only ciphertexts: all payloads distinct, no grouping.
-	o := srv.Observations()
-	if o.DistinctPayloads != o.Envelopes || len(o.GroupFrequencies) != 0 {
-		t.Error("payload collisions suggest deterministic leakage")
+	// The SSI saw only ciphertexts: no grouping, and every upload record
+	// distinct, across a second publication of the same records too.
+	if o := srv.Observations(); len(o.GroupFrequencies) != 0 {
+		t.Error("the SSI grouped publication uploads")
+	}
+	if _, _, err := PublishViaTokens(gquery.New(), net, ssi.New(net, ssi.HonestButCurious, ssi.Behavior{}), testKeyring(t),
+		contributors, ds.QINames, ds.Hierarchies, Params{K: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if *uploads != 400 || len(records) != *uploads {
+		t.Errorf("%d distinct upload records of %d over two publications, want 400 distinct", len(records), *uploads)
 	}
 	// The table is the one the enclave computes from the plain records.
 	want, err := Anonymize(ds, Params{K: 5})

@@ -2,7 +2,6 @@ package gquery
 
 import (
 	"runtime"
-	"sync"
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
@@ -59,34 +58,4 @@ func (c config) fleet(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// forEachChunk runs f(0..n-1) across the configured token fleet. With one
-// worker it runs inline in index order — byte-identical to the historical
-// serial loop. Callers collect per-index outputs and fold them in index
-// order, so the fan-out never changes observable results.
-func (c config) forEachChunk(n int, f func(i int)) {
-	w := c.fleet(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	idx := make(chan int, n)
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

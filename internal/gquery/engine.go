@@ -69,10 +69,25 @@ func WithObserver(reg *obs.Registry) Option {
 
 // SecureAgg runs the secure-aggregation protocol (non-deterministic
 // encryption, blind partitioning, worker-token aggregation) over any
-// transport substrate — the in-process simulator or the TCP wire.
+// transport substrate — the in-process simulator or the TCP wire. It is
+// SecureAggStream over the slice.
 func (e *Engine) SecureAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	chunkSize int) (Result, RunStats, error) {
-	return runSecureAgg(w, srv, parts, kr, chunkSize, e.cfg)
+	return e.SecureAggStream(w, srv, SliceSource(parts), kr, chunkSize)
+}
+
+// SecureAggStream runs the secure-aggregation protocol over a participant
+// stream with bounded memory: each PDS's upload frame flows through the
+// SSI's streaming partition, each filled chunk goes to its fold token as
+// soon as it exists, and the sealed partials climb the fan-in tree as
+// contiguous arity blocks complete. The engine never materializes the
+// fleet's tuple set; it holds at most the fold plane's window of chunks.
+// Partials are another matter under Flat(): its one interior token takes
+// every partial in one frame, so the run holds one sealed partial per
+// chunk until the root's frame; Tree(k) holds O(k·log n).
+func (e *Engine) SecureAggStream(w tnet.Transport, srv Infra, src ParticipantSource, kr *Keyring,
+	chunkSize int) (Result, RunStats, error) {
+	return runSecureAgg(w, srv, src, kr, chunkSize, e.cfg)
 }
 
 // Noise runs the noise-based protocol (deterministic grouping attribute +

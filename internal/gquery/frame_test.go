@@ -12,9 +12,11 @@ import (
 
 // TestOneFramePerLeg: on a clean, one-SSI run every bulk leg is one
 // message — one "tuple" frame per participant, one dispatch frame per
-// chunk, one "tree-partial" frame per interior node of the merge tree —
-// for every protocol with a fold plane and for the stream executor. A
-// single-chunk run has no interior node and sends no merge frame.
+// chunk, one "tree-partial" frame per interior node of the merge tree,
+// one "partial" upload per worker call — for every protocol with a fold
+// plane and over a participant source. A single-chunk run has no
+// interior node and sends no merge frame, and its one token, the root,
+// uploads no partial.
 func TestOneFramePerLeg(t *testing.T) {
 	parts := makeParts(29, 4, testDomain, 51)
 	kr := mustKeyring(t)
@@ -47,7 +49,7 @@ func TestOneFramePerLeg(t *testing.T) {
 			return stats, err
 		}},
 		{"stream", "chunk", func(net *netsim.Network, srv *ssi.Server) (RunStats, error) {
-			_, stats, err := New().SecureAggStream(net, srv, SliceSource(parts), kr, 7)
+			_, stats, err := New().SecureAggStream(net, srv, generate(parts), kr, 7)
 			return stats, err
 		}},
 	} {
@@ -69,6 +71,11 @@ func TestOneFramePerLeg(t *testing.T) {
 			if got != int64(stats.TreeNodes) || (got == 0) != (stats.Chunks == 1) {
 				t.Errorf("tree-partial messages = %d, want one frame per interior node (%d) over %d chunks",
 					got, stats.TreeNodes, stats.Chunks)
+			}
+			got = reg.CounterValue(netsim.MetricKindMessages, "kind", "partial")
+			if got != int64(stats.WorkerCalls) || (got == 0) != (stats.Chunks == 1) {
+				t.Errorf("partial messages = %d, want one per worker call (%d) over %d chunks",
+					got, stats.WorkerCalls, stats.Chunks)
 			}
 		})
 	}

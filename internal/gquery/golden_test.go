@@ -40,14 +40,9 @@ func (w *recWire) Deliver(e netsim.Envelope, rcv func(netsim.Envelope)) {
 	w.Network.Deliver(e, rcv)
 }
 
-// transcriptDigest hashes a run's wire transcript, its RunStats (critical
-// path included) and its result fingerprint. ordered keeps the frame
-// order; otherwise the frames are hashed as a sorted multiset.
-func transcriptDigest(frames []string, ordered bool, stats RunStats, fp string) string {
-	if !ordered {
-		frames = append([]string(nil), frames...)
-		sort.Strings(frames)
-	}
+// transcriptDigest hashes a run's wire transcript in frame order, its
+// RunStats (critical path included) and its result fingerprint.
+func transcriptDigest(frames []string, stats RunStats, fp string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n%+v\n%s\n", strings.Join(frames, "\n"), stats, fp)
 	return hex.EncodeToString(h.Sum(nil))[:16]
@@ -55,30 +50,30 @@ func transcriptDigest(frames []string, ordered bool, stats RunStats, fp string) 
 
 // TestProtocolTranscriptGolden pins what every Part III protocol puts on
 // the wire, what it reports and what it answers, over both fold
-// topologies and both SSI shapes. Flat batch cells are pinned frame by
-// frame; tree cells as multisets (the fan-in tree may fold a level
-// eagerly), and stream cells too (the stream's frame order depends on
-// goroutine scheduling).
+// topologies and both SSI shapes. Every cell is pinned frame by frame:
+// one worker folds inline on the run's goroutine, so the order of the
+// frames is part of the run. SecureAgg is SecureAggStream over a slice,
+// so each stream cell equals its secure-agg cell.
 func TestProtocolTranscriptGolden(t *testing.T) {
 	want := map[string]string{
-		"secure-agg/flat/ssi1":    "7f41fe026145dbe0",
-		"secure-agg/flat/ssi3":    "65ea065d72ca0e29",
-		"secure-agg/tree(4)/ssi1": "8f70049c570425fa",
-		"secure-agg/tree(4)/ssi3": "36e4ade520990880",
-		"noise/flat/ssi1":         "e0d61bcd5369efb1",
-		"noise/flat/ssi3":         "5c98c6771430f355",
-		"noise/tree(4)/ssi1":      "1ca24e69a8d3c759",
-		"noise/tree(4)/ssi3":      "fcb68e7457381ab3",
-		"histogram/flat/ssi1":     "2196b5c20b5a6329",
-		"histogram/flat/ssi3":     "37ac99aca493f2fc",
-		"histogram/tree(4)/ssi1":  "9e689bd84fa2d89d",
-		"histogram/tree(4)/ssi3":  "e8bb6510ad2e60a6",
-		"paillier/flat/ssi1":      "01d356a0bb06e64b",
-		"paillier/flat/ssi3":      "e9f4b9884575708c",
-		"stream/flat/ssi1":        "dac773f75cff18e9",
-		"stream/flat/ssi3":        "cf512b5ee290c3b8",
-		"stream/tree(4)/ssi1":     "e0719d2ea8b64dc1",
-		"stream/tree(4)/ssi3":     "51f1b90c8a45f947",
+		"secure-agg/flat/ssi1":    "2f5bea6ff4cf8b2b",
+		"secure-agg/flat/ssi3":    "e0682304bc2ae703",
+		"secure-agg/tree(4)/ssi1": "37ac8ccd14a758b3",
+		"secure-agg/tree(4)/ssi3": "25d506ab28c76303",
+		"noise/flat/ssi1":         "0ad289dbb0fda7d8",
+		"noise/flat/ssi3":         "fdd53c355b0def3e",
+		"noise/tree(4)/ssi1":      "1d09eb4d74b01b4c",
+		"noise/tree(4)/ssi3":      "4f087b952ecac70e",
+		"histogram/flat/ssi1":     "2fdd641a988eeaf8",
+		"histogram/flat/ssi3":     "a1cf7ef2b87352a0",
+		"histogram/tree(4)/ssi1":  "2fdd641a988eeaf8",
+		"histogram/tree(4)/ssi3":  "a1cf7ef2b87352a0",
+		"paillier/flat/ssi1":      "5493aec5198515bb",
+		"paillier/flat/ssi3":      "a8fc35edf5b814fc",
+		"stream/flat/ssi1":        "2f5bea6ff4cf8b2b",
+		"stream/flat/ssi3":        "e0682304bc2ae703",
+		"stream/tree(4)/ssi1":     "37ac8ccd14a758b3",
+		"stream/tree(4)/ssi3":     "25d506ab28c76303",
 	}
 	parts := makeParts(37, 3, testDomain, 17)
 	kr := mustKeyring(t)
@@ -89,26 +84,26 @@ func TestProtocolTranscriptGolden(t *testing.T) {
 	}
 	type cell struct {
 		name string
-		run  func(w tnet.Transport, srv StreamInfra, eng *Engine) (string, RunStats, error)
+		run  func(w tnet.Transport, srv Infra, eng *Engine) (string, RunStats, error)
 	}
 	protos := []cell{
-		{"secure-agg", func(w tnet.Transport, srv StreamInfra, eng *Engine) (string, RunStats, error) {
+		{"secure-agg", func(w tnet.Transport, srv Infra, eng *Engine) (string, RunStats, error) {
 			res, stats, err := eng.SecureAgg(w, srv, parts, kr, 5)
 			return fpResult(res), stats, err
 		}},
-		{"noise", func(w tnet.Transport, srv StreamInfra, eng *Engine) (string, RunStats, error) {
+		{"noise", func(w tnet.Transport, srv Infra, eng *Engine) (string, RunStats, error) {
 			res, stats, err := eng.Noise(w, srv, parts, kr, testDomain, 1, ControlledNoise, 23)
 			return fpResult(res), stats, err
 		}},
-		{"histogram", func(w tnet.Transport, srv StreamInfra, eng *Engine) (string, RunStats, error) {
+		{"histogram", func(w tnet.Transport, srv Infra, eng *Engine) (string, RunStats, error) {
 			res, stats, err := eng.Histogram(w, srv, parts, kr, buckets)
 			return fpBuckets(res), stats, err
 		}},
-		{"paillier", func(w tnet.Transport, srv StreamInfra, eng *Engine) (string, RunStats, error) {
+		{"paillier", func(w tnet.Transport, srv Infra, eng *Engine) (string, RunStats, error) {
 			res, stats, err := eng.PaillierAgg(w, srv, parts, kr, sk.Public(), sk)
 			return fpResult(res), stats, err
 		}},
-		{"stream", func(w tnet.Transport, srv StreamInfra, eng *Engine) (string, RunStats, error) {
+		{"stream", func(w tnet.Transport, srv Infra, eng *Engine) (string, RunStats, error) {
 			res, stats, err := eng.SecureAggStream(w, srv, SliceSource(parts), kr, 5)
 			return fpResult(res), stats, err
 		}},
@@ -122,7 +117,7 @@ func TestProtocolTranscriptGolden(t *testing.T) {
 			for _, shards := range []int{1, 3} {
 				name := fmt.Sprintf("%s/%s/ssi%d", p.name, topo, shards)
 				w := &recWire{Network: netsim.New()}
-				var srv StreamInfra = ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
+				var srv Infra = ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
 				if shards > 1 {
 					if srv, err = ssi.NewShardSet(w, shards, ssi.HonestButCurious, ssi.Behavior{}); err != nil {
 						t.Fatal(err)
@@ -132,8 +127,7 @@ func TestProtocolTranscriptGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				ordered := topo.Arity() == 0 && p.name != "stream"
-				got[name] = transcriptDigest(w.frames, ordered, stats, fp)
+				got[name] = transcriptDigest(w.frames, stats, fp)
 			}
 		}
 	}
@@ -148,6 +142,9 @@ func TestProtocolTranscriptGolden(t *testing.T) {
 	for _, name := range names {
 		if got[name] != want[name] {
 			t.Errorf("%s: transcript digest %s, want %s", name, got[name], want[name])
+		}
+		if stream, ok := strings.CutPrefix(name, "stream/"); ok && got[name] != got["secure-agg/"+stream] {
+			t.Errorf("%s: transcript differs from its secure-agg cell", name)
 		}
 	}
 }

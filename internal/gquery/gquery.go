@@ -4,9 +4,9 @@
 // Infrastructure, following the [TNP14] protocol family:
 //
 //   - SecureAgg: tuples are encrypted non-deterministically; the SSI can
-//     only partition blindly, and participant tokens are reused as workers
-//     to aggregate partitions, merging up to a final token. The SSI learns
-//     only counts and sizes.
+//     only partition blindly, as the uploads stream in, and each partition
+//     goes to a worker token of its own, the partials merging up a fan-in
+//     tree to a final token. The SSI learns only counts and sizes.
 //   - Noise-based: the grouping attribute is encrypted deterministically,
 //     letting the SSI group equal values itself; fake tuples (white noise
 //     or noise controlled by the complementary domain) hide the true
@@ -15,10 +15,11 @@
 //     buckets; the SSI sees only bucket ids, and aggregation is per
 //     bucket, trading accuracy for leakage.
 //
-// All protocols authenticate envelopes with token-shared MACs and verify a
-// tuple-id checksum at the final merge, so a weakly-malicious SSI that
-// drops, duplicates or forges envelopes is detected (deterrence of the
-// covert adversary).
+// All protocols run one executor (run.go): the uploads stream through the
+// SSI's partition into one fold plane. All authenticate envelopes with
+// token-shared MACs and verify a tuple-id checksum at the final merge, so
+// a weakly-malicious SSI that drops, duplicates or forges envelopes is
+// detected (deterrence of the covert adversary).
 package gquery
 
 import (
@@ -32,7 +33,6 @@ import (
 	"pds/internal/netsim"
 	"pds/internal/obs"
 	"pds/internal/privcrypto"
-	"pds/internal/ssi"
 )
 
 // Tuple is one (grouping attribute, measure) pair held by a PDS.
@@ -387,22 +387,6 @@ func decodePartial(data []byte) (partialAgg, error) {
 		return partialAgg{}, fmt.Errorf("gquery: trailing bytes in partial aggregate")
 	}
 	return p, nil
-}
-
-// expectedChecksum is what the final token knows a complete, untampered
-// run must sum to: every participant registered its tuple count with the
-// querier, so ids are reconstructible.
-func expectedChecksum(parts []Participant, fakesPer map[string]int) (uint64, int64) {
-	var idSum uint64
-	var count int64
-	for _, p := range parts {
-		n := len(p.Tuples) + fakesPer[p.ID]
-		for seq := 0; seq < n; seq++ {
-			idSum += ssi.HashID(p.ID, seq)
-		}
-		count += int64(n)
-	}
-	return idSum, count
 }
 
 // PlainResult computes the ground-truth aggregate directly — the reference

@@ -76,20 +76,36 @@ func TestSecureAggCorrect(t *testing.T) {
 	}
 }
 
+// TestSecureAggLeaksNothing: the SSI's view is what reaches it on the
+// wire, read off a tap. Every upload record is distinct, across two runs
+// over the same data too — non-deterministic encryption leaves the SSI
+// nothing to group or to link to an earlier query — and the server
+// records no grouping.
 func TestSecureAggLeaksNothing(t *testing.T) {
 	parts := makeParts(10, 10, testDomain, 2)
-	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	if _, _, err := New().SecureAgg(net, srv, parts, mustKeyring(t), 25); err != nil {
-		t.Fatal(err)
+	net := netsim.New()
+	records := map[string]bool{}
+	uploads := 0
+	net.Tap(func(e netsim.Envelope) {
+		if e.Kind == "tuple" {
+			EachUpload(e, func(u netsim.Envelope) bool {
+				uploads++
+				records[string(u.Payload)] = true
+				return true
+			})
+		}
+	})
+	for range 2 {
+		srv := ssi.New(net, ssi.HonestButCurious, ssi.Behavior{})
+		if _, _, err := New().SecureAgg(net, srv, parts, mustKeyring(t), 25); err != nil {
+			t.Fatal(err)
+		}
+		if o := srv.Observations(); len(o.GroupFrequencies) != 0 {
+			t.Errorf("secureagg leaked grouping info: %v", o.GroupFrequencies)
+		}
 	}
-	o := srv.Observations()
-	// Non-deterministic encryption: every upload payload distinct, and the
-	// server has no grouping channel at all.
-	if o.DistinctPayloads != o.Envelopes {
-		t.Errorf("payload collisions under non-det encryption: %d of %d distinct", o.DistinctPayloads, o.Envelopes)
-	}
-	if len(o.GroupFrequencies) != 0 {
-		t.Errorf("secureagg leaked grouping info: %v", o.GroupFrequencies)
+	if uploads != 200 || len(records) != uploads {
+		t.Errorf("%d distinct upload records of %d, want 200 distinct", len(records), uploads)
 	}
 }
 

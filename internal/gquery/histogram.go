@@ -95,16 +95,13 @@ type BucketResult map[int]GroupAgg
 func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	buckets []Bucket, cfg config) (BucketResult, RunStats, error) {
 
-	if len(parts) == 0 {
-		return nil, RunStats{}, ErrNoParticipants
-	}
 	if len(buckets) == 0 {
 		return nil, RunStats{}, fmt.Errorf("gquery: no buckets")
 	}
 	if len(buckets) > maxBuckets {
 		return nil, RunStats{}, fmt.Errorf("gquery: %d buckets, at most %d fit the u16 bucket id", len(buckets), maxBuckets)
 	}
-	r := newRun(w, srv, parts, kr, cfg, "histogram")
+	r := newRun(w, srv, kr, cfg, "histogram")
 	defer r.tp.close()
 
 	// Collection: bucket id rides in clear, everything else encrypted.
@@ -118,22 +115,20 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 			binary.LittleEndian.PutUint16(bktID[:], uint16(bkt))
 			return sealTuple(dst, kr, bktID[:], tuplePlain{ID: id, Group: t.Group, Value: t.Value})
 		})
-	chunks, err := r.collect(1<<30, seal)
+	inbox, err := r.collectAll(parts, seal)
 	if err != nil {
 		return nil, r.stats, err
 	}
 	byBucket := map[int][]netsim.Envelope{}
-	for _, chunk := range chunks {
-		for _, env := range chunk {
-			bkt, ok := peekBucketID(env.Payload)
-			if !ok {
-				bkt = -1 // malformed → flagged by the token below
-			}
-			var key [2]byte
-			binary.LittleEndian.PutUint16(key[:], uint16(bkt))
-			srv.ObserveGroup(key[:])
-			byBucket[bkt] = append(byBucket[bkt], env)
+	for _, env := range inbox {
+		bkt, ok := peekBucketID(env.Payload)
+		if !ok {
+			bkt = -1 // malformed → flagged by the token below
 		}
+		var key [2]byte
+		binary.LittleEndian.PutUint16(key[:], uint16(bkt))
+		srv.ObserveGroup(key[:])
+		byBucket[bkt] = append(byBucket[bkt], env)
 	}
 	r.stats.Chunks = len(byBucket)
 
@@ -146,21 +141,12 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		ids = append(ids, bkt)
 	}
 	sort.Ints(ids)
-	jobs := make([]foldJob, len(ids))
-	for i, bkt := range ids {
+	plane := r.foldPlane()
+	for _, bkt := range ids {
 		key := strconv.Itoa(bkt)
-		jobs[i] = foldJob{kind: "bucket-chunk", label: key, envs: byBucket[bkt], fold: tupleFold(kr, afterBucketID, key)}
+		plane.submit(foldJob{kind: "bucket-chunk", label: key, envs: byBucket[bkt], fold: tupleFold(kr, afterBucketID, key)})
 	}
-	leaves, err := r.foldJobs(jobs)
-	if err != nil {
-		return nil, r.stats, err
-	}
-	partials, err := r.merge(leaves)
-	if err != nil {
-		return nil, r.stats, err
-	}
-	wantID, wantCount := expectedChecksum(parts, nil)
-	res, stats, err := r.verdict(partials, wantID, wantCount)
+	res, stats, err := r.fold(plane, nil)
 	br := BucketResult{}
 	for key, agg := range res {
 		// Bucket -1 collects malformed envelopes: flagged by the token,

@@ -14,10 +14,15 @@ import (
 type Infra interface {
 	// Receive ingests one PDS upload.
 	Receive(e netsim.Envelope)
-	// Partition consumes the inbox into chunks of at most chunkSize
-	// envelopes; a weakly-malicious infra misbehaves here. A sharded
-	// infra concatenates its shards' chunk lists in shard order.
-	Partition(chunkSize int) ([][]netsim.Envelope, error)
+	// StartStream opens the streaming partition: until FinishStream,
+	// uploads are cut into chunks of at most chunkSize envelopes as they
+	// arrive and each chunk is handed to emit as soon as it fills, so the
+	// infra holds at most one partial chunk per node. A weakly-malicious
+	// infra misbehaves here. emit runs on the uploading goroutine and must
+	// not call back into the infra.
+	StartStream(chunkSize int, emit func(chunk []netsim.Envelope)) error
+	// FinishStream emits what the stream still holds and closes it.
+	FinishStream() error
 	// ObserveGroup records the opaque key under which the infra grouped
 	// an envelope — the leakage channel of the deterministic protocols.
 	ObserveGroup(key []byte)
@@ -26,15 +31,4 @@ type Infra interface {
 	// Dest names the wire destination for an upload from the given PDS:
 	// "ssi" for a single server, "ssi:<shard>" under sharding.
 	Dest(pds string) string
-}
-
-// StreamInfra is an Infra that can partition without materializing an
-// inbox: between StartStream and FinishStream, uploads are grouped into
-// chunks as they arrive and handed to the emit callback as soon as each
-// chunk fills, so the infra holds at most one partial chunk per shard —
-// the memory-bound contract of SecureAggStream.
-type StreamInfra interface {
-	Infra
-	StartStream(chunkSize int, emit func(chunk []netsim.Envelope)) error
-	FinishStream()
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strconv"
 
 	"pds/internal/netsim"
 	"pds/internal/privcrypto"
@@ -56,22 +55,18 @@ func (k NoiseKind) String() string {
 func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	domain []string, noisePerTuple float64, kind NoiseKind, seed int64, cfg config) (Result, RunStats, error) {
 
-	if len(parts) == 0 {
-		return nil, RunStats{}, ErrNoParticipants
-	}
 	if kind != NoNoise && len(domain) == 0 {
 		return nil, RunStats{}, fmt.Errorf("gquery: noise needs a public domain")
 	}
-	r := newRun(w, srv, parts, kr, cfg, "noise")
+	r := newRun(w, srv, kr, cfg, "noise")
 	defer r.tp.close()
 
 	// Collection: true tuples first, then fakes, under one id sequence.
 	// Every fake group is drawn before the first record is sealed, so the
 	// frame is sized exactly.
 	rng := rand.New(rand.NewSource(seed))
-	fakesPer := map[string]int{}
 	var fakes []string // one participant's fake groups, reused across participants
-	seal := func(p Participant) ([]byte, error) {
+	seal := func(p Participant) ([]byte, int, error) {
 		held := map[string]bool{}
 		n := 0
 		for _, t := range p.Tuples {
@@ -97,21 +92,18 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		var err error
 		for seq, t := range p.Tuples {
 			if frame, err = sealNoise(frame, kr, tuplePlain{ID: ssi.HashID(p.ID, seq), Group: t.Group, Value: t.Value}); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		for i, g := range fakes {
 			if frame, err = sealNoise(frame, kr, tuplePlain{ID: ssi.HashID(p.ID, len(p.Tuples)+i), Group: g, Fake: true}); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
-		if len(fakes) > 0 {
-			fakesPer[p.ID] += len(fakes)
-			r.stats.FakeTuples += len(fakes)
-		}
-		return frame, nil
+		r.stats.FakeTuples += len(fakes)
+		return frame, len(p.Tuples) + len(fakes), nil
 	}
-	chunks, err := r.collect(1<<30, seal) // one logical batch
+	inbox, err := r.collectAll(parts, seal)
 	if err != nil {
 		return nil, r.stats, err
 	}
@@ -120,21 +112,19 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	// advantage, and its whole leakage.
 	groups := map[string][]netsim.Envelope{}
 	var forged []netsim.Envelope
-	for _, chunk := range chunks {
-		for _, env := range chunk {
-			gct, ok := splitNoisePayload(env.Payload)
-			if !ok {
-				// Malformed: route to a token anyway; it will flag it.
-				forged = append(forged, env)
-				continue
-			}
-			srv.ObserveGroup(gct)
-			groups[string(gct)] = append(groups[string(gct)], env)
+	for _, env := range inbox {
+		gct, ok := splitNoisePayload(env.Payload)
+		if !ok {
+			// Malformed: route to a token anyway; it will flag it.
+			forged = append(forged, env)
+			continue
 		}
+		srv.ObserveGroup(gct)
+		groups[string(gct)] = append(groups[string(gct)], env)
 	}
 	r.stats.Chunks = len(groups)
 
-	// Aggregation: one token call per observed group, in sorted order so
+	// Aggregation: one token per observed group, in sorted order so
 	// worker assignment and partial folding are deterministic regardless
 	// of pool size.
 	keys := make([]string, 0, len(groups))
@@ -143,25 +133,16 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	}
 	sort.Strings(keys)
 	fold := tupleFold(kr, afterGroupCT, "")
-	jobs := make([]foldJob, len(keys), len(keys)+1)
-	for i, k := range keys {
-		jobs[i] = foldJob{kind: "group-chunk", label: strconv.Itoa(i), envs: groups[k], fold: fold}
+	plane := r.foldPlane()
+	for _, k := range keys {
+		plane.submit(foldJob{kind: "group-chunk", envs: groups[k], fold: fold})
 	}
 	if len(forged) > 0 {
 		// Malformed envelopes visit a token too, whose job is to flag
 		// them; its partial joins the merge like any other.
-		jobs = append(jobs, foldJob{kind: "group-chunk", label: "forged", envs: forged, fold: fold})
+		plane.submit(foldJob{kind: "group-chunk", label: "forged", envs: forged, fold: fold})
 	}
-	leaves, err := r.foldJobs(jobs)
-	if err != nil {
-		return nil, r.stats, err
-	}
-	partials, err := r.merge(leaves)
-	if err != nil {
-		return nil, r.stats, err
-	}
-	wantID, wantCount := expectedChecksum(parts, fakesPer)
-	return r.verdict(partials, wantID, wantCount)
+	return r.fold(plane, nil)
 }
 
 // noiseRecordLen is the frame space of one sealNoise record of group.

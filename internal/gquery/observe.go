@@ -49,11 +49,10 @@ type runObs struct {
 	user *obs.Registry // engine observer (nil, or possibly == prev)
 	cost netsim.CostModel
 
-	root   *obs.Span
-	cur    *obs.Span
-	phases map[string]*obs.Span // phase name -> its span (written at phase barriers only)
-	ended  bool                 // root/cur spans closed
-	done   bool
+	root  *obs.Span
+	cur   *obs.Span // the open phase
+	ended bool      // root/cur spans closed
+	done  bool
 }
 
 func newRunObs(w tnet.Transport, user *obs.Registry, proto string) *runObs {
@@ -67,7 +66,6 @@ func newRunObs(w tnet.Transport, user *obs.Registry, proto string) *runObs {
 	w.SetObserver(ro.reg)
 	ro.root = ro.reg.Tracer().Start("gquery/"+proto, nil)
 	ro.cur = ro.reg.Tracer().Start(PhaseCollect, ro.root)
-	ro.phases = map[string]*obs.Span{PhaseCollect: ro.cur}
 	return ro
 }
 
@@ -78,22 +76,17 @@ func (ro *runObs) phase(name string, makespan time.Duration) {
 	ro.reg.Clock().Advance(makespan)
 	ro.cur.End()
 	ro.cur = ro.reg.Tracer().Start(name, ro.root)
-	ro.phases[name] = ro.cur
 }
 
 // curCtx is the wire context of the current phase span — the default
 // causal parent for envelopes sent during the phase.
 func (ro *runObs) curCtx() obs.SpanContext { return ro.cur.Context() }
 
-// span opens a named span under the given phase's span (falling back to
-// the run root), annotated with alternating key/value pairs. Safe from
-// fleet workers: the phases map is only written at phase barriers.
-func (ro *runObs) span(name, phase string, attrs ...string) *obs.Span {
-	parent := ro.phases[phase]
-	if parent == nil {
-		parent = ro.root
-	}
-	sp := ro.reg.Tracer().Start(name, parent)
+// span opens a named span under the open phase, annotated with
+// alternating key/value pairs. Safe from fleet workers: the open phase
+// changes only at phase barriers, when no worker runs.
+func (ro *runObs) span(name string, attrs ...string) *obs.Span {
+	sp := ro.reg.Tracer().Start(name, ro.cur)
 	annotate(sp, attrs)
 	return sp
 }

@@ -40,13 +40,10 @@ import (
 func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	pk *privcrypto.PaillierPublicKey, sk *privcrypto.PaillierPrivateKey, cfg config) (Result, RunStats, error) {
 
-	if len(parts) == 0 {
-		return nil, RunStats{}, ErrNoParticipants
-	}
 	if pk == nil || sk == nil {
 		return nil, RunStats{}, fmt.Errorf("gquery: paillier protocol needs a key pair")
 	}
-	r := newRun(w, srv, parts, kr, cfg, "paillier")
+	r := newRun(w, srv, kr, cfg, "paillier")
 	defer r.tp.close()
 
 	// Collection: payload = u16 gctLen | gct | u16 idBlobLen | idBlob | vct
@@ -77,10 +74,11 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 		vct.FillBytes(dst[off:])
 		return endRecord(dst, at), nil
 	})
-	chunks, err := r.collect(1<<30, seal)
+	inbox, err := r.collectAll(parts, seal)
 	if err != nil {
 		return nil, r.stats, err
 	}
+	r.tp.phasePar(PhasePartition, r.collectEnd)
 
 	// The SSI groups by det ciphertext and aggregates homomorphically.
 	type groupAcc struct {
@@ -89,26 +87,24 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 		ids    [][]byte // id blobs passed through for the token's check
 	}
 	groups := map[string]*groupAcc{}
-	for _, chunk := range chunks {
-		for _, env := range chunk {
-			gct, idBlob, vbytes, ok := splitPaillierPayload(env.Payload)
-			if !ok {
-				// Malformed envelope: the SSI cannot parse it, so it
-				// never reaches the token; flag the run here.
-				r.stats.Detected = true
-				r.stats.MACFailures++
-				continue
-			}
-			srv.ObserveGroup(gct)
-			acc := groups[string(gct)]
-			if acc == nil {
-				acc = &groupAcc{cipher: big.NewInt(1)} // multiplicative identity mod N²
-				groups[string(gct)] = acc
-			}
-			acc.cipher = pk.AddCipher(acc.cipher, new(big.Int).SetBytes(vbytes))
-			acc.count++
-			acc.ids = append(acc.ids, idBlob)
+	for _, env := range inbox {
+		gct, idBlob, vbytes, ok := splitPaillierPayload(env.Payload)
+		if !ok {
+			// Malformed envelope: the SSI cannot parse it, so it never
+			// reaches the token; flag the run here.
+			r.stats.Detected = true
+			r.stats.MACFailures++
+			continue
 		}
+		srv.ObserveGroup(gct)
+		acc := groups[string(gct)]
+		if acc == nil {
+			acc = &groupAcc{cipher: big.NewInt(1)} // multiplicative identity mod N²
+			groups[string(gct)] = acc
+		}
+		acc.cipher = pk.AddCipher(acc.cipher, new(big.Int).SetBytes(vbytes))
+		acc.count++
+		acc.ids = append(acc.ids, idBlob)
 	}
 	r.stats.Chunks = len(groups)
 	r.tp.phase(PhaseMerge)
@@ -156,8 +152,7 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 	}
 	r.stats.WorkerCalls = 1 // only the final decryption token
 
-	wantID, wantCount := expectedChecksum(parts, nil)
-	return r.verdict([]partialAgg{final}, wantID, wantCount)
+	return r.verdict([]partialAgg{final})
 }
 
 // splitPaillierPayload parses an upload of the homomorphic protocol.

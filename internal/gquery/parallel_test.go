@@ -29,9 +29,9 @@ func runBoth(t *testing.T, mode ssi.Mode, b ssi.Behavior, parts []Participant, c
 	t.Helper()
 	kr := mustKeyring(t)
 	net1, srv1 := freshRun(t, mode, b)
-	serRes, serStats, serErr = runSecureAgg(net1, srv1, parts, kr, chunkSize, config{workers: 1})
+	serRes, serStats, serErr = runSecureAgg(net1, srv1, SliceSource(parts), kr, chunkSize, config{workers: 1})
 	net2, srv2 := freshRun(t, mode, b)
-	parRes, parStats, parErr = runSecureAgg(net2, srv2, parts, kr, chunkSize, config{workers: 8})
+	parRes, parStats, parErr = runSecureAgg(net2, srv2, SliceSource(parts), kr, chunkSize, config{workers: 8})
 	return
 }
 

@@ -3,6 +3,7 @@ package gquery
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,7 +14,8 @@ import (
 )
 
 // The property battery: every Part III protocol, serial and parallel,
-// under clean and faulty wires and under a weakly-malicious SSI, must
+// under clean and faulty wires and under a weakly-malicious SSI — and
+// secure-agg over a participant slice and over a generator — must
 // either complete with a result identical to the fault-free serial
 // baseline or abort with a typed detection/retry error — never return a
 // silently wrong answer. The battery is parameterized over the wire
@@ -55,6 +57,25 @@ func fpBuckets(res BucketResult) string {
 	return sb.String()
 }
 
+// generate yields copies of parts one at a time from a closure: a
+// generator ParticipantSource, so a run over it never sees a participant
+// slice. It is the battery's executor axis against SliceSource.
+func generate(parts []Participant) ParticipantSource {
+	i := 0
+	return genSource(func() (Participant, bool) {
+		if i == len(parts) {
+			return Participant{}, false
+		}
+		p := parts[i]
+		i++
+		return Participant{ID: p.ID, Tuples: slices.Clone(p.Tuples)}, true
+	})
+}
+
+type genSource func() (Participant, bool)
+
+func (g genSource) Next() (Participant, bool) { return g() }
+
 // protoRunner is one protocol under test: run returns a canonical
 // fingerprint of the result.
 type protoRunner struct {
@@ -77,7 +98,13 @@ func batteryRunners(t *testing.T, mk mkWire) []protoRunner {
 	return []protoRunner{
 		{"secure-agg", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
 			w, srv := wires(t, mode, b)
-			res, stats, err := runSecureAgg(w, srv, parts, kr, 7, cfg)
+			res, stats, err := runSecureAgg(w, srv, SliceSource(parts), kr, 7, cfg)
+			return fpResult(res), stats, err
+		}},
+		// The executor axis: the same run over a generator source.
+		{"secure-agg-gen", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
+			w, srv := wires(t, mode, b)
+			res, stats, err := runSecureAgg(w, srv, generate(parts), kr, 7, cfg)
 			return fpResult(res), stats, err
 		}},
 		{"noise-none", func(t *testing.T, parts []Participant, mode ssi.Mode, b ssi.Behavior, cfg config) (string, RunStats, error) {
@@ -155,7 +182,7 @@ func propertyFaultToleranceExact(t *testing.T, mk mkWire) {
 			if baseStats.Retransmits != 0 || baseStats.AckMessages != 0 || baseStats.RetryBackoff != 0 {
 				t.Fatalf("%s clean baseline accrued reliability cost: %+v", r.name, baseStats)
 			}
-			if r.name == "secure-agg" || strings.HasPrefix(r.name, "noise") {
+			if strings.HasPrefix(r.name, "secure-agg") || strings.HasPrefix(r.name, "noise") {
 				if baseline != plainFP {
 					t.Fatalf("%s baseline != plaintext reference", r.name)
 				}
@@ -286,7 +313,7 @@ func propertyRetryCostSurfaced(t *testing.T, mk mkWire) {
 	w := mk(t)
 	srv := ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
 	plan := &netsim.FaultPlan{Seed: 107, Default: netsim.FaultSpec{Drop: 0.2}}
-	_, stats, err := runSecureAgg(w, srv, parts, kr, 7, config{workers: 1, faults: plan, maxRetries: 25})
+	_, stats, err := runSecureAgg(w, srv, SliceSource(parts), kr, 7, config{workers: 1, faults: plan, maxRetries: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +337,7 @@ func propertyRunRestoresFaultPlane(t *testing.T, mk mkWire) {
 
 	w := mk(t)
 	srv := ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
-	if _, _, err := runSecureAgg(w, srv, parts, kr, 7, config{workers: 2, faults: plan, maxRetries: 25}); err != nil {
+	if _, _, err := runSecureAgg(w, srv, SliceSource(parts), kr, 7, config{workers: 2, faults: plan, maxRetries: 25}); err != nil {
 		t.Fatal(err)
 	}
 	if w.Faults() != nil {
@@ -321,7 +348,7 @@ func propertyRunRestoresFaultPlane(t *testing.T, mk mkWire) {
 	w = mk(t)
 	srv = ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
 	dead := &netsim.FaultPlan{Seed: 109, Default: netsim.FaultSpec{Drop: 1}}
-	if _, _, err := runSecureAgg(w, srv, parts, kr, 7, config{workers: 1, faults: dead, maxRetries: 2}); err == nil {
+	if _, _, err := runSecureAgg(w, srv, SliceSource(parts), kr, 7, config{workers: 1, faults: dead, maxRetries: 2}); err == nil {
 		t.Fatal("drop=1 run unexpectedly succeeded")
 	}
 	if w.Faults() != nil {
@@ -338,8 +365,7 @@ func propertyRunRestoresFaultPlane(t *testing.T, mk mkWire) {
 // TestPropertyShardFailureDetected: a sharded SSI behaves exactly like a
 // single server while healthy, and a crashed shard — whose tuples simply
 // vanish — always surfaces as a typed DetectionError, never a silently
-// partial result. Exercised across topologies and both batch protocols
-// that accept arbitrary Infra routing.
+// partial result. Exercised across topologies.
 func TestPropertyShardFailureDetected(t *testing.T) {
 	propertyShardFailureDetected(t, simWire)
 }
@@ -355,7 +381,7 @@ func propertyShardFailureDetected(t *testing.T, mk mkWire) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := runSecureAgg(w, ss, parts, kr, 5, config{workers: 2, topology: topo})
+		res, _, err := runSecureAgg(w, ss, SliceSource(parts), kr, 5, config{workers: 2, topology: topo})
 		if err != nil {
 			t.Fatalf("%v healthy shards: %v", topo, err)
 		}
@@ -372,7 +398,7 @@ func propertyShardFailureDetected(t *testing.T, mk mkWire) {
 		half := parts[:len(parts)/2]
 		rest := parts[len(parts)/2:]
 		crashed := &crashMidCollect{ShardSet: ss, after: len(half)}
-		_, _, err = runSecureAgg(w, crashed, append(append([]Participant(nil), half...), rest...), kr, 5,
+		_, _, err = runSecureAgg(w, crashed, SliceSource(append(append([]Participant(nil), half...), rest...)), kr, 5,
 			config{workers: 2, topology: topo})
 		var de *DetectionError
 		if !errors.As(err, &de) {

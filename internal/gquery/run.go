@@ -1,6 +1,8 @@
 package gquery
 
 import (
+	"time"
+
 	"pds/internal/netsim"
 	"pds/internal/ssi"
 	tnet "pds/internal/transport"
@@ -8,27 +10,40 @@ import (
 
 // run is one Part III protocol run. Every [TNP14] protocol has the same
 // shape — the PDSs upload sealed tuples, the untrusted SSI partitions
-// them, worker tokens fold the chunks, and a final token merges the
-// partials and checks the tuple-id checksum — and run owns every step of
-// it: collect → foldJobs → merge → verdict. A protocol supplies only
-// what is its own: how a PDS seals its tuples (a sealFn), how the SSI's
-// output is cut into token jobs, and where the token finds the tuple
-// ciphertext (tupleFold's ct).
+// them as they stream in, worker tokens fold the partitions, and the
+// partials climb a fan-in tree to a final token that checks the tuple-id
+// checksum — and run owns every step of it: collect → fold plane →
+// verdict. A protocol supplies only what is its own: how a PDS seals its
+// tuples (a sealFn), how the SSI's output is cut into token jobs, and
+// where the token finds the tuple ciphertext (tupleFold's ct).
 type run struct {
 	tp       *transport
 	srv      Infra
-	parts    []Participant
 	kr       *Keyring
 	cfg      config
 	protocol string // named by the detection abort
 	stats    RunStats
 	receive  func(netsim.Envelope) // the SSI end of an upload leg
+
+	// What a complete, untampered run sums to: the querier adds each
+	// PDS's tuple ids as the PDS seals its frame, so it never needs the
+	// participant list.
+	wantID    uint64
+	wantCount int64
+	// collectEnd is when the slowest PDS's upload ends: every PDS is its
+	// own serial resource, so collection lasts as long as the longest
+	// upload, not the fleet's sum.
+	collectEnd time.Duration
 }
+
+// unbounded is the chunk size of the protocols whose SSI groups the
+// whole inbox itself: one chunk per SSI node.
+const unbounded = 1 << 30
 
 // newRun opens the run's wire and observability epoch; the caller
 // defers r.tp.close().
-func newRun(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring, cfg config, protocol string) *run {
-	r := &run{tp: newTransport(w, cfg, protocol), srv: srv, parts: parts, kr: kr, cfg: cfg, protocol: protocol}
+func newRun(w tnet.Transport, srv Infra, kr *Keyring, cfg config, protocol string) *run {
+	r := &run{tp: newTransport(w, cfg, protocol), srv: srv, kr: kr, cfg: cfg, protocol: protocol}
 	inbox := func(e netsim.Envelope) bool {
 		srv.Receive(e)
 		return true
@@ -38,15 +53,16 @@ func newRun(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring, cfg c
 }
 
 // sealFn seals one participant's uploads into its upload frame, one
-// record per tuple in upload order. The frame is sized before the first
-// record is sealed, so it is allocated once.
-type sealFn func(p Participant) ([]byte, error)
+// record per tuple in upload order, and reports how many records it
+// sealed. The frame is sized before the first record is sealed, so it is
+// allocated once.
+type sealFn func(p Participant) (frame []byte, records int, err error)
 
 // eachTuple is the sealFn of the protocols that upload every tuple
 // exactly once, under its tuple id: size gives a tuple's record length,
 // seal appends its record.
 func eachTuple(size func(t Tuple) int, seal func(dst []byte, id uint64, t Tuple) ([]byte, error)) sealFn {
-	return func(p Participant) ([]byte, error) {
+	return func(p Participant) ([]byte, int, error) {
 		n := 0
 		for _, t := range p.Tuples {
 			n += size(t)
@@ -55,105 +71,121 @@ func eachTuple(size func(t Tuple) int, seal func(dst []byte, id uint64, t Tuple)
 		for seq, t := range p.Tuples {
 			var err error
 			if frame, err = seal(frame, ssi.HashID(p.ID, seq), t); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
-		return frame, nil
+		return frame, len(p.Tuples), nil
 	}
 }
 
-// upload seals one participant's uploads and moves them to its SSI node
-// as one frame; the SSI end splits it back into its inbox envelopes. A
-// participant with nothing to upload sends nothing.
+// upload seals one participant's uploads, adds their tuple ids to the
+// checksum, and moves them to its SSI node as one frame; the SSI end
+// splits it back into its inbox envelopes. A participant with nothing to
+// upload sends nothing.
 func (r *run) upload(seal sealFn, p Participant) error {
-	frame, err := seal(p)
-	if err != nil || len(frame) == 0 {
+	frame, n, err := seal(p)
+	if err != nil {
 		return err
 	}
-	return r.tp.send(netsim.Envelope{From: p.ID, To: r.srv.Dest(p.ID), Kind: "tuple", Payload: frame}, r.receive)
+	for seq := 0; seq < n; seq++ {
+		r.wantID += ssi.HashID(p.ID, seq)
+	}
+	r.wantCount += int64(n)
+	if n == 0 {
+		return nil
+	}
+	err = r.tp.send(netsim.Envelope{From: p.ID, To: r.srv.Dest(p.ID), Kind: "tuple", Payload: frame}, r.receive)
+	r.collectEnd = max(r.collectEnd, r.tp.elapsed(p.ID, true))
+	return err
 }
 
-// collect is the collection and partition phases: every participant's
-// sealed uploads reach the SSI, delayed uploads surface at the phase
-// barrier, and the SSI — where a weakly-malicious one misbehaves — cuts
-// its inbox into chunks of at most chunkSize envelopes.
-func (r *run) collect(chunkSize int, seal sealFn) ([][]netsim.Envelope, error) {
-	for _, p := range r.parts {
-		if err := r.upload(seal, p); err != nil {
-			return nil, err
-		}
-	}
-	r.tp.barrier(r.receive)
-	r.tp.phase(PhasePartition)
+// collect is the collection phase with the SSI's streaming partition
+// inside it: every participant's sealed uploads reach the SSI, which —
+// where a weakly-malicious one misbehaves — cuts them into chunks of at
+// most chunkSize envelopes and hands each to emit as it fills. Once the
+// last PDS has uploaded, settle waits out the fold plane's frames in
+// flight, delayed uploads surface at the phase barrier, and FinishStream
+// emits what the SSI still holds.
+func (r *run) collect(src ParticipantSource, chunkSize int, seal sealFn, emit func([]netsim.Envelope), settle func()) error {
 	r.srv.BindTrace(r.tp.ro.curCtx())
-	return r.srv.Partition(chunkSize)
+	if err := r.srv.StartStream(chunkSize, emit); err != nil {
+		return err
+	}
+	var err error
+	n := 0
+	for {
+		p, ok := src.Next()
+		if !ok {
+			break
+		}
+		n++
+		if err = r.upload(seal, p); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		settle()
+		r.tp.barrier(r.receive)
+	}
+	if ferr := r.srv.FinishStream(); err == nil {
+		err = ferr
+	}
+	if err == nil && n == 0 {
+		err = ErrNoParticipants
+	}
+	return err
 }
 
-// foldJobs is the token-fold phase: the fleet runs every job, job i on
-// participant i mod n's token (the SSI enrolls tokens it knows), and the
-// outcomes fold into the run's stats in job order, so any pool size
-// gives the same run. Each outcome becomes a leaf for the merge; a leaf
-// is available once its worker has finished every job it was given — a
-// token that folds several chunks folds them one after another.
-func (r *run) foldJobs(jobs []foldJob) ([]treeNode, error) {
-	r.tp.phase(PhaseTokenFold)
-	for i := range jobs {
-		jobs[i].worker = r.parts[i%len(r.parts)].ID
-	}
-	outs := make([]chunkOutcome, len(jobs))
-	r.cfg.forEachChunk(len(jobs), func(i int) { outs[i] = r.runFold(jobs[i]) })
-	leaves := make([]treeNode, 0, len(outs))
-	for _, out := range outs {
-		if err := r.tally(out); err != nil {
-			return nil, err
-		}
-		leaves = append(leaves, treeNode{partial: out.partial, sealed: out.sealed, worker: out.worker, end: r.tp.elapsed(out.worker, false)})
-	}
-	return leaves, nil
+// collectAll is collect for the protocols whose SSI groups the whole
+// inbox itself: it returns the inbox, emitted as one unbounded chunk per
+// SSI node in node order.
+func (r *run) collectAll(parts []Participant, seal sealFn) ([]netsim.Envelope, error) {
+	var inbox []netsim.Envelope
+	err := r.collect(SliceSource(parts), unbounded, seal, func(chunk []netsim.Envelope) {
+		inbox = append(inbox, chunk...)
+	}, func() {})
+	return inbox, err
 }
 
 // tally folds one token's outcome into the run's stats: a MAC failure
-// marks the run detected, a hard error ends it, and a token whose
-// partial went back over the wire made a worker call.
+// marks the run detected, and a hard error ends it.
 func (r *run) tally(out chunkOutcome) error {
 	r.stats.MACFailures += out.macFailures
 	if out.macFailures > 0 {
 		r.stats.Detected = true
 	}
-	if out.err != nil {
-		return out.err
-	}
-	if out.sealed != nil {
-		r.stats.WorkerCalls++
-	}
-	return nil
+	return out.err
 }
 
-// merge folds the leaves' partials up the fan-in tree to the final
-// token, which keeps the root's partial for the verdict. The tree is
-// laid out under the fold phase, which closes at the root's end — no
-// node ends later.
-func (r *run) merge(leaves []treeNode) ([]partialAgg, error) {
-	f := r.treeFolder()
-	for _, lf := range leaves {
-		if err := f.push(0, lf); err != nil {
-			return nil, err
-		}
+// fold ends a run once its fold plane holds every job: the plane drains,
+// the tree folds up to its root while the collection phase is still open,
+// and the phases are laid out on the paper's clock — collection ends at
+// the slowest PDS upload, the streaming partition is a zero-width
+// boundary, the tree tiles the fold phase, and the merge ends at the
+// root. err is an error the run met before, which ends it here.
+func (r *run) fold(p *foldPlane, err error) (Result, RunStats, error) {
+	if perr := p.drain(); err == nil {
+		err = perr
 	}
-	partials, end, err := f.root()
 	if err != nil {
-		return nil, err
+		return nil, r.stats, err
 	}
-	f.layout()
+	partials, end, err := p.tree.root()
+	if err != nil {
+		return nil, r.stats, err
+	}
+	r.tp.phasePar(PhasePartition, r.collectEnd)
+	r.tp.phasePar(PhaseTokenFold, 0)
+	p.tree.layout()
 	r.tp.phasePar(PhaseMerge, end)
-	return partials, nil
+	return r.verdict(partials)
 }
 
 // verdict is the final token's check: delayed frames surface, the
 // partials merge, and their tuple-id checksum must equal what a
 // complete, untampered run sums to. The run ends with the exact result
 // or a typed *DetectionError — never a silently wrong answer.
-func (r *run) verdict(partials []partialAgg, wantID uint64, wantCount int64) (Result, RunStats, error) {
+func (r *run) verdict(partials []partialAgg) (Result, RunStats, error) {
 	r.tp.barrier(nil)
 	res := Result{}
 	var idSum uint64
@@ -165,7 +197,7 @@ func (r *run) verdict(partials []partialAgg, wantID uint64, wantCount int64) (Re
 			res[g] = res[g].Merge(a)
 		}
 	}
-	if idSum != wantID || count != wantCount {
+	if idSum != r.wantID || count != r.wantCount {
 		r.stats.Detected = true
 	}
 	r.tp.finish(&r.stats)

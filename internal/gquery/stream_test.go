@@ -11,13 +11,14 @@ import (
 	tnet "pds/internal/transport"
 )
 
-// TestStreamMatchesBatchSecureAgg: the streaming executor answers what
-// the batch one does and builds the same fold plane — the same tree
-// depth, interior nodes and worker calls — at the chunk counts that hit
-// the tree folder's edges: one leaf, exactly one full block (k), one
-// leaf over (k+1), and one leaf over a full two-level tree (k²+1). Flat()
-// is the one-level tree: one interior node over every leaf of a run with
-// more than one chunk, none for a single chunk.
+// TestStreamMatchesBatchSecureAgg: SecureAggStream over a generator
+// answers what SecureAgg over the slice does and builds the same fold
+// plane — the same tree depth, interior nodes and worker calls — at the
+// chunk counts that hit the tree folder's edges: one leaf, exactly one
+// full block (k), one leaf over (k+1), and one leaf over a full
+// two-level tree (k²+1). Flat() is the one-level tree: one interior node
+// over every leaf of a run with more than one chunk, none for a single
+// chunk, whose leaf is the root and uploads no partial.
 func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 	kr := mustKeyring(t)
 	for _, topo := range []Topology{Flat(), Tree(2), Tree(4), Tree(16)} {
@@ -38,7 +39,7 @@ func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
 				eng := New(WithWorkers(workers), WithTopology(topo))
-				res, stats, err := eng.SecureAggStream(net, srv, SliceSource(parts), kr, 1)
+				res, stats, err := eng.SecureAggStream(net, srv, generate(parts), kr, 1)
 				if err != nil {
 					t.Fatalf("%v chunks=%d workers=%d: %v", topo, n, workers, err)
 				}
@@ -55,8 +56,9 @@ func TestStreamMatchesBatchSecureAgg(t *testing.T) {
 				if n > 1 && (stats.TreeDepth < 2 || stats.TreeNodes == 0) {
 					t.Fatalf("%v chunks=%d: tree shape missing: %+v", topo, n, stats)
 				}
-				if n == 1 && (stats.TreeDepth != 1 || stats.TreeNodes != 0) {
-					t.Fatalf("%v: a single chunk is its own root, got depth %d, %d nodes", topo, stats.TreeDepth, stats.TreeNodes)
+				if n == 1 && (stats.TreeDepth != 1 || stats.TreeNodes != 0 || stats.WorkerCalls != 0) {
+					t.Fatalf("%v: a single chunk is its own root, got depth %d, %d nodes, %d worker calls",
+						topo, stats.TreeDepth, stats.TreeNodes, stats.WorkerCalls)
 				}
 				if topo.Arity() == 0 && n > 1 && (stats.TreeDepth != 2 || stats.TreeNodes != 1) {
 					t.Fatalf("flat stream: depth %d, %d nodes, want the one-level tree (2, 1)", stats.TreeDepth, stats.TreeNodes)
@@ -82,17 +84,6 @@ func TestStreamMatchesBatchOverShards(t *testing.T) {
 	}
 	if !resultsEqual(res, want) {
 		t.Fatal("sharded stream result diverges from ground truth")
-	}
-}
-
-func TestStreamRejectsFaults(t *testing.T) {
-	parts := makeParts(4, 1, testDomain, 1)
-	kr := mustKeyring(t)
-	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	plan := netsim.FaultPlan{Seed: 1, Default: netsim.FaultSpec{Drop: 0.1}}
-	_, _, err := New(WithFaults(&plan)).SecureAggStream(net, srv, SliceSource(parts), kr, 2)
-	if err == nil {
-		t.Fatal("streaming run accepted a fault plane")
 	}
 }
 
@@ -134,10 +125,9 @@ func TestStreamShardFailureDetected(t *testing.T) {
 	}
 }
 
-// The streaming executor builds the batch run's tree, so the crossover
-// of TestTreeCriticalPathBelowFlat holds here too: on one tuple per
-// participant at chunk size 4 it sits between 224 and 256 chunks for
-// Tree(16) and between 800 and 864 for Tree(4).
+// Over a participant source the crossover of TestTreeCriticalPathBelowFlat
+// holds too: on one tuple per participant at chunk size 4 it sits between
+// 224 and 256 chunks for Tree(16) and between 800 and 864 for Tree(4).
 func TestStreamTreeCriticalPathBelowFlat(t *testing.T) {
 	kr := mustKeyring(t)
 	run := func(topo Topology, chunks int) time.Duration {
@@ -165,31 +155,31 @@ func TestStreamTreeCriticalPathBelowFlat(t *testing.T) {
 	}
 }
 
-// emitCounter wraps a StreamInfra's emit callback to count the chunks
+// emitCounter wraps an Infra's emit callback to count the chunks
 // the SSI hands to the fold plane, and records the largest number of
 // emitted chunks not yet folded at the moment each one is emitted.
 type emitCounter struct {
-	StreamInfra
+	Infra
 	emitted, folded *atomic.Int64
 	peak            int64
 }
 
 func (c *emitCounter) StartStream(chunkSize int, emit func(chunk []netsim.Envelope)) error {
-	return c.StreamInfra.StartStream(chunkSize, func(chunk []netsim.Envelope) {
+	return c.Infra.StartStream(chunkSize, func(chunk []netsim.Envelope) {
 		c.peak = max(c.peak, c.emitted.Add(1)-c.folded.Load())
 		emit(chunk)
 	})
 }
 
-// partialCounter counts the sealed partials fold tokens send back: one
-// per folded chunk.
-type partialCounter struct {
+// chunkCounter counts the chunk frames the SSI delivers to fold tokens:
+// one per folded chunk.
+type chunkCounter struct {
 	tnet.Transport
 	folded *atomic.Int64
 }
 
-func (c partialCounter) Send(e netsim.Envelope) netsim.Envelope {
-	if e.Kind == "partial" {
+func (c chunkCounter) Send(e netsim.Envelope) netsim.Envelope {
+	if e.Kind == "chunk" {
 		c.folded.Add(1)
 	}
 	return c.Transport.Send(e)
@@ -206,10 +196,10 @@ func TestStreamInFlightWindow(t *testing.T) {
 	const fleet = 100*window + 100
 	var emitted, folded atomic.Int64
 	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	infra := &emitCounter{StreamInfra: srv, emitted: &emitted, folded: &folded}
+	infra := &emitCounter{Infra: srv, emitted: &emitted, folded: &folded}
 	parts := makeParts(fleet, 1, testDomain, 17)
 	res, stats, err := New(WithWorkers(workers), WithTopology(Flat())).
-		SecureAggStream(partialCounter{Transport: net, folded: &folded}, infra, SliceSource(parts), mustKeyring(t), 1)
+		SecureAggStream(chunkCounter{Transport: net, folded: &folded}, infra, generate(parts), mustKeyring(t), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

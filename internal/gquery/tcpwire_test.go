@@ -107,7 +107,7 @@ func TestTCPSeededParityWithNetsim(t *testing.T) {
 	}
 	run := func(w tnet.Transport, mode ssi.Mode, b ssi.Behavior, cfg config) outcome {
 		srv := ssi.New(w, mode, b)
-		res, s, err := runSecureAgg(w, srv, parts, kr, 7, cfg)
+		res, s, err := runSecureAgg(w, srv, SliceSource(parts), kr, 7, cfg)
 		return outcome{
 			fp: fpResult(res),
 			proto: protoStats{

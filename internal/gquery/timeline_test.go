@@ -2,7 +2,6 @@ package gquery
 
 import (
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 
@@ -119,43 +118,44 @@ func TestCriticalPathInvariantToWorkers(t *testing.T) {
 	}
 }
 
-// TestTokenFoldingSeveralChunksPaysForAll: with more chunks than
-// participants one token folds several chunks, one after another. 8
-// participants × 3 tuples at chunk size 1 give 24 chunks on 8 tokens, so
-// the slowest token folds 3 chunks of at least two legs (dispatch,
-// partial) each, flat and tree alike.
+// TestTokenFoldingSeveralChunksPaysForAll: every chunk is folded by a
+// token of its own, however few participants the run has. 8 participants
+// × 3 tuples at chunk size 1 give 24 chunks, so the leaf level has 24
+// tree-fold spans on 24 distinct tokens, and it ends within one chunk's
+// two legs (dispatch, partial): no token folds a second chunk after its
+// first.
 func TestTokenFoldingSeveralChunksPaysForAll(t *testing.T) {
 	parts := makeParts(8, 3, testDomain, 47)
 	kr := mustKeyring(t)
-	floor := int64(3 * 2 * 20 * time.Millisecond)
+	latency := netsim.DefaultCostModel().Latency
 
+	reg := obs.NewRegistry()
 	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	_, flat, err := New().SecureAgg(net, srv, parts, kr, 1)
+	_, stats, err := New(WithTopology(Tree(4)), WithObserver(reg)).SecureAgg(net, srv, parts, kr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if flat.Chunks != 24 {
-		t.Fatalf("chunks = %d, want 24", flat.Chunks)
+	if stats.Chunks != 24 {
+		t.Fatalf("chunks = %d, want 24", stats.Chunks)
 	}
-	if got := phaseChain(flat, PhaseTokenFold); got < floor {
-		t.Fatalf("flat fold chain %d ns, want >= %d ns", got, floor)
-	}
-
-	reg := obs.NewRegistry()
-	net, srv = freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
-	if _, _, err := New(WithTopology(Tree(4)), WithObserver(reg)).SecureAgg(net, srv, parts, kr, 1); err != nil {
-		t.Fatal(err)
-	}
-	// The leaf level ends when its busiest token has folded all three.
+	workers := map[string]bool{}
+	leaves := 0
+	var level obs.SpanRecord
 	for _, sp := range reg.Snapshot().Spans {
-		if sp.Name == "tree-level" && sp.Attrs["level"] == strconv.Itoa(0) {
-			if d := sp.EndNS - sp.StartNS; d < floor {
-				t.Fatalf("tree leaf level spans %d ns, want >= %d ns", d, floor)
-			}
-			return
+		switch {
+		case sp.Name == "tree-fold" && sp.Attrs["level"] == "0":
+			leaves++
+			workers[sp.Attrs["worker"]] = true
+		case sp.Name == "tree-level" && sp.Attrs["level"] == "0":
+			level = sp
 		}
 	}
-	t.Fatal("no leaf tree-level span")
+	if leaves != 24 || len(workers) != 24 {
+		t.Fatalf("%d leaf folds on %d tokens, want 24 on 24", leaves, len(workers))
+	}
+	if d := time.Duration(level.EndNS - level.StartNS); d < 2*latency || d >= 3*latency {
+		t.Fatalf("leaf level spans %v, want one chunk's two legs, in [%v, %v)", d, 2*latency, 3*latency)
+	}
 }
 
 // TestRunCriticalPathEqualsExportWalk: the in-place walk finish runs over

@@ -62,11 +62,11 @@ type treeNode struct {
 	end     time.Duration
 }
 
-// treeFolder builds the fan-in tree push by push, for the batch and the
-// streaming executor alike: a node joins its level, and a filled block
-// of arity nodes folds at once into one node of the level above, so
-// every level is cut into the same contiguous blocks however the leaves
-// arrive. It holds at most arity-1 pending nodes per level,
+// treeFolder builds the fan-in tree push by push, as the fold plane
+// hands it leaves in job order: a node joins its level, and a filled
+// block of arity nodes folds at once into one node of the level above,
+// so every level is cut into the same contiguous blocks however the
+// leaves arrive. It holds at most arity-1 pending nodes per level,
 // O(arity·log n) in all; under Flat() that is every leaf until root.
 //
 // The model is the paper's asymmetric architecture: every token is its
@@ -82,7 +82,7 @@ type treeFolder struct {
 	merge envProcessor
 
 	pending [][]treeNode // each level's incomplete trailing block
-	record  [][]treeNode // every node's timeline (sealed bytes stripped), for layout
+	record  [][]treeNode // every node's timeline, for layout
 }
 
 func (r *run) treeFolder() *treeFolder {
@@ -100,9 +100,7 @@ func (f *treeFolder) push(level int, n treeNode) error {
 		f.pending = append(f.pending, nil)
 		f.record = append(f.record, nil)
 	}
-	rec := n
-	rec.sealed = nil
-	f.record[level] = append(f.record[level], rec)
+	f.record[level] = append(f.record[level], n)
 	f.pending[level] = append(f.pending[level], n)
 	if len(f.pending[level]) < f.arity {
 		return nil
@@ -123,7 +121,7 @@ func (f *treeFolder) fold(level int, children []treeNode) error {
 	rec := f.record[level][len(f.record[level])-len(children):] // a block is its level's trailing nodes
 	node := treeNode{}
 	for i := range children {
-		if err := f.upload(&children[i]); err != nil {
+		if err := f.upload(&children[i], level == 0); err != nil {
 			return err
 		}
 		rec[i].end = children[i].end
@@ -134,7 +132,7 @@ func (f *treeFolder) fold(level int, children []treeNode) error {
 		j = len(f.record[level+1])
 	}
 	tp := f.r.tp
-	out := chunkOutcome{worker: interiorToken(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+	out := chunkOutcome{worker: token(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
 	node.worker = out.worker
 	frame := recordFrame(children, func(c treeNode) []byte { return c.sealed })
 	err := tp.send(netsim.Envelope{From: "ssi", To: out.worker, Kind: "tree-partial", Payload: *frame},
@@ -152,18 +150,17 @@ func (f *treeFolder) fold(level int, children []treeNode) error {
 	return f.push(level+1, node)
 }
 
-// interiorToken names the token of node j at a tree level above the
-// leaves. Every interior node is a token of its own, whichever executor
-// built the tree, so its timeline starts empty.
-func interiorToken(level, j int) string { return fmt.Sprintf("tok@L%d.%d", level, j) }
+// token names the token of node j at a tree level, the leaves being
+// level 0. Every node is a token of its own, so its timeline starts
+// empty.
+func token(level, j int) string { return "tok@L" + strconv.Itoa(level) + "." + strconv.Itoa(j) }
 
-// upload sends an interior node's partial, sealed, from its token to the
-// SSI once its parent's frame needs it, and moves the node's end past the
-// upload. A leaf's partial went up with its fold.
-func (f *treeFolder) upload(n *treeNode) error {
-	if n.sealed != nil {
-		return nil
-	}
+// upload sends a node's partial, sealed, from its token to the SSI once
+// its parent's frame needs it, and moves the node's end past the upload.
+// The root never uploads its partial. A leaf's dispatch is still on its
+// token's ledger, so a leaf ends after the two legs together; an interior
+// node's frame was taken at its fold.
+func (f *treeFolder) upload(n *treeNode, leaf bool) error {
 	sealed, err := sealNonDet(f.r.kr, nil, encodePartial(n.partial))
 	if err != nil {
 		return err
@@ -172,7 +169,11 @@ func (f *treeFolder) upload(n *treeNode) error {
 		return err
 	}
 	n.sealed = sealed
-	n.end += f.r.tp.elapsed(n.worker, true)
+	if leaf {
+		n.end = f.r.tp.elapsed(n.worker, true)
+	} else {
+		n.end += f.r.tp.elapsed(n.worker, true)
+	}
 	f.r.stats.WorkerCalls++
 	return nil
 }
@@ -198,13 +199,14 @@ func (f *treeFolder) root() ([]partialAgg, time.Duration, error) {
 	return nil, 0, nil
 }
 
-// layout lays the tree out under the fold phase, which starts at the
-// clock's current time, and reports its depth, leaf level included.
+// layout lays the tree out under the fold phase, which is open and
+// starts at the clock's current time, and reports its depth, leaf level
+// included.
 func (f *treeFolder) layout() {
 	tp := f.r.tp
 	base := tp.ro.reg.Clock().Now()
 	for lvl, nodes := range f.record {
-		emitLevel(tp.ro.reg.Tracer(), tp.ro.phases[PhaseTokenFold], base, lvl, nodes)
+		emitLevel(tp.ro.reg.Tracer(), tp.ro.cur, base, lvl, nodes)
 	}
 	f.r.stats.TreeDepth = len(f.record)
 }

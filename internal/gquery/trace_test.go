@@ -2,6 +2,7 @@ package gquery
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -48,7 +49,7 @@ func tracedSecureAgg(t *testing.T, cfg config) (*obs.Registry, RunStats) {
 	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
 	reg := obs.NewRegistry()
 	cfg.observer = reg
-	_, stats, err := runSecureAgg(net, srv, parts, kr, 8, cfg)
+	_, stats, err := runSecureAgg(net, srv, SliceSource(parts), kr, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,17 +58,26 @@ func tracedSecureAgg(t *testing.T, cfg config) (*obs.Registry, RunStats) {
 
 // TestSecureAggTraceCausality: in a serial run every token-fold span must
 // be causally parented (through any number of wire spans) to the
-// ssi-dispatch of the same chunk, which in turn lives under the
-// ssi-partition phase of the gquery/secure-agg root — the acceptance
-// assertion of the cross-node tracing layer.
+// ssi-dispatch of the same chunk — the acceptance assertion of the
+// cross-node tracing layer. The SSI dispatches each chunk as the uploads
+// stream in, so the dispatch lives under the collect-encrypt phase of the
+// gquery/secure-agg root, as does the SSI's ssi/partition span, and no
+// dispatch is a phase of its own.
 func TestSecureAggTraceCausality(t *testing.T) {
-	reg, _ := tracedSecureAgg(t, config{workers: 1})
+	reg, stats := tracedSecureAgg(t, config{workers: 1})
 	spans := reg.Snapshot().Spans
 	ix := indexSpans(spans)
+	var phases []string
+	for _, ph := range stats.CriticalPath.Phases {
+		phases = append(phases, ph.Name)
+	}
+	if want := []string{PhaseCollect, PhasePartition, PhaseTokenFold, PhaseMerge}; !slices.Equal(phases, want) {
+		t.Errorf("critical-path phases %v, want %v", phases, want)
+	}
 
 	var root obs.SpanRecord
 	var folds, dispatches []obs.SpanRecord
-	var sawServer bool
+	var server obs.SpanRecord
 	for _, sp := range spans {
 		switch {
 		case sp.Name == "gquery/secure-agg":
@@ -77,7 +87,7 @@ func TestSecureAggTraceCausality(t *testing.T) {
 		case sp.Name == "ssi-dispatch":
 			dispatches = append(dispatches, sp)
 		case sp.Name == "ssi/partition":
-			sawServer = true
+			server = sp
 		}
 	}
 	if root.ID == 0 {
@@ -86,8 +96,9 @@ func TestSecureAggTraceCausality(t *testing.T) {
 	if len(folds) == 0 || len(dispatches) == 0 {
 		t.Fatalf("folds=%d dispatches=%d, want both > 0", len(folds), len(dispatches))
 	}
-	if !sawServer {
-		t.Error("no ssi/partition server span")
+	collect, ok := ix.byID[server.Parent]
+	if server.ID == 0 || !ok || collect.Name != PhaseCollect || collect.Parent != root.ID {
+		t.Error("no ssi/partition server span under the collect-encrypt phase")
 	}
 	if len(folds) != len(dispatches) {
 		t.Errorf("folds=%d dispatches=%d, want equal (one fold per chunk)", len(folds), len(dispatches))
@@ -102,8 +113,8 @@ func TestSecureAggTraceCausality(t *testing.T) {
 			t.Errorf("token-fold chunk=%s parented under dispatch chunk=%s",
 				fold.Attrs["chunk"], disp.Attrs["chunk"])
 		}
-		if _, ok := ix.ancestor(disp, func(p obs.SpanRecord) bool { return p.Name == PhasePartition && p.Parent == root.ID }); !ok {
-			t.Errorf("ssi-dispatch chunk=%s not under the ssi-partition phase", disp.Attrs["chunk"])
+		if disp.Parent != collect.ID {
+			t.Errorf("ssi-dispatch chunk=%s not under the collect-encrypt phase", disp.Attrs["chunk"])
 		}
 	}
 }
@@ -160,7 +171,7 @@ func TestWorkers4TraceExportsIdentically(t *testing.T) {
 		net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
 		reg := obs.NewRegistry()
 		cfg := config{workers: 4, observer: reg}
-		if _, _, err := runSecureAgg(net, srv, parts, kr, 6, cfg); err != nil {
+		if _, _, err := runSecureAgg(net, srv, SliceSource(parts), kr, 6, cfg); err != nil {
 			t.Fatal(err)
 		}
 		js, err := reg.Snapshot().JSON()
@@ -198,7 +209,7 @@ func TestFaultyTraceAttributesRetransmitsToTransfers(t *testing.T) {
 	cfg.observer = reg
 	cfg.faults = &netsim.FaultPlan{Seed: 305,
 		Default: netsim.FaultSpec{Drop: 0.15, Duplicate: 0.1, Delay: 0.05, Reorder: 0.05}}
-	_, stats, err := runSecureAgg(net, srv, parts, kr, 8, cfg)
+	_, stats, err := runSecureAgg(net, srv, SliceSource(parts), kr, 8, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

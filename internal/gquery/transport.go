@@ -69,8 +69,8 @@ func (tp *transport) close() {
 func (tp *transport) phase(name string) { tp.ro.phase(name, tp.makespan()) }
 
 // phasePar closes the current phase at a makespan the caller laid out
-// itself (a tree or streaming schedule placed from the ledger's charges);
-// whatever the ledger still holds is discarded.
+// itself (the run's schedule, placed from the ledger's charges); whatever
+// the ledger still holds is discarded.
 func (tp *transport) phasePar(name string, makespan time.Duration) {
 	tp.makespan()
 	tp.ro.phase(name, makespan)
@@ -90,8 +90,8 @@ func (tp *transport) makespan() time.Duration {
 }
 
 // elapsed returns one node's time so far in the current phase; take also
-// forgets it, so a node placed once (a streaming PDS or leaf, an interior
-// tree token) leaves nothing behind.
+// forgets it, so a node placed once (a PDS, a tree token) leaves nothing
+// behind.
 func (tp *transport) elapsed(node string, take bool) time.Duration {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()

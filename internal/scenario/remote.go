@@ -4,7 +4,9 @@
 // protocol wire itself — the querier's uploads are forwarded by the
 // switch to whichever process claimed the shard endpoint, and the
 // FrameSink collapses the ARQ stream back to exactly-once envelopes — so
-// only partitioning, trace binding and snapshot collection ride RPC.
+// only partitioning, trace binding and snapshot collection ride RPC. A
+// remote shard partitions its inbox as a batch: the querier's stream
+// takes every chunk at FinishStream.
 package scenario
 
 import (
@@ -51,6 +53,7 @@ const (
 // channel. It satisfies gquery.Infra: Receive is a no-op because the
 // remote node ingests the forwarded wire frames itself.
 type RemoteInfra struct {
+	batchStream
 	conn   *transport.TCP
 	shards int
 }
@@ -88,13 +91,14 @@ func (r *RemoteInfra) WaitReady(deadline time.Duration) error {
 // every upload directly from the switch.
 func (r *RemoteInfra) Receive(netsim.Envelope) {}
 
-// Partition asks every shard to partition its inbox and concatenates the
-// chunk lists in shard order — the same order ssi.ShardSet uses. Calls
-// are retried across the respawn window of a restart plan.
-func (r *RemoteInfra) Partition(chunkSize int) ([][]netsim.Envelope, error) {
+// FinishStream forwards the bound trace context to every shard, then asks
+// each to partition its inbox and emits its chunks, in shard order — the
+// order ssi.ShardSet uses. Partition calls are retried across the respawn
+// window of a restart plan.
+func (r *RemoteInfra) FinishStream() error {
+	r.bindTrace()
 	body := make([]byte, 4)
-	binary.LittleEndian.PutUint32(body, uint32(chunkSize))
-	var all [][]netsim.Envelope
+	binary.LittleEndian.PutUint32(body, uint32(r.chunkSize))
 	for i := 0; i < r.shards; i++ {
 		var reply []byte
 		var err error
@@ -106,34 +110,36 @@ func (r *RemoteInfra) Partition(chunkSize int) ([][]netsim.Envelope, error) {
 			time.Sleep(50 * time.Millisecond)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("scenario: partition of shard %d: %w", i, err)
+			return fmt.Errorf("scenario: partition of shard %d: %w", i, err)
 		}
 		if len(reply) < 1 {
-			return nil, fmt.Errorf("scenario: partition of shard %d: empty reply", i)
+			return fmt.Errorf("scenario: partition of shard %d: empty reply", i)
 		}
 		if reply[0] != 0 {
-			return nil, fmt.Errorf("scenario: shard %d: %s", i, reply[1:])
+			return fmt.Errorf("scenario: shard %d: %s", i, reply[1:])
 		}
 		chunks, err := decodeChunks(reply[1:])
 		if err != nil {
-			return nil, fmt.Errorf("scenario: partition of shard %d: %w", i, err)
+			return fmt.Errorf("scenario: partition of shard %d: %w", i, err)
 		}
-		all = append(all, chunks...)
+		for _, c := range chunks {
+			r.emit(c)
+		}
 	}
-	return all, nil
+	return nil
 }
 
 // ObserveGroup is a no-op: grouping leakage is recorded where it happens,
 // on the remote node.
 func (r *RemoteInfra) ObserveGroup([]byte) {}
 
-// BindTrace forwards the querier's partition-phase span context so the
-// remote partition spans parent under it across the process boundary.
-// Best effort: a shard mid-respawn simply loses the parent link.
-func (r *RemoteInfra) BindTrace(ctx obs.SpanContext) {
+// bindTrace forwards the querier's bound span context so the remote
+// partition spans parent under it across the process boundary. Best
+// effort: a shard mid-respawn simply loses the parent link.
+func (r *RemoteInfra) bindTrace() {
 	body := make([]byte, 16)
-	binary.LittleEndian.PutUint64(body, ctx.Trace)
-	binary.LittleEndian.PutUint64(body[8:], ctx.Span)
+	binary.LittleEndian.PutUint64(body, r.trace.Trace)
+	binary.LittleEndian.PutUint64(body[8:], r.trace.Span)
 	for i := 0; i < r.shards; i++ {
 		r.conn.Call(Dest(i), callBindTrace, body, callTimeout)
 	}

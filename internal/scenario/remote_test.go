@@ -200,7 +200,7 @@ func restartSplit(t *testing.T, p Plan) (before, after int) {
 	t.Helper()
 	w := netsim.New()
 	var servers []*ssi.Server
-	infra := &restartInfra{after: p.RestartAfter, fresh: func() gquery.Infra {
+	infra := &restartInfra{after: p.RestartAfter, fresh: func() *ssi.Server {
 		srv := ssi.New(w, p.Mode, p.Behavior)
 		servers = append(servers, srv)
 		return srv

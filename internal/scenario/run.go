@@ -141,7 +141,7 @@ func (p Plan) localInfra(w transport.Transport) (gquery.Infra, error) {
 		if p.Shards > 1 {
 			return nil, errors.New("scenario: in-process restart supports a single shard")
 		}
-		mk := func() gquery.Infra { return ssi.New(w, p.Mode, p.Behavior) }
+		mk := func() *ssi.Server { return ssi.New(w, p.Mode, p.Behavior) }
 		return &restartInfra{inner: mk(), fresh: mk, after: p.RestartAfter}, nil
 	}
 	if p.Shards > 1 {
@@ -153,11 +153,13 @@ func (p Plan) localInfra(w transport.Transport) (gquery.Infra, error) {
 // restartInfra loses all state accumulated before the after-th upload —
 // exactly what an SSI process crash-and-respawn does to its inbox. The
 // crash can fall inside a PDS's upload frame: the rest of that frame dies
-// with the process, as it does on a remote node (ServeSSI).
+// with the process, as it does on a remote node (ServeSSI), and like a
+// remote node it partitions its inbox as a batch, at FinishStream.
 type restartInfra struct {
+	batchStream
 	mu    sync.Mutex
-	inner gquery.Infra
-	fresh func() gquery.Infra
+	inner *ssi.Server
+	fresh func() *ssi.Server
 	after int
 	seen  int
 	lost  string // the PDS whose frame was cut by the crash, while its rest arrives
@@ -185,18 +187,43 @@ func (r *restartInfra) Receive(e netsim.Envelope) {
 	in.Receive(e)
 }
 
-func (r *restartInfra) cur() gquery.Infra {
+func (r *restartInfra) cur() *ssi.Server {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.inner
 }
 
-func (r *restartInfra) Partition(chunkSize int) ([][]netsim.Envelope, error) {
-	return r.cur().Partition(chunkSize)
+// FinishStream partitions the inbox of the server that survived, under
+// the bound trace context.
+func (r *restartInfra) FinishStream() error {
+	srv := r.cur()
+	srv.BindTrace(r.trace)
+	chunks, err := srv.Partition(r.chunkSize)
+	for _, c := range chunks {
+		r.emit(c)
+	}
+	return err
 }
-func (r *restartInfra) ObserveGroup(key []byte)       { r.cur().ObserveGroup(key) }
-func (r *restartInfra) BindTrace(ctx obs.SpanContext) { r.cur().BindTrace(ctx) }
-func (r *restartInfra) Dest(pds string) string        { return r.cur().Dest(pds) }
+
+func (r *restartInfra) ObserveGroup(key []byte) { r.cur().ObserveGroup(key) }
+func (r *restartInfra) Dest(pds string) string  { return r.cur().Dest(pds) }
+
+// batchStream gives an SSI node that partitions its inbox as a batch the
+// streaming surface of gquery.Infra: StartStream and BindTrace record
+// the chunk size, the consumer and the trace context, and the node's
+// FinishStream partitions and hands the consumer every chunk.
+type batchStream struct {
+	chunkSize int
+	emit      func([]netsim.Envelope)
+	trace     obs.SpanContext
+}
+
+func (b *batchStream) StartStream(chunkSize int, emit func([]netsim.Envelope)) error {
+	b.chunkSize, b.emit = chunkSize, emit
+	return nil
+}
+
+func (b *batchStream) BindTrace(ctx obs.SpanContext) { b.trace = ctx }
 
 // RunQuerier executes the querier role of a multi-process deployment:
 // wait for every shard process, run the protocol over the TCP wire

@@ -23,8 +23,8 @@ import (
 // never trusts the SSI plane to be complete.
 //
 // ShardSet satisfies the same structural interface as a single Server
-// (gquery.Infra / gquery.StreamInfra), so protocol code is oblivious to
-// whether it talks to one node or a fleet of them.
+// (gquery.Infra), so protocol code is oblivious to whether it talks to
+// one node or a fleet of them.
 type ShardSet struct {
 	mu     sync.Mutex
 	shards []*Server
@@ -189,13 +189,16 @@ func (ss *ShardSet) StartStream(chunkSize int, emit func([]netsim.Envelope)) err
 
 // FinishStream flushes and closes the stream on every live shard, in
 // shard order. Dead shards' buffered partial chunks are lost with them.
-func (ss *ShardSet) FinishStream() {
+func (ss *ShardSet) FinishStream() error {
 	for i, s := range ss.shards {
 		if !ss.alive(i) {
 			// Leave streaming mode without emitting the remainder.
 			s.streamDiscard()
 			continue
 		}
-		s.FinishStream()
+		if err := s.FinishStream(); err != nil {
+			return fmt.Errorf("ssi shard %d: %w", i, err)
+		}
 	}
+	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pds/internal/netsim"
+	"pds/internal/obs"
 )
 
 func testNet(t *testing.T) *netsim.Network {
@@ -179,5 +180,44 @@ func TestStreamingSkipsDistinctPayloadTracking(t *testing.T) {
 	}
 	if len(s.payloads) != 0 {
 		t.Fatalf("payload dedup map grew to %d entries in streaming mode", len(s.payloads))
+	}
+}
+
+// TestStreamIsOnePartitionSpan: a stream is one ssi/partition span, from
+// StartStream to FinishStream, parented under the context BindTrace gave
+// and annotated with the mode, the envelopes received and the chunks
+// emitted.
+func TestStreamIsOnePartitionSpan(t *testing.T) {
+	net := testNet(t)
+	reg := obs.NewRegistry()
+	net.SetObserver(reg)
+	phase := reg.Tracer().Start("collect-encrypt", nil)
+	s := New(net, HonestButCurious, Behavior{})
+	s.BindTrace(phase.Context())
+	if err := s.StartStream(4, func([]netsim.Envelope) {}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		s.Receive(netsim.Envelope{From: "pds-00001", Kind: "tuple", Payload: []byte{byte(i)}})
+	}
+	if err := s.FinishStream(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FinishStream(); err == nil {
+		t.Error("FinishStream without an open stream succeeded")
+	}
+	phase.End()
+	var spans []obs.SpanRecord
+	for _, sp := range reg.Snapshot().Spans {
+		if sp.Name == "ssi/partition" {
+			spans = append(spans, sp)
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("%d ssi/partition spans, want 1", len(spans))
+	}
+	sp := spans[0]
+	if sp.Parent == 0 || sp.Attrs["mode"] != "honest-but-curious" || sp.Attrs["envelopes"] != "10" || sp.Attrs["chunks"] != "3" {
+		t.Errorf("stream span parent %d, attrs %v; want a parent, mode, 10 envelopes, 3 chunks", sp.Parent, sp.Attrs)
 	}
 }

@@ -96,11 +96,14 @@ type Server struct {
 	// inbox, arriving envelopes are grouped into chunks and emitted as
 	// soon as each chunk fills. streamIdx is the running inbox position
 	// feeding the covert misbehaviour schedule, so a weakly-malicious
-	// server attacks the same positions whether it streams or batches.
-	streamEmit  func([]netsim.Envelope)
-	streamChunk int
-	streamBuf   []netsim.Envelope
-	streamIdx   int
+	// server attacks the same positions whether it streams or batches;
+	// streamSpan is the stream's ssi/partition span.
+	streamEmit   func([]netsim.Envelope)
+	streamChunk  int
+	streamBuf    []netsim.Envelope
+	streamIdx    int
+	streamChunks int
+	streamSpan   *obs.Span
 }
 
 // New creates a server in the given mode.
@@ -118,9 +121,9 @@ func New(net Wire, mode Mode, b Behavior) *Server {
 // always plain "ssi"; a ShardSet routes per PDS instead.
 func (s *Server) Dest(pds string) string { return "ssi" }
 
-// BindTrace parents the server's next partition span under the given wire
-// context (typically the querier's partition-phase span). A zero context
-// unbinds; the span then becomes a root.
+// BindTrace parents the server's next partition span — a batch
+// Partition's or a stream's — under the given wire context (the querier's
+// open phase). A zero context unbinds; the span then becomes a root.
 func (s *Server) BindTrace(ctx obs.SpanContext) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,13 +154,13 @@ func (s *Server) Receive(e netsim.Envelope) {
 // receiveStreaming is Receive's streaming path; callers hold s.mu. The
 // distinct-payload record is deliberately not maintained here: that map
 // is O(population) memory, exactly what streaming mode exists to avoid
-// (leakage studies use batch mode).
+// (leakage tests read the wire instead).
 func (s *Server) receiveStreaming(e netsim.Envelope) {
 	s.obs.Envelopes++
 	s.obs.Bytes += int64(len(e.Payload))
 	outs := []netsim.Envelope{e}
 	if s.mode == WeaklyMalicious {
-		outs = s.corruptOne(s.streamIdx, e, obs.SpanContext{})
+		outs = s.corruptOne(s.streamIdx, e, s.streamSpan.Context())
 	}
 	s.streamIdx++
 	for _, out := range outs {
@@ -176,6 +179,7 @@ func (s *Server) receiveStreaming(e netsim.Envelope) {
 // goroutine calls Receive, and the fold workers draining the chunks
 // never call back into the server.
 func (s *Server) emitChunk(chunk []netsim.Envelope) {
+	s.streamChunks++
 	s.streamEmit(chunk)
 }
 
@@ -183,10 +187,12 @@ func (s *Server) emitChunk(chunk []netsim.Envelope) {
 // FinishStream, uploads are grouped into chunks of chunkSize as they
 // arrive and handed to emit as soon as each chunk fills, so the server
 // holds at most one partial chunk instead of the whole population's
-// inbox — the memory-bound contract of gquery.SecureAggStream. A
-// weakly-malicious server misbehaves per envelope with the same seeded
-// position schedule as batch Partition. emit is invoked on the caller's
-// goroutine; there must be exactly one uploading goroutine.
+// inbox — the memory-bound contract of a gquery run. A weakly-malicious
+// server misbehaves per envelope with the same seeded position schedule
+// as batch Partition. emit is invoked on the caller's goroutine; there
+// must be exactly one uploading goroutine. The stream is one
+// ssi/partition span, from StartStream to FinishStream, under the
+// context BindTrace gave.
 func (s *Server) StartStream(chunkSize int, emit func([]netsim.Envelope)) error {
 	if chunkSize < 1 {
 		return fmt.Errorf("ssi: chunkSize must be >= 1, got %d", chunkSize)
@@ -202,24 +208,29 @@ func (s *Server) StartStream(chunkSize int, emit func([]netsim.Envelope)) error 
 	s.streamEmit = emit
 	s.streamChunk = chunkSize
 	s.streamIdx = 0
+	s.streamChunks = 0
+	if reg := s.net.Observer(); reg != nil {
+		s.streamSpan = reg.Tracer().StartRemote("ssi/partition", s.trace)
+		s.streamSpan.Annotate("mode", s.mode.String())
+	}
 	return nil
 }
 
 // FinishStream flushes the final partial chunk and leaves streaming
 // mode.
-func (s *Server) FinishStream() {
+func (s *Server) FinishStream() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.streamEmit == nil {
-		return
+		return fmt.Errorf("ssi: no stream open")
 	}
 	if len(s.streamBuf) > 0 {
 		chunk := s.streamBuf
 		s.streamBuf = nil
 		s.emitChunk(chunk)
 	}
-	s.streamEmit = nil
-	s.streamChunk = 0
+	s.endStream()
+	return nil
 }
 
 // streamDiscard leaves streaming mode without flushing the buffered
@@ -228,6 +239,16 @@ func (s *Server) streamDiscard() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.streamBuf = nil
+	s.endStream()
+}
+
+// endStream leaves streaming mode and ends the stream's span; callers
+// hold s.mu.
+func (s *Server) endStream() {
+	s.streamSpan.Annotate("envelopes", strconv.Itoa(s.streamIdx))
+	s.streamSpan.Annotate("chunks", strconv.Itoa(s.streamChunks))
+	s.streamSpan.End()
+	s.streamSpan = nil
 	s.streamEmit = nil
 	s.streamChunk = 0
 }
