@@ -24,12 +24,15 @@ type foldJob struct {
 }
 
 // chunkOutcome is what a token's fold produced: its partial, which token
-// holds it, and the integrity failures and hard error it met.
+// holds it, and the integrity failures and hard error it met. buf is the
+// token's plaintext scratch, which a merging token decrypts each sealed
+// partial into.
 type chunkOutcome struct {
 	partial     partialAgg
 	worker      string
 	macFailures int
 	err         error
+	buf         []byte
 }
 
 // envProcessor folds one delivered record — a sealed tuple or a sealed
@@ -52,7 +55,7 @@ func (r *run) runFold(job foldJob) chunkOutcome {
 	defer disp.End()
 	var fold *obs.Span
 	defer func() { fold.End() }()
-	out := chunkOutcome{worker: job.worker, partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+	out := chunkOutcome{worker: job.worker, partial: partialAgg{Aggs: map[string]*GroupAgg{}}}
 	rcv := func(e netsim.Envelope) {
 		fold = tp.ro.remoteSpan(PhaseTokenFold, e.Ctx, "chunk", job.label, "worker", job.worker)
 		foldFrame(&out, job.fold, e.Payload)
@@ -195,21 +198,24 @@ func foldFrame(out *chunkOutcome, fold envProcessor, frame []byte) {
 
 // tupleFold is the token's tuple processor, one for every protocol:
 // verify the MAC, decrypt the tuple ciphertext ct finds in the sealed
-// body, decode, and fold the value under key — or under the tuple's own
-// group when key is empty. Fakes count toward the checksum only.
+// body into a stack buffer, decode it in place, and fold the value under
+// key — or under the tuple's own group when key is empty. Fakes count
+// toward the checksum only.
 func tupleFold(kr *Keyring, ct func(body []byte) []byte, key string) envProcessor {
+	keyBytes := []byte(key)
 	return func(out *chunkOutcome, payload []byte) {
 		body, err := open(kr, payload)
 		if err != nil {
 			out.macFailures++
 			return
 		}
-		pt, err := kr.NonDet.Decrypt(ct(body))
+		var buf [64]byte // a group too long for it spills to the heap
+		pt, err := kr.NonDet.AppendDecrypt(buf[:0], ct(body))
 		if err != nil {
 			out.macFailures++
 			return
 		}
-		t, err := decodeTuplePlain(pt)
+		t, err := decodeTupleView(pt)
 		if err != nil {
 			out.err = err
 			return
@@ -219,11 +225,12 @@ func tupleFold(kr *Keyring, ct func(body []byte) []byte, key string) envProcesso
 		if t.Fake {
 			return
 		}
-		g := key
-		if g == "" {
+		g := keyBytes
+		if key == "" {
 			g = t.Group
 		}
-		out.partial.Aggs[g] = out.partial.Aggs[g].Fold(t.Value)
+		a := out.partial.agg(g)
+		*a = a.Fold(t.Value)
 	}
 }
 
@@ -235,8 +242,8 @@ func afterGroupCT(body []byte) []byte  { return body[2+int(binary.LittleEndian.U
 func afterBucketID(body []byte) []byte { return body[2:] }
 
 // mergeSealed is the merging token's processor, one record of its
-// "tree-partial" frame at a time: verify, decrypt and decode a sealed
-// partial, and merge it into out.partial.
+// "tree-partial" frame at a time: verify, decrypt into the outcome's
+// scratch and decode a sealed partial, and merge it into out.partial.
 func mergeSealed(kr *Keyring) envProcessor {
 	return func(out *chunkOutcome, payload []byte) {
 		ct, err := open(kr, payload)
@@ -244,11 +251,12 @@ func mergeSealed(kr *Keyring) envProcessor {
 			out.macFailures++
 			return
 		}
-		pt, err := kr.NonDet.Decrypt(ct)
+		pt, err := kr.NonDet.AppendDecrypt(out.buf[:0], ct)
 		if err != nil {
 			out.macFailures++
 			return
 		}
+		out.buf = pt
 		p, err := decodePartial(pt)
 		if err != nil {
 			out.err = err
@@ -257,7 +265,11 @@ func mergeSealed(kr *Keyring) envProcessor {
 		out.partial.IDSum += p.IDSum
 		out.partial.Count += p.Count
 		for g, a := range p.Aggs {
-			out.partial.Aggs[g] = out.partial.Aggs[g].Merge(a)
+			if m := out.partial.Aggs[g]; m != nil {
+				*m = m.Merge(*a)
+			} else {
+				out.partial.Aggs[g] = a
+			}
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func FuzzDecodePartial(f *testing.F) {
-	f.Add(encodePartial(partialAgg{IDSum: 1, Count: 2, Aggs: map[string]GroupAgg{"g": {Sum: 3, Count: 1, Min: 3, Max: 3}}}))
+	f.Add(encodePartial(partialAgg{IDSum: 1, Count: 2, Aggs: map[string]*GroupAgg{"g": {Sum: 3, Count: 1, Min: 3, Max: 3}}}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := decodePartial(data)
@@ -24,12 +24,17 @@ func FuzzDecodeTuplePlain(f *testing.F) {
 	f.Add(encodeTuplePlain(tuplePlain{ID: 9, Group: "g", Value: -1, Fake: true}))
 	f.Add([]byte{1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tp, err := decodeTuplePlain(data)
-		if err == nil {
-			got, err2 := decodeTuplePlain(encodeTuplePlain(tp))
-			if err2 != nil || got != tp {
-				t.Fatalf("round trip: %+v vs %+v (%v)", got, tp, err2)
-			}
+		v, err := decodeTupleView(data)
+		if err != nil {
+			return
+		}
+		if len(v.Group) > 0 && &v.Group[0] != &data[10] {
+			t.Fatalf("group is a copy, not a view of the plaintext")
+		}
+		tp := tuplePlain{ID: v.ID, Group: string(v.Group), Value: v.Value, Fake: v.Fake}
+		got, err := decodeTupleView(encodeTuplePlain(tp))
+		if err != nil || got.ID != tp.ID || string(got.Group) != tp.Group || got.Value != tp.Value || got.Fake != tp.Fake {
+			t.Fatalf("round trip: %+v vs %+v (%v)", got, tp, err)
 		}
 	})
 }
@@ -69,7 +74,7 @@ func FuzzChunkFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	fold := tupleFold(kr, wholeBody, "")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out := chunkOutcome{partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+		out := chunkOutcome{partial: partialAgg{Aggs: map[string]*GroupAgg{}}}
 		foldFrame(&out, fold, data)
 		var recs []netsim.Envelope
 		walkErr := eachRecord(data, func(rec []byte) bool {

@@ -244,18 +244,29 @@ func appendTuplePlain(out []byte, t tuplePlain) []byte {
 	return append(out, 0)
 }
 
-func decodeTuplePlain(data []byte) (tuplePlain, error) {
+// tupleView is a tuple plaintext decoded in place: Group aliases the
+// bytes it was decoded from, so folding a record copies nothing.
+type tupleView struct {
+	ID    uint64
+	Group []byte
+	Value int64
+	Fake  bool
+}
+
+func decodeTupleView(data []byte) (tupleView, error) {
 	if len(data) < 8+2+8+1 {
-		return tuplePlain{}, fmt.Errorf("gquery: short tuple plaintext (%d)", len(data))
+		return tupleView{}, fmt.Errorf("gquery: short tuple plaintext (%d)", len(data))
 	}
-	id := binary.LittleEndian.Uint64(data[:8])
 	gl := int(binary.LittleEndian.Uint16(data[8:10]))
 	if len(data) != 8+2+gl+8+1 {
-		return tuplePlain{}, fmt.Errorf("gquery: corrupt tuple plaintext")
+		return tupleView{}, fmt.Errorf("gquery: corrupt tuple plaintext")
 	}
-	group := string(data[10 : 10+gl])
-	val := int64(binary.LittleEndian.Uint64(data[10+gl : 18+gl]))
-	return tuplePlain{ID: id, Group: group, Value: val, Fake: data[18+gl] == 1}, nil
+	return tupleView{
+		ID:    binary.LittleEndian.Uint64(data[:8]),
+		Group: data[10 : 10+gl],
+		Value: int64(binary.LittleEndian.Uint64(data[10+gl : 18+gl])),
+		Fake:  data[18+gl] == 1,
+	}, nil
 }
 
 // A sealed payload wraps a body with a MAC: u16 bodyLen | body | mac(32).
@@ -328,7 +339,18 @@ func open(kr *Keyring, payload []byte) ([]byte, error) {
 type partialAgg struct {
 	IDSum uint64
 	Count int64
-	Aggs  map[string]GroupAgg
+	Aggs  map[string]*GroupAgg
+}
+
+// agg returns group g's aggregate, adding an empty one the first time g
+// is seen: the key string is made once per group, not once per tuple.
+func (p *partialAgg) agg(g []byte) *GroupAgg {
+	a := p.Aggs[string(g)]
+	if a == nil {
+		a = new(GroupAgg)
+		p.Aggs[string(g)] = a
+	}
+	return a
 }
 
 func encodePartial(p partialAgg) []byte {
@@ -361,7 +383,7 @@ func decodePartial(data []byte) (partialAgg, error) {
 	p := partialAgg{
 		IDSum: binary.LittleEndian.Uint64(data[:8]),
 		Count: int64(binary.LittleEndian.Uint64(data[8:16])),
-		Aggs:  map[string]GroupAgg{},
+		Aggs:  map[string]*GroupAgg{},
 	}
 	n := int(binary.LittleEndian.Uint32(data[16:20]))
 	off := 20
@@ -381,7 +403,7 @@ func decodePartial(data []byte) (partialAgg, error) {
 			vals[i] = int64(binary.LittleEndian.Uint64(data[off : off+8]))
 			off += 8
 		}
-		p.Aggs[g] = GroupAgg{Sum: vals[0], Count: vals[1], Min: vals[2], Max: vals[3]}
+		p.Aggs[g] = &GroupAgg{Sum: vals[0], Count: vals[1], Min: vals[2], Max: vals[3]}
 	}
 	if off != len(data) {
 		return partialAgg{}, fmt.Errorf("gquery: trailing bytes in partial aggregate")

@@ -452,7 +452,7 @@ func TestResultTotalCount(t *testing.T) {
 }
 
 func TestPartialRoundTrip(t *testing.T) {
-	p := partialAgg{IDSum: 42, Count: 7, Aggs: map[string]GroupAgg{
+	p := partialAgg{IDSum: 42, Count: 7, Aggs: map[string]*GroupAgg{
 		"x": {Sum: 10, Count: 2}, "yy": {Sum: -3, Count: 5},
 	}}
 	got, err := decodePartial(encodePartial(p))
@@ -469,15 +469,18 @@ func TestPartialRoundTrip(t *testing.T) {
 
 func TestTuplePlainRoundTrip(t *testing.T) {
 	pt := tuplePlain{ID: 99, Group: "grp", Value: -12345, Fake: true}
-	got, err := decodeTuplePlain(encodeTuplePlain(pt))
+	got, err := decodeTupleView(encodeTuplePlain(pt))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != pt {
+	if got.ID != pt.ID || string(got.Group) != pt.Group || got.Value != pt.Value || got.Fake != pt.Fake {
 		t.Errorf("round trip = %+v", got)
 	}
-	if _, err := decodeTuplePlain([]byte{1}); err == nil {
+	if _, err := decodeTupleView([]byte{1}); err == nil {
 		t.Error("short tuple accepted")
+	}
+	if _, err := decodeTupleView(append(encodeTuplePlain(pt), 0)); err == nil {
+		t.Error("tuple with a trailing byte accepted")
 	}
 }
 

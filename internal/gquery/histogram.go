@@ -120,14 +120,14 @@ func runHistogram(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 		return nil, r.stats, err
 	}
 	byBucket := map[int][]netsim.Envelope{}
+	key := make([]byte, 2) // the observed key, reused: it escapes through Infra
 	for _, env := range inbox {
 		bkt, ok := peekBucketID(env.Payload)
 		if !ok {
 			bkt = -1 // malformed → flagged by the token below
 		}
-		var key [2]byte
-		binary.LittleEndian.PutUint16(key[:], uint16(bkt))
-		srv.ObserveGroup(key[:])
+		binary.LittleEndian.PutUint16(key, uint16(bkt))
+		srv.ObserveGroup(key)
 		byBucket[bkt] = append(byBucket[bkt], env)
 	}
 	r.stats.Chunks = len(byBucket)

@@ -127,10 +127,43 @@ func TestSealOpenAllocCeilings(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("open: %.1f allocs/op, ceiling 0", got)
 	}
-	// The frame and the CTR stream; the tuple's plaintext stays on the stack.
+	// The frame; the tuple's plaintext stays on the stack.
 	tuple := tuplePlain{ID: 7, Group: "flu", Value: 42}
-	if got := testing.AllocsPerRun(200, func() { sealTuple(nil, kr, nil, tuple) }); got > 2 {
-		t.Errorf("sealTuple: %.1f allocs/op, ceiling 2", got)
+	if got := testing.AllocsPerRun(200, func() { sealTuple(nil, kr, nil, tuple) }); got > 1 {
+		t.Errorf("sealTuple: %.1f allocs/op, ceiling 1", got)
+	}
+}
+
+// A token folds a record into its partial without allocating once the
+// record's group is in the partial: the plaintext is decrypted on the
+// stack and decoded in place, and the group's key string is made at its
+// first record only. Every record still pays its MAC check and
+// decryption.
+func TestTupleFoldAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	kr := mustKeyring(t)
+	frame, err := sealTuple(nil, kr, nil, tuplePlain{ID: 7, Group: "flu", Value: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := onlyRecord(t, frame)
+	for _, key := range []string{"", "3"} {
+		fold := tupleFold(kr, wholeBody, key)
+		out := chunkOutcome{partial: partialAgg{Aggs: map[string]*GroupAgg{}}}
+		fold(&out, rec)
+		if got := testing.AllocsPerRun(200, func() { fold(&out, rec) }); got > 0 {
+			t.Errorf("tupleFold (key %q): %.1f allocs/op, ceiling 0", key, got)
+		}
+		want := "flu"
+		if key != "" {
+			want = key
+		}
+		if a := out.partial.Aggs[want]; out.macFailures != 0 || out.err != nil || len(out.partial.Aggs) != 1 ||
+			a == nil || a.Count != out.partial.Count || a.Sum != 42*a.Count {
+			t.Errorf("tupleFold (key %q): outcome %+v, aggregate %+v", key, out, a)
+		}
 	}
 }
 

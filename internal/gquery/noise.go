@@ -66,7 +66,7 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	// frame is sized exactly.
 	rng := rand.New(rand.NewSource(seed))
 	var fakes []string // one participant's fake groups, reused across participants
-	seal := func(p Participant) ([]byte, int, error) {
+	seal := func(p Participant) ([]byte, int, uint64, error) {
 		held := map[string]bool{}
 		n := 0
 		for _, t := range p.Tuples {
@@ -89,19 +89,24 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 			}
 		}
 		frame := make([]byte, 0, n)
+		var idSum uint64
 		var err error
 		for seq, t := range p.Tuples {
-			if frame, err = sealNoise(frame, kr, tuplePlain{ID: ssi.HashID(p.ID, seq), Group: t.Group, Value: t.Value}); err != nil {
-				return nil, 0, err
+			id := ssi.HashID(p.ID, seq)
+			if frame, err = sealNoise(frame, kr, tuplePlain{ID: id, Group: t.Group, Value: t.Value}); err != nil {
+				return nil, 0, 0, err
 			}
+			idSum += id
 		}
 		for i, g := range fakes {
-			if frame, err = sealNoise(frame, kr, tuplePlain{ID: ssi.HashID(p.ID, len(p.Tuples)+i), Group: g, Fake: true}); err != nil {
-				return nil, 0, err
+			id := ssi.HashID(p.ID, len(p.Tuples)+i)
+			if frame, err = sealNoise(frame, kr, tuplePlain{ID: id, Group: g, Fake: true}); err != nil {
+				return nil, 0, 0, err
 			}
+			idSum += id
 		}
 		r.stats.FakeTuples += len(fakes)
-		return frame, len(p.Tuples) + len(fakes), nil
+		return frame, len(p.Tuples) + len(fakes), idSum, nil
 	}
 	inbox, err := r.collectAll(parts, seal)
 	if err != nil {
@@ -109,8 +114,11 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	}
 
 	// The SSI groups by equal deterministic ciphertext — its whole
-	// advantage, and its whole leakage.
-	groups := map[string][]netsim.Envelope{}
+	// advantage, and its whole leakage. Each group's ciphertext becomes a
+	// key string once, at its first envelope: group[k] indexes envs.
+	group := map[string]int{}
+	var keys []string
+	var envs [][]netsim.Envelope
 	var forged []netsim.Envelope
 	for _, env := range inbox {
 		gct, ok := splitNoisePayload(env.Payload)
@@ -120,22 +128,26 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 			continue
 		}
 		srv.ObserveGroup(gct)
-		groups[string(gct)] = append(groups[string(gct)], env)
+		i, ok := group[string(gct)]
+		if !ok {
+			i = len(envs)
+			k := string(gct)
+			group[k] = i
+			keys = append(keys, k)
+			envs = append(envs, nil)
+		}
+		envs[i] = append(envs[i], env)
 	}
-	r.stats.Chunks = len(groups)
+	r.stats.Chunks = len(keys)
 
 	// Aggregation: one token per observed group, in sorted order so
 	// worker assignment and partial folding are deterministic regardless
 	// of pool size.
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
 	sort.Strings(keys)
 	fold := tupleFold(kr, afterGroupCT, "")
 	plane := r.foldPlane()
 	for _, k := range keys {
-		plane.submit(foldJob{kind: "group-chunk", envs: groups[k], fold: fold})
+		plane.submit(foldJob{kind: "group-chunk", envs: envs[group[k]], fold: fold})
 	}
 	if len(forged) > 0 {
 		// Malformed envelopes visit a token too, whose job is to flag

@@ -118,7 +118,7 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 		keys = append(keys, gct)
 	}
 	sort.Strings(keys)
-	final := partialAgg{Aggs: map[string]GroupAgg{}}
+	final := partialAgg{Aggs: map[string]*GroupAgg{}}
 	for _, gct := range keys {
 		acc := groups[gct]
 		// One message models the SSI → token hand-over per group.
@@ -148,7 +148,7 @@ func runPaillierAgg(w tnet.Transport, srv Infra, parts []Participant, kr *Keyrin
 			final.IDSum += binary.LittleEndian.Uint64(blob[:8])
 			final.Count++
 		}
-		final.Aggs[string(groupName)] = GroupAgg{Sum: sum.Int64(), Count: acc.count}
+		final.Aggs[string(groupName)] = &GroupAgg{Sum: sum.Int64(), Count: acc.count}
 	}
 	r.stats.WorkerCalls = 1 // only the final decryption token
 

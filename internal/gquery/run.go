@@ -54,27 +54,31 @@ func newRun(w tnet.Transport, srv Infra, kr *Keyring, cfg config, protocol strin
 
 // sealFn seals one participant's uploads into its upload frame, one
 // record per tuple in upload order, and reports how many records it
-// sealed. The frame is sized before the first record is sealed, so it is
-// allocated once.
-type sealFn func(p Participant) (frame []byte, records int, err error)
+// sealed and the sum of their tuple ids, record seq's id being
+// ssi.HashID(p.ID, seq). The frame is sized before the first record is
+// sealed, so it is allocated once.
+type sealFn func(p Participant) (frame []byte, records int, idSum uint64, err error)
 
 // eachTuple is the sealFn of the protocols that upload every tuple
 // exactly once, under its tuple id: size gives a tuple's record length,
 // seal appends its record.
 func eachTuple(size func(t Tuple) int, seal func(dst []byte, id uint64, t Tuple) ([]byte, error)) sealFn {
-	return func(p Participant) ([]byte, int, error) {
+	return func(p Participant) ([]byte, int, uint64, error) {
 		n := 0
 		for _, t := range p.Tuples {
 			n += size(t)
 		}
 		frame := make([]byte, 0, n)
+		var idSum uint64
 		for seq, t := range p.Tuples {
+			id := ssi.HashID(p.ID, seq)
 			var err error
-			if frame, err = seal(frame, ssi.HashID(p.ID, seq), t); err != nil {
-				return nil, 0, err
+			if frame, err = seal(frame, id, t); err != nil {
+				return nil, 0, 0, err
 			}
+			idSum += id
 		}
-		return frame, len(p.Tuples), nil
+		return frame, len(p.Tuples), idSum, nil
 	}
 }
 
@@ -83,13 +87,11 @@ func eachTuple(size func(t Tuple) int, seal func(dst []byte, id uint64, t Tuple)
 // splits it back into its inbox envelopes. A participant with nothing to
 // upload sends nothing.
 func (r *run) upload(seal sealFn, p Participant) error {
-	frame, n, err := seal(p)
+	frame, n, idSum, err := seal(p)
 	if err != nil {
 		return err
 	}
-	for seq := 0; seq < n; seq++ {
-		r.wantID += ssi.HashID(p.ID, seq)
-	}
+	r.wantID += idSum
 	r.wantCount += int64(n)
 	if n == 0 {
 		return nil
@@ -194,7 +196,7 @@ func (r *run) verdict(partials []partialAgg) (Result, RunStats, error) {
 		idSum += p.IDSum
 		count += p.Count
 		for g, a := range p.Aggs {
-			res[g] = res[g].Merge(a)
+			res[g] = res[g].Merge(*a)
 		}
 	}
 	if idSum != r.wantID || count != r.wantCount {

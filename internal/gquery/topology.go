@@ -132,7 +132,7 @@ func (f *treeFolder) fold(level int, children []treeNode) error {
 		j = len(f.record[level+1])
 	}
 	tp := f.r.tp
-	out := chunkOutcome{worker: token(level+1, j), partial: partialAgg{Aggs: map[string]GroupAgg{}}}
+	out := chunkOutcome{worker: token(level+1, j), partial: partialAgg{Aggs: map[string]*GroupAgg{}}}
 	node.worker = out.worker
 	frame := recordFrame(children, func(c treeNode) []byte { return c.sealed })
 	err := tp.send(netsim.Envelope{From: "ssi", To: out.worker, Kind: "tree-partial", Payload: *frame},

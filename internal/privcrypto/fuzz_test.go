@@ -1,6 +1,9 @@
 package privcrypto
 
 import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"math/big"
 	"sync"
@@ -70,5 +73,44 @@ func FuzzPaillierDecryptCRTvsTextbook(f *testing.F) {
 		if mCRT.Cmp(m) != 0 || mTB.Cmp(m) != 0 {
 			t.Fatalf("round trip lost the message: m=%v CRT=%v textbook=%v", m, mCRT, mTB)
 		}
+	})
+}
+
+// checkCTR compares the keystream xorCTR writes with cipher.NewCTR's for
+// one key, iv and plaintext, into a fresh buffer and in place. key and
+// iv are cut or zero-padded to 16 bytes.
+func checkCTR(t *testing.T, key, iv, pt []byte) {
+	t.Helper()
+	var k, v [aes.BlockSize]byte
+	copy(k[:], key)
+	copy(v[:], iv)
+	block, err := aes.NewCipher(k[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, len(pt))
+	cipher.NewCTR(block, v[:]).XORKeyStream(want, pt)
+	got := make([]byte, len(pt))
+	xorCTR(block, v[:], got, pt)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("key %x iv %x, %d bytes: xorCTR = %x, cipher.NewCTR = %x", k, v, len(pt), got, want)
+	}
+	inPlace := append([]byte(nil), pt...)
+	xorCTR(block, v[:], inPlace, inPlace)
+	if !bytes.Equal(inPlace, want) {
+		t.Fatalf("key %x iv %x, %d bytes: in place = %x, cipher.NewCTR = %x", k, v, len(pt), inPlace, want)
+	}
+}
+
+// FuzzCTRMatchesStdlib is the differential target of the pooled CTR
+// keystream: for every key, iv and plaintext it writes what
+// cipher.NewCTR writes, the counter carrying across all 16 bytes.
+func FuzzCTRMatchesStdlib(f *testing.F) {
+	ones := bytes.Repeat([]byte{0xff}, 16)
+	f.Add([]byte("k"), []byte{}, []byte{})
+	f.Add(seqKey(), ones, make([]byte, 33))
+	f.Add(seqKey(), append(make([]byte, 8), ones[:8]...), make([]byte, 65))
+	f.Fuzz(func(t *testing.T, key, iv, pt []byte) {
+		checkCTR(t, key, iv, pt)
 	})
 }

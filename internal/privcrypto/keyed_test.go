@@ -3,6 +3,7 @@ package privcrypto
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"sync"
 	"testing"
 
@@ -73,8 +74,77 @@ func TestDetCipherAndKeyedMACGoldenVectors(t *testing.T) {
 	}
 }
 
-// Steady-state allocation ceilings: a ciphertext or plaintext buffer and
-// the CTR stream leave the call; no HMAC state, key block or tag does.
+// The pooled CTR keystream against cipher.NewCTR: every length from 0 to
+// 65 (whole blocks and the tails between them) under a plain iv, and the
+// ivs whose counter wraps: all ones carries through all 16 bytes, and
+// 00…00ff…ff carries out of the low 64 bits into the high ones.
+func TestCTRMatchesStdlib(t *testing.T) {
+	ones := bytes.Repeat([]byte{0xff}, 16)
+	half := append(make([]byte, 8), ones[:8]...)
+	nearWrap := append(bytes.Repeat([]byte{0xff}, 15), 0xfd)
+	for _, iv := range [][]byte{make([]byte, 16), seqKey()[:16], ones, half, nearWrap} {
+		for n := 0; n <= 65; n++ {
+			pt := make([]byte, n)
+			for i := range pt {
+				pt[i] = byte(3*i + n)
+			}
+			checkCTR(t, seqKey(), iv, pt)
+		}
+	}
+}
+
+// AppendDecrypt opens into the caller's buffer and writes it only once
+// the tag verifies: a tampered or truncated ciphertext returns the typed
+// error and dst exactly as it was, length and bytes.
+func TestAppendDecrypt(t *testing.T) {
+	nd, _ := NewNonDetCipher(seqKey())
+	pt := []byte("tuple plaintext of 27 bytes")
+	ct, err := nd.Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := append(make([]byte, 0, 64), "hdr"...)
+	got, err := nd.AppendDecrypt(dst, ct)
+	if err != nil || string(got) != "hdr"+string(pt) || &got[0] != &dst[0] {
+		t.Fatalf("AppendDecrypt = %q, %v; want hdr + the plaintext in dst's array", got, err)
+	}
+	flipped := func(i int) []byte {
+		c := append([]byte(nil), ct...)
+		c[i] ^= 0x01
+		return c
+	}
+	for _, c := range []struct {
+		name string
+		ct   []byte
+		want error
+	}{
+		{"flipped iv", flipped(0), ErrAuthentication},
+		{"flipped body", flipped(20), ErrAuthentication},
+		{"flipped tag", flipped(len(ct) - 1), ErrAuthentication},
+		{"tag cut short", ct[:len(ct)-1], ErrAuthentication},
+		{"shorter than iv and tag", ct[:Overhead-1], ErrCiphertext},
+		{"empty", nil, ErrCiphertext},
+	} {
+		buf := make([]byte, 3, 64)
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xEE
+		}
+		out, err := nd.AppendDecrypt(buf, c.ct)
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+		if len(out) != 3 || &out[0] != &buf[0] {
+			t.Errorf("%s: returned %d bytes, want dst's 3", c.name, len(out))
+		}
+		if !bytes.Equal(buf[:cap(buf)], bytes.Repeat([]byte{0xEE}, cap(buf))) {
+			t.Errorf("%s: dst's bytes were written", c.name)
+		}
+	}
+}
+
+// Steady-state allocation ceilings: a ciphertext or plaintext buffer
+// leaves the call; no CTR stream, HMAC state, key block or tag does, and
+// decrypting into a buffer that fits allocates nothing.
 func TestSymmetricAllocCeilings(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -92,10 +162,11 @@ func TestSymmetricAllocCeilings(t *testing.T) {
 		max  float64
 		f    func()
 	}{
-		{"NonDetCipher.Encrypt", 2, func() { nd.Encrypt(pt) }},
-		{"NonDetCipher.Decrypt", 2, func() { nd.Decrypt(ndCT) }},
-		{"DetCipher.Encrypt", 2, func() { det.Encrypt(pt) }},
-		{"DetCipher.Decrypt", 2, func() { det.Decrypt(detCT) }},
+		{"NonDetCipher.Encrypt", 1, func() { nd.Encrypt(pt) }},
+		{"NonDetCipher.Decrypt", 1, func() { nd.Decrypt(ndCT) }},
+		{"NonDetCipher.AppendDecrypt", 0, func() { nd.AppendDecrypt(buf[:0], ndCT) }},
+		{"DetCipher.Encrypt", 1, func() { det.Encrypt(pt) }},
+		{"DetCipher.Decrypt", 1, func() { det.Decrypt(detCT) }},
 		{"KeyedMAC.Sum", 0, func() { km.Sum(buf, pt) }},
 		{"KeyedMAC.Verify", 0, func() { km.Verify(pt, tag) }},
 	} {
@@ -109,7 +180,9 @@ func TestSymmetricAllocCeilings(t *testing.T) {
 
 // One cipher pair and one keyed MAC shared by many goroutines, as a
 // Workers>1 token fleet shares its keyring: every goroutine must get its
-// own HMAC state (run under -race).
+// own HMAC state and CTR scratch (run under -race), Det and NonDet calls
+// interleaving on the one scratch pool, and AppendDecrypt writing only
+// the goroutine's own buffer.
 func TestKeyedStateSharedAcrossGoroutines(t *testing.T) {
 	nd, _ := NewNonDetCipher(seqKey())
 	det, _ := NewDetCipher(seqKey())
@@ -119,6 +192,7 @@ func TestKeyedStateSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			buf := make([]byte, 0, 64)
 			for i := 0; i < 200; i++ {
 				pt := bytes.Repeat([]byte{byte(g), byte(i)}, 1+i%20)
 				ct, err := nd.Encrypt(pt)
@@ -126,8 +200,17 @@ func TestKeyedStateSharedAcrossGoroutines(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				dct, _ := det.Encrypt(pt)
 				if got, err := nd.Decrypt(ct); err != nil || !bytes.Equal(got, pt) {
 					t.Errorf("goroutine %d: NonDet round trip failed: %v", g, err)
+					return
+				}
+				if buf, err = nd.AppendDecrypt(buf[:0], ct); err != nil || !bytes.Equal(buf, pt) {
+					t.Errorf("goroutine %d: NonDet AppendDecrypt round trip failed: %v", g, err)
+					return
+				}
+				if got, err := det.Decrypt(dct); err != nil || !bytes.Equal(got, pt) {
+					t.Errorf("goroutine %d: interleaved Det round trip failed: %v", g, err)
 					return
 				}
 				d1, _ := det.Encrypt(pt)

@@ -6,10 +6,12 @@ import (
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
+	"crypto/subtle"
 	"errors"
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -133,28 +135,67 @@ var zeroIV [16]byte
 
 // Decrypt verifies the tag and recovers the plaintext.
 func (c *NonDetCipher) Decrypt(ct []byte) ([]byte, error) {
-	return openCTR(c.block, c.mac, ct)
+	return openCTR(c.block, c.mac, nil, ct)
+}
+
+// AppendDecrypt verifies the tag and appends the plaintext to dst, so a
+// token folding one record after another decrypts into one buffer. On
+// failure it returns dst as it was, its bytes untouched.
+func (c *NonDetCipher) AppendDecrypt(dst, ct []byte) ([]byte, error) {
+	return openCTR(c.block, c.mac, dst, ct)
 }
 
 // sealCTR finishes a ciphertext laid out as iv(16) || plaintext from
 // dst[off:]: encrypt the plaintext in place, append the tag.
 func sealCTR(block cipher.Block, mac *KeyedMAC, dst []byte, off int) []byte {
-	cipher.NewCTR(block, dst[off:off+16]).XORKeyStream(dst[off+16:], dst[off+16:])
+	xorCTR(block, dst[off:off+16], dst[off+16:], dst[off+16:])
 	return mac.Sum(dst, dst[off:])
 }
 
-// openCTR verifies and decrypts iv(16) || ct || tag(32).
-func openCTR(block cipher.Block, mac *KeyedMAC, ct []byte) ([]byte, error) {
+// openCTR verifies iv(16) || ct || tag(32) and appends the plaintext to
+// dst; nothing is written unless the tag verifies.
+func openCTR(block cipher.Block, mac *KeyedMAC, dst, ct []byte) ([]byte, error) {
 	if len(ct) < Overhead {
-		return nil, fmt.Errorf("%w: %d bytes", ErrCiphertext, len(ct))
+		return dst, fmt.Errorf("%w: %d bytes", ErrCiphertext, len(ct))
 	}
 	body, tag := ct[:len(ct)-sha256.Size], ct[len(ct)-sha256.Size:]
 	if !mac.Verify(body, tag) {
-		return nil, ErrAuthentication
+		return dst, ErrAuthentication
 	}
-	pt := make([]byte, len(body)-16)
-	cipher.NewCTR(block, body[:16]).XORKeyStream(pt, body[16:])
-	return pt, nil
+	n := len(dst)
+	dst = slices.Grow(dst, len(body)-16)[:n+len(body)-16]
+	xorCTR(block, body[:16], dst[n:], body[16:])
+	return dst, nil
+}
+
+// ctrScratch is one CTR call's counter and keystream block. It comes
+// from a pool: on the stack it would escape through the cipher.Block
+// call, and cipher.NewCTR copies the key schedule to the heap per call.
+type ctrScratch struct {
+	ctr, ks [aes.BlockSize]byte
+}
+
+var ctrPool = sync.Pool{New: func() any { return new(ctrScratch) }}
+
+// xorCTR writes src XOR the AES-CTR keystream from iv to dst, byte for
+// byte what cipher.NewCTR(block, iv).XORKeyStream(dst, src) writes: the
+// counter is one 128-bit big-endian integer, its carry crossing all 16
+// bytes. dst and src may overlap exactly.
+func xorCTR(block cipher.Block, iv, dst, src []byte) {
+	s := ctrPool.Get().(*ctrScratch)
+	copy(s.ctr[:], iv)
+	for len(src) > 0 {
+		block.Encrypt(s.ks[:], s.ctr[:])
+		n := subtle.XORBytes(dst, src, s.ks[:])
+		dst, src = dst[n:], src[n:]
+		for i := len(s.ctr) - 1; i >= 0; i-- {
+			s.ctr[i]++
+			if s.ctr[i] != 0 {
+				break
+			}
+		}
+	}
+	ctrPool.Put(s)
 }
 
 // DetCipher is deterministic (SIV-style) encryption: the IV is a PRF of
@@ -202,7 +243,7 @@ func (c *DetCipher) AppendEncrypt(dst, pt []byte) ([]byte, error) {
 
 // Decrypt verifies and recovers the plaintext.
 func (c *DetCipher) Decrypt(ct []byte) ([]byte, error) {
-	return openCTR(c.block, c.mac, ct)
+	return openCTR(c.block, c.mac, nil, ct)
 }
 
 // deriveKey derives a subkey for a labeled purpose from a master key.

@@ -129,7 +129,8 @@ func (ss *ShardSet) Partition(chunkSize int) ([][]netsim.Envelope, error) {
 // ObserveGroup routes a grouping observation to the shard that would
 // have seen it, keyed by a stable hash of the opaque group key.
 func (ss *ShardSet) ObserveGroup(key []byte) {
-	h := sha256.Sum256(append([]byte("ssi-shard-group:"), key...))
+	var buf [64]byte // a longer key spills to the heap
+	h := sha256.Sum256(append(append(buf[:0], "ssi-shard-group:"...), key...))
 	i := int(binary.LittleEndian.Uint64(h[:8]) % uint64(len(ss.shards)))
 	if !ss.alive(i) {
 		return

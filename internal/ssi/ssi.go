@@ -88,9 +88,14 @@ type Server struct {
 	behavior Behavior
 
 	inbox    []netsim.Envelope
-	obs      Observations
+	obs      Observations // GroupFrequencies is built by Observations
 	payloads map[string]bool
 	trace    obs.SpanContext
+
+	// The grouping record: group[k] indexes k's count in groupFreq, so
+	// a key string is made once, the first time the key is observed.
+	group     map[string]int
+	groupFreq []int
 
 	// Streaming partition mode (StartStream): instead of accumulating an
 	// inbox, arriving envelopes are grouped into chunks and emitted as
@@ -112,8 +117,8 @@ func New(net Wire, mode Mode, b Behavior) *Server {
 		net:      net,
 		mode:     mode,
 		behavior: b,
-		obs:      Observations{GroupFrequencies: map[string]int{}},
 		payloads: map[string]bool{},
+		group:    map[string]int{},
 	}
 }
 
@@ -259,7 +264,13 @@ func (s *Server) endStream() {
 func (s *Server) ObserveGroup(key []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.obs.GroupFrequencies[string(key)]++
+	i, ok := s.group[string(key)]
+	if !ok {
+		i = len(s.groupFreq)
+		s.group[string(key)] = i
+		s.groupFreq = append(s.groupFreq, 0)
+	}
+	s.groupFreq[i]++
 }
 
 // Pending returns how many envelopes await partitioning.
@@ -274,9 +285,9 @@ func (s *Server) Observations() Observations {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := s.obs
-	out.GroupFrequencies = make(map[string]int, len(s.obs.GroupFrequencies))
-	for k, v := range s.obs.GroupFrequencies {
-		out.GroupFrequencies[k] = v
+	out.GroupFrequencies = make(map[string]int, len(s.group))
+	for k, i := range s.group {
+		out.GroupFrequencies[k] = s.groupFreq[i]
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pds/internal/netsim"
+	"pds/internal/race"
 )
 
 func env(payload string) netsim.Envelope {
@@ -44,6 +45,35 @@ func TestObserveGroupFrequencies(t *testing.T) {
 	hist := o.FrequencyHistogram()
 	if len(hist) != 2 || hist[0] != 2 || hist[1] != 1 {
 		t.Errorf("histogram = %v", hist)
+	}
+}
+
+// Observing a key already seen allocates nothing, on one server or
+// routed through a shard set: a key string is made at its first sight
+// only, and Observations reports the same frequencies.
+func TestObserveGroupAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s := New(netsim.New(), HonestButCurious, Behavior{})
+	ss, err := NewShardSet(netsim.New(), 3, HonestButCurious, Behavior{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := []byte("a deterministic group ciphertext")
+	s.ObserveGroup(key)
+	ss.ObserveGroup(key)
+	if got := testing.AllocsPerRun(200, func() { s.ObserveGroup(key) }); got > 0 {
+		t.Errorf("Server.ObserveGroup: %.1f allocs/op, ceiling 0", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { ss.ObserveGroup(key) }); got > 0 {
+		t.Errorf("ShardSet.ObserveGroup: %.1f allocs/op, ceiling 0", got)
+	}
+	// AllocsPerRun calls once more than it counts.
+	for _, o := range []Observations{s.Observations(), ss.Observations()} {
+		if len(o.GroupFrequencies) != 1 || o.GroupFrequencies[string(key)] != 202 {
+			t.Errorf("frequencies = %v, want %q 202 times", o.GroupFrequencies, key)
+		}
 	}
 }
 
