@@ -3,6 +3,7 @@ package gquery
 import (
 	"bytes"
 	"encoding/hex"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -168,9 +169,10 @@ func TestTupleFoldAllocCeiling(t *testing.T) {
 }
 
 // One Keyring hammered from many goroutines, then shared by a Workers=4
-// fleet over a faulty wire: the keyed MAC state must never be shared
-// between two goroutines (run under -race), and the fleet's answer must be
-// the plain aggregate.
+// fleet over a faulty wire under all three protocols: the keyed MAC state
+// must never be shared between two goroutines, nor a link's frame buffers
+// or the wire's observer bridge misused by concurrent transfers (run under
+// -race), and the fleet's answer must be the plain aggregate.
 func TestKeyringSharedByFleet(t *testing.T) {
 	derived := mustKeyring(t)
 	kr := &Keyring{Det: derived.Det, NonDet: derived.NonDet, MACKey: derived.MACKey} // first use races to bind the key
@@ -218,5 +220,45 @@ func TestKeyringSharedByFleet(t *testing.T) {
 	nres, _, err := New(WithWorkers(4), WithFaults(plan)).Noise(net, srv, parts, kr, testDomain, 1, ControlledNoise, 9)
 	if err != nil || !resultsEqual(nres, PlainResult(parts)) {
 		t.Errorf("Workers=4 noise run: %v, result %v", err, nres)
+	}
+	buckets, err := EquiDepthBuckets(testDomain, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, srv = freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+	hres, _, err := New(WithWorkers(4), WithFaults(plan)).Histogram(net, srv, parts, kr, buckets)
+	want := BucketResult{}
+	for g, a := range PlainResult(parts) {
+		b := BucketOf(buckets, g)
+		want[b] = want[b].Merge(a)
+	}
+	if err != nil || !maps.Equal(hres, want) {
+		t.Errorf("Workers=4 histogram run: %v, result %v, want %v", err, hres, want)
+	}
+}
+
+// A query's allocations are per run, not per frame: an 80 × 3 secure-agg
+// run over the lossy mix the benchmark uses seals, folds and moves its
+// frames through the ARQ link's reused buffers, and binds its telemetry
+// once per run. The ceiling is about 1.2 times the measured count.
+func TestLossyQueryAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops entries at random under -race")
+	}
+	parts := makeParts(80, 3, testDomain, 31)
+	kr := mustKeyring(t)
+	want := PlainResult(parts)
+	seed := int64(0)
+	got := testing.AllocsPerRun(20, func() {
+		seed++
+		plan := &netsim.FaultPlan{Seed: seed, Default: netsim.FaultSpec{Drop: 0.08, Duplicate: 0.08, Delay: 0.04, Reorder: 0.04}}
+		net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+		res, _, err := New(WithFaults(plan)).SecureAgg(net, srv, parts, kr, 64)
+		if err != nil || !resultsEqual(res, want) {
+			t.Fatalf("seed %d: %v, result %v", seed, err, res)
+		}
+	})
+	if got > 620 {
+		t.Errorf("lossy secure-agg query: %.0f allocs/op, ceiling 620", got)
 	}
 }

@@ -66,7 +66,7 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 	// frame is sized exactly.
 	rng := rand.New(rand.NewSource(seed))
 	var fakes []string // one participant's fake groups, reused across participants
-	seal := func(p Participant) ([]byte, int, uint64, error) {
+	seal := func(dst []byte, p Participant) ([]byte, int, uint64, error) {
 		held := map[string]bool{}
 		n := 0
 		for _, t := range p.Tuples {
@@ -88,7 +88,7 @@ func runNoise(w tnet.Transport, srv Infra, parts []Participant, kr *Keyring,
 				n += noiseRecordLen(g)
 			}
 		}
-		frame := make([]byte, 0, n)
+		frame := slices.Grow(dst, n)
 		var idSum uint64
 		var err error
 		for seq, t := range p.Tuples {

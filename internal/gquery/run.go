@@ -1,6 +1,7 @@
 package gquery
 
 import (
+	"slices"
 	"time"
 
 	"pds/internal/netsim"
@@ -34,6 +35,9 @@ type run struct {
 	// own serial resource, so collection lasts as long as the longest
 	// upload, not the fleet's sum.
 	collectEnd time.Duration
+	// frame is the upload buffer every PDS's frame is sealed into in
+	// turn: nothing on the wire keeps a frame past its send.
+	frame []byte
 }
 
 // unbounded is the chunk size of the protocols whose SSI groups the
@@ -52,23 +56,23 @@ func newRun(w tnet.Transport, srv Infra, kr *Keyring, cfg config, protocol strin
 	return r
 }
 
-// sealFn seals one participant's uploads into its upload frame, one
-// record per tuple in upload order, and reports how many records it
-// sealed and the sum of their tuple ids, record seq's id being
-// ssi.HashID(p.ID, seq). The frame is sized before the first record is
-// sealed, so it is allocated once.
-type sealFn func(p Participant) (frame []byte, records int, idSum uint64, err error)
+// sealFn seals one participant's uploads into its upload frame, appended
+// to dst, one record per tuple in upload order, and reports how many
+// records it sealed and the sum of their tuple ids, record seq's id being
+// ssi.HashID(p.ID, seq). dst is grown to the frame's size before the
+// first record is sealed, so it grows at most once.
+type sealFn func(dst []byte, p Participant) (frame []byte, records int, idSum uint64, err error)
 
 // eachTuple is the sealFn of the protocols that upload every tuple
 // exactly once, under its tuple id: size gives a tuple's record length,
 // seal appends its record.
 func eachTuple(size func(t Tuple) int, seal func(dst []byte, id uint64, t Tuple) ([]byte, error)) sealFn {
-	return func(p Participant) ([]byte, int, uint64, error) {
+	return func(dst []byte, p Participant) ([]byte, int, uint64, error) {
 		n := 0
 		for _, t := range p.Tuples {
 			n += size(t)
 		}
-		frame := make([]byte, 0, n)
+		frame := slices.Grow(dst, n)
 		var idSum uint64
 		for seq, t := range p.Tuples {
 			id := ssi.HashID(p.ID, seq)
@@ -82,15 +86,16 @@ func eachTuple(size func(t Tuple) int, seal func(dst []byte, id uint64, t Tuple)
 	}
 }
 
-// upload seals one participant's uploads, adds their tuple ids to the
-// checksum, and moves them to its SSI node as one frame; the SSI end
-// splits it back into its inbox envelopes. A participant with nothing to
-// upload sends nothing.
+// upload seals one participant's uploads into the run's upload buffer,
+// adds their tuple ids to the checksum, and moves them to its SSI node as
+// one frame; the SSI end splits it back into its inbox envelopes, which
+// it copies. A participant with nothing to upload sends nothing.
 func (r *run) upload(seal sealFn, p Participant) error {
-	frame, n, idSum, err := seal(p)
+	frame, n, idSum, err := seal(r.frame[:0], p)
 	if err != nil {
 		return err
 	}
+	r.frame = frame
 	r.wantID += idSum
 	r.wantCount += int64(n)
 	if n == 0 {

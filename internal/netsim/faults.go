@@ -8,14 +8,13 @@
 package netsim
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"pds/internal/obs"
 )
 
 // FaultSpec gives the per-envelope fault probabilities for one envelope
@@ -97,6 +96,12 @@ const (
 // hashes kind, endpoints and payload); the reliability layer's frames
 // embed a sequence and attempt number, so every retransmission draws
 // fresh.
+//
+// The plane mirrors its decisions as netsim_faults_total{fault,kind}
+// into the observer of the network it is installed in (SetFaults), its
+// only fault accounting. An envelope it withholds — delayed, or in a
+// reorder slot — is copied: the sender's bytes are valid only for the
+// duration of Deliver. Every other copy arrives in the sender's bytes.
 type FaultPlane struct {
 	plan FaultPlan
 	obsv atomic.Pointer[netObserver] // bound by Network.SetFaults / SetObserver
@@ -112,16 +117,6 @@ type flow struct{ kind, to string }
 // NewFaultPlane builds a plane for the plan.
 func NewFaultPlane(plan FaultPlan) *FaultPlane {
 	return &FaultPlane{plan: plan, swap: map[flow]Envelope{}}
-}
-
-// BindObserver mirrors the plane's fault decisions into reg (nil
-// detaches) as netsim_faults_total{fault,kind}, the plane's only fault
-// accounting. Network.SetFaults/SetObserver bind the in-process network's
-// observer automatically; out-of-process transports that arm a plane
-// client-side call this to keep fault accounting identical across
-// substrates.
-func (fp *FaultPlane) BindObserver(reg *obs.Registry) {
-	fp.obsv.Store(newNetObserver(reg))
 }
 
 // decide draws the (deterministic) fault outcome for one envelope.
@@ -182,7 +177,7 @@ func (fp *FaultPlane) transmit(e Envelope) (out [3]Envelope, n int) {
 		out[0], out[1], n = e, e, 2
 	case faultDelay:
 		fp.obsv.Load().fault("delay", e.Kind)
-		fp.held = append(fp.held, e)
+		fp.held = append(fp.held, withheld(e))
 	case faultReorder:
 		fp.obsv.Load().fault("reorder", e.Kind)
 		reordered = true
@@ -196,9 +191,16 @@ func (fp *FaultPlane) transmit(e Envelope) (out [3]Envelope, n int) {
 		delete(fp.swap, f)
 	}
 	if reordered {
-		fp.swap[f] = e
+		fp.swap[f] = withheld(e)
 	}
 	return out, n
+}
+
+// withheld is the plane's own copy of an envelope it holds past the
+// Deliver that offered it.
+func withheld(e Envelope) Envelope {
+	e.Payload = bytes.Clone(e.Payload)
+	return e
 }
 
 // Flush releases every withheld envelope (delayed ones and reorder slots

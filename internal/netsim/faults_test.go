@@ -28,11 +28,13 @@ func readFaults(reg *obs.Registry, kinds ...string) faultCounts {
 }
 
 // observedPlane builds a plane whose fault decisions land in a fresh
-// registry.
+// registry, through the observer of a network it is installed in.
 func observedPlane(plan FaultPlan) (*FaultPlane, *obs.Registry) {
 	fp := NewFaultPlane(plan)
 	reg := obs.NewRegistry()
-	fp.BindObserver(reg)
+	n := New()
+	n.SetObserver(reg)
+	n.SetFaults(fp)
 	return fp, reg
 }
 

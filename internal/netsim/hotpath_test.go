@@ -2,8 +2,11 @@ package netsim
 
 import (
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pds/internal/obs"
@@ -103,8 +106,8 @@ func TestFaultPlaneScheduleGolden(t *testing.T) {
 }
 
 // Steady-state allocation ceilings of the wire: a hash draw and a fault
-// decision allocate nothing; a reliable transfer allocates its two frames
-// (data and ack) and nothing per frame beyond them.
+// decision allocate nothing, and neither does a reliable transfer: its
+// data and ack frames are encoded into the link's reused buffers.
 func TestWireAllocCeilings(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops entries at random under -race")
@@ -145,10 +148,74 @@ func TestWireAllocCeilings(t *testing.T) {
 		if err := l.Transfer(e, deliver); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 2 {
-		t.Errorf("Link.Transfer on a clean wire: %.2f allocs/op, ceiling 2 (the data and the ack frame)", got)
+	}); got > 0 {
+		t.Errorf("Link.Transfer on a clean wire: %.2f allocs/op, ceiling 0", got)
 	}
 	if delivered < 500 {
 		t.Fatalf("delivered %d of 500+ transfers", delivered)
+	}
+}
+
+// probeWire is the simulator with a probe on every copy the fault plane
+// lets arrive, a reorder-withheld envelope released by a later transmit
+// included.
+type probeWire struct {
+	*Network
+	arrived func(Envelope)
+}
+
+func (w probeWire) Deliver(e Envelope, rcv func(Envelope)) {
+	w.Network.Deliver(e, func(got Envelope) {
+		w.arrived(got)
+		rcv(got)
+	})
+}
+
+// A link reuses a frame's buffer as soon as Deliver returns, so a frame
+// the fault plane withholds must be the plane's own copy: every delayed
+// or reorder-withheld data frame comes out of Flush, or out of its
+// reorder slot at a later transmit, byte for byte as it was sent, after
+// the second transfer has overwritten the buffer it was encoded in.
+func TestWithheldFramesKeepTheirBytes(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		spec     FaultSpec
+		released int // data frames that arrive before the Flush
+	}{
+		{"delay", FaultSpec{Delay: 1}, 0},
+		{"reorder", FaultSpec{Reorder: 1}, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := New()
+			n.SetFaults(NewFaultPlane(FaultPlan{Seed: 1, PerKind: map[string]FaultSpec{"tuple": c.spec}}))
+			var sent, arrived []string
+			n.Tap(func(e Envelope) {
+				if e.Kind == "tuple" {
+					sent = append(sent, string(e.Payload))
+				}
+			})
+			w := probeWire{Network: n, arrived: func(e Envelope) {
+				if e.Kind == "tuple" {
+					arrived = append(arrived, string(e.Payload))
+				}
+			}}
+			l := NewLink(w, Reliability{MaxRetries: 2})
+			for i, pay := range [][]byte{seqBytes(40, 7, 1), seqBytes(40, 5, 3)} {
+				err := l.Transfer(Envelope{From: fmt.Sprintf("pds-%d", i), To: "ssi", Kind: "tuple", Payload: pay}, nil)
+				if c.released == 0 && !errors.Is(err, ErrRetriesExhausted) || c.released > 0 && err != nil {
+					t.Fatalf("transfer %d: %v", i, err)
+				}
+			}
+			if len(arrived) != c.released {
+				t.Fatalf("%d data frames arrived before the flush, want %d", len(arrived), c.released)
+			}
+			n.FlushFaults(func(e Envelope) { arrived = append(arrived, string(e.Payload)) })
+			slices.Sort(sent)
+			slices.Sort(arrived)
+			if !slices.Equal(arrived, sent) {
+				t.Errorf("the %d frames that arrived are not the %d sent (%d distinct arrived)",
+					len(arrived), len(sent), len(slices.Compact(arrived)))
+			}
+		})
 	}
 }

@@ -38,16 +38,24 @@ type Stats struct {
 
 // Wire is the minimal substrate the reliability layer rides on: a way to
 // move one envelope (through whatever fault plane the substrate arms) and
-// a metrics registry to mirror ARQ events into. *Network is the in-process
-// implementation; the transport package defines the full pluggable surface
-// and a TCP implementation, both of which satisfy Wire.
+// the network that counts it, whose observer the ARQ events are mirrored
+// into. *Network is the in-process implementation; the transport package
+// defines the full pluggable surface and a TCP implementation, both of
+// which satisfy Wire.
 type Wire interface {
 	// Deliver routes one envelope: rcv is invoked synchronously, once per
 	// copy that arrives now (zero times for a dropped or withheld
-	// envelope, twice for a duplicated one).
+	// envelope, twice for a duplicated one). The payload is the caller's
+	// and is valid only for the duration of the call: the sender may
+	// reuse its bytes once Deliver returns, so a wire that withholds an
+	// envelope keeps a copy, and a receiver or tap that keeps any of it
+	// past its own call copies what it keeps.
 	Deliver(e Envelope, rcv func(Envelope))
-	// Observer returns the attached metrics registry, or nil.
-	Observer() *obs.Registry
+	// Accounting returns the network that counts the wire's traffic: the
+	// wire itself in process, the counting plane of an out-of-process
+	// substrate. Its observer is the one the wire, its fault plane and
+	// its links share.
+	Accounting() *Network
 }
 
 // CostModel converts traffic into simulated elapsed time assuming serial
@@ -139,6 +147,10 @@ func (n *Network) Send(e Envelope) Envelope {
 // dropped or withheld envelope, twice for a duplicated one, and possibly
 // for an earlier withheld envelope of the same kind the plane releases.
 // Without a fault plane it is exactly Send followed by rcv(e).
+//
+// The bytes handed to Deliver, to rcv and to a tap are valid only for the
+// duration of that call. The plane copies an envelope it withholds; a
+// receiver or tap that keeps a payload copies it.
 func (n *Network) Deliver(e Envelope, rcv func(Envelope)) {
 	n.Send(e)
 	fp := n.faults.Load()
@@ -161,6 +173,10 @@ func (n *Network) SetFaults(fp *FaultPlane) {
 	n.faults.Store(fp)
 }
 
+// Accounting returns the network itself: in process, the wire is the
+// network that counts it.
+func (n *Network) Accounting() *Network { return n }
+
 // Faults returns the installed fault plane, or nil on a clean wire.
 func (n *Network) Faults() *FaultPlane {
 	return n.faults.Load()
@@ -177,7 +193,8 @@ func (n *Network) FlushFaults(rcv func(Envelope)) {
 
 // Tap registers an observer called for every envelope (an eavesdropper or
 // a test probe). Taps must not block and must tolerate concurrent calls
-// when a parallel token fleet is sending.
+// when a parallel token fleet is sending. The payload a tap sees is valid
+// only for the duration of the call; a tap that keeps it copies it.
 func (n *Network) Tap(f func(Envelope)) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -88,20 +89,28 @@ type frame struct {
 }
 
 // EncodeFrame seals a reliability frame around payload, embedding the
-// sender's span context in the header.
+// sender's span context in the header, in a buffer of its own.
 func EncodeFrame(seq uint64, attempt uint16, ack bool, ctx obs.SpanContext, payload []byte) []byte {
-	out := make([]byte, frameOverhead+len(payload))
-	binary.LittleEndian.PutUint64(out[:8], seq)
-	binary.LittleEndian.PutUint16(out[8:10], attempt)
+	return appendFrame(nil, seq, attempt, ack, ctx, payload)
+}
+
+// appendFrame appends the frame EncodeFrame builds to dst, growing dst
+// at most once.
+func appendFrame(dst []byte, seq uint64, attempt uint16, ack bool, ctx obs.SpanContext, payload []byte) []byte {
+	dst = slices.Grow(dst, frameOverhead+len(payload))
+	var flag byte
 	if ack {
-		out[10] = 1
+		flag = 1
 	}
-	binary.LittleEndian.PutUint64(out[11:19], ctx.Trace)
-	binary.LittleEndian.PutUint64(out[19:27], ctx.Span)
-	copy(out[frameHeader:], payload)
-	tag := sha256.Sum256(out[: frameHeader+len(payload) : frameHeader+len(payload)])
-	copy(out[frameHeader+len(payload):], tag[:])
-	return out
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint16(dst, attempt)
+	dst = append(dst, flag)
+	dst = binary.LittleEndian.AppendUint64(dst, ctx.Trace)
+	dst = binary.LittleEndian.AppendUint64(dst, ctx.Span)
+	dst = append(dst, payload...)
+	tag := sha256.Sum256(dst[start:])
+	return append(dst, tag[:]...)
 }
 
 // DecodeFrame verifies the integrity tag and unwraps a frame. ok is false
@@ -138,8 +147,14 @@ func decodeFrame(data []byte) (frame, bool) {
 // token fleet. Receiver-side state (the seen-sequence set) lives in the
 // link too: whichever substrate carries the frames, the ARQ protocol
 // machine runs at the sending node.
+//
+// The link owns the bytes of the frames it sends: each data attempt and
+// each ack is encoded into a buffer from the link's free list, which the
+// buffer rejoins when the wire's Deliver returns. What the wire, a
+// receiver or a tap keeps of a frame past that call, it copies.
 type Link struct {
 	wire Wire
+	acct *Network // the wire's counting network, whose observer the link shares
 	cfg  Reliability
 
 	mu      sync.Mutex
@@ -148,25 +163,20 @@ type Link struct {
 	acked   map[uint64]bool
 	pending map[uint64]func(Envelope) // deliver callbacks of in-flight transfers, by seq
 	stats   RelStats
+	free    [][]byte // frame buffers no Deliver is using
 
 	// Bound once, not per frame: the receiver handed to the wire, and the
 	// span and ack-kind names of the envelope kind last carried (gquery
 	// runs one link per kind, so the names are built once per link).
 	recv                    func(Envelope)
 	kind, xferName, ackKind string
-
-	// Observer bridge cache, keyed by the wire's current registry: the
-	// registry is swapped at most once per run epoch, so the fast path is
-	// one pointer compare.
-	omu     sync.Mutex
-	oreg    *obs.Registry
-	ocached *netObserver
 }
 
 // NewLink binds a reliable link to a wire.
 func NewLink(w Wire, cfg Reliability) *Link {
 	l := &Link{
 		wire:    w,
+		acct:    w.Accounting(),
 		cfg:     cfg.withDefaults(),
 		seen:    map[uint64]bool{},
 		acked:   map[uint64]bool{},
@@ -174,6 +184,23 @@ func NewLink(w Wire, cfg Reliability) *Link {
 	}
 	l.recv = l.receive
 	return l
+}
+
+// send encodes one frame into a buffer from the free list and delivers
+// it; the buffer rejoins the list when Deliver returns.
+func (l *Link) send(e Envelope, seq uint64, attempt uint16, ack bool, payload []byte) {
+	l.mu.Lock()
+	var buf []byte
+	if n := len(l.free); n > 0 {
+		buf = l.free[n-1]
+		l.free = l.free[:n-1]
+	}
+	l.mu.Unlock()
+	e.Payload = appendFrame(buf[:0], seq, attempt, ack, e.Ctx, payload)
+	l.wire.Deliver(e, l.recv)
+	l.mu.Lock()
+	l.free = append(l.free, e.Payload)
+	l.mu.Unlock()
 }
 
 // names returns the transfer-span name and the ack kind of an envelope
@@ -185,21 +212,9 @@ func (l *Link) names(kind string) (xfer, ack string) {
 	return l.xferName, l.ackKind
 }
 
-// obsv resolves the wire's current registry to a cached observer bridge
-// (nil when no registry is attached; netObserver methods tolerate nil).
-func (l *Link) obsv() *netObserver {
-	reg := l.wire.Observer()
-	l.omu.Lock()
-	defer l.omu.Unlock()
-	if l.oreg != reg || (reg != nil && l.ocached == nil) {
-		l.oreg = reg
-		l.ocached = newNetObserver(reg)
-	}
-	if reg == nil {
-		return nil
-	}
-	return l.ocached
-}
+// obsv returns the observer bridge of the wire's network (nil when no
+// registry is attached; netObserver methods tolerate nil).
+func (l *Link) obsv() *netObserver { return l.acct.obsv.Load() }
 
 // Stats returns a snapshot of the link's reliability counters.
 func (l *Link) Stats() RelStats {
@@ -232,7 +247,7 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	xferName, _ := l.names(e.Kind)
 	l.mu.Unlock()
 	obsv := l.obsv()
-	obsv.rel(MetricRelTransfers, 1)
+	obsv.rel(relTransfers, 1)
 	// The transfer span parents under the protocol-level context on the
 	// envelope; its own context rides in the frame bytes, so everything
 	// that happens to this frame on the wire — the receive, retransmits,
@@ -251,8 +266,7 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	}()
 
 	for attempt := 0; ; attempt++ {
-		wire := EncodeFrame(seq, uint16(attempt), false, wireCtx, e.Payload)
-		l.wire.Deliver(Envelope{From: e.From, To: e.To, Kind: e.Kind, Payload: wire, Ctx: wireCtx}, l.recv)
+		l.send(Envelope{From: e.From, To: e.To, Kind: e.Kind, Ctx: wireCtx}, seq, uint16(attempt), false, e.Payload)
 		l.mu.Lock()
 		acked := l.acked[seq]
 		l.mu.Unlock()
@@ -271,8 +285,8 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 		l.stats.Backoff += wait
 		l.mu.Unlock()
 		if o := l.obsv(); o != nil {
-			o.rel(MetricRelRetrans, 1)
-			o.rel(MetricRelBackoffNS, int64(wait))
+			o.rel(relRetrans, 1)
+			o.rel(relBackoffNS, int64(wait))
 			o.event("backoff", wireCtx)
 			o.event("retransmit", wireCtx)
 		}
@@ -294,7 +308,7 @@ func (l *Link) receive(got Envelope) {
 		l.mu.Lock()
 		l.stats.TagFailures++
 		l.mu.Unlock()
-		l.obsv().rel(MetricRelTagFail, 1)
+		l.obsv().rel(relTagFail, 1)
 		return
 	}
 	if fr.ack {
@@ -303,7 +317,7 @@ func (l *Link) receive(got Envelope) {
 		l.acked[fr.seq] = true
 		l.mu.Unlock()
 		o := l.obsv()
-		o.rel(MetricRelAcks, 1)
+		o.rel(relAcks, 1)
 		o.event("ack", fr.ctx)
 		return
 	}
@@ -321,8 +335,7 @@ func (l *Link) receive(got Envelope) {
 	} else if !first {
 		l.obsv().event("dup-delivery", fr.ctx)
 	}
-	ackWire := EncodeFrame(fr.seq, fr.attempt, true, fr.ctx, nil)
-	l.wire.Deliver(Envelope{From: got.To, To: got.From, Kind: ackKind, Payload: ackWire, Ctx: fr.ctx}, l.recv)
+	l.send(Envelope{From: got.To, To: got.From, Kind: ackKind, Ctx: fr.ctx}, fr.seq, fr.attempt, true, nil)
 }
 
 // Accept processes a data frame that surfaced outside a Transfer — a
@@ -336,7 +349,7 @@ func (l *Link) Accept(e Envelope, deliver func(Envelope)) {
 			l.mu.Lock()
 			l.stats.TagFailures++
 			l.mu.Unlock()
-			l.obsv().rel(MetricRelTagFail, 1)
+			l.obsv().rel(relTagFail, 1)
 		}
 		return
 	}

@@ -51,21 +51,25 @@ type Snapshot struct {
 
 // Snapshot exports the registry's current state.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	r.mu.Unlock()
-	sort.Strings(names)
+	type named struct {
+		name string
+		m    any
+	}
+	r.mu.RLock()
+	series := make([]named, len(r.names))
+	for i, name := range r.names {
+		series[i] = named{name, r.metrics[name]}
+	}
+	snap := Snapshot{Alerts: append([]AlertRecord(nil), r.alerts...)}
+	r.mu.RUnlock()
+	sort.Slice(series, func(i, j int) bool { return series[i].name < series[j].name })
 
-	var snap Snapshot
 	snap.Counters = []CounterPoint{}
 	snap.Gauges = []GaugePoint{}
 	snap.Histograms = []HistogramPoint{}
-	for _, name := range names {
-		m, ok := r.metrics.Load(name)
-		if !ok {
-			continue
-		}
-		switch v := m.(type) {
+	for _, s := range series {
+		name := s.name
+		switch v := s.m.(type) {
 		case *Counter:
 			snap.Counters = append(snap.Counters, CounterPoint{Name: name, Value: v.Value()})
 		case *Gauge:
@@ -84,9 +88,6 @@ func (r *Registry) Snapshot() Snapshot {
 			snap.Histograms = append(snap.Histograms, hp)
 		}
 	}
-	r.mu.Lock()
-	snap.Alerts = append([]AlertRecord(nil), r.alerts...)
-	r.mu.Unlock()
 	sort.Slice(snap.Alerts, func(i, j int) bool {
 		a, b := snap.Alerts[i], snap.Alerts[j]
 		if a.AtNS != b.AtNS {

@@ -15,7 +15,8 @@
 //   - Race-cleanness: counters are sharded atomics (merged on read), so a
 //     parallel token fleet hammering one registry never serializes on the
 //     accounting plane and passes the race detector. Metric *creation* and
-//     span bookkeeping take a mutex; the hot increment path does not.
+//     span bookkeeping take a mutex, a lookup of an existing metric a read
+//     lock; the hot increment path takes none.
 package obs
 
 import (
@@ -154,9 +155,9 @@ func quantileFromBuckets(bounds []int64, counts []int64, n int64, q float64) (v 
 // Registry holds one namespace of metrics plus its tracer and simulated
 // clock. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	mu      sync.Mutex // serializes metric creation, Snapshot and Merge
-	metrics sync.Map   // canonical name -> *Counter | *Gauge | *Histogram
-	names   []string   // creation-ordered canonical names (under mu)
+	mu      sync.RWMutex   // guards metrics, names and alerts
+	metrics map[string]any // canonical name -> *Counter | *Gauge | *Histogram
+	names   []string       // creation-ordered canonical names
 	alerts  []AlertRecord
 	clock   *SimClock
 	tracer  *Tracer
@@ -164,7 +165,7 @@ type Registry struct {
 
 // NewRegistry creates an empty registry with a fresh simulated clock.
 func NewRegistry() *Registry {
-	r := &Registry{clock: &SimClock{}}
+	r := &Registry{metrics: map[string]any{}, clock: &SimClock{}}
 	r.tracer = &Tracer{clock: r.clock, trace: traceIDs.Add(1)}
 	return r
 }
@@ -214,20 +215,29 @@ func Name(family string, labels ...string) string {
 }
 
 // lookup returns the metric registered under key, creating it with mk on
-// first use. The fast path is one lock-free map load.
+// first use. The fast path is one map read under the read lock: the key
+// is not boxed and nothing is allocated.
 func (r *Registry) lookup(key string, mk func() any) any {
-	if m, ok := r.metrics.Load(key); ok {
+	if m, ok := r.load(key); ok {
 		return m
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics.Load(key); ok {
+	if m, ok := r.metrics[key]; ok {
 		return m
 	}
 	m := mk()
-	r.metrics.Store(key, m)
+	r.metrics[key] = m
 	r.names = append(r.names, key)
 	return m
+}
+
+// load returns the metric registered under key, if any.
+func (r *Registry) load(key string) (any, bool) {
+	r.mu.RLock()
+	m, ok := r.metrics[key]
+	r.mu.RUnlock()
+	return m, ok
 }
 
 // Counter returns (creating on first use) the counter named
@@ -265,7 +275,7 @@ func kindMismatch(key string) string {
 
 // CounterValue reads a counter's merged total without creating it.
 func (r *Registry) CounterValue(family string, labels ...string) int64 {
-	if m, ok := r.metrics.Load(Name(family, labels...)); ok {
+	if m, ok := r.load(Name(family, labels...)); ok {
 		if c, ok := m.(*Counter); ok {
 			return c.Value()
 		}
@@ -275,7 +285,7 @@ func (r *Registry) CounterValue(family string, labels ...string) int64 {
 
 // GaugeValue reads a gauge without creating it.
 func (r *Registry) GaugeValue(family string, labels ...string) int64 {
-	if m, ok := r.metrics.Load(Name(family, labels...)); ok {
+	if m, ok := r.load(Name(family, labels...)); ok {
 		if g, ok := m.(*Gauge); ok {
 			return g.Value()
 		}
@@ -310,8 +320,8 @@ func (r *Registry) Alert(atNS int64, valueMilli int64, family string, labels ...
 
 // Alerts returns a copy of the recorded alert events in firing order.
 func (r *Registry) Alerts() []AlertRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return append([]AlertRecord(nil), r.alerts...)
 }
 

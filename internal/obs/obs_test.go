@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"pds/internal/race"
 )
 
 // exercise drives a registry through a fixed serial script.
@@ -256,5 +258,23 @@ func TestExplicitTimeSpansIndependentOfClock(t *testing.T) {
 	}
 	if now := r.Clock().Now(); now != 0 {
 		t.Fatalf("explicit-time spans moved the shared clock to %v", now)
+	}
+}
+
+// Resolving a series that exists allocates nothing: the registry reads
+// its map under the read lock, with the key unboxed.
+func TestCounterLookupAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r := NewRegistry()
+	family := strings.Repeat("netsim_rel_", 2) + "acks_total" // not a constant
+	r.Counter(family).Inc()
+	if got := testing.AllocsPerRun(200, func() { r.Counter(family).Inc() }); got > 0 {
+		t.Errorf("Registry.Counter on an existing unlabeled series: %.1f allocs/op, ceiling 0", got)
+	}
+	// AllocsPerRun calls once more than it counts.
+	if got := r.CounterValue(family); got != 202 {
+		t.Errorf("counter = %d, want 202", got)
 	}
 }

@@ -72,6 +72,7 @@ type Tracer struct {
 	mu    sync.Mutex
 	next  int
 	spans []SpanRecord
+	slab  []Span // handles not yet handed out
 }
 
 // Span is a handle to an open span.
@@ -79,6 +80,22 @@ type Span struct {
 	t   *Tracer
 	id  int
 	idx int
+}
+
+// spanSlab is how many handles the tracer allocates at once.
+const spanSlab = 32
+
+// handle hands out the handle of the span record just appended, from the
+// tracer's slab: a run opens a span per transfer, so handles are carved
+// from one allocation instead of one each. Callers hold t.mu.
+func (t *Tracer) handle(id int) *Span {
+	if len(t.slab) == 0 {
+		t.slab = make([]Span, spanSlab)
+	}
+	sp := &t.slab[0]
+	t.slab = t.slab[1:]
+	*sp = Span{t: t, id: id, idx: len(t.spans) - 1}
+	return sp
 }
 
 // Start opens a span under parent (nil for a root span).
@@ -93,7 +110,7 @@ func (t *Tracer) Start(name string, parent *Span) *Span {
 		pid = parent.id
 	}
 	t.spans = append(t.spans, SpanRecord{ID: id, Parent: pid, Name: name, StartNS: now, EndNS: now})
-	return &Span{t: t, id: id, idx: len(t.spans) - 1}
+	return t.handle(id)
 }
 
 // StartAt opens a span at an explicit simulated time instead of the
@@ -111,7 +128,7 @@ func (t *Tracer) StartAt(name string, parent *Span, start time.Duration) *Span {
 		pid = parent.id
 	}
 	t.spans = append(t.spans, SpanRecord{ID: id, Parent: pid, Name: name, StartNS: int64(start), EndNS: int64(start)})
-	return &Span{t: t, id: id, idx: len(t.spans) - 1}
+	return t.handle(id)
 }
 
 // StartRemote opens a span whose parent arrived over the wire as a
@@ -125,7 +142,7 @@ func (t *Tracer) StartRemote(name string, ctx SpanContext) *Span {
 	t.next++
 	id := t.next
 	t.spans = append(t.spans, SpanRecord{ID: id, Parent: t.resolve(ctx), Name: name, StartNS: now, EndNS: now})
-	return &Span{t: t, id: id, idx: len(t.spans) - 1}
+	return t.handle(id)
 }
 
 // Event records an instantaneous child span under a wire context — a

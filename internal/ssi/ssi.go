@@ -91,6 +91,7 @@ type Server struct {
 	obs      Observations // GroupFrequencies is built by Observations
 	payloads map[string]bool
 	trace    obs.SpanContext
+	slab     []byte // the block kept records are copied into, used up to its length
 
 	// The grouping record: group[k] indexes k's count in groupFreq, so
 	// a key string is made once, the first time the key is observed.
@@ -139,8 +140,13 @@ func (s *Server) BindTrace(ctx obs.SpanContext) {
 // what it observes. In streaming mode the envelope is routed into the
 // current chunk instead of the inbox, and full chunks are emitted
 // immediately — the server never holds more than one partial chunk.
+//
+// e's payload is valid only for the duration of the call, as every byte
+// a wire delivers is: the server copies the record it keeps, in the
+// inbox or a chunk, into a slab of its own.
 func (s *Server) Receive(e netsim.Envelope) {
 	s.mu.Lock()
+	e.Payload = s.keep(e.Payload)
 	if s.streamEmit != nil {
 		s.receiveStreaming(e)
 		s.mu.Unlock()
@@ -154,6 +160,20 @@ func (s *Server) Receive(e netsim.Envelope) {
 		s.payloads[string(e.Payload)] = true
 		s.obs.DistinctPayloads++
 	}
+}
+
+// slabBlock is the size of the blocks the server copies kept records
+// into; a record larger than a block gets a block of its own.
+const slabBlock = 4 << 10
+
+// keep copies a received record into the slab; callers hold s.mu.
+func (s *Server) keep(rec []byte) []byte {
+	if len(rec) > cap(s.slab)-len(s.slab) {
+		s.slab = make([]byte, 0, max(slabBlock, len(rec)))
+	}
+	n := len(s.slab)
+	s.slab = append(s.slab, rec...)
+	return s.slab[n:len(s.slab):len(s.slab)]
 }
 
 // receiveStreaming is Receive's streaming path; callers hold s.mu. The

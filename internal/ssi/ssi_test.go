@@ -1,6 +1,7 @@
 package ssi
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -75,6 +76,60 @@ func TestObserveGroupAllocCeiling(t *testing.T) {
 			t.Errorf("frequencies = %v, want %q 202 times", o.GroupFrequencies, key)
 		}
 	}
+}
+
+// The bytes a wire delivers are valid only for the duration of the
+// call, so the server copies every record it keeps: a streaming chunk's
+// records and the batch inbox's stay intact after the caller overwrites
+// the payload it delivered.
+func TestReceiveCopiesWhatItKeeps(t *testing.T) {
+	buf := make([]byte, 24)
+	deliver := func(s *Server, b byte) {
+		for i := range buf {
+			buf[i] = b
+		}
+		s.Receive(netsim.Envelope{From: "pds-1", To: "ssi", Kind: "tuple", Payload: buf})
+	}
+	check := func(mode string, chunks [][]netsim.Envelope) {
+		t.Helper()
+		var got []byte
+		for _, c := range chunks {
+			for _, e := range c {
+				if !bytes.Equal(e.Payload, bytes.Repeat(e.Payload[:1], len(buf))) {
+					t.Errorf("%s: record %x was overwritten", mode, e.Payload)
+				}
+				got = append(got, e.Payload[0])
+			}
+		}
+		if !bytes.Equal(got, []byte{1, 2, 3}) || len(chunks) != 2 {
+			t.Errorf("%s: records %v in %d chunks, want [1 2 3] in 2", mode, got, len(chunks))
+		}
+	}
+
+	s := New(netsim.New(), HonestButCurious, Behavior{})
+	var chunks [][]netsim.Envelope
+	if err := s.StartStream(2, func(c []netsim.Envelope) { chunks = append(chunks, c) }); err != nil {
+		t.Fatal(err)
+	}
+	for b := byte(1); b <= 3; b++ {
+		deliver(s, b)
+	}
+	if err := s.FinishStream(); err != nil {
+		t.Fatal(err)
+	}
+	deliver(New(netsim.New(), HonestButCurious, Behavior{}), 0xff)
+	check("stream", chunks)
+
+	s = New(netsim.New(), HonestButCurious, Behavior{})
+	for b := byte(1); b <= 3; b++ {
+		deliver(s, b)
+	}
+	deliver(New(netsim.New(), HonestButCurious, Behavior{}), 0xff)
+	chunks, err := s.Partition(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("batch", chunks)
 }
 
 func TestPartitionHonest(t *testing.T) {

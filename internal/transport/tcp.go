@@ -9,6 +9,8 @@
 // client-side — decisions are content-hashed, so where they are drawn does
 // not matter — which keeps the seeded schedule reproducible and means a
 // dropped frame never even reaches the wire, exactly like the simulator.
+// The plane is installed in the counting network, so it and every ARQ link
+// over the connection share that network's one observer.
 package transport
 
 import (
@@ -42,10 +44,9 @@ const (
 
 // TCP is one node's connection to a Switch.
 type TCP struct {
-	name   string
-	conn   net.Conn
-	acct   *netsim.Network // counting + observer plane only
-	faults atomic.Pointer[netsim.FaultPlane]
+	name string
+	conn net.Conn
+	acct *netsim.Network // counting, observer and fault plane only
 
 	wmu sync.Mutex
 	bw  *bufio.Writer
@@ -309,10 +310,12 @@ func (t *TCP) Send(e netsim.Envelope) netsim.Envelope {
 
 // Deliver counts the envelope, routes it through the armed fault plane,
 // and round-trips each surviving copy; rcv observes the echoed copies
-// synchronously, exactly as on the simulator.
+// synchronously, exactly as on the simulator. As there, e's bytes are
+// valid only for the duration of the call: the frame is written out
+// before Deliver returns, and the plane copies what it withholds.
 func (t *TCP) Deliver(e netsim.Envelope, rcv func(netsim.Envelope)) {
 	t.acct.Send(e)
-	fp := t.faults.Load()
+	fp := t.acct.Faults()
 	if fp == nil {
 		if out, ok := t.roundtrip(e); ok {
 			rcv(out)
@@ -326,23 +329,19 @@ func (t *TCP) Deliver(e netsim.Envelope, rcv func(netsim.Envelope)) {
 	}
 }
 
-// SetFaults arms (or removes) the client-side fault plane, binding the
-// current observer into it.
-func (t *TCP) SetFaults(fp *netsim.FaultPlane) {
-	if fp != nil {
-		fp.BindObserver(t.acct.Observer())
-	}
-	t.faults.Store(fp)
-}
+// SetFaults arms (or removes) the client-side fault plane. It is
+// installed in the counting network, which binds that network's observer
+// into it.
+func (t *TCP) SetFaults(fp *netsim.FaultPlane) { t.acct.SetFaults(fp) }
 
 // Faults returns the armed fault plane, or nil.
-func (t *TCP) Faults() *netsim.FaultPlane { return t.faults.Load() }
+func (t *TCP) Faults() *netsim.FaultPlane { return t.acct.Faults() }
 
 // FlushFaults releases withheld envelopes in their seeded order, pushing
 // each over the wire (so remote claimants see the delayed frames) before
 // rcv observes the echo.
 func (t *TCP) FlushFaults(rcv func(netsim.Envelope)) {
-	fp := t.faults.Load()
+	fp := t.acct.Faults()
 	if fp == nil {
 		return
 	}
@@ -353,17 +352,16 @@ func (t *TCP) FlushFaults(rcv func(netsim.Envelope)) {
 	})
 }
 
-// SetObserver swaps the accounting registry and rebinds the armed fault
-// plane to it.
-func (t *TCP) SetObserver(reg *obs.Registry) {
-	t.acct.SetObserver(reg)
-	if fp := t.faults.Load(); fp != nil {
-		fp.BindObserver(reg)
-	}
-}
+// SetObserver swaps the accounting registry; the counting network
+// rebinds the armed fault plane to it.
+func (t *TCP) SetObserver(reg *obs.Registry) { t.acct.SetObserver(reg) }
 
 // Observer returns the attached registry, or nil.
 func (t *TCP) Observer() *obs.Registry { return t.acct.Observer() }
+
+// Accounting returns the counting network, whose observer the fault plane
+// and the ARQ links over this connection share.
+func (t *TCP) Accounting() *netsim.Network { return t.acct }
 
 // Stats returns total traffic sent by this node.
 func (t *TCP) Stats() netsim.Stats { return t.acct.Stats() }

@@ -52,6 +52,8 @@ type Transport interface {
 	// mirrored into it. Protocol runs swap a run-local registry in here
 	// for the duration of one run.
 	SetObserver(reg *obs.Registry)
+	// Observer returns the attached registry, or nil.
+	Observer() *obs.Registry
 
 	// Stats returns total traffic. Per-kind traffic is counted by the
 	// attached observer (netsim_kind_messages_total{kind}).
