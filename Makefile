@@ -47,11 +47,13 @@ test:
 # The race detector over the concurrent substrate (obs registry, gquery
 # token fleet, netsim fault/reliability plane, ssi accounting, privcrypto's
 # shared keyed-MAC and cipher pools), the storage layers that share pooled page buffers, the
-# TCP substrate and the scenario executors, and the tenant plane (shared
-# guards and scrape-during-serve hammered from many goroutines).
+# token's read path over them (core: results held across queries that
+# reuse the pools), the TCP substrate and the scenario executors, and the
+# tenant plane (shared guards and scrape-during-serve hammered from many
+# goroutines).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/gquery/... ./internal/netsim/... ./internal/ssi/... ./internal/privcrypto/...
-	$(GO) test -race ./internal/logstore/... ./internal/search/... ./internal/flash/... ./internal/embdb/... ./internal/kv/... ./internal/bloom/...
+	$(GO) test -race ./internal/logstore/... ./internal/search/... ./internal/flash/... ./internal/embdb/... ./internal/kv/... ./internal/bloom/... ./internal/core/...
 	$(GO) test -race -short ./internal/transport ./internal/scenario -count=1 -timeout 300s
 	$(GO) test -race ./internal/tenant ./internal/workload -count=1 -timeout 300s
 

@@ -87,7 +87,7 @@ func TestReorganizeSurvivesWriteFault(t *testing.T) {
 			}
 			out = append(out, fmt.Sprint(got))
 		}
-		rng, _, err := ix.LookupRange(StrVal("city010"), StrVal("city020"))
+		rng, _, err := ix.AppendLookupRange(nil, StrVal("city010"), StrVal("city020"))
 		if err != nil {
 			t.Fatalf("%s, fault after %d: range: %v", stage, after, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"pds/internal/flash"
@@ -62,25 +63,17 @@ func FuzzDecodeColMatchesDecodeRow(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := decodeRow(s, data)
-		// Every column alone, then all of them at once, twice over.
+		// Every column alone, then all of them at once, twice over, their
+		// strings appended to one buffer: each decode's values must still
+		// read right after the later decodes have grown it.
 		var projs [][]projCol
 		var all []projCol
 		for ci := range s.Cols {
 			projs = append(projs, []projCol{{step: 1, colIdx: ci}})
 			all = append(all, projCol{step: 1, colIdx: ci}, projCol{step: 0, colIdx: ci}, projCol{step: 1, colIdx: ci})
 		}
-		for _, proj := range append(projs, all) {
-			out := make(Row, len(proj))
-			err := decodeCols(s, data, proj, 1, out)
-			if (err == nil) != (wantErr == nil) || errors.Is(err, ErrCorruptRow) != errors.Is(wantErr, ErrCorruptRow) {
-				t.Fatalf("decodeCols err = %v, decodeRow err = %v", err, wantErr)
-			}
-			if err != nil {
-				if err.Error() != wantErr.Error() {
-					t.Fatalf("decodeCols err = %q, decodeRow err = %q", err, wantErr)
-				}
-				continue
-			}
+		var strs strings.Builder
+		check := func(proj []projCol, out Row) {
 			for i, p := range proj {
 				switch {
 				case p.step != 1 && out[i] != nil:
@@ -90,13 +83,33 @@ func FuzzDecodeColMatchesDecodeRow(f *testing.F) {
 				}
 			}
 		}
+		var kept [][]projCol
+		var outs []Row
+		for _, proj := range append(projs, all) {
+			out := make(Row, len(proj))
+			err := decodeCols(s, data, proj, 1, out, &strs)
+			if (err == nil) != (wantErr == nil) || errors.Is(err, ErrCorruptRow) != errors.Is(wantErr, ErrCorruptRow) {
+				t.Fatalf("decodeCols err = %v, decodeRow err = %v", err, wantErr)
+			}
+			if err != nil {
+				if err.Error() != wantErr.Error() {
+					t.Fatalf("decodeCols err = %q, decodeRow err = %q", err, wantErr)
+				}
+				continue
+			}
+			check(proj, out)
+			kept, outs = append(kept, proj), append(outs, out)
+		}
+		for i, out := range outs {
+			check(kept[i], out)
+		}
 	})
 }
 
 // FuzzHybridLookup drives one index through a random interleaving of
 // inserts, flushes, folds, and folds hit by a write fault, and holds
-// Lookup and LookupRange to a scan of the table — same rowids, ascending —
-// before and after every fold: tree, tail, or both.
+// Lookup and AppendLookupRange to a scan of the table — same rowids,
+// ascending — before and after every fold: tree, tail, or both.
 func FuzzHybridLookup(f *testing.F) {
 	f.Add([]byte{0x1c, 0x1c, 0x02, 0x1c, 0x01, 0x1c, 0x03, 0x1c, 0x06})
 	f.Add(bytes.Repeat([]byte{0x1c, 0x0c, 0x1c, 0x1c, 0x01, 0x1c, 0x0a, 0x0f, 0x1c, 0x07}, 20))
@@ -142,9 +155,9 @@ func FuzzHybridLookup(f *testing.F) {
 				}
 			}
 			for _, r := range [][2]int64{{0, domain}, {3, 8}, {5, 5}, {9, 2}, {-7, 4}, {11, 99}} {
-				got, _, err := ix.LookupRange(IntVal(r[0]), IntVal(r[1]))
+				got, _, err := ix.AppendLookupRange(nil, IntVal(r[0]), IntVal(r[1]))
 				if want := scan(r[0], r[1]); err != nil || !slices.Equal(got, want) {
-					t.Fatalf("%s: LookupRange(%d, %d) = %v, %v; scan %v", stage, r[0], r[1], got, err, want)
+					t.Fatalf("%s: AppendLookupRange(%d, %d) = %v, %v; scan %v", stage, r[0], r[1], got, err, want)
 				}
 			}
 		}

@@ -69,10 +69,137 @@ func TestLookupAllocCeiling(t *testing.T) {
 	}
 }
 
+// With room in dst, AppendLookup allocates the probe key and nothing
+// else, over a bare tail and over a tree with a tail behind it; what it
+// appends follows dst's own rowids untouched.
+func TestAppendLookupAllocCeiling(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	for _, fold := range []bool{false, true} {
+		_, ix, want := loadCustomer(t, bigAlloc(), 4000, 4)
+		if err := ix.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if fold {
+			if err := ix.Reorganize(2, 4); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 300; i++ {
+				if err := ix.Add(StrVal("Lyon"), RowID(4000+i)); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, RowID(4000+i))
+			}
+		}
+		dst := make([]RowID, 3, 3+len(want))
+		dst[0], dst[1], dst[2] = 7, 8, 9
+		allocs := testing.AllocsPerRun(20, func() {
+			got, st, err := ix.AppendLookup(dst, StrVal("Lyon"))
+			if err != nil || len(got) != 3+len(want) || st.Matches != len(want) {
+				t.Fatalf("lookup = %d rids (%d matches), %v; want 3 + %d", len(got), st.Matches, err, len(want))
+			}
+		})
+		got, _, err := ix.AppendLookup(dst, StrVal("Lyon"))
+		if err != nil || !slices.Equal(got[:3], []RowID{7, 8, 9}) || !slices.Equal(got[3:], want) {
+			t.Errorf("fold %v: AppendLookup = %v…, %v; want dst's 7 8 9, then the %d matches", fold, got[:min(len(got), 6)], err, len(want))
+		}
+		t.Logf("fold %v: %.0f allocs for %d matches", fold, allocs, len(want))
+		if allocs > 1 {
+			t.Errorf("fold %v: AppendLookup into a list with room: %.0f allocs, ceiling 1 (the key)", fold, allocs)
+		}
+	}
+}
+
+// A star query's candidate lists come from a pool, so what a whole query
+// allocates does not grow with their length: ten times the matches of
+// one condition behind a Tselect tree, intersected down to the same
+// survivors, must cost the same. Without the pool each list grew by
+// doubling from nil on every query.
+func TestStarQueryAllocsIndependentOfListLength(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	measure := func(facts int) (allocs float64, matches int) {
+		db := NewDB(bigAlloc(), mcu.NewArena(0))
+		for _, tbl := range []struct {
+			name string
+			s    Schema
+		}{
+			{"SEGMENT", NewSchema(Column{"name", Str})},
+			{"FACT", NewSchema(Column{"seg", Int}, Column{"tag", Int})},
+		} {
+			if _, err := db.CreateTable(tbl.name, tbl.s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.AddForeignKey("FACT", "seg", "SEGMENT"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.CreateJoinIndex("FACT"); err != nil {
+			t.Fatal(err)
+		}
+		for _, ts := range [][2]string{{"SEGMENT", "name"}, {"FACT", "tag"}} {
+			if err := db.CreateTselect("FACT", ts[0], ts[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, name := range []string{"north", "south", "east", "west"} {
+			if _, err := db.Insert("SEGMENT", Row{StrVal(name)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One fact in four is in segment north; forty carry tag 1, ten of
+		// them in north.
+		step := facts / 40
+		for i := 0; i < facts; i++ {
+			tag := 0
+			if i%step == i/step%4 {
+				tag = 1
+			}
+			if _, err := db.Insert("FACT", Row{IntVal(int64(i % 4)), IntVal(int64(tag))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if ix, err := db.Tselect("FACT", "SEGMENT", "name"); err != nil || ix.Tree() == nil {
+			t.Fatalf("north's postings are not behind a tree: %v", err)
+		}
+		q := StarQuery{
+			Root:    "FACT",
+			Conds:   []Cond{{Table: "SEGMENT", Col: "name", Val: StrVal("north")}, {Table: "FACT", Col: "tag", Val: IntVal(1)}},
+			Project: []ColRef{{Table: "SEGMENT", Col: "name"}, {Table: "FACT", Col: "tag"}},
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			rows, err := db.ExecuteStar(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rows.All()
+			if err != nil || len(got) != 10 {
+				t.Fatalf("query = %d rows, %v; want 10", len(got), err)
+			}
+			matches = rows.Stats().CandidateLists[0]
+		})
+		return allocs, matches
+	}
+	small, smallMatches := measure(1600)
+	big, bigMatches := measure(16000)
+	t.Logf("%.0f allocs with %d candidates, %.0f with %d", small, smallMatches, big, bigMatches)
+	if smallMatches != 400 || bigMatches != 4000 {
+		t.Fatalf("candidate lists of %d and %d, want 400 and 4000", smallMatches, bigMatches)
+	}
+	if big > small {
+		t.Errorf("a star query allocates per candidate: %.0f allocs with %d candidates, %.0f with %d", small, smallMatches, big, bigMatches)
+	}
+}
+
 // A Tjoin probe allocates the rid slice it returns; a result row of a
-// star query its share of its window's slab of rows and the boxes of its
-// projected values — the tuples the row is assembled from are never
-// materialized.
+// star query its share of its window's slab of rows and string buffer,
+// and of the boxes of the distinct dimension tuples it is assembled from
+// — the tuples themselves are never materialized.
 func TestStarRowAllocCeiling(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -115,15 +242,16 @@ func TestStarRowAllocCeiling(t *testing.T) {
 	})
 	t.Logf("%.0f allocs per Tjoin probe, %.0f per result row", probe, perRow)
 	// Rows are assembled a window of 16 at a time (256-byte pages, two
-	// dimension steps): the window's slab, and a string plus its box for
-	// each of the two Str columns of each row — 65 allocations. The 200
-	// rows after the warm-up row span twelve windows, 780 allocations,
-	// which AllocsPerRun floors to 3 per row; one more allocation per row,
-	// or two more per window, reads 4. It was 5 with one Row per row, and
-	// 17 before that: a map, the Tjoin record and its rid slice, and a copy
-	// and every column of each fetched tuple.
-	if perRow > 3 {
-		t.Errorf("StarRows.Next: %.0f allocs per row, ceiling 3", perRow)
+	// dimension steps): the window's slab, the growth of its string
+	// buffer, and one box per Str column of each distinct CUSTOMER and
+	// SUPPLIER tuple of the window — the qty is a small int, which boxes
+	// for free. AllocsPerRun floors that to 1 per row; one more allocation
+	// per row reads 2. It was 3 with a string and a box per Str column of
+	// every row, 5 with one Row per row, and 17 before that: a map, the
+	// Tjoin record and its rid slice, and a copy and every column of each
+	// fetched tuple.
+	if perRow > 1 {
+		t.Errorf("StarRows.Next: %.0f allocs per row, ceiling 1", perRow)
 	}
 }
 
@@ -160,6 +288,9 @@ func TestStarRowsReleaseHeldPages(t *testing.T) {
 		}
 		if r.ents != nil {
 			t.Errorf("%s: entry page not handed back to its pool", when)
+		}
+		if len(r.lists) != 0 || r.rids != nil {
+			t.Errorf("%s: %d rid lists not handed back to their pool", when, len(r.lists))
 		}
 		if used := arena.Used(); used != 0 {
 			t.Errorf("%s: arena holds %d bytes", when, used)
@@ -214,7 +345,7 @@ func TestStarRowsReleaseHeldPages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, rids := rows.window, rows.rids
+		w, rids := rows.window, slices.Clone(rows.rids)
 		rows.Close()
 		tbl, err := db.Table(table)
 		if err != nil {
@@ -279,9 +410,118 @@ func TestStarRowsReleaseHeldPages(t *testing.T) {
 	}
 }
 
+// A star row's values live in its window's slab and string buffer, and
+// its candidate lists in the pool until Close: rows held from one query
+// must stay byte-equal while later windows fill, after Close, and while
+// other queries draw the pooled lists — and a stream interleaved with
+// another query must still answer what the naive plan does. 256-byte
+// pages and three dimension steps make windows of ten rows.
+func TestStarRowsOutliveTheirBuffers(t *testing.T) {
+	db := NewDB(bigAlloc(), mcu.NewArena(0))
+	buildTPCD(t, db, 40, 6, 200, 1500, 3)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q := slideQuery()
+	other := slideQuery()
+	other.Conds = []Cond{{Table: "CUSTOMER", Col: "mktsegment", Val: StrVal("BUILDING")}}
+	other.Ranges = []RangeCond{{Table: "LINEITEM", Col: "qty", Lo: IntVal(5), Hi: IntVal(40)}}
+	want, _, err := db.ExecuteStarNaive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(q StarQuery) []Row {
+		t.Helper()
+		rows, err := db.ExecuteStar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := rows.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all
+	}
+	// firstWindow opens q's stream and takes its first window of rows.
+	firstWindow := func() (*StarRows, []Row) {
+		t.Helper()
+		rows, err := db.ExecuteStar(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Row
+		for len(got) < rows.window {
+			row, ok := rows.Next()
+			if !ok {
+				t.Fatalf("stream ended after %d rows, %v", len(got), rows.Err())
+			}
+			got = append(got, row)
+		}
+		if len(want) <= 3*rows.window {
+			t.Fatalf("%d rows in windows of %d: want more than three windows", len(want), rows.window)
+		}
+		return rows, got
+	}
+
+	t.Run("later windows", func(t *testing.T) {
+		rows, first := firstWindow()
+		before := fmt.Sprint(first)
+		rest, err := rows.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(first) != before {
+			t.Errorf("window 1 changed as later windows filled:\n%s\nnow\n%s", before, fmt.Sprint(first))
+		}
+		if got := append(first, rest...); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("stream = %d rows, differs from the naive plan's %d", len(got), len(want))
+		}
+	})
+
+	t.Run("after Close", func(t *testing.T) {
+		rows, first := firstWindow()
+		before := fmt.Sprint(first)
+		rows.Close()
+		for i := 0; i < 3; i++ {
+			run(q)
+			run(other)
+		}
+		if fmt.Sprint(first) != before {
+			t.Errorf("rows changed after Close and later queries:\n%s\nnow\n%s", before, fmt.Sprint(first))
+		}
+	})
+
+	t.Run("pooled lists", func(t *testing.T) {
+		held := run(q)
+		before := fmt.Sprint(held)
+		// A stream left open across whole queries that draw rid lists:
+		// its survivors must stay its own until it is closed.
+		rows, first := firstWindow()
+		otherWant := fmt.Sprint(run(other))
+		for i := 0; i < 3; i++ {
+			if got := fmt.Sprint(run(other)); got != otherWant {
+				t.Fatalf("query %d beside an open stream answered differently", i)
+			}
+		}
+		rest, err := rows.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := append(first, rest...); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("stream interleaved with other queries = %d rows, differs from the naive plan's %d", len(got), len(want))
+		}
+		if fmt.Sprint(held) != before {
+			t.Error("rows held from a finished query changed as later queries reused its rid lists")
+		}
+	})
+}
+
 // Lookups, Tjoin probes and tuple fetches on one shared database, and on
-// databases of other page sizes, all draw their pages from the one pool:
-// every answer must come back whole (run under -race).
+// databases of other page sizes, all draw their pages, rid lists and
+// pages of sort entries from the process-wide pools: every answer must
+// come back whole (run under -race). Each goroutine keeps a stream open
+// while it runs a whole query on another database, so lists pass between
+// databases while the streams that drew them are still reading.
 func TestReadPathSharedPagesConcurrent(t *testing.T) {
 	shared := NewDB(bigAlloc(), mcu.NewArena(0))
 	buildTPCD(t, shared, 40, 6, 200, 1500, 3)
@@ -316,27 +556,47 @@ func TestReadPathSharedPagesConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int, db *DB) {
 			defer wg.Done()
+			check := func(got []Row, err error) bool {
+				if err != nil {
+					t.Error(err)
+					return false
+				}
+				gotSet := render(got)
+				if len(got) != len(want) || len(gotSet) != len(wantSet) {
+					t.Errorf("goroutine %d: %d rows, want %d", g, len(got), len(want))
+					return false
+				}
+				for k, n := range wantSet {
+					if gotSet[k] != n {
+						t.Errorf("goroutine %d: row %s ×%d, want ×%d", g, k, gotSet[k], n)
+						return false
+					}
+				}
+				return true
+			}
+			peer := dbs[(g+1)%len(dbs)]
 			for round := 0; round < 4; round++ {
 				rows, err := db.ExecuteStar(slideQuery())
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, err := rows.All()
+				first, ok := rows.Next()
+				if !ok {
+					t.Errorf("goroutine %d: empty stream, %v", g, rows.Err())
+					return
+				}
+				other, err := peer.ExecuteStar(slideQuery())
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				gotSet := render(got)
-				if len(got) != len(want) || len(gotSet) != len(wantSet) {
-					t.Errorf("goroutine %d: %d rows, want %d", g, len(got), len(want))
+				if !check(other.All()) {
 					return
 				}
-				for k, n := range wantSet {
-					if gotSet[k] != n {
-						t.Errorf("goroutine %d: row %s ×%d, want ×%d", g, k, gotSet[k], n)
-						return
-					}
+				rest, err := rows.All()
+				if !check(append([]Row{first}, rest...), err) {
+					return
 				}
 			}
 		}(g, db)

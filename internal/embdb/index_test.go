@@ -288,7 +288,7 @@ func TestTreeRange(t *testing.T) {
 	if err := ix.Reorganize(2, 4); err != nil {
 		t.Fatal(err)
 	}
-	got, st, err := ix.LookupRange(IntVal(100), IntVal(199))
+	got, st, err := ix.AppendLookupRange(nil, IntVal(100), IntVal(199))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestTreeRange(t *testing.T) {
 		}
 	}
 	// Inverted range is empty.
-	if inv, _, err := ix.LookupRange(IntVal(10), IntVal(5)); err != nil || len(inv) != 0 {
+	if inv, _, err := ix.AppendLookupRange(nil, IntVal(10), IntVal(5)); err != nil || len(inv) != 0 {
 		t.Errorf("inverted range = %v, %v", inv, err)
 	}
 }

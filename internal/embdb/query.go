@@ -3,6 +3,7 @@ package embdb
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 
 	"pds/internal/logstore"
@@ -66,10 +67,16 @@ type QueryStats struct {
 // stays held across rows and windows, so a probe or fetch that lands on
 // the page already held reads nothing. A failure ends the stream at the
 // window that hit it: none of that window's rows is returned.
+//
+// A row handed out stays valid after later windows and after Close: each
+// window has a slab of values and a string buffer of its own, and a
+// dimension tuple that several rows of a window share is decoded once,
+// its boxed values shared by those rows.
 type StarRows struct {
 	db      *DB
 	ji      *JoinIndex
-	rids    []RowID
+	rids    []RowID     // the survivors, written over the first pooled list
+	lists   []*[]RowID  // the pooled candidate lists, handed back by Close
 	pos     int         // next survivor to assemble
 	fetch   []fetchStep // the distinct projected tables, in first-use order
 	proj    []projCol
@@ -78,6 +85,7 @@ type StarRows struct {
 	window  int               // survivors per window
 	ents    *[]uint64         // the page of sort entries, nil when none is held
 	slab    []Value           // the window's rows, len(proj) values each
+	strs    strings.Builder   // the window's projected strings
 	wpos    int               // next row of the window to hand out
 	wlen    int               // rows in the window
 	stats   QueryStats
@@ -89,6 +97,22 @@ type StarRows struct {
 // uint64 per entry, step<<48 | rowid<<16 | slot, so that sorting the
 // words sorts the entries by (step, rowid, slot).
 var entryPages sync.Pool
+
+// ridLists recycles the candidate rid lists of star queries, as
+// entryPages does their pages of sort entries: a query draws one per
+// condition and hands them back when its stream closes.
+var ridLists sync.Pool
+
+// ridList draws an empty rid list from the pool and keeps it for Close.
+func (r *StarRows) ridList() *[]RowID {
+	l, _ := ridLists.Get().(*[]RowID)
+	if l == nil {
+		l = new([]RowID)
+	}
+	*l = (*l)[:0]
+	r.lists = append(r.lists, l)
+	return l
+}
 
 // maxWindow bounds a window so that a slot fits an entry's 16 bits.
 const maxWindow = 1 << 16
@@ -160,33 +184,33 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 		rows.proj = append(rows.proj, projCol{step: step, colIdx: ci})
 	}
 
-	// Candidate root rowids per condition, each ascending by construction.
+	// Candidate root rowids per condition, each ascending by construction
+	// and looked up into a list from the pool; a failed query hands the
+	// lists it drew back.
 	nconds := len(q.Conds) + len(q.Ranges)
 	lists := make([][]RowID, 0, nconds)
+	rows.lists = make([]*[]RowID, 0, max(1, nconds))
 	rows.stats.CandidateLists = make([]int, 0, nconds)
-	for _, c := range q.Conds {
-		ix, err := db.Tselect(q.Root, c.Table, c.Col)
+	for i := 0; i < nconds; i++ {
+		var ix *SelectIndex
+		l := rows.ridList()
+		if i < len(q.Conds) {
+			c := q.Conds[i]
+			if ix, err = db.Tselect(q.Root, c.Table, c.Col); err == nil {
+				*l, _, err = ix.AppendLookup(*l, c.Val)
+			}
+		} else {
+			r := q.Ranges[i-len(q.Conds)]
+			if ix, err = db.Tselect(q.Root, r.Table, r.Col); err == nil {
+				*l, _, err = ix.AppendLookupRange(*l, r.Lo, r.Hi)
+			}
+		}
 		if err != nil {
+			rows.Close()
 			return nil, err
 		}
-		rids, _, err := ix.Lookup(c.Val)
-		if err != nil {
-			return nil, err
-		}
-		rows.stats.CandidateLists = append(rows.stats.CandidateLists, len(rids))
-		lists = append(lists, rids)
-	}
-	for _, r := range q.Ranges {
-		ix, err := db.Tselect(q.Root, r.Table, r.Col)
-		if err != nil {
-			return nil, err
-		}
-		rids, _, err := ix.LookupRange(r.Lo, r.Hi)
-		if err != nil {
-			return nil, err
-		}
-		rows.stats.CandidateLists = append(rows.stats.CandidateLists, len(rids))
-		lists = append(lists, rids)
+		rows.stats.CandidateLists = append(rows.stats.CandidateLists, len(*l))
+		lists = append(lists, *l)
 	}
 	// Account the materialized rid lists and the page of sort entries
 	// against the MCU RAM. The survivors are written over the first list,
@@ -195,10 +219,12 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 	ram := 0
 	if len(lists) == 0 {
 		// No conditions: every root tuple qualifies.
-		survivors = make([]RowID, root.Len())
-		for i := range survivors {
-			survivors[i] = RowID(i)
+		l := rows.ridList()
+		*l = slices.Grow(*l, root.Len())
+		for i := range root.Len() {
+			*l = append(*l, RowID(i))
 		}
+		survivors = *l
 		ram = 4 * len(survivors)
 	} else {
 		survivors = intersectSorted(lists)
@@ -213,6 +239,7 @@ func (db *DB) ExecuteStar(q StarQuery) (*StarRows, error) {
 	}
 	res, err := db.arena.Reserve(ram)
 	if err != nil {
+		rows.Close()
 		return nil, fmt.Errorf("embdb: star query rid lists: %w", err)
 	}
 	rows.res = res
@@ -296,6 +323,7 @@ func (r *StarRows) fill() error {
 	r.pos += len(rids)
 	n := len(r.proj)
 	r.slab = make([]Value, len(rids)*n)
+	r.strs.Reset()
 	r.wpos, r.wlen = 0, 0
 	var ents []uint64
 	if r.ents != nil {
@@ -326,11 +354,23 @@ func (r *StarRows) fill() error {
 			fetched++
 		}
 	}
+	// An entry with the (step, rowid) of the one before it shares that
+	// tuple's values: it is counted as fetched, but the first entry has
+	// already validated and decoded the bytes, from the same held page.
 	slices.Sort(ents)
+	prev, prevSlot := ^uint64(0), 0
 	for _, e := range ents {
-		if err := r.decode(int(e>>48), RowID(uint32(e>>16)), int(e&0xffff)); err != nil {
+		step, slot := int(e>>48), int(e&0xffff)
+		if e>>16 == prev {
+			for i, p := range r.proj {
+				if p.step == step {
+					r.slab[slot*n+i] = r.slab[prevSlot*n+i]
+				}
+			}
+		} else if err := r.decode(step, RowID(uint32(e>>16)), slot); err != nil {
 			return err
 		}
+		prev, prevSlot = e>>16, slot
 		fetched++
 	}
 	r.wlen = len(rids)
@@ -346,7 +386,7 @@ func (r *StarRows) decode(step int, rid RowID, slot int) error {
 		return err
 	}
 	n := len(r.proj)
-	return decodeCols(f.table.schema, data, r.proj, step, r.slab[slot*n:(slot+1)*n])
+	return decodeCols(f.table.schema, data, r.proj, step, r.slab[slot*n:(slot+1)*n], &r.strs)
 }
 
 // Err returns the first error hit while streaming.
@@ -356,11 +396,18 @@ func (r *StarRows) Err() error { return r.err }
 func (r *StarRows) Stats() QueryStats { return r.stats }
 
 // Close ends the stream: it releases the query's RAM reservation and
-// hands its held pages and its page of sort entries back. Safe to call
-// repeatedly; Next calls it automatically when the stream ends or fails.
+// hands its held pages, its page of sort entries and its rid lists back.
+// The rows handed out stay valid. Safe to call repeatedly; Next calls it
+// automatically when the stream ends or fails.
 func (r *StarRows) Close() {
-	r.pos = len(r.rids)
+	r.rids, r.pos = nil, 0
 	r.slab, r.wpos, r.wlen = nil, 0, 0
+	r.strs.Reset()
+	for i, l := range r.lists {
+		ridLists.Put(l)
+		r.lists[i] = nil
+	}
+	r.lists = r.lists[:0]
 	if r.ents != nil {
 		entryPages.Put(r.ents)
 		r.ents = nil
@@ -375,9 +422,10 @@ func (r *StarRows) Close() {
 	}
 }
 
-// All drains the stream into a slice (convenience for tests and examples).
+// All drains the stream into a slice sized for the rows left; it is how
+// core.PDS.QueryAs answers.
 func (r *StarRows) All() ([]Row, error) {
-	var out []Row
+	out := make([]Row, 0, r.wlen-r.wpos+len(r.rids)-r.pos)
 	for {
 		row, ok := r.Next()
 		if !ok {

@@ -540,7 +540,7 @@ func TestSelectIndexLookupRange(t *testing.T) {
 		rid, _ := tbl.Insert(Row{v})
 		ix.Add(v, rid)
 	}
-	rids, st, err := ix.LookupRange(IntVal(10), IntVal(19))
+	rids, st, err := ix.AppendLookupRange(nil, IntVal(10), IntVal(19))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,11 +556,11 @@ func TestSelectIndexLookupRange(t *testing.T) {
 		t.Errorf("stats.Matches = %d", st.Matches)
 	}
 	// Negative-range and empty-range sanity.
-	none, _, err := ix.LookupRange(IntVal(200), IntVal(300))
+	none, _, err := ix.AppendLookupRange(nil, IntVal(200), IntVal(300))
 	if err != nil || len(none) != 0 {
 		t.Errorf("empty range = %v, %v", none, err)
 	}
-	inv, _, err := ix.LookupRange(IntVal(20), IntVal(10))
+	inv, _, err := ix.AppendLookupRange(nil, IntVal(20), IntVal(10))
 	if err != nil || len(inv) != 0 {
 		t.Errorf("inverted range = %v, %v", inv, err)
 	}

@@ -141,13 +141,20 @@ type LookupStats struct {
 }
 
 // Lookup returns the rowids whose indexed value equals v, in ascending
-// rowid order: the tree's, then the tail's by the summary scan. It holds
-// two pages of RAM: one the tree's node pages and the tail's positive
-// Keys pages are read into in turn, and the summary iterator's, where
-// each filter is tested in place.
+// rowid order: AppendLookup into a fresh list.
 func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
+	return ix.AppendLookup(nil, v)
+}
+
+// AppendLookup appends to dst the rowids whose indexed value equals v, in
+// ascending rowid order: the tree's, then the tail's by the summary scan.
+// It holds two pages of RAM: one the tree's node pages and the tail's
+// positive Keys pages are read into in turn, and the summary iterator's,
+// where each filter is tested in place. Given the capacity, it allocates
+// only the probe key.
+func (ix *SelectIndex) AppendLookup(dst []RowID, v Value) ([]RowID, LookupStats, error) {
 	key := Key(v)
-	var out []RowID
+	out := dst
 	var st LookupStats
 	buf := ix.keys.PageBuf()
 	defer logstore.PutPageBuf(buf)
@@ -201,18 +208,18 @@ func (ix *SelectIndex) Lookup(v Value) ([]RowID, LookupStats, error) {
 	if err := match(ix.keys.Unflushed()); err != nil {
 		return nil, st, err
 	}
-	st.Matches = len(out)
+	st.Matches = len(out) - len(dst)
 	return out, st, nil
 }
 
-// LookupRange returns the rowids whose indexed value v satisfies
-// lo <= v <= hi (byte order of the canonical encoding), ascending by rowid.
-// The tree answers in O(height + matching leaves), its rowids sorted
-// afterwards; Bloom summaries cannot prune range predicates, so the tail
-// is scanned whole.
-func (ix *SelectIndex) LookupRange(lo, hi Value) ([]RowID, LookupStats, error) {
+// AppendLookupRange appends to dst the rowids whose indexed value v
+// satisfies lo <= v <= hi (byte order of the canonical encoding),
+// ascending by rowid. The tree answers in O(height + matching leaves),
+// its rowids sorted afterwards; Bloom summaries cannot prune range
+// predicates, so the tail is scanned whole.
+func (ix *SelectIndex) AppendLookupRange(dst []RowID, lo, hi Value) ([]RowID, LookupStats, error) {
 	loKey, hiKey := Key(lo), Key(hi)
-	var out []RowID
+	out := dst
 	var st LookupStats
 	if ix.tree != nil {
 		buf := ix.keys.PageBuf()
@@ -222,7 +229,7 @@ func (ix *SelectIndex) LookupRange(lo, hi Value) ([]RowID, LookupStats, error) {
 		if err != nil {
 			return nil, st, err
 		}
-		slices.Sort(out)
+		slices.Sort(out[len(dst):])
 	}
 	st.KeyPagesRead = ix.keys.Pages()
 	it := ix.keys.Iter()
@@ -242,7 +249,7 @@ func (ix *SelectIndex) LookupRange(lo, hi Value) ([]RowID, LookupStats, error) {
 	if err := it.Err(); err != nil {
 		return nil, st, err
 	}
-	st.Matches = len(out)
+	st.Matches = len(out) - len(dst)
 	return out, st, nil
 }
 

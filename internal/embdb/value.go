@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // ColType is the type of a column.
@@ -176,8 +177,11 @@ func decodeRow(s Schema, data []byte) (Row, error) {
 // decodeCols is decodeRow for a projection: it validates the whole
 // encoding exactly as decodeRow does — every column inside data, nothing
 // after the last — but boxes only the columns that proj asks of fetch step
-// step, each into its slot of out. Strings are copied out of data.
-func decodeCols(s Schema, data []byte, proj []projCol, step int, out Row) error {
+// step, each into its slot of out, once per column however many slots
+// name it. Strings are appended to strs and sliced out of it: a Builder
+// never rewrites the bytes it has handed out, so they stay valid as strs
+// grows and after it is dropped.
+func decodeCols(s Schema, data []byte, proj []projCol, step int, out Row, strs *strings.Builder) error {
 	off := 0
 	for ci, c := range s.Cols {
 		start := off
@@ -199,15 +203,21 @@ func decodeCols(s Schema, data []byte, proj []projCol, step int, out Row) error 
 		default:
 			return fmt.Errorf("%w: unknown column type", ErrCorruptRow)
 		}
+		var v Value
 		for i, p := range proj {
 			if p.step != step || p.colIdx != ci {
 				continue
 			}
-			if c.Type == Int {
-				out[i] = IntVal(int64(binary.LittleEndian.Uint64(data[start:off])))
-			} else {
-				out[i] = StrVal(data[start:off])
+			if v == nil {
+				if c.Type == Int {
+					v = IntVal(int64(binary.LittleEndian.Uint64(data[start:off])))
+				} else {
+					n := strs.Len()
+					strs.Write(data[start:off])
+					v = StrVal(strs.String()[n:])
+				}
 			}
+			out[i] = v
 		}
 	}
 	if off != len(data) {

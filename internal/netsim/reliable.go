@@ -160,8 +160,7 @@ type Link struct {
 	mu      sync.Mutex
 	seq     uint64
 	seen    map[uint64]bool
-	acked   map[uint64]bool
-	pending map[uint64]func(Envelope) // deliver callbacks of in-flight transfers, by seq
+	pending map[uint64]inFlight // the transfers under way, by seq
 	stats   RelStats
 	free    [][]byte // frame buffers no Deliver is using
 
@@ -172,6 +171,15 @@ type Link struct {
 	kind, xferName, ackKind string
 }
 
+// inFlight is a transfer under way: the callback its data frame is
+// delivered to, and whether an ack for it has come back. Only the
+// transfer's own attempts read the flag, so an ack for a sequence no
+// transfer awaits any longer is counted and dropped.
+type inFlight struct {
+	deliver func(Envelope)
+	acked   bool
+}
+
 // NewLink binds a reliable link to a wire.
 func NewLink(w Wire, cfg Reliability) *Link {
 	l := &Link{
@@ -179,8 +187,7 @@ func NewLink(w Wire, cfg Reliability) *Link {
 		acct:    w.Accounting(),
 		cfg:     cfg.withDefaults(),
 		seen:    map[uint64]bool{},
-		acked:   map[uint64]bool{},
-		pending: map[uint64]func(Envelope){},
+		pending: map[uint64]inFlight{},
 	}
 	l.recv = l.receive
 	return l
@@ -243,7 +250,7 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	l.seq++
 	seq := l.seq
 	l.stats.Transfers++
-	l.pending[seq] = deliver
+	l.pending[seq] = inFlight{deliver: deliver}
 	xferName, _ := l.names(e.Kind)
 	l.mu.Unlock()
 	obsv := l.obsv()
@@ -268,7 +275,7 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	for attempt := 0; ; attempt++ {
 		l.send(Envelope{From: e.From, To: e.To, Kind: e.Kind, Ctx: wireCtx}, seq, uint16(attempt), false, e.Payload)
 		l.mu.Lock()
-		acked := l.acked[seq]
+		acked := l.pending[seq].acked
 		l.mu.Unlock()
 		if acked {
 			return cost, nil
@@ -301,7 +308,8 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 // registered. Data frames are deduplicated by sequence, delivered on first
 // sight, and acked back through the (equally faulty) wire; late or
 // duplicate copies are re-acked, as in any ARQ. Ack frames mark their
-// sequence acked whichever transfer's Deliver surfaces them.
+// sequence acked whichever transfer's Deliver surfaces them, while that
+// sequence's transfer is still under way.
 func (l *Link) receive(got Envelope) {
 	fr, ok := decodeFrame(got.Payload)
 	if !ok {
@@ -314,7 +322,10 @@ func (l *Link) receive(got Envelope) {
 	if fr.ack {
 		l.mu.Lock()
 		l.stats.Acks++
-		l.acked[fr.seq] = true
+		if p, ok := l.pending[fr.seq]; ok {
+			p.acked = true
+			l.pending[fr.seq] = p
+		}
 		l.mu.Unlock()
 		o := l.obsv()
 		o.rel(relAcks, 1)
@@ -326,7 +337,7 @@ func (l *Link) receive(got Envelope) {
 	l.seen[fr.seq] = true
 	var deliver func(Envelope)
 	if first {
-		deliver = l.pending[fr.seq]
+		deliver = l.pending[fr.seq].deliver
 	}
 	_, ackKind := l.names(got.Kind)
 	l.mu.Unlock()

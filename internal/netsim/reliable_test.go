@@ -125,6 +125,29 @@ func TestTransferSurvivesDelayViaRetry(t *testing.T) {
 	}
 }
 
+// A link keeps a transfer's state only while the transfer is under way.
+// Acks that surface after their transfer returned — the re-ack of a
+// duplicated frame, withheld by a reorder and released by the next
+// transfer's ack — are counted and dropped, so after any number of lossy
+// transfers and the flush barrier the link holds no per-transfer state.
+func TestLinkRetainsNoTransferState(t *testing.T) {
+	n := New()
+	n.SetFaults(NewFaultPlane(FaultPlan{Seed: 15, Default: FaultSpec{Drop: 0.1, Duplicate: 0.2, Delay: 0.1, Reorder: 0.2}}))
+	l := NewLink(n, Reliability{MaxRetries: 40})
+	for i := 0; i < 300; i++ {
+		err := l.Transfer(Envelope{From: "a", To: "b", Kind: "k", Payload: []byte(fmt.Sprintf("m%03d", i))}, func(Envelope) {})
+		if err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+	}
+	n.FlushFaults(func(e Envelope) { l.Accept(e, nil) })
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.pending) != 0 {
+		t.Errorf("the link retains %d transfers after all 300 returned", len(l.pending))
+	}
+}
+
 func TestTransferExhaustsRetriesTyped(t *testing.T) {
 	n := New()
 	n.SetFaults(NewFaultPlane(FaultPlan{Seed: 14, Default: FaultSpec{Drop: 1}}))
@@ -245,13 +268,14 @@ func TestReceiveDispatchesBySequence(t *testing.T) {
 	// White-box pin of the routing contract behind the test above: a data
 	// frame surfacing in ANY Deliver context routes to the deliver callback
 	// registered for its own sequence number, duplicates are absorbed, and
-	// ack frames mark their sequence acked for whichever transfer owns it.
+	// ack frames mark their sequence acked for whichever transfer owns it —
+	// an ack for a sequence no transfer awaits is dropped, not kept.
 	n := New()
 	l := NewLink(n, Reliability{})
 	var gotA, gotB []string
 	l.mu.Lock()
-	l.pending[7] = func(e Envelope) { gotA = append(gotA, string(e.Payload)) }
-	l.pending[8] = func(e Envelope) { gotB = append(gotB, string(e.Payload)) }
+	l.pending[7] = inFlight{deliver: func(e Envelope) { gotA = append(gotA, string(e.Payload)) }}
+	l.pending[8] = inFlight{deliver: func(e Envelope) { gotB = append(gotB, string(e.Payload)) }}
 	l.mu.Unlock()
 	l.receive(Envelope{From: "a", To: "b", Kind: "k", Payload: EncodeFrame(7, 0, false, obs.SpanContext{}, []byte("for-A"))})
 	l.receive(Envelope{From: "a", To: "b", Kind: "k", Payload: EncodeFrame(8, 0, false, obs.SpanContext{}, []byte("for-B"))})
@@ -262,11 +286,16 @@ func TestReceiveDispatchesBySequence(t *testing.T) {
 	if len(gotB) != 1 || gotB[0] != "for-B" {
 		t.Errorf("seq 8 deliveries = %q, want exactly [for-B]", gotB)
 	}
+	l.receive(Envelope{From: "b", To: "a", Kind: "k/ack", Payload: EncodeFrame(9, 0, true, obs.SpanContext{}, nil)})
 	l.mu.Lock()
-	acked7, acked8 := l.acked[7], l.acked[8]
+	acked7, acked8 := l.pending[7].acked, l.pending[8].acked
+	_, kept9 := l.pending[9]
 	l.mu.Unlock()
 	if !acked7 || !acked8 {
 		t.Errorf("acks not recorded by sequence: acked[7]=%v acked[8]=%v", acked7, acked8)
+	}
+	if kept9 {
+		t.Error("an ack for a sequence no transfer awaits was kept")
 	}
 }
 

@@ -19,6 +19,7 @@
 package search
 
 import (
+	"cmp"
 	"container/heap"
 	"encoding/binary"
 	"errors"
@@ -491,10 +492,22 @@ func (h *topNHeap) Pop() interface{} {
 // resultEntryBytes is the RAM accounted per top-N heap entry.
 const resultEntryBytes = 16
 
+// searchScratch is a search's working set besides its cursors' pages:
+// the distinct keywords, the live cursors and the bounded result heap.
+type searchScratch struct {
+	uniq    []string
+	cursors []*cursor
+	heap    topNHeap
+}
+
+// scratchPool recycles searchScratch, as cursorPool recycles cursors.
+var scratchPool sync.Pool
+
 // Search returns the topN documents ranked by TF-IDF for the keywords
 // (OR semantics: a document scores on the keywords it contains). It runs in
 // pipeline: one RAM page per distinct keyword plus the bounded result heap,
-// all reserved from the arena.
+// all reserved from the arena. Its working set comes from pools, so what
+// it allocates is its reservation and its answer.
 func (e *Engine) Search(keywords []string, topN int) ([]Result, error) {
 	if len(keywords) == 0 {
 		return nil, ErrNoKeywords
@@ -505,22 +518,36 @@ func (e *Engine) Search(keywords []string, topN int) ([]Result, error) {
 	if e.obsv != nil {
 		e.obsv.Counter(MetricQueries, "mode", "or").Inc()
 	}
-	// Deduplicate keywords.
-	uniq := make([]string, 0, len(keywords))
-	seen := make(map[string]bool, len(keywords))
+	sc, _ := scratchPool.Get().(*searchScratch)
+	if sc == nil {
+		sc = new(searchScratch)
+	}
+	postings := 0
+	defer func() {
+		e.count(MetricPostings, int64(postings))
+		// A failed search closes none of its cursors: they are left to
+		// the collector, not to the pool.
+		clear(sc.uniq[:cap(sc.uniq)])
+		clear(sc.cursors[:cap(sc.cursors)])
+		sc.uniq, sc.cursors, sc.heap = sc.uniq[:0], sc.cursors[:0], sc.heap[:0]
+		scratchPool.Put(sc)
+	}()
+	// Deduplicate keywords, keeping their first order: a score is summed
+	// in cursor order.
+	uniq := sc.uniq[:0]
 	for _, k := range keywords {
-		if !seen[k] {
-			seen[k] = true
+		if !slices.Contains(uniq, k) {
 			uniq = append(uniq, k)
 		}
 	}
+	sc.uniq = uniq
 	res, err := e.arena.Reserve(len(uniq)*e.pageSize + topN*resultEntryBytes)
 	if err != nil {
 		return nil, fmt.Errorf("search: query memory: %w", err)
 	}
 	defer res.Release()
 
-	cursors := make([]*cursor, 0, len(uniq))
+	cursors := sc.cursors[:0]
 	for _, k := range uniq {
 		c := e.openCursor(k)
 		ok, err := c.prime()
@@ -534,9 +561,8 @@ func (e *Engine) Search(keywords []string, topN int) ([]Result, error) {
 		}
 	}
 	// The merge runs until every stream is exhausted, closing each as it
-	// dries up. A failed search closes none: its cursors are left to the
-	// collector.
-	h := make(topNHeap, 0, topN)
+	// dries up.
+	h := &sc.heap
 	for len(cursors) > 0 {
 		// Current document = max head docid across cursors.
 		var cur DocID
@@ -557,7 +583,7 @@ func (e *Engine) Search(keywords []string, topN int) ([]Result, error) {
 					break
 				}
 				score += float64(t.weight) * c.idf
-				e.count(MetricPostings, 1)
+				postings++
 				ok, err = c.advance()
 				if err != nil {
 					return nil, err
@@ -574,18 +600,24 @@ func (e *Engine) Search(keywords []string, topN int) ([]Result, error) {
 		}
 		cursors = alive
 		r := Result{Doc: cur, Score: score}
-		if len(h) < topN {
-			heap.Push(&h, r)
-		} else if betterThanMin(h[0], r) {
-			h[0] = r
-			heap.Fix(&h, 0)
+		if len(*h) < topN {
+			*h = append(*h, r)
+			heap.Fix(h, len(*h)-1)
+		} else if betterThanMin((*h)[0], r) {
+			(*h)[0] = r
+			heap.Fix(h, 0)
 		}
 	}
-	// Extract in descending score order.
-	out := make([]Result, len(h))
-	for i := len(h) - 1; i >= 0; i-- {
-		out[i] = heap.Pop(&h).(Result)
-	}
+	sc.cursors = cursors
+	// The top N, best first: descending score, then descending docid.
+	out := make([]Result, len(*h))
+	copy(out, *h)
+	slices.SortFunc(out, func(a, b Result) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		return cmp.Compare(b.Doc, a.Doc)
+	})
 	return out, nil
 }
 

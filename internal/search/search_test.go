@@ -10,6 +10,7 @@ import (
 
 	"pds/internal/flash"
 	"pds/internal/mcu"
+	"pds/internal/obs"
 )
 
 // newTestEngine returns an engine on a roomy test device.
@@ -43,6 +44,35 @@ func TestAddAndSearchSingleKeyword(t *testing.T) {
 	idf := math.Log(3.0 / 2.0)
 	if math.Abs(res[0].Score-3*idf) > 1e-9 || math.Abs(res[1].Score-idf) > 1e-9 {
 		t.Errorf("scores = %v, want %v and %v", res, 3*idf, idf)
+	}
+}
+
+// The merge counts its postings once per search, not once per posting:
+// the total is every posting of the distinct keywords, a keyword named
+// twice merged once, whether its postings sit in the compact area, the
+// bucket chains or the insertion buffers.
+func TestSearchCountsEveryPosting(t *testing.T) {
+	e := newTestEngine(t, 4)
+	reg := obs.NewRegistry()
+	e.SetObserver(reg)
+	for d := 0; d < 300; d++ {
+		if d == 200 {
+			if err := e.Reorganize(2, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		doc := map[string]int{fmt.Sprintf("term-%d", d%7): 1 + d%3, fmt.Sprintf("term-%d", (d*3+1)%7): 1}
+		if _, err := e.AddDocument(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := reg.CounterValue(MetricPostings)
+	if _, err := e.Search([]string{"term-2", "term-5", "term-2"}, 4); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(e.DocFreq("term-2") + e.DocFreq("term-5"))
+	if got := reg.CounterValue(MetricPostings) - before; got != want || want == 0 {
+		t.Errorf("search counted %d postings, want %d", got, want)
 	}
 }
 
