@@ -97,9 +97,15 @@ func Kinds() []Kind {
 	return []Kind{kvKind(), searchKind(), embdbKind()}
 }
 
+// kinds is the table ByName reads, built once: a host resolves a
+// tenant's engine on every open, so it does not rebuild every Kind to
+// find one. The Kinds it hands out share their CrashOps; callers read
+// them only.
+var kinds = Kinds()
+
 // ByName resolves one engine by its Kind name.
 func ByName(name string) (Kind, bool) {
-	for _, k := range Kinds() {
+	for _, k := range kinds {
 		if k.Name == name {
 			return k, true
 		}

@@ -203,3 +203,19 @@ func TestSelectIndexReorganizeChipImageGolden(t *testing.T) {
 		"14:2 17:2 20:2 22:1 23:2 24:1 25:1 26:2 27:1 28:1 29:1 30:1",
 		"75bda38cd2f5855190ab4db387a00fe0bb3ca87db009ce82d2d81580fc3cfa29"}.check(t, chip)
 }
+
+// ByName reads a table built once: resolving an engine rebuilds no Kind.
+func TestByNameResolvesWithoutAllocating(t *testing.T) {
+	for _, want := range durable.Kinds() {
+		k, ok := durable.ByName(want.Name)
+		if !ok || k.Name != want.Name || k.Ops != want.Ops || k.SyncEvery != want.SyncEvery || k.ReorgEvery != want.ReorgEvery {
+			t.Fatalf("ByName(%q) = %+v, %v", want.Name, k, ok)
+		}
+	}
+	if _, ok := durable.ByName("nosuch"); ok {
+		t.Error("ByName resolved an unknown engine")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { durable.ByName("embdb") }); allocs != 0 {
+		t.Errorf("ByName: %.1f allocs, want 0", allocs)
+	}
+}

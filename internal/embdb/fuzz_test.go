@@ -87,7 +87,13 @@ func FuzzDecodeColMatchesDecodeRow(f *testing.F) {
 		var outs []Row
 		for _, proj := range append(projs, all) {
 			out := make(Row, len(proj))
+			before := strs.Len()
 			err := decodeCols(s, data, proj, 1, out, &strs)
+			// The bytes a window's string buffer is sized by are the
+			// bytes a well-formed tuple's decode appends.
+			if got, appended := projStrBytes(s, data, proj, 1), strs.Len()-before; err == nil && got != appended {
+				t.Fatalf("projStrBytes = %d, decodeCols appended %d", got, appended)
+			}
 			if (err == nil) != (wantErr == nil) || errors.Is(err, ErrCorruptRow) != errors.Is(wantErr, ErrCorruptRow) {
 				t.Fatalf("decodeCols err = %v, decodeRow err = %v", err, wantErr)
 			}

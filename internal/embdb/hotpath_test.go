@@ -242,8 +242,9 @@ func TestStarRowAllocCeiling(t *testing.T) {
 	})
 	t.Logf("%.0f allocs per Tjoin probe, %.0f per result row", probe, perRow)
 	// Rows are assembled a window of 16 at a time (256-byte pages, two
-	// dimension steps): the window's slab, the growth of its string
-	// buffer, and one box per Str column of each distinct CUSTOMER and
+	// dimension steps): the window's slab, its string buffer (sized per
+	// fetch step at the step's first tuple), and one box per Str column
+	// of each distinct CUSTOMER and
 	// SUPPLIER tuple of the window — the qty is a small int, which boxes
 	// for free. AllocsPerRun floors that to 1 per row; one more allocation
 	// per row reads 2. It was 3 with a string and a box per Str column of

@@ -348,7 +348,12 @@ func (r *StarRows) fill() error {
 				ents = append(ents, uint64(step)<<48|uint64(dimRids[f.dim])<<16|uint64(slot))
 				continue
 			}
-			if err := r.decode(step, rid, slot); err != nil {
+			// The first root tuple sizes the strings of all of them.
+			tuples := 0
+			if slot == 0 {
+				tuples = len(rids)
+			}
+			if err := r.decode(step, rid, slot, tuples); err != nil {
 				return err
 			}
 			fetched++
@@ -359,7 +364,7 @@ func (r *StarRows) fill() error {
 	// already validated and decoded the bytes, from the same held page.
 	slices.Sort(ents)
 	prev, prevSlot := ^uint64(0), 0
-	for _, e := range ents {
+	for j, e := range ents {
 		step, slot := int(e>>48), int(e&0xffff)
 		if e>>16 == prev {
 			for i, p := range r.proj {
@@ -367,7 +372,7 @@ func (r *StarRows) fill() error {
 					r.slab[slot*n+i] = r.slab[prevSlot*n+i]
 				}
 			}
-		} else if err := r.decode(step, RowID(uint32(e>>16)), slot); err != nil {
+		} else if err := r.decode(step, RowID(uint32(e>>16)), slot, stepTuples(ents[j:], prev)); err != nil {
 			return err
 		}
 		prev, prevSlot = e>>16, slot
@@ -377,13 +382,41 @@ func (r *StarRows) fill() error {
 	return nil
 }
 
+// stepTuples is, at the first entry of a fetch step in the sorted
+// entries ents (prev the (step, rowid) of the entry before it), how many
+// distinct tuples of that step the window decodes; 0 anywhere else.
+func stepTuples(ents []uint64, prev uint64) int {
+	step := ents[0] >> 48
+	if prev != ^uint64(0) && prev>>32 == step {
+		return 0
+	}
+	tuples, last := 0, ^uint64(0)
+	for _, e := range ents {
+		if e>>48 != step {
+			break
+		}
+		if e>>16 != last {
+			tuples, last = tuples+1, e>>16
+		}
+	}
+	return tuples
+}
+
 // decode views tuple rid of fetch step step in the step's held page and
-// copies its projected columns into the window's row at slot.
-func (r *StarRows) decode(step int, rid RowID, slot int) error {
+// copies its projected columns into the window's row at slot. A tuples
+// > 0 says this is the first of the window's tuples decodes of the step:
+// it grows the window's string buffer for all of them at once, taking
+// this tuple's projected string bytes for each — one allocation for a
+// column of alike strings (a name), where appending would double the
+// buffer up from 8 bytes. Longer strings later only cost a doubling.
+func (r *StarRows) decode(step int, rid RowID, slot, tuples int) error {
 	f := &r.fetch[step]
 	data, err := f.table.view(rid, &f.page)
 	if err != nil {
 		return err
+	}
+	if tuples > 0 {
+		r.strs.Grow(tuples * projStrBytes(f.table.schema, data, r.proj, step))
 	}
 	n := len(r.proj)
 	return decodeCols(f.table.schema, data, r.proj, step, r.slab[slot*n:(slot+1)*n], &r.strs)

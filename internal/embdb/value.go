@@ -225,3 +225,29 @@ func decodeCols(s Schema, data []byte, proj []projCol, step int, out Row, strs *
 	}
 	return nil
 }
+
+// projStrBytes is how many string bytes decodeCols appends to strs for
+// this tuple: the lengths of the Str columns proj asks of fetch step
+// step, once per column. A malformed encoding counts what it can read;
+// decodeCols reports it.
+func projStrBytes(s Schema, data []byte, proj []projCol, step int) int {
+	off, total := 0, 0
+	for ci, c := range s.Cols {
+		if c.Type == Int {
+			off += 8
+			continue
+		}
+		if off+2 > len(data) {
+			break
+		}
+		n := int(binary.LittleEndian.Uint16(data[off : off+2]))
+		off += 2 + n
+		for _, p := range proj {
+			if p.step == step && p.colIdx == ci {
+				total += n
+				break
+			}
+		}
+	}
+	return total
+}

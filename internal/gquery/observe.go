@@ -1,6 +1,7 @@
 package gquery
 
 import (
+	"sync"
 	"time"
 
 	"pds/internal/netsim"
@@ -42,6 +43,11 @@ const (
 // it (and into the engine's WithObserver registry). Span time advances
 // only at phase barriers, by each phase's makespan over the per-node
 // timelines the transport keeps.
+//
+// The run registry comes from runRegistries and goes back there, reset,
+// at detach: what the run keeps (RunStats, the merged registries) is
+// copied out of it first, and nothing outside the run — the wire, the
+// engine, the SSI — holds it after, so the next run can take it.
 type runObs struct {
 	wire tnet.Transport
 	reg  *obs.Registry // run-local
@@ -55,10 +61,34 @@ type runObs struct {
 	done  bool
 }
 
+// runRegistries recycles run registries. A recycled registry snapshots
+// as a fresh one (obs.Registry.Reset) but keeps its series, its span
+// lists and the netsim observer bridge attached to it, so a run
+// re-registers the series of the last one without allocating them.
+var runRegistries = sync.Pool{New: func() any { return obs.NewRegistry() }}
+
+// phaseSeries holds the per-phase critical-path series names of the
+// protocol phases, built once per process.
+var phaseSeries = func() map[string][2]string {
+	m := map[string][2]string{}
+	for _, ph := range []string{PhaseCollect, PhasePartition, PhaseTokenFold, PhaseMerge} {
+		m[ph] = [2]string{obs.Name(MetricPhaseChainNS, "phase", ph), obs.Name(MetricPhaseSlackNS, "phase", ph)}
+	}
+	return m
+}()
+
+// phaseNames returns the chain and slack series names of a phase.
+func phaseNames(phase string) (chain, slack string) {
+	if n, ok := phaseSeries[phase]; ok {
+		return n[0], n[1]
+	}
+	return obs.Name(MetricPhaseChainNS, "phase", phase), obs.Name(MetricPhaseSlackNS, "phase", phase)
+}
+
 func newRunObs(w tnet.Transport, user *obs.Registry, proto string) *runObs {
 	ro := &runObs{
 		wire: w,
-		reg:  obs.NewRegistry(),
+		reg:  runRegistries.Get().(*obs.Registry),
 		prev: w.Observer(),
 		user: user,
 		cost: netsim.DefaultCostModel(),
@@ -143,14 +173,16 @@ func (ro *runObs) finish(stats *RunStats, makespan time.Duration) {
 	reg.Counter(MetricCriticalNS).Add(cp.TotalNS)
 	reg.Counter(MetricCriticalSlackNS).Add(cp.SlackNS)
 	for _, ph := range cp.Phases {
-		reg.Counter(MetricPhaseChainNS, "phase", ph.Name).Add(ph.ChainNS)
-		reg.Counter(MetricPhaseSlackNS, "phase", ph.Name).Add(ph.SlackNS)
+		chain, slack := phaseNames(ph.Name)
+		reg.Counter(chain).Add(ph.ChainNS)
+		reg.Counter(slack).Add(ph.SlackNS)
 	}
 }
 
 // detach ends the run's observability epoch: close open spans, hand the
-// network back to the pre-run observer, and roll the run's metrics up into
-// it and the engine's registry. Idempotent; runs on every exit path.
+// network back to the pre-run observer, roll the run's metrics up into it
+// and the engine's registry, and return the run registry to the pool.
+// Idempotent; runs on every exit path.
 func (ro *runObs) detach() {
 	if ro.done {
 		return
@@ -164,4 +196,7 @@ func (ro *runObs) detach() {
 	if ro.user != nil && ro.user != ro.prev {
 		ro.user.Merge(ro.reg)
 	}
+	ro.reg.Reset()
+	runRegistries.Put(ro.reg)
+	ro.reg, ro.root, ro.cur = nil, nil, nil
 }

@@ -56,12 +56,20 @@ func newTransport(w tnet.Transport, cfg config, proto string) *transport {
 // armed (and whatever envelopes it still withholds) is detached from the
 // network and the pre-run plane restored, so a later caller delivering on
 // the same Network does not inherit a stale fault schedule; the run's
-// metrics are rolled up into the pre-run and engine registries.
+// metrics are rolled up into the pre-run and engine registries; and the
+// run's links, unbound from the wire, go back to the pool.
 func (tp *transport) close() {
 	if tp.on {
 		tp.wire.SetFaults(tp.prev)
 	}
 	tp.ro.detach()
+	tp.mu.Lock()
+	defer tp.mu.Unlock()
+	for _, l := range tp.links {
+		l.Reset(nil, netsim.Reliability{})
+		runLinks.Put(l)
+	}
+	clear(tp.links)
 }
 
 // phase closes the current phase at its slowest node — every node is its
@@ -117,15 +125,21 @@ func linkKey(e netsim.Envelope) string {
 	return e.Kind
 }
 
-// link returns the reliable link carrying one link key, creating it
-// on first use. Per-key links keep sequence spaces disjoint, mirroring
-// the per-kind fault schedules.
+// runLinks recycles the links of finished runs. A link is reset when it
+// comes back, so a run's links start as new ones would, with the frame
+// buffers and set capacity of earlier runs.
+var runLinks = sync.Pool{New: func() any { return netsim.NewLink(nil, netsim.Reliability{}) }}
+
+// link returns the reliable link carrying one link key, taking it from
+// the pool on first use. Per-key links keep sequence spaces disjoint,
+// mirroring the per-kind fault schedules.
 func (tp *transport) link(kind string) *netsim.Link {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	l, ok := tp.links[kind]
 	if !ok {
-		l = netsim.NewLink(tp.wire, tp.rel)
+		l = runLinks.Get().(*netsim.Link)
+		l.Reset(tp.wire, tp.rel)
 		tp.links[kind] = l
 	}
 	return l

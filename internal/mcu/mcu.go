@@ -51,14 +51,35 @@ func (a *Arena) Reserve(n int) (*Reservation, error) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.budget > 0 && a.used+n > a.budget {
+	if !a.claim(n) {
 		return nil, fmt.Errorf("%w: want %d, used %d of %d", ErrOutOfRAM, n, a.used, a.budget)
+	}
+	return &Reservation{arena: a, n: n}, nil
+}
+
+// TryReserve is Reserve for a caller that meets a full arena by freeing
+// memory and trying again: where Reserve fails with ErrOutOfRAM it
+// reports false, and it describes no refusal, so probing a full arena
+// costs nothing. n must not be negative.
+func (a *Arena) TryReserve(n int) (*Reservation, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n < 0 || !a.claim(n) {
+		return nil, false
+	}
+	return &Reservation{arena: a, n: n}, true
+}
+
+// claim books n more bytes if the budget has room. Callers hold a.mu.
+func (a *Arena) claim(n int) bool {
+	if a.budget > 0 && a.used+n > a.budget {
+		return false
 	}
 	a.used += n
 	if a.used > a.high {
 		a.high = a.used
 	}
-	return &Reservation{arena: a, n: n}, nil
+	return true
 }
 
 // Grow enlarges an existing reservation by delta bytes (delta may not be

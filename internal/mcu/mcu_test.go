@@ -195,3 +195,25 @@ func TestNewDevice(t *testing.T) {
 		t.Error("allocator not bound to device chip")
 	}
 }
+
+// TryReserve claims what Reserve claims and refuses where Reserve fails
+// with ErrOutOfRAM, and probing a full arena with it allocates nothing.
+func TestTryReserveMatchesReserve(t *testing.T) {
+	a, b := NewArena(100), NewArena(100)
+	for _, n := range []int{40, 40, 30, 20, 0, 1} {
+		r, err := a.Reserve(n)
+		tr, ok := b.TryReserve(n)
+		if (err == nil) != ok || (err != nil && !errors.Is(err, ErrOutOfRAM)) {
+			t.Fatalf("reserve %d: Reserve err %v, TryReserve ok %v", n, err, ok)
+		}
+		if ok && (r.Size() != tr.Size() || a.Used() != b.Used() || a.HighWater() != b.HighWater()) {
+			t.Fatalf("reserve %d: arenas at %d and %d", n, a.Used(), b.Used())
+		}
+	}
+	if _, ok := b.TryReserve(-1); ok {
+		t.Error("TryReserve granted a negative reservation")
+	}
+	if allocs := testing.AllocsPerRun(50, func() { b.TryReserve(50) }); allocs != 0 {
+		t.Errorf("probing a full arena: %.1f allocs, want 0", allocs)
+	}
+}

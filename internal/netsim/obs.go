@@ -30,23 +30,56 @@ const (
 )
 
 // netObserver binds one registry to a network, its fault plane and its
-// links, caching the counters they bump: the reliability families in
-// fixed slots, the labeled series in maps under a read-write lock. A
-// series is registered the first time it is counted, so a family no
-// event reached stays out of the registry.
+// links, caching the counters they bump: the unlabeled families in fixed
+// slots, the labeled series in maps under a read-write lock. A series is
+// registered the first time it is counted, so a family no event reached
+// stays out of the registry.
+//
+// The observer is attached to its registry (obs.Registry.Attachment) and
+// outlives the registry's resets: a series keeps its canonical name and
+// its counter, and the first count after a reset registers it again by
+// that name, which builds no name and allocates nothing.
 type netObserver struct {
 	reg      *obs.Registry
-	messages *obs.Counter
-	bytes    *obs.Counter
-	rels     [len(relFamilies)]atomic.Pointer[obs.Counter]
+	messages series
+	bytes    series
+	rels     [len(relFamilies)]series
 
 	mu     sync.RWMutex
-	kinds  map[string]kindSeries
-	faults map[faultSeries]*obs.Counter
+	kinds  map[string]*kindSeries
+	faults map[faultSeries]*series
+}
+
+// series is one counter the observer bumps: its canonical name, and the
+// counter with the registry epoch it was last registered in.
+type series struct {
+	name  string
+	c     atomic.Pointer[obs.Counter]
+	epoch atomic.Uint64
+}
+
+// add bumps the series by d, registering it first if this is its first
+// count in the registry's current epoch.
+func (s *series) add(reg *obs.Registry, d int64) {
+	s.counter(reg).Add(d)
+}
+
+// counter returns the series' counter, registered in the current epoch.
+func (s *series) counter(reg *obs.Registry) *obs.Counter {
+	c, e := s.c.Load(), reg.Epoch()
+	if c == nil || s.epoch.Load() != e {
+		// The registry keeps a reset series' counter, so this is the
+		// same counter every time; Counter of a canonical name builds
+		// none.
+		c = reg.Counter(s.name)
+		s.c.Store(c)
+		s.epoch.Store(e)
+	}
+	return c
 }
 
 // kindSeries is the pair of per-kind traffic series an envelope bumps.
-type kindSeries struct{ messages, bytes *obs.Counter }
+type kindSeries struct{ messages, bytes series }
 
 // faultSeries names one MetricFaults series.
 type faultSeries struct{ action, kind string }
@@ -64,17 +97,30 @@ const (
 
 var relFamilies = [...]string{MetricRelTransfers, MetricRelRetrans, MetricRelAcks, MetricRelTagFail, MetricRelBackoffNS}
 
-func newNetObserver(reg *obs.Registry) *netObserver {
+// observerKey is the key the bridge is attached to a registry under.
+type observerKey struct{}
+
+// observerOf returns reg's bridge, attaching a new one the first time,
+// with the message and byte totals registered (nil for a nil registry).
+func observerOf(reg *obs.Registry) *netObserver {
 	if reg == nil {
 		return nil
 	}
-	return &netObserver{
-		reg:      reg,
-		messages: reg.Counter(MetricMessages),
-		bytes:    reg.Counter(MetricBytes),
-		kinds:    map[string]kindSeries{},
-		faults:   map[faultSeries]*obs.Counter{},
-	}
+	o := reg.Attachment(observerKey{}, func() any {
+		o := &netObserver{
+			reg:    reg,
+			kinds:  map[string]*kindSeries{},
+			faults: map[faultSeries]*series{},
+		}
+		o.messages.name, o.bytes.name = MetricMessages, MetricBytes
+		for f, fam := range relFamilies {
+			o.rels[f].name = fam
+		}
+		return o
+	}).(*netObserver)
+	o.messages.counter(reg)
+	o.bytes.counter(reg)
+	return o
 }
 
 // bind returns m's entry for k, making it with mk the first time.
@@ -85,22 +131,29 @@ func bind[K comparable, V any](mu *sync.RWMutex, m map[K]V, k K, mk func() V) V 
 	if ok {
 		return v
 	}
-	v = mk()
 	mu.Lock()
+	defer mu.Unlock()
+	if v, ok := m[k]; ok {
+		return v
+	}
+	v = mk()
 	m[k] = v
-	mu.Unlock()
 	return v
 }
 
 // record mirrors one sent envelope.
 func (o *netObserver) record(e Envelope) {
-	o.messages.Inc()
-	o.bytes.Add(int64(len(e.Payload)))
-	ks := bind(&o.mu, o.kinds, e.Kind, func() kindSeries {
-		return kindSeries{o.reg.Counter(MetricKindMessages, "kind", e.Kind), o.reg.Counter(MetricKindBytes, "kind", e.Kind)}
+	n := int64(len(e.Payload))
+	o.messages.add(o.reg, 1)
+	o.bytes.add(o.reg, n)
+	ks := bind(&o.mu, o.kinds, e.Kind, func() *kindSeries {
+		ks := &kindSeries{}
+		ks.messages.name = obs.Name(MetricKindMessages, "kind", e.Kind)
+		ks.bytes.name = obs.Name(MetricKindBytes, "kind", e.Kind)
+		return ks
 	})
-	ks.messages.Inc()
-	ks.bytes.Add(int64(len(e.Payload)))
+	ks.messages.add(o.reg, 1)
+	ks.bytes.add(o.reg, n)
 }
 
 // fault mirrors one injected fault decision.
@@ -108,9 +161,9 @@ func (o *netObserver) fault(action, kind string) {
 	if o == nil {
 		return
 	}
-	bind(&o.mu, o.faults, faultSeries{action, kind}, func() *obs.Counter {
-		return o.reg.Counter(MetricFaults, "fault", action, "kind", kind)
-	}).Inc()
+	bind(&o.mu, o.faults, faultSeries{action, kind}, func() *series {
+		return &series{name: obs.Name(MetricFaults, "fault", action, "kind", kind)}
+	}).add(o.reg, 1)
 }
 
 // rel mirrors one reliability-layer counter bump.
@@ -118,12 +171,7 @@ func (o *netObserver) rel(f relFamily, d int64) {
 	if o == nil {
 		return
 	}
-	c := o.rels[f].Load()
-	if c == nil {
-		c = o.reg.Counter(relFamilies[f])
-		o.rels[f].Store(c)
-	}
-	c.Add(d)
+	o.rels[f].add(o.reg, d)
 }
 
 // startSpan opens a span on the attached registry under a wire context
@@ -148,7 +196,7 @@ func (o *netObserver) event(name string, ctx obs.SpanContext) {
 // into it through one bridge, which the network, its fault plane and
 // every link on it share; an already-installed fault plane is re-bound.
 func (n *Network) SetObserver(reg *obs.Registry) {
-	o := newNetObserver(reg)
+	o := observerOf(reg)
 	n.obsv.Store(o)
 	if fp := n.faults.Load(); fp != nil {
 		fp.obsv.Store(o)

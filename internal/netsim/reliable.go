@@ -144,9 +144,9 @@ func decodeFrame(data []byte) (frame, bool) {
 // Link is one reliable channel over a (possibly faulty) Wire. A link
 // may carry frames between many endpoint pairs — the sequence number is
 // link-global — and is safe for the concurrent transfers of a parallel
-// token fleet. Receiver-side state (the seen-sequence set) lives in the
-// link too: whichever substrate carries the frames, the ARQ protocol
-// machine runs at the sending node.
+// token fleet. Receiver-side state (which sequences were delivered) lives
+// in the link too: whichever substrate carries the frames, the ARQ
+// protocol machine runs at the sending node.
 //
 // The link owns the bytes of the frames it sends: each data attempt and
 // each ack is encoded into a buffer from the link's free list, which the
@@ -156,19 +156,22 @@ type Link struct {
 	wire Wire
 	acct *Network // the wire's counting network, whose observer the link shares
 	cfg  Reliability
+	recv func(Envelope) // the receiver handed to the wire, bound once
 
-	mu      sync.Mutex
-	seq     uint64
-	seen    map[uint64]bool
-	pending map[uint64]inFlight // the transfers under way, by seq
-	stats   RelStats
-	free    [][]byte // frame buffers no Deliver is using
-
-	// Bound once, not per frame: the receiver handed to the wire, and the
-	// span and ack-kind names of the envelope kind last carried (gquery
-	// runs one link per kind, so the names are built once per link).
-	recv                    func(Envelope)
-	kind, xferName, ackKind string
+	mu  sync.Mutex
+	seq uint64
+	// Delivered data sequences: every sequence in 1..seenLow, and those
+	// above it in seenAbove. A delayed copy may surface at FlushFaults
+	// long after its transfer returned, so a sequence cannot be forgotten
+	// when its transfer returns; the watermark forgets it once every
+	// sequence below it is delivered too, which leaves the set no larger
+	// than the run of out-of-order deliveries. (A transfer that gave up
+	// holds the watermark at its sequence until a late copy arrives.)
+	seenLow   uint64
+	seenAbove map[uint64]struct{}
+	pending   map[uint64]inFlight // the transfers under way, by seq
+	stats     RelStats
+	free      [][]byte // frame buffers no Deliver is using
 }
 
 // inFlight is a transfer under way: the callback its data frame is
@@ -182,15 +185,29 @@ type inFlight struct {
 
 // NewLink binds a reliable link to a wire.
 func NewLink(w Wire, cfg Reliability) *Link {
-	l := &Link{
-		wire:    w,
-		acct:    w.Accounting(),
-		cfg:     cfg.withDefaults(),
-		seen:    map[uint64]bool{},
-		pending: map[uint64]inFlight{},
-	}
+	l := &Link{seenAbove: map[uint64]struct{}{}, pending: map[uint64]inFlight{}}
 	l.recv = l.receive
+	l.Reset(w, cfg)
 	return l
+}
+
+// Reset rebinds the link to w (nil unbinds it) as NewLink(w, cfg) would
+// leave a new one: sequence back to zero, no delivered sequences, no
+// transfers, zero stats. It keeps its frame buffers and the capacity of
+// its sets, so a recycled link carries a run without allocating them
+// again. Fault draws hash the frame, which holds the sequence, so a reset
+// link draws exactly what a new one would. Reset must not race with a
+// transfer.
+func (l *Link) Reset(w Wire, cfg Reliability) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.wire, l.acct, l.cfg = w, nil, cfg.withDefaults()
+	if w != nil {
+		l.acct = w.Accounting()
+	}
+	l.seq, l.seenLow, l.stats = 0, 0, RelStats{}
+	clear(l.seenAbove)
+	clear(l.pending)
 }
 
 // send encodes one frame into a buffer from the free list and delivers
@@ -210,13 +227,35 @@ func (l *Link) send(e Envelope, seq uint64, attempt uint16, ack bool, payload []
 	l.mu.Unlock()
 }
 
+// kindNames is the transfer-span name and the ack kind of an envelope
+// kind.
+type kindNames struct{ xfer, ack string }
+
+// kindNameCache interns kindNames by envelope kind: the kinds a process
+// sends are the protocols' constants, so each pair is built once per
+// process, not once per link.
+var kindNameCache struct {
+	sync.RWMutex
+	m map[string]kindNames
+}
+
 // names returns the transfer-span name and the ack kind of an envelope
-// kind. Callers hold l.mu.
-func (l *Link) names(kind string) (xfer, ack string) {
-	if kind != l.kind || l.xferName == "" {
-		l.kind, l.xferName, l.ackKind = kind, "xfer:"+kind, kind+"/ack"
+// kind.
+func names(kind string) kindNames {
+	kindNameCache.RLock()
+	n, ok := kindNameCache.m[kind]
+	kindNameCache.RUnlock()
+	if ok {
+		return n
 	}
-	return l.xferName, l.ackKind
+	n = kindNames{"xfer:" + kind, kind + "/ack"}
+	kindNameCache.Lock()
+	if kindNameCache.m == nil {
+		kindNameCache.m = map[string]kindNames{}
+	}
+	kindNameCache.m[kind] = n
+	kindNameCache.Unlock()
+	return n
 }
 
 // obsv returns the observer bridge of the wire's network (nil when no
@@ -251,7 +290,6 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	seq := l.seq
 	l.stats.Transfers++
 	l.pending[seq] = inFlight{deliver: deliver}
-	xferName, _ := l.names(e.Kind)
 	l.mu.Unlock()
 	obsv := l.obsv()
 	obsv.rel(relTransfers, 1)
@@ -260,7 +298,7 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	// that happens to this frame on the wire — the receive, retransmits,
 	// duplicate deliveries, the ack — attaches to this transfer. With no
 	// observer the protocol context is forwarded untouched.
-	xfer := obsv.startSpan(xferName, e.Ctx)
+	xfer := obsv.startSpan(names(e.Kind).xfer, e.Ctx)
 	defer xfer.End()
 	wireCtx := e.Ctx
 	if xfer != nil {
@@ -333,20 +371,18 @@ func (l *Link) receive(got Envelope) {
 		return
 	}
 	l.mu.Lock()
-	first := !l.seen[fr.seq]
-	l.seen[fr.seq] = true
+	first := l.markSeen(fr.seq)
 	var deliver func(Envelope)
 	if first {
 		deliver = l.pending[fr.seq].deliver
 	}
-	_, ackKind := l.names(got.Kind)
 	l.mu.Unlock()
 	if first && deliver != nil {
 		deliver(Envelope{From: got.From, To: got.To, Kind: got.Kind, Payload: fr.payload, Ctx: fr.ctx})
 	} else if !first {
 		l.obsv().event("dup-delivery", fr.ctx)
 	}
-	l.send(Envelope{From: got.To, To: got.From, Kind: ackKind, Ctx: fr.ctx}, fr.seq, fr.attempt, true, nil)
+	l.send(Envelope{From: got.To, To: got.From, Kind: names(got.Kind).ack, Ctx: fr.ctx}, fr.seq, fr.attempt, true, nil)
 }
 
 // Accept processes a data frame that surfaced outside a Transfer — a
@@ -364,7 +400,10 @@ func (l *Link) Accept(e Envelope, deliver func(Envelope)) {
 		}
 		return
 	}
-	if l.markSeen(fr.seq) {
+	l.mu.Lock()
+	first := l.markSeen(fr.seq)
+	l.mu.Unlock()
+	if first {
 		if deliver != nil {
 			deliver(Envelope{From: e.From, To: e.To, Kind: e.Kind, Payload: fr.payload, Ctx: fr.ctx})
 		}
@@ -373,13 +412,25 @@ func (l *Link) Accept(e Envelope, deliver func(Envelope)) {
 	}
 }
 
-// markSeen records seq and reports whether this was its first sighting.
+// markSeen records seq as delivered and reports whether this was its
+// first sighting. Callers hold l.mu.
 func (l *Link) markSeen(seq uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.seen[seq] {
+	if seq != 0 && seq <= l.seenLow {
 		return false
 	}
-	l.seen[seq] = true
-	return true
+	if _, dup := l.seenAbove[seq]; dup {
+		return false
+	}
+	if seq != l.seenLow+1 {
+		l.seenAbove[seq] = struct{}{}
+		return true
+	}
+	l.seenLow++
+	for {
+		if _, ok := l.seenAbove[l.seenLow+1]; !ok {
+			return true
+		}
+		delete(l.seenAbove, l.seenLow+1)
+		l.seenLow++
+	}
 }

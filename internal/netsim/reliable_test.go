@@ -1,12 +1,15 @@
 package netsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"pds/internal/obs"
+	"pds/internal/race"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -416,5 +419,147 @@ func TestTransferRetransmitEventsAttachToOwnTransfer(t *testing.T) {
 	}
 	if attributed == 0 {
 		t.Error("retransmits happened but no events were recorded")
+	}
+}
+
+// lossyMix is the fault mix of the gquery-lossy benchmark.
+var lossyMix = FaultSpec{Drop: 0.08, Duplicate: 0.08, Delay: 0.04, Reorder: 0.04}
+
+// The delivered-sequence set is trimmed by its watermark: over 10 000
+// serial transfers on the lossy mix it never holds more than the one
+// sequence a reorder can put ahead of its predecessor, and the copies the
+// flush barrier releases afterwards are still recognised as duplicates.
+func TestSeenSetStaysWithinReorderWindow(t *testing.T) {
+	n := New()
+	n.SetFaults(NewFaultPlane(FaultPlan{Seed: 21, Default: lossyMix}))
+	l := NewLink(n, Reliability{})
+	const transfers = 10000
+	delivered, most := 0, 0
+	for i := 0; i < transfers; i++ {
+		err := l.Transfer(Envelope{From: "a", To: "b", Kind: "k", Payload: []byte(fmt.Sprintf("m%05d", i))}, func(Envelope) { delivered++ })
+		if err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+		l.mu.Lock()
+		most = max(most, len(l.seenAbove))
+		l.mu.Unlock()
+	}
+	if most > 1 {
+		t.Errorf("the delivered set held %d sequences above its watermark, want <= 1", most)
+	}
+	flushed := 0
+	n.FlushFaults(func(e Envelope) {
+		if fr, ok := decodeFrame(e.Payload); ok && !fr.ack {
+			flushed++
+		}
+		l.Accept(e, func(Envelope) { delivered++ })
+	})
+	if delivered != transfers {
+		t.Errorf("delivered %d of %d (the flush released %d data copies)", delivered, transfers, flushed)
+	}
+	if flushed == 0 {
+		t.Error("the flush released no data copy: the duplicate path went untested")
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.seenLow != transfers || len(l.seenAbove) != 0 {
+		t.Errorf("watermark %d with %d above it, want %d and none", l.seenLow, len(l.seenAbove), transfers)
+	}
+}
+
+// A reset link is a new one: rebound to a fresh wire with the same fault
+// plan, it delivers, retransmits and counts exactly what a new link does.
+func TestResetLinkReplaysANewLink(t *testing.T) {
+	type outcome struct {
+		got   []string
+		rel   RelStats
+		wire  Stats
+		flush int
+	}
+	run := func(l *Link, n *Network) outcome {
+		var o outcome
+		for i := 0; i < 200; i++ {
+			err := l.Transfer(Envelope{From: "a", To: "b", Kind: "k", Payload: []byte(fmt.Sprintf("r%03d", i))}, func(e Envelope) {
+				o.got = append(o.got, string(e.Payload))
+			})
+			if err != nil {
+				t.Fatalf("transfer %d: %v", i, err)
+			}
+		}
+		n.FlushFaults(func(e Envelope) {
+			o.flush++
+			l.Accept(e, func(e Envelope) { o.got = append(o.got, "late:"+string(e.Payload)) })
+		})
+		o.rel, o.wire = l.Stats(), n.Stats()
+		return o
+	}
+	wire := func() *Network {
+		n := New()
+		n.SetFaults(NewFaultPlane(FaultPlan{Seed: 5, Default: lossyMix}))
+		return n
+	}
+	n1 := wire()
+	want := run(NewLink(n1, Reliability{}), n1)
+
+	n0 := wire()
+	recycled := NewLink(n0, Reliability{MaxRetries: 40})
+	run(recycled, n0)
+	n2 := wire()
+	recycled.Reset(n2, Reliability{})
+	if got := run(recycled, n2); !reflect.DeepEqual(got, want) {
+		t.Errorf("reset link:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// The observer bridge outlives its registry's resets: after a reset, a
+// network observed by the same registry counts into it what a fresh
+// registry would hold, and its series bind again without allocating.
+func TestObserverSurvivesRegistryReset(t *testing.T) {
+	// Fault draws hash the frame, and a link's frames carry the trace id
+	// of their registry, so the faulty traffic goes through Deliver and
+	// the link runs on a clean wire.
+	traffic := func(reg *obs.Registry) {
+		n := New()
+		n.SetObserver(reg)
+		n.SetFaults(NewFaultPlane(FaultPlan{Seed: 3, Default: lossyMix}))
+		for i := 0; i < 100; i++ {
+			n.Deliver(Envelope{From: "a", To: "b", Kind: []string{"x", "y"}[i%2], Payload: []byte{byte(i)}}, func(Envelope) {})
+		}
+		n.FlushFaults(func(Envelope) {})
+		n.SetObserver(nil)
+		clean := New()
+		clean.SetObserver(reg)
+		l := NewLink(clean, Reliability{})
+		for i := 0; i < 20; i++ {
+			if err := l.Transfer(Envelope{From: "a", To: "b", Kind: "z", Payload: []byte{byte(i)}}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	reg.Counter("before_reset").Inc()
+	traffic(reg)
+	reg.Reset()
+	traffic(reg)
+	fresh := obs.NewRegistry()
+	traffic(fresh)
+	got, _ := reg.JSON()
+	want, _ := fresh.JSON()
+	if !bytes.Equal(got, want) {
+		t.Errorf("a reset registry's traffic snapshot differs from a fresh one's:\n%s\n%s", got, want)
+	}
+
+	o := observerOf(reg)
+	payload := []byte{1}
+	round := func() {
+		reg.Reset()
+		o.messages.add(reg, 1)
+		o.rel(relRetrans, 1)
+		o.fault("drop", "x")
+		o.record(Envelope{Kind: "y", Payload: payload})
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 && !race.Enabled {
+		t.Errorf("re-binding the bridge's series after a reset: %.1f allocs, want 0", allocs)
 	}
 }

@@ -20,6 +20,14 @@ type spanTree struct {
 func (t *spanTree) kids(i int) []int { return t.kid[t.off[i]:t.off[i+1]] }
 
 func buildSpanTree(spans []SpanRecord) spanTree {
+	var t spanTree
+	t.build(spans, nil)
+	return t
+}
+
+// build indexes spans into t, reusing t's lists and the parent scratch
+// (grown to len(spans)); it returns the scratch for the next build.
+func (t *spanTree) build(spans []SpanRecord, parent []int) []int {
 	n := len(spans)
 	// A live tracer numbers its spans densely (id == position+1), so a
 	// parent id is its position; only merged or parsed lists need a map.
@@ -37,8 +45,9 @@ func buildSpanTree(spans []SpanRecord) spanTree {
 			byID[spans[i].ID] = i
 		}
 	}
-	t := spanTree{off: make([]int, n+1)}
-	parent := make([]int, n)
+	t.roots = t.roots[:0]
+	t.off = append(t.off[:0], make([]int, n+1)...)
+	parent = append(parent[:0], make([]int, n)...)
 	for i := range spans {
 		p, ok := spans[i].Parent-1, false
 		if pid := spans[i].Parent; pid != 0 && pid != spans[i].ID {
@@ -60,7 +69,7 @@ func buildSpanTree(spans []SpanRecord) spanTree {
 		t.off[i+1] += t.off[i]
 	}
 	// Fill with off[p] as span p's cursor, then shift the cursors back.
-	t.kid = make([]int, n-len(t.roots))
+	t.kid = append(t.kid[:0], make([]int, n-len(t.roots))...)
 	for i, p := range parent {
 		if p >= 0 {
 			t.kid[t.off[p]] = i
@@ -69,7 +78,7 @@ func buildSpanTree(spans []SpanRecord) spanTree {
 	}
 	copy(t.off[1:], t.off[:n])
 	t.off[0] = 0
-	return t
+	return parent
 }
 
 // canonicalSpans renumbers a span list by causal structure: siblings are
@@ -118,7 +127,27 @@ func canonicalSpans(spans []SpanRecord) []SpanRecord {
 // in play, is the rest of the string — the tail — rendered and cached.
 type siblingOrder struct {
 	spans []SpanRecord
-	tails []string
+	// attrs, when set, gathers span i's attributes for records that keep
+	// them elsewhere (a tracer's side table); otherwise they are Attrs.
+	// What it gathers is kept in gathered, once per span.
+	attrs    func(i int) map[string]string
+	gathered map[int]map[string]string
+	tails    []string
+}
+
+func (o *siblingOrder) attrsOf(i int) map[string]string {
+	if o.attrs == nil {
+		return o.spans[i].Attrs
+	}
+	m, ok := o.gathered[i]
+	if !ok {
+		if o.gathered == nil {
+			o.gathered = map[int]map[string]string{}
+		}
+		m = o.attrs(i)
+		o.gathered[i] = m
+	}
+	return m
 }
 
 func (o *siblingOrder) compare(a, b int) int {
@@ -130,7 +159,7 @@ func (o *siblingOrder) compare(a, b int) int {
 	if c := strings.Compare(x.Name[:n], y.Name[:n]); c != 0 {
 		return c
 	}
-	if len(x.Name) == len(y.Name) && len(x.Attrs) == 0 && len(y.Attrs) == 0 {
+	if len(x.Name) == len(y.Name) && len(o.attrsOf(a)) == 0 && len(o.attrsOf(b)) == 0 {
 		return cmp.Compare(max(x.EndNS, 0), max(y.EndNS, 0))
 	}
 	return strings.Compare(o.tail(a), o.tail(b))
@@ -148,16 +177,16 @@ func (o *siblingOrder) tail(i int) string {
 	var b strings.Builder
 	b.WriteString(sp.Name)
 	b.WriteByte('|')
-	if len(sp.Attrs) > 0 {
-		ks := make([]string, 0, len(sp.Attrs))
-		for k := range sp.Attrs {
+	if attrs := o.attrsOf(i); len(attrs) > 0 {
+		ks := make([]string, 0, len(attrs))
+		for k := range attrs {
 			ks = append(ks, k)
 		}
 		sort.Strings(ks)
 		for _, k := range ks {
 			b.WriteString(k)
 			b.WriteByte('=')
-			b.WriteString(sp.Attrs[k])
+			b.WriteString(attrs[k])
 			b.WriteByte(',')
 		}
 	}

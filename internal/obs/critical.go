@@ -44,57 +44,63 @@ type interval struct {
 // and the interesting signal is how much parallel work (slack) hid inside
 // it. Spans whose parent is missing from the list count as roots.
 func ComputeCriticalPath(spans []SpanRecord) CriticalPath {
+	var w cpScratch
+	return w.compute(spans, nil)
+}
+
+// CriticalPath is ComputeCriticalPath over the tracer's own records, walked
+// in place under the lock with working memory the tracer keeps: the walk
+// does not depend on span numbering, so it needs neither the renumbering
+// nor the attrs maps of Spans. Only the returned Phases are allocated.
+func (t *Tracer) CriticalPath() CriticalPath {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.cp.compute(t.spans, t.attrsOf)
+}
+
+// cpScratch is the working memory of a critical-path walk: the span tree
+// and the per-span chain, work and subtree size, grown to the largest
+// trace walked and reused for the next.
+type cpScratch struct {
+	spans  []SpanRecord
+	tree   spanTree
+	parent []int
+	chain  []int64
+	work   []int64
+	size   []int
+	kids   []int
+	sched  schedScratch
+}
+
+// compute derives the report over spans; attrs, when set, gathers a
+// span's attributes for the phase order (see siblingOrder).
+func (w *cpScratch) compute(spans []SpanRecord, attrs func(int) map[string]string) CriticalPath {
 	if len(spans) == 0 {
 		return CriticalPath{}
 	}
-	t := buildSpanTree(spans)
-	chain := make([]int64, len(spans))
-	work := make([]int64, len(spans))
-	size := make([]int, len(spans))
-	var sc schedScratch
-	var visit func(i int)
-	visit = func(i int) {
-		sp := &spans[i]
-		dur := max(sp.EndNS-sp.StartNS, 0)
-		size[i], chain[i] = 1, dur
-		kids := t.kids(i)
-		if len(kids) == 0 {
-			// A leaf is all self time.
-			work[i] = dur
-			return
-		}
-		for _, k := range kids {
-			visit(k)
-			size[i] += size[k]
-			work[i] += work[k]
-		}
-		// The children are done with the scratch; lay their intervals out.
-		ivs := slices.Grow(sc.ivs[:0], len(kids))
-		for _, k := range kids {
-			ivs = append(ivs, interval{spans[k].StartNS, spans[k].EndNS, chain[k]})
-		}
-		sc.ivs = ivs
-		// Self time: the part of the span's interval no child covers.
-		if self := dur - sc.unionWithin(ivs, sp.StartNS, sp.EndNS); self > 0 {
-			work[i] += self
-		}
-		chain[i] = max(dur, sc.longestSchedule(ivs))
-	}
+	n := len(spans)
+	w.spans = spans
+	w.parent = w.tree.build(spans, w.parent)
+	w.chain = append(w.chain[:0], make([]int64, n)...)
+	w.work = append(w.work[:0], make([]int64, n)...)
+	w.size = append(w.size[:0], make([]int, n)...)
+	t := &w.tree
 	for _, r := range t.roots {
-		visit(r)
+		w.visit(r)
 	}
 
-	rootIvs := make([]interval, len(t.roots))
+	ivs := slices.Grow(w.sched.ivs[:0], len(t.roots))
 	var cp CriticalPath
 	primary := t.roots[0]
-	for j, r := range t.roots {
-		rootIvs[j] = interval{spans[r].StartNS, spans[r].EndNS, chain[r]}
-		cp.WorkNS += work[r]
-		if chain[r] > chain[primary] {
+	for _, r := range t.roots {
+		ivs = append(ivs, interval{spans[r].StartNS, spans[r].EndNS, w.chain[r]})
+		cp.WorkNS += w.work[r]
+		if w.chain[r] > w.chain[primary] {
 			primary = r
 		}
 	}
-	cp.TotalNS = sc.longestSchedule(rootIvs)
+	w.sched.ivs = ivs
+	cp.TotalNS = w.sched.longestSchedule(ivs)
 	if slack := cp.WorkNS - cp.TotalNS; slack > 0 {
 		cp.SlackNS = slack
 	}
@@ -102,15 +108,19 @@ func ComputeCriticalPath(spans []SpanRecord) CriticalPath {
 	// Phase breakdown: the primary root's direct children in start order,
 	// ties broken as the canonical export orders siblings, so raw and
 	// canonical span numbering give the same breakdown.
-	kids := slices.Clone(t.kids(primary))
-	o := siblingOrder{spans: spans}
+	kids := append(w.kids[:0], t.kids(primary)...)
+	w.kids = kids
+	o := siblingOrder{spans: spans, attrs: attrs}
 	slices.SortFunc(kids, o.compare)
+	if len(kids) > 0 {
+		cp.Phases = make([]PhasePath, 0, len(kids))
+	}
 	for _, k := range kids {
 		ph := PhasePath{
 			Name:    spans[k].Name,
-			ChainNS: chain[k],
-			WorkNS:  work[k],
-			Spans:   size[k],
+			ChainNS: w.chain[k],
+			WorkNS:  w.work[k],
+			Spans:   w.size[k],
 		}
 		if slack := ph.WorkNS - ph.ChainNS; slack > 0 {
 			ph.SlackNS = slack
@@ -120,13 +130,34 @@ func ComputeCriticalPath(spans []SpanRecord) CriticalPath {
 	return cp
 }
 
-// CriticalPath is ComputeCriticalPath over the tracer's own records, walked
-// in place under the lock: the walk does not depend on span numbering, so
-// it needs neither the renumbering nor the attrs copies of Spans.
-func (t *Tracer) CriticalPath() CriticalPath {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return ComputeCriticalPath(t.spans)
+// visit derives span i's chain, work and subtree size from its children's.
+func (w *cpScratch) visit(i int) {
+	sp := &w.spans[i]
+	dur := max(sp.EndNS-sp.StartNS, 0)
+	w.size[i], w.chain[i] = 1, dur
+	kids := w.tree.kids(i)
+	if len(kids) == 0 {
+		// A leaf is all self time.
+		w.work[i] = dur
+		return
+	}
+	for _, k := range kids {
+		w.visit(k)
+		w.size[i] += w.size[k]
+		w.work[i] += w.work[k]
+	}
+	// The children are done with the scratch; lay their intervals out.
+	sc := &w.sched
+	ivs := slices.Grow(sc.ivs[:0], len(kids))
+	for _, k := range kids {
+		ivs = append(ivs, interval{w.spans[k].StartNS, w.spans[k].EndNS, w.chain[k]})
+	}
+	sc.ivs = ivs
+	// Self time: the part of the span's interval no child covers.
+	if self := dur - sc.unionWithin(ivs, sp.StartNS, sp.EndNS); self > 0 {
+		w.work[i] += self
+	}
+	w.chain[i] = max(dur, sc.longestSchedule(ivs))
 }
 
 // schedScratch is the working memory of one critical-path walk, grown once

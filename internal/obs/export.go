@@ -58,7 +58,7 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	series := make([]named, len(r.names))
 	for i, name := range r.names {
-		series[i] = named{name, r.metrics[name]}
+		series[i] = named{name, r.metrics[name].m}
 	}
 	snap := Snapshot{Alerts: append([]AlertRecord(nil), r.alerts...)}
 	r.mu.RUnlock()

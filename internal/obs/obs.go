@@ -155,19 +155,76 @@ func quantileFromBuckets(bounds []int64, counts []int64, n int64, q float64) (v 
 // Registry holds one namespace of metrics plus its tracer and simulated
 // clock. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	mu      sync.RWMutex   // guards metrics, names and alerts
-	metrics map[string]any // canonical name -> *Counter | *Gauge | *Histogram
-	names   []string       // creation-ordered canonical names
+	mu      sync.RWMutex     // guards metrics, names, alerts and attached
+	metrics map[string]entry // canonical name -> series, live or forgotten by Reset
+	names   []string         // live canonical names in creation order
 	alerts  []AlertRecord
+	epoch   atomic.Uint64 // Reset count; an entry is live when its epoch is current
 	clock   *SimClock
 	tracer  *Tracer
+
+	attached []attachment
 }
+
+// entry is one series the registry holds: its metric (*Counter | *Gauge |
+// *Histogram), its canonical name, and the epoch it was last registered
+// in. Reset forgets a series by moving the epoch on, not by dropping the
+// entry, so the next registration of the name reuses the metric.
+type entry struct {
+	name  string
+	m     any
+	epoch uint64
+}
+
+// attachment is one value another package keeps with the registry.
+type attachment struct{ key, val any }
 
 // NewRegistry creates an empty registry with a fresh simulated clock.
 func NewRegistry() *Registry {
-	r := &Registry{metrics: map[string]any{}, clock: &SimClock{}}
+	r := &Registry{metrics: map[string]entry{}, clock: &SimClock{}}
 	r.tracer = &Tracer{clock: r.clock, trace: traceIDs.Add(1)}
 	return r
+}
+
+// Reset returns the registry to the state NewRegistry leaves it in, for
+// a caller that recycles registries: every series, alert and span is
+// forgotten, so a snapshot reads as a fresh registry's; the clock is back
+// at zero; and the tracer mints a new trace id, so no SpanContext or span
+// handle from before the reset resolves or writes. What a reset keeps is
+// memory: each series' metric and canonical name (registering the name
+// again zeroes and reuses it, allocating nothing), the span and attribute
+// lists' capacity, and the attachments. Reset must not race with other
+// use of the registry.
+func (r *Registry) Reset() {
+	r.mu.Lock()
+	r.epoch.Add(1)
+	r.names = r.names[:0]
+	r.alerts = r.alerts[:0]
+	r.mu.Unlock()
+	r.clock.reset()
+	r.tracer.reset()
+}
+
+// Epoch counts the registry's resets. A caller caching metrics of the
+// registry re-registers them by name once the epoch has moved.
+func (r *Registry) Epoch() uint64 { return r.epoch.Load() }
+
+// Attachment returns the value attached to the registry under key,
+// attaching mk() the first time. An attachment lives as long as the
+// registry, across Reset: the netsim observer bridge keeps its bound
+// series there, so a recycled registry comes with them. mk runs under
+// the registry's lock and must not use the registry.
+func (r *Registry) Attachment(key any, mk func() any) any {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, a := range r.attached {
+		if a.key == key {
+			return a.val
+		}
+	}
+	v := mk()
+	r.attached = append(r.attached, attachment{key, v})
+	return v
 }
 
 // Clock returns the registry's simulated clock.
@@ -214,30 +271,87 @@ func Name(family string, labels ...string) string {
 	return b.String()
 }
 
-// lookup returns the metric registered under key, creating it with mk on
-// first use. The fast path is one map read under the read lock: the key
-// is not boxed and nothing is allocated.
-func (r *Registry) lookup(key string, mk func() any) any {
+// metricKind selects what lookup registers under a name.
+type metricKind int
+
+const (
+	kindCounter metricKind = iota
+	kindGauge
+	kindHistogram
+)
+
+// lookup returns the metric registered under key, registering one of
+// the given kind (a histogram with the given ascending bounds) on first
+// use in the current epoch. A metric of the same kind and shape the
+// registry held before its last Reset is zeroed and reused; otherwise a
+// new one is made. The fast path is one map read under the read lock:
+// the key is not boxed and nothing is allocated.
+func (r *Registry) lookup(key string, kind metricKind, bounds []int64) any {
 	if m, ok := r.load(key); ok {
 		return m
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.metrics[key]; ok {
-		return m
+	epoch := r.epoch.Load()
+	e, ok := r.metrics[key]
+	if ok && e.epoch == epoch {
+		return e.m
 	}
-	m := mk()
-	r.metrics[key] = m
-	r.names = append(r.names, key)
-	return m
+	if !ok || !reuse(e.m, kind, bounds) {
+		e = entry{name: key, m: newMetric(kind, bounds)}
+	}
+	e.epoch = epoch
+	r.metrics[key] = e
+	r.names = append(r.names, e.name)
+	return e.m
 }
 
-// load returns the metric registered under key, if any.
+func newMetric(kind metricKind, bounds []int64) any {
+	switch kind {
+	case kindGauge:
+		return &Gauge{}
+	case kindHistogram:
+		return &Histogram{bounds: slices.Clone(bounds), counts: make([]paddedInt64, len(bounds)+1)}
+	}
+	return &Counter{}
+}
+
+// reuse zeroes m for a new registration and reports whether it is of the
+// kind (and, for a histogram, the bounds) asked for.
+func reuse(m any, kind metricKind, bounds []int64) bool {
+	switch v := m.(type) {
+	case *Counter:
+		if kind != kindCounter {
+			return false
+		}
+		for i := range v.stripes {
+			v.stripes[i].v.Store(0)
+		}
+	case *Gauge:
+		if kind != kindGauge {
+			return false
+		}
+		v.Set(0)
+	case *Histogram:
+		if kind != kindHistogram || !slices.Equal(v.bounds, bounds) {
+			return false
+		}
+		for i := range v.counts {
+			v.counts[i].v.Store(0)
+		}
+		v.sum.Store(0)
+		v.n.Store(0)
+	}
+	return true
+}
+
+// load returns the live metric registered under key, if any.
 func (r *Registry) load(key string) (any, bool) {
 	r.mu.RLock()
-	m, ok := r.metrics[key]
+	e, ok := r.metrics[key]
+	live := ok && e.epoch == r.epoch.Load()
 	r.mu.RUnlock()
-	return m, ok
+	return e.m, live
 }
 
 // Counter returns (creating on first use) the counter named
@@ -256,17 +370,11 @@ func (r *Registry) Gauge(family string, labels ...string) *Gauge {
 // Name(family, labels...) with the given bucket upper bounds (ascending).
 // Bounds are fixed by the first registration.
 func (r *Registry) Histogram(family string, bounds []int64, labels ...string) *Histogram {
-	key := Name(family, labels...)
-	m := r.lookup(key, func() any {
-		b := append([]int64(nil), bounds...)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		return &Histogram{bounds: b, counts: make([]paddedInt64, len(b)+1)}
-	})
-	h, ok := m.(*Histogram)
-	if !ok {
-		panic(kindMismatch(key))
+	if !slices.IsSorted(bounds) {
+		bounds = slices.Clone(bounds)
+		slices.Sort(bounds)
 	}
-	return h
+	return r.lookupHistogramByKey(Name(family, labels...), bounds)
 }
 
 func kindMismatch(key string) string {
@@ -374,7 +482,7 @@ func (r *Registry) MergeSnapshot(snap Snapshot) {
 // lookupCounterByKey resolves a counter by its full canonical name; a name
 // held by another kind panics.
 func (r *Registry) lookupCounterByKey(key string) *Counter {
-	m := r.lookup(key, func() any { return &Counter{} })
+	m := r.lookup(key, kindCounter, nil)
 	if c, ok := m.(*Counter); ok {
 		return c
 	}
@@ -382,7 +490,7 @@ func (r *Registry) lookupCounterByKey(key string) *Counter {
 }
 
 func (r *Registry) lookupGaugeByKey(key string) *Gauge {
-	m := r.lookup(key, func() any { return &Gauge{} })
+	m := r.lookup(key, kindGauge, nil)
 	if g, ok := m.(*Gauge); ok {
 		return g
 	}
@@ -390,9 +498,7 @@ func (r *Registry) lookupGaugeByKey(key string) *Gauge {
 }
 
 func (r *Registry) lookupHistogramByKey(key string, bounds []int64) *Histogram {
-	m := r.lookup(key, func() any {
-		return &Histogram{bounds: append([]int64(nil), bounds...), counts: make([]paddedInt64, len(bounds)+1)}
-	})
+	m := r.lookup(key, kindHistogram, bounds)
 	if h, ok := m.(*Histogram); ok {
 		return h
 	}

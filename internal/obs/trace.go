@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +32,13 @@ func (c *SimClock) Advance(d time.Duration) time.Duration {
 		c.now += d
 	}
 	return c.now
+}
+
+// reset moves the clock back to the epoch.
+func (c *SimClock) reset() {
+	c.mu.Lock()
+	c.now = 0
+	c.mu.Unlock()
 }
 
 // SpanRecord is one finished (or still-open) span as it appears in a
@@ -65,21 +72,36 @@ var traceIDs atomic.Uint64
 // Tracer records parent/child spans against a SimClock. Raw IDs are
 // assigned in Start order; exports renumber them canonically (see
 // canonicalSpans), so snapshots do not depend on goroutine interleaving.
+//
+// A span's attributes are not kept in its record but in a side table of
+// (span, key, value) entries, so annotating a span allocates nothing
+// once the table has grown; the Attrs maps are built only when spans are
+// exported. The records in spans never carry Attrs.
 type Tracer struct {
 	clock *SimClock
-	trace uint64 // identity embedded in contexts this tracer mints
 
 	mu    sync.Mutex
+	trace uint64 // identity embedded in contexts this tracer mints; new per reset
 	next  int
 	spans []SpanRecord
-	slab  []Span // handles not yet handed out
+	attrs []spanAttr
+	slab  []Span    // handles not yet handed out
+	cp    cpScratch // working memory of CriticalPath
 }
 
-// Span is a handle to an open span.
+// spanAttr is one attribute of the span at index idx of the span list.
+type spanAttr struct {
+	idx  int
+	k, v string
+}
+
+// Span is a handle to an open span. A handle minted before its tracer's
+// reset carries the old trace id, and writes nothing after it.
 type Span struct {
-	t   *Tracer
-	id  int
-	idx int
+	t     *Tracer
+	id    int
+	idx   int
+	trace uint64
 }
 
 // spanSlab is how many handles the tracer allocates at once.
@@ -94,22 +116,34 @@ func (t *Tracer) handle(id int) *Span {
 	}
 	sp := &t.slab[0]
 	t.slab = t.slab[1:]
-	*sp = Span{t: t, id: id, idx: len(t.spans) - 1}
+	*sp = Span{t: t, id: id, idx: len(t.spans) - 1, trace: t.trace}
 	return sp
 }
 
-// Start opens a span under parent (nil for a root span).
+// reset forgets every span and attribute and mints a new trace id (see
+// Registry.Reset); the lists keep their capacity.
+func (t *Tracer) reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.trace = traceIDs.Add(1)
+	t.next = 0
+	t.spans = t.spans[:0]
+	t.attrs = t.attrs[:0]
+}
+
+// live reports whether the handle's span is in the tracer's current
+// span list. Callers hold s.t.mu.
+func (s *Span) live() bool { return s.trace == s.t.trace && s.idx < len(s.t.spans) }
+
+// Start opens a span under parent (nil for a root span; a handle of
+// another tracer, or from before a reset, also yields a root span).
 func (t *Tracer) Start(name string, parent *Span) *Span {
 	now := int64(t.clock.Now())
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.next++
 	id := t.next
-	pid := 0
-	if parent != nil {
-		pid = parent.id
-	}
-	t.spans = append(t.spans, SpanRecord{ID: id, Parent: pid, Name: name, StartNS: now, EndNS: now})
+	t.spans = append(t.spans, SpanRecord{ID: id, Parent: t.parentID(parent), Name: name, StartNS: now, EndNS: now})
 	return t.handle(id)
 }
 
@@ -123,11 +157,7 @@ func (t *Tracer) StartAt(name string, parent *Span, start time.Duration) *Span {
 	defer t.mu.Unlock()
 	t.next++
 	id := t.next
-	pid := 0
-	if parent != nil {
-		pid = parent.id
-	}
-	t.spans = append(t.spans, SpanRecord{ID: id, Parent: pid, Name: name, StartNS: int64(start), EndNS: int64(start)})
+	t.spans = append(t.spans, SpanRecord{ID: id, Parent: t.parentID(parent), Name: name, StartNS: int64(start), EndNS: int64(start)})
 	return t.handle(id)
 }
 
@@ -156,6 +186,16 @@ func (t *Tracer) Event(name string, ctx SpanContext) {
 	t.spans = append(t.spans, SpanRecord{ID: t.next, Parent: t.resolve(ctx), Name: name, StartNS: now, EndNS: now})
 }
 
+// parentID is the local id of a parent handle: 0 (a root span) for a nil
+// handle or one minted by another tracer or before a reset. Callers hold
+// t.mu.
+func (t *Tracer) parentID(parent *Span) int {
+	if parent == nil || parent.trace != t.trace {
+		return 0
+	}
+	return parent.id
+}
+
 // resolve maps a wire context to a local parent id (0 when the context is
 // zero, foreign, or dangling). Callers hold t.mu.
 func (t *Tracer) resolve(ctx SpanContext) int {
@@ -173,7 +213,7 @@ func (s *Span) End() {
 	now := int64(s.t.clock.Now())
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	if s.idx < len(s.t.spans) {
+	if s.live() {
 		s.t.spans[s.idx].EndNS = now
 	}
 }
@@ -186,7 +226,7 @@ func (s *Span) EndAt(end time.Duration) {
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	if s.idx < len(s.t.spans) {
+	if s.live() {
 		e := int64(end)
 		if e < s.t.spans[s.idx].StartNS {
 			e = s.t.spans[s.idx].StartNS
@@ -201,21 +241,19 @@ func (s *Span) Context() SpanContext {
 	if s == nil || s.t == nil {
 		return SpanContext{}
 	}
-	return SpanContext{Trace: s.t.trace, Span: uint64(s.id)}
+	return SpanContext{Trace: s.trace, Span: uint64(s.id)}
 }
 
-// Annotate attaches a key/value attribute to the span.
+// Annotate attaches a key/value attribute to the span; a later value
+// for the same key replaces an earlier one.
 func (s *Span) Annotate(k, v string) {
 	if s == nil || s.t == nil {
 		return
 	}
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
-	if s.idx < len(s.t.spans) {
-		if s.t.spans[s.idx].Attrs == nil {
-			s.t.spans[s.idx].Attrs = map[string]string{}
-		}
-		s.t.spans[s.idx].Attrs[k] = v
+	if s.live() {
+		s.t.attrs = append(s.t.attrs, spanAttr{s.idx, k, v})
 	}
 }
 
@@ -226,11 +264,37 @@ func (s *Span) Annotate(k, v string) {
 func (t *Tracer) Spans() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := canonicalSpans(t.spans)
-	for i := range out {
-		out[i].Attrs = maps.Clone(out[i].Attrs)
+	return canonicalSpans(t.records())
+}
+
+// records returns a copy of the span list with each annotated span's
+// attributes gathered from the side table into a map of its own.
+// Callers hold t.mu.
+func (t *Tracer) records() []SpanRecord {
+	out := slices.Clone(t.spans)
+	for _, a := range t.attrs {
+		rec := &out[a.idx]
+		if rec.Attrs == nil {
+			rec.Attrs = map[string]string{}
+		}
+		rec.Attrs[a.k] = a.v
 	}
 	return out
+}
+
+// attrsOf gathers span i's attributes from the side table, nil when it
+// has none. Callers hold t.mu.
+func (t *Tracer) attrsOf(i int) map[string]string {
+	var m map[string]string
+	for _, a := range t.attrs {
+		if a.idx == i {
+			if m == nil {
+				m = map[string]string{}
+			}
+			m[a.k] = a.v
+		}
+	}
+	return m
 }
 
 // importSpans appends foreign spans with IDs rebased past the tracer's
@@ -251,6 +315,10 @@ func (t *Tracer) importSpans(spans []SpanRecord) {
 		if sp.ID > maxID {
 			maxID = sp.ID
 		}
+		for k, v := range sp.Attrs {
+			t.attrs = append(t.attrs, spanAttr{len(t.spans), k, v})
+		}
+		sp.Attrs = nil
 		t.spans = append(t.spans, sp)
 	}
 	if maxID > t.next {

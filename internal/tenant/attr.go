@@ -25,6 +25,7 @@ type HotTenant struct {
 
 // topEntry is one monitored key in the sketch.
 type topEntry struct {
+	key   string
 	count int64
 	err   int64
 }
@@ -32,43 +33,53 @@ type topEntry struct {
 // topK is a Space-Saving sketch: at most k monitored keys; an unseen key
 // arriving at capacity replaces the minimum, inheriting its count as the
 // overestimation bound. Eviction ties break on key order so two
-// same-seed runs agree on the survivors.
+// same-seed runs agree on the survivors. The entries are kept by value
+// in k slots allocated once; k is small, so a key is found by a scan.
 type topK struct {
-	k int
-	m map[string]*topEntry
+	slots []topEntry // len <= cap == k
 }
 
 func newTopK(k int) *topK {
-	return &topK{k: k, m: make(map[string]*topEntry, k)}
+	return &topK{slots: make([]topEntry, 0, k)}
+}
+
+// find returns the slot monitoring key, or -1.
+func (t *topK) find(key string) int {
+	for i := range t.slots {
+		if t.slots[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 func (t *topK) add(key string, inc int64) {
-	if e, ok := t.m[key]; ok {
-		e.count += inc
+	if i := t.find(key); i >= 0 {
+		t.slots[i].count += inc
 		return
 	}
-	if len(t.m) < t.k {
-		t.m[key] = &topEntry{count: inc}
+	if len(t.slots) < cap(t.slots) {
+		t.slots = append(t.slots, topEntry{key: key, count: inc})
 		return
 	}
-	// Evict the minimum (by count, then key) and inherit its count.
-	var minKey string
-	var min *topEntry
-	for k, e := range t.m {
-		if min == nil || e.count < min.count || (e.count == min.count && k < minKey) {
-			minKey, min = k, e
+	// Replace the minimum (by count, then key), inheriting its count.
+	m := 0
+	for i := 1; i < len(t.slots); i++ {
+		e, min := &t.slots[i], &t.slots[m]
+		if e.count < min.count || (e.count == min.count && e.key < min.key) {
+			m = i
 		}
 	}
-	delete(t.m, minKey)
-	t.m[key] = &topEntry{count: min.count + inc, err: min.count}
+	c := t.slots[m].count
+	t.slots[m] = topEntry{key: key, count: c + inc, err: c}
 }
 
 // top returns the monitored keys sorted by estimated value (desc), then
 // key (asc) — a deterministic ranking.
 func (t *topK) top() []HotTenant {
-	out := make([]HotTenant, 0, len(t.m))
-	for k, e := range t.m {
-		out = append(out, HotTenant{Tenant: k, Value: e.count, Err: e.err})
+	out := make([]HotTenant, 0, len(t.slots))
+	for _, e := range t.slots {
+		out = append(out, HotTenant{Tenant: e.key, Value: e.count, Err: e.err})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Value != out[j].Value {

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"hash"
 	"time"
@@ -438,21 +437,18 @@ func (h *Host) evictOne(at int64) (bool, error) {
 func (h *Host) makeResident(e *envelope, at int64) error {
 	if e.res == nil {
 		for {
-			res, err := h.arena.Reserve(residentBytes)
-			if err == nil {
+			if res, ok := h.arena.TryReserve(residentBytes); ok {
 				e.res = res
 				heap.Push(&h.lru, e)
 				break
-			}
-			if !errors.Is(err, mcu.ErrOutOfRAM) {
-				return err
 			}
 			ok, everr := h.evictOne(at)
 			if everr != nil {
 				return everr
 			}
 			if !ok {
-				return fmt.Errorf("tenant %s: arena exhausted with no evictable tenant: %w", e.name, err)
+				return fmt.Errorf("tenant %s: arena exhausted with no evictable tenant: %w: want %d, used %d of %d",
+					e.name, mcu.ErrOutOfRAM, residentBytes, h.arena.Used(), h.arena.Budget())
 			}
 		}
 		h.setResident()

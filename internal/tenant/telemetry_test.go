@@ -1,6 +1,8 @@
 package tenant
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -14,8 +16,8 @@ func TestTopKBoundedAndDeterministic(t *testing.T) {
 	s.add("b", 50)
 	s.add("c", 10)
 	s.add("d", 200) // evicts c (min), inherits its count
-	if len(s.m) != 3 {
-		t.Fatalf("sketch grew to %d entries, cap 3", len(s.m))
+	if len(s.slots) != 3 {
+		t.Fatalf("sketch grew to %d entries, cap 3", len(s.slots))
 	}
 	top := s.top()
 	if top[0].Tenant != "d" || top[0].Value != 210 || top[0].Err != 10 {
@@ -26,8 +28,62 @@ func TestTopKBoundedAndDeterministic(t *testing.T) {
 	}
 	// Monitored keys keep exact error bounds on re-credit.
 	s.add("d", 5)
-	if e := s.m["d"]; e.count != 215 || e.err != 10 {
+	if e := s.slots[s.find("d")]; e.count != 215 || e.err != 10 {
 		t.Fatalf("re-credit entry = %+v", e)
+	}
+}
+
+// refTopK is the sketch as a map of monitored keys, the reference the
+// slot array must rank alike.
+type refTopK struct {
+	k int
+	m map[string]*[2]int64 // count, err
+}
+
+func (t *refTopK) add(key string, inc int64) {
+	if e, ok := t.m[key]; ok {
+		e[0] += inc
+		return
+	}
+	if len(t.m) < t.k {
+		t.m[key] = &[2]int64{inc, 0}
+		return
+	}
+	var minKey string
+	var min *[2]int64
+	for k, e := range t.m {
+		if min == nil || e[0] < min[0] || (e[0] == min[0] && k < minKey) {
+			minKey, min = k, e
+		}
+	}
+	delete(t.m, minKey)
+	t.m[key] = &[2]int64{min[0] + inc, min[0]}
+}
+
+// The slot-array sketch evicts, bounds and ranks exactly as a map of
+// monitored keys does, ties included, on skewed streams with many equal
+// counts.
+func TestTopKMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for it := 0; it < 200; it++ {
+		k := 1 + rng.Intn(8)
+		s, ref := newTopK(k), &refTopK{k: k, m: map[string]*[2]int64{}}
+		for i := 0; i < 300; i++ {
+			key := fmt.Sprintf("t%02d", int(30*rng.Float64()*rng.Float64()))
+			inc := int64(1 + rng.Intn(3))
+			s.add(key, inc)
+			ref.add(key, inc)
+		}
+		got := s.top()
+		if len(got) != len(ref.m) {
+			t.Fatalf("iteration %d: %d monitored keys, reference %d", it, len(got), len(ref.m))
+		}
+		for _, h := range got {
+			e := ref.m[h.Tenant]
+			if e == nil || h.Value != e[0] || h.Err != e[1] {
+				t.Fatalf("iteration %d: %+v, reference %v", it, h, e)
+			}
+		}
 	}
 }
 
