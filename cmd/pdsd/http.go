@@ -83,7 +83,7 @@ const MetricShardUp = "pdsd_shard_up"
 // a scrape that lands after the fleet stopped (the querier's stop calls
 // end the nodes) still answers with the final state instead of nothing.
 type fleetTelemetry struct {
-	infra *scenario.RemoteInfra
+	fleet *scenario.Fleet
 
 	mu   sync.Mutex
 	last string // last exposition with every shard up
@@ -94,9 +94,9 @@ type fleetTelemetry struct {
 // answered.
 func (f *fleetTelemetry) scrape() (reg *obs.Registry, up int) {
 	reg = obs.NewRegistry()
-	for i := 0; i < f.infra.Shards(); i++ {
+	for i := 0; i < f.fleet.Shards(); i++ {
 		g := reg.Gauge(MetricShardUp, "shard", strconv.Itoa(i))
-		snap, err := f.infra.Telemetry(i)
+		snap, err := f.fleet.Telemetry(i)
 		if err != nil {
 			continue
 		}
@@ -114,7 +114,7 @@ func (f *fleetTelemetry) mux() *http.ServeMux {
 		out := reg.Prometheus()
 		f.mu.Lock()
 		switch {
-		case up == f.infra.Shards():
+		case up == f.fleet.Shards():
 			f.last = out
 		case up == 0 && f.last != "":
 			out = f.last
@@ -132,8 +132,8 @@ func (f *fleetTelemetry) mux() *http.ServeMux {
 			OK     bool          `json:"ok"`
 			Shards []shardHealth `json:"shards"`
 		}{OK: true}
-		for i := 0; i < f.infra.Shards(); i++ {
-			h := shardHealth{Shard: i, Up: f.infra.Ping(i)}
+		for i := 0; i < f.fleet.Shards(); i++ {
+			h := shardHealth{Shard: i, Up: f.fleet.Ping(i)}
 			if !h.Up {
 				res.OK = false
 			}
@@ -152,7 +152,7 @@ func (f *fleetTelemetry) mux() *http.ServeMux {
 			Up       int          `json:"up"`
 			Shards   int          `json:"shards"`
 			Snapshot obs.Snapshot `json:"snapshot"`
-		}{up, f.infra.Shards(), reg.Snapshot()})
+		}{up, f.fleet.Shards(), reg.Snapshot()})
 	})
 	withPprof(mux)
 	return mux

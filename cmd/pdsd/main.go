@@ -299,7 +299,7 @@ func coordinate(p scenario.Plan, outDir, httpAddr string, linger time.Duration) 
 			return 1
 		}
 		defer conn.Close()
-		ft := &fleetTelemetry{infra: scenario.NewRemoteInfra(conn, p.Shards)}
+		ft := &fleetTelemetry{fleet: scenario.NewFleet(conn, p.Shards)}
 		srv, _, err := startHTTP(httpAddr, ft.mux())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pdsd: http: %v\n", err)

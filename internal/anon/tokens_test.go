@@ -98,10 +98,7 @@ func TestPublishViaTokens(t *testing.T) {
 func TestPublishViaTokensSharded(t *testing.T) {
 	ds := censusDataset(120, 9)
 	net := netsim.New()
-	ss, err := ssi.NewShardSet(net, 3, ssi.HonestButCurious, ssi.Behavior{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := ssi.NewShardSet(ssi.Servers(net, 3, ssi.HonestButCurious, ssi.Behavior{}))
 	a, stats, err := PublishViaTokens(gquery.New(), net, ss, testKeyring(t), contributorsOf(ds, 12), ds.QINames, ds.Hierarchies, Params{K: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -119,9 +119,7 @@ func TestProtocolTranscriptGolden(t *testing.T) {
 				w := &recWire{Network: netsim.New()}
 				var srv Infra = ssi.New(w, ssi.HonestButCurious, ssi.Behavior{})
 				if shards > 1 {
-					if srv, err = ssi.NewShardSet(w, shards, ssi.HonestButCurious, ssi.Behavior{}); err != nil {
-						t.Fatal(err)
-					}
+					srv = ssi.NewShardSet(ssi.Servers(w, shards, ssi.HonestButCurious, ssi.Behavior{}))
 				}
 				fp, stats, err := p.run(w, srv, New(WithWorkers(1), WithTopology(topo)))
 				if err != nil {

@@ -377,10 +377,7 @@ func propertyShardFailureDetected(t *testing.T, mk mkWire) {
 	for _, topo := range batteryTopologies() {
 		// Healthy shard fleet: exact result.
 		w := mk(t)
-		ss, err := ssi.NewShardSet(w, 3, ssi.HonestButCurious, ssi.Behavior{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ss := ssi.NewShardSet(ssi.Servers(w, 3, ssi.HonestButCurious, ssi.Behavior{}))
 		res, _, err := runSecureAgg(w, ss, SliceSource(parts), kr, 5, config{workers: 2, topology: topo})
 		if err != nil {
 			t.Fatalf("%v healthy shards: %v", topo, err)
@@ -391,10 +388,7 @@ func propertyShardFailureDetected(t *testing.T, mk mkWire) {
 
 		// One shard crashes mid-collection: detection, not a wrong answer.
 		w = mk(t)
-		ss, err = ssi.NewShardSet(w, 3, ssi.HonestButCurious, ssi.Behavior{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		ss = ssi.NewShardSet(ssi.Servers(w, 3, ssi.HonestButCurious, ssi.Behavior{}))
 		half := parts[:len(parts)/2]
 		rest := parts[len(parts)/2:]
 		crashed := &crashMidCollect{ShardSet: ss, after: len(half)}

@@ -74,10 +74,7 @@ func TestStreamMatchesBatchOverShards(t *testing.T) {
 	want := PlainResult(parts)
 
 	net := netsim.New()
-	ss, err := ssi.NewShardSet(net, 3, ssi.HonestButCurious, ssi.Behavior{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := ssi.NewShardSet(ssi.Servers(net, 3, ssi.HonestButCurious, ssi.Behavior{}))
 	res, _, err := New(WithTopology(Tree(4))).SecureAggStream(net, ss, SliceSource(parts), kr, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +107,9 @@ func TestStreamShardFailureDetected(t *testing.T) {
 	parts := makeParts(30, 2, testDomain, 9)
 	kr := mustKeyring(t)
 	net := netsim.New()
-	ss, err := ssi.NewShardSet(net, 4, ssi.HonestButCurious, ssi.Behavior{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := ssi.NewShardSet(ssi.Servers(net, 4, ssi.HonestButCurious, ssi.Behavior{}))
 	ss.Fail(1)
-	_, _, err = New(WithTopology(Tree(4))).SecureAggStream(net, ss, SliceSource(parts), kr, 4)
+	_, _, err := New(WithTopology(Tree(4))).SecureAggStream(net, ss, SliceSource(parts), kr, 4)
 	var det *DetectionError
 	if !errors.As(err, &det) {
 		t.Fatalf("expected DetectionError after shard failure, got %v", err)

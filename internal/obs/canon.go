@@ -87,14 +87,17 @@ func (t *spanTree) build(spans []SpanRecord, parent []int) []int {
 // goroutine interleaving under a parallel token fleet; the canonical form
 // depends only on what work happened, so two identical Workers=N runs
 // export the same spans. Ties between fully identical childless records
-// are harmless: either order serializes to the same bytes. The result is a
-// fresh slice; spans is not modified.
-func canonicalSpans(spans []SpanRecord) []SpanRecord {
+// are harmless: either order serializes to the same bytes. attrs, when
+// set, holds span i's attributes at attrs[i] for records that keep them
+// elsewhere (a tracer's side table), and the output records carry them;
+// otherwise they are the records' own Attrs. The result is a fresh slice;
+// spans is not modified.
+func canonicalSpans(spans []SpanRecord, attrs []map[string]string) []SpanRecord {
 	if len(spans) == 0 {
 		return nil
 	}
 	t := buildSpanTree(spans)
-	o := siblingOrder{spans: spans}
+	o := siblingOrder{spans: spans, maps: attrs}
 	slices.SortFunc(t.roots, o.compare)
 	out := make([]SpanRecord, 0, len(spans))
 	var walk func(i, parent int)
@@ -102,6 +105,9 @@ func canonicalSpans(spans []SpanRecord) []SpanRecord {
 		sp := spans[i]
 		sp.ID = len(out) + 1
 		sp.Parent = parent
+		if attrs != nil {
+			sp.Attrs = attrs[i]
+		}
 		out = append(out, sp)
 		kids := t.kids(i)
 		slices.SortFunc(kids, o.compare)
@@ -127,16 +133,21 @@ func canonicalSpans(spans []SpanRecord) []SpanRecord {
 // in play, is the rest of the string — the tail — rendered and cached.
 type siblingOrder struct {
 	spans []SpanRecord
-	// attrs, when set, gathers span i's attributes for records that keep
-	// them elsewhere (a tracer's side table); otherwise they are Attrs.
-	// What it gathers is kept in gathered, once per span.
+	// Records that keep their attributes elsewhere (a tracer's side
+	// table) have them at maps[i], gathered in one pass, or — when only
+	// a few spans are compared — gathered by attrs, once per span, into
+	// gathered. Otherwise they are Attrs.
+	maps     []map[string]string
 	attrs    func(i int) map[string]string
 	gathered map[int]map[string]string
 	tails    []string
 }
 
 func (o *siblingOrder) attrsOf(i int) map[string]string {
-	if o.attrs == nil {
+	switch {
+	case o.maps != nil:
+		return o.maps[i]
+	case o.attrs == nil:
 		return o.spans[i].Attrs
 	}
 	m, ok := o.gathered[i]

@@ -143,7 +143,7 @@ func TestCanonicalSpansMatchesReference(t *testing.T) {
 	for it := 0; it < 300; it++ {
 		spans := randomSpans(rng, 1+rng.Intn(300), it%2 == 0)
 		in := append([]SpanRecord(nil), spans...)
-		got, want := canonicalSpans(in), referenceCanonical(spans)
+		got, want := canonicalSpans(in, nil), referenceCanonical(spans)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iteration %d: canonical form differs from the reference\n got %v\nwant %v", it, got, want)
 		}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -264,22 +263,24 @@ func (s *Span) Annotate(k, v string) {
 func (t *Tracer) Spans() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return canonicalSpans(t.records())
+	return canonicalSpans(t.spans, t.attrMaps())
 }
 
-// records returns a copy of the span list with each annotated span's
-// attributes gathered from the side table into a map of its own.
-// Callers hold t.mu.
-func (t *Tracer) records() []SpanRecord {
-	out := slices.Clone(t.spans)
-	for _, a := range t.attrs {
-		rec := &out[a.idx]
-		if rec.Attrs == nil {
-			rec.Attrs = map[string]string{}
-		}
-		rec.Attrs[a.k] = a.v
+// attrMaps gathers the side table into one attribute map per annotated
+// span, indexed like the span list, in one pass; nil when no span is
+// annotated. Callers hold t.mu.
+func (t *Tracer) attrMaps() []map[string]string {
+	if len(t.attrs) == 0 {
+		return nil
 	}
-	return out
+	maps := make([]map[string]string, len(t.spans))
+	for _, a := range t.attrs {
+		if maps[a.idx] == nil {
+			maps[a.idx] = map[string]string{}
+		}
+		maps[a.idx][a.k] = a.v
+	}
+	return maps
 }
 
 // attrsOf gathers span i's attributes from the side table, nil when it

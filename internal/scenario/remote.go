@@ -1,12 +1,13 @@
-// The multi-process seam of a scenario: RemoteInfra is the querier-side
-// stand-in for the SSI (gquery.Infra over control-channel RPC), ServeSSI
-// is the node-side loop a pdsd SSI process runs. Data flows over the
-// protocol wire itself — the querier's uploads are forwarded by the
-// switch to whichever process claimed the shard endpoint, and the
-// FrameSink collapses the ARQ stream back to exactly-once envelopes — so
-// only partitioning, trace binding and snapshot collection ride RPC. A
-// remote shard partitions its inbox as a batch: the querier's stream
-// takes every chunk at FinishStream.
+// The multi-process seam of a scenario: a Fleet is the querier's handle
+// on the remote SSI shard processes, its Infra the ssi.ShardSet whose
+// nodes are those processes (remoteShard, driven over control-channel
+// RPC), and ServeSSI is the node-side loop a pdsd SSI process runs. Data
+// flows over the protocol wire itself — the querier's uploads are
+// forwarded by the switch to whichever process claimed the shard
+// endpoint, and the FrameSink collapses the ARQ stream back to
+// exactly-once envelopes — so only partitioning, trace binding and
+// snapshot collection ride RPC. A remote shard partitions its inbox as a
+// batch: the querier's stream takes every chunk at FinishStream.
 package scenario
 
 import (
@@ -49,34 +50,29 @@ const (
 	partitionRetries = 8
 )
 
-// RemoteInfra drives remote SSI shard processes through the control
-// channel. It satisfies gquery.Infra: Receive is a no-op because the
-// remote node ingests the forwarded wire frames itself.
-type RemoteInfra struct {
-	batchStream
+// Fleet is the control handle on n remote SSI shard processes reachable
+// through conn: readiness, the run's SSI (Infra), snapshots, live
+// telemetry, liveness and shutdown.
+type Fleet struct {
 	conn   *transport.TCP
 	shards int
 }
 
-// NewRemoteInfra returns an infra fronting n remote shards reachable
-// through conn.
-func NewRemoteInfra(conn *transport.TCP, n int) *RemoteInfra {
-	if n < 1 {
-		n = 1
-	}
-	return &RemoteInfra{conn: conn, shards: n}
+// NewFleet returns the handle on n remote shards reachable through conn.
+func NewFleet(conn *transport.TCP, n int) *Fleet {
+	return &Fleet{conn: conn, shards: max(n, 1)}
 }
 
 // WaitReady pings every shard until it answers or the deadline passes —
 // the startup barrier before the first upload (frames forwarded to an
 // unclaimed endpoint are silently dropped by the switch).
-func (r *RemoteInfra) WaitReady(deadline time.Duration) error {
+func (f *Fleet) WaitReady(deadline time.Duration) error {
 	limit := time.Now().Add(deadline)
-	for i := 0; i < r.shards; i++ {
+	for i := 0; i < f.shards; i++ {
 		for {
 			// Short per-ping timeout: a ping to a not-yet-claimed endpoint
 			// is dropped by the switch, so only the timeout ends the wait.
-			if _, err := r.conn.Call(Dest(i), callPing, nil, 250*time.Millisecond); err == nil {
+			if _, err := f.conn.Call(ssi.ShardDest(i), callPing, nil, 250*time.Millisecond); err == nil {
 				break
 			} else if time.Now().After(limit) {
 				return fmt.Errorf("scenario: shard %d not ready within %v: %w", i, deadline, err)
@@ -87,75 +83,67 @@ func (r *RemoteInfra) WaitReady(deadline time.Duration) error {
 	return nil
 }
 
-// Receive is a no-op: the remote shard receives the forwarded copy of
-// every upload directly from the switch.
-func (r *RemoteInfra) Receive(netsim.Envelope) {}
+// Infra is the fleet as the protocols' SSI: a shard set whose node i is
+// remote shard i.
+func (f *Fleet) Infra() *ssi.ShardSet {
+	nodes := make([]ssi.Node, f.shards)
+	for i := range nodes {
+		nodes[i] = &remoteShard{conn: f.conn, dest: ssi.ShardDest(i)}
+	}
+	return ssi.NewShardSet(nodes)
+}
 
-// FinishStream forwards the bound trace context to every shard, then asks
-// each to partition its inbox and emits its chunks, in shard order — the
-// order ssi.ShardSet uses. Partition calls are retried across the respawn
-// window of a restart plan.
-func (r *RemoteInfra) FinishStream() error {
-	r.bindTrace()
-	body := make([]byte, 4)
-	binary.LittleEndian.PutUint32(body, uint32(r.chunkSize))
-	for i := 0; i < r.shards; i++ {
-		var reply []byte
-		var err error
-		for attempt := 0; attempt < partitionRetries; attempt++ {
-			reply, err = r.conn.Call(Dest(i), callPartition, body, callTimeout)
-			if err == nil {
-				break
-			}
-			time.Sleep(50 * time.Millisecond)
+// remoteShard is one remote SSI process as a shard-set node. Receive and
+// ObserveGroup are no-ops: the process receives the forwarded copy of
+// every upload from the switch and records its grouping leakage where it
+// happens.
+type remoteShard struct {
+	batchStream
+	conn *transport.TCP
+	dest string
+}
+
+func (r *remoteShard) Receive(netsim.Envelope) {}
+func (r *remoteShard) ObserveGroup([]byte)     {}
+
+// FinishStream forwards the bound trace context, so the remote partition
+// span parents under it across the process boundary (best effort: a
+// shard mid-respawn loses the parent link), then asks the shard to
+// partition its inbox, retrying across the respawn window of a restart
+// plan, and emits its chunks.
+func (r *remoteShard) FinishStream() error {
+	ctx := binary.LittleEndian.AppendUint64(nil, r.trace.Trace)
+	r.conn.Call(r.dest, callBindTrace, binary.LittleEndian.AppendUint64(ctx, r.trace.Span), callTimeout)
+	body := binary.LittleEndian.AppendUint32(nil, uint32(r.chunkSize))
+	var reply []byte
+	var err error
+	for range partitionRetries {
+		if reply, err = r.conn.Call(r.dest, callPartition, body, callTimeout); err == nil {
+			break
 		}
-		if err != nil {
-			return fmt.Errorf("scenario: partition of shard %d: %w", i, err)
-		}
-		if len(reply) < 1 {
-			return fmt.Errorf("scenario: partition of shard %d: empty reply", i)
-		}
-		if reply[0] != 0 {
-			return fmt.Errorf("scenario: shard %d: %s", i, reply[1:])
-		}
-		chunks, err := decodeChunks(reply[1:])
-		if err != nil {
-			return fmt.Errorf("scenario: partition of shard %d: %w", i, err)
-		}
-		for _, c := range chunks {
-			r.emit(c)
-		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("scenario: partition: %w", err)
+	case len(reply) < 1:
+		return errors.New("scenario: partition: empty reply")
+	case reply[0] != 0:
+		return fmt.Errorf("scenario: partition: %s", reply[1:])
+	}
+	chunks, err := decodeChunks(reply[1:])
+	if err != nil {
+		return fmt.Errorf("scenario: partition: %w", err)
+	}
+	for _, c := range chunks {
+		r.emit(c)
 	}
 	return nil
 }
 
-// ObserveGroup is a no-op: grouping leakage is recorded where it happens,
-// on the remote node.
-func (r *RemoteInfra) ObserveGroup([]byte) {}
-
-// bindTrace forwards the querier's bound span context so the remote
-// partition spans parent under it across the process boundary. Best
-// effort: a shard mid-respawn simply loses the parent link.
-func (r *RemoteInfra) bindTrace() {
-	body := make([]byte, 16)
-	binary.LittleEndian.PutUint64(body, r.trace.Trace)
-	binary.LittleEndian.PutUint64(body[8:], r.trace.Span)
-	for i := 0; i < r.shards; i++ {
-		r.conn.Call(Dest(i), callBindTrace, body, callTimeout)
-	}
-}
-
-// Dest routes one PDS upload to its shard endpoint.
-func (r *RemoteInfra) Dest(pds string) string {
-	if r.shards <= 1 {
-		return Dest(0)
-	}
-	return Dest(ssi.ShardOf(pds, r.shards))
-}
-
 // Snapshot fetches one shard's report (observations + obs snapshot).
-func (r *RemoteInfra) Snapshot(shard int) (ShardReport, error) {
-	reply, err := r.conn.Call(Dest(shard), callSnapshot, nil, callTimeout)
+func (f *Fleet) Snapshot(shard int) (ShardReport, error) {
+	reply, err := f.conn.Call(ssi.ShardDest(shard), callSnapshot, nil, callTimeout)
 	if err != nil {
 		return ShardReport{}, err
 	}
@@ -169,8 +157,8 @@ func (r *RemoteInfra) Snapshot(shard int) (ShardReport, error) {
 // Telemetry pulls shard's live obs snapshot — the fleet scrape
 // primitive. The shard answers from its current registry state, so
 // successive calls see counters move while the run is still going.
-func (r *RemoteInfra) Telemetry(shard int) (obs.Snapshot, error) {
-	reply, err := r.conn.Call(Dest(shard), callTelemetry, nil, callTimeout)
+func (f *Fleet) Telemetry(shard int) (obs.Snapshot, error) {
+	reply, err := f.conn.Call(ssi.ShardDest(shard), callTelemetry, nil, callTimeout)
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
@@ -181,21 +169,21 @@ func (r *RemoteInfra) Telemetry(shard int) (obs.Snapshot, error) {
 	return snap, nil
 }
 
-// Shards returns the fleet width this infra fronts.
-func (r *RemoteInfra) Shards() int { return r.shards }
+// Shards returns the fleet width.
+func (f *Fleet) Shards() int { return f.shards }
 
 // Ping answers whether one shard currently responds on the control
 // channel — the /healthz liveness probe.
-func (r *RemoteInfra) Ping(shard int) bool {
-	_, err := r.conn.Call(Dest(shard), callPing, nil, 250*time.Millisecond)
+func (f *Fleet) Ping(shard int) bool {
+	_, err := f.conn.Call(ssi.ShardDest(shard), callPing, nil, 250*time.Millisecond)
 	return err == nil
 }
 
 // Stop asks every shard process to exit after replying. Errors are
 // ignored: a shard that already died is already stopped.
-func (r *RemoteInfra) Stop() {
-	for i := 0; i < r.shards; i++ {
-		r.conn.Call(Dest(i), callStop, nil, callTimeout)
+func (f *Fleet) Stop() {
+	for i := 0; i < f.shards; i++ {
+		f.conn.Call(ssi.ShardDest(i), callStop, nil, callTimeout)
 	}
 }
 
@@ -218,7 +206,7 @@ type ShardReport struct {
 func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardReport, error) {
 	reg := obs.NewRegistry()
 	conn.SetObserver(reg)
-	srv := ssi.New(conn, p.Mode, p.Behavior)
+	srv := ssi.New(conn, p.Mode, p.Behavior.ForShard(shard))
 	sink := transport.NewFrameSink()
 
 	var (
@@ -298,7 +286,7 @@ func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardRepor
 		}
 		return !early
 	}
-	if err := conn.Handle(Dest(shard), func(e netsim.Envelope) {
+	if err := conn.Handle(ssi.ShardDest(shard), func(e netsim.Envelope) {
 		sink.Accept(e, func(frame netsim.Envelope) { gquery.EachUpload(frame, ingest) })
 	}); err != nil {
 		return ShardReport{}, err
@@ -331,10 +319,15 @@ func encodeChunks(chunks [][]netsim.Envelope) []byte {
 	return out
 }
 
+// decodeChunks is encodeChunks' inverse. The reply comes from an
+// untrusted SSI node, so anything encodeChunks would not have written —
+// a truncated or non-minimal count, a count beyond the reply, trailing
+// bytes — is an error.
 func decodeChunks(b []byte) ([][]netsim.Envelope, error) {
 	count := func() (int, error) {
 		n, k := binary.Uvarint(b)
-		if k <= 0 || n > uint64(len(b)) {
+		// A multi-byte uvarint ending in a zero byte is non-minimal.
+		if k <= 0 || (k > 1 && b[k-1] == 0) || n > uint64(len(b)) {
 			return 0, errors.New("scenario: corrupt chunk count")
 		}
 		b = b[k:]
@@ -365,6 +358,3 @@ func decodeChunks(b []byte) ([][]netsim.Envelope, error) {
 	}
 	return chunks, nil
 }
-
-// Interface conformance.
-var _ gquery.Infra = (*RemoteInfra)(nil)

@@ -1,13 +1,16 @@
 package scenario
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"pds/internal/gquery"
 	"pds/internal/netsim"
+	"pds/internal/obs"
 	"pds/internal/ssi"
 	"pds/internal/transport"
 )
@@ -83,6 +86,26 @@ func restartMidFrame() Plan {
 	return p
 }
 
+// restartSharded is restart-64 over three shards, the middle one
+// crashing inside a frame: its 50th tuple is the second of a frame.
+func restartSharded() Plan {
+	p, _ := ByName("restart-64")
+	p.Name = "restart-64-sharded"
+	p.Shards, p.RestartShard, p.RestartAfter = 3, 1, 50
+	return p
+}
+
+// maliciousSharded is clean-64's population on two weakly-malicious
+// shards, each attacking under its own seed (Behavior.ForShard).
+func maliciousSharded() Plan {
+	p, _ := ByName("clean-64")
+	p.Name = "malicious-64-sharded"
+	p.Shards = 2
+	p.Mode, p.Behavior = ssi.WeaklyMalicious, ssi.Behavior{DropRate: 0.05, DuplicateRate: 0.05, Seed: 5}
+	p.ExpectDetection = true
+	return p
+}
+
 // A clean named plan through the remote path: RunQuerier against real
 // ServeSSI nodes over TCP must be exact, collect a snapshot from every
 // shard, and leave the nodes stoppable.
@@ -154,12 +177,13 @@ func TestRemoteShardedLossyPlan(t *testing.T) {
 
 // The remote and in-process executors agree on the same plan: same
 // aggregate surface, same verdict — the cross-substrate point of the
-// scenario layer. A crash inside an upload frame takes the rest of the
-// frame with it on both sides: the crashed SSI holds exactly the tuples
-// up to the crash point, and no later incarnation receives the rest.
+// scenario layer. Weakly-malicious shards realize the same attacks on
+// both. A crash inside an upload frame takes the rest of the frame with
+// it on both sides: the crashed SSI holds exactly the tuples up to the
+// crash point, and no later incarnation receives the rest.
 func TestRemoteMatchesInProcess(t *testing.T) {
 	clean, _ := ByName("clean-64")
-	for _, p := range []Plan{clean, restartMidFrame()} {
+	for _, p := range []Plan{clean, restartMidFrame(), restartSharded(), maliciousSharded()} {
 		t.Run(p.Name, func(t *testing.T) {
 			local, err := Run(p)
 			if err != nil {
@@ -174,47 +198,111 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 				local.Exact != remote.Exact || local.OK != remote.OK || local.Detected != remote.Detected || !local.OK {
 				t.Fatalf("executors diverge:\n in-process    %+v\n multi-process %+v", local, remote)
 			}
+			var remoteCorrupt int64
+			for _, sr := range remote.SSI {
+				remoteCorrupt += corruptTotal(t, sr.Obs)
+			}
+			if lc := corruptTotal(t, local.Obs); lc != remoteCorrupt || (p.Mode == ssi.WeaklyMalicious) != (lc > 0) {
+				t.Errorf("%s: %d in-process, %d multi-process", ssi.MetricCorrupt, lc, remoteCorrupt)
+			}
 			if p.RestartShard < 0 {
 				return
 			}
 			frameEnd := (p.RestartAfter + p.TuplesEach - 1) / p.TuplesEach * p.TuplesEach
+			rest := restartShardTuples(p) - frameEnd
 			before, after := restartSplit(t, p)
-			if before != p.RestartAfter || after != p.Tokens*p.TuplesEach-frameEnd {
+			if before != p.RestartAfter || after != rest {
 				t.Errorf("in-process: crashed SSI held %d tuples, its respawn %d; want %d and %d",
-					before, after, p.RestartAfter, p.Tokens*p.TuplesEach-frameEnd)
+					before, after, p.RestartAfter, rest)
 			}
 			rep := <-crashed
 			// The respawn misses whatever arrives while it restarts, so
 			// only an upper bound holds for it remotely.
-			if rep.Received != p.RestartAfter || remote.SSI[0].Received > p.Tokens*p.TuplesEach-frameEnd {
+			if rep.Received != p.RestartAfter || remote.SSI[p.RestartShard].Received > rest {
 				t.Errorf("multi-process: crashed SSI held %d tuples, its respawn %d; want %d and at most %d",
-					rep.Received, remote.SSI[0].Received, p.RestartAfter, p.Tokens*p.TuplesEach-frameEnd)
+					rep.Received, remote.SSI[p.RestartShard].Received, p.RestartAfter, rest)
 			}
 		})
 	}
 }
 
-// restartSplit runs a restart plan in-process and reports how many
-// tuples the crashed SSI and its respawn each received.
+// corruptTotal sums the realized SSI misbehaviour in an obs snapshot.
+func corruptTotal(t *testing.T, raw []byte) int64 {
+	t.Helper()
+	snap, err := obs.ParseSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, c := range snap.Counters {
+		if strings.HasPrefix(c.Name, ssi.MetricCorrupt) {
+			n += c.Value
+		}
+	}
+	return n
+}
+
+// restartShardTuples counts the tuples a restart plan routes to its
+// restarting shard.
+func restartShardTuples(p Plan) int {
+	route := ssi.NewShardSet(make([]ssi.Node, p.Shards))
+	n := 0
+	for _, part := range p.Participants() {
+		if route.Route(part.ID) == p.RestartShard {
+			n += len(part.Tuples)
+		}
+	}
+	return n
+}
+
+// restartSplit runs a restart plan in-process, on the fleet localInfra
+// builds, and reports how many tuples the crashed SSI and its respawn
+// each received.
 func restartSplit(t *testing.T, p Plan) (before, after int) {
 	t.Helper()
 	w := netsim.New()
+	nodes := ssi.Servers(w, p.Shards, p.Mode, p.Behavior)
 	var servers []*ssi.Server
-	infra := &restartInfra{after: p.RestartAfter, fresh: func() *ssi.Server {
-		srv := ssi.New(w, p.Mode, p.Behavior)
+	r := &restartNode{after: p.RestartAfter, fresh: func() *ssi.Server {
+		srv := ssi.New(w, p.Mode, p.Behavior.ForShard(p.RestartShard))
 		servers = append(servers, srv)
 		return srv
 	}}
-	infra.inner = infra.fresh()
+	r.inner = r.fresh()
+	nodes[p.RestartShard] = r
 	kr, err := p.Keyring()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := gquery.New(p.Options(nil)...).SecureAgg(w, infra, p.Participants(), kr, p.ChunkSize); !errors.Is(err, gquery.ErrDetected) {
+	if _, _, err := gquery.New(p.Options(nil)...).SecureAgg(w, ssi.NewShardSet(nodes), p.Participants(), kr, p.ChunkSize); !errors.Is(err, gquery.ErrDetected) {
 		t.Fatalf("restart run: %v, want a detection", err)
 	}
 	if len(servers) != 2 {
 		t.Fatalf("%d SSI incarnations, want 2", len(servers))
 	}
 	return servers[0].Observations().Envelopes, servers[1].Observations().Envelopes
+}
+
+// FuzzDecodeChunks: the partition reply of an untrusted SSI node decodes
+// to a typed error or to chunks that re-encode to exactly its bytes —
+// never a panic, never a second spelling of the same chunks.
+func FuzzDecodeChunks(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x00})
+	f.Add([]byte{0x80, 0x00}) // a non-minimal zero count
+	f.Add(encodeChunks(nil))
+	f.Add(encodeChunks([][]netsim.Envelope{
+		{{From: "pds-0001", To: "ssi:0", Kind: "tuple", Payload: []byte{1, 2, 3}}},
+		{},
+		{{From: "pds-0002", To: "ssi:1", Kind: "tuple"}, {From: "pds-0003", Kind: "tuple", Payload: []byte{9}}},
+	}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		chunks, err := decodeChunks(b)
+		if err != nil {
+			return
+		}
+		if re := encodeChunks(chunks); !bytes.Equal(re, b) {
+			t.Fatalf("decoded %x re-encodes as %x", b, re)
+		}
+	})
 }

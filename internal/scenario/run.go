@@ -1,9 +1,10 @@
 // Plan executors: Run drives a whole plan in-process over the netsim
 // substrate (every node a goroutine); RunQuerier is the querier role of a
 // multi-process deployment over TCP (the SSI nodes live in other
-// processes, fronted by RemoteInfra); RunStoreSweep is the store role.
-// All three converge on the same Report, so pdsd output and in-process
-// results are directly comparable.
+// processes, fronted by a Fleet); RunStoreSweep is the store role. Both
+// protocol executors drive one ssi.ShardSet — of local servers or of
+// remote shards — and converge on the same Report, so pdsd output and
+// in-process results are directly comparable.
 package scenario
 
 import (
@@ -133,29 +134,28 @@ func Run(p Plan) (Report, error) {
 	return rep, nil
 }
 
-// localInfra builds the in-process SSI for the plan: a single server, a
-// shard set, or — for a restart plan — a server swapped for a fresh one
+// localInfra builds the in-process SSI fleet for the plan: one server per
+// shard, and at RestartShard a server swapped for a fresh one
 // mid-collection (the goroutine twin of the process crash).
-func (p Plan) localInfra(w transport.Transport) (gquery.Infra, error) {
+func (p Plan) localInfra(w transport.Transport) (*ssi.ShardSet, error) {
+	nodes := ssi.Servers(w, max(p.Shards, 1), p.Mode, p.Behavior)
+	if p.RestartShard >= len(nodes) {
+		return nil, fmt.Errorf("scenario: restart shard %d of %d shards", p.RestartShard, len(nodes))
+	}
 	if p.RestartShard >= 0 {
-		if p.Shards > 1 {
-			return nil, errors.New("scenario: in-process restart supports a single shard")
-		}
-		mk := func() *ssi.Server { return ssi.New(w, p.Mode, p.Behavior) }
-		return &restartInfra{inner: mk(), fresh: mk, after: p.RestartAfter}, nil
+		b := p.Behavior.ForShard(p.RestartShard)
+		mk := func() *ssi.Server { return ssi.New(w, p.Mode, b) }
+		nodes[p.RestartShard] = &restartNode{inner: mk(), fresh: mk, after: p.RestartAfter}
 	}
-	if p.Shards > 1 {
-		return ssi.NewShardSet(w, p.Shards, p.Mode, p.Behavior)
-	}
-	return ssi.New(w, p.Mode, p.Behavior), nil
+	return ssi.NewShardSet(nodes), nil
 }
 
-// restartInfra loses all state accumulated before the after-th upload —
+// restartNode loses all state accumulated before the after-th upload —
 // exactly what an SSI process crash-and-respawn does to its inbox. The
 // crash can fall inside a PDS's upload frame: the rest of that frame dies
 // with the process, as it does on a remote node (ServeSSI), and like a
 // remote node it partitions its inbox as a batch, at FinishStream.
-type restartInfra struct {
+type restartNode struct {
 	batchStream
 	mu    sync.Mutex
 	inner *ssi.Server
@@ -168,7 +168,7 @@ type restartInfra struct {
 // Receive ingests one tuple of an upload frame. The tuples of a frame
 // arrive one after another under their sender's id, so the rest of the
 // crashing frame is every following tuple from the same sender.
-func (r *restartInfra) Receive(e netsim.Envelope) {
+func (r *restartNode) Receive(e netsim.Envelope) {
 	r.mu.Lock()
 	if e.From == r.lost {
 		r.mu.Unlock()
@@ -187,7 +187,7 @@ func (r *restartInfra) Receive(e netsim.Envelope) {
 	in.Receive(e)
 }
 
-func (r *restartInfra) cur() *ssi.Server {
+func (r *restartNode) cur() *ssi.Server {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.inner
@@ -195,7 +195,7 @@ func (r *restartInfra) cur() *ssi.Server {
 
 // FinishStream partitions the inbox of the server that survived, under
 // the bound trace context.
-func (r *restartInfra) FinishStream() error {
+func (r *restartNode) FinishStream() error {
 	srv := r.cur()
 	srv.BindTrace(r.trace)
 	chunks, err := srv.Partition(r.chunkSize)
@@ -205,11 +205,10 @@ func (r *restartInfra) FinishStream() error {
 	return err
 }
 
-func (r *restartInfra) ObserveGroup(key []byte) { r.cur().ObserveGroup(key) }
-func (r *restartInfra) Dest(pds string) string  { return r.cur().Dest(pds) }
+func (r *restartNode) ObserveGroup(key []byte) { r.cur().ObserveGroup(key) }
 
 // batchStream gives an SSI node that partitions its inbox as a batch the
-// streaming surface of gquery.Infra: StartStream and BindTrace record
+// streaming surface of ssi.Node: StartStream and BindTrace record
 // the chunk size, the consumer and the trace context, and the node's
 // FinishStream partitions and hands the consumer every chunk.
 type batchStream struct {
@@ -227,15 +226,15 @@ func (b *batchStream) BindTrace(ctx obs.SpanContext) { b.trace = ctx }
 
 // RunQuerier executes the querier role of a multi-process deployment:
 // wait for every shard process, run the protocol over the TCP wire
-// against the remote infra, verify the plan expectation, then collect
-// every shard's snapshot and ask the fleet to stop.
+// against the fleet's shard set, verify the plan expectation, then
+// collect every shard's snapshot and ask the fleet to stop.
 func RunQuerier(conn *transport.TCP, p Plan) (Report, error) {
 	rep := Report{Plan: p.Name, Mode: "multi-process", Tokens: p.Tokens, Shards: p.Shards}
 	if p.IsStore() {
 		return rep, errors.New("scenario: store plans have no querier role")
 	}
-	infra := NewRemoteInfra(conn, p.Shards)
-	if err := infra.WaitReady(15 * time.Second); err != nil {
+	fleet := NewFleet(conn, p.Shards)
+	if err := fleet.WaitReady(15 * time.Second); err != nil {
 		return rep, err
 	}
 	parts := p.Participants()
@@ -244,16 +243,16 @@ func RunQuerier(conn *transport.TCP, p Plan) (Report, error) {
 		return rep, err
 	}
 	reg := obs.NewRegistry()
-	res, stats, runErr := gquery.New(p.Options(reg)...).SecureAgg(conn, infra, parts, kr, p.ChunkSize)
+	res, stats, runErr := gquery.New(p.Options(reg)...).SecureAgg(conn, fleet.Infra(), parts, kr, p.ChunkSize)
 	p.verdict(&rep, res, stats, runErr, parts)
 	for i := 0; i < p.Shards; i++ {
-		sr, err := infra.Snapshot(i)
+		sr, err := fleet.Snapshot(i)
 		if err != nil {
 			sr = ShardReport{Shard: i}
 		}
 		rep.SSI = append(rep.SSI, sr)
 	}
-	infra.Stop()
+	fleet.Stop()
 	attachObs(&rep, reg)
 	return rep, nil
 }

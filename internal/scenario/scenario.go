@@ -53,8 +53,8 @@ type Plan struct {
 
 	// Crash adversity: RestartShard (when >= 0) names the SSI shard whose
 	// process exits after ingesting RestartAfter uploads; pdsd respawns it
-	// once, empty — the in-process executor swaps in a fresh server at the
-	// same point. State loss is the point: the tuple-id checksum must
+	// once, empty — the in-process executor swaps that shard's server for
+	// a fresh one at the same point. State loss is the point: the tuple-id checksum must
 	// catch it.
 	RestartShard int
 	RestartAfter int
@@ -205,7 +205,3 @@ func (p Plan) Options(reg *obs.Registry) []gquery.Option {
 	}
 	return opts
 }
-
-// Dest names the wire endpoint of one shard. Both executors and pdsd use
-// this, so the claim names match across processes.
-func Dest(shard int) string { return fmt.Sprintf("ssi:%d", shard) }

@@ -24,15 +24,15 @@ func teleFleetPlan() Plan {
 func TestFleetTelemetryScrape(t *testing.T) {
 	p := teleFleetPlan()
 	q, _ := startFleet(t, p)
-	infra := NewRemoteInfra(q, p.Shards)
-	if err := infra.WaitReady(15 * time.Second); err != nil {
+	fleet := NewFleet(q, p.Shards)
+	if err := fleet.WaitReady(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if infra.Shards() != p.Shards {
-		t.Fatalf("infra fronts %d shards, want %d", infra.Shards(), p.Shards)
+	if fleet.Shards() != p.Shards {
+		t.Fatalf("fleet has %d shards, want %d", fleet.Shards(), p.Shards)
 	}
 	for i := 0; i < p.Shards; i++ {
-		if !infra.Ping(i) {
+		if !fleet.Ping(i) {
 			t.Fatalf("shard %d not live", i)
 		}
 	}
@@ -41,7 +41,7 @@ func TestFleetTelemetryScrape(t *testing.T) {
 	// well-formed snapshot rather than erroring, and merge cleanly.
 	merged := obs.NewRegistry()
 	for i := 0; i < p.Shards; i++ {
-		snap, err := infra.Telemetry(i)
+		snap, err := fleet.Telemetry(i)
 		if err != nil {
 			t.Fatalf("pre-traffic telemetry of shard %d: %v", i, err)
 		}
@@ -103,11 +103,11 @@ func TestFleetTelemetryCountersAdvance(t *testing.T) {
 		t.Fatal("clean plan missing from the registry")
 	}
 	q, _ := startFleet(t, p)
-	infra := NewRemoteInfra(q, p.Shards)
-	if err := infra.WaitReady(15 * time.Second); err != nil {
+	fleet := NewFleet(q, p.Shards)
+	if err := fleet.WaitReady(15 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	before, err := infra.Telemetry(0)
+	before, err := fleet.Telemetry(0)
 	if err != nil {
 		t.Fatal(err)
 	}

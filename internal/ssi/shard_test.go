@@ -14,10 +14,7 @@ func testNet(t *testing.T) *netsim.Network {
 }
 
 func TestShardRouteStableAndCovering(t *testing.T) {
-	ss, err := NewShardSet(testNet(t), 4, HonestButCurious, Behavior{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := NewShardSet(Servers(testNet(t), 4, HonestButCurious, Behavior{}))
 	hit := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		pds := fmt.Sprintf("pds-%05d", i)
@@ -25,7 +22,7 @@ func TestShardRouteStableAndCovering(t *testing.T) {
 		if r1 != r2 {
 			t.Fatalf("unstable route for %s: %d vs %d", pds, r1, r2)
 		}
-		if r1 < 0 || r1 >= ss.Len() {
+		if r1 < 0 || r1 >= 4 {
 			t.Fatalf("route out of range: %d", r1)
 		}
 		if want := fmt.Sprintf("ssi:%d", r1); ss.Dest(pds) != want {
@@ -38,42 +35,53 @@ func TestShardRouteStableAndCovering(t *testing.T) {
 	}
 }
 
-func TestShardPartitionConcatenatesAllUploads(t *testing.T) {
-	ss, err := NewShardSet(testNet(t), 3, HonestButCurious, Behavior{})
-	if err != nil {
+// streamAll opens a stream of the given chunk size on ss and returns
+// the envelopes its chunks have delivered so far.
+func streamAll(t *testing.T, ss *ShardSet, chunkSize int) *[]netsim.Envelope {
+	t.Helper()
+	var got []netsim.Envelope
+	if err := ss.StartStream(chunkSize, func(chunk []netsim.Envelope) {
+		if len(chunk) > chunkSize {
+			t.Fatalf("oversized chunk: %d", len(chunk))
+		}
+		got = append(got, chunk...)
+	}); err != nil {
 		t.Fatal(err)
 	}
+	return &got
+}
+
+func TestShardPartitionConcatenatesAllUploads(t *testing.T) {
+	nodes := Servers(testNet(t), 3, HonestButCurious, Behavior{})
+	ss := NewShardSet(nodes)
+	got := streamAll(t, ss, 7)
 	const n = 50
 	for i := 0; i < n; i++ {
 		from := fmt.Sprintf("pds-%05d", i)
 		ss.Receive(netsim.Envelope{From: from, To: ss.Dest(from), Kind: "tuple", Payload: []byte{byte(i)}})
 	}
-	if got := ss.Pending(); got != n {
-		t.Fatalf("Pending = %d, want %d", got, n)
-	}
-	chunks, err := ss.Partition(7)
-	if err != nil {
+	if err := ss.FinishStream(); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[byte]bool{}
-	for _, c := range chunks {
-		for _, e := range c {
-			seen[e.Payload[0]] = true
-		}
+	for _, e := range *got {
+		seen[e.Payload[0]] = true
 	}
-	if len(seen) != n {
-		t.Fatalf("partition returned %d distinct envelopes, want %d", len(seen), n)
+	if len(*got) != n || len(seen) != n {
+		t.Fatalf("stream delivered %d envelopes, %d distinct; want %d", len(*got), len(seen), n)
 	}
-	if ss.Observations().Envelopes != n {
-		t.Fatalf("merged observations saw %d envelopes, want %d", ss.Observations().Envelopes, n)
+	envelopes := 0
+	for _, node := range nodes {
+		envelopes += node.(*Server).Observations().Envelopes
+	}
+	if envelopes != n {
+		t.Fatalf("shards saw %d envelopes, want %d", envelopes, n)
 	}
 }
 
 func TestShardFailLosesItsTuples(t *testing.T) {
-	ss, err := NewShardSet(testNet(t), 2, HonestButCurious, Behavior{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss := NewShardSet(Servers(testNet(t), 2, HonestButCurious, Behavior{}))
+	got := streamAll(t, ss, 1<<30)
 	var onDead, onLive int
 	for i := 0; i < 40; i++ {
 		from := fmt.Sprintf("pds-%05d", i)
@@ -88,9 +96,6 @@ func TestShardFailLosesItsTuples(t *testing.T) {
 		t.Fatalf("degenerate placement: dead=%d live=%d", onDead, onLive)
 	}
 	ss.Fail(0)
-	if !ss.Failed(0) || ss.Failed(1) {
-		t.Fatal("Fail(0) should mark exactly shard 0")
-	}
 	// Uploads to the dead shard vanish.
 	deadPDS := ""
 	for i := 40; deadPDS == ""; i++ {
@@ -99,16 +104,40 @@ func TestShardFailLosesItsTuples(t *testing.T) {
 		}
 	}
 	ss.Receive(netsim.Envelope{From: deadPDS, Kind: "tuple", Payload: []byte{0xFF}})
-	chunks, err := ss.Partition(1 << 30)
-	if err != nil {
+	if err := ss.FinishStream(); err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for _, c := range chunks {
-		got += len(c)
+	if len(*got) != onLive {
+		t.Fatalf("stream after Fail delivered %d envelopes, want %d (live shard only)", len(*got), onLive)
 	}
-	if got != onLive {
-		t.Fatalf("partition after Fail returned %d envelopes, want %d (live shard only)", got, onLive)
+}
+
+// A shard that fails mid-stream keeps the chunks it emitted before, and
+// every later chunk of it, its remainder included, goes nowhere.
+func TestShardFailMidStreamGatesLaterChunks(t *testing.T) {
+	ss := NewShardSet(Servers(testNet(t), 2, HonestButCurious, Behavior{}))
+	got := streamAll(t, ss, 2)
+	perShard := [2]int{}
+	upload := func(i int) {
+		from := fmt.Sprintf("pds-%05d", i)
+		perShard[ss.Route(from)]++
+		ss.Receive(netsim.Envelope{From: from, Kind: "tuple", Payload: []byte{byte(i)}})
+	}
+	for i := 0; i < 20; i++ {
+		upload(i)
+	}
+	before := perShard
+	ss.Fail(0)
+	for i := 20; i < 41; i++ {
+		upload(i)
+	}
+	if err := ss.FinishStream(); err != nil {
+		t.Fatal(err)
+	}
+	// Shard 0 emitted its full chunks of two before the failure.
+	if want := before[0]/2*2 + perShard[1]; len(*got) != want {
+		t.Fatalf("delivered %d envelopes, want %d (shard 0's %d pre-failure chunks' tuples and all %d of shard 1)",
+			len(*got), want, before[0]/2*2, perShard[1])
 	}
 }
 

@@ -123,8 +123,8 @@ func New(net Wire, mode Mode, b Behavior) *Server {
 	}
 }
 
-// Dest names the server as an upload destination. A single server is
-// always plain "ssi"; a ShardSet routes per PDS instead.
+// Dest names the server as an upload destination when it is the whole
+// SSI: plain "ssi". In a ShardSet the set names the destination.
 func (s *Server) Dest(pds string) string { return "ssi" }
 
 // BindTrace parents the server's next partition span — a batch
@@ -254,28 +254,13 @@ func (s *Server) FinishStream() error {
 		s.streamBuf = nil
 		s.emitChunk(chunk)
 	}
-	s.endStream()
-	return nil
-}
-
-// streamDiscard leaves streaming mode without flushing the buffered
-// partial chunk — what a crashed shard does to the tuples it held.
-func (s *Server) streamDiscard() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.streamBuf = nil
-	s.endStream()
-}
-
-// endStream leaves streaming mode and ends the stream's span; callers
-// hold s.mu.
-func (s *Server) endStream() {
 	s.streamSpan.Annotate("envelopes", strconv.Itoa(s.streamIdx))
 	s.streamSpan.Annotate("chunks", strconv.Itoa(s.streamChunks))
 	s.streamSpan.End()
 	s.streamSpan = nil
 	s.streamEmit = nil
 	s.streamChunk = 0
+	return nil
 }
 
 // ObserveGroup lets protocol code report the opaque key under which the

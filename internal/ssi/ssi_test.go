@@ -57,10 +57,8 @@ func TestObserveGroupAllocCeiling(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	s := New(netsim.New(), HonestButCurious, Behavior{})
-	ss, err := NewShardSet(netsim.New(), 3, HonestButCurious, Behavior{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nodes := Servers(netsim.New(), 3, HonestButCurious, Behavior{})
+	ss := NewShardSet(nodes)
 	key := []byte("a deterministic group ciphertext")
 	s.ObserveGroup(key)
 	ss.ObserveGroup(key)
@@ -70,8 +68,14 @@ func TestObserveGroupAllocCeiling(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { ss.ObserveGroup(key) }); got > 0 {
 		t.Errorf("ShardSet.ObserveGroup: %.1f allocs/op, ceiling 0", got)
 	}
+	shards := Observations{GroupFrequencies: map[string]int{}}
+	for _, n := range nodes {
+		for k, v := range n.(*Server).Observations().GroupFrequencies {
+			shards.GroupFrequencies[k] += v
+		}
+	}
 	// AllocsPerRun calls once more than it counts.
-	for _, o := range []Observations{s.Observations(), ss.Observations()} {
+	for _, o := range []Observations{s.Observations(), shards} {
 		if len(o.GroupFrequencies) != 1 || o.GroupFrequencies[string(key)] != 202 {
 			t.Errorf("frequencies = %v, want %q 202 times", o.GroupFrequencies, key)
 		}
