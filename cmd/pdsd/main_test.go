@@ -151,7 +151,7 @@ func TestMultiProcessLossy(t *testing.T) {
 	}
 	total := 0
 	for _, sr := range out.Report.SSI {
-		total += sr.Received
+		total += sr.Observations.Envelopes
 	}
 	if want := out.Report.Tokens * 4; total != want {
 		t.Fatalf("shards ingested %d uploads, want %d", total, want)

@@ -89,7 +89,7 @@ type StarRows struct {
 	wpos    int               // next row of the window to hand out
 	wlen    int               // rows in the window
 	stats   QueryStats
-	res     *mcu.Reservation
+	res     mcu.Reservation
 	err     error
 }
 
@@ -445,10 +445,7 @@ func (r *StarRows) Close() {
 		entryPages.Put(r.ents)
 		r.ents = nil
 	}
-	if r.res != nil {
-		r.res.Release()
-		r.res = nil
-	}
+	r.res.Release()
 	r.jpage.Release()
 	for i := range r.fetch {
 		r.fetch[i].page.Release()

@@ -59,16 +59,28 @@ func eachRecord(frame []byte, fn func(rec []byte) bool) error {
 	return nil
 }
 
-// EachUpload is the SSI end of an upload leg: it splits one PDS's upload
-// frame back into the per-tuple envelopes of the SSI's inbox, in upload
-// order, handing each to receive until receive returns false (a node
-// that dies mid-frame loses the rest of it). A frame that does not split
-// into whole records loses its malformed tail; the final token's
-// tuple-id checksum catches the loss.
+// EachUpload is the receiving end of a frame from outside the querier:
+// it splits one PDS's upload frame back into the per-tuple envelopes of
+// the SSI's inbox, or a remote SSI node's chunk frame back into its
+// chunk, in order, handing each to receive until receive returns false
+// (a node that dies mid-frame loses the rest of it). A frame that does
+// not split into whole records loses its malformed tail; the final
+// token's tuple-id checksum catches the loss.
 func EachUpload(frame netsim.Envelope, receive func(netsim.Envelope) bool) {
 	eachRecord(frame.Payload, func(rec []byte) bool {
 		return receive(netsim.Envelope{From: frame.From, To: frame.To, Kind: frame.Kind, Payload: rec, Ctx: frame.Ctx})
 	})
+}
+
+// AppendFrame appends the frame of envs to dst, one record per payload
+// in order: the frame EachUpload splits back into envs.
+func AppendFrame(dst []byte, envs []netsim.Envelope) []byte {
+	for _, e := range envs {
+		var at int
+		dst, at = beginRecord(dst)
+		dst = endRecord(append(dst, e.Payload...), at)
+	}
+	return dst
 }
 
 // chunkFrames holds the frame buffers of the fold and merge legs. The

@@ -36,38 +36,38 @@ func NewArena(budget int) *Arena {
 	return &Arena{budget: budget}
 }
 
-// Reservation is a live claim on arena memory. Release it when the operator
-// that needed it finishes.
+// Reservation is a live claim on arena memory, held by value in its
+// owner. Release it when the operator that needed it finishes; a released
+// Reservation is the zero Reservation, which holds nothing.
 type Reservation struct {
 	arena *Arena
 	n     int
-	done  bool
 }
 
 // Reserve claims n bytes of working memory.
-func (a *Arena) Reserve(n int) (*Reservation, error) {
+func (a *Arena) Reserve(n int) (Reservation, error) {
 	if n < 0 {
-		return nil, fmt.Errorf("mcu: negative reservation %d", n)
+		return Reservation{}, fmt.Errorf("mcu: negative reservation %d", n)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if !a.claim(n) {
-		return nil, fmt.Errorf("%w: want %d, used %d of %d", ErrOutOfRAM, n, a.used, a.budget)
+		return Reservation{}, fmt.Errorf("%w: want %d, used %d of %d", ErrOutOfRAM, n, a.used, a.budget)
 	}
-	return &Reservation{arena: a, n: n}, nil
+	return Reservation{arena: a, n: n}, nil
 }
 
 // TryReserve is Reserve for a caller that meets a full arena by freeing
 // memory and trying again: where Reserve fails with ErrOutOfRAM it
 // reports false, and it describes no refusal, so probing a full arena
 // costs nothing. n must not be negative.
-func (a *Arena) TryReserve(n int) (*Reservation, bool) {
+func (a *Arena) TryReserve(n int) (Reservation, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if n < 0 || !a.claim(n) {
-		return nil, false
+		return Reservation{}, false
 	}
-	return &Reservation{arena: a, n: n}, true
+	return Reservation{arena: a, n: n}, true
 }
 
 // claim books n more bytes if the budget has room. Callers hold a.mu.
@@ -85,7 +85,7 @@ func (a *Arena) claim(n int) bool {
 // Grow enlarges an existing reservation by delta bytes (delta may not be
 // negative; shrink by releasing and re-reserving).
 func (r *Reservation) Grow(delta int) error {
-	if r.done {
+	if r.arena == nil {
 		return errors.New("mcu: grow of released reservation")
 	}
 	if delta < 0 {
@@ -108,16 +108,17 @@ func (r *Reservation) Grow(delta int) error {
 // Size returns the reservation's current size in bytes.
 func (r *Reservation) Size() int { return r.n }
 
-// Release returns the memory to the arena. Releasing twice is a no-op.
+// Release returns the memory to the arena and zeroes r. Releasing twice
+// is a no-op.
 func (r *Reservation) Release() {
-	if r.done {
+	a := r.arena
+	if a == nil {
 		return
 	}
-	r.done = true
-	a := r.arena
 	a.mu.Lock()
 	a.used -= r.n
 	a.mu.Unlock()
+	*r = Reservation{}
 }
 
 // Budget returns the configured budget (0 = unlimited).

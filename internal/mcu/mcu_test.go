@@ -83,6 +83,30 @@ func TestReservationGrow(t *testing.T) {
 	}
 }
 
+// A reservation is a value: reserving and releasing one allocates
+// nothing.
+func TestReserveReleaseAllocatesNothing(t *testing.T) {
+	a := NewArena(100)
+	if allocs := testing.AllocsPerRun(50, func() {
+		r, err := a.Reserve(40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}); allocs != 0 {
+		t.Errorf("Reserve/Release: %.1f allocs, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		r, _ := a.TryReserve(40)
+		r.Release()
+	}); allocs != 0 {
+		t.Errorf("TryReserve/Release: %.1f allocs, want 0", allocs)
+	}
+	if a.Used() != 0 {
+		t.Errorf("Used after the pairs = %d", a.Used())
+	}
+}
+
 func TestDoubleReleaseNoop(t *testing.T) {
 	a := NewArena(100)
 	r, _ := a.Reserve(10)
@@ -120,7 +144,7 @@ func TestArenaConcurrent(t *testing.T) {
 func TestQuickArenaInvariant(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		a := NewArena(1 << 16)
-		var live []*Reservation
+		var live []Reservation
 		for _, s := range sizes {
 			r, err := a.Reserve(int(s))
 			if err != nil {
@@ -134,8 +158,8 @@ func TestQuickArenaInvariant(t *testing.T) {
 				return false
 			}
 		}
-		for _, r := range live {
-			r.Release()
+		for i := range live {
+			live[i].Release()
 		}
 		return a.Used() == 0
 	}

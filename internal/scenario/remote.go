@@ -1,13 +1,12 @@
 // The multi-process seam of a scenario: a Fleet is the querier's handle
 // on the remote SSI shard processes, its Infra the ssi.ShardSet whose
-// nodes are those processes (remoteShard, driven over control-channel
-// RPC), and ServeSSI is the node-side loop a pdsd SSI process runs. Data
-// flows over the protocol wire itself — the querier's uploads are
-// forwarded by the switch to whichever process claimed the shard
-// endpoint, and the FrameSink collapses the ARQ stream back to
-// exactly-once envelopes — so only partitioning, trace binding and
-// snapshot collection ride RPC. A remote shard partitions its inbox as a
-// batch: the querier's stream takes every chunk at FinishStream.
+// nodes are those processes (remoteShard), and ServeSSI is the
+// node-side loop a pdsd SSI process runs. Data flows over the protocol
+// wire both ways: the switch forwards the querier's uploads to whichever
+// process claimed the shard endpoint, where a FrameSink collapses the
+// ARQ stream back to exactly-once envelopes, and the node streams each
+// chunk back as one frame the moment it fills. Only ping, trace binding,
+// the end of the stream, snapshots, telemetry and stop ride RPC.
 package scenario
 
 import (
@@ -32,7 +31,7 @@ import (
 const (
 	callPing      = "scn/ping"
 	callBindTrace = "scn/bind"
-	callPartition = "scn/part"
+	callFinish    = "scn/fin"
 	callSnapshot  = "scn/snap"
 	callStop      = "scn/stop"
 	// callTelemetry pulls a live obs snapshot from a running node — the
@@ -42,13 +41,17 @@ const (
 	callTelemetry = "scn/tele"
 )
 
-// callTimeout bounds one control round trip; partitionRetries covers the
-// respawn window of a restart plan (the shard endpoint is unclaimed while
-// pdsd relaunches the process, so calls in that window time out).
+// callTimeout bounds one control round trip, and the wait for the chunk
+// frames a finished stream sent; finishRetries covers the respawn window
+// of a restart plan (the shard endpoint is unclaimed while pdsd
+// relaunches the process, so calls in that window time out).
 const (
-	callTimeout      = 2 * time.Second
-	partitionRetries = 8
+	callTimeout   = 2 * time.Second
+	finishRetries = 8
 )
+
+// chunkDest names the querier's endpoint for shard i's chunk frames.
+func chunkDest(shard int) string { return ssi.ShardDest(shard) + "/chunks" }
 
 // Fleet is the control handle on n remote SSI shard processes reachable
 // through conn: readiness, the run's SSI (Infra), snapshots, live
@@ -88,55 +91,107 @@ func (f *Fleet) WaitReady(deadline time.Duration) error {
 func (f *Fleet) Infra() *ssi.ShardSet {
 	nodes := make([]ssi.Node, f.shards)
 	for i := range nodes {
-		nodes[i] = &remoteShard{conn: f.conn, dest: ssi.ShardDest(i)}
+		nodes[i] = &remoteShard{conn: f.conn, shard: i, ready: make(chan struct{}, 1)}
 	}
 	return ssi.NewShardSet(nodes)
 }
 
-// remoteShard is one remote SSI process as a shard-set node. Receive and
-// ObserveGroup are no-ops: the process receives the forwarded copy of
-// every upload from the switch and records its grouping leakage where it
-// happens.
+// remoteShard is one remote SSI process as a shard-set node. The process
+// receives the forwarded copy of every upload from the switch and records
+// its grouping leakage where it happens, so Receive and ObserveGroup send
+// nothing. It streams each chunk back as a frame to the handle's
+// endpoint, where frames queue until the collection goroutine hands them
+// to emit, at Receive and at FinishStream: emit keeps the one writer
+// ssi.Node promises it.
 type remoteShard struct {
-	batchStream
-	conn *transport.TCP
-	dest string
+	conn  *transport.TCP
+	shard int
+	emit  func([]netsim.Envelope)
+	got   map[string]int // chunk frames emitted, per node incarnation
+	ready chan struct{}  // signalled when a frame is queued
+
+	mu     sync.Mutex
+	frames []netsim.Envelope // chunk frames not yet emitted
 }
 
-func (r *remoteShard) Receive(netsim.Envelope) {}
+// BindTrace forwards the trace context, so the partition span the node
+// opens at its first upload parents under it across the process boundary
+// (best effort: a respawned node never hears of it).
+func (r *remoteShard) BindTrace(ctx obs.SpanContext) {
+	body := binary.LittleEndian.AppendUint64(nil, ctx.Trace)
+	r.conn.Call(ssi.ShardDest(r.shard), callBindTrace, binary.LittleEndian.AppendUint64(body, ctx.Span), callTimeout)
+}
+
+// StartStream claims the endpoint the node streams its chunk frames to.
+// The node cuts chunks of its plan's ChunkSize, which is the chunkSize
+// RunQuerier runs the protocol with.
+func (r *remoteShard) StartStream(_ int, emit func([]netsim.Envelope)) error {
+	r.emit, r.got = emit, map[string]int{}
+	return r.conn.Handle(chunkDest(r.shard), func(frame netsim.Envelope) {
+		r.mu.Lock()
+		r.frames = append(r.frames, frame)
+		r.mu.Unlock()
+		select {
+		case r.ready <- struct{}{}:
+		default:
+		}
+	})
+}
+
+// Receive hands the chunks that arrived so far to emit.
+func (r *remoteShard) Receive(netsim.Envelope) { r.drain() }
 func (r *remoteShard) ObserveGroup([]byte)     {}
 
-// FinishStream forwards the bound trace context, so the remote partition
-// span parents under it across the process boundary (best effort: a
-// shard mid-respawn loses the parent link), then asks the shard to
-// partition its inbox, retrying across the respawn window of a restart
-// plan, and emits its chunks.
+// drain emits the queued chunk frames in arrival order, each split back
+// into its chunk.
+func (r *remoteShard) drain() {
+	r.mu.Lock()
+	frames := r.frames
+	r.frames = nil
+	r.mu.Unlock()
+	for _, f := range frames {
+		r.got[f.From]++
+		var chunk []netsim.Envelope
+		gquery.EachUpload(f, func(e netsim.Envelope) bool {
+			chunk = append(chunk, e)
+			return true
+		})
+		r.emit(chunk)
+	}
+}
+
+// FinishStream asks the node to flush its stream, retrying across the
+// respawn window of a restart plan and past a crashed node's empty
+// reply. The node replies with the number of chunk frames its
+// incarnation sent, then the incarnation's name, which each of its
+// frames carries as its sender. The reply reaches the waiting call
+// directly and can overtake frames still queued for dispatch, so the
+// handle emits until it has that many frames of that incarnation. A
+// crashed predecessor's frames reached the wire before any of them.
 func (r *remoteShard) FinishStream() error {
-	ctx := binary.LittleEndian.AppendUint64(nil, r.trace.Trace)
-	r.conn.Call(r.dest, callBindTrace, binary.LittleEndian.AppendUint64(ctx, r.trace.Span), callTimeout)
-	body := binary.LittleEndian.AppendUint32(nil, uint32(r.chunkSize))
 	var reply []byte
 	var err error
-	for range partitionRetries {
-		if reply, err = r.conn.Call(r.dest, callPartition, body, callTimeout); err == nil {
+	for range finishRetries {
+		if reply, err = r.conn.Call(ssi.ShardDest(r.shard), callFinish, nil, callTimeout); err == nil && len(reply) >= 4 {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	switch {
 	case err != nil:
-		return fmt.Errorf("scenario: partition: %w", err)
-	case len(reply) < 1:
-		return errors.New("scenario: partition: empty reply")
-	case reply[0] != 0:
-		return fmt.Errorf("scenario: partition: %s", reply[1:])
+		return fmt.Errorf("scenario: finish stream: %w", err)
+	case len(reply) < 4:
+		return errors.New("scenario: finish stream: short reply")
 	}
-	chunks, err := decodeChunks(reply[1:])
-	if err != nil {
-		return fmt.Errorf("scenario: partition: %w", err)
-	}
-	for _, c := range chunks {
-		r.emit(c)
+	want, inc := int(binary.LittleEndian.Uint32(reply)), string(reply[4:])
+	timeout := time.NewTimer(callTimeout)
+	defer timeout.Stop()
+	for r.drain(); r.got[inc] < want; r.drain() {
+		select {
+		case <-r.ready:
+		case <-timeout.C:
+			return fmt.Errorf("scenario: shard %d sent %d chunk frames, %d arrived", r.shard, want, r.got[inc])
+		}
 	}
 	return nil
 }
@@ -189,29 +244,39 @@ func (f *Fleet) Stop() {
 
 // ShardReport is what one SSI node reports at snapshot/exit time.
 type ShardReport struct {
-	Shard            int
-	Received         int
-	DistinctPayloads int
-	ExitedEarly      bool            // restart plan: the planned mid-collection exit fired
-	Obs              json.RawMessage `json:",omitempty"` // node-local obs snapshot
+	Shard        int
+	Observations ssi.Observations // what the node could learn
+	ExitedEarly  bool             // restart plan: the planned mid-collection exit fired
+	Obs          json.RawMessage  `json:",omitempty"` // node-local obs snapshot
 }
 
 // ServeSSI runs one SSI node over conn: it claims the shard endpoint,
 // ingests forwarded upload frames through a FrameSink, splitting each
-// into its tuples, and serves the control calls until a stop call
-// arrives, the connection dies, or — when exitAfter > 0 — the node has
-// ingested exitAfter tuples (the planned crash of a restart scenario;
-// the process is expected to exit and be respawned empty). The returned report is what the process prints on
-// stdout for pdsd to collect.
+// into its tuples, and streams each chunk back to the querier as one
+// frame the moment it fills. It serves the control calls until a stop
+// call arrives, the connection dies, or — when exitAfter > 0 — the node
+// has ingested exitAfter tuples (the planned crash of a restart
+// scenario; the process is expected to exit and be respawned empty). The
+// returned report is what the process prints on stdout for pdsd to
+// collect.
 func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardReport, error) {
+	if p.ChunkSize < 1 {
+		return ShardReport{}, fmt.Errorf("scenario: plan %s has chunk size %d", p.Name, p.ChunkSize)
+	}
 	reg := obs.NewRegistry()
 	conn.SetObserver(reg)
 	srv := ssi.New(conn, p.Mode, p.Behavior.ForShard(shard))
 	sink := transport.NewFrameSink()
+	// The incarnation's name, which its chunk frames carry as their
+	// sender: a respawned process dials under the same node name, but not
+	// at the same instant.
+	inc := fmt.Sprintf("%s@%d", conn.Name(), time.Now().UnixNano())
 
 	var (
 		mu       sync.Mutex
-		received int
+		received int  // tuples ingested, towards exitAfter
+		open     bool // a stream is open
+		sent     int  // chunk frames the current or last stream sent
 		early    bool
 	)
 	done := make(chan struct{})
@@ -221,17 +286,15 @@ func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardRepor
 	report := func() ShardReport {
 		mu.Lock()
 		defer mu.Unlock()
-		o := srv.Observations()
-		rep := ShardReport{
-			Shard:            shard,
-			Received:         received,
-			DistinctPayloads: o.DistinctPayloads,
-			ExitedEarly:      early,
-		}
+		rep := ShardReport{Shard: shard, Observations: srv.Observations(), ExitedEarly: early}
 		if b, err := reg.JSON(); err == nil {
 			rep.Obs = b
 		}
 		return rep
+	}
+	emit := func(chunk []netsim.Envelope) {
+		conn.Send(netsim.Envelope{From: inc, To: chunkDest(shard), Kind: "chunk", Payload: gquery.AppendFrame(nil, chunk)})
+		sent++
 	}
 
 	conn.OnCall(callPing, func(netsim.Envelope, []byte) []byte { return []byte("ok") })
@@ -244,15 +307,17 @@ func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardRepor
 		}
 		return nil
 	})
-	conn.OnCall(callPartition, func(_ netsim.Envelope, body []byte) []byte {
-		if len(body) < 4 {
-			return append([]byte{1}, "bad partition request"...)
+	conn.OnCall(callFinish, func(netsim.Envelope, []byte) []byte {
+		mu.Lock()
+		defer mu.Unlock()
+		if early {
+			return nil // a crashed node answers nothing the handle accepts
 		}
-		chunks, err := srv.Partition(int(binary.LittleEndian.Uint32(body)))
-		if err != nil {
-			return append([]byte{1}, err.Error()...)
+		if open {
+			srv.FinishStream()
+			open = false
 		}
-		return append([]byte{0}, encodeChunks(chunks)...)
+		return append(binary.LittleEndian.AppendUint32(nil, uint32(sent)), inc...)
 	})
 	conn.OnCall(callSnapshot, func(netsim.Envelope, []byte) []byte {
 		b, _ := json.Marshal(report())
@@ -270,13 +335,18 @@ func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardRepor
 		return []byte("ok")
 	})
 
-	// One upload frame splits into its tuples here; a crash inside a
-	// frame loses the rest of it, and nothing lands after the crash.
+	// One upload frame splits into its tuples here, the first of them
+	// opening the stream; a crash inside a frame loses the rest of it
+	// along with the partial chunk, and nothing lands after the crash.
 	ingest := func(e netsim.Envelope) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		if early {
 			return false
+		}
+		if !open {
+			srv.StartStream(p.ChunkSize, emit) // cannot fail: the chunk size was checked, no stream is open
+			open, sent = true, 0
 		}
 		srv.Receive(e)
 		received++
@@ -301,60 +371,4 @@ func ServeSSI(conn *transport.TCP, shard int, p Plan, exitAfter int) (ShardRepor
 		}
 		return report(), errors.New("scenario: connection closed")
 	}
-}
-
-// --- chunk codec: [][]netsim.Envelope over the control channel ---
-
-// encodeChunks writes the chunk count, then each chunk's envelope count
-// and its envelopes in the transport's envelope layout; the counts are
-// uvarints.
-func encodeChunks(chunks [][]netsim.Envelope) []byte {
-	out := binary.AppendUvarint(nil, uint64(len(chunks)))
-	for _, c := range chunks {
-		out = binary.AppendUvarint(out, uint64(len(c)))
-		for _, e := range c {
-			out = transport.AppendEnvelope(out, e)
-		}
-	}
-	return out
-}
-
-// decodeChunks is encodeChunks' inverse. The reply comes from an
-// untrusted SSI node, so anything encodeChunks would not have written —
-// a truncated or non-minimal count, a count beyond the reply, trailing
-// bytes — is an error.
-func decodeChunks(b []byte) ([][]netsim.Envelope, error) {
-	count := func() (int, error) {
-		n, k := binary.Uvarint(b)
-		// A multi-byte uvarint ending in a zero byte is non-minimal.
-		if k <= 0 || (k > 1 && b[k-1] == 0) || n > uint64(len(b)) {
-			return 0, errors.New("scenario: corrupt chunk count")
-		}
-		b = b[k:]
-		return int(n), nil
-	}
-	n, err := count()
-	if err != nil {
-		return nil, err
-	}
-	chunks := make([][]netsim.Envelope, 0, n)
-	for range n {
-		m, err := count()
-		if err != nil {
-			return nil, err
-		}
-		chunk := make([]netsim.Envelope, 0, m)
-		for range m {
-			var e netsim.Envelope
-			if e, b, err = transport.DecodeEnvelope(b); err != nil {
-				return nil, err
-			}
-			chunk = append(chunk, e)
-		}
-		chunks = append(chunks, chunk)
-	}
-	if len(b) != 0 {
-		return nil, errors.New("scenario: trailing bytes after chunk encoding")
-	}
-	return chunks, nil
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -106,6 +105,19 @@ func maliciousSharded() Plan {
 	return p
 }
 
+// lossySharded is a small plan on two shards over a lossy wire.
+func lossySharded() Plan {
+	return Plan{
+		Name: "test-lossy", Tokens: 48, TuplesEach: 3, Seed: 9,
+		Shards: 2, ChunkSize: 8, Workers: 2,
+		Faults: &netsim.FaultPlan{
+			Seed:    13,
+			Default: netsim.FaultSpec{Drop: 0.15, Duplicate: 0.1, Delay: 0.1, Reorder: 0.05},
+		},
+		MaxRetries: 25, RestartShard: -1,
+	}
+}
+
 // A clean named plan through the remote path: RunQuerier against real
 // ServeSSI nodes over TCP must be exact, collect a snapshot from every
 // shard, and leave the nodes stoppable.
@@ -127,7 +139,7 @@ func TestRemoteCleanPlan(t *testing.T) {
 	}
 	total := 0
 	for _, sr := range rep.SSI {
-		total += sr.Received
+		total += sr.Observations.Envelopes
 		if len(sr.Obs) == 0 {
 			t.Fatalf("shard %d snapshot missing obs", sr.Shard)
 		}
@@ -141,15 +153,7 @@ func TestRemoteCleanPlan(t *testing.T) {
 // the FrameSinks on the nodes collapse retransmissions back to
 // exactly-once, and the aggregate stays exact.
 func TestRemoteShardedLossyPlan(t *testing.T) {
-	p := Plan{
-		Name: "test-lossy", Tokens: 48, TuplesEach: 3, Seed: 9,
-		Shards: 2, ChunkSize: 8, Workers: 2,
-		Faults: &netsim.FaultPlan{
-			Seed:    13,
-			Default: netsim.FaultSpec{Drop: 0.15, Duplicate: 0.1, Delay: 0.1, Reorder: 0.05},
-		},
-		MaxRetries: 25, RestartShard: -1,
-	}
+	p := lossySharded()
 	q, _ := startFleet(t, p)
 	rep, err := RunQuerier(q, p)
 	if err != nil {
@@ -163,7 +167,7 @@ func TestRemoteShardedLossyPlan(t *testing.T) {
 	}
 	total := 0
 	for _, sr := range rep.SSI {
-		total += sr.Received
+		total += sr.Observations.Envelopes
 	}
 	// Exactly-once at the nodes despite duplicates and retransmissions on
 	// the wire.
@@ -178,12 +182,14 @@ func TestRemoteShardedLossyPlan(t *testing.T) {
 // The remote and in-process executors agree on the same plan: same
 // aggregate surface, same verdict — the cross-substrate point of the
 // scenario layer. Weakly-malicious shards realize the same attacks on
-// both. A crash inside an upload frame takes the rest of the frame with
-// it on both sides: the crashed SSI holds exactly the tuples up to the
-// crash point, and no later incarnation receives the rest.
+// both, and every shard observes the same envelopes and bytes on both:
+// the SSI learns the same thing on either path. A crash inside an upload
+// frame takes the rest of the frame with it on both sides: the crashed
+// SSI holds exactly the tuples up to the crash point, and no later
+// incarnation receives the rest.
 func TestRemoteMatchesInProcess(t *testing.T) {
 	clean, _ := ByName("clean-64")
-	for _, p := range []Plan{clean, restartMidFrame(), restartSharded(), maliciousSharded()} {
+	for _, p := range []Plan{clean, restartMidFrame(), restartSharded(), maliciousSharded(), lossySharded()} {
 		t.Run(p.Name, func(t *testing.T) {
 			local, err := Run(p)
 			if err != nil {
@@ -205,26 +211,47 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 			if lc := corruptTotal(t, local.Obs); lc != remoteCorrupt || (p.Mode == ssi.WeaklyMalicious) != (lc > 0) {
 				t.Errorf("%s: %d in-process, %d multi-process", ssi.MetricCorrupt, lc, remoteCorrupt)
 			}
+			if len(local.SSI) != p.Shards || len(remote.SSI) != p.Shards {
+				t.Fatalf("%d in-process and %d multi-process shard reports, want %d", len(local.SSI), len(remote.SSI), p.Shards)
+			}
+			for i := range local.SSI {
+				if i != p.RestartShard && !sameView(local.SSI[i].Observations, remote.SSI[i].Observations) {
+					t.Errorf("shard %d observed %+v in-process, %+v multi-process", i, local.SSI[i].Observations, remote.SSI[i].Observations)
+				}
+			}
 			if p.RestartShard < 0 {
 				return
 			}
 			frameEnd := (p.RestartAfter + p.TuplesEach - 1) / p.TuplesEach * p.TuplesEach
 			rest := restartShardTuples(p) - frameEnd
-			before, after := restartSplit(t, p)
-			if before != p.RestartAfter || after != rest {
+			crash, respawn, lost := restartSplit(t, p)
+			if crash.Envelopes != p.RestartAfter || respawn.Envelopes != rest {
 				t.Errorf("in-process: crashed SSI held %d tuples, its respawn %d; want %d and %d",
-					before, after, p.RestartAfter, rest)
+					crash.Envelopes, respawn.Envelopes, p.RestartAfter, rest)
+			}
+			// The run loses what the crashed SSI held: its partial chunk and
+			// the rest of the crashing frame.
+			if want := p.RestartAfter%p.ChunkSize + frameEnd - p.RestartAfter; lost != want {
+				t.Errorf("in-process: the crash lost %d tuples, want %d", lost, want)
+			}
+			if o := local.SSI[p.RestartShard].Observations; !sameView(o, respawn) {
+				t.Errorf("in-process report of the restarted shard: %+v, want the respawn's %+v", o, respawn)
 			}
 			rep := <-crashed
 			// The respawn misses whatever arrives while it restarts, so
 			// only an upper bound holds for it remotely.
-			if rep.Received != p.RestartAfter || remote.SSI[p.RestartShard].Received > rest {
-				t.Errorf("multi-process: crashed SSI held %d tuples, its respawn %d; want %d and at most %d",
-					rep.Received, remote.SSI[p.RestartShard].Received, p.RestartAfter, rest)
+			if o := remote.SSI[p.RestartShard].Observations; !sameView(rep.Observations, crash) ||
+				o.Envelopes > respawn.Envelopes || o.Bytes > respawn.Bytes {
+				t.Errorf("multi-process: crashed SSI observed %+v, its respawn %+v; want %+v and at most %+v",
+					rep.Observations, o, crash, respawn)
 			}
 		})
 	}
 }
+
+// sameView reports whether two SSI nodes observed the same envelopes and
+// bytes.
+func sameView(a, b ssi.Observations) bool { return a.Envelopes == b.Envelopes && a.Bytes == b.Bytes }
 
 // corruptTotal sums the realized SSI misbehaviour in an obs snapshot.
 func corruptTotal(t *testing.T, raw []byte) int64 {
@@ -255,10 +282,10 @@ func restartShardTuples(p Plan) int {
 	return n
 }
 
-// restartSplit runs a restart plan in-process, on the fleet localInfra
-// builds, and reports how many tuples the crashed SSI and its respawn
-// each received.
-func restartSplit(t *testing.T, p Plan) (before, after int) {
+// restartSplit runs a restart plan in-process, on the fleet localNodes
+// builds, and reports what the crashed SSI and its respawn each observed
+// and how many of the restarting shard's tuples never reached a fold.
+func restartSplit(t *testing.T, p Plan) (crash, respawn ssi.Observations, lost int) {
 	t.Helper()
 	w := netsim.New()
 	nodes := ssi.Servers(w, p.Shards, p.Mode, p.Behavior)
@@ -268,41 +295,103 @@ func restartSplit(t *testing.T, p Plan) (before, after int) {
 		servers = append(servers, srv)
 		return srv
 	}}
-	r.inner = r.fresh()
+	r.Server = r.fresh()
 	nodes[p.RestartShard] = r
+	ss := &emitCounter{ShardSet: ssi.NewShardSet(nodes)}
 	kr, err := p.Keyring()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := gquery.New(p.Options(nil)...).SecureAgg(w, ssi.NewShardSet(nodes), p.Participants(), kr, p.ChunkSize); !errors.Is(err, gquery.ErrDetected) {
+	if _, _, err := gquery.New(p.Options(nil)...).SecureAgg(w, ss, p.Participants(), kr, p.ChunkSize); !errors.Is(err, gquery.ErrDetected) {
 		t.Fatalf("restart run: %v, want a detection", err)
 	}
 	if len(servers) != 2 {
 		t.Fatalf("%d SSI incarnations, want 2", len(servers))
 	}
-	return servers[0].Observations().Envelopes, servers[1].Observations().Envelopes
+	return servers[0].Observations(), servers[1].Observations(), p.Tokens*p.TuplesEach - ss.tuples
 }
 
-// FuzzDecodeChunks: the partition reply of an untrusted SSI node decodes
-// to a typed error or to chunks that re-encode to exactly its bytes —
-// never a panic, never a second spelling of the same chunks.
-func FuzzDecodeChunks(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x80, 0x00}) // a non-minimal zero count
-	f.Add(encodeChunks(nil))
-	f.Add(encodeChunks([][]netsim.Envelope{
-		{{From: "pds-0001", To: "ssi:0", Kind: "tuple", Payload: []byte{1, 2, 3}}},
-		{},
-		{{From: "pds-0002", To: "ssi:1", Kind: "tuple"}, {From: "pds-0003", Kind: "tuple", Payload: []byte{9}}},
-	}))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		chunks, err := decodeChunks(b)
-		if err != nil {
-			return
-		}
-		if re := encodeChunks(chunks); !bytes.Equal(re, b) {
-			t.Fatalf("decoded %x re-encodes as %x", b, re)
-		}
+// emitCounter counts the tuples a shard set hands to the fold plane.
+type emitCounter struct {
+	*ssi.ShardSet
+	tuples int
+}
+
+func (c *emitCounter) StartStream(chunkSize int, emit func([]netsim.Envelope)) error {
+	return c.ShardSet.StartStream(chunkSize, func(chunk []netsim.Envelope) {
+		c.tuples += len(chunk)
+		emit(chunk)
 	})
+}
+
+// A restart at a chunk boundary that is also a frame boundary loses
+// nothing in-process: the crashed SSI had emitted every tuple it
+// received, so the run is exact. (A remote respawn also misses the
+// uploads of its restart window, so this holds in-process only.)
+func TestRestartAtChunkBoundaryIsExact(t *testing.T) {
+	p, _ := ByName("restart-64")
+	p.RestartAfter, p.ExpectDetection = 96, false
+	if p.RestartAfter%p.ChunkSize != 0 || p.RestartAfter%p.TuplesEach != 0 {
+		t.Fatalf("crash point %d is not a chunk and frame boundary", p.RestartAfter)
+	}
+	rep, err := Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK || !rep.Exact || rep.Detected {
+		t.Fatalf("restart after a flushed chunk: %+v", rep)
+	}
+}
+
+// A remote node streams: once every upload but the last PDS's has
+// reached it, it has sent one chunk frame for each chunk those uploads
+// filled. The count is the node's own, read through the telemetry call
+// its dispatcher serves after those uploads, so it does not race the
+// wire; then the querier's shard set collects every tuple.
+func TestRemoteNodeStreamsBeforeLastUpload(t *testing.T) {
+	p, _ := ByName("clean-64")
+	q, _ := startFleet(t, p)
+	fleet := NewFleet(q, p.Shards)
+	if err := fleet.WaitReady(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ss := fleet.Infra()
+	got := 0
+	if err := ss.StartStream(p.ChunkSize, func(c []netsim.Envelope) { got += len(c) }); err != nil {
+		t.Fatal(err)
+	}
+	parts := p.Participants()
+	// An honest SSI never reads a payload, so any bytes upload.
+	upload := func(part gquery.Participant) {
+		recs := make([]netsim.Envelope, len(part.Tuples))
+		for i := range recs {
+			recs[i].Payload = []byte(fmt.Sprintf("%s#%d", part.ID, i))
+		}
+		ss.Receive(netsim.Envelope{From: part.ID})
+		q.Send(netsim.Envelope{From: part.ID, To: ss.Dest(part.ID), Kind: "tuple", Payload: gquery.AppendFrame(nil, recs)})
+	}
+	for _, part := range parts[:len(parts)-1] {
+		upload(part)
+	}
+	snap, err := fleet.Telemetry(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := int64(0)
+	for _, c := range snap.Counters {
+		if c.Name == obs.Name(netsim.MetricKindMessages, "kind", "chunk") {
+			sent = c.Value
+		}
+	}
+	if want := int64((len(parts) - 1) * p.TuplesEach / p.ChunkSize); sent != want {
+		t.Fatalf("node sent %d chunk frames before the last upload, want %d", sent, want)
+	}
+	upload(parts[len(parts)-1])
+	if err := ss.FinishStream(); err != nil {
+		t.Fatal(err)
+	}
+	fleet.Stop()
+	if want := p.Tokens * p.TuplesEach; got != want {
+		t.Fatalf("the querier collected %d tuples, want %d", got, want)
+	}
 }

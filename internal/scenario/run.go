@@ -2,16 +2,15 @@
 // substrate (every node a goroutine); RunQuerier is the querier role of a
 // multi-process deployment over TCP (the SSI nodes live in other
 // processes, fronted by a Fleet); RunStoreSweep is the store role. Both
-// protocol executors drive one ssi.ShardSet — of local servers or of
-// remote shards — and converge on the same Report, so pdsd output and
-// in-process results are directly comparable.
+// protocol executors drive one ssi.ShardSet of streaming nodes — local
+// servers or remote shards — and converge on the same Report, so pdsd
+// output and in-process results are directly comparable.
 package scenario
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"pds/internal/crashharness"
@@ -118,7 +117,7 @@ func Run(p Plan) (Report, error) {
 	}
 	rep := Report{Plan: p.Name, Mode: "in-process", Tokens: p.Tokens, Shards: p.Shards}
 	w := netsim.New()
-	infra, err := p.localInfra(w)
+	nodes, err := p.localNodes(w)
 	if err != nil {
 		return rep, err
 	}
@@ -128,16 +127,20 @@ func Run(p Plan) (Report, error) {
 		return rep, err
 	}
 	reg := obs.NewRegistry()
-	res, stats, runErr := gquery.New(p.Options(reg)...).SecureAgg(w, infra, parts, kr, p.ChunkSize)
+	res, stats, runErr := gquery.New(p.Options(reg)...).SecureAgg(w, ssi.NewShardSet(nodes), parts, kr, p.ChunkSize)
 	p.verdict(&rep, res, stats, runErr, parts)
+	for i, n := range nodes {
+		o := n.(interface{ Observations() ssi.Observations }).Observations()
+		rep.SSI = append(rep.SSI, ShardReport{Shard: i, Observations: o})
+	}
 	attachObs(&rep, reg)
 	return rep, nil
 }
 
-// localInfra builds the in-process SSI fleet for the plan: one server per
+// localNodes builds the in-process SSI fleet for the plan: one server per
 // shard, and at RestartShard a server swapped for a fresh one
 // mid-collection (the goroutine twin of the process crash).
-func (p Plan) localInfra(w transport.Transport) (*ssi.ShardSet, error) {
+func (p Plan) localNodes(w transport.Transport) ([]ssi.Node, error) {
 	nodes := ssi.Servers(w, max(p.Shards, 1), p.Mode, p.Behavior)
 	if p.RestartShard >= len(nodes) {
 		return nil, fmt.Errorf("scenario: restart shard %d of %d shards", p.RestartShard, len(nodes))
@@ -145,84 +148,71 @@ func (p Plan) localInfra(w transport.Transport) (*ssi.ShardSet, error) {
 	if p.RestartShard >= 0 {
 		b := p.Behavior.ForShard(p.RestartShard)
 		mk := func() *ssi.Server { return ssi.New(w, p.Mode, b) }
-		nodes[p.RestartShard] = &restartNode{inner: mk(), fresh: mk, after: p.RestartAfter}
+		nodes[p.RestartShard] = &restartNode{Server: mk(), fresh: mk, after: p.RestartAfter}
 	}
-	return ssi.NewShardSet(nodes), nil
+	return nodes, nil
 }
 
-// restartNode loses all state accumulated before the after-th upload —
-// exactly what an SSI process crash-and-respawn does to its inbox. The
-// crash can fall inside a PDS's upload frame: the rest of that frame dies
-// with the process, as it does on a remote node (ServeSSI), and like a
-// remote node it partitions its inbox as a batch, at FinishStream.
+// restartNode swaps its server for a fresh one after the after-th upload
+// — what an SSI process crash-and-respawn does. The dying server loses
+// exactly what a dying process holds: its partial chunk, and the rest of
+// the crashing upload frame (as on a remote node, ServeSSI); the chunks
+// it emitted before stay emitted. The embedded server is the current
+// incarnation, which finishes the stream, observes groups and reports
+// what it observed. Like every node, it is driven from the one
+// collection goroutine.
 type restartNode struct {
-	batchStream
-	mu    sync.Mutex
-	inner *ssi.Server
+	*ssi.Server
 	fresh func() *ssi.Server
 	after int
 	seen  int
 	lost  string // the PDS whose frame was cut by the crash, while its rest arrives
+
+	chunkSize int
+	emit      func([]netsim.Envelope)
+	trace     obs.SpanContext
+}
+
+func (r *restartNode) BindTrace(ctx obs.SpanContext) {
+	r.trace = ctx
+	r.Server.BindTrace(ctx)
+}
+
+// StartStream opens the current server's stream, its chunks gated on
+// that server still being the current one: a crashed server's flush goes
+// nowhere.
+func (r *restartNode) StartStream(chunkSize int, emit func([]netsim.Envelope)) error {
+	r.chunkSize, r.emit = chunkSize, emit
+	srv := r.Server
+	return srv.StartStream(chunkSize, func(chunk []netsim.Envelope) {
+		if srv == r.Server {
+			emit(chunk)
+		}
+	})
 }
 
 // Receive ingests one tuple of an upload frame. The tuples of a frame
 // arrive one after another under their sender's id, so the rest of the
 // crashing frame is every following tuple from the same sender.
 func (r *restartNode) Receive(e netsim.Envelope) {
-	r.mu.Lock()
 	if e.From == r.lost {
-		r.mu.Unlock()
 		return
 	}
 	r.lost = ""
+	r.Server.Receive(e)
 	r.seen++
-	in := r.inner
 	if r.seen == r.after {
-		// The crash fires after this upload lands, so the discarded inbox
-		// includes it — matching the process that dies holding 1..after.
-		r.inner = r.fresh()
-		r.lost = e.From
+		// The crash fires after this upload lands, so what dies holds
+		// it. The dying server's stream still ends, so its partition span
+		// does; the fresh one streams under the same trace context. Both
+		// calls repeat ones that succeeded on the stream being replaced.
+		dead := r.Server
+		r.Server, r.lost = r.fresh(), e.From
+		dead.FinishStream()
+		r.BindTrace(r.trace)
+		r.StartStream(r.chunkSize, r.emit)
 	}
-	r.mu.Unlock()
-	in.Receive(e)
 }
-
-func (r *restartNode) cur() *ssi.Server {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.inner
-}
-
-// FinishStream partitions the inbox of the server that survived, under
-// the bound trace context.
-func (r *restartNode) FinishStream() error {
-	srv := r.cur()
-	srv.BindTrace(r.trace)
-	chunks, err := srv.Partition(r.chunkSize)
-	for _, c := range chunks {
-		r.emit(c)
-	}
-	return err
-}
-
-func (r *restartNode) ObserveGroup(key []byte) { r.cur().ObserveGroup(key) }
-
-// batchStream gives an SSI node that partitions its inbox as a batch the
-// streaming surface of ssi.Node: StartStream and BindTrace record
-// the chunk size, the consumer and the trace context, and the node's
-// FinishStream partitions and hands the consumer every chunk.
-type batchStream struct {
-	chunkSize int
-	emit      func([]netsim.Envelope)
-	trace     obs.SpanContext
-}
-
-func (b *batchStream) StartStream(chunkSize int, emit func([]netsim.Envelope)) error {
-	b.chunkSize, b.emit = chunkSize, emit
-	return nil
-}
-
-func (b *batchStream) BindTrace(ctx obs.SpanContext) { b.trace = ctx }
 
 // RunQuerier executes the querier role of a multi-process deployment:
 // wait for every shard process, run the protocol over the TCP wire

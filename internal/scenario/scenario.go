@@ -54,8 +54,10 @@ type Plan struct {
 	// Crash adversity: RestartShard (when >= 0) names the SSI shard whose
 	// process exits after ingesting RestartAfter uploads; pdsd respawns it
 	// once, empty — the in-process executor swaps that shard's server for
-	// a fresh one at the same point. State loss is the point: the tuple-id checksum must
-	// catch it.
+	// a fresh one at the same point. The crash loses what the node held:
+	// its partial chunk and the rest of the crashing upload frame, and
+	// remotely also the uploads sent while it restarts. The tuple-id
+	// checksum must catch the loss.
 	RestartShard int
 	RestartAfter int
 

@@ -3,9 +3,6 @@ package scenario
 import (
 	"reflect"
 	"testing"
-
-	"pds/internal/netsim"
-	"pds/internal/obs"
 )
 
 // The catalog is the contract pdsd and the docs rely on: names are
@@ -71,46 +68,6 @@ func TestParticipantsDeterministic(t *testing.T) {
 	kr2, _ := p.Keyring()
 	if string(kr1.MACKey) != string(kr2.MACKey) {
 		t.Fatal("keyring not deterministic")
-	}
-}
-
-func TestChunkCodecRoundTrip(t *testing.T) {
-	chunks := [][]netsim.Envelope{
-		{
-			{From: "pds-1", To: "ssi:0", Kind: "tuple", Payload: []byte{1, 2, 3}, Ctx: obs.SpanContext{Trace: 7, Span: 9}},
-			{From: "pds-2", To: "ssi:0", Kind: "tuple"},
-		},
-		{},
-		{{From: "", To: "", Kind: "", Payload: make([]byte, 1024)}},
-	}
-	got, err := decodeChunks(encodeChunks(chunks))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(chunks) {
-		t.Fatalf("chunk count %d, want %d", len(got), len(chunks))
-	}
-	for i := range chunks {
-		if len(got[i]) != len(chunks[i]) {
-			t.Fatalf("chunk %d length %d, want %d", i, len(got[i]), len(chunks[i]))
-		}
-		for j, want := range chunks[i] {
-			g := got[i][j]
-			if g.From != want.From || g.To != want.To || g.Kind != want.Kind || g.Ctx != want.Ctx ||
-				string(g.Payload) != string(want.Payload) {
-				t.Fatalf("chunk %d env %d: %+v != %+v", i, j, g, want)
-			}
-		}
-	}
-	// Truncations fail loudly instead of yielding phantom envelopes.
-	enc := encodeChunks(chunks)
-	for _, cut := range []int{1, 5, len(enc) / 2, len(enc) - 1} {
-		if _, err := decodeChunks(enc[:cut]); err == nil {
-			t.Fatalf("decode accepted a %d-byte truncation", cut)
-		}
-	}
-	if _, err := decodeChunks(append(enc, 0)); err == nil {
-		t.Fatal("decode accepted trailing bytes")
 	}
 }
 

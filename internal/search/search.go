@@ -114,7 +114,7 @@ func tripleWeight(rec []byte) uint16 { return binary.LittleEndian.Uint16(rec[len
 type Engine struct {
 	pw       *logstore.PageWriter
 	arena    *mcu.Arena
-	bufRes   *mcu.Reservation
+	bufRes   mcu.Reservation
 	nbuckets int
 	heads    []int32
 	bufs     [][]triple

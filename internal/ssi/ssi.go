@@ -102,7 +102,7 @@ type Server struct {
 	// inbox, arriving envelopes are grouped into chunks and emitted as
 	// soon as each chunk fills. streamIdx is the running inbox position
 	// feeding the covert misbehaviour schedule, so a weakly-malicious
-	// server attacks the same positions whether it streams or batches;
+	// server attacks the same positions however its uploads reach it;
 	// streamSpan is the stream's ssi/partition span.
 	streamEmit   func([]netsim.Envelope)
 	streamChunk  int
@@ -127,9 +127,9 @@ func New(net Wire, mode Mode, b Behavior) *Server {
 // SSI: plain "ssi". In a ShardSet the set names the destination.
 func (s *Server) Dest(pds string) string { return "ssi" }
 
-// BindTrace parents the server's next partition span — a batch
-// Partition's or a stream's — under the given wire context (the querier's
-// open phase). A zero context unbinds; the span then becomes a root.
+// BindTrace parents the server's next partition span under the given
+// wire context (the querier's open phase). A zero context unbinds; the
+// span then becomes a root.
 func (s *Server) BindTrace(ctx obs.SpanContext) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,8 +213,8 @@ func (s *Server) emitChunk(chunk []netsim.Envelope) {
 // arrive and handed to emit as soon as each chunk fills, so the server
 // holds at most one partial chunk instead of the whole population's
 // inbox — the memory-bound contract of a gquery run. A weakly-malicious
-// server misbehaves per envelope with the same seeded position schedule
-// as batch Partition. emit is invoked on the caller's goroutine; there
+// server misbehaves per envelope on the seeded position schedule of
+// corruptOne. emit is invoked on the caller's goroutine; there
 // must be exactly one uploading goroutine. The stream is one
 // ssi/partition span, from StartStream to FinishStream, under the
 // context BindTrace gave.
@@ -278,13 +278,6 @@ func (s *Server) ObserveGroup(key []byte) {
 	s.groupFreq[i]++
 }
 
-// Pending returns how many envelopes await partitioning.
-func (s *Server) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inbox)
-}
-
 // Observations returns a copy of the leakage record.
 func (s *Server) Observations() Observations {
 	s.mu.Lock()
@@ -309,42 +302,25 @@ func (o Observations) FrequencyHistogram() []int {
 	return out
 }
 
-// Partition splits the inbox into chunks of at most chunkSize envelopes,
-// consuming it. A weakly-malicious server misbehaves here: it drops,
-// duplicates, or forges envelopes according to its Behavior — covertly,
-// hoping the tokens' integrity checks miss it.
+// Partition cuts the inbox into chunks of at most chunkSize envelopes,
+// consuming it. It streams the inbox through StartStream, so a
+// weakly-malicious server drops, duplicates and forges the positions it
+// would attack had the uploads streamed in. Receive already
+// observed the inbox, so the replay leaves the leakage record as it was.
 func (s *Server) Partition(chunkSize int) ([][]netsim.Envelope, error) {
-	if chunkSize < 1 {
-		return nil, fmt.Errorf("ssi: chunkSize must be >= 1, got %d", chunkSize)
+	var chunks [][]netsim.Envelope
+	if err := s.StartStream(chunkSize, func(c []netsim.Envelope) { chunks = append(chunks, c) }); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.streamEmit != nil {
-		return nil, fmt.Errorf("ssi: batch Partition unavailable in streaming mode")
-	}
-	work := s.inbox
+	work, seen := s.inbox, s.obs
 	s.inbox = nil
-	var sp *obs.Span
-	if reg := s.net.Observer(); reg != nil {
-		sp = reg.Tracer().StartRemote("ssi/partition", s.trace)
-		sp.Annotate("mode", s.mode.String())
-		sp.Annotate("envelopes", strconv.Itoa(len(work)))
+	for _, e := range work {
+		s.receiveStreaming(e)
 	}
-	if s.mode == WeaklyMalicious {
-		work = s.corrupt(work, sp.Context())
-	}
-	var chunks [][]netsim.Envelope
-	for len(work) > 0 {
-		n := chunkSize
-		if n > len(work) {
-			n = len(work)
-		}
-		chunks = append(chunks, work[:n])
-		work = work[n:]
-	}
-	sp.Annotate("chunks", strconv.Itoa(len(chunks)))
-	sp.End()
-	return chunks, nil
+	s.obs = seen
+	s.mu.Unlock()
+	return chunks, s.FinishStream()
 }
 
 // MetricCorrupt counts realized SSI misbehaviour, labeled by action
@@ -354,22 +330,12 @@ func (s *Server) Partition(chunkSize int) ([][]netsim.Envelope, error) {
 // dropped-on-the-wire.
 const MetricCorrupt = "ssi_corrupt_total"
 
-// corrupt applies the covert misbehaviour. Each envelope's fate is drawn
-// from a seeded hash of its inbox position rather than a stateful PRNG,
-// so the attack schedule is a pure function of (Behavior, upload order)
-// and replays exactly for debugging a detected run.
-func (s *Server) corrupt(in []netsim.Envelope, ctx obs.SpanContext) []netsim.Envelope {
-	var out []netsim.Envelope
-	for i, e := range in {
-		out = append(out, s.corruptOne(i, e, ctx)...)
-	}
-	return out
-}
-
 // corruptOne decides one envelope's fate given its inbox position i:
 // nil (dropped), the envelope twice (duplicated), a bit-flipped copy
-// (forged), or the envelope unchanged. Batch Partition and streaming
-// Receive share it, so the attack schedule is identical in both modes.
+// (forged), or the envelope unchanged. The fate is drawn from a seeded
+// hash of the position rather than a stateful PRNG, so the attack
+// schedule is a pure function of (Behavior, upload order) and replays
+// exactly for debugging a detected run.
 func (s *Server) corruptOne(i int, e netsim.Envelope, ctx obs.SpanContext) []netsim.Envelope {
 	b := s.behavior
 	reg := s.net.Observer()

@@ -29,8 +29,11 @@ func TestReceiveAndObservations(t *testing.T) {
 	if o.DistinctPayloads != 2 {
 		t.Errorf("distinct payloads = %d, want 2", o.DistinctPayloads)
 	}
-	if s.Pending() != 3 {
-		t.Errorf("pending = %d", s.Pending())
+	if chunks, err := s.Partition(3); err != nil || len(chunks) != 1 || len(chunks[0]) != 3 {
+		t.Errorf("inbox partitions as %d chunks (%v), want one of 3", len(chunks), err)
+	}
+	if o2 := s.Observations(); o2.Envelopes != o.Envelopes || o2.Bytes != o.Bytes || o2.DistinctPayloads != o.DistinctPayloads {
+		t.Errorf("partition re-observed the inbox: %+v, then %+v", o, o2)
 	}
 }
 
@@ -155,8 +158,8 @@ func TestPartitionHonest(t *testing.T) {
 	if total != 10 {
 		t.Errorf("partition lost envelopes: %d", total)
 	}
-	if s.Pending() != 0 {
-		t.Errorf("inbox not consumed: %d", s.Pending())
+	if again, err := s.Partition(3); err != nil || len(again) != 0 {
+		t.Errorf("inbox not consumed: %d more chunks (%v)", len(again), err)
 	}
 }
 
@@ -264,7 +267,6 @@ func TestConcurrentReceiveAndObserve(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			s.Pending()
 			s.Observations()
 		}
 	}()
@@ -281,8 +283,8 @@ func TestConcurrentReceiveAndObserve(t *testing.T) {
 	if total != 800 {
 		t.Errorf("group frequency total = %d, want 800", total)
 	}
-	if s.Pending() != 800 {
-		t.Errorf("pending = %d, want 800", s.Pending())
+	if chunks, err := s.Partition(1000); err != nil || len(chunks) != 1 || len(chunks[0]) != 800 {
+		t.Errorf("inbox partitions as %d chunks (%v), want one of 800", len(chunks), err)
 	}
 }
 

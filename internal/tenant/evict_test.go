@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pds/internal/mcu"
 	"pds/internal/obs"
 )
 
@@ -16,7 +17,7 @@ import (
 func scanVictim(h *Host, keep *envelope) *envelope {
 	var victim *envelope
 	for _, e := range h.order {
-		if e == keep || e.res == nil {
+		if e == keep || e.res == (mcu.Reservation{}) {
 			continue
 		}
 		if victim == nil || e.lastUsed < victim.lastUsed {
@@ -83,7 +84,7 @@ func TestEvictionIndexMatchesScan(t *testing.T) {
 		}
 		resident := 0
 		for _, e := range h.order {
-			if e.res != nil {
+			if e.res != (mcu.Reservation{}) {
 				resident++
 			}
 		}

@@ -128,8 +128,9 @@ type envelope struct {
 	owed  bool
 	// st is nil while the tenant is evicted to flash.
 	st durable.Store
-	// res is the tenant's slice of the host arena (nil when evicted).
-	res *mcu.Reservation
+	// res is the tenant's slice of the host arena (the zero Reservation
+	// when evicted).
+	res mcu.Reservation
 	// ops is the per-tenant operation counter driving Kind workloads;
 	// unsynced counts how many ops ran since the last durability point.
 	ops      int
@@ -419,7 +420,6 @@ func (h *Host) evictOne(at int64) (bool, error) {
 		victim.st, victim.alloc = nil, nil
 	}
 	victim.res.Release()
-	victim.res = nil
 	victim.idleAt = max(victim.idleAt, at)
 	heap.Pop(&h.lru)
 	if h.met.evictions == nil {
@@ -435,7 +435,7 @@ func (h *Host) evictOne(at int64) (bool, error) {
 // log-replay recovery a power cycle uses — eviction leaves nothing behind
 // that a crash wouldn't also preserve.
 func (h *Host) makeResident(e *envelope, at int64) error {
-	if e.res == nil {
+	if e.res == (mcu.Reservation{}) {
 		for {
 			if res, ok := h.arena.TryReserve(residentBytes); ok {
 				e.res = res

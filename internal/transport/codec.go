@@ -58,29 +58,22 @@ func putStr(buf []byte, s string) []byte {
 }
 
 // encodeMessage appends the message body (everything after the length
-// prefix) to buf.
+// prefix) to buf: the op and id, then the envelope — From, To and Kind
+// as u16-length-prefixed strings, the span context's trace and span ids,
+// then the u32-length-prefixed payload.
 func encodeMessage(buf []byte, m message) ([]byte, error) {
-	if len(m.env.From) > math.MaxUint16 || len(m.env.To) > math.MaxUint16 || len(m.env.Kind) > math.MaxUint16 {
+	e := m.env
+	if len(e.From) > math.MaxUint16 || len(e.To) > math.MaxUint16 || len(e.Kind) > math.MaxUint16 {
 		return nil, fmt.Errorf("transport: envelope address fields exceed 64 KiB")
 	}
 	buf = binary.LittleEndian.AppendUint64(append(buf, m.op), m.id)
-	return AppendEnvelope(buf, m.env), nil
-}
-
-// AppendEnvelope appends e in the wire's envelope layout: From, To and
-// Kind as u16-length-prefixed strings, the span context's trace and span
-// ids, then the u32-length-prefixed payload. Every envelope the TCP
-// substrate carries, and every envelope a scenario's control channel
-// returns, has this layout; an envelope that crossed the TCP substrate
-// has address fields short enough for it.
-func AppendEnvelope(buf []byte, e netsim.Envelope) []byte {
 	buf = putStr(buf, e.From)
 	buf = putStr(buf, e.To)
 	buf = putStr(buf, e.Kind)
 	buf = binary.LittleEndian.AppendUint64(buf, e.Ctx.Trace)
 	buf = binary.LittleEndian.AppendUint64(buf, e.Ctx.Span)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	return append(buf, e.Payload...)
+	return append(buf, e.Payload...), nil
 }
 
 // writeMessage frames and writes one message. The caller serializes
@@ -154,19 +147,7 @@ func decodeMessage(body []byte) (message, error) {
 	return m, nil
 }
 
-// DecodeEnvelope reads one envelope in AppendEnvelope's layout from the
-// front of b and returns the bytes after it. The payload is copied out of
-// b; a truncated envelope is an error.
-func DecodeEnvelope(b []byte) (netsim.Envelope, []byte, error) {
-	d := &decoder{data: b}
-	e, err := d.envelope()
-	if err != nil {
-		return netsim.Envelope{}, nil, err
-	}
-	return e, b[d.off:], nil
-}
-
-// envelope reads one envelope in AppendEnvelope's layout.
+// envelope reads one envelope in encodeMessage's layout.
 func (d *decoder) envelope() (netsim.Envelope, error) {
 	var e netsim.Envelope
 	var err error

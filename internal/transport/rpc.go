@@ -1,6 +1,7 @@
 // A minimal request/reply layer over control frames, for the out-of-band
-// coordination a multi-process deployment needs (partition requests to a
-// remote SSI, shutdown, snapshot collection). RPC frames bypass both the
+// coordination a multi-process deployment needs (liveness, trace
+// binding and the end of a remote SSI's stream, snapshot collection,
+// shutdown). RPC frames bypass both the
 // traffic accounting and the fault plane: they model the operator's
 // control channel, not the protocol wire the paper's adversary sits on.
 package transport

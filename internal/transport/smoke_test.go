@@ -132,3 +132,37 @@ func TestLinkOverTCP(t *testing.T) {
 		t.Fatalf("wire error: %v", err)
 	}
 }
+
+// A second Handle of one pattern replaces the first's handler: a node
+// that claims an endpoint again for a new run gets that run's frames.
+func TestHandleReplacesSamePattern(t *testing.T) {
+	sw, err := NewSwitch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sw.Close()
+	a, err := Dial(sw.Addr(), "ssi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Dial(sw.Addr(), "querier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	first, second := make(chan netsim.Envelope, 1), make(chan netsim.Envelope, 1)
+	for _, ch := range []chan netsim.Envelope{first, second} {
+		if err := b.Handle("ssi:0/chunks", func(e netsim.Envelope) { ch <- e }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.Send(netsim.Envelope{From: "ssi", To: "ssi:0/chunks", Kind: "chunk", Payload: []byte("c")})
+	select {
+	case <-second:
+	case <-first:
+		t.Fatal("frame reached the replaced handler")
+	case <-time.After(5 * time.Second):
+		t.Fatal("forwarded frame never arrived")
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -275,7 +276,8 @@ func (t *TCP) handlerFor(endpoint string) func(netsim.Envelope) {
 }
 
 // Handle claims an endpoint pattern on the switch (an exact name or a
-// prefix ending in '*') and registers fn for frames forwarded to it. fn
+// prefix ending in '*') and registers fn for frames forwarded to it, in
+// place of the fn an earlier Handle of the same pattern registered. fn
 // runs on the dispatch goroutine, one frame at a time, in arrival order.
 func (t *TCP) Handle(pattern string, fn func(netsim.Envelope)) error {
 	h := patternHandler{handler: fn}
@@ -285,7 +287,11 @@ func (t *TCP) Handle(pattern string, fn func(netsim.Envelope)) error {
 		h.exact = pattern
 	}
 	t.hmu.Lock()
-	t.handlers = append(t.handlers, h)
+	if i := slices.IndexFunc(t.handlers, func(o patternHandler) bool { return o.prefix == h.prefix && o.exact == h.exact }); i >= 0 {
+		t.handlers[i] = h
+	} else {
+		t.handlers = append(t.handlers, h)
+	}
 	t.hmu.Unlock()
 	// Block until the switch confirms: once Handle returns, frames
 	// addressed to the pattern are guaranteed to be forwarded here.
