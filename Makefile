@@ -78,12 +78,14 @@ fuzz:
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$fn\$$" -fuzztime=$$per; \
 	done
 
-# The simulation substrate and the observability layer must stay
+# The simulation substrate, the observability layer and the layers whose
+# output a golden or digest pins (transport's TCP replay of netsim, flash
+# chip images, logstore, tenant's serve decision digest) must stay
 # deterministic: fault schedules and corruption decisions come from seeded
 # generators, never the global math/rand. (Protocol packages like gquery's
 # noise generator use seeded math/rand legitimately.)
 lint-determinism:
-	@bad=$$(grep -rln '"math/rand"' internal/netsim internal/ssi internal/obs --include='*.go' | grep -v _test.go); \
+	@bad=$$(grep -rln '"math/rand"' internal/netsim internal/ssi internal/obs internal/transport internal/flash internal/logstore internal/tenant --include='*.go' | grep -v _test.go); \
 	if [ -n "$$bad" ]; then \
 		echo "math/rand leaked into deterministic packages:"; echo "$$bad"; exit 1; \
 	fi

@@ -415,11 +415,12 @@ func TestHistogramBucketIDRange(t *testing.T) {
 
 	over := oneGroupBuckets(maxBuckets + 5)
 	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+	tapped := tapTraffic(net)
 	res, stats, err := New().Histogram(net, srv, tuples(over), kr, over)
 	if err == nil {
 		t.Fatalf("%d buckets accepted: %v", len(over), res)
 	}
-	if errors.Is(err, ErrDetected) || stats.Net.Messages != 0 || net.Stats().Messages != 0 {
+	if errors.Is(err, ErrDetected) || stats.Net.Messages != 0 || tapped().Messages != 0 {
 		t.Fatalf("oversized bucket set not refused up front: err=%v stats=%+v", err, stats)
 	}
 

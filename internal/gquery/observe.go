@@ -146,9 +146,9 @@ func (ro *runObs) closeSpans() {
 }
 
 // finish closes the last phase after its makespan, mirrors the protocol
-// outcome into counters and re-derives the cost side of RunStats — wire
-// traffic and reliability overhead — from the run registry instead of the
-// legacy per-struct accounting.
+// outcome into counters and derives the cost side of RunStats — wire
+// traffic and reliability overhead — from the run registry, the wire's
+// one ledger.
 func (ro *runObs) finish(stats *RunStats, makespan time.Duration) {
 	ro.reg.Clock().Advance(makespan)
 	ro.closeSpans()
@@ -160,11 +160,9 @@ func (ro *runObs) finish(stats *RunStats, makespan time.Duration) {
 	if stats.Detected {
 		reg.Counter(MetricDetected).Inc()
 	}
-	stats.Net = netsim.Stats{Messages: reg.CounterValue(netsim.MetricMessages), Bytes: reg.CounterValue(netsim.MetricBytes)}
-	stats.Retransmits = int(reg.CounterValue(netsim.MetricRelRetrans))
-	stats.AckMessages = int(reg.CounterValue(netsim.MetricRelAcks))
-	stats.TagFailures = int(reg.CounterValue(netsim.MetricRelTagFail))
-	stats.RetryBackoff = time.Duration(reg.CounterValue(netsim.MetricRelBackoffNS))
+	net, rel := netsim.Counted(reg)
+	stats.Net, stats.Retransmits, stats.AckMessages, stats.TagFailures, stats.RetryBackoff =
+		net, rel.Retransmits, rel.Acks, rel.TagFailures, rel.Backoff
 
 	// With the run's spans closed, walk the causal DAG for the critical
 	// path and mirror it into counters so the breakdown survives merges.

@@ -44,20 +44,38 @@ func TestObserverSnapshotByteIdentical(t *testing.T) {
 	}
 }
 
+// tapTraffic taps net and returns the traffic the tap has seen so far:
+// the oracle a run's registry-derived wire totals must equal.
+func tapTraffic(net *netsim.Network) func() netsim.Stats {
+	var mu sync.Mutex
+	var st netsim.Stats
+	net.Tap(func(e netsim.Envelope) {
+		mu.Lock()
+		st.Messages, st.Bytes = st.Messages+1, st.Bytes+int64(len(e.Payload))
+		mu.Unlock()
+	})
+	return func() netsim.Stats {
+		mu.Lock()
+		defer mu.Unlock()
+		return st
+	}
+}
+
 // TestRunStatsDerivedFromRegistry checks that the cost fields of RunStats —
-// now re-derived from the metrics registry at the end of a run — agree with
-// the registry's own counters and with the network's legacy accounting.
+// derived from the run's metrics registry at the end of a run — agree with
+// the registry's own counters and with what a tap on the wire saw.
 func TestRunStatsDerivedFromRegistry(t *testing.T) {
 	parts := makeParts(20, 5, testDomain, 22)
 	kr := mustKeyring(t)
 	net, srv := freshRun(t, ssi.HonestButCurious, ssi.Behavior{})
+	tapped := tapTraffic(net)
 	reg := obs.NewRegistry()
 	_, stats, err := New(WithObserver(reg)).SecureAgg(net, srv, parts, kr, 7)
 	if err != nil {
 		t.Fatalf("secure-agg: %v", err)
 	}
-	if stats.Net != net.Stats() {
-		t.Errorf("derived Net %+v != legacy network stats %+v", stats.Net, net.Stats())
+	if stats.Net != tapped() || stats.Net.Messages == 0 {
+		t.Errorf("derived Net %+v != tapped traffic %+v", stats.Net, tapped())
 	}
 	if got := reg.CounterValue(netsim.MetricMessages); got != stats.Net.Messages {
 		t.Errorf("registry messages %d != stats %d", got, stats.Net.Messages)

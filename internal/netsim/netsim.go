@@ -84,33 +84,15 @@ func (s Stats) String() string {
 	return fmt.Sprintf("msgs=%d bytes=%d", s.Messages, s.Bytes)
 }
 
-// counter is one lock-free Messages/Bytes pair.
-type counter struct {
-	messages atomic.Int64
-	bytes    atomic.Int64
-}
-
-func (c *counter) add(payload int) {
-	c.messages.Add(1)
-	c.bytes.Add(int64(payload))
-}
-
-func (c *counter) stats() Stats {
-	return Stats{Messages: c.messages.Load(), Bytes: c.bytes.Load()}
-}
-
-// Network counts and exposes traffic. It is safe for concurrent use; the
-// hot path (Send) is lock-free — the totals are atomic, and per-kind
-// traffic is counted only by an attached observer (netsim_kind_*) — so a
-// parallel token fleet does not serialize on the accounting plane. Totals
-// read while sends are in flight are each exact, though Messages and Bytes
-// may be from instants an envelope apart; protocols read stats only at
-// phase barriers, where they are exact.
+// Network is the wire's accounting plane. It keeps no totals of its own:
+// an attached observer registry (SetObserver) counts every envelope, in
+// total and per kind (netsim_messages_total, netsim_kind_*), and a tap
+// sees each one. It is safe for concurrent use, and the hot path (Send)
+// is lock-free, so a parallel token fleet does not serialize on it.
 //
 // An optional FaultPlane (SetFaults) injects deterministic drop, duplicate,
 // delay and reorder faults into envelopes routed through Deliver.
 type Network struct {
-	st     atomic.Pointer[counter] // one accounting epoch: the totals between two Resets
 	faults atomic.Pointer[FaultPlane]
 	obsv   atomic.Pointer[netObserver]
 
@@ -119,18 +101,13 @@ type Network struct {
 }
 
 // New creates an empty network.
-func New() *Network {
-	n := &Network{}
-	n.st.Store(&counter{})
-	return n
-}
+func New() *Network { return &Network{} }
 
 // Send records one envelope and notifies taps. It returns the envelope so
 // call sites can write `recipient.Handle(net.Send(env))`. Send is pure
 // accounting: the fault plane applies only to envelopes routed through
 // Deliver, where dropping or duplicating can actually take effect.
 func (n *Network) Send(e Envelope) Envelope {
-	n.st.Load().add(len(e.Payload))
 	if o := n.obsv.Load(); o != nil {
 		o.record(e)
 	}
@@ -204,18 +181,4 @@ func (n *Network) Tap(f func(Envelope)) {
 	}
 	taps = append(taps, f)
 	n.taps.Store(&taps)
-}
-
-// Stats returns total traffic.
-func (n *Network) Stats() Stats {
-	return n.st.Load().stats()
-}
-
-// Reset zeroes all counters by opening a fresh accounting epoch. It is
-// safe to call while sends are in flight: each epoch's counters stay
-// internally consistent, and a send racing the swap is attributed to the
-// retired epoch (i.e. discarded with it) rather than corrupting the new
-// one.
-func (n *Network) Reset() {
-	n.st.Store(&counter{})
 }

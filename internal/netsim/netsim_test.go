@@ -9,6 +9,14 @@ import (
 	"pds/internal/obs"
 )
 
+// observed attaches a fresh registry to n, the wire's only traffic
+// ledger, and returns it.
+func observed(n *Network) *obs.Registry {
+	reg := obs.NewRegistry()
+	n.SetObserver(reg)
+	return reg
+}
+
 // kindStats reads one kind's traffic from the observer's netsim_kind_*
 // families.
 func kindStats(reg *obs.Registry, kind string) Stats {
@@ -20,11 +28,10 @@ func kindStats(reg *obs.Registry, kind string) Stats {
 
 func TestSendCounts(t *testing.T) {
 	n := New()
-	reg := obs.NewRegistry()
-	n.SetObserver(reg)
+	reg := observed(n)
 	n.Send(Envelope{From: "a", To: "b", Kind: "x", Payload: make([]byte, 10)})
 	n.Send(Envelope{From: "a", To: "b", Kind: "y", Payload: make([]byte, 5)})
-	s := n.Stats()
+	s, _ := Counted(reg)
 	if s.Messages != 2 || s.Bytes != 15 {
 		t.Errorf("stats = %+v", s)
 	}
@@ -55,15 +62,6 @@ func TestTapObservesAll(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	n := New()
-	n.Send(Envelope{Kind: "x", Payload: []byte("abc")})
-	n.Reset()
-	if s := n.Stats(); s.Messages != 0 || s.Bytes != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-}
-
 func TestStatsTime(t *testing.T) {
 	m := CostModel{Latency: 10 * time.Millisecond, Bandwidth: 1000}
 	s := Stats{Messages: 2, Bytes: 500}
@@ -83,8 +81,12 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
+// Concurrent sends are each counted once, by the observer and by a tap.
 func TestConcurrentSends(t *testing.T) {
 	n := New()
+	reg := observed(n)
+	var tapped atomic.Int64
+	n.Tap(func(e Envelope) { tapped.Add(int64(len(e.Payload))) })
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -96,8 +98,8 @@ func TestConcurrentSends(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if s := n.Stats(); s.Messages != 1600 || s.Bytes != 1600 {
-		t.Errorf("concurrent stats = %+v", s)
+	if s, _ := Counted(reg); s.Messages != 1600 || s.Bytes != 1600 || tapped.Load() != 1600 {
+		t.Errorf("concurrent stats = %+v, tap saw %d bytes", s, tapped.Load())
 	}
 }
 
@@ -105,8 +107,7 @@ func TestConcurrentSendsAcrossKinds(t *testing.T) {
 	// Distinct kinds land on distinct observer series; readers may observe
 	// mid-flight totals without tripping the race detector.
 	n := New()
-	reg := obs.NewRegistry()
-	n.SetObserver(reg)
+	reg := observed(n)
 	kinds := []string{"tuple", "chunk", "partial", "merge"}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -123,7 +124,7 @@ func TestConcurrentSendsAcrossKinds(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 100; i++ {
-			n.Stats()
+			Counted(reg)
 			kindStats(reg, "chunk")
 		}
 	}()
@@ -137,8 +138,8 @@ func TestConcurrentSendsAcrossKinds(t *testing.T) {
 		}
 		total += ks.Messages
 	}
-	if s := n.Stats(); s.Messages != total || s.Messages != 1600 {
-		t.Errorf("total = %+v, per-kind sum = %d", n.Stats(), total)
+	if s, _ := Counted(reg); s.Messages != total || s.Messages != 1600 {
+		t.Errorf("total = %+v, per-kind sum = %d", s, total)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Observer bridge: when a registry is attached, every envelope, injected
-// fault and reliability-layer event is counted in obs counters. The
-// per-kind traffic and fault counts live only here; Network.Stats and
-// Link.Stats keep the totals programs read without a registry. One
-// bridge serves a registry's network, its fault plane and every link on
+// fault and reliability-layer event is counted in obs counters — the
+// wire's only traffic ledger; a program that wants a run's traffic
+// attaches a registry for the run and reads it (Counted). One bridge
+// serves a registry's network, its fault plane and every link on
 // it, and binds each series once, the first time it is counted, so the
 // hot paths never build a series name or look one up by it.
 package netsim
@@ -10,6 +10,7 @@ package netsim
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pds/internal/obs"
 )
@@ -174,18 +175,21 @@ func (o *netObserver) rel(f relFamily, d int64) {
 	o.rels[f].add(o.reg, d)
 }
 
-// startSpan opens a span on the attached registry under a wire context
-// (nil observer -> nil span; obs.Span methods tolerate nil).
+// startSpan opens a span on the attached registry under a wire context.
+// A nil observer or a zero context (a sender that traces nothing) opens
+// none, so the context stays zero and the frame bytes do not depend on
+// the registry; obs.Span methods tolerate the nil span.
 func (o *netObserver) startSpan(name string, ctx obs.SpanContext) *obs.Span {
-	if o == nil {
+	if o == nil || ctx.IsZero() {
 		return nil
 	}
 	return o.reg.Tracer().StartRemote(name, ctx)
 }
 
-// event records an instantaneous span under a wire context.
+// event records an instantaneous span under a wire context (none under
+// a zero one).
 func (o *netObserver) event(name string, ctx obs.SpanContext) {
-	if o == nil {
+	if o == nil || ctx.IsZero() {
 		return
 	}
 	o.reg.Tracer().Event(name, ctx)
@@ -209,4 +213,18 @@ func (n *Network) Observer() *obs.Registry {
 		return o.reg
 	}
 	return nil
+}
+
+// Counted reads the traffic and reliability cost reg has counted as a
+// wire's observer: every envelope and byte sent, and the five
+// reliability families summed over the wire's links.
+func Counted(reg *obs.Registry) (Stats, RelStats) {
+	return Stats{Messages: reg.CounterValue(MetricMessages), Bytes: reg.CounterValue(MetricBytes)},
+		RelStats{
+			Transfers:   int(reg.CounterValue(MetricRelTransfers)),
+			Retransmits: int(reg.CounterValue(MetricRelRetrans)),
+			Acks:        int(reg.CounterValue(MetricRelAcks)),
+			TagFailures: int(reg.CounterValue(MetricRelTagFail)),
+			Backoff:     time.Duration(reg.CounterValue(MetricRelBackoffNS)),
+		}
 }

@@ -41,7 +41,8 @@ func (r Reliability) withDefaults() Reliability {
 	return r
 }
 
-// RelStats aggregates the cost the reliability layer paid on one link.
+// RelStats is a cost the reliability layer paid: one transfer's
+// (TransferCost), or a run's, counted by the wire's observer (Counted).
 type RelStats struct {
 	Transfers   int           // frames offered to the link
 	Retransmits int           // extra wire attempts beyond the first
@@ -170,8 +171,7 @@ type Link struct {
 	seenLow   uint64
 	seenAbove map[uint64]struct{}
 	pending   map[uint64]inFlight // the transfers under way, by seq
-	stats     RelStats
-	free      [][]byte // frame buffers no Deliver is using
+	free      [][]byte            // frame buffers no Deliver is using
 }
 
 // inFlight is a transfer under way: the callback its data frame is
@@ -193,7 +193,7 @@ func NewLink(w Wire, cfg Reliability) *Link {
 
 // Reset rebinds the link to w (nil unbinds it) as NewLink(w, cfg) would
 // leave a new one: sequence back to zero, no delivered sequences, no
-// transfers, zero stats. It keeps its frame buffers and the capacity of
+// transfers. It keeps its frame buffers and the capacity of
 // its sets, so a recycled link carries a run without allocating them
 // again. Fault draws hash the frame, which holds the sequence, so a reset
 // link draws exactly what a new one would. Reset must not race with a
@@ -205,7 +205,7 @@ func (l *Link) Reset(w Wire, cfg Reliability) {
 	if w != nil {
 		l.acct = w.Accounting()
 	}
-	l.seq, l.seenLow, l.stats = 0, 0, RelStats{}
+	l.seq, l.seenLow = 0, 0
 	clear(l.seenAbove)
 	clear(l.pending)
 }
@@ -262,13 +262,6 @@ func names(kind string) kindNames {
 // registry is attached; netObserver methods tolerate nil).
 func (l *Link) obsv() *netObserver { return l.acct.obsv.Load() }
 
-// Stats returns a snapshot of the link's reliability counters.
-func (l *Link) Stats() RelStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
-
 // Transfer moves one envelope across the link: frame, transmit through the
 // fault plane, await the ack, and retransmit with exponential (simulated)
 // backoff until acked or the retry budget is spent. deliver fires exactly
@@ -288,7 +281,6 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	l.mu.Lock()
 	l.seq++
 	seq := l.seq
-	l.stats.Transfers++
 	l.pending[seq] = inFlight{deliver: deliver}
 	l.mu.Unlock()
 	obsv := l.obsv()
@@ -297,7 +289,8 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 	// envelope; its own context rides in the frame bytes, so everything
 	// that happens to this frame on the wire — the receive, retransmits,
 	// duplicate deliveries, the ack — attaches to this transfer. With no
-	// observer the protocol context is forwarded untouched.
+	// observer, or no protocol context, the context is forwarded
+	// untouched and the transfer records no span.
 	xfer := obsv.startSpan(names(e.Kind).xfer, e.Ctx)
 	defer xfer.End()
 	wireCtx := e.Ctx
@@ -325,10 +318,6 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 		wait := baseBackoff << uint(min(attempt, 16))
 		cost.Retransmits++
 		cost.Backoff += wait
-		l.mu.Lock()
-		l.stats.Retransmits++
-		l.stats.Backoff += wait
-		l.mu.Unlock()
 		if o := l.obsv(); o != nil {
 			o.rel(relRetrans, 1)
 			o.rel(relBackoffNS, int64(wait))
@@ -351,15 +340,11 @@ func (l *Link) TransferCost(e Envelope, deliver func(Envelope)) (RelStats, error
 func (l *Link) receive(got Envelope) {
 	fr, ok := decodeFrame(got.Payload)
 	if !ok {
-		l.mu.Lock()
-		l.stats.TagFailures++
-		l.mu.Unlock()
 		l.obsv().rel(relTagFail, 1)
 		return
 	}
 	if fr.ack {
 		l.mu.Lock()
-		l.stats.Acks++
 		if p, ok := l.pending[fr.seq]; ok {
 			p.acked = true
 			l.pending[fr.seq] = p
@@ -393,9 +378,6 @@ func (l *Link) Accept(e Envelope, deliver func(Envelope)) {
 	fr, ok := decodeFrame(e.Payload)
 	if !ok || fr.ack {
 		if !ok {
-			l.mu.Lock()
-			l.stats.TagFailures++
-			l.mu.Unlock()
 			l.obsv().rel(relTagFail, 1)
 		}
 		return

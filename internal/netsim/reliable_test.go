@@ -34,6 +34,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestTransferCleanWire(t *testing.T) {
 	n := New()
+	reg := observed(n)
 	l := NewLink(n, Reliability{})
 	var got []string
 	err := l.Transfer(Envelope{From: "a", To: "b", Kind: "k", Payload: []byte("p1")}, func(e Envelope) {
@@ -45,18 +46,19 @@ func TestTransferCleanWire(t *testing.T) {
 	if len(got) != 1 || got[0] != "p1" {
 		t.Fatalf("delivered %v", got)
 	}
-	st := l.Stats()
+	s, st := Counted(reg)
 	if st.Transfers != 1 || st.Retransmits != 0 || st.Acks != 1 || st.Backoff != 0 {
 		t.Errorf("clean-wire stats = %+v", st)
 	}
 	// One data frame + one ack on the wire.
-	if s := n.Stats(); s.Messages != 2 {
+	if s.Messages != 2 {
 		t.Errorf("wire messages = %d, want 2", s.Messages)
 	}
 }
 
 func TestTransferRecoversFromDrops(t *testing.T) {
 	n := New()
+	reg := observed(n)
 	n.SetFaults(NewFaultPlane(FaultPlan{Seed: 11, Default: FaultSpec{Drop: 0.4}}))
 	l := NewLink(n, Reliability{MaxRetries: 30})
 	var got []string
@@ -77,7 +79,7 @@ func TestTransferRecoversFromDrops(t *testing.T) {
 			t.Fatalf("delivery %d = %q out of order", i, p)
 		}
 	}
-	st := l.Stats()
+	_, st := Counted(reg)
 	if st.Retransmits == 0 {
 		t.Error("40% drop caused no retransmissions")
 	}
@@ -153,6 +155,7 @@ func TestLinkRetainsNoTransferState(t *testing.T) {
 
 func TestTransferExhaustsRetriesTyped(t *testing.T) {
 	n := New()
+	reg := observed(n)
 	n.SetFaults(NewFaultPlane(FaultPlan{Seed: 14, Default: FaultSpec{Drop: 1}}))
 	l := NewLink(n, Reliability{MaxRetries: 3})
 	err := l.Transfer(Envelope{From: "a", To: "b", Kind: "k", Payload: []byte("x")}, nil)
@@ -163,7 +166,7 @@ func TestTransferExhaustsRetriesTyped(t *testing.T) {
 	if !errors.As(err, &re) || re.Attempts != 4 || re.Kind != "k" {
 		t.Errorf("retry error detail = %+v", re)
 	}
-	if st := l.Stats(); st.Retransmits != 3 {
+	if _, st := Counted(reg); st.Retransmits != 3 {
 		t.Errorf("retransmits = %d, want 3", st.Retransmits)
 	}
 }
@@ -173,13 +176,14 @@ func TestTransferTreatsCorruptionAsLoss(t *testing.T) {
 	// feeding a mangled frame to the receive path directly: the tag must
 	// reject it without delivering.
 	n := New()
+	reg := observed(n)
 	l := NewLink(n, Reliability{})
 	wire := EncodeFrame(1, 0, false, obs.SpanContext{}, []byte("x"))
 	wire[frameOverhead/2] ^= 0xFF
 	l.Accept(Envelope{Kind: "k", Payload: wire}, func(Envelope) {
 		t.Error("corrupted frame delivered")
 	})
-	if st := l.Stats(); st.TagFailures != 1 {
+	if _, st := Counted(reg); st.TagFailures != 1 {
 		t.Errorf("tag failures = %d, want 1", st.TagFailures)
 	}
 }
@@ -388,17 +392,18 @@ func TestTransferSpansAndContextPropagation(t *testing.T) {
 // their own xfer span — never to the other transfer.
 func TestTransferRetransmitEventsAttachToOwnTransfer(t *testing.T) {
 	n := New()
-	reg := obs.NewRegistry()
-	n.SetObserver(reg)
+	reg := observed(n)
 	n.SetFaults(NewFaultPlane(FaultPlan{Seed: 11, Default: FaultSpec{Drop: 0.4}}))
 	l := NewLink(n, Reliability{MaxRetries: 50})
+	proto := reg.Tracer().Start("proto", nil)
 	for i := 0; i < 2; i++ {
-		e := Envelope{From: "a", To: "b", Kind: fmt.Sprintf("k%d", i), Payload: []byte{byte(i)}}
+		e := Envelope{From: "a", To: "b", Kind: fmt.Sprintf("k%d", i), Payload: []byte{byte(i)}, Ctx: proto.Context()}
 		if err := l.Transfer(e, func(Envelope) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if l.Stats().Retransmits == 0 {
+	proto.End()
+	if _, st := Counted(reg); st.Retransmits == 0 {
 		t.Skip("seed produced no retransmits; nothing to attribute")
 	}
 	spans := reg.Snapshot().Spans
@@ -490,11 +495,12 @@ func TestResetLinkReplaysANewLink(t *testing.T) {
 			o.flush++
 			l.Accept(e, func(e Envelope) { o.got = append(o.got, "late:"+string(e.Payload)) })
 		})
-		o.rel, o.wire = l.Stats(), n.Stats()
+		o.wire, o.rel = Counted(n.Observer())
 		return o
 	}
 	wire := func() *Network {
 		n := New()
+		observed(n)
 		n.SetFaults(NewFaultPlane(FaultPlan{Seed: 5, Default: lossyMix}))
 		return n
 	}
@@ -561,5 +567,45 @@ func TestObserverSurvivesRegistryReset(t *testing.T) {
 	round()
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 && !race.Enabled {
 		t.Errorf("re-binding the bridge's series after a reset: %.1f allocs, want 0", allocs)
+	}
+}
+
+// A transfer sent with no protocol context records no span, even on an
+// observed wire, and its frames carry the zero context: what an untraced
+// sender puts on the wire, and so every fault draw, does not depend on
+// the registry counting it.
+func TestUntracedTransferRecordsNoSpan(t *testing.T) {
+	run := func(observe bool) ([]string, RelStats) {
+		n := New()
+		reg := observed(n)
+		if !observe {
+			n.SetObserver(nil)
+		}
+		n.SetFaults(NewFaultPlane(FaultPlan{Seed: 4, Default: lossyMix}))
+		var frames []string
+		n.Tap(func(e Envelope) {
+			if _, _, _, ctx, _, ok := DecodeFrame(e.Payload); ok && !ctx.IsZero() {
+				t.Errorf("untraced frame carries context %+v", ctx)
+			}
+			frames = append(frames, string(e.Payload))
+		})
+		l := NewLink(n, Reliability{MaxRetries: 40})
+		for i := 0; i < 30; i++ {
+			if err := l.Transfer(Envelope{From: "a", To: "b", Kind: "k", Payload: []byte{byte(i)}}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if spans := reg.Snapshot().Spans; len(spans) != 0 {
+			t.Errorf("untraced transfers recorded %d spans", len(spans))
+		}
+		_, rel := Counted(reg)
+		return frames, rel
+	}
+	observedFrames, rel := run(true)
+	if rel.Retransmits == 0 {
+		t.Fatal("the plan caused no retransmits")
+	}
+	if bare, _ := run(false); !reflect.DeepEqual(observedFrames, bare) {
+		t.Error("observing the wire changed what an untraced sender transmits")
 	}
 }

@@ -95,21 +95,30 @@ func SecureSumSegmented(w transport.Transport, values []int64, modulus int64, se
 		shares[segments-1][i] = rest
 	}
 
-	r := ring{w: w, reg: w.Observer()}
+	// The run counts itself the way a gquery run does: a run-local
+	// registry observes the wire for the run (the fault plane armed after
+	// it binds to it) and is merged into the previous observer on exit.
+	reg, prev := obs.NewRegistry(), w.Observer()
+	w.SetObserver(reg)
+	defer func() {
+		w.SetObserver(prev)
+		if prev != nil {
+			prev.Merge(reg)
+		}
+	}()
+	r := ring{w: w}
+	if prev != nil {
+		r.reg = reg
+	}
 	if plan != nil {
-		prev := w.Faults()
+		prevPlane := w.Faults()
 		w.SetFaults(netsim.NewFaultPlane(*plan))
-		defer w.SetFaults(prev)
+		defer w.SetFaults(prevPlane)
 		r.link = netsim.NewLink(w, netsim.Reliability{})
 	}
-	before := w.Stats()
 	trace := func() *Trace {
-		st := w.Stats()
-		tr := &Trace{Messages: int(st.Messages - before.Messages), Bytes: int(st.Bytes - before.Bytes)}
-		if r.link != nil {
-			tr.Rel = r.link.Stats()
-		}
-		return tr
+		net, rel := netsim.Counted(reg)
+		return &Trace{Messages: int(net.Messages), Bytes: int(net.Bytes), Rel: rel}
 	}
 	total := int64(0)
 	for s := 0; s < segments; s++ {
@@ -124,12 +133,12 @@ func SecureSumSegmented(w transport.Transport, values []int64, modulus int64, se
 }
 
 // ring is the wire one SecureSumSegmented run walks: the hops cross the
-// reliable link when a fault plan is armed, and an observer attached to
-// the wire sees each walk as one causal chain of spans.
+// reliable link when a fault plan is armed, and when the wire had an
+// observer, the run records each walk as one causal chain of spans.
 type ring struct {
 	w    transport.Transport
-	link *netsim.Link // nil on a clean wire
-	reg  *obs.Registry
+	link *netsim.Link  // nil on a clean wire
+	reg  *obs.Registry // the run's registry, nil when nobody observed the wire
 }
 
 // walk runs the ring once over in, starting at party start: the initiator

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
@@ -236,6 +237,70 @@ func TestSecureSumOverNetworkRestoresFaultPlane(t *testing.T) {
 	}
 	if net.Faults() != nil {
 		t.Error("failed run left its fault plane armed")
+	}
+}
+
+// The ring counts its run in a run-local registry merged into the wire's
+// observer: on a lossy wire its Trace equals the netsim_* counters the
+// observer ends up with and what a tap on the wire saw, on the success
+// and on the retries-exhausted path, and the observer is back in place.
+func TestSecureSumTraceIsTheRunRegistry(t *testing.T) {
+	net := netsim.New()
+	var tapped netsim.Stats
+	net.Tap(func(e netsim.Envelope) {
+		tapped.Messages, tapped.Bytes = tapped.Messages+1, tapped.Bytes+int64(len(e.Payload))
+	})
+	values := []int64{7, 13, 21, 34, 55, 89}
+	for _, tc := range []struct {
+		plan netsim.FaultPlan
+		fail bool
+	}{
+		{netsim.FaultPlan{Seed: 77, Default: netsim.FaultSpec{Drop: 0.2, Duplicate: 0.1}}, false},
+		{netsim.FaultPlan{Seed: 79, Default: netsim.FaultSpec{Drop: 1}}, true},
+	} {
+		reg := obs.NewRegistry()
+		net.SetObserver(reg)
+		tapped = netsim.Stats{}
+		_, tr, err := SecureSumSegmented(net, values, 10000, 3, rand.New(rand.NewSource(3)), &tc.plan)
+		if (err != nil) != tc.fail {
+			t.Fatalf("plan %+v: err = %v", tc.plan, err)
+		}
+		if net.Observer() != reg {
+			t.Fatal("the run did not restore the wire's observer")
+		}
+		rel := netsim.RelStats{
+			Transfers:   int(reg.CounterValue(netsim.MetricRelTransfers)),
+			Retransmits: int(reg.CounterValue(netsim.MetricRelRetrans)),
+			Acks:        int(reg.CounterValue(netsim.MetricRelAcks)),
+			TagFailures: int(reg.CounterValue(netsim.MetricRelTagFail)),
+			Backoff:     time.Duration(reg.CounterValue(netsim.MetricRelBackoffNS)),
+		}
+		if tr.Rel != rel || rel.Retransmits == 0 {
+			t.Errorf("plan %+v: Trace.Rel %+v, registry %+v", tc.plan, tr.Rel, rel)
+		}
+		msgs, bytes := reg.CounterValue(netsim.MetricMessages), reg.CounterValue(netsim.MetricBytes)
+		if int64(tr.Messages) != tapped.Messages || int64(tr.Bytes) != tapped.Bytes || msgs != tapped.Messages || bytes != tapped.Bytes {
+			t.Errorf("plan %+v: Trace %d msgs / %d B, registry %d / %d, tap %+v", tc.plan, tr.Messages, tr.Bytes, msgs, bytes, tapped)
+		}
+	}
+}
+
+// An unobserved ring opens no spans, so its frames carry no trace id and
+// a seeded lossy run replays exactly, however many registries the process
+// mints in between.
+func TestSecureSumUnobservedLossyRunReplays(t *testing.T) {
+	plan := &netsim.FaultPlan{Seed: 18, Default: netsim.FaultSpec{Drop: 0.2}}
+	run := func() Trace {
+		_, tr, err := SecureSum(netsim.New(), []int64{3, 10, 17, 24, 31, 38, 45, 52}, 1<<30, rand.New(rand.NewSource(18)), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return *tr
+	}
+	first := run()
+	obs.NewRegistry()
+	if second := run(); second != first || first.Rel.Retransmits == 0 {
+		t.Errorf("seeded lossy ring: %+v, then %+v", first, second)
 	}
 }
 

@@ -147,7 +147,9 @@ func decodeMessage(body []byte) (message, error) {
 	return m, nil
 }
 
-// envelope reads one envelope in encodeMessage's layout.
+// envelope reads one envelope in encodeMessage's layout. Its payload
+// aliases the decoded bytes (nil when empty): readMessage allocates a
+// body per message and nothing reuses it, so the envelope owns it.
 func (d *decoder) envelope() (netsim.Envelope, error) {
 	var e netsim.Envelope
 	var err error
@@ -175,7 +177,7 @@ func (d *decoder) envelope() (netsim.Envelope, error) {
 		return e, err
 	}
 	if len(payload) > 0 {
-		e.Payload = append([]byte(nil), payload...)
+		e.Payload = payload
 	}
 	return e, nil
 }

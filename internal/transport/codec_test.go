@@ -76,3 +76,45 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 	})
 }
+
+// A forwarded envelope owns the body readMessage allocated for it:
+// decoding a 2 KiB forward allocates the length prefix (read through an
+// io.Reader, so it escapes), the body and the three address strings, and
+// its payload aliases the body instead of copying it. An empty payload
+// stays nil.
+func TestReadMessageAliasesPayload(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xA5}, 2048)
+	var buf bytes.Buffer
+	m := message{op: opForward, id: 9, env: netsim.Envelope{From: "pds-17", To: "ssi:0", Kind: "tuple", Payload: payload}}
+	if err := writeMessage(bufio.NewWriter(&buf), m); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	src := bytes.NewReader(frame)
+	br := bufio.NewReader(src)
+	read := func() message {
+		src.Reset(frame)
+		br.Reset(src)
+		got, err := readMessage(br)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if got := read(); !bytes.Equal(got.env.Payload, payload) || got.env.Kind != "tuple" {
+		t.Fatalf("decoded %+v", got.env)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { read() }); allocs > 5 {
+		t.Errorf("readMessage of a 2 KiB forward: %.0f allocs, want <= 5 (prefix, body, From, To, Kind)", allocs)
+	}
+
+	buf.Reset()
+	m.env.Payload = nil
+	if err := writeMessage(bufio.NewWriter(&buf), m); err != nil {
+		t.Fatal(err)
+	}
+	frame = buf.Bytes()
+	if got := read(); got.env.Payload != nil {
+		t.Errorf("empty payload decoded as %v, want nil", got.env.Payload)
+	}
+}

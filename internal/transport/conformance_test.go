@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"sync/atomic"
 	"testing"
 
 	"pds/internal/gquery"
@@ -50,9 +51,21 @@ func dialLoopback(t testing.TB) *tnet.TCP {
 	return c
 }
 
+// tapTotals taps w's counting network and returns what the tap has seen
+// so far: the oracle the observer's netsim_messages_total and
+// netsim_bytes_total must equal, the wire keeping no totals of its own.
+func tapTotals(w tnet.Transport) func() netsim.Stats {
+	var msgs, bytes atomic.Int64
+	w.Accounting().Tap(func(e netsim.Envelope) {
+		msgs.Add(1)
+		bytes.Add(int64(len(e.Payload)))
+	})
+	return func() netsim.Stats { return netsim.Stats{Messages: msgs.Load(), Bytes: bytes.Load()} }
+}
+
 // Clean-wire delivery is synchronous and ordered: every Deliver invokes
 // rcv exactly once before returning, arrivals preserve send order, and
-// the accounting matches the traffic exactly.
+// the observer counts exactly the traffic a tap sees.
 func TestConformanceSynchronousOrdering(t *testing.T) {
 	for _, s := range substrates() {
 		t.Run(s.name, func(t *testing.T) {
@@ -60,6 +73,7 @@ func TestConformanceSynchronousOrdering(t *testing.T) {
 			reg := obs.NewRegistry()
 			w.SetObserver(reg)
 			defer w.SetObserver(nil)
+			tapped := tapTotals(w)
 			var arrivals []string
 			bytes := 0
 			for i := 0; i < 16; i++ {
@@ -78,8 +92,11 @@ func TestConformanceSynchronousOrdering(t *testing.T) {
 					t.Fatalf("arrival %d = %q, want %q", i, got, want)
 				}
 			}
-			if st := w.Stats(); st.Messages != 16 || st.Bytes != int64(bytes) {
-				t.Errorf("stats = %+v, want 16 msgs / %d bytes", st, bytes)
+			if st := tapped(); st.Messages != 16 || st.Bytes != int64(bytes) {
+				t.Errorf("tap saw %+v, want 16 msgs / %d bytes", st, bytes)
+			}
+			if st, _ := netsim.Counted(reg); st != tapped() {
+				t.Errorf("observer counted %+v, tap saw %+v", st, tapped())
 			}
 			if got := reg.CounterValue(netsim.MetricKindMessages, "kind", "kind-1"); got != 5 {
 				t.Errorf("kind-1 messages = %d, want 5", got)
@@ -164,12 +181,17 @@ func TestConformanceSeededFaultTranscript(t *testing.T) {
 }
 
 // The ARQ reliability layer recovers a lossy wire on any substrate:
-// every transfer completes exactly once, and the retry cost is visible in
-// the link counters.
+// every transfer completes exactly once, the retry cost is visible in the
+// observer's netsim_rel_* counters, and the observer counts every frame
+// and ack a tap sees.
 func TestConformanceARQRetry(t *testing.T) {
 	for _, s := range substrates() {
 		t.Run(s.name, func(t *testing.T) {
 			w := s.mk(t)
+			reg := obs.NewRegistry()
+			w.SetObserver(reg)
+			defer w.SetObserver(nil)
+			tapped := tapTotals(w)
 			w.SetFaults(netsim.NewFaultPlane(netsim.FaultPlan{Seed: 11, Default: netsim.FaultSpec{Drop: 0.3}}))
 			defer w.SetFaults(nil)
 			link := netsim.NewLink(w, netsim.Reliability{MaxRetries: 25})
@@ -190,9 +212,12 @@ func TestConformanceARQRetry(t *testing.T) {
 			if len(delivered) != 12 {
 				t.Errorf("delivered %d distinct frames, want 12", len(delivered))
 			}
-			rs := link.Stats()
+			st, rs := netsim.Counted(reg)
 			if rs.Transfers != 12 || rs.Retransmits == 0 || rs.Acks == 0 {
 				t.Errorf("30%% drop left no ARQ footprint: %+v", rs)
+			}
+			if st != tapped() || st.Messages <= 24 {
+				t.Errorf("observer counted %+v, tap saw %+v", st, tapped())
 			}
 		})
 	}
@@ -204,6 +229,9 @@ func TestConformanceTagFailure(t *testing.T) {
 	for _, s := range substrates() {
 		t.Run(s.name, func(t *testing.T) {
 			w := s.mk(t)
+			reg := obs.NewRegistry()
+			w.SetObserver(reg)
+			defer w.SetObserver(nil)
 			link := netsim.NewLink(w, netsim.Reliability{})
 			delivered := 0
 			accept := func(e netsim.Envelope) { link.Accept(e, func(netsim.Envelope) { delivered++ }) }
@@ -216,7 +244,7 @@ func TestConformanceTagFailure(t *testing.T) {
 			if delivered != 0 {
 				t.Errorf("corrupted frames delivered %d times", delivered)
 			}
-			if rs := link.Stats(); rs.TagFailures != 2 {
+			if _, rs := netsim.Counted(reg); rs.TagFailures != 2 {
 				t.Errorf("tag failures = %d, want 2", rs.TagFailures)
 			}
 		})

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pds/internal/netsim"
+	"pds/internal/obs"
 )
 
 // Two nodes on one switch: sends echo back synchronously, forwarded
@@ -35,6 +36,12 @@ func TestSwitchEchoForwardCall(t *testing.T) {
 		return append([]byte("re:"), body...)
 	})
 
+	reg := obs.NewRegistry()
+	a.SetObserver(reg)
+	var tapped netsim.Stats
+	a.Tap(func(e netsim.Envelope) {
+		tapped.Messages, tapped.Bytes = tapped.Messages+1, tapped.Bytes+int64(len(e.Payload))
+	})
 	e := netsim.Envelope{From: "querier", To: "ssi:0", Kind: "tuple", Payload: []byte("hello")}
 	out := a.Send(e)
 	if out.Kind != "tuple" || string(out.Payload) != "hello" {
@@ -48,8 +55,8 @@ func TestSwitchEchoForwardCall(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("forwarded frame never arrived")
 	}
-	if s := a.Stats(); s.Messages != 1 || s.Bytes != int64(len("hello")) {
-		t.Fatalf("accounting mismatch: %+v", s)
+	if s, _ := netsim.Counted(reg); s.Messages != 1 || s.Bytes != int64(len("hello")) || s != tapped {
+		t.Fatalf("accounting mismatch: observer %+v, tap %+v", s, tapped)
 	}
 
 	re, err := a.Call("ssi", "partition", []byte("chunk"), 5*time.Second)
@@ -98,6 +105,8 @@ func TestLinkOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	reg := obs.NewRegistry()
+	a.SetObserver(reg)
 	a.SetFaults(netsim.NewFaultPlane(netsim.FaultPlan{Seed: 11, Default: netsim.FaultSpec{Drop: 0.3}}))
 	link := netsim.NewLink(a, netsim.Reliability{MaxRetries: 16})
 	var local []string
@@ -125,7 +134,7 @@ func TestLinkOverTCP(t *testing.T) {
 			t.Fatalf("remote saw %d of 8 envelopes", len(seen))
 		}
 	}
-	if rs := link.Stats(); rs.Transfers != 8 {
+	if _, rs := netsim.Counted(reg); rs.Transfers != 8 {
 		t.Fatalf("link transfers = %d, want 8", rs.Transfers)
 	}
 	if err := a.Err(); err != nil {

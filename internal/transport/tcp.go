@@ -4,11 +4,12 @@
 //
 // Accounting rides an embedded netsim.Network used purely as a counter
 // plane (its Deliver path is never taken): the same Send bookkeeping code
-// runs on both substrates, so traffic totals and obs mirroring (per-kind
-// traffic included) are identical by construction. The fault plane is armed
-// client-side — decisions are content-hashed, so where they are drawn does
-// not matter — which keeps the seeded schedule reproducible and means a
-// dropped frame never even reaches the wire, exactly like the simulator.
+// runs on both substrates, so the observer's traffic counters (per-kind
+// traffic included) and the taps are identical by construction. The fault
+// plane is armed client-side — decisions are content-hashed, so where they
+// are drawn does not matter — which keeps the seeded schedule reproducible
+// and means a dropped frame never even reaches the wire, exactly like the
+// simulator.
 // The plane is installed in the counting network, so it and every ARQ link
 // over the connection share that network's one observer.
 package transport
@@ -369,14 +370,8 @@ func (t *TCP) Observer() *obs.Registry { return t.acct.Observer() }
 // and the ARQ links over this connection share.
 func (t *TCP) Accounting() *netsim.Network { return t.acct }
 
-// Stats returns total traffic sent by this node.
-func (t *TCP) Stats() netsim.Stats { return t.acct.Stats() }
-
 // Tap registers a local wire tap (a test probe; it sees this node's sends).
 func (t *TCP) Tap(f func(netsim.Envelope)) { t.acct.Tap(f) }
-
-// Reset opens a fresh accounting epoch.
-func (t *TCP) Reset() { t.acct.Reset() }
 
 // envQueue is an unbounded FIFO feeding the dispatch goroutine: the
 // connection reader must never block on a slow handler, or echoes would

@@ -23,9 +23,10 @@ import (
 
 // Transport moves protocol envelopes between the nodes of one deployment.
 // It extends netsim.Wire (the minimal surface the ARQ reliability layer
-// rides on) with the fault-plane hooks, traffic accounting and observer
-// epoch management the protocol engines need. Implementations must be safe
-// for the concurrent sends of a parallel token fleet.
+// rides on) with the fault-plane hooks and the observer the protocol
+// engines need; the observer registry is the wire's only traffic ledger.
+// Implementations must be safe for the concurrent sends of a parallel
+// token fleet.
 type Transport interface {
 	netsim.Wire
 
@@ -54,10 +55,6 @@ type Transport interface {
 	SetObserver(reg *obs.Registry)
 	// Observer returns the attached registry, or nil.
 	Observer() *obs.Registry
-
-	// Stats returns total traffic. Per-kind traffic is counted by the
-	// attached observer (netsim_kind_messages_total{kind}).
-	Stats() netsim.Stats
 }
 
 // Both substrates implement the full surface.
