@@ -10,6 +10,7 @@ import (
 	"pds/internal/folkis"
 	"pds/internal/kv"
 	"pds/internal/mcu"
+	"pds/internal/netsim"
 	"pds/internal/obs"
 	"pds/internal/search"
 	"pds/internal/smc"
@@ -250,7 +251,7 @@ func runE14(cfg config) error {
 		for i, t := range txs {
 			parties[i%sz.parties] = append(parties[i%sz.parties], t)
 		}
-		rules, tr, err := smc.MineAssociationRules(parties, 0.2, 0.7, rand.New(rand.NewSource(8)))
+		rules, tr, err := smc.MineAssociationRules(netsim.New(), parties, 0.2, 0.7, rand.New(rand.NewSource(8)))
 		if err != nil {
 			return err
 		}
@@ -279,7 +280,7 @@ func runE14(cfg config) error {
 		for i, p := range pts {
 			split[i%parties] = append(split[i%parties], p)
 		}
-		_, counts, tr, err := smc.KMeans(split, 3, 6, rand.New(rand.NewSource(13)))
+		_, counts, tr, err := smc.KMeans(netsim.New(), split, 3, 6, rand.New(rand.NewSource(13)))
 		if err != nil {
 			return err
 		}

@@ -226,12 +226,12 @@ func runE7(cfg config) error {
 				sets[p] = append(sets[p], int64(p*sz/2+i)) // overlapping ranges
 			}
 		}
-		_, tr, err := smc.SecureSetUnion(sets)
+		_, tr, err := smc.SecureSetUnion(netsim.New(), sets)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%d\tunion\t%d\n", sz, tr.Messages)
-		_, tr, err = smc.SecureIntersectionSize(sets)
+		_, tr, err = smc.SecureIntersectionSize(netsim.New(), sets)
 		if err != nil {
 			return err
 		}
@@ -254,7 +254,7 @@ func runE7(cfg config) error {
 		for i := range a {
 			a[i], b[i] = int64(i), int64(i%7)
 		}
-		_, tr, err := smc.ScalarProduct(a, b, sk)
+		_, tr, err := smc.ScalarProduct(netsim.New(), a, b, sk)
 		if err != nil {
 			return err
 		}
@@ -269,7 +269,7 @@ func runE7(cfg config) error {
 		domains = []int64{4, 16}
 	}
 	for _, d := range domains {
-		_, tr, err := smc.Millionaire(d/2, d/2+1, d, rsa)
+		_, tr, err := smc.Millionaire(netsim.New(), d/2, d/2+1, d, rsa)
 		if err != nil {
 			return err
 		}

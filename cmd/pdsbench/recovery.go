@@ -18,18 +18,6 @@ import (
 	"pds/internal/logstore"
 )
 
-// e21Workloads adapts every registered durable engine to the battery —
-// the same Kinds the crash battery, pdsd's store role and the tenant
-// host drive, so E21 measures exactly the hosted surface.
-func e21Workloads() []crashharness.Workload {
-	kinds := durable.Kinds()
-	ws := make([]crashharness.Workload, len(kinds))
-	for i, k := range kinds {
-		ws[i] = crashharness.WorkloadFor(k)
-	}
-	return ws
-}
-
 var e21Faults = []flash.CrashOp{flash.CrashWrite, flash.CrashTornWrite, flash.CrashErase}
 
 // e21Sweep walks one workload × fault kind, verifying every crash point
@@ -41,7 +29,7 @@ type e21Row struct {
 	maxStats logstore.RecoveryStats
 }
 
-func e21Sweep(w crashharness.Workload, op flash.CrashOp, seed int64, stride int, base []string) (e21Row, error) {
+func e21Sweep(w durable.Kind, op flash.CrashOp, seed int64, stride int, base []string) (e21Row, error) {
 	var row e21Row
 	for after := 0; ; after += stride {
 		res, err := crashharness.CrashRun(w, flash.CrashPlan{Seed: seed + int64(after), Op: op, After: after}, base)
@@ -74,7 +62,10 @@ func runE21(cfg config) error {
 		stride, model.ReadPage, model.WritePage, model.EraseBlock)
 	fmt.Printf("%-8s %-10s %7s %22s %22s %12s\n",
 		"store", "fault", "points", "mean rec I/O (R/W/E)", "max rec I/O (R/W/E)", "max rec time")
-	for _, w := range e21Workloads() {
+	// Every registered durable engine: the same Kinds the crash battery,
+	// pdsd's store role and the tenant host drive, so E21 measures exactly
+	// the hosted surface.
+	for _, w := range durable.Kinds() {
 		base, err := crashharness.Baseline(w)
 		if err != nil {
 			return fmt.Errorf("%s baseline: %w", w.Name, err)

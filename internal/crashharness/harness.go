@@ -28,39 +28,14 @@ import (
 	"pds/internal/obs"
 )
 
-// Store is the store-side contract a workload adapts to the battery —
-// the unified durable-store surface. Apply must not append commit
-// records (those belong to Sync); Sync is the durability point and
-// Reorganize the pass a boundary owes; Fingerprint digests logical
-// contents canonically.
-type Store = durable.Store
-
-// Workload describes one deterministic store workload: its Kind's
-// script — Ops operations, a Sync every SyncEvery, a Reorganize at every
-// boundary the Kind owes, counted over the run — on a chip of Geometry.
-type Workload struct {
-	durable.Kind
-	Geometry flash.Geometry // zero value → flash.SmallGeometry
-}
-
-// WorkloadFor adapts a conforming engine to its canonical crash
-// workload: the battery drives any durable.Kind without knowing which
-// store is behind it.
-func WorkloadFor(k durable.Kind) Workload { return Workload{Kind: k} }
-
-func (w Workload) geometry() flash.Geometry {
-	if (w.Geometry == flash.Geometry{}) {
-		return flash.SmallGeometry()
-	}
-	return w.Geometry
-}
-
-// Baseline runs the workload on a clean chip and returns the fingerprint
-// at every sync boundary: index 0 is the freshly opened (empty) store,
-// index k the state after the k-th Sync. The workload always ends on a
+// Baseline runs w's canonical workload — Ops operations, a Sync every
+// SyncEvery, a Reorganize at every boundary w owes, counted over the run
+// — on a clean flash.SmallGeometry chip and returns the fingerprint at
+// every sync boundary: index 0 is the freshly opened (empty) store, index
+// k the state after the k-th Sync. The workload always ends on a
 // boundary.
-func Baseline(w Workload) ([]string, error) {
-	chip := flash.NewChip(w.geometry())
+func Baseline(w durable.Kind) ([]string, error) {
+	chip := flash.NewChip(flash.SmallGeometry())
 	st, err := w.Open(flash.NewAllocator(chip))
 	if err != nil {
 		return nil, err
@@ -132,13 +107,13 @@ type Result struct {
 	FootprintPages int
 }
 
-// CrashRun executes the workload under plan against the baseline
+// CrashRun executes w's workload under plan against the baseline
 // fingerprints and verifies prefix consistency. Any violation — recovery
 // failure, a fingerprint outside the admissible window, missing metering —
 // returns an error.
-func CrashRun(w Workload, plan flash.CrashPlan, baseline []string) (Result, error) {
+func CrashRun(w durable.Kind, plan flash.CrashPlan, baseline []string) (Result, error) {
 	res := Result{Plan: plan}
-	chip := flash.NewChip(w.geometry())
+	chip := flash.NewChip(flash.SmallGeometry())
 	alloc := flash.NewAllocator(chip)
 	st, err := w.Open(alloc)
 	if err != nil {
@@ -260,7 +235,7 @@ type SweepStats struct {
 // until the plan no longer fires, verifying every run. seed varies per
 // crash point so torn/interrupted outcomes differ across the sweep while
 // each individual run stays exactly replayable.
-func Sweep(w Workload, op flash.CrashOp, seed int64, stride int, baseline []string) (SweepStats, error) {
+func Sweep(w durable.Kind, op flash.CrashOp, seed int64, stride int, baseline []string) (SweepStats, error) {
 	st := SweepStats{Op: op}
 	if stride < 1 {
 		stride = 1

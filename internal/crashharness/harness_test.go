@@ -73,26 +73,26 @@ func (p *plainLog) Fingerprint() (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-func logWorkload(commit bool) Workload {
-	return Workload{Kind: durable.Kind{
+func logWorkload(commit bool) durable.Kind {
+	return durable.Kind{
 		Name:      "plainlog",
 		Ops:       40,
 		SyncEvery: 10,
-		Open: func(alloc *flash.Allocator) (Store, error) {
+		Open: func(alloc *flash.Allocator) (durable.Store, error) {
 			j, err := logstore.NewJournal(alloc)
 			if err != nil {
 				return nil, err
 			}
 			return &plainLog{l: logstore.NewLog(alloc), j: j, commit: commit}, nil
 		},
-		Reopen: func(rec *logstore.Recovered) (Store, error) {
+		Reopen: func(rec *logstore.Recovered) (durable.Store, error) {
 			l, err := rec.OpenLog("log")
 			if err != nil {
 				return nil, err
 			}
 			return &plainLog{l: l, j: rec.Journal, commit: commit}, nil
 		},
-	}}
+	}
 }
 
 func TestBaselineBoundaries(t *testing.T) {

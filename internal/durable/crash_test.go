@@ -18,8 +18,7 @@ func TestDurableCrashBattery(t *testing.T) {
 	for _, k := range durable.Kinds() {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
-			w := crashharness.WorkloadFor(k)
-			base, err := crashharness.Baseline(w)
+			base, err := crashharness.Baseline(k)
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
@@ -33,7 +32,7 @@ func TestDurableCrashBattery(t *testing.T) {
 			for _, op := range k.CrashOps {
 				op := op
 				t.Run(op.String(), func(t *testing.T) {
-					st, err := crashharness.Sweep(w, op, 0xC0FFEE, stride, base)
+					st, err := crashharness.Sweep(k, op, 0xC0FFEE, stride, base)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -285,14 +285,13 @@ func RunStoreSweep(kind string, stride int) StoreReport {
 		rep.Failure = fmt.Sprintf("unknown durable engine %q", kind)
 		return rep
 	}
-	w := crashharness.WorkloadFor(k)
-	base, err := crashharness.Baseline(w)
+	base, err := crashharness.Baseline(k)
 	if err != nil {
 		rep.Failure = fmt.Sprintf("baseline: %v", err)
 		return rep
 	}
 	for _, op := range k.CrashOps {
-		st, err := crashharness.Sweep(w, op, 0xC0FFEE, stride, base)
+		st, err := crashharness.Sweep(k, op, 0xC0FFEE, stride, base)
 		if err != nil {
 			rep.Failure = err.Error()
 			return rep

@@ -7,6 +7,7 @@ import (
 	"math/big"
 
 	"pds/internal/privcrypto"
+	"pds/internal/transport"
 )
 
 // Millionaire runs Yao's 1982 protocol deciding whether Alice's private
@@ -23,7 +24,9 @@ import (
 //     non-adjacent, and sends p plus the sequence w_u, where w_u = z_u for
 //     u ≤ i and z_u+1 for u > i.
 //  3. Bob checks w_j ≡ x (mod p): equality means j ≤ i.
-func Millionaire(i, j, domain int64, key *privcrypto.RSAKey) (bool, *Trace, error) {
+//
+// Each message (m, every w_u and p) is one envelope on w.
+func Millionaire(w transport.Transport, i, j, domain int64, key *privcrypto.RSAKey) (bool, *Trace, error) {
 	if domain < 1 || i < 1 || i > domain || j < 1 || j > domain {
 		return false, nil, fmt.Errorf("smc: millionaire inputs out of [1,%d]: i=%d j=%d", domain, i, j)
 	}
@@ -34,7 +37,11 @@ func Millionaire(i, j, domain int64, key *privcrypto.RSAKey) (bool, *Trace, erro
 			return false, nil, err
 		}
 	}
-	tr := &Trace{}
+	run := borrow(w)
+	defer run.release()
+	msg := func(from, to string, v *big.Int) *big.Int {
+		return new(big.Int).SetBytes(send(w, from, to, "millionaire", v.Bytes()))
+	}
 
 	// Bob.
 	x, err := rand.Int(rand.Reader, key.N)
@@ -46,8 +53,7 @@ func Millionaire(i, j, domain int64, key *privcrypto.RSAKey) (bool, *Trace, erro
 		return false, nil, err
 	}
 	m := new(big.Int).Sub(c, big.NewInt(j))
-	tr.Messages++
-	tr.Bytes += len(m.Bytes())
+	m = msg("bob", "alice", m.Mod(m, key.N))
 
 	// Alice: y_u = Dec(m + u) for u in 1..domain.
 	ys := make([]*big.Int, domain)
@@ -66,21 +72,18 @@ func Millionaire(i, j, domain int64, key *privcrypto.RSAKey) (bool, *Trace, erro
 	}
 	ws := make([]*big.Int, domain)
 	for u := int64(1); u <= domain; u++ {
-		w := new(big.Int).Set(zs[u-1])
+		wu := new(big.Int).Set(zs[u-1])
 		if u > i {
-			w.Add(w, big.NewInt(1))
-			w.Mod(w, p)
+			wu.Add(wu, big.NewInt(1))
+			wu.Mod(wu, p)
 		}
-		ws[u-1] = w
-		tr.Messages++
-		tr.Bytes += len(w.Bytes())
+		ws[u-1] = msg("alice", "bob", wu)
 	}
-	tr.Messages++ // the prime itself
-	tr.Bytes += len(p.Bytes())
+	p = msg("alice", "bob", p) // the prime itself
 
 	// Bob: w_j == x mod p  ⇔  j <= i.
 	xModP := new(big.Int).Mod(x, p)
-	return ws[j-1].Cmp(xModP) == 0, tr, nil
+	return ws[j-1].Cmp(xModP) == 0, run.trace(), nil
 }
 
 // pickSeparatingPrime finds a prime p such that the residues y_u mod p are

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
-	"pds/internal/netsim"
+	"pds/internal/transport"
 )
 
 // The [CKV+02] paper the tutorial presents positions its toolkit as the
@@ -33,14 +34,7 @@ func (s ItemSet) key() string {
 // contains reports whether the transaction holds every item of s.
 func (t Transaction) contains(s ItemSet) bool {
 	for _, want := range s {
-		found := false
-		for _, have := range t {
-			if have == want {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(t, want) {
 			return false
 		}
 	}
@@ -64,25 +58,18 @@ var (
 // sumModulus bounds counts; far above any realistic transaction count.
 const sumModulus = int64(1) << 40
 
-// secureCount runs one secure-sum round over the parties' local counts,
-// on an in-process wire of its own.
-func secureCount(local []int64, rng *rand.Rand, tr *Trace) (int64, error) {
-	sum, t, err := SecureSum(netsim.New(), local, sumModulus, rng, nil)
-	if err != nil {
-		return 0, err
-	}
-	tr.Messages += t.Messages
-	tr.Bytes += t.Bytes
-	return sum, nil
+// count runs one secure-sum round over the parties' local counts on the
+// wire of the mining run that owns r, whose registry counts its hops.
+func (r ring) count(local []int64, rng *rand.Rand) (int64, error) {
+	return r.walk(local, 0, sumModulus, rng.Int63n(sumModulus))
 }
 
 // MineAssociationRules runs privacy-preserving distributed Apriori over
 // horizontally partitioned transactions: every global support count is
 // obtained with the secure-sum ring, so each party reveals only masked
 // partials. The returned rules satisfy both thresholds; supports are
-// global fractions.
-func MineAssociationRules(parties [][]Transaction, minSupport, minConfidence float64, rng *rand.Rand) ([]Rule, *Trace, error) {
-	tr := &Trace{}
+// global fractions. Every ring runs over w and the Trace counts them all.
+func MineAssociationRules(w transport.Transport, parties [][]Transaction, minSupport, minConfidence float64, rng *rand.Rand) ([]Rule, *Trace, error) {
 	if len(parties) < 3 {
 		return nil, nil, ErrTooFewParties
 	}
@@ -92,12 +79,15 @@ func MineAssociationRules(parties [][]Transaction, minSupport, minConfidence flo
 	if rng == nil {
 		rng = rand.New(rand.NewSource(rand.Int63()))
 	}
+	run := borrow(w)
+	defer run.release()
+	r := run.ring()
 	// Global transaction count (itself a secure sum: |DB_i| is private).
 	localN := make([]int64, len(parties))
 	for i, txs := range parties {
 		localN[i] = int64(len(txs))
 	}
-	total, err := secureCount(localN, rng, tr)
+	total, err := r.count(localN, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -120,7 +110,7 @@ func MineAssociationRules(parties [][]Transaction, minSupport, minConfidence flo
 				}
 				local[i] = n
 			}
-			n, err := secureCount(local, rng, tr)
+			n, err := r.count(local, rng)
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +183,7 @@ func MineAssociationRules(parties [][]Transaction, minSupport, minConfidence flo
 		}
 		return rules[i].Confidence > rules[j].Confidence
 	})
-	return rules, tr, nil
+	return rules, run.trace(), nil
 }
 
 // aprioriGen joins frequent k-itemsets sharing a (k-1)-prefix and prunes
@@ -211,7 +201,7 @@ func aprioriGen(freq []ItemSet) []ItemSet {
 	for i := 0; i < len(freq); i++ {
 		for j := i + 1; j < len(freq); j++ {
 			a, b := freq[i], freq[j]
-			if !samePrefix(a, b, k-1) || a[k-1] >= b[k-1] {
+			if !slices.Equal(a[:k-1], b[:k-1]) || a[k-1] >= b[k-1] {
 				continue
 			}
 			cand := make(ItemSet, k+1)
@@ -223,15 +213,6 @@ func aprioriGen(freq []ItemSet) []ItemSet {
 		}
 	}
 	return out
-}
-
-func samePrefix(a, b ItemSet, n int) bool {
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func allSubsetsFrequent(cand ItemSet, have map[string]bool) bool {
@@ -273,9 +254,9 @@ func forEachProperSubset(fs ItemSet, visit func(ant, cons ItemSet)) {
 // secure sums. Only aggregate sums ever leave a party.
 //
 // points[i] is party i's private point set; all points share a dimension.
-// Returns the final centroids and per-cluster global counts.
-func KMeans(points [][][]int64, k, iterations int, rng *rand.Rand) ([][]float64, []int64, *Trace, error) {
-	tr := &Trace{}
+// Returns the final centroids and per-cluster global counts. Every ring
+// runs over w and the Trace counts them all.
+func KMeans(w transport.Transport, points [][][]int64, k, iterations int, rng *rand.Rand) ([][]float64, []int64, *Trace, error) {
 	if len(points) < 3 {
 		return nil, nil, nil, ErrTooFewParties
 	}
@@ -311,12 +292,7 @@ func KMeans(points [][][]int64, k, iterations int, rng *rand.Rand) ([][]float64,
 	for _, ps := range points {
 		for _, p := range ps {
 			for d, v := range p {
-				if v < lo[d] {
-					lo[d] = v
-				}
-				if v > hi[d] {
-					hi[d] = v
-				}
+				lo[d], hi[d] = min(lo[d], v), max(hi[d], v)
 			}
 		}
 	}
@@ -333,32 +309,35 @@ func KMeans(points [][][]int64, k, iterations int, rng *rand.Rand) ([][]float64,
 		}
 	}
 
+	run := borrow(w)
+	defer run.release()
+	r := run.ring()
 	counts := make([]int64, k)
+	stride := dim + 1 // per cluster: the count, then the sum per dimension
 	for iter := 0; iter < iterations; iter++ {
 		// Local assignment + local aggregates.
-		localSum := make([][][]int64, len(points)) // party → cluster → dim
-		localCnt := make([][]int64, len(points))   // party → cluster
+		local := make([][]int64, len(points)) // party → cluster·stride
 		for i, ps := range points {
-			localSum[i] = make([][]int64, k)
-			localCnt[i] = make([]int64, k)
-			for c := range localSum[i] {
-				localSum[i][c] = make([]int64, dim)
-			}
+			local[i] = make([]int64, k*stride)
 			for _, p := range ps {
-				c := nearest(centroids, p)
-				localCnt[i][c]++
+				c := nearest(centroids, p) * stride
+				local[i][c]++
 				for d, v := range p {
-					localSum[i][c][d] += v
+					local[i][c+1+d] += v
 				}
 			}
 		}
-		// Secure aggregation of counts and sums.
-		for c := 0; c < k; c++ {
-			cl := make([]int64, len(points))
+		// Secure aggregation of one aggregate across the parties, shifted
+		// into [0, m) since sums may be negative.
+		secure := func(j int) (int64, error) {
+			col := make([]int64, len(points))
 			for i := range points {
-				cl[i] = localCnt[i][c]
+				col[i] = (local[i][j]%sumModulus + sumModulus) % sumModulus
 			}
-			n, err := secureCount(cl, rng, tr)
+			return r.count(col, rng)
+		}
+		for c := 0; c < k; c++ {
+			n, err := secure(c * stride)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -367,12 +346,7 @@ func KMeans(points [][][]int64, k, iterations int, rng *rand.Rand) ([][]float64,
 				continue // empty cluster keeps its centroid
 			}
 			for d := 0; d < dim; d++ {
-				sums := make([]int64, len(points))
-				for i := range points {
-					// Shift into [0, m): sums may be negative.
-					sums[i] = ((localSum[i][c][d] % sumModulus) + sumModulus) % sumModulus
-				}
-				s, err := secureCount(sums, rng, tr)
+				s, err := secure(c*stride + 1 + d)
 				if err != nil {
 					return nil, nil, nil, err
 				}
@@ -384,7 +358,7 @@ func KMeans(points [][][]int64, k, iterations int, rng *rand.Rand) ([][]float64,
 			}
 		}
 	}
-	return centroids, counts, tr, nil
+	return centroids, counts, run.trace(), nil
 }
 
 // nearest returns the index of the closest centroid (squared Euclidean).

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"pds/internal/netsim"
 )
 
 // splitTransactions deals a global transaction database across n parties.
@@ -25,7 +27,7 @@ func TestAssociationRulesBasic(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		txs = append(txs, Transaction{3})
 	}
-	rules, tr, err := MineAssociationRules(splitTransactions(txs, 4), 0.5, 0.8, rand.New(rand.NewSource(1)))
+	rules, tr, err := MineAssociationRules(netsim.New(), splitTransactions(txs, 4), 0.5, 0.8, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestAssociationRulesMatchCentralizedApriori(t *testing.T) {
 		txs = append(txs, tx)
 	}
 	minSup, minConf := 0.15, 0.6
-	rules, _, err := MineAssociationRules(splitTransactions(txs, 5), minSup, minConf, rand.New(rand.NewSource(2)))
+	rules, _, err := MineAssociationRules(netsim.New(), splitTransactions(txs, 5), minSup, minConf, rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,17 +120,17 @@ func TestAssociationRulesMatchCentralizedApriori(t *testing.T) {
 
 func TestAssociationRulesValidation(t *testing.T) {
 	parties := splitTransactions([]Transaction{{1}}, 3)
-	if _, _, err := MineAssociationRules(parties[:2], 0.5, 0.5, nil); !errors.Is(err, ErrTooFewParties) {
+	if _, _, err := MineAssociationRules(netsim.New(), parties[:2], 0.5, 0.5, nil); !errors.Is(err, ErrTooFewParties) {
 		t.Errorf("2 parties err = %v", err)
 	}
-	if _, _, err := MineAssociationRules(parties, 0, 0.5, nil); !errors.Is(err, ErrBadThreshold) {
+	if _, _, err := MineAssociationRules(netsim.New(), parties, 0, 0.5, nil); !errors.Is(err, ErrBadThreshold) {
 		t.Errorf("support 0 err = %v", err)
 	}
-	if _, _, err := MineAssociationRules(parties, 0.5, 1.5, nil); !errors.Is(err, ErrBadThreshold) {
+	if _, _, err := MineAssociationRules(netsim.New(), parties, 0.5, 1.5, nil); !errors.Is(err, ErrBadThreshold) {
 		t.Errorf("confidence 1.5 err = %v", err)
 	}
 	empty := [][]Transaction{nil, nil, nil}
-	if _, _, err := MineAssociationRules(empty, 0.5, 0.5, nil); !errors.Is(err, ErrNoTransactions) {
+	if _, _, err := MineAssociationRules(netsim.New(), empty, 0.5, 0.5, nil); !errors.Is(err, ErrNoTransactions) {
 		t.Errorf("empty err = %v", err)
 	}
 }
@@ -149,7 +151,7 @@ func TestKMeansSeparatesClusters(t *testing.T) {
 	for i, p := range append(a, b...) {
 		parties[i%4] = append(parties[i%4], p)
 	}
-	centroids, counts, tr, err := KMeans(parties, 2, 8, rand.New(rand.NewSource(4)))
+	centroids, counts, tr, err := KMeans(netsim.New(), parties, 2, 8, rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +178,7 @@ func TestKMeansNegativeCoordinates(t *testing.T) {
 		{{-105, -95}},
 		{{-95, -105}},
 	}
-	centroids, _, _, err := KMeans(parties, 1, 4, rand.New(rand.NewSource(5)))
+	centroids, _, _, err := KMeans(netsim.New(), parties, 1, 4, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,21 +189,21 @@ func TestKMeansNegativeCoordinates(t *testing.T) {
 
 func TestKMeansValidation(t *testing.T) {
 	pts := [][][]int64{{{1, 2}}, {{3, 4}}, {{5, 6}}}
-	if _, _, _, err := KMeans(pts[:2], 2, 3, nil); !errors.Is(err, ErrTooFewParties) {
+	if _, _, _, err := KMeans(netsim.New(), pts[:2], 2, 3, nil); !errors.Is(err, ErrTooFewParties) {
 		t.Errorf("2 parties err = %v", err)
 	}
-	if _, _, _, err := KMeans(pts, 0, 3, nil); err == nil {
+	if _, _, _, err := KMeans(netsim.New(), pts, 0, 3, nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, _, _, err := KMeans(pts, 2, 0, nil); err == nil {
+	if _, _, _, err := KMeans(netsim.New(), pts, 2, 0, nil); err == nil {
 		t.Error("iterations=0 accepted")
 	}
 	bad := [][][]int64{{{1, 2}}, {{3}}, {{5, 6}}}
-	if _, _, _, err := KMeans(bad, 1, 1, nil); err == nil {
+	if _, _, _, err := KMeans(netsim.New(), bad, 1, 1, nil); err == nil {
 		t.Error("inconsistent dims accepted")
 	}
 	empty := [][][]int64{nil, nil, nil}
-	if _, _, _, err := KMeans(empty, 1, 1, nil); err == nil {
+	if _, _, _, err := KMeans(netsim.New(), empty, 1, 1, nil); err == nil {
 		t.Error("no points accepted")
 	}
 }

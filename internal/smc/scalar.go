@@ -6,6 +6,7 @@ import (
 	"math/big"
 
 	"pds/internal/privcrypto"
+	"pds/internal/transport"
 )
 
 // Scalar product errors.
@@ -14,12 +15,15 @@ var (
 	ErrNegative     = errors.New("smc: scalar product inputs must be non-negative")
 )
 
-// ScalarProduct runs the two-party secure scalar product: Alice (who holds
-// the Paillier private key and vector a) sends element-wise encryptions;
-// Bob (vector b) computes Enc(Σ aᵢbᵢ) purely homomorphically and returns
-// it re-randomized. Alice learns only the dot product; Bob learns nothing
-// (he only ever sees ciphertexts under Alice's key).
-func ScalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey) (int64, *Trace, error) {
+// ScalarProduct runs the two-party secure scalar product over w: Alice
+// (who holds the Paillier private key and vector a) sends element-wise
+// encryptions; Bob (vector b) computes Enc(Σ aᵢbᵢ) purely homomorphically
+// and returns it re-randomized. Alice learns only the dot product; Bob
+// learns nothing (he only ever sees ciphertexts under Alice's key). Every
+// ciphertext travels at the key's fixed wire width, so the transcript cost
+// is identical run to run (a raw big.Int serialization is occasionally a
+// byte shorter).
+func ScalarProduct(w transport.Transport, a, b []int64, sk *privcrypto.PaillierPrivateKey) (int64, *Trace, error) {
 	if len(a) == 0 || len(a) != len(b) {
 		return 0, nil, fmt.Errorf("%w: %d vs %d", ErrVectorLength, len(a), len(b))
 	}
@@ -28,13 +32,17 @@ func ScalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey) (int64, *Tra
 			return 0, nil, fmt.Errorf("%w: a[%d]=%d", ErrNegative, i, v)
 		}
 	}
-	for i, w := range b {
-		if w < 0 {
-			return 0, nil, fmt.Errorf("%w: b[%d]=%d", ErrNegative, i, w)
+	for i, v := range b {
+		if v < 0 {
+			return 0, nil, fmt.Errorf("%w: b[%d]=%d", ErrNegative, i, v)
 		}
 	}
 	pk := sk.Public()
-	tr := &Trace{}
+	run := borrow(w)
+	defer run.release()
+	cipher := func(from, to string, c *big.Int) *big.Int {
+		return new(big.Int).SetBytes(send(w, from, to, "scalar", c.FillBytes(make([]byte, pk.CipherLen()))))
+	}
 
 	// Alice → Bob: Enc(a_i).
 	encA := make([]*big.Int, len(a))
@@ -43,14 +51,7 @@ func ScalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey) (int64, *Tra
 		if err != nil {
 			return 0, nil, err
 		}
-		encA[i] = c
-	}
-	// Ciphertexts are accounted at the key's fixed wire width so the
-	// transcript cost is identical run to run (a raw big.Int serialization
-	// is occasionally a byte shorter).
-	for range encA {
-		tr.Messages++
-		tr.Bytes += pk.CipherLen()
+		encA[i] = cipher("alice", "bob", c)
 	}
 
 	// Bob: Enc(Σ a_i·b_i) = Π Enc(a_i)^{b_i}, re-randomized with Enc(0).
@@ -58,18 +59,16 @@ func ScalarProduct(a, b []int64, sk *privcrypto.PaillierPrivateKey) (int64, *Tra
 	if err != nil {
 		return 0, nil, err
 	}
-	for i, w := range b {
-		if w != 0 {
-			acc = pk.AddCipher(acc, pk.MulPlain(encA[i], big.NewInt(w)))
+	for i, v := range b {
+		if v != 0 {
+			acc = pk.AddCipher(acc, pk.MulPlain(encA[i], big.NewInt(v)))
 		}
 	}
 
 	// Bob → Alice: the blinded aggregate.
-	tr.Messages++
-	tr.Bytes += pk.CipherLen()
-	dot, err := sk.Decrypt(acc)
+	dot, err := sk.Decrypt(cipher("bob", "alice", acc))
 	if err != nil {
 		return 0, nil, err
 	}
-	return dot.Int64(), tr, nil
+	return dot.Int64(), run.trace(), nil
 }

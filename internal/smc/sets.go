@@ -2,11 +2,13 @@ package smc
 
 import (
 	"math/big"
-	"sort"
+	"slices"
+
+	"pds/internal/transport"
 )
 
 // SecureSetUnion computes the union of the parties' private item sets with
-// the [CKV+02] commutative-encryption protocol:
+// the [CKV+02] commutative-encryption protocol over w:
 //
 //  1. every party encrypts its own items with its key and passes them
 //     along the ring until each item carries every party's layer;
@@ -17,12 +19,75 @@ import (
 //     union but not the item↔owner mapping (the pool is shuffled by
 //     sorting ciphertexts).
 //
-// Items must be non-negative. The returned union is sorted. The Trace
-// counts ring messages (one per item hop).
-func SecureSetUnion(sets [][]int64) ([]int64, *Trace, error) {
+// Items must be non-negative. The returned union is sorted. Each item hop
+// travels as one envelope carrying the ciphertext the next party receives,
+// so the wire never carries an item in the clear; the Trace counts them.
+func SecureSetUnion(w transport.Transport, sets [][]int64) ([]int64, *Trace, error) {
 	if len(sets) < 3 {
 		return nil, nil, ErrTooFewParties
 	}
+	run := borrow(w)
+	defer run.release()
+	ciphers, pool, err := encryptAll(w, sets)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	// Phase 2: dedupe on ciphertexts; sort to destroy arrival order.
+	slices.SortFunc(pool, (*big.Int).Cmp)
+	uniq := slices.CompactFunc(pool, func(a, b *big.Int) bool { return a.Cmp(b) == 0 })
+
+	// Phase 3: every party in turn receives each pooled ciphertext and
+	// peels its layer (layer order is irrelevant — that is the
+	// commutativity); the last layer comes off at the last party.
+	n := len(sets)
+	out := make([]int64, 0, len(uniq))
+	for _, y := range uniq {
+		for i, c := range ciphers {
+			y = new(big.Int).SetBytes(send(w, party((i+n-1)%n), party(i), "decrypt", y.Bytes()))
+			if y, err = c.Decrypt(y); err != nil {
+				return nil, nil, err
+			}
+		}
+		out = append(out, DecodeItem(y))
+	}
+	slices.Sort(out)
+	return out, run.trace(), nil
+}
+
+// SecureIntersectionSize computes |∩ sets| over w with the same machinery:
+// after full encryption, an item present at every party yields n equal
+// ciphertexts, so the size of the intersection is the number of ciphertext
+// values with multiplicity n. Nothing is ever decrypted — only the size is
+// learned.
+func SecureIntersectionSize(w transport.Transport, sets [][]int64) (int, *Trace, error) {
+	if len(sets) < 3 {
+		return 0, nil, ErrTooFewParties
+	}
+	run := borrow(w)
+	defer run.release()
+	_, pool, err := encryptAll(w, sets)
+	if err != nil {
+		return 0, nil, err
+	}
+	counts := map[string]int{}
+	for _, x := range pool {
+		counts[string(x.Bytes())]++
+	}
+	size := 0
+	for _, c := range counts {
+		if c == len(sets) {
+			size++
+		}
+	}
+	return size, run.trace(), nil
+}
+
+// encryptAll is the full-encryption phase both set protocols share. It
+// draws one commutative key per party and walks each party's distinct
+// items around the ring, one envelope per hop, until every item carries
+// every party's layer. It returns the keys and the fully encrypted pool.
+func encryptAll(w transport.Transport, sets [][]int64) ([]*CommutativeCipher, []*big.Int, error) {
 	n := len(sets)
 	ciphers := make([]*CommutativeCipher, n)
 	for i := range ciphers {
@@ -32,78 +97,7 @@ func SecureSetUnion(sets [][]int64) ([]int64, *Trace, error) {
 		}
 		ciphers[i] = c
 	}
-	tr := &Trace{}
-
-	// Phase 1: full encryption of every item by every party.
 	var pool []*big.Int
-	for owner, set := range sets {
-		for _, item := range set {
-			x := EncodeItem(item)
-			for hop := 0; hop < n; hop++ {
-				party := (owner + hop) % n
-				var err error
-				x, err = ciphers[party].Encrypt(x)
-				if err != nil {
-					return nil, nil, err
-				}
-				tr.Messages++
-				tr.Bytes += len(x.Bytes())
-			}
-			pool = append(pool, x)
-		}
-	}
-
-	// Phase 2: dedupe on ciphertexts; sort to destroy arrival order.
-	sort.Slice(pool, func(i, j int) bool { return pool[i].Cmp(pool[j]) < 0 })
-	uniq := pool[:0]
-	for i, x := range pool {
-		if i == 0 || x.Cmp(pool[i-1]) != 0 {
-			uniq = append(uniq, x)
-		}
-	}
-
-	// Phase 3: peel every layer (layer order is irrelevant — that is the
-	// commutativity).
-	out := make([]int64, 0, len(uniq))
-	for _, x := range uniq {
-		y := x
-		for _, c := range ciphers {
-			var err error
-			y, err = c.Decrypt(y)
-			if err != nil {
-				return nil, nil, err
-			}
-			tr.Messages++
-			tr.Bytes += len(y.Bytes())
-		}
-		out = append(out, DecodeItem(y))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, tr, nil
-}
-
-// SecureIntersectionSize computes |∩ sets| with the same machinery: after
-// full encryption, an item present at every party yields n equal
-// ciphertexts, so the size of the intersection is the number of ciphertext
-// values with multiplicity n. Nothing is ever decrypted — only the size is
-// learned.
-//
-// Each party's set must not contain duplicates (sets, not multisets).
-func SecureIntersectionSize(sets [][]int64) (int, *Trace, error) {
-	if len(sets) < 3 {
-		return 0, nil, ErrTooFewParties
-	}
-	n := len(sets)
-	ciphers := make([]*CommutativeCipher, n)
-	for i := range ciphers {
-		c, err := NewCommutativeCipher(nil)
-		if err != nil {
-			return 0, nil, err
-		}
-		ciphers[i] = c
-	}
-	tr := &Trace{}
-	counts := map[string]int{}
 	for owner, set := range sets {
 		seen := map[int64]bool{}
 		for _, item := range set {
@@ -113,23 +107,15 @@ func SecureIntersectionSize(sets [][]int64) (int, *Trace, error) {
 			seen[item] = true
 			x := EncodeItem(item)
 			for hop := 0; hop < n; hop++ {
-				party := (owner + hop) % n
-				var err error
-				x, err = ciphers[party].Encrypt(x)
+				p := (owner + hop) % n
+				y, err := ciphers[p].Encrypt(x)
 				if err != nil {
-					return 0, nil, err
+					return nil, nil, err
 				}
-				tr.Messages++
-				tr.Bytes += len(x.Bytes())
+				x = new(big.Int).SetBytes(send(w, party(p), party((p+1)%n), "encrypt", y.Bytes()))
 			}
-			counts[string(x.Bytes())]++
+			pool = append(pool, x)
 		}
 	}
-	size := 0
-	for _, c := range counts {
-		if c == n {
-			size++
-		}
-	}
-	return size, tr, nil
+	return ciphers, pool, nil
 }

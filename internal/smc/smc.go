@@ -4,10 +4,11 @@
 // set intersection and scalar product — plus Yao's original millionaire
 // protocol as the historical reference point for generic (and costly) SMC.
 //
-// The secure-sum ring runs on a transport (the in-process simulator or
-// the TCP wire), clean or faulty; the other protocols are simulated among
-// in-process parties. Every protocol records a Trace of the messages
-// exchanged, so benchmarks can report communication cost.
+// Every protocol runs among its parties on a transport (the in-process
+// simulator or the TCP wire): each message is one envelope on the wire,
+// and the Trace a run returns is read off the run's own registry, the
+// wire's one traffic ledger. The secure-sum ring can also cross a faulty
+// wire over reliable links.
 package smc
 
 import (
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
@@ -33,9 +35,56 @@ type Trace struct {
 	Messages int
 	Bytes    int
 	// Rel is the ARQ links' cost of a ring run on a faulty wire: zero on
-	// a clean wire and for the in-process protocols.
+	// a clean wire and for the protocols that take the direct path.
 	Rel netsim.RelStats
 }
+
+// wireRun is one protocol run's borrow of its wire: reg, a run-local
+// registry, observes the wire for the run and is the ledger its Trace is
+// read off; release restores the previous observer and merges reg into
+// it. A run defers release right after borrow, so it holds on every exit
+// path.
+type wireRun struct {
+	w         transport.Transport
+	reg, prev *obs.Registry
+}
+
+func borrow(w transport.Transport) wireRun {
+	r := wireRun{w, obs.NewRegistry(), w.Observer()}
+	w.SetObserver(r.reg)
+	return r
+}
+
+func (r wireRun) release() {
+	if r.w.SetObserver(r.prev); r.prev != nil {
+		r.prev.Merge(r.reg)
+	}
+}
+
+// ring returns the run's secure-sum ring, which traces its walks only
+// when somebody observes the wire: an unobserved run opens no spans.
+func (r wireRun) ring() ring {
+	if r.prev == nil {
+		return ring{w: r.w}
+	}
+	return ring{w: r.w, reg: r.reg}
+}
+
+// trace reads what the wire carried so far in the run.
+func (r wireRun) trace() *Trace {
+	net, rel := netsim.Counted(r.reg)
+	return &Trace{int(net.Messages), int(net.Bytes), rel}
+}
+
+// send carries one protocol message from one party to another as an
+// envelope of the given kind on w's direct path, and returns the payload
+// the far side received.
+func send(w transport.Transport, from, to, kind string, payload []byte) []byte {
+	return w.Send(netsim.Envelope{From: from, To: to, Kind: kind, Payload: payload}).Payload
+}
+
+// party names party i of a multi-party protocol on the wire.
+func party(i int) string { return "party-" + strconv.Itoa(i) }
 
 // SecureSum runs the [CKV+02] ring protocol over w: the initiator masks
 // its value with a uniform random R modulo m; each party adds its value
@@ -95,45 +144,30 @@ func SecureSumSegmented(w transport.Transport, values []int64, modulus int64, se
 		shares[segments-1][i] = rest
 	}
 
-	// The run counts itself the way a gquery run does: a run-local
-	// registry observes the wire for the run (the fault plane armed after
-	// it binds to it) and is merged into the previous observer on exit.
-	reg, prev := obs.NewRegistry(), w.Observer()
-	w.SetObserver(reg)
-	defer func() {
-		w.SetObserver(prev)
-		if prev != nil {
-			prev.Merge(reg)
-		}
-	}()
-	r := ring{w: w}
-	if prev != nil {
-		r.reg = reg
-	}
+	run := borrow(w)
+	defer run.release()
+	r := run.ring()
 	if plan != nil {
+		// The plane binds to the run's registry, installed above.
 		prevPlane := w.Faults()
 		w.SetFaults(netsim.NewFaultPlane(*plan))
 		defer w.SetFaults(prevPlane)
 		r.link = netsim.NewLink(w, netsim.Reliability{})
-	}
-	trace := func() *Trace {
-		net, rel := netsim.Counted(reg)
-		return &Trace{Messages: int(net.Messages), Bytes: int(net.Bytes), Rel: rel}
 	}
 	total := int64(0)
 	for s := 0; s < segments; s++ {
 		// Rotate the ring start per segment.
 		sum, err := r.walk(shares[s], s, modulus, rng.Int63n(modulus))
 		if err != nil {
-			return 0, trace(), err
+			return 0, run.trace(), err
 		}
 		total = (total + sum) % modulus
 	}
-	return total, trace(), nil
+	return total, run.trace(), nil
 }
 
-// ring is the wire one SecureSumSegmented run walks: the hops cross the
-// reliable link when a fault plan is armed, and when the wire had an
+// ring is the wire the secure-sum walks of one run cross: the hops cross
+// the reliable link when a fault plan is armed, and when the wire had an
 // observer, the run records each walk as one causal chain of spans.
 type ring struct {
 	w    transport.Transport
@@ -150,13 +184,11 @@ func (r ring) walk(in []int64, start int, modulus, mask int64) (int64, error) {
 	// span under the previous one: the critical path of the protocol IS the
 	// ring, and the exported trace shows it as one dependency chain.
 	var tracer *obs.Tracer
+	var root *obs.Span
 	if r.reg != nil {
 		tracer = r.reg.Tracer()
-	}
-	var root *obs.Span
-	if tracer != nil {
 		root = tracer.Start("smc/secure-sum-ring", nil)
-		root.Annotate("parties", fmt.Sprintf("%d", n))
+		root.Annotate("parties", strconv.Itoa(n))
 		defer root.End()
 	}
 	prevCtx := root.Context()
@@ -164,8 +196,8 @@ func (r ring) walk(in []int64, start int, modulus, mask int64) (int64, error) {
 		var payload [8]byte
 		binary.LittleEndian.PutUint64(payload[:], uint64(running))
 		e := netsim.Envelope{
-			From:    fmt.Sprintf("party-%d", (from+start)%n),
-			To:      fmt.Sprintf("party-%d", (to+start)%n),
+			From:    party((from + start) % n),
+			To:      party((to + start) % n),
 			Kind:    "ring",
 			Payload: payload[:],
 			Ctx:     prevCtx,

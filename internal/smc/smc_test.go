@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -13,6 +14,7 @@ import (
 	"pds/internal/netsim"
 	"pds/internal/obs"
 	"pds/internal/privcrypto"
+	"pds/internal/transport"
 )
 
 // cleanSum runs the ring on a fresh in-process wire without faults.
@@ -285,6 +287,157 @@ func TestSecureSumTraceIsTheRunRegistry(t *testing.T) {
 	}
 }
 
+// tappedWire is a wire a test can watch: both substrates take taps.
+type tappedWire interface {
+	transport.Transport
+	Tap(func(netsim.Envelope))
+}
+
+// tcpWire dials a fresh switch on the loopback interface.
+func tcpWire(t *testing.T) tappedWire {
+	t.Helper()
+	sw, err := transport.NewSwitch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sw.Close() })
+	c, err := transport.Dial(sw.Addr(), "toolkit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// Every toolkit protocol runs on the wire it is given and reads its Trace
+// off its run's registry: on the simulator and on TCP, each run's Trace
+// equals the netsim_* counters it leaves in the wire's observer and what
+// a tap on the wire saw, and the observer is back in place afterwards.
+func TestToolkitTraceIsTheRunRegistry(t *testing.T) {
+	sk, key := scalarTestKey(t), rsaTestKey(t)
+	sets := [][]int64{{1, 5, 9}, {5, 7}, {1, 7, 11}}
+	var txs []Transaction
+	for i := 0; i < 12; i++ {
+		txs = append(txs, Transaction{1, 2, int64(3 + i%2)})
+	}
+	points := [][][]int64{{{0, 0}, {9, 9}}, {{1, 0}, {10, 9}}, {{0, 1}, {9, 10}}}
+	protocols := []struct {
+		name string
+		run  func(w transport.Transport) (*Trace, error)
+	}{
+		{"secure-sum", func(w transport.Transport) (*Trace, error) {
+			_, tr, err := SecureSum(w, []int64{3, 1, 4, 1}, 100, rand.New(rand.NewSource(1)), nil)
+			return tr, err
+		}},
+		{"set-union", func(w transport.Transport) (*Trace, error) {
+			_, tr, err := SecureSetUnion(w, sets)
+			return tr, err
+		}},
+		{"intersection-size", func(w transport.Transport) (*Trace, error) {
+			_, tr, err := SecureIntersectionSize(w, sets)
+			return tr, err
+		}},
+		{"scalar-product", func(w transport.Transport) (*Trace, error) {
+			_, tr, err := ScalarProduct(w, []int64{1, 2, 3}, []int64{4, 5, 6}, sk)
+			return tr, err
+		}},
+		{"millionaire", func(w transport.Transport) (*Trace, error) {
+			_, tr, err := Millionaire(w, 3, 2, 4, key)
+			return tr, err
+		}},
+		{"association-rules", func(w transport.Transport) (*Trace, error) {
+			_, tr, err := MineAssociationRules(w, splitTransactions(txs, 3), 0.5, 0.8, rand.New(rand.NewSource(2)))
+			return tr, err
+		}},
+		{"k-means", func(w transport.Transport) (*Trace, error) {
+			_, _, tr, err := KMeans(w, points, 2, 2, rand.New(rand.NewSource(3)))
+			return tr, err
+		}},
+	}
+	wires := []struct {
+		name string
+		dial func(t *testing.T) tappedWire
+	}{
+		{"netsim", func(*testing.T) tappedWire { return netsim.New() }},
+		{"tcp", tcpWire},
+	}
+	for _, wire := range wires {
+		w := wire.dial(t)
+		var tapped netsim.Stats
+		w.Tap(func(e netsim.Envelope) {
+			tapped.Messages, tapped.Bytes = tapped.Messages+1, tapped.Bytes+int64(len(e.Payload))
+		})
+		for _, p := range protocols {
+			reg := obs.NewRegistry()
+			w.SetObserver(reg)
+			tapped = netsim.Stats{}
+			tr, err := p.run(w)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", p.name, wire.name, err)
+			}
+			if w.Observer() != reg {
+				t.Fatalf("%s on %s did not restore the wire's observer", p.name, wire.name)
+			}
+			msgs, bytes := reg.CounterValue(netsim.MetricMessages), reg.CounterValue(netsim.MetricBytes)
+			if tr.Messages == 0 || int64(tr.Messages) != msgs || int64(tr.Bytes) != bytes || msgs != tapped.Messages || bytes != tapped.Bytes {
+				t.Errorf("%s on %s: Trace %d msgs / %d B, registry %d / %d, tap %+v",
+					p.name, wire.name, tr.Messages, tr.Bytes, msgs, bytes, tapped)
+			}
+		}
+	}
+}
+
+// A tap on the set union's wire never sees an item in the clear: every
+// hop carries a ciphertext, and the last layer comes off at the last
+// party, not on the wire.
+func TestSecureSetUnionWireCarriesNoPlaintext(t *testing.T) {
+	sets := [][]int64{{0, 1, 5, 9}, {5, 7}, {1, 7, 11}}
+	plain := map[string]bool{}
+	for _, set := range sets {
+		for _, x := range set {
+			plain[string(EncodeItem(x).Bytes())] = true
+		}
+	}
+	net := netsim.New()
+	seen := 0
+	net.Tap(func(e netsim.Envelope) {
+		seen++
+		if plain[string(e.Payload)] {
+			t.Errorf("%s %s→%s carries an item in the clear: %x", e.Kind, e.From, e.To, e.Payload)
+		}
+	})
+	union, tr, err := SecureSetUnion(net, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(union, []int64{0, 1, 5, 7, 9, 11}) || seen == 0 || seen != tr.Messages {
+		t.Errorf("union %v over %d envelopes, Trace %d", union, seen, tr.Messages)
+	}
+}
+
+// A tap on the scalar product's wire sees only ciphertexts, all at the
+// key's fixed width: one per element of a, then the blinded aggregate.
+func TestScalarProductWireCarriesOnlyCiphertexts(t *testing.T) {
+	sk := scalarTestKey(t)
+	width := sk.Public().CipherLen()
+	net := netsim.New()
+	var widths []int
+	net.Tap(func(e netsim.Envelope) { widths = append(widths, len(e.Payload)) })
+	a := []int64{0, 7, 1, 255}
+	dot, tr, err := ScalarProduct(net, a, []int64{3, 0, 2, 1}, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dot != 257 || len(widths) != len(a)+1 || tr.Bytes != (len(a)+1)*width {
+		t.Fatalf("dot %d over payload widths %v, Trace %+v; want 257 over %d × %d B", dot, widths, tr, len(a)+1, width)
+	}
+	for i, n := range widths {
+		if n != width {
+			t.Errorf("envelope %d carries %d B, want the %d-B ciphertext width", i, n, width)
+		}
+	}
+}
+
 // An unobserved ring opens no spans, so its frames carry no trace id and
 // a seeded lossy run replays exactly, however many registries the process
 // mints in between.
@@ -406,7 +559,7 @@ func TestSecureSetUnion(t *testing.T) {
 		{5, 7},
 		{1, 7, 11},
 	}
-	union, tr, err := SecureSetUnion(sets)
+	union, tr, err := SecureSetUnion(netsim.New(), sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,14 +575,14 @@ func TestSecureSetUnion(t *testing.T) {
 	if tr.Messages == 0 {
 		t.Error("no messages traced")
 	}
-	if _, _, err := SecureSetUnion([][]int64{{1}, {2}}); !errors.Is(err, ErrTooFewParties) {
+	if _, _, err := SecureSetUnion(netsim.New(), [][]int64{{1}, {2}}); !errors.Is(err, ErrTooFewParties) {
 		t.Errorf("2 parties err = %v", err)
 	}
 }
 
 func TestSecureSetUnionWithDuplicatesAcrossParties(t *testing.T) {
 	sets := [][]int64{{3, 3, 4}, {3}, {4}}
-	union, _, err := SecureSetUnion(sets)
+	union, _, err := SecureSetUnion(netsim.New(), sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +597,7 @@ func TestSecureIntersectionSize(t *testing.T) {
 		{2, 3, 4, 5},
 		{3, 4, 5, 6},
 	}
-	size, _, err := SecureIntersectionSize(sets)
+	size, _, err := SecureIntersectionSize(netsim.New(), sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,11 +605,11 @@ func TestSecureIntersectionSize(t *testing.T) {
 		t.Errorf("intersection size = %d, want 2", size)
 	}
 	// Empty intersection.
-	size, _, err = SecureIntersectionSize([][]int64{{1}, {2}, {3}})
+	size, _, err = SecureIntersectionSize(netsim.New(), [][]int64{{1}, {2}, {3}})
 	if err != nil || size != 0 {
 		t.Errorf("disjoint size = %d, %v", size, err)
 	}
-	if _, _, err := SecureIntersectionSize([][]int64{{1}}); !errors.Is(err, ErrTooFewParties) {
+	if _, _, err := SecureIntersectionSize(netsim.New(), [][]int64{{1}}); !errors.Is(err, ErrTooFewParties) {
 		t.Errorf("1 party err = %v", err)
 	}
 }
@@ -477,7 +630,7 @@ func scalarTestKey(t testing.TB) *privcrypto.PaillierPrivateKey {
 
 func TestScalarProduct(t *testing.T) {
 	sk := scalarTestKey(t)
-	got, tr, err := ScalarProduct([]int64{1, 2, 3}, []int64{4, 5, 6}, sk)
+	got, tr, err := ScalarProduct(netsim.New(), []int64{1, 2, 3}, []int64{4, 5, 6}, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,13 +640,13 @@ func TestScalarProduct(t *testing.T) {
 	if tr.Messages != 4 { // 3 ciphertexts out + 1 back
 		t.Errorf("messages = %d, want 4", tr.Messages)
 	}
-	if _, _, err := ScalarProduct([]int64{1}, []int64{1, 2}, sk); !errors.Is(err, ErrVectorLength) {
+	if _, _, err := ScalarProduct(netsim.New(), []int64{1}, []int64{1, 2}, sk); !errors.Is(err, ErrVectorLength) {
 		t.Errorf("length err = %v", err)
 	}
-	if _, _, err := ScalarProduct(nil, nil, sk); !errors.Is(err, ErrVectorLength) {
+	if _, _, err := ScalarProduct(netsim.New(), nil, nil, sk); !errors.Is(err, ErrVectorLength) {
 		t.Errorf("empty err = %v", err)
 	}
-	if _, _, err := ScalarProduct([]int64{-1}, []int64{1}, sk); !errors.Is(err, ErrNegative) {
+	if _, _, err := ScalarProduct(netsim.New(), []int64{-1}, []int64{1}, sk); !errors.Is(err, ErrNegative) {
 		t.Errorf("negative err = %v", err)
 	}
 }
@@ -518,7 +671,7 @@ func TestQuickScalarProduct(t *testing.T) {
 			av[i], bv[i] = int64(a[i]), int64(b[i])
 			want += av[i] * bv[i]
 		}
-		got, _, err := ScalarProduct(av, bv, sk)
+		got, _, err := ScalarProduct(netsim.New(), av, bv, sk)
 		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -545,12 +698,12 @@ func TestMillionaireExhaustive(t *testing.T) {
 	const domain = 6
 	for i := int64(1); i <= domain; i++ {
 		for j := int64(1); j <= domain; j++ {
-			got, _, err := Millionaire(i, j, domain, key)
+			got, _, err := Millionaire(netsim.New(), i, j, domain, key)
 			if err != nil {
 				t.Fatalf("i=%d j=%d: %v", i, j, err)
 			}
 			if got != (i >= j) {
-				t.Errorf("Millionaire(%d, %d) = %v, want %v", i, j, got, i >= j)
+				t.Errorf("Millionaire(netsim.New(), %d, %d) = %v, want %v", i, j, got, i >= j)
 			}
 		}
 	}
@@ -559,7 +712,7 @@ func TestMillionaireExhaustive(t *testing.T) {
 func TestMillionaireValidation(t *testing.T) {
 	key := rsaTestKey(t)
 	for _, c := range [][3]int64{{0, 1, 5}, {1, 0, 5}, {6, 1, 5}, {1, 6, 5}, {1, 1, 0}} {
-		if _, _, err := Millionaire(c[0], c[1], c[2], key); err == nil {
+		if _, _, err := Millionaire(netsim.New(), c[0], c[1], c[2], key); err == nil {
 			t.Errorf("inputs %v accepted", c)
 		}
 	}
@@ -568,11 +721,11 @@ func TestMillionaireValidation(t *testing.T) {
 func TestMillionaireCostGrowsWithDomain(t *testing.T) {
 	// The tutorial's point: Yao'82 cost is proportional to the domain.
 	key := rsaTestKey(t)
-	_, tr4, err := Millionaire(2, 2, 4, key)
+	_, tr4, err := Millionaire(netsim.New(), 2, 2, 4, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr16, err := Millionaire(2, 2, 16, key)
+	_, tr16, err := Millionaire(netsim.New(), 2, 2, 16, key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,9 +66,6 @@ type Observations struct {
 	// (e.g. a deterministic ciphertext or a bucket id), how many tuples
 	// it saw — the leakage channel of the deterministic protocols.
 	GroupFrequencies map[string]int
-	// DistinctPayloads counts distinct payloads; under non-deterministic
-	// encryption this equals Envelopes (nothing groups).
-	DistinctPayloads int
 }
 
 // Wire is the only view of the transport an SSI holds: the observer
@@ -87,11 +84,10 @@ type Server struct {
 	mode     Mode
 	behavior Behavior
 
-	inbox    []netsim.Envelope
-	obs      Observations // GroupFrequencies is built by Observations
-	payloads map[string]bool
-	trace    obs.SpanContext
-	slab     []byte // the block kept records are copied into, used up to its length
+	inbox []netsim.Envelope
+	obs   Observations // GroupFrequencies is built by Observations
+	trace obs.SpanContext
+	slab  []byte // the block kept records are copied into, used up to its length
 
 	// The grouping record: group[k] indexes k's count in groupFreq, so
 	// a key string is made once, the first time the key is observed.
@@ -118,7 +114,6 @@ func New(net Wire, mode Mode, b Behavior) *Server {
 		net:      net,
 		mode:     mode,
 		behavior: b,
-		payloads: map[string]bool{},
 		group:    map[string]int{},
 	}
 }
@@ -147,19 +142,14 @@ func (s *Server) BindTrace(ctx obs.SpanContext) {
 func (s *Server) Receive(e netsim.Envelope) {
 	s.mu.Lock()
 	e.Payload = s.keep(e.Payload)
-	if s.streamEmit != nil {
-		s.receiveStreaming(e)
-		s.mu.Unlock()
-		return
-	}
-	defer s.mu.Unlock()
-	s.inbox = append(s.inbox, e)
 	s.obs.Envelopes++
 	s.obs.Bytes += int64(len(e.Payload))
-	if !s.payloads[string(e.Payload)] {
-		s.payloads[string(e.Payload)] = true
-		s.obs.DistinctPayloads++
+	if s.streamEmit != nil {
+		s.receiveStreaming(e)
+	} else {
+		s.inbox = append(s.inbox, e)
 	}
+	s.mu.Unlock()
 }
 
 // slabBlock is the size of the blocks the server copies kept records
@@ -176,13 +166,9 @@ func (s *Server) keep(rec []byte) []byte {
 	return s.slab[n:len(s.slab):len(s.slab)]
 }
 
-// receiveStreaming is Receive's streaming path; callers hold s.mu. The
-// distinct-payload record is deliberately not maintained here: that map
-// is O(population) memory, exactly what streaming mode exists to avoid
-// (leakage tests read the wire instead).
+// receiveStreaming routes one observed envelope into the current chunk;
+// callers hold s.mu.
 func (s *Server) receiveStreaming(e netsim.Envelope) {
-	s.obs.Envelopes++
-	s.obs.Bytes += int64(len(e.Payload))
 	outs := []netsim.Envelope{e}
 	if s.mode == WeaklyMalicious {
 		outs = s.corruptOne(s.streamIdx, e, s.streamSpan.Context())
@@ -305,20 +291,19 @@ func (o Observations) FrequencyHistogram() []int {
 // Partition cuts the inbox into chunks of at most chunkSize envelopes,
 // consuming it. It streams the inbox through StartStream, so a
 // weakly-malicious server drops, duplicates and forges the positions it
-// would attack had the uploads streamed in. Receive already
-// observed the inbox, so the replay leaves the leakage record as it was.
+// would attack had the uploads streamed in. Receive already observed the
+// inbox, and the replay observes nothing.
 func (s *Server) Partition(chunkSize int) ([][]netsim.Envelope, error) {
 	var chunks [][]netsim.Envelope
 	if err := s.StartStream(chunkSize, func(c []netsim.Envelope) { chunks = append(chunks, c) }); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	work, seen := s.inbox, s.obs
+	work := s.inbox
 	s.inbox = nil
 	for _, e := range work {
 		s.receiveStreaming(e)
 	}
-	s.obs = seen
 	s.mu.Unlock()
 	return chunks, s.FinishStream()
 }

@@ -182,13 +182,19 @@ func (d *decoder) envelope() (netsim.Envelope, error) {
 	return e, nil
 }
 
-// readMessage reads one length-prefixed message.
+// readMessage reads one length-prefixed message. The prefix is read in
+// place in r's buffer, so only the body is allocated. As with
+// io.ReadFull, a stream that ends inside the prefix is an unexpected EOF.
 func readMessage(r *bufio.Reader) (message, error) {
-	var b4 [4]byte
-	if _, err := io.ReadFull(r, b4[:]); err != nil {
+	b4, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(b4) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return message{}, err
 	}
-	n := binary.BigEndian.Uint32(b4[:])
+	n := binary.BigEndian.Uint32(b4)
+	r.Discard(4)
 	if n > maxMessage {
 		return message{}, fmt.Errorf("%w: %d bytes exceeds limit", errMalformed, n)
 	}
