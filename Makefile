@@ -66,7 +66,8 @@ race:
 # yields a typed error or a valid prefix; and the differential targets
 # (Paillier CRT vs textbook, the external sort, the byte-level triple
 # comparator and the in-place page, Bloom and tuple views against the
-# implementations they replaced) agree.
+# implementations they replaced, and the transport's route rule against
+# a scan of every claimed pattern) agree.
 fuzz:
 	@set -e; \
 	targets=$$($(GO) list ./... | while read pkg; do \

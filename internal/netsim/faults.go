@@ -146,25 +146,15 @@ func (fp *FaultPlane) decide(e Envelope) int {
 	}
 }
 
-// Transmit applies the plan to one envelope and returns the copies that
-// arrive now — zero for a dropped or withheld envelope, two for a
-// duplicated one, possibly including an earlier reorder-withheld envelope
-// of the same kind. Network.Deliver calls it for the in-process wire;
-// out-of-process transports call it before frames leave the sending node,
-// so the seeded schedule stays a pure function of envelope content on
-// every substrate.
-func (fp *FaultPlane) Transmit(e Envelope) []Envelope {
-	out, n := fp.transmit(e)
-	return append([]Envelope(nil), out[:n]...)
-}
-
 // transmit applies the plan to one envelope and returns the n <= 3 copies
-// that arrive now. A pending reordered envelope of the same flow — same
-// kind, same destination — is released after the current one: the two swap
-// places on the wire. The flow keying matters: a sharded deployment runs
-// one ARQ link per (kind, destination), and releasing a withheld frame
-// into a different flow's receiver would collide sequence spaces and
-// spuriously ack a frame that was never delivered.
+// that arrive now. Network.Deliver is its caller on every substrate: a
+// TCP node delivers through its counting network. A pending reordered
+// envelope of the same flow — same kind, same destination — is released
+// after the current one: the two swap places on the wire. The flow keying
+// matters: a sharded deployment runs one ARQ link per (kind,
+// destination), and releasing a withheld frame into a different flow's
+// receiver would collide sequence spaces and spuriously ack a frame that
+// was never delivered.
 func (fp *FaultPlane) transmit(e Envelope) (out [3]Envelope, n int) {
 	fp.mu.Lock()
 	defer fp.mu.Unlock()

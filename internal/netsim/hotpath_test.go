@@ -87,7 +87,7 @@ func TestFaultPlaneScheduleGolden(t *testing.T) {
 	var now, late []int
 	for i := 0; i < 64; i++ {
 		e := Envelope{From: "a", To: []string{"ssi", "pds-1", "pds-2", "ssi:3"}[i%4], Kind: []string{"tuple", "chunk", "partial"}[i%3], Payload: []byte{byte(i), 1, 2, 3}}
-		for _, out := range fp.Transmit(e) {
+		for _, out := range transmitAll(fp, e) {
 			now = append(now, int(out.Payload[0]))
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"pds/internal/netsim"
 )
@@ -57,44 +58,44 @@ func putStr(buf []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint16(buf, uint16(len(s))), s...)
 }
 
-// encodeMessage appends the message body (everything after the length
-// prefix) to buf: the op and id, then the envelope — From, To and Kind
-// as u16-length-prefixed strings, the span context's trace and span ids,
-// then the u32-length-prefixed payload.
-func encodeMessage(buf []byte, m message) ([]byte, error) {
-	e := m.env
-	if len(e.From) > math.MaxUint16 || len(e.To) > math.MaxUint16 || len(e.Kind) > math.MaxUint16 {
-		return nil, fmt.Errorf("transport: envelope address fields exceed 64 KiB")
-	}
-	buf = binary.LittleEndian.AppendUint64(append(buf, m.op), m.id)
-	buf = putStr(buf, e.From)
-	buf = putStr(buf, e.To)
-	buf = putStr(buf, e.Kind)
-	buf = binary.LittleEndian.AppendUint64(buf, e.Ctx.Trace)
-	buf = binary.LittleEndian.AppendUint64(buf, e.Ctx.Span)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(e.Payload)))
-	return append(buf, e.Payload...), nil
+// frameWriter is the one writer of a connection's frames, the node's and
+// the switch's alike. A frame is its big-endian u32 length, then the op
+// and id, then the envelope: From, To and Kind as u16-length-prefixed
+// strings, the span context's trace and span ids, the u32-length-prefixed
+// payload. The length and everything before the payload are encoded in
+// place in a reused buffer, the payload is written from the sender's
+// bytes, and the buffered writer is flushed at the end of each frame.
+type frameWriter struct {
+	mu  sync.Mutex
+	bw  *bufio.Writer
+	hdr []byte
 }
 
-// writeMessage frames and writes one message. The caller serializes
-// writers.
-func writeMessage(w *bufio.Writer, m message) error {
-	body, err := encodeMessage(nil, m)
-	if err != nil {
-		return err
+func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{bw: bufio.NewWriter(w)} }
+
+func (w *frameWriter) write(m message) error {
+	e := m.env
+	if len(e.From) > math.MaxUint16 || len(e.To) > math.MaxUint16 || len(e.Kind) > math.MaxUint16 {
+		return fmt.Errorf("transport: envelope address fields exceed 64 KiB")
 	}
-	if len(body) > maxMessage {
-		return fmt.Errorf("transport: message of %d bytes exceeds limit", len(body))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b := binary.LittleEndian.AppendUint64(append(w.hdr[:0], 0, 0, 0, 0, m.op), m.id)
+	b = putStr(b, e.From)
+	b = putStr(b, e.To)
+	b = putStr(b, e.Kind)
+	b = binary.LittleEndian.AppendUint64(b, e.Ctx.Trace)
+	b = binary.LittleEndian.AppendUint64(b, e.Ctx.Span)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(e.Payload)))
+	w.hdr = b
+	n := len(b) - 4 + len(e.Payload)
+	if n > maxMessage {
+		return fmt.Errorf("transport: message of %d bytes exceeds limit", n)
 	}
-	var b4 [4]byte
-	binary.BigEndian.PutUint32(b4[:], uint32(len(body)))
-	if _, err := w.Write(b4[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	return w.Flush()
+	binary.BigEndian.PutUint32(b, uint32(n))
+	w.bw.Write(b) // a bufio.Writer's error sticks: Flush reports it
+	w.bw.Write(e.Payload)
+	return w.bw.Flush()
 }
 
 type decoder struct {
@@ -147,7 +148,7 @@ func decodeMessage(body []byte) (message, error) {
 	return m, nil
 }
 
-// envelope reads one envelope in encodeMessage's layout. Its payload
+// envelope reads one envelope in frameWriter's layout. Its payload
 // aliases the decoded bytes (nil when empty): readMessage allocates a
 // body per message and nothing reuses it, so the envelope owns it.
 func (d *decoder) envelope() (netsim.Envelope, error) {

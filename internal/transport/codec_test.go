@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
 
 	"pds/internal/netsim"
 	"pds/internal/obs"
+	"pds/internal/race"
 )
 
 // conformanceFrames are wire frames the conformance suite puts on the TCP
@@ -37,12 +39,47 @@ func conformanceFrames(t testing.TB) [][]byte {
 	frames := make([][]byte, len(msgs))
 	for i, m := range msgs {
 		var buf bytes.Buffer
-		if err := writeMessage(bufio.NewWriter(&buf), m); err != nil {
+		if err := newFrameWriter(&buf).write(m); err != nil {
 			t.Fatal(err)
 		}
 		frames[i] = buf.Bytes()
 	}
 	return frames
+}
+
+// conformanceGolden is what conformanceFrames encodes to, frame by frame,
+// captured before the node and the switch shared one frame writer: the
+// writer must emit these bytes for as long as the wire format stands.
+var conformanceGolden = []string{
+	"0000002a010100000000000000070071756572696572000000000000000000000000000000000000000000000000",
+	"00000027020200000000000000000004007373692a00000000000000000000000000000000000000000000",
+	"0000003f03030000000000000007007175657269657205007373693a3006006b696e642d31000000000000000000000000000000000a0000007061796c6f61642d3031",
+	"0000003f04030000000000000007007175657269657205007373693a3006006b696e642d31000000000000000000000000000000000a0000007061796c6f61642d3031",
+	"0000003f05030000000000000007007175657269657205007373693a3006006b696e642d31000000000000000000000000000000000a0000007061796c6f61642d3031",
+	"0000003d03040000000000000006007064732d303305007373693a3007007061727469616c0000000000000000000000000000000008000000626f64792d303131",
+	"0000003d04040000000000000006007064732d303305007373693a3007007061727469616c0000000000000000000000000000000008000000626f64792d303131",
+	"0000003d05040000000000000006007064732d303305007373693a3007007061727469616c0000000000000000000000000000000008000000626f64792d303131",
+	"0000006c03050000000000000001007801007905007475706c6500000000000000000000000000000000420000000700000000000000000000000000000000000000000000000000007061796c6f6164d1e44bde713cf950dafcc58b5a86c814d9e622ca4b84fdd8486f4c1f83a7d8ea",
+	"0000006c04050000000000000001007801007905007475706c6500000000000000000000000000000000420000000700000000000000000000000000000000000000000000000000007061796c6f6164d1e44bde713cf950dafcc58b5a86c814d9e622ca4b84fdd8486f4c1f83a7d8ea",
+	"0000006c05050000000000000001007801007905007475706c6500000000000000000000000000000000420000000700000000000000000000000000000000000000000000000000007061796c6f6164d1e44bde713cf950dafcc58b5a86c814d9e622ca4b84fdd8486f4c1f83a7d8ea",
+	"0000002703060000000000000001006101006201006befbeadde00000000feca0000000000000100000070",
+	"0000002704060000000000000001006101006201006befbeadde00000000feca0000000000000100000070",
+	"0000002705060000000000000001006101006201006befbeadde00000000feca0000000000000100000070",
+	"000000290307000000000000000100610100620400706f73740000000000000000000000000000000000000000",
+	"000000290407000000000000000100610100620400706f73740000000000000000000000000000000000000000",
+	"000000290507000000000000000100610100620400706f73740000000000000000000000000000000000000000",
+}
+
+func TestConformanceFramesGolden(t *testing.T) {
+	frames := conformanceFrames(t)
+	if len(frames) != len(conformanceGolden) {
+		t.Fatalf("%d frames, %d golden vectors", len(frames), len(conformanceGolden))
+	}
+	for i, f := range frames {
+		if got := hex.EncodeToString(f); got != conformanceGolden[i] {
+			t.Errorf("frame %d:\n got  %s\n want %s", i, got, conformanceGolden[i])
+		}
+	}
 }
 
 // FuzzDecodeFrame feeds the switch's and the node's reader arbitrary
@@ -67,7 +104,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := writeMessage(bufio.NewWriter(&buf), m); err != nil {
+		if err := newFrameWriter(&buf).write(m); err != nil {
 			t.Fatalf("decoded message does not encode: %v", err)
 		}
 		frame := data[:4+binary.BigEndian.Uint32(data)]
@@ -75,6 +112,19 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("accepted frame not canonical:\n read  %x\n wrote %x", frame, buf.Bytes())
 		}
 	})
+}
+
+// The frame writer the node and the switch share encodes in place: once
+// its header buffer has grown, writing a 2 KiB forward allocates nothing.
+func TestFrameWriterAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation ceilings are not measured under -race")
+	}
+	w := newFrameWriter(io.Discard)
+	m := message{op: opForward, id: 9, env: netsim.Envelope{From: "pds-17", To: "ssi:0", Kind: "tuple", Payload: bytes.Repeat([]byte{0xA5}, 2048)}}
+	if allocs := testing.AllocsPerRun(100, func() { w.write(m) }); allocs != 0 {
+		t.Errorf("writing a 2 KiB forward: %.0f allocs, want 0", allocs)
+	}
 }
 
 // A forwarded envelope owns the body readMessage allocated for it:
@@ -86,7 +136,7 @@ func TestReadMessageAliasesPayload(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xA5}, 2048)
 	var buf bytes.Buffer
 	m := message{op: opForward, id: 9, env: netsim.Envelope{From: "pds-17", To: "ssi:0", Kind: "tuple", Payload: payload}}
-	if err := writeMessage(bufio.NewWriter(&buf), m); err != nil {
+	if err := newFrameWriter(&buf).write(m); err != nil {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
@@ -110,7 +160,7 @@ func TestReadMessageAliasesPayload(t *testing.T) {
 
 	buf.Reset()
 	m.env.Payload = nil
-	if err := writeMessage(bufio.NewWriter(&buf), m); err != nil {
+	if err := newFrameWriter(&buf).write(m); err != nil {
 		t.Fatal(err)
 	}
 	frame = buf.Bytes()

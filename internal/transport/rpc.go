@@ -19,35 +19,27 @@ import (
 const callReplySuffix = "/re"
 
 // Call sends a request frame (kind, body) to the endpoint and blocks for
-// the matching reply body, up to timeout.
+// the matching reply body, up to timeout. A live switch drops a request
+// addressed to no live claimant without a word, so only the timeout ends
+// that wait.
 func (t *TCP) Call(to, kind string, body []byte, timeout time.Duration) ([]byte, error) {
-	id := t.nextID.Add(1)
-	ch := make(chan netsim.Envelope, 1)
-	t.cmu.Lock()
-	t.replies[id] = ch
-	t.cmu.Unlock()
-	defer func() {
-		t.cmu.Lock()
-		delete(t.replies, id)
-		t.cmu.Unlock()
-	}()
+	id, ch := t.waiter()
+	defer t.retire(id)
 	payload := make([]byte, 8+len(body))
 	binary.LittleEndian.PutUint64(payload, id)
 	copy(payload[8:], body)
 	e := netsim.Envelope{From: t.name, To: to, Kind: kind, Payload: payload}
-	if _, ok := t.roundtrip(e); !ok {
-		return nil, fmt.Errorf("transport: call %q to %s lost: %w", kind, to, t.Err())
+	if _, ok := t.request(opSend, e); ok {
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		if re, ok := t.await(ch, timer.C); ok {
+			return re.Payload[8:], nil
+		}
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case re := <-ch:
-		return re.Payload[8:], nil
-	case <-t.closed:
-		return nil, fmt.Errorf("transport: connection closed awaiting %q reply from %s", kind, to)
-	case <-timer.C:
-		return nil, fmt.Errorf("transport: no %q reply from %s within %v", kind, to, timeout)
+	if err := t.Err(); err != nil {
+		return nil, fmt.Errorf("transport: call %q to %s lost: %w", kind, to, err)
 	}
+	return nil, fmt.Errorf("transport: no %q reply from %s within %v", kind, to, timeout)
 }
 
 // OnCall registers a request handler for one call kind: fn's return value
@@ -60,12 +52,6 @@ func (t *TCP) OnCall(kind string, fn func(req netsim.Envelope, body []byte) []by
 	t.hmu.Unlock()
 }
 
-func (t *TCP) callHandler(kind string) func(netsim.Envelope, []byte) []byte {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	return t.calls[kind]
-}
-
 func (t *TCP) serveCall(e netsim.Envelope, fn func(netsim.Envelope, []byte) []byte) {
 	if len(e.Payload) < 8 {
 		return
@@ -74,7 +60,7 @@ func (t *TCP) serveCall(e netsim.Envelope, fn func(netsim.Envelope, []byte) []by
 	reply := make([]byte, 8+len(out))
 	copy(reply, e.Payload[:8])
 	copy(reply[8:], out)
-	t.roundtrip(netsim.Envelope{
+	t.request(opSend, netsim.Envelope{
 		From:    t.name,
 		To:      e.From,
 		Kind:    e.Kind + callReplySuffix,

@@ -7,8 +7,6 @@ package transport
 
 import (
 	"bufio"
-	"errors"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -23,8 +21,8 @@ type Switch struct {
 	ln net.Listener
 
 	mu     sync.Mutex
-	exact  map[string]*swConn // endpoint -> owner
-	prefix map[string]*swConn // pattern without '*' -> owner
+	conns  map[*swConn]bool   // every connection accepted and still served
+	routes map[string]*swConn // claimed pattern -> owner
 	closed bool
 
 	wg sync.WaitGroup
@@ -32,15 +30,24 @@ type Switch struct {
 
 type swConn struct {
 	conn net.Conn
-	name string
-	wmu  sync.Mutex
-	bw   *bufio.Writer
+	w    *frameWriter
 }
 
-func (c *swConn) write(m message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	return writeMessage(c.bw, m)
+// route resolves an endpoint among the patterns claimed on it, keyed as
+// claimed: the pattern equal to the endpoint wins, else the longest
+// pattern ending in '*' whose prefix the endpoint has. The switch routes
+// frames to connections by it and a node routes them to handlers.
+func route[V any](claims map[string]V, endpoint string) (v V, ok bool) {
+	if v, ok = claims[endpoint]; ok {
+		return v, true
+	}
+	best := -1
+	for p, h := range claims {
+		if pre, star := strings.CutSuffix(p, "*"); star && len(pre) > best && strings.HasPrefix(endpoint, pre) {
+			v, ok, best = h, true, len(pre)
+		}
+	}
+	return v, ok
 }
 
 // NewSwitch starts a switch on an ephemeral localhost port.
@@ -49,7 +56,7 @@ func NewSwitch() (*Switch, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Switch{ln: ln, exact: map[string]*swConn{}, prefix: map[string]*swConn{}}
+	s := &Switch{ln: ln, conns: map[*swConn]bool{}, routes: map[string]*swConn{}}
 	s.wg.Add(1)
 	go s.accept()
 	return s, nil
@@ -58,7 +65,8 @@ func NewSwitch() (*Switch, error) {
 // Addr returns the dialable address of the switch.
 func (s *Switch) Addr() string { return s.ln.Addr().String() }
 
-// Close stops the switch and drops every connection.
+// Close stops the switch and drops every connection it accepted, whether
+// or not it still owns a route.
 func (s *Switch) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -66,18 +74,11 @@ func (s *Switch) Close() error {
 		return nil
 	}
 	s.closed = true
-	conns := map[*swConn]bool{}
-	for _, c := range s.exact {
-		conns[c] = true
-	}
-	for _, c := range s.prefix {
-		conns[c] = true
+	for c := range s.conns {
+		c.conn.Close()
 	}
 	s.mu.Unlock()
 	err := s.ln.Close()
-	for c := range conns {
-		c.conn.Close()
-	}
 	s.wg.Wait()
 	return err
 }
@@ -89,56 +90,47 @@ func (s *Switch) accept() {
 		if err != nil {
 			return
 		}
-		c := &swConn{conn: conn, bw: bufio.NewWriter(conn)}
+		c := &swConn{conn: conn, w: newFrameWriter(conn)}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[c] = true
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go s.serve(c)
 	}
 }
 
-// owner resolves an endpoint to the connection claiming it: exact match
-// first, then the longest matching prefix pattern.
 func (s *Switch) owner(endpoint string) *swConn {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.exact[endpoint]; ok {
-		return c
-	}
-	var best *swConn
-	bestLen := -1
-	for p, c := range s.prefix {
-		if len(p) > bestLen && strings.HasPrefix(endpoint, p) {
-			best, bestLen = c, len(p)
-		}
-	}
-	return best
+	c, _ := route(s.routes, endpoint)
+	return c
 }
 
 func (s *Switch) claim(c *swConn, pattern string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := strings.CutSuffix(pattern, "*"); ok {
-		s.prefix[p] = c
-	} else {
-		s.exact[pattern] = c
-	}
+	s.routes[pattern] = c
 }
 
-// drop removes every claim held by c.
+// drop forgets c: its claims and its place among the served connections.
 func (s *Switch) drop(c *swConn) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, o := range s.exact {
+	delete(s.conns, c)
+	for p, o := range s.routes {
 		if o == c {
-			delete(s.exact, k)
-		}
-	}
-	for k, o := range s.prefix {
-		if o == c {
-			delete(s.prefix, k)
+			delete(s.routes, p)
 		}
 	}
 }
 
+// serve reads one connection until it ends; a malformed or torn stream
+// drops the connection, and its claims go with it.
 func (s *Switch) serve(c *swConn) {
 	defer s.wg.Done()
 	defer c.conn.Close()
@@ -147,26 +139,19 @@ func (s *Switch) serve(c *swConn) {
 	for {
 		m, err := readMessage(br)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// A malformed or torn stream drops the connection; its
-				// claims go with it.
-				return
-			}
 			return
 		}
 		switch m.op {
-		case opHello:
-			c.name = m.env.From
-			s.claim(c, m.env.From)
-			// Echo so the dialer knows the name is routable before it
-			// returns — otherwise an immediate peer send could race the
-			// claim.
-			if c.write(message{op: opEcho, id: m.id}) != nil {
-				return
+		case opHello, opClaim:
+			// hello claims the node's name. Echo so the node knows the
+			// pattern is routable before Dial or Handle returns —
+			// otherwise an immediate peer send could race the claim.
+			pattern := m.env.To
+			if m.op == opHello {
+				pattern = m.env.From
 			}
-		case opClaim:
-			s.claim(c, m.env.To)
-			if c.write(message{op: opEcho, id: m.id}) != nil {
+			s.claim(c, pattern)
+			if c.w.write(message{op: opEcho, id: m.id}) != nil {
 				return
 			}
 		case opSend:
@@ -174,12 +159,12 @@ func (s *Switch) serve(c *swConn) {
 				// Forwarding failure means the owner died mid-frame: the
 				// claim is dropped and the frame is lost, as on any real
 				// wire. The echo below still completes the sender's call.
-				if dst.write(message{op: opForward, env: m.env}) != nil {
+				if dst.w.write(message{op: opForward, env: m.env}) != nil {
 					s.drop(dst)
 					dst.conn.Close()
 				}
 			}
-			if c.write(message{op: opEcho, id: m.id, env: m.env}) != nil {
+			if c.w.write(message{op: opEcho, id: m.id, env: m.env}) != nil {
 				return
 			}
 		}

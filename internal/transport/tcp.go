@@ -2,16 +2,14 @@
 // frames over localhost, one connection per node process, with the
 // simulator's synchronous delivery semantics preserved by switch echo.
 //
-// Accounting rides an embedded netsim.Network used purely as a counter
-// plane (its Deliver path is never taken): the same Send bookkeeping code
-// runs on both substrates, so the observer's traffic counters (per-kind
-// traffic included) and the taps are identical by construction. The fault
-// plane is armed client-side — decisions are content-hashed, so where they
-// are drawn does not matter — which keeps the seeded schedule reproducible
-// and means a dropped frame never even reaches the wire, exactly like the
-// simulator.
-// The plane is installed in the counting network, so it and every ARQ link
-// over the connection share that network's one observer.
+// A node is the simulator plus a switch round trip. Its counting network
+// is a netsim.Network whose Deliver and FlushFaults the node calls with
+// one receiver: push the copy through the switch, then hand rcv the
+// echo. The same code therefore counts the traffic, feeds the taps and
+// draws the seeded faults on both substrates — a dropped frame never
+// even reaches the wire, exactly like the simulator — and the fault
+// plane and every ARQ link over the connection share that network's one
+// observer.
 package transport
 
 import (
@@ -19,7 +17,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,10 +25,6 @@ import (
 	"pds/internal/netsim"
 	"pds/internal/obs"
 )
-
-// echoTimeout bounds one switch round trip; a healthy localhost echo takes
-// microseconds, so hitting this means the switch died.
-const echoTimeout = 30 * time.Second
 
 // Receive-side metric families. The send side reuses the netsim counter
 // plane (netsim_messages_total, ...) so both substrates account
@@ -48,32 +41,25 @@ const (
 type TCP struct {
 	name string
 	conn net.Conn
-	acct *netsim.Network // counting, observer and fault plane only
+	acct *netsim.Network // counting, observer and fault plane
+	w    *frameWriter
 
-	wmu sync.Mutex
-	bw  *bufio.Writer
-
-	nextID atomic.Uint64
-
-	cmu     sync.Mutex
-	echoes  map[uint64]chan netsim.Envelope // opSend id -> waiter
-	replies map[uint64]chan netsim.Envelope // Call id -> waiter
+	// pending holds the waiters of echoes and of call replies, keyed by
+	// one id counter so the two cannot collide.
+	nextID  atomic.Uint64
+	pmu     sync.Mutex
+	pending map[uint64]chan netsim.Envelope
 
 	hmu      sync.Mutex
-	handlers []patternHandler
+	handlers map[string]func(netsim.Envelope) // claimed pattern -> handler
 	calls    map[string]func(req netsim.Envelope, body []byte) []byte
 
 	inq    *envQueue
 	closed chan struct{}
+	gone   chan struct{} // closed by read as it exits: releases every waiter
 	dead   chan struct{} // closed once read+dispatch have exited
 	werr   atomic.Pointer[error]
 	wg     sync.WaitGroup
-}
-
-type patternHandler struct {
-	prefix  string // pattern without a trailing '*', or ""
-	exact   string // exact endpoint, or ""
-	handler func(netsim.Envelope)
 }
 
 // Dial connects a named node to the switch at addr. The name is claimed as
@@ -84,16 +70,17 @@ func Dial(addr, name string) (*TCP, error) {
 		return nil, err
 	}
 	t := &TCP{
-		name:    name,
-		conn:    conn,
-		acct:    netsim.New(),
-		bw:      bufio.NewWriter(conn),
-		echoes:  map[uint64]chan netsim.Envelope{},
-		replies: map[uint64]chan netsim.Envelope{},
-		calls:   map[string]func(netsim.Envelope, []byte) []byte{},
-		inq:     newEnvQueue(),
-		closed:  make(chan struct{}),
-		dead:    make(chan struct{}),
+		name:     name,
+		conn:     conn,
+		acct:     netsim.New(),
+		w:        newFrameWriter(conn),
+		pending:  map[uint64]chan netsim.Envelope{},
+		handlers: map[string]func(netsim.Envelope){},
+		calls:    map[string]func(netsim.Envelope, []byte) []byte{},
+		inq:      newEnvQueue(),
+		closed:   make(chan struct{}),
+		gone:     make(chan struct{}),
+		dead:     make(chan struct{}),
 	}
 	t.wg.Add(2)
 	go t.read()
@@ -143,64 +130,74 @@ func (t *TCP) Err() error {
 	return nil
 }
 
-func (t *TCP) fail(err error) {
-	if err == nil {
-		return
+func (t *TCP) fail(err error) { t.werr.CompareAndSwap(nil, &err) }
+
+// waiter registers a waiter under a fresh id; retire removes it.
+func (t *TCP) waiter() (uint64, chan netsim.Envelope) {
+	id := t.nextID.Add(1)
+	ch := make(chan netsim.Envelope, 1)
+	t.pmu.Lock()
+	t.pending[id] = ch
+	t.pmu.Unlock()
+	return id, ch
+}
+
+func (t *TCP) retire(id uint64) {
+	t.pmu.Lock()
+	delete(t.pending, id)
+	t.pmu.Unlock()
+}
+
+// release hands e to id's waiter and reports whether there was one.
+func (t *TCP) release(id uint64, e netsim.Envelope) bool {
+	t.pmu.Lock()
+	ch := t.pending[id]
+	t.pmu.Unlock()
+	if ch != nil {
+		select {
+		case ch <- e:
+		default: // a waiter takes one envelope; a repeat is dropped
+		}
 	}
-	t.werr.CompareAndSwap(nil, &err)
+	return ch != nil
 }
 
-func (t *TCP) write(m message) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	err := writeMessage(t.bw, m)
-	t.fail(err)
-	return err
-}
-
-// roundtrip pushes one envelope through the switch and returns the echoed
-// copy — the moment the switch has accepted (and forwarded) the frame. ok
-// is false when the wire is dead; the envelope is then lost, as Deliver's
-// contract allows.
-func (t *TCP) roundtrip(e netsim.Envelope) (netsim.Envelope, bool) {
-	return t.request(opSend, e)
+// await blocks for the envelope released to ch. It fails when the reader
+// exits — by Close or by a wire error — or when timeout fires (a nil
+// timeout never does).
+func (t *TCP) await(ch chan netsim.Envelope, timeout <-chan time.Time) (netsim.Envelope, bool) {
+	select {
+	case e := <-ch:
+		return e, true
+	case <-t.gone:
+	case <-timeout:
+	}
+	return netsim.Envelope{}, false
 }
 
 // request writes one message and blocks for the switch's echo — the
 // synchronization point every write-side operation (send, hello, claim)
-// shares.
+// shares. The switch echoes every message it reads, so only a dead
+// connection ends the wait without one; ok is then false and the
+// envelope is lost, as Deliver's contract allows.
 func (t *TCP) request(op byte, e netsim.Envelope) (netsim.Envelope, bool) {
-	id := t.nextID.Add(1)
-	ch := make(chan netsim.Envelope, 1)
-	t.cmu.Lock()
-	t.echoes[id] = ch
-	t.cmu.Unlock()
-	defer func() {
-		t.cmu.Lock()
-		delete(t.echoes, id)
-		t.cmu.Unlock()
-	}()
-	if err := t.write(message{op: op, id: id, env: e}); err != nil {
+	id, ch := t.waiter()
+	defer t.retire(id)
+	if err := t.w.write(message{op: op, id: id, env: e}); err != nil {
+		t.fail(err)
 		return e, false
 	}
-	timer := time.NewTimer(echoTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
+	if out, ok := t.await(ch, nil); ok {
 		return out, true
-	case <-t.closed:
-		return e, false
-	case <-timer.C:
-		t.fail(fmt.Errorf("transport: no echo for %q frame to %s within %v", e.Kind, e.To, echoTimeout))
-		return e, false
 	}
+	return e, false
 }
 
-// read is the single connection reader: echoes to their waiting
-// round trips, call replies to their waiting Calls, everything else to the
-// inbound queue in arrival order.
+// read is the single connection reader: echoes and call replies to their
+// waiters, everything else to the inbound queue in arrival order.
 func (t *TCP) read() {
 	defer t.wg.Done()
+	defer close(t.gone)
 	br := bufio.NewReader(t.conn)
 	for {
 		m, err := readMessage(br)
@@ -215,22 +212,11 @@ func (t *TCP) read() {
 		}
 		switch m.op {
 		case opEcho:
-			t.cmu.Lock()
-			ch := t.echoes[m.id]
-			t.cmu.Unlock()
-			if ch != nil {
-				ch <- m.env
-			}
+			t.release(m.id, m.env)
 		case opForward:
-			if strings.HasSuffix(m.env.Kind, callReplySuffix) && len(m.env.Payload) >= 8 {
-				id := binary.LittleEndian.Uint64(m.env.Payload[:8])
-				t.cmu.Lock()
-				ch := t.replies[id]
-				t.cmu.Unlock()
-				if ch != nil {
-					ch <- m.env
-					continue
-				}
+			if strings.HasSuffix(m.env.Kind, callReplySuffix) && len(m.env.Payload) >= 8 &&
+				t.release(binary.LittleEndian.Uint64(m.env.Payload[:8]), m.env) {
+				continue
 			}
 			t.inq.push(m.env)
 		}
@@ -250,30 +236,16 @@ func (t *TCP) dispatch() {
 			reg.Counter(MetricFramesReceived).Inc()
 			reg.Counter(MetricBytesReceived).Add(int64(len(e.Payload)))
 		}
-		if fn := t.callHandler(e.Kind); fn != nil {
-			t.serveCall(e, fn)
-			continue
-		}
-		if h := t.handlerFor(e.To); h != nil {
+		t.hmu.Lock()
+		call := t.calls[e.Kind]
+		h, _ := route(t.handlers, e.To)
+		t.hmu.Unlock()
+		if call != nil {
+			t.serveCall(e, call)
+		} else if h != nil {
 			h(e)
 		}
 	}
-}
-
-func (t *TCP) handlerFor(endpoint string) func(netsim.Envelope) {
-	t.hmu.Lock()
-	defer t.hmu.Unlock()
-	var best func(netsim.Envelope)
-	bestLen := -1
-	for _, h := range t.handlers {
-		switch {
-		case h.exact == endpoint:
-			return h.handler
-		case h.exact == "" && len(h.prefix) > bestLen && strings.HasPrefix(endpoint, h.prefix):
-			best, bestLen = h.handler, len(h.prefix)
-		}
-	}
-	return best
 }
 
 // Handle claims an endpoint pattern on the switch (an exact name or a
@@ -281,18 +253,8 @@ func (t *TCP) handlerFor(endpoint string) func(netsim.Envelope) {
 // place of the fn an earlier Handle of the same pattern registered. fn
 // runs on the dispatch goroutine, one frame at a time, in arrival order.
 func (t *TCP) Handle(pattern string, fn func(netsim.Envelope)) error {
-	h := patternHandler{handler: fn}
-	if p, ok := strings.CutSuffix(pattern, "*"); ok {
-		h.prefix = p
-	} else {
-		h.exact = pattern
-	}
 	t.hmu.Lock()
-	if i := slices.IndexFunc(t.handlers, func(o patternHandler) bool { return o.prefix == h.prefix && o.exact == h.exact }); i >= 0 {
-		t.handlers[i] = h
-	} else {
-		t.handlers = append(t.handlers, h)
-	}
+	t.handlers[pattern] = fn
 	t.hmu.Unlock()
 	// Block until the switch confirms: once Handle returns, frames
 	// addressed to the pattern are guaranteed to be forwarded here.
@@ -311,26 +273,29 @@ func (t *TCP) Handle(pattern string, fn func(netsim.Envelope)) error {
 // injection, returning the echoed copy.
 func (t *TCP) Send(e netsim.Envelope) netsim.Envelope {
 	t.acct.Send(e)
-	out, _ := t.roundtrip(e)
+	out, _ := t.request(opSend, e)
 	return out
 }
 
-// Deliver counts the envelope, routes it through the armed fault plane,
-// and round-trips each surviving copy; rcv observes the echoed copies
-// synchronously, exactly as on the simulator. As there, e's bytes are
-// valid only for the duration of the call: the frame is written out
-// before Deliver returns, and the plane copies what it withholds.
+// Deliver is the counting network's Deliver with a switch round trip as
+// its receiver: the envelope is counted and routed through the armed
+// fault plane exactly as on the simulator, and each surviving copy is
+// pushed over the wire before rcv observes the echo. As there, e's bytes
+// are valid only for the duration of the call.
 func (t *TCP) Deliver(e netsim.Envelope, rcv func(netsim.Envelope)) {
-	t.acct.Send(e)
-	fp := t.acct.Faults()
-	if fp == nil {
-		if out, ok := t.roundtrip(e); ok {
-			rcv(out)
-		}
-		return
-	}
-	for _, c := range fp.Transmit(e) {
-		if out, ok := t.roundtrip(c); ok {
+	t.acct.Deliver(e, t.echoed(rcv))
+}
+
+// FlushFaults releases withheld envelopes in their seeded order, pushing
+// each over the wire (so remote claimants see the delayed frames) before
+// rcv observes the echo.
+func (t *TCP) FlushFaults(rcv func(netsim.Envelope)) { t.acct.FlushFaults(t.echoed(rcv)) }
+
+// echoed round-trips each copy through the switch before rcv sees its
+// echo; a copy the dead wire loses never reaches rcv.
+func (t *TCP) echoed(rcv func(netsim.Envelope)) func(netsim.Envelope) {
+	return func(e netsim.Envelope) {
+		if out, ok := t.request(opSend, e); ok {
 			rcv(out)
 		}
 	}
@@ -343,21 +308,6 @@ func (t *TCP) SetFaults(fp *netsim.FaultPlane) { t.acct.SetFaults(fp) }
 
 // Faults returns the armed fault plane, or nil.
 func (t *TCP) Faults() *netsim.FaultPlane { return t.acct.Faults() }
-
-// FlushFaults releases withheld envelopes in their seeded order, pushing
-// each over the wire (so remote claimants see the delayed frames) before
-// rcv observes the echo.
-func (t *TCP) FlushFaults(rcv func(netsim.Envelope)) {
-	fp := t.acct.Faults()
-	if fp == nil {
-		return
-	}
-	fp.Flush(func(e netsim.Envelope) {
-		if out, ok := t.roundtrip(e); ok {
-			rcv(out)
-		}
-	})
-}
 
 // SetObserver swaps the accounting registry; the counting network
 // rebinds the armed fault plane to it.
